@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .script import run_script
@@ -27,15 +26,7 @@ def main(argv=None) -> int:
         "--keep-going", action="store_true",
         help="report every error instead of stopping at the first",
     )
-    parser.add_argument(
-        "--seed", type=int, metavar="N",
-        help="seed the random number generator; reserved for future "
-        "randomized commands, none of the current ones sample",
-    )
     args = parser.parse_args(argv)
-
-    if args.seed is not None:
-        random.seed(args.seed)
 
     if args.script is None or args.script == "-":
         text = sys.stdin.read()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ContextMismatch, ParityError
-from .poly import Context, Parity, SuperPoly
+from .poly import Context, Parity, Scalar, SuperPoly
 
 
 def _check_coeff(ctx, poly, required, slot):
@@ -134,7 +134,7 @@ class SuperDerivation:
 
     def __rmul__(self, scalar):
         """Left multiplication by a homogeneous polynomial or a rational."""
-        if isinstance(scalar, (int, Fraction)):
+        if isinstance(scalar, Scalar):
             scalar = SuperPoly.scalar(self.ctx, scalar)
         if not isinstance(scalar, SuperPoly):
             return NotImplemented

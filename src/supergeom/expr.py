@@ -84,11 +84,18 @@ class Pow(NamedTuple):
     exp: int
 
 
+# Open parentheses plus pending unary minuses allowed at once.  Parsing
+# and lowering recurse once per level, so this bounds their stack use and
+# turns absurdly nested input into a ScriptError instead of a crash.
+_MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens, line):
         self.tokens = tokens
         self.line = line
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> Token:
@@ -97,6 +104,12 @@ class _Parser:
     def error(self, message, tok=None):
         tok = tok or self.cur
         raise ScriptError(message, line=self.line, col=tok.col)
+
+    def nest(self, tok):
+        """Enter one nesting level at tok; the caller leaves it."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self.error(f"expression nested deeper than {_MAX_DEPTH} levels", tok)
 
     def eat_op(self, op) -> bool:
         if self.cur.kind == "op" and self.cur.text == op:
@@ -120,8 +133,12 @@ class _Parser:
         return Prod(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor(self):
+        tok = self.cur
         if self.eat_op("-"):
-            return Neg(self.factor())
+            self.nest(tok)
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
         node = self.atom()
         while self.eat_op("^"):
             node = Pow(node, self.exponent())
@@ -156,10 +173,12 @@ class _Parser:
             self.i += 1
             return Var(tok.text, tok.col)
         if tok.kind == "op" and tok.text == "(":
+            self.nest(tok)
             self.i += 1
             node = self.expr()
             if not self.eat_op(")"):
                 self.error("expected ')'")
+            self.depth -= 1
             return node
         if tok.kind == "end":
             self.error("unexpected end of expression")
@@ -212,7 +231,16 @@ def lower(node, ctx: Context, line=None, env=None) -> SuperPoly:
             out = out * lower(f, ctx, line, env)
         return out
     if isinstance(node, Pow):
-        return lower(node.base, ctx, line, env) ** node.exp
+        # chained powers nest Pow nodes outside the depth budget, so
+        # unwind them in a loop rather than by recursion
+        exps = []
+        while isinstance(node, Pow):
+            exps.append(node.exp)
+            node = node.base
+        out = lower(node, ctx, line, env)
+        for e in reversed(exps):
+            out = out ** e
+        return out
     raise TypeError(f"not an expression node: {node!r}")
 
 

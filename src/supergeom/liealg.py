@@ -67,28 +67,33 @@ def _strip_parameter(mat: SuperMatrix, scalar: SuperPoly,
                      user_ctx: Context) -> SuperMatrix:
     """Divide a matrix of the form scalar * B (row-twisted action) by the
     single-monomial scalar, landing back in the user context."""
-    ((word, coeff),) = scalar.terms.items()
     twist = scalar.parity() is Parity.ODD
-    k = len(word.odd)
     shift = len(RESERVED)
-    rows = []
-    for i, row in enumerate(mat.rows):
-        flip = twist and i >= mat.target.even
-        rows.append([_strip_entry(e, word, coeff, k, shift, flip, user_ctx)
-                     for e in row])
+    rows = [
+        [_divide(e, scalar, user_ctx, shift, twist and i >= mat.target.even)
+         for e in row]
+        for i, row in enumerate(mat.rows)
+    ]
     return SuperMatrix(user_ctx, mat.source, mat.target, rows,
                        mat.parity + scalar.parity())
 
 
-def _strip_entry(e, word, coeff, k, shift, flip, user_ctx):
+def _divide(poly: SuperPoly, param: SuperPoly, ctx_out: Context,
+            shift: int, flip: bool) -> SuperPoly:
+    """Divide poly = param * g by the single-monomial parameter, whose odd
+    word leads every odd word of poly.  g lands in ctx_out with its odd
+    indices lowered by shift (reserved generators dropped from the front
+    of the context) and negated when flip is set."""
+    ((word, coeff),) = param.terms.items()
+    k = len(word.odd)
     terms = {}
-    for mono, c in e.terms.items():
+    for mono, c in poly.terms.items():
         tail = mono.odd[k:]
         if mono.odd[:k] != word.odd or any(j < shift for j in tail):
-            raise ValueError("matrix does not factor through the parameter")
+            raise ValueError("polynomial does not factor through the parameter")
         c = c / coeff
         terms[Monomial(mono.even, tuple(j - shift for j in tail))] = -c if flip else c
-    return SuperPoly._raw(user_ctx, terms)
+    return SuperPoly._raw(ctx_out, terms)
 
 
 def _bracket_setup(x: SuperMatrix, y: SuperMatrix):
@@ -257,19 +262,6 @@ def _canonical_constraints(ctx: Context, polys):
     return tuple(out)
 
 
-def _strip_scalar(poly: SuperPoly, eps: SuperPoly) -> SuperPoly:
-    """Divide a polynomial of the form eps * g by the square-zero even
-    parameter (a single +1 monomial on the reserved pair)."""
-    ((word, _),) = eps.terms.items()
-    k = len(word.odd)
-    terms = {}
-    for mono, c in poly.terms.items():
-        if mono.odd[:k] != word.odd:
-            raise ValueError("polynomial does not factor through the parameter")
-        terms[Monomial(mono.even, mono.odd[k:])] = c
-    return SuperPoly._raw(poly.ctx, terms)
-
-
 def lie_algebra(spec: MatrixGroupSpec) -> LieAlgebraResult:
     """First-order expansion of the defining equations at I + epsilon*X.
 
@@ -291,14 +283,15 @@ def lie_algebra(spec: MatrixGroupSpec) -> LieAlgebraResult:
     if spec.kind == "GL":
         raw = []
     elif spec.kind == "SL":
-        raw = [_strip_scalar(group_like.berezinian() - 1, eps)]
+        raw = [_divide(group_like.berezinian() - 1, eps, ctx, 0, False)]
     else:
         phi = SuperMatrix(
             ctx, spec.dims, spec.dims,
             [[ctx.scalar(v) for v in row] for row in spec.form],
         )
         residue = group_like.supertranspose() @ phi @ group_like - phi
-        raw = [_strip_scalar(e, eps) for row in residue.rows for e in row]
+        raw = [_divide(e, eps, ctx, 0, False)
+               for row in residue.rows for e in row]
 
     return LieAlgebraResult(
         spec.kind, spec.dims, ctx, x, eps, _canonical_constraints(ctx, raw)

@@ -18,7 +18,6 @@ cover both Grassmann coefficients and matrices evaluated at points.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
@@ -29,9 +28,7 @@ from .errors import (
     NotInvertible,
     ParityError,
 )
-from .poly import Context, Parity, SuperPoly
-
-Scalar = (int, Fraction)
+from .poly import Context, Parity, Scalar, SuperPoly
 
 
 class SuperDim(NamedTuple):
@@ -98,6 +95,14 @@ def _gmul(ctx, a, b):
                 acc = [s + e * t for s, t in zip(acc, brow)]
         out.append(tuple(acc))
     return tuple(out)
+
+
+def _gblocks(tl, tr, bl, br):
+    """Grid with block rows [tl tr] and [bl br]; every block is a grid of
+    its own full height, so empty blocks still fix the row counts."""
+    return tuple(a + b for a, b in zip(tl, tr)) + tuple(
+        a + b for a, b in zip(bl, br)
+    )
 
 
 def _gis_zero(a):
@@ -191,23 +196,16 @@ def _grid_inverse(ctx, grid, label):
     return _series_inverse(ctx, grid, body, binv)
 
 
-def _scalar_inverse(u: SuperPoly) -> SuperPoly:
-    """Inverse of an even scalar c(1 + n) with c a nonzero constant."""
-    body = u.body()
-    if not body.is_constant():
-        raise NotInvertible("scalar body is not constant")
-    c = body.constant_term()
-    if not c:
-        raise NotInvertible("scalar body is zero")
-    n = u / c - 1
-    out = SuperPoly.scalar(u.ctx, 1)
-    power = n
-    neg = True
-    while power:
-        out = out + (-power if neg else power)
-        power = power * n
-        neg = not neg
-    return out / c
+def _schur(ctx, a, b, c, d, label):
+    """(d^{-1}, b d^{-1}, a - b d^{-1} c) for the block grid [[a, b], [c, d]].
+
+    An empty d leaves a unchanged: a product through a zero inner
+    dimension would otherwise lose the width of a."""
+    if not d:
+        return d, b, a
+    dinv = _grid_inverse(ctx, d, label)
+    bdinv = _gmul(ctx, b, dinv)
+    return dinv, bdinv, _gsub(a, _gmul(ctx, bdinv, c))
 
 
 class SuperMatrix:
@@ -464,26 +462,10 @@ class SuperMatrix:
         t1, _, _, t4 = self.blocks()
         b1, i1 = _body_inverse(ctx, t1, "T1")
         b4, i4 = _body_inverse(ctx, t4, "T4")
-        zero = SuperPoly.zero(ctx)
-        n = p + q
-        body = tuple(
-            tuple(
-                b1[i][j] if i < p and j < p
-                else b4[i - p][j - p] if i >= p and j >= p
-                else zero
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        binv = tuple(
-            tuple(
-                i1[i][j] if i < p and j < p
-                else i4[i - p][j - p] if i >= p and j >= p
-                else zero
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+        zero_pq = _gzero(ctx, p, q)
+        zero_qp = _gzero(ctx, q, p)
+        body = _gblocks(b1, zero_pq, zero_qp, b4)
+        binv = _gblocks(i1, zero_pq, zero_qp, i4)
         grid = _series_inverse(ctx, self.rows, body, binv)
         return SuperMatrix._wrap(ctx, self.source, self.target, grid, Parity.EVEN)
 
@@ -503,22 +485,25 @@ class SuperMatrix:
             raise ValueError(f"unknown formula {formula!r}")
         ctx = self.ctx
         t1, t2, t3, t4 = self.blocks()
-        # with an empty block row the two formulas coincide and the
-        # Schur-complement plumbing would lose the grid width
+
+        def inverse_det(grid):
+            # the body of a Schur complement is the body of its diagonal
+            # block, so a failure here is always T4's
+            return _grid_inverse(ctx, ((_det(ctx, grid),),), "T4")[0][0]
+
+        # with an empty block row the two formulas coincide
         if self.source.odd == 0:
             return _det(ctx, t1)
         if self.source.even == 0:
-            return _scalar_inverse(_det(ctx, t4))
+            return inverse_det(t4)
 
         def primary():
-            t4inv = _grid_inverse(ctx, t4, "T4")
-            y1 = _gsub(t1, _gmul(ctx, _gmul(ctx, t2, t4inv), t3))
-            return _det(ctx, y1) * _scalar_inverse(_det(ctx, t4))
+            _, _, y1 = _schur(ctx, t1, t2, t3, t4, "T4")
+            return _det(ctx, y1) * inverse_det(t4)
 
         def alternate():
-            t1inv = _grid_inverse(ctx, t1, "T1")
-            y2 = _gsub(t4, _gmul(ctx, _gmul(ctx, t3, t1inv), t2))
-            return _det(ctx, t1) * _scalar_inverse(_det(ctx, y2))
+            _, _, y2 = _schur(ctx, t4, t3, t2, t1, "T1")
+            return _det(ctx, t1) * inverse_det(y2)
 
         if formula == "primary":
             return primary()
@@ -545,34 +530,21 @@ class SuperMatrix:
         ctx = self.ctx
         p, q = self.source
         t1, t2, t3, t4 = self.blocks()
-        t4inv = _grid_inverse(ctx, t4, "T4")
-        x = _gmul(ctx, t2, t4inv)
-        y1 = _gsub(t1, _gmul(ctx, x, t3))
+        t4inv, x, y1 = _schur(ctx, t1, t2, t3, t4, "T4")
         z = _gmul(ctx, t4inv, t3)
-        zero = SuperPoly.zero(ctx)
-        one = SuperPoly.scalar(ctx, 1)
-        n = p + q
-
-        def assemble(top_left, top_right, bot_left, bot_right):
-            grid = tuple(
-                tuple(
-                    (top_left[i][j] if j < p else top_right[i][j - p])
-                    if i < p
-                    else (bot_left[i - p][j] if j < p else bot_right[i - p][j - p])
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-            return SuperMatrix._wrap(ctx, self.source, self.target, grid, Parity.EVEN)
-
         eye_p = _gid(ctx, p)
         eye_q = _gid(ctx, q)
         zero_pq = _gzero(ctx, p, q)
         zero_qp = _gzero(ctx, q, p)
-        t_plus = assemble(eye_p, x, zero_qp, eye_q)
-        t_zero = assemble(y1, zero_pq, zero_qp, t4)
-        t_minus = assemble(eye_p, zero_pq, z, eye_q)
-        return t_plus, t_zero, t_minus
+        grids = (
+            _gblocks(eye_p, x, zero_qp, eye_q),
+            _gblocks(y1, zero_pq, zero_qp, t4),
+            _gblocks(eye_p, zero_pq, z, eye_q),
+        )
+        return tuple(
+            SuperMatrix._wrap(ctx, self.source, self.target, g, Parity.EVEN)
+            for g in grids
+        )
 
     def srank(self) -> SuperDim:
         """rank(body T1) | rank(body T4); entries must have constant bodies."""

@@ -18,6 +18,14 @@ from .errors import ContextMismatch
 Scalar = (int, Fraction)
 
 
+def _exact(value) -> Fraction:
+    """Fraction from an exact scalar.  Floats are refused: Fraction(0.1)
+    is the binary float 3602879701896397/36028797018963968, not 1/10."""
+    if isinstance(value, float):
+        raise TypeError(f"inexact float {value!r}; pass an int or a Fraction")
+    return Fraction(value)
+
+
 class Parity(enum.Enum):
     """Z/2 grading tag.  MIXED marks an inhomogeneous sum, never a grade."""
 
@@ -183,7 +191,7 @@ class SuperPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, c in items:
             if not isinstance(c, Fraction):
-                c = Fraction(c)
+                c = _exact(c)
             if c:
                 clean[mono] = c
         self.terms = clean
@@ -202,7 +210,7 @@ class SuperPoly:
 
     @classmethod
     def scalar(cls, ctx, value) -> "SuperPoly":
-        c = Fraction(value)
+        c = value if isinstance(value, Fraction) else _exact(value)
         return cls._raw(ctx, {UNIT_MONOMIAL: c} if c else {})
 
     @classmethod
@@ -343,6 +351,9 @@ class SuperPoly:
         return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its Fraction, so it must hash like one too
+        if self.is_constant():
+            return hash(self.constant_term())
         return hash((self.ctx, frozenset(self.terms.items())))
 
     # -- calculus --------------------------------------------------------
@@ -512,7 +523,7 @@ class RationalPoint:
     __slots__ = ("ctx", "even_values")
 
     def __init__(self, ctx: Context, even_values):
-        vals = tuple(Fraction(v) for v in even_values)
+        vals = tuple(_exact(v) for v in even_values)
         if len(vals) != len(ctx.even):
             raise ValueError(
                 f"expected {len(ctx.even)} even values, got {len(vals)}"

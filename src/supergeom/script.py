@@ -130,6 +130,13 @@ class Interpreter:
         """let-bound polynomials, resolvable inside later expressions."""
         return {k: v for k, (kind, v) in self.values.items() if kind == "poly"}
 
+    def _polys(self, text, ctx, line):
+        """Comma-separated expressions over ctx, as a list of polynomials."""
+        env = self._env()
+        return [
+            expr.parse_poly(e, ctx, line, env) for e in _split_top(text, ",")
+        ]
+
     def _value(self, name, want, line):
         kind_value = self.values.get(name)
         if kind_value is None:
@@ -210,11 +217,8 @@ class Interpreter:
         source = SuperDim(int(m.group("p")), int(m.group("q")))
         target = SuperDim(int(m.group("r")), int(m.group("s")))
         parity = Parity.ODD if m.group("odd") else Parity.EVEN
-        rows = [
-            [expr.parse_poly(e, ctx, line, self._env())
-             for e in _split_top(row, ",")]
-            for row in _split_top(m.group("rows"), ";")
-        ]
+        rows = [self._polys(row, ctx, line)
+                for row in _split_top(m.group("rows"), ";")]
         self.values[m.group("name")] = (
             "matrix", SuperMatrix(ctx, source, target, rows, parity)
         )
@@ -227,20 +231,14 @@ class Interpreter:
         )
         src = self._named_ctx(m.group("src"), line)
         dst = self._named_ctx(m.group("dst"), line)
-        images = [
-            expr.parse_poly(e, src, line, self._env())
-            for e in _split_top(m.group("images"), ",")
-        ]
+        images = self._polys(m.group("images"), src, line)
         self.values[m.group("name")] = ("morphism", Morphism(src, dst, images))
 
     def stmt_field(self, rest, line):
         m = self._match(rf"(?P<name>{_NAME})\s*=\s*\[(?P<coeffs>.*)\]",
                         rest, line, "field NAME = [coeff, ...]")
         ctx = self._ctx(line)
-        coeffs = [
-            expr.parse_poly(e, ctx, line, self._env())
-            for e in _split_top(m.group("coeffs"), ",")
-        ]
+        coeffs = self._polys(m.group("coeffs"), ctx, line)
         em, on = ctx.dims
         if len(coeffs) != em + on:
             raise ScriptError(
@@ -278,17 +276,13 @@ class Interpreter:
         )
         coords = self._named_ctx(m.group("ctx"), line)
         double = product_context(coords)
-        mu = Morphism(double, coords, [
-            expr.parse_poly(e, double, line, self._env())
-            for e in _split_top(m.group("mu"), ",")
-        ])
+        mu = Morphism(double, coords, self._polys(m.group("mu"), double, line))
         unit = self._point(m.group("unit"), coords, line)
         inverse = None
         if m.group("inv") is not None:
-            inverse = Morphism(coords, coords, [
-                expr.parse_poly(e, coords, line, self._env())
-                for e in _split_top(m.group("inv"), ",")
-            ])
+            inverse = Morphism(
+                coords, coords, self._polys(m.group("inv"), coords, line)
+            )
         law = GroupLaw(coords, mu, unit, inverse)
         self.values[m.group("name")] = ("group", law)
         self.last_group = law
@@ -300,10 +294,7 @@ class Interpreter:
             rest, line, "variety NAME ideal=[...] point=(...)",
         )
         ctx = self._ctx(line)
-        gens = [
-            expr.parse_poly(e, ctx, line, self._env())
-            for e in _split_top(m.group("ideal"), ",")
-        ]
+        gens = self._polys(m.group("ideal"), ctx, line)
         point = self._point(m.group("point"), ctx, line)
         self.values[m.group("name")] = (
             "variety", PointedVariety(ctx, gens, point)

@@ -318,6 +318,27 @@ class TestBerezinian:
         with pytest.raises(ParityError):
             m.berezinian()
 
+    def test_purely_odd_dims_invert_the_determinant(self):
+        # 0|q: Ber is 1/det(T4), here 1/(2 + ab) = 1/2 - ab/4
+        ab = Context(even=[], odd=["a", "b"])
+        a, b = ab.var("a"), ab.var("b")
+        m = sq(ab, [[2 + a * b, 0], [0, 1]], 0, 2)
+        assert m.berezinian() == Fraction(1, 2) - Fraction(1, 4) * a * b
+
+    @pytest.mark.parametrize("entry", ["ab", "t"])
+    def test_purely_odd_dims_need_an_invertible_body(self, entry):
+        ctx = Context(even=["t"], odd=["a", "b"])
+        e = ctx.var("a") * ctx.var("b") if entry == "ab" else ctx.var("t")
+        m = sq(ctx, [[e]], 0, 1)
+        with pytest.raises(NotInvertible, match="T4"):
+            m.berezinian()
+
+    def test_alternate_formula_reports_singular_t4(self):
+        # T1 inverts, but T4 - T3 T1^{-1} T2 = 2*theta1*theta2 has zero body
+        m = sq(CTX, [[1, T1], [T2, T1 * T2]], 1, 1)
+        with pytest.raises(NotInvertible, match="T4"):
+            m.berezinian(formula="alternate")
+
 
 class TestElementaryDecomposition:
     def test_frozen_1x1(self):
@@ -343,6 +364,13 @@ class TestElementaryDecomposition:
             m = random_invertible(rng, CTX, (2, 2))
             plus, zero, minus = m.elementary_decomposition()
             assert plus @ zero @ minus == m
+
+    @pytest.mark.parametrize("p, q", [(2, 0), (0, 2)])
+    def test_reassembles_with_an_empty_block(self, p, q):
+        ab = Context(even=[], odd=["a", "b"])
+        m = sq(ab, [[2, 1], [1, 1]], p, q)
+        plus, zero, minus = m.elementary_decomposition()
+        assert plus @ zero @ minus == m
 
     def test_triangular_factors_have_unit_berezinian(self):
         rng = random.Random(22)

@@ -17,9 +17,11 @@ from supergeom import (
     ContextMismatch,
     Parity,
     ParityError,
+    RationalPoint,
     SuperPoly,
     normalize_odd_word,
 )
+from supergeom.poly import UNIT_MONOMIAL
 
 T2 = Context(even=["t1", "t2"], odd=["theta1", "theta2"])
 T3 = Context(even=["t"], odd=["theta1", "theta2", "theta3"])
@@ -174,6 +176,23 @@ class TestEvaluation:
     def test_fraction_exactness(self):
         f = poly(T2, [(Fraction(1, 3), [("t1", 1), ("t2", 1)], [])])
         assert f.at(T2.point([Fraction(1, 2), Fraction(3, 5)])) == Fraction(1, 10)
+
+
+class TestExactScalars:
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            SuperPoly.scalar(T2, 0.1)
+        with pytest.raises(TypeError):
+            T2.scalar(0.5)
+        with pytest.raises(TypeError):
+            SuperPoly(T2, {UNIT_MONOMIAL: 0.5})
+        with pytest.raises(TypeError):
+            RationalPoint(T2, [0.5, 1])
+
+    def test_constants_hash_like_their_value(self):
+        assert {T2.scalar(3): 1}[3] == 1
+        assert hash(T2.zero()) == hash(0)
+        assert hash(T3.scalar(Fraction(-2, 7))) == hash(Fraction(-2, 7))
 
 
 class TestRendering:
