@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ContextMismatch, ParityError
-from .poly import Context, Parity, Scalar, SuperPoly
+from .poly import Context, Parity, Scalar, SuperPoly, _exact, _signed_sum
 
 
 def _check_coeff(ctx, poly, required, slot):
@@ -155,29 +153,16 @@ class SuperDerivation:
         ):
             if coeff.is_zero():
                 continue
-            if coeff == SuperPoly.scalar(self.ctx, 1):
-                text = f"d/d{name}"
-                neg = False
-            elif coeff == SuperPoly.scalar(self.ctx, -1):
-                text = f"d/d{name}"
+            body = str(coeff)
+            neg = False
+            if len(coeff.terms) > 1:
+                body = f"({body})"
+            elif body.startswith("-"):
                 neg = True
-            else:
-                body = str(coeff)
-                neg = False
-                if len(coeff.terms) > 1:
-                    body = f"({body})"
-                elif body.startswith("-"):
-                    neg = True
-                    body = body[1:]
-                text = f"{body}*d/d{name}"
+                body = body[1:]
+            text = f"d/d{name}" if body == "1" else f"{body}*d/d{name}"
             bits.append((neg, text))
-        if not bits:
-            return "0"
-        neg, text = bits[0]
-        out = ("-" if neg else "") + text
-        for neg, text in bits[1:]:
-            out += (" - " if neg else " + ") + text
-        return out
+        return _signed_sum(bits)
 
     def __repr__(self):
         return f"SuperDerivation({self})"
@@ -214,8 +199,8 @@ class TangentVector:
     __slots__ = ("ctx", "even_coords", "odd_coords")
 
     def __init__(self, ctx: Context, even=None, odd=None):
-        even = tuple(Fraction(v) for v in (even or [0] * len(ctx.even)))
-        odd = tuple(Fraction(v) for v in (odd or [0] * len(ctx.odd)))
+        even = tuple(_exact(v) for v in (even or [0] * len(ctx.even)))
+        odd = tuple(_exact(v) for v in (odd or [0] * len(ctx.odd)))
         if len(even) != len(ctx.even) or len(odd) != len(ctx.odd):
             raise ValueError("one coordinate per generator expected")
         self.ctx = ctx

@@ -14,7 +14,6 @@ machinery over the full polynomial ring, so we refuse to guess.
 from __future__ import annotations
 
 import enum
-from itertools import combinations
 
 from . import linalg
 from .derivation import SuperDerivation, bracket
@@ -51,6 +50,19 @@ class Distribution:
         self.fields = fields
 
 
+def _pivot_columns(grid):
+    """Lexicographically first set of one column per row whose entries
+    all have constant bodies and whose body submatrix is invertible, or
+    None.  Pivot columns of the reduced echelon form are that first set."""
+    cols = [c for c in range(len(grid[0]))
+            if all(row[c].body().is_constant() for row in grid)]
+    body = [[row[c].body().constant_term() for c in cols] for row in grid]
+    pivots = linalg.rref(body)[1]
+    if len(pivots) < len(grid):
+        return None
+    return [cols[p] for p in pivots]
+
+
 def involutive(dist) -> Involutivity:
     """Is the span closed under the super bracket?
 
@@ -72,23 +84,12 @@ def involutive(dist) -> Involutivity:
     if all(w.is_zero() for w in pairs):
         return Involutivity.INTEGRABLE
 
-    k = len(fields)
     grid = tuple(tuple(f.coefficients()) for f in fields)
-    ncols = len(ctx.even) + len(ctx.odd)
-
-    chosen = None
-    for cols in combinations(range(ncols), k):
-        sub = [[grid[a][c] for c in cols] for a in range(k)]
-        if not all(e.body().is_constant() for row in sub for e in row):
-            continue
-        body = [[e.body().constant_term() for e in row] for row in sub]
-        if linalg.rank(body) == k:
-            chosen = cols
-            break
+    chosen = _pivot_columns(grid)
     if chosen is None:
         return Involutivity.INDETERMINATE
 
-    t0 = tuple(tuple(grid[a][c] for c in chosen) for a in range(k))
+    t0 = tuple(tuple(row[c] for c in chosen) for row in grid)
     normalized = _gmul(ctx, _grid_inverse(ctx, t0, "pivot submatrix"), grid)
 
     for w in pairs:

@@ -91,20 +91,6 @@ class GroupLaw:
             return ctx.zero()
         return ctx.scalar(self.unit.even_values[ctx.even.index(name)])
 
-    def collapse_factor(self, poly: SuperPoly, factor: int) -> SuperPoly:
-        """Evaluate one factor of a doubled-context polynomial at the unit
-        and rename the surviving copy back to the group coordinates."""
-        ctx = self.coords
-        images = {}
-        for n in ctx.even + ctx.odd:
-            if factor == 0:
-                images[n] = self._unit_value(n)
-                images[primed(n)] = ctx.var(n)
-            else:
-                images[n] = ctx.var(n)
-                images[primed(n)] = self._unit_value(n)
-        return poly.substitute(ctx, images)
-
 
 def check_group_axioms(law: GroupLaw):
     """Symbolic associativity, two-sided unit, and (when an inversion is
@@ -150,17 +136,17 @@ def _associativity(law: GroupLaw) -> AxiomResult:
 def _unit_axiom(law: GroupLaw) -> AxiomResult:
     g = law.coords
     double = law.mu.source
+    images_left = {}
+    images_right = {}
+    for c in _names(g):
+        images_left[c] = law._unit_value(c).rename(double)
+        images_left[primed(c)] = double.var(primed(c))
+        images_right[c] = double.var(c)
+        images_right[primed(c)] = law._unit_value(c).rename(double)
     residuals = []
     for n in _names(g):
         expected_left = double.var(primed(n))
         expected_right = double.var(n)
-        images_left = {}
-        images_right = {}
-        for c in _names(g):
-            images_left[c] = law._unit_value(c).rename(double)
-            images_left[primed(c)] = double.var(primed(c))
-            images_right[c] = double.var(c)
-            images_right[primed(c)] = law._unit_value(c).rename(double)
         actual_left = law.mu.image(n).substitute(double, images_left)
         actual_right = law.mu.image(n).substitute(double, images_right)
         if actual_left != expected_left:
@@ -197,20 +183,9 @@ def _directional(v: TangentVector, poly: SuperPoly, names) -> SuperPoly:
 
 
 def left_invariant_field(law: GroupLaw, v: TangentVector) -> SuperDerivation:
-    """The left-invariant field with value v at the unit."""
-    if v.ctx != law.coords:
-        raise ContextMismatch("tangent vector must live in the group context")
-    parity = v.parity()
-    if parity is Parity.MIXED:
-        raise ParityError("tangent vector must be parity homogeneous")
-    g = law.coords
-    iota = law.iota()
-    coeffs = []
-    for n in _names(g):
-        derived = _directional(v, iota.image(n), _names(g))
-        coeffs.append(law.collapse_factor(derived, 0))
-    m = len(g.even)
-    return SuperDerivation(g, parity, coeffs[:m], coeffs[m:])
+    """The left-invariant field with value v at the unit: the
+    infinitesimal action of the anti-law iota on G itself."""
+    return infinitesimal_action(law, law.iota(), v)
 
 
 def is_left_invariant(field: SuperDerivation, law: GroupLaw) -> bool:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import ContextMismatch, ReservedGeneratorCollision
 from .matrix import SuperDim, SuperMatrix
-from .poly import Context, Monomial, Parity, SuperPoly
+from .poly import Context, Monomial, Parity, SuperPoly, _exact
 
 RESERVED = ("epsilon1", "epsilon2", "epsilon3", "epsilon4")
 
@@ -172,7 +172,7 @@ class MatrixGroupSpec:
             raise ValueError("OSp needs an even number of odd dimensions")
         if form is None:
             form = _standard_form(dims)
-        phi = [[Fraction(v) for v in row] for row in form]
+        phi = [[_exact(v) for v in row] for row in form]
         if len(phi) != m + n or any(len(r) != m + n for r in phi):
             raise ValueError("form must be (m+n) x (m+n)")
         if any(phi[i][j] for i in range(m) for j in range(m, m + n)) or any(

@@ -21,6 +21,7 @@ import enum
 from .errors import ContextMismatch, ParityError
 from .matrix import SuperDim, SuperMatrix
 from .poly import Context, Parity, RationalPoint, SuperPoly
+from .variety import differential_of_function
 
 
 class MapClass(enum.Enum):
@@ -99,19 +100,13 @@ class Morphism:
         result is block-diagonal with rational entries."""
         if m.ctx != self.source:
             raise ContextMismatch("point is not in the morphism's source")
-        src_names = self.source.even + self.source.odd
-        rows = []
-        for name in src_names:
-            rows.append(
-                [SuperPoly.scalar(self.source, img.partial(name).at(m))
-                 for img in self.images]
-            )
-        return SuperMatrix(
-            self.source,
-            SuperDim(*self.target.dims),
-            SuperDim(*self.source.dims),
-            rows,
-        )
+        src = SuperDim(*self.source.dims)
+        # column j is d(image j); a 0|0 target still has src.total rows
+        cols = [differential_of_function(img, m).coefficients()
+                for img in self.images]
+        rows = [[SuperPoly.scalar(self.source, col[i]) for col in cols]
+                for i in range(src.total)]
+        return SuperMatrix(self.source, SuperDim(*self.target.dims), src, rows)
 
     def classify_at(self, m: RationalPoint):
         """immersion / submersion / diffeo at m, or None.

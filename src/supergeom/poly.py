@@ -21,6 +21,8 @@ Scalar = (int, Fraction)
 def _exact(value) -> Fraction:
     """Fraction from an exact scalar.  Floats are refused: Fraction(0.1)
     is the binary float 3602879701896397/36028797018963968, not 1/10."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(f"inexact float {value!r}; pass an int or a Fraction")
     return Fraction(value)
@@ -115,9 +117,6 @@ class Context:
     def point(self, even_values) -> "RationalPoint":
         return RationalPoint(self, even_values)
 
-    def extended(self, even: Iterable[str] = (), odd: Iterable[str] = ()) -> "Context":
-        return Context(self.even + tuple(even), self.odd + tuple(odd))
-
     def __eq__(self, other):
         return (
             isinstance(other, Context)
@@ -142,9 +141,6 @@ class Monomial(NamedTuple):
     @property
     def even_degree(self) -> int:
         return sum(e for _, e in self.even)
-
-    def parity(self) -> Parity:
-        return Parity(len(self.odd) & 1)
 
 
 UNIT_MONOMIAL = Monomial((), ())
@@ -255,9 +251,6 @@ class SuperPoly:
         return SuperPoly._raw(
             self.ctx, {m: c for m, c in self.terms.items() if not m.odd}
         )
-
-    def max_even_degree(self) -> int:
-        return max((m.even_degree for m in self.terms), default=0)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -502,19 +495,25 @@ class SuperPoly:
         return "*".join([str(mag)] + factors)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, coeff in self.sorted_terms():
-            pieces.append((coeff < 0, self._term_text(mono, coeff)))
-        neg, text = pieces[0]
-        out = ("-" if neg else "") + text
-        for neg, text in pieces[1:]:
-            out += (" - " if neg else " + ") + text
-        return out
+        return _signed_sum(
+            (coeff < 0, self._term_text(mono, coeff))
+            for mono, coeff in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"SuperPoly({self})"
+
+
+def _signed_sum(pieces) -> str:
+    """Join (negative, text) pairs as "a - b + c"; no pieces give "0"."""
+    out = []
+    for neg, text in pieces:
+        if out:
+            out.append(" - " if neg else " + ")
+        elif neg:
+            out.append("-")
+        out.append(text)
+    return "".join(out) or "0"
 
 
 class RationalPoint:

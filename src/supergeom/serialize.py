@@ -22,6 +22,28 @@ from .poly import Context, Parity, RationalPoint, SuperPoly
 from .variety import PointedVariety
 
 _DIMS = re.compile(r"^(\d+)\|(\d+)->(\d+)\|(\d+)$")
+_PARITIES = {"even": Parity.EVEN, "odd": Parity.ODD}
+
+
+def _rational(text) -> Fraction:
+    # a JSON number may be a float; only the string form is exact
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational written as a string, got {text!r}")
+    return Fraction(text)
+
+
+def _generator(names, index) -> str:
+    # indices are 1-based; 0 or a negative index would wrap around silently
+    if not isinstance(index, int) or not 1 <= index <= len(names):
+        raise ValueError(f"generator index {index!r} outside 1..{len(names)}")
+    return names[index - 1]
+
+
+def _parity(text) -> Parity:
+    parity = _PARITIES.get(text) if isinstance(text, str) else None
+    if parity is None:
+        raise ValueError(f"bad parity {text!r}; expected 'even' or 'odd'")
+    return parity
 
 
 def _ctx_json(ctx: Context):
@@ -46,11 +68,11 @@ def _poly_terms(p: SuperPoly):
 def _poly_load(ctx: Context, terms) -> SuperPoly:
     p = ctx.zero()
     for t in terms:
-        part = ctx.scalar(Fraction(t["coeff"]))
+        part = ctx.scalar(_rational(t["coeff"]))
         for i, e in t["even"]:
-            part = part * ctx.var(ctx.even[i - 1]) ** e
+            part = part * ctx.var(_generator(ctx.even, i)) ** e
         for j in t["odd"]:
-            part = part * ctx.var(ctx.odd[j - 1])
+            part = part * ctx.var(_generator(ctx.odd, j))
         p = p + part
     return p
 
@@ -122,7 +144,7 @@ def from_json(data):
             raise ValueError(f"bad dims header {data['dims']!r}")
         p, q, r, s = (int(g) for g in m.groups())
         source, target = SuperDim(p, q), SuperDim(r, s)
-        parity = Parity.ODD if data["parity"] == "odd" else Parity.EVEN
+        parity = _parity(data["parity"])
         n = source.total
         entries = [parse_poly(text, ctx) for text in data["entries"]]
         rows = [entries[i * n:(i + 1) * n] for i in range(target.total)]
@@ -134,7 +156,7 @@ def from_json(data):
         return Morphism(source, target, images)
     if kind == "field":
         ctx = _ctx_load(data["context"])
-        parity = Parity.ODD if data["parity"] == "odd" else Parity.EVEN
+        parity = _parity(data["parity"])
         coeffs = [parse_poly(text, ctx) for text in data["coefficients"]]
         m = len(ctx.even)
         return SuperDerivation(ctx, parity, coeffs[:m], coeffs[m:])
@@ -143,7 +165,7 @@ def from_json(data):
         double = product_context(coords)
         mu = Morphism(double, coords,
                       [parse_poly(text, double) for text in data["mu"]])
-        unit = RationalPoint(coords, [Fraction(v) for v in data["unit"]])
+        unit = RationalPoint(coords, [_rational(v) for v in data["unit"]])
         inverse = None
         if "inverse" in data:
             inverse = Morphism(
@@ -154,6 +176,6 @@ def from_json(data):
     if kind == "variety":
         ambient = _ctx_load(data["ambient"])
         gens = [parse_poly(text, ambient) for text in data["generators"]]
-        point = RationalPoint(ambient, [Fraction(v) for v in data["point"]])
+        point = RationalPoint(ambient, [_rational(v) for v in data["point"]])
         return PointedVariety(ambient, gens, point)
     raise ValueError(f"cannot deserialize type {kind!r}")

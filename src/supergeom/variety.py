@@ -17,7 +17,7 @@ from . import linalg
 from .derivation import TangentVector
 from .errors import ContextMismatch, ParityError, PointNotOnVariety
 from .matrix import SuperDim
-from .poly import Context, Parity, RationalPoint, SuperPoly
+from .poly import Context, Parity, RationalPoint, SuperPoly, _exact, _signed_sum
 
 
 def value_at(f: SuperPoly, x: RationalPoint) -> Fraction:
@@ -36,8 +36,8 @@ class LinearForm:
     __slots__ = ("ctx", "even", "odd")
 
     def __init__(self, ctx: Context, even=None, odd=None):
-        even = tuple(Fraction(v) for v in (even or [0] * len(ctx.even)))
-        odd = tuple(Fraction(v) for v in (odd or [0] * len(ctx.odd)))
+        even = tuple(_exact(v) for v in (even or [0] * len(ctx.even)))
+        odd = tuple(_exact(v) for v in (odd or [0] * len(ctx.odd)))
         if len(even) != len(ctx.even) or len(odd) != len(ctx.odd):
             raise ValueError("one coefficient per coordinate expected")
         self.ctx = ctx
@@ -71,18 +71,11 @@ class LinearForm:
 
     def __str__(self):
         names = self.ctx.even + self.ctx.odd
-        bits = []
-        for name, c in zip(names, self.coefficients()):
-            if not c:
-                continue
-            mag = abs(c)
-            head = "" if mag == 1 else f"{mag}*"
-            term = head + _symbol(name)
-            if not bits:
-                bits.append(("-" if c < 0 else "") + term)
-            else:
-                bits.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(bits) if bits else "0"
+        return _signed_sum(
+            (c < 0, ("" if abs(c) == 1 else f"{abs(c)}*") + _symbol(name))
+            for name, c in zip(names, self.coefficients())
+            if c
+        )
 
     def __repr__(self):
         return f"LinearForm({self})"

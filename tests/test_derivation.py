@@ -17,6 +17,7 @@ from supergeom import (
     ParityError,
     SuperDerivation,
     SuperPoly,
+    TangentVector,
     bracket,
 )
 
@@ -142,3 +143,12 @@ class TestRendering:
     def test_zero(self):
         d = derivation(CTX, Parity.EVEN, {})
         assert str(d) == "0"
+
+
+class TestTangentVector:
+    def test_floats_rejected(self):
+        # Fraction(0.1) would store the binary float, not 1/10
+        with pytest.raises(TypeError, match="inexact float"):
+            TangentVector(CTX, [0.1])
+        with pytest.raises(TypeError, match="inexact float"):
+            TangentVector(CTX, odd=[0, 0.5])

@@ -10,6 +10,7 @@ pivot pair, which is exactly the indeterminate case.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from supergeom import (
     SuperDerivation,
     involutive,
 )
+from supergeom.distribution import _pivot_columns
 
 R11 = Context(even=["t"], odd=["theta1"])
 R21 = Context(even=["t1", "t2"], odd=["theta1"])
@@ -115,3 +117,69 @@ class TestRendering:
         assert str(Involutivity.INTEGRABLE) == "Integrable"
         assert str(Involutivity.NOT_INTEGRABLE) == "NotIntegrable"
         assert str(Involutivity.INDETERMINATE) == "Indeterminate"
+
+
+# -- pivot rule against the exhaustive search ---------------------------------
+
+
+def _det(rows):
+    """Laplace expansion along the first row; k is at most 4 here."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def pivot_oracle(grid, k):
+    """First k-subset of columns, in lexicographic order, whose entries
+    all have constant bodies and whose body submatrix is invertible."""
+    for cols in itertools.combinations(range(len(grid[0])), k):
+        sub = [[grid[a][c] for c in cols] for a in range(k)]
+        if not all(e.body().is_constant() for row in sub for e in row):
+            continue
+        if _det([[e.body().constant_term() for e in row] for row in sub]):
+            return list(cols)
+    return None
+
+
+def _random_entry(rng, ctx):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ctx.zero()
+    c = ctx.scalar(rng.choice([-2, -1, 1, 1, 2]))
+    if kind == 1:
+        return c
+    if kind == 2 and len(ctx.odd) >= 2:
+        # constant body plus a nilpotent tail
+        return c + ctx.var(ctx.odd[0]) * ctx.var(ctx.odd[-1])
+    if kind == 3 and ctx.even:
+        # non-constant body
+        return c * ctx.var(rng.choice(ctx.even))
+    return c
+
+
+def test_pivot_columns_match_exhaustive_search():
+    rng = random.Random(20070)
+    found = missing = 0
+    for _ in range(600):
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        if m + n == 0:
+            continue
+        ctx = Context(even=[f"t{i}" for i in range(m)],
+                      odd=[f"theta{j}" for j in range(n)])
+        k = rng.randint(1, m + n + 1)
+        grid = tuple(
+            tuple(_random_entry(rng, ctx) for _ in range(m + n))
+            for _ in range(k)
+        )
+        want = pivot_oracle(grid, k)
+        assert _pivot_columns(grid) == want
+        if want is None:
+            missing += 1
+        else:
+            found += 1
+    # both outcomes must be exercised for the comparison to mean anything
+    assert found > 100 and missing > 100

@@ -274,3 +274,8 @@ def test_sl_element_feeds_berezinian():
     eye = SuperMatrix.identity(res.context, res.dims)
     ber = (eye + res.epsilon * res.element).berezinian()
     assert ber - 1 == res.epsilon * (res.element.supertrace())
+
+
+def test_form_floats_rejected():
+    with pytest.raises(TypeError, match="inexact float"):
+        MatrixGroupSpec.OSp(1, 2, form=[[0.5, 0, 0], [0, 0, 1], [0, -1, 0]])

@@ -159,3 +159,62 @@ def test_unsupported_values_rejected():
             "parity": "even",
             "entries": [],
         })
+
+
+def _tamper(value, mutate):
+    data = json.loads(json.dumps(to_json(value)))
+    mutate(data)
+    return data
+
+
+def test_float_coefficient_rejected():
+    def mutate(data):
+        data["terms"][0]["coeff"] = 0.1
+    data = _tamper(CTX.var("t") / 10, mutate)
+    with pytest.raises(ValueError, match="as a string"):
+        from_json(data)
+
+
+def test_float_unit_rejected():
+    data = _tamper(_r11_law(False), lambda d: d.__setitem__("unit", [0.0]))
+    with pytest.raises(ValueError, match="as a string"):
+        from_json(data)
+
+
+def test_float_point_rejected():
+    ctx = Context(even=["x"], odd=["xi"])
+    v = PointedVariety(ctx, [ctx.var("x") - 1], ctx.point([1]))
+    data = _tamper(v, lambda d: d.__setitem__("point", [1.0]))
+    with pytest.raises(ValueError, match="as a string"):
+        from_json(data)
+
+
+@pytest.mark.parametrize("parity", ["bogus", "ODD", None, 1])
+def test_matrix_bad_parity_rejected(parity):
+    m = SuperMatrix.identity(CTX, SuperDim(1, 1))
+    data = _tamper(m, lambda d: d.__setitem__("parity", parity))
+    with pytest.raises(ValueError, match="bad parity"):
+        from_json(data)
+
+
+@pytest.mark.parametrize("parity", ["bogus", "Even", None])
+def test_field_bad_parity_rejected(parity):
+    g = Context(even=["t"], odd=["theta"])
+    v = SuperDerivation(g, Parity.EVEN, [g.one()], [g.zero()])
+    data = _tamper(v, lambda d: d.__setitem__("parity", parity))
+    with pytest.raises(ValueError, match="bad parity"):
+        from_json(data)
+
+
+@pytest.mark.parametrize("slot, index", [
+    ("even", 0), ("even", -1), ("even", 3), ("odd", 0), ("odd", 3),
+])
+def test_generator_index_out_of_range_rejected(slot, index):
+    data = to_json(CTX.var("x") * CTX.var("theta2"))
+    term = data["terms"][0]
+    if slot == "even":
+        term["even"] = [[index, 1]]
+    else:
+        term["odd"] = [index]
+    with pytest.raises(ValueError, match="generator index"):
+        from_json(data)

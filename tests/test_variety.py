@@ -174,3 +174,11 @@ class TestLinearFormRendering:
     def test_leading_minus(self):
         form = LinearForm(PLANE, even=[-1, 0])
         assert str(form) == "-X"
+
+
+def test_linear_form_floats_rejected():
+    # Fraction(0.1) would store the binary float, not 1/10
+    with pytest.raises(TypeError, match="inexact float"):
+        LinearForm(PLANE, even=[0.1, 0])
+    with pytest.raises(TypeError, match="inexact float"):
+        LinearForm(PLANE, odd=[0, 0.5])
