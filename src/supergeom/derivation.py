@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import ContextMismatch, ParityError
-from .poly import Context, Parity, Scalar, SuperPoly, _exact, _signed_sum
+from .poly import Context, Parity, Scalar, SuperPoly, _exact, _signed_sum, dot
 
 
 def _check_coeff(ctx, poly, required, slot):
@@ -79,14 +79,10 @@ class SuperDerivation:
         """
         if a.ctx != self.ctx:
             raise ContextMismatch("argument lives in a different context")
-        out = SuperPoly.zero(self.ctx)
-        for i, c in enumerate(self.even_coeffs):
-            if c:
-                out = out + c * a.partial(self.ctx.even[i])
-        for j, c in enumerate(self.odd_coeffs):
-            if c:
-                out = out + c * a.partial(self.ctx.odd[j])
-        return out
+        names = self.ctx.even + self.ctx.odd
+        return dot(self.ctx, (
+            (c, a.partial(n)) for c, n in zip(self.coefficients(), names) if c
+        ))
 
     def __call__(self, a):
         return self.apply(a)
@@ -172,17 +168,16 @@ def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
     """Super Lie bracket [d1, d2] = d1 d2 - (-1)^{|d1||d2|} d2 d1.
 
     The composite is again a derivation, so its coefficients are read off by
-    applying it to each coordinate generator.
+    applying it to each coordinate generator x; since d(x) is d's own
+    coefficient on x, that is one apply per side.
     """
     if d1.ctx != d2.ctx:
         raise ContextMismatch("derivations live in different contexts")
     ctx = d1.ctx
     swap_sign = -1 if (d1.parity is Parity.ODD and d2.parity is Parity.ODD) else 1
 
-    def on(name):
-        x = SuperPoly.var(ctx, name)
-        term = d1.apply(d2.apply(x)) - d2.apply(d1.apply(x)) * swap_sign
-        return term
+    def on(n):
+        return d1.apply(d2.coefficient(n)) - d2.apply(d1.coefficient(n)) * swap_sign
 
     return SuperDerivation(
         ctx,

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .derivation import SuperDerivation, TangentVector
 from .errors import ContextMismatch, ParityError
 from .morphism import Morphism
-from .poly import Context, Parity, RationalPoint, SuperPoly
+from .poly import Context, Parity, RationalPoint, SuperPoly, dot
 
 PRIME = "p"
 
@@ -173,13 +173,11 @@ def _inverse_axiom(law: GroupLaw) -> AxiomResult:
 
 def _directional(v: TangentVector, poly: SuperPoly, names) -> SuperPoly:
     """Sum of v's weights against the left partials along the given names."""
-    out = poly.ctx.zero()
+    ctx = poly.ctx
     weights = dict(zip(_names(v.ctx), v.coords()))
-    for n in names:
-        w = weights[n]
-        if w:
-            out = out + poly.partial(n) * w
-    return out
+    return dot(ctx, (
+        (poly.partial(n), ctx.scalar(weights[n])) for n in names if weights[n]
+    ))
 
 
 def left_invariant_field(law: GroupLaw, v: TangentVector) -> SuperDerivation:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import ContextMismatch, ReservedGeneratorCollision
 from .matrix import SuperDim, SuperMatrix
-from .poly import Context, Monomial, Parity, SuperPoly, _exact
+from .poly import Context, Monomial, Parity, SuperPoly, _exact, dot
 
 RESERVED = ("epsilon1", "epsilon2", "epsilon3", "epsilon4")
 
@@ -254,11 +254,10 @@ def _canonical_constraints(ctx: Context, polys):
         for row in echelon:
             if not any(row):
                 continue
-            poly = ctx.zero()
-            for coeff, name in zip(row, names):
-                if coeff:
-                    poly = poly + ctx.var(name) * coeff
-            out.append(poly)
+            out.append(dot(ctx, (
+                (ctx.var(name), ctx.scalar(coeff))
+                for coeff, name in zip(row, names) if coeff
+            )))
     return tuple(out)
 
 

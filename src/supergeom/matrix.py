@@ -28,7 +28,7 @@ from .errors import (
     NotInvertible,
     ParityError,
 )
-from .poly import Context, Parity, Scalar, SuperPoly
+from .poly import Context, Parity, Scalar, SuperPoly, dot
 
 
 class SuperDim(NamedTuple):
@@ -83,18 +83,8 @@ def _gneg(a):
 
 
 def _gmul(ctx, a, b):
-    inner = len(b)
-    ncols = len(b[0]) if inner else 0
-    out = []
-    for row in a:
-        acc = [SuperPoly.zero(ctx)] * ncols
-        for k in range(inner):
-            e = row[k]
-            if e:
-                brow = b[k]
-                acc = [s + e * t for s, t in zip(acc, brow)]
-        out.append(tuple(acc))
-    return tuple(out)
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(ctx, zip(row, col)) for col in cols) for row in a)
 
 
 def _gblocks(tl, tr, bl, br):
@@ -376,10 +366,13 @@ class SuperMatrix:
                 f"cannot compose {self.target}<-{self.source} with "
                 f"{other.target}<-{other.source}"
             )
+        if other.rows:
+            rows = _gmul(self.ctx, self.rows, other.rows)
+        else:
+            # through a 0|0 space: no row of other is left to give the width
+            rows = _gzero(self.ctx, self.target.total, other.source.total)
         return SuperMatrix._wrap(
-            self.ctx, other.source, self.target,
-            _gmul(self.ctx, self.rows, other.rows),
-            self.parity + other.parity,
+            self.ctx, other.source, self.target, rows, self.parity + other.parity
         )
 
     def __rmul__(self, scalar):

@@ -5,6 +5,10 @@ generators commute with everything, odd generators anticommute among
 themselves and square to zero.  Coefficients are Fraction throughout, so
 every operation in this module is exact.  Monomials keep their odd word
 sorted; normalize_odd_word supplies the sign that sorting costs.
+
+dot(ctx, pairs) is the only loop over pairs of terms: a product of two
+polynomials is dot on one pair, and every sum of products in the package
+(supermatrix entries, applying a derivation, substitution) is one dot.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import enum
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ContextMismatch
+from .errors import ContextMismatch, ParityError
 
 Scalar = (int, Fraction)
 
@@ -296,25 +300,9 @@ class SuperPoly:
             if not c:
                 return SuperPoly.zero(self.ctx)
             return SuperPoly._raw(self.ctx, {m: v * c for m, v in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, SuperPoly):
             return NotImplemented
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, odd = normalize_odd_word(m1.odd + m2.odd)
-                if not sign:
-                    continue
-                mono = Monomial(_merge_even(m1.even, m2.even), odd)
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = acc.get(mono, 0) + c
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
-        return SuperPoly._raw(self.ctx, acc)
+        return dot(self.ctx, ((self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -402,51 +390,39 @@ class SuperPoly:
         either), which is what makes the substitution a well defined
         homomorphism.
         """
-        from .errors import ParityError
+        cache: dict[tuple[Parity, int, int], SuperPoly] = {}
 
-        pow_cache: dict[tuple[int, int], SuperPoly] = {}
-
-        def even_power(i, e):
-            got = pow_cache.get((i, e))
+        def factor(parity, i, e):
+            # image of generator i raised to e, looked up only when needed
+            got = cache.get((parity, i, e))
             if got is None:
-                name = self.ctx.even[i]
+                name = (self.ctx.odd if parity is Parity.ODD else self.ctx.even)[i]
                 img = images.get(name)
                 if img is None:
                     raise ValueError(f"no image for generator {name!r}")
-                if not img.has_parity(Parity.EVEN):
-                    raise ParityError(f"image of even generator {name!r} is not even")
-                got = img**e
-                pow_cache[(i, e)] = got
+                if not img.has_parity(parity):
+                    raise ParityError(
+                        f"image of {parity} generator {name!r} is not {parity}"
+                    )
+                got = cache[(parity, i, e)] = img if e == 1 else img**e
             return got
 
-        odd_cache: dict[int, SuperPoly] = {}
+        one = SuperPoly.scalar(ctx_out, 1)
 
-        def odd_image(j):
-            got = odd_cache.get(j)
-            if got is None:
-                name = self.ctx.odd[j]
-                img = images.get(name)
-                if img is None:
-                    raise ValueError(f"no image for generator {name!r}")
-                if not img.has_parity(Parity.ODD):
-                    raise ParityError(f"image of odd generator {name!r} is not odd")
-                odd_cache[j] = got = img
-            return got
-
-        out = SuperPoly.zero(ctx_out)
-        for mono, c in self.terms.items():
-            prod = SuperPoly.scalar(ctx_out, c)
-            for i, e in mono.even:
-                prod = prod * even_power(i, e)
-                if not prod:
-                    break
-            if prod:
-                for j in mono.odd:
-                    prod = prod * odd_image(j)
-                    if not prod:
+        def pairs():
+            # c * (product of all factors but the last), last factor
+            for mono, c in self.terms.items():
+                keys = [(Parity.EVEN, i, e) for i, e in mono.even]
+                keys += [(Parity.ODD, j, 1) for j in mono.odd]
+                head = SuperPoly.scalar(ctx_out, c)
+                for key in keys[:-1]:
+                    head = head * factor(*key)
+                    if not head:
                         break
-            out = out + prod
-        return out
+                else:
+                    yield head, factor(*keys[-1]) if keys else one
+
+        return dot(ctx_out, pairs())
 
     def rename(self, ctx_out: Context, name_map: Mapping[str, str] | None = None) -> "SuperPoly":
         """Transport along a generator renaming; names absent from the map
@@ -502,6 +478,37 @@ class SuperPoly:
 
     def __repr__(self):
         return f"SuperPoly({self})"
+
+
+def dot(ctx: Context, pairs) -> SuperPoly:
+    """Sum of a*b over (a, b) pairs of polynomials over ctx.
+
+    The one term-pair loop of the package: every product of two
+    polynomials, and every sum of such products, accumulates here into a
+    single term map, with no intermediate polynomial per product or per
+    partial sum.  Coefficients that cancel, within one product or across
+    pairs, are dropped as they hit zero.
+    """
+    acc: dict[Monomial, Fraction] = {}
+    for a, b in pairs:
+        if a.ctx != ctx or b.ctx != ctx:
+            raise ContextMismatch("operands live in different contexts")
+        right = b.terms.items()
+        for m1, c1 in a.terms.items():
+            for m2, c2 in right:
+                sign, odd = normalize_odd_word(m1.odd + m2.odd)
+                if not sign:
+                    continue
+                mono = Monomial(_merge_even(m1.even, m2.even), odd)
+                c = c1 * c2
+                if sign < 0:
+                    c = -c
+                s = acc.get(mono, 0) + c
+                if s:
+                    acc[mono] = s
+                else:
+                    acc.pop(mono, None)
+    return SuperPoly._raw(ctx, acc)
 
 
 def _signed_sum(pieces) -> str:

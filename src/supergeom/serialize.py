@@ -32,6 +32,14 @@ def _rational(text) -> Fraction:
     return Fraction(text)
 
 
+def _polys(texts, ctx: Context) -> list[SuperPoly]:
+    # parse_poly takes text only; a JSON number would fail inside it
+    for text in texts:
+        if not isinstance(text, str):
+            raise ValueError(f"expected a polynomial written as a string, got {text!r}")
+    return [parse_poly(text, ctx) for text in texts]
+
+
 def _generator(names, index) -> str:
     # indices are 1-based; 0 or a negative index would wrap around silently
     if not isinstance(index, int) or not 1 <= index <= len(names):
@@ -146,36 +154,32 @@ def from_json(data):
         source, target = SuperDim(p, q), SuperDim(r, s)
         parity = _parity(data["parity"])
         n = source.total
-        entries = [parse_poly(text, ctx) for text in data["entries"]]
+        entries = _polys(data["entries"], ctx)
         rows = [entries[i * n:(i + 1) * n] for i in range(target.total)]
         return SuperMatrix(ctx, source, target, rows, parity)
     if kind == "morphism":
         source = _ctx_load(data["source"])
         target = _ctx_load(data["target"])
-        images = [parse_poly(text, source) for text in data["images"]]
+        images = _polys(data["images"], source)
         return Morphism(source, target, images)
     if kind == "field":
         ctx = _ctx_load(data["context"])
         parity = _parity(data["parity"])
-        coeffs = [parse_poly(text, ctx) for text in data["coefficients"]]
+        coeffs = _polys(data["coefficients"], ctx)
         m = len(ctx.even)
         return SuperDerivation(ctx, parity, coeffs[:m], coeffs[m:])
     if kind == "group":
         coords = _ctx_load(data["coords"])
         double = product_context(coords)
-        mu = Morphism(double, coords,
-                      [parse_poly(text, double) for text in data["mu"]])
+        mu = Morphism(double, coords, _polys(data["mu"], double))
         unit = RationalPoint(coords, [_rational(v) for v in data["unit"]])
         inverse = None
         if "inverse" in data:
-            inverse = Morphism(
-                coords, coords,
-                [parse_poly(text, coords) for text in data["inverse"]],
-            )
+            inverse = Morphism(coords, coords, _polys(data["inverse"], coords))
         return GroupLaw(coords, mu, unit, inverse)
     if kind == "variety":
         ambient = _ctx_load(data["ambient"])
-        gens = [parse_poly(text, ambient) for text in data["generators"]]
+        gens = _polys(data["generators"], ambient)
         point = RationalPoint(ambient, [_rational(v) for v in data["point"]])
         return PointedVariety(ambient, gens, point)
     raise ValueError(f"cannot deserialize type {kind!r}")

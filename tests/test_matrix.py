@@ -127,6 +127,16 @@ class TestMatmul:
         with pytest.raises(ValueError):
             a @ a
 
+    @pytest.mark.parametrize("outer", [(1, 0), (2, 1), (0, 2)])
+    def test_through_zero_space_is_zero_matrix(self, outer):
+        # A^{p|q} -> A^{0|0} -> A^{r|s} is the zero map, with full shape
+        into = SuperMatrix(CTX, SuperDim(*outer), SuperDim(0, 0), [])
+        out_of = SuperMatrix(CTX, SuperDim(0, 0), SuperDim(2, 1), [[]] * 3)
+        prod = out_of @ into
+        assert prod.source == SuperDim(*outer)
+        assert prod.target == SuperDim(2, 1)
+        assert prod == SuperMatrix.zeros(CTX, outer, (2, 1))
+
 
 class TestScalarAction:
     """c * T twists entry (i, j) by (-1)^{|c| * (row parity)}."""

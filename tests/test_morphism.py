@@ -45,6 +45,17 @@ def thick_point():
     return Morphism(CHART, LINE, [t + th1 * th2])
 
 
+# chains of contexts A -> B -> C with different dimensions at each step
+D12 = Context(even=["t"], odd=["theta1", "theta2"])
+D21 = Context(even=["u1", "u2"], odd=["eta"])
+D11 = Context(even=["s"], odd=["zeta"])
+CHAINS = [(D12, D21, D11), (D11, D21, D12), (D21, D11, D12)]
+
+
+def chain_id(chain):
+    return "->".join("{}|{}".format(*ctx.dims) for ctx in chain)
+
+
 class TestPullback:
     def test_taylor_shift(self):
         phi = thick_point()
@@ -126,6 +137,19 @@ class TestCompose:
         with pytest.raises(ContextMismatch):
             compose(chart_morphism(), thick_point())
 
+    @pytest.mark.parametrize("chain", CHAINS, ids=chain_id)
+    def test_contravariant_across_dimensions(self, chain):
+        rng = random.Random(45)
+        a, b, c = chain
+        for _ in range(5):
+            phi = random_morphism(rng, a, b)
+            psi = random_morphism(rng, b, c)
+            both = compose(psi, phi)
+            assert (both.source, both.target) == (a, c)
+            for _ in range(3):
+                f = random_poly(rng, c)
+                assert both.pullback(f) == phi.pullback(psi.pullback(f))
+
 
 class TestDifferential:
     def test_chart_example_is_identity(self):
@@ -169,6 +193,38 @@ class TestDifferential:
             lhs = compose(psi, phi).differential_at(m)
             rhs = phi.differential_at(m) @ psi.differential_at(phi.image_point(m))
             assert lhs == rhs
+
+    @pytest.mark.parametrize("chain", CHAINS, ids=chain_id)
+    def test_chain_rule_across_dimensions(self, chain):
+        rng = random.Random(46)
+        a, b, c = chain
+        for _ in range(5):
+            phi = random_morphism(rng, a, b)
+            psi = random_morphism(rng, b, c)
+            m = random_point(rng, a)
+            lhs = compose(psi, phi).differential_at(m)
+            # d(psi) lives over B; its entries are rationals, so carry it to A
+            dpsi = psi.differential_at(phi.image_point(m))
+            dpsi = SuperMatrix(a, dpsi.source, dpsi.target, [
+                [a.scalar(e.constant_term()) for e in row] for row in dpsi.rows
+            ])
+            rhs = phi.differential_at(m) @ dpsi
+            assert lhs.source == SuperDim(*c.dims)
+            assert lhs.target == SuperDim(*a.dims)
+            assert lhs == rhs
+
+    def test_chain_rule_through_a_point(self):
+        # CHART -> 0|0 -> 1|1: d(psi . phi) = d(phi) @ d(psi) = 0, full shape
+        point = Context()
+        target = Context(even=["s"], odd=["zeta"])
+        phi = Morphism(CHART, point, [])
+        psi = Morphism(point, target, [point.scalar(3), point.zero()])
+        m = CHART.point([2])
+        lhs = compose(psi, phi).differential_at(m)
+        dpsi = psi.differential_at(phi.image_point(m))
+        dpsi = SuperMatrix(CHART, dpsi.source, dpsi.target, [])
+        assert lhs == phi.differential_at(m) @ dpsi
+        assert lhs == SuperMatrix.zeros(CHART, (1, 1), (1, 2))
 
     def test_image_point(self):
         phi = thick_point()

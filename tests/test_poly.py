@@ -231,6 +231,40 @@ class TestSubstitute:
         with pytest.raises(ParityError):
             T3.var("theta1").substitute(T3, {"theta1": T3.var("t")})
 
+    def test_missing_image_rejected(self):
+        with pytest.raises(ValueError, match="no image for generator 'theta2'"):
+            (T3.var("t") * T3.var("theta2")).substitute(T3, {"t": T3.var("t")})
+
+    def test_vanished_product_reads_no_further_image(self):
+        # theta1*theta2 -> eta*eta = 0 before theta3's image is needed
+        line = Context(odd=["eta"])
+        eta = line.var("eta")
+        f = T3.var("theta1") * T3.var("theta2") * T3.var("theta3") + T3.var("theta1")
+        assert f.substitute(line, {"theta1": eta, "theta2": eta}) == eta
+
+    def test_matches_term_by_term_expansion(self):
+        # the image of each term is its coefficient times the product of
+        # its generators' images, taken one factor at a time
+        rng = random.Random(60)
+        images = {
+            "t1": random_poly(rng, T2, parity=Parity.EVEN),
+            "t2": random_poly(rng, T2, parity=Parity.EVEN),
+            "theta1": random_poly(rng, T2, parity=Parity.ODD),
+            "theta2": random_poly(rng, T2, parity=Parity.ODD),
+        }
+        for _ in range(20):
+            f = random_poly(rng, T2, n_terms=4)
+            expect = T2.zero()
+            for mono, c in f.terms.items():
+                term = T2.scalar(c)
+                for i, e in mono.even:
+                    for _ in range(e):
+                        term = term * images[T2.even[i]]
+                for j in mono.odd:
+                    term = term * images[T2.odd[j]]
+                expect = expect + term
+            assert f.substitute(T2, images) == expect
+
     def test_renaming(self):
         big = Context(even=["t", "tp"], odd=["theta", "thetap"])
         small = Context(even=["t"], odd=["theta"])

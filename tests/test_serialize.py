@@ -218,3 +218,29 @@ def test_generator_index_out_of_range_rejected(slot, index):
         term["odd"] = [index]
     with pytest.raises(ValueError, match="generator index"):
         from_json(data)
+
+
+def _number_in(field):
+    """A valid encoding whose first text under `field` is a JSON number."""
+    g = Context(even=["t"], odd=["theta"])
+    values = {
+        "entries": SuperMatrix.identity(CTX, SuperDim(1, 1)),
+        "images": Morphism(g, g, [g.var("t"), g.var("theta")]),
+        "coefficients": SuperDerivation(g, Parity.EVEN, [g.one()], [g.zero()]),
+        "mu": _r11_law(True),
+        "inverse": _r11_law(True),
+        "generators": PointedVariety(g, [g.var("t") - 1], g.point([1])),
+    }
+
+    def mutate(data):
+        data[field][0] = 0.5
+
+    return _tamper(values[field], mutate)
+
+
+@pytest.mark.parametrize("field", [
+    "entries", "images", "coefficients", "mu", "inverse", "generators",
+])
+def test_number_for_polynomial_text_rejected(field):
+    with pytest.raises(ValueError, match="polynomial written as a string"):
+        from_json(_number_in(field))
