@@ -33,6 +33,10 @@ class ReservedGeneratorCollision(KernelError):
     """User data depends on the odd generators reserved for dual parameters."""
 
 
+class LimitExceeded(KernelError):
+    """An input goes past one of the documented size caps of the kernel."""
+
+
 class ScriptError(KernelError):
     """Script or expression error, carrying a source position."""
 

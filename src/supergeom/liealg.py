@@ -50,7 +50,15 @@ def _extended(ctx: Context) -> Context:
 
 
 def _lift(mat: SuperMatrix, ext: Context) -> SuperMatrix:
-    rows = [[e.rename(ext) for e in row] for row in mat.rows]
+    """Transport mat into ext, whose odd generators are the reserved ones
+    followed by the user's: each odd mask moves up past the reserved bits."""
+    shift = len(RESERVED)
+    rows = [
+        [SuperPoly._raw(ext, {Monomial(m.even, m.mask << shift): c
+                              for m, c in e.terms.items()})
+         for e in row]
+        for row in mat.rows
+    ]
     return SuperMatrix(ext, mat.source, mat.target, rows, mat.parity)
 
 
@@ -81,18 +89,21 @@ def _strip_parameter(mat: SuperMatrix, scalar: SuperPoly,
 def _divide(poly: SuperPoly, param: SuperPoly, ctx_out: Context,
             shift: int, flip: bool) -> SuperPoly:
     """Divide poly = param * g by the single-monomial parameter, whose odd
-    word leads every odd word of poly.  g lands in ctx_out with its odd
-    indices lowered by shift (reserved generators dropped from the front
-    of the context) and negated when flip is set."""
+    generators precede every other odd generator of poly.  g lands in
+    ctx_out with its odd mask shifted down by shift bits (reserved
+    generators dropped from the front of the context) and negated when
+    flip is set."""
     ((word, coeff),) = param.terms.items()
-    k = len(word.odd)
+    lead = word.mask
+    # bits below the parameter's last generator and below shift must be
+    # exactly the parameter's
+    low = (1 << max(shift, lead.bit_length())) - 1
     terms = {}
-    for mono, c in poly.terms.items():
-        tail = mono.odd[k:]
-        if mono.odd[:k] != word.odd or any(j < shift for j in tail):
+    for (even, mask), c in poly.terms.items():
+        if mask & low != lead:
             raise ValueError("polynomial does not factor through the parameter")
         c = c / coeff
-        terms[Monomial(mono.even, tuple(j - shift for j in tail))] = -c if flip else c
+        terms[Monomial(even, (mask ^ lead) >> shift)] = -c if flip else c
     return SuperPoly._raw(ctx_out, terms)
 
 

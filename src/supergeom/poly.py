@@ -3,8 +3,16 @@
 A Context names the generators of k[t_1 .. t_p | theta_1 .. theta_q]: even
 generators commute with everything, odd generators anticommute among
 themselves and square to zero.  Coefficients are Fraction throughout, so
-every operation in this module is exact.  Monomials keep their odd word
-sorted; normalize_odd_word supplies the sign that sorting costs.
+every operation in this module is exact.
+
+A Monomial stores its odd part as an int mask: bit j set means theta_j
+is present, and theta_mask is the product of those generators in
+increasing index order.  A product theta_k1 * theta_k2 is zero when
+k1 & k2 shares a bit.  Otherwise sorting the concatenated word moves each
+generator y of k2 leftwards past the generators of k1 above it, so the
+sign is (-1)^sum(popcount(k1 >> (y+1)) for y in k2).  _swap_parity(k1)
+holds the parity of each of those counts as one mask, which makes the
+sign one & and one bit_count per pair.
 
 dot(ctx, pairs) is the only loop over pairs of terms: a product of two
 polynomials is dot on one pair, and every sum of products in the package
@@ -17,9 +25,14 @@ import enum
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ContextMismatch, ParityError
+from .errors import ContextMismatch, LimitExceeded, ParityError
 
 Scalar = (int, Fraction)
+
+# Largest exponent SuperPoly ** n accepts.  Each step of a power is one
+# product, so an unchecked t^100000000 runs for minutes; no demo, test or
+# benchmark input comes near this.
+MAX_EXPONENT = 1000
 
 
 def _exact(value) -> Fraction:
@@ -55,24 +68,57 @@ class Parity(enum.Enum):
         return self.name.lower()
 
 
+# odd-word masks seen so far: their index tuples and their swap parities
+_WORDS: dict[int, tuple[int, ...]] = {}
+_SWAP_PARITIES: dict[int, int] = {}
+
+
+def _odd_word(mask: int) -> tuple[int, ...]:
+    """The set bits of mask as an increasing index tuple, interned."""
+    word = _WORDS.get(mask)
+    if word is None:
+        word = _WORDS[mask] = tuple(
+            j for j in range(mask.bit_length()) if mask >> j & 1
+        )
+    return word
+
+
+def _swap_parity(mask: int) -> int:
+    """Mask whose bit y is the parity of the number of bits of mask above y.
+
+    theta_mask * theta_y passes theta_y leftwards over exactly those
+    generators, so for a disjoint mask k the product theta_mask * theta_k
+    has the sign (-1)^popcount(_swap_parity(mask) & k).
+    """
+    out = _SWAP_PARITIES.get(mask)
+    if out is None:
+        # suffix xor of mask >> 1 by doubling shifts
+        out = mask >> 1
+        step = 1
+        while step < mask.bit_length():
+            out ^= out >> step
+            step <<= 1
+        _SWAP_PARITIES[mask] = out
+    return out
+
+
 def normalize_odd_word(word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Sort a word of odd-generator indices by adjacent transpositions.
+    """Sort a word of odd-generator indices, tracking the Koszul sign.
 
     Returns (sign, sorted_word) where sign is the sign of the sorting
     permutation, or (0, ()) when an index repeats, since theta*theta = 0.
+    The generators are folded into a mask one at a time with the sign
+    rule of dot.
     """
-    w = list(word)
-    sign = 1
-    for i in range(1, len(w)):
-        j = i
-        while j > 0 and w[j - 1] > w[j]:
-            w[j - 1], w[j] = w[j], w[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(w, w[1:]):
-        if a == b:
+    mask, sign = 0, 1
+    for j in word:
+        bit = 1 << j
+        if mask & bit:
             return 0, ()
-    return sign, tuple(w)
+        if _swap_parity(mask) & bit:
+            sign = -sign
+        mask |= bit
+    return sign, _odd_word(mask)
 
 
 class Context:
@@ -137,17 +183,24 @@ class Context:
 
 class Monomial(NamedTuple):
     """even: ((generator index, exponent), ...) sorted, exponents positive;
-    odd: strictly increasing generator indices."""
+    mask: the odd part, bit j set when theta_j is present.  The odd
+    generators multiply in increasing index order, so the mask alone fixes
+    the monomial; products take their sign from dot's mask rule."""
 
     even: tuple[tuple[int, int], ...]
-    odd: tuple[int, ...]
+    mask: int
+
+    @property
+    def odd(self) -> tuple[int, ...]:
+        """The odd word: strictly increasing generator indices."""
+        return _odd_word(self.mask)
 
     @property
     def even_degree(self) -> int:
         return sum(e for _, e in self.even)
 
 
-UNIT_MONOMIAL = Monomial((), ())
+UNIT_MONOMIAL = Monomial((), 0)
 
 
 def _merge_even(a, b):
@@ -216,7 +269,7 @@ class SuperPoly:
     @classmethod
     def var(cls, ctx, name) -> "SuperPoly":
         is_odd, idx = ctx.lookup(name)
-        mono = Monomial((), (idx,)) if is_odd else Monomial(((idx, 1),), ())
+        mono = Monomial((), 1 << idx) if is_odd else Monomial(((idx, 1),), 0)
         return cls._raw(ctx, {mono: Fraction(1)})
 
     # -- queries ---------------------------------------------------------
@@ -240,7 +293,7 @@ class SuperPoly:
         """EVEN, ODD, or MIXED; the zero polynomial is EVEN by convention."""
         if not self.terms:
             return Parity.EVEN
-        seen = {len(m.odd) & 1 for m in self.terms}
+        seen = {m.mask.bit_count() & 1 for m in self.terms}
         if len(seen) == 2:
             return Parity.MIXED
         return Parity(seen.pop())
@@ -253,7 +306,7 @@ class SuperPoly:
     def body(self) -> "SuperPoly":
         """Kill the odd part: keep only terms with empty odd word."""
         return SuperPoly._raw(
-            self.ctx, {m: c for m, c in self.terms.items() if not m.odd}
+            self.ctx, {m: c for m, c in self.terms.items() if not m.mask}
         )
 
     # -- arithmetic ------------------------------------------------------
@@ -317,6 +370,8 @@ class SuperPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if n > MAX_EXPONENT:
+            raise LimitExceeded(f"exponent {n} is above the cap of {MAX_EXPONENT}")
         out = SuperPoly.scalar(self.ctx, 1)
         for _ in range(n):
             out = out * self
@@ -348,12 +403,13 @@ class SuperPoly:
         is_odd, idx = self.ctx.lookup(name)
         acc: dict[Monomial, Fraction] = {}
         if is_odd:
-            for mono, c in self.terms.items():
-                if idx not in mono.odd:
+            bit = 1 << idx
+            for (even, mask), c in self.terms.items():
+                if not mask & bit:
                     continue
-                pos = mono.odd.index(idx)
-                rest = mono.odd[:pos] + mono.odd[pos + 1 :]
-                acc[Monomial(mono.even, rest)] = -c if pos & 1 else c
+                # one transposition per generator in front of theta_idx
+                passed = (mask & (bit - 1)).bit_count()
+                acc[Monomial(even, mask ^ bit)] = -c if passed & 1 else c
         else:
             for mono, c in self.terms.items():
                 for k, (i, e) in enumerate(mono.even):
@@ -363,7 +419,7 @@ class SuperPoly:
                         ne = mono.even[:k] + mono.even[k + 1 :]
                     else:
                         ne = mono.even[:k] + ((i, e - 1),) + mono.even[k + 1 :]
-                    acc[Monomial(ne, mono.odd)] = c * e
+                    acc[Monomial(ne, mono.mask)] = c * e
                     break
         return SuperPoly._raw(self.ctx, acc)
 
@@ -373,7 +429,7 @@ class SuperPoly:
             raise ContextMismatch("point context differs from polynomial context")
         total = Fraction(0)
         for mono, c in self.terms.items():
-            if mono.odd:
+            if mono.mask:
                 continue
             v = c
             for i, e in mono.even:
@@ -494,20 +550,22 @@ def dot(ctx: Context, pairs) -> SuperPoly:
         if a.ctx != ctx or b.ctx != ctx:
             raise ContextMismatch("operands live in different contexts")
         right = b.terms.items()
-        for m1, c1 in a.terms.items():
-            for m2, c2 in right:
-                sign, odd = normalize_odd_word(m1.odd + m2.odd)
-                if not sign:
+        for (e1, k1), c1 in a.terms.items():
+            swaps = _swap_parity(k1)
+            for (e2, k2), c2 in right:
+                if k1 & k2:
                     continue
-                mono = Monomial(_merge_even(m1.even, m2.even), odd)
                 c = c1 * c2
-                if sign < 0:
+                if (swaps & k2).bit_count() & 1:
                     c = -c
-                s = acc.get(mono, 0) + c
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
+                mono = Monomial(_merge_even(e1, e2), k1 | k2)
+                old = acc.get(mono)
+                if old is not None:
+                    c += old
+                    if not c:
+                        del acc[mono]
+                        continue
+                acc[mono] = c
     return SuperPoly._raw(ctx, acc)
 
 

@@ -409,6 +409,19 @@ def test_long_power_chain_lowers():
     assert lines(result) == ["t"]
 
 
+def test_exponent_above_the_cap_is_a_script_error():
+    # without the cap this power multiplies out for minutes
+    result = run("""
+        context M even=[t] odd=[theta1]
+        morphism f : M -> M [t^100000000, theta1]
+        eval t^2
+    """, keep_going=True)
+    assert len(result.errors) == 1
+    assert result.errors[0].startswith("error: line 3: exponent 100000000")
+    assert "cap" in result.errors[0]
+    assert lines(result) == ["t^2"]
+
+
 # -- process entry ---------------------------------------------------------------
 
 SCRIPT = """\

@@ -101,7 +101,7 @@ def test_model_is_faithful_on_basis_words():
         }
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
 def test_products_match_matrix_products(q):
     ctx = grassmann(q)
     rng = random.Random(710 + q)
@@ -111,7 +111,7 @@ def test_products_match_matrix_products(q):
         assert model(a * b, q) == mat_mul(model(a, q), model(b, q))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
 def test_dot_matches_sum_of_matrix_products(q):
     ctx = grassmann(q)
     rng = random.Random(720 + q)
@@ -127,11 +127,8 @@ def test_dot_matches_sum_of_matrix_products(q):
         assert model(dot(ctx, pairs), q) == expect
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 2), (3, 2, 4)])
-def test_gmul_entries_match_matrix_model(shape):
-    q = 4
+def check_gmul(q, shape, rng):
     ctx = grassmann(q)
-    rng = random.Random(730 + sum(shape))
     n, k, m = shape
     a = tuple(tuple(random_poly(rng, ctx, n_terms=2) for _ in range(k))
               for _ in range(n))
@@ -145,6 +142,16 @@ def test_gmul_entries_match_matrix_model(shape):
             for t in range(k):
                 expect = mat_add(expect, mat_mul(model(a[i][t], q), model(b[t][j], q)))
             assert model(out[i][j], q) == expect
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 2), (3, 2, 4)])
+def test_gmul_entries_match_matrix_model(shape):
+    check_gmul(4, shape, random.Random(730 + sum(shape)))
+
+
+def test_gmul_entries_match_matrix_model_over_six_generators():
+    # the size of the benchmark's supermatrices over Lambda(theta1..theta6)
+    check_gmul(6, (2, 3, 2), random.Random(736))
 
 
 class TestDotEdges:

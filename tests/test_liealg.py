@@ -30,6 +30,7 @@ from supergeom import (
     linalg,
     superbracket,
 )
+from supergeom.liealg import _divide, _extended, _lift, _parameter
 
 CTX = Context(even=["t"], odd=["theta1", "theta2", "theta3", "theta4"])
 
@@ -118,6 +119,31 @@ def test_commutator_super_jacobi():
                 if px is Parity.ODD and py is Parity.ODD:
                     tail = tail * CTX.scalar(-1)
                 assert lhs == rhs + tail
+
+
+def test_lift_then_divide_returns_the_entry():
+    # _lift shifts odd masks past the reserved generators, _divide strips
+    # the parameter and shifts them back; rename is the independent route
+    ext = _extended(CTX)
+    rng = random.Random(88)
+    x = random_supermatrix(rng, CTX, (1, 1), (1, 1), Parity.ODD)
+    lifted = _lift(x, ext)
+    eps = _parameter(ext, Parity.EVEN, 1) * _parameter(ext, Parity.ODD, 0)
+    for row, lifted_row in zip(x.rows, lifted.rows):
+        for e, le in zip(row, lifted_row):
+            assert le == e.rename(ext)
+            assert _divide(eps * le, eps, CTX, 4, False) == e
+            assert _divide(eps * le, eps, CTX, 4, True) == -e
+
+
+@pytest.mark.parametrize("extra", ["epsilon2", "theta1"])
+def test_divide_refuses_a_term_the_parameter_does_not_lead(extra):
+    # epsilon2 sits among the reserved bits; theta1 lacks epsilon3
+    ext = _extended(CTX)
+    eps = ext.var("epsilon1") * ext.var("epsilon3")
+    poly = eps * ext.var("theta2") + ext.var(extra) * ext.var("epsilon1")
+    with pytest.raises(ValueError, match="does not factor through the parameter"):
+        _divide(poly, eps, CTX, 4, False)
 
 
 def test_reserved_generators_rejected():

@@ -6,6 +6,7 @@ implementation existed; the loops re-check them against independent
 expansions on random data.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,13 +16,16 @@ from helpers import poly, random_poly
 from supergeom import (
     Context,
     ContextMismatch,
+    LimitExceeded,
+    Monomial,
     Parity,
     ParityError,
     RationalPoint,
     SuperPoly,
     normalize_odd_word,
 )
-from supergeom.poly import UNIT_MONOMIAL
+from supergeom.poly import MAX_EXPONENT, UNIT_MONOMIAL, dot
+from supergeom.serialize import to_json
 
 T2 = Context(even=["t1", "t2"], odd=["theta1", "theta2"])
 T3 = Context(even=["t"], odd=["theta1", "theta2", "theta3"])
@@ -87,6 +91,13 @@ class TestMul:
             c = random_poly(rng, T3)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+    def test_exponent_at_the_cap_is_computed(self):
+        assert str(T3.var("t") ** MAX_EXPONENT) == f"t^{MAX_EXPONENT}"
+
+    def test_exponent_above_the_cap_is_refused(self):
+        with pytest.raises(LimitExceeded):
+            T3.var("t") ** (MAX_EXPONENT + 1)
 
     def test_unit_is_neutral(self):
         rng = random.Random(13)
@@ -167,6 +178,38 @@ class TestPartial:
         with pytest.raises(ValueError):
             T3.var("t").partial("nope")
 
+    def test_euler_identity_ties_partial_signs_to_products(self):
+        # sum over generators n of n * d/dn p scales each term c*m by its
+        # even degree plus its odd word length; for an odd n this holds
+        # only if the left-derivative sign of partial undoes the sign the
+        # product theta_n * (d/dn p) picks up in dot
+        ctx = Context(even=["x", "y"], odd=[f"theta{i}" for i in range(1, 7)])
+        names = ctx.even + ctx.odd
+        rng = random.Random(23)
+        for _ in range(200):
+            p = random_poly(rng, ctx, n_terms=4)
+            lhs = dot(ctx, [(ctx.var(n), p.partial(n)) for n in names])
+            rhs = SuperPoly(ctx, {
+                m: (m.even_degree + len(m.odd)) * c for m, c in p.terms.items()
+            })
+            assert lhs == rhs
+
+
+class TestOddMask:
+    CTX = Context(odd=[f"theta{i}" for i in range(1, 7)])
+
+    def test_odd_word_round_trips_through_the_mask(self):
+        for k in range(7):
+            for word in itertools.combinations(range(6), k):
+                p = self.CTX.one()
+                for j in word:
+                    p = p * self.CTX.var(f"theta{j + 1}")
+                ((mono, c),) = p.terms.items()
+                assert c == 1
+                assert mono.odd == word
+                assert mono.mask == sum(1 << j for j in word)
+                assert Monomial((), mono.mask).odd == word
+
 
 class TestEvaluation:
     def test_odd_terms_vanish(self):
@@ -216,6 +259,14 @@ class TestRendering:
 
     def test_zero(self):
         assert str(T2.zero()) == "0"
+
+    def test_odd_words_print_in_lex_order_not_mask_order(self):
+        # theta1*theta3 has mask 5 and theta2 mask 2: the index words sort
+        # theta1*theta3 first, their masks and insertion order would not
+        th1, th2, th3 = (T3.var(f"theta{i}") for i in (1, 2, 3))
+        f = th2 + th1 * th3
+        assert str(f) == "theta1*theta3 + theta2"
+        assert [t["odd"] for t in to_json(f)["terms"]] == [[1, 3], [2]]
 
 
 class TestSubstitute:
