@@ -151,7 +151,7 @@ class SuperDerivation:
                 continue
             body = str(coeff)
             neg = False
-            if len(coeff.terms) > 1:
+            if len(coeff.nums) > 1:
                 body = f"({body})"
             elif body.startswith("-"):
                 neg = True

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ScriptError
-from .poly import Context, SuperPoly
+from .poly import MAX_DIGITS, Context, SuperPoly
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^/()]))"
@@ -50,6 +50,12 @@ def tokenize(text: str, line=None):
                 f"unexpected character {stripped[0]!r}", line=line, col=col
             )
         kind = m.lastgroup
+        if kind == "int" and len(m.group(kind)) > MAX_DIGITS:
+            # the printing cap; CPython itself refuses int() past 4300 digits
+            raise ScriptError(
+                f"integer literal has more than {MAX_DIGITS} digits, the cap",
+                line=line, col=m.start(kind) + 1,
+            )
         out.append(Token(kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
     out.append(Token("end", "", len(text) + 1))

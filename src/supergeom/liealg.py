@@ -55,7 +55,7 @@ def _lift(mat: SuperMatrix, ext: Context) -> SuperMatrix:
     shift = len(RESERVED)
     rows = [
         [SuperPoly._raw(ext, {Monomial(m.even, m.mask << shift): c
-                              for m, c in e.terms.items()})
+                              for m, c in e.nums.items()}, e.den)
          for e in row]
         for row in mat.rows
     ]
@@ -93,18 +93,20 @@ def _divide(poly: SuperPoly, param: SuperPoly, ctx_out: Context,
     ctx_out with its odd mask shifted down by shift bits (reserved
     generators dropped from the front of the context) and negated when
     flip is set."""
-    ((word, coeff),) = param.terms.items()
+    ((word, pn),) = param.nums.items()
     lead = word.mask
     # bits below the parameter's last generator and below shift must be
     # exactly the parameter's
     low = (1 << max(shift, lead.bit_length())) - 1
-    terms = {}
-    for (even, mask), c in poly.terms.items():
+    # (c / den) / (pn / param.den), with pn's sign and the flip moved
+    # into the numerators so the denominator stays positive
+    scale = -param.den if flip != (pn < 0) else param.den
+    nums = {}
+    for (even, mask), c in poly.nums.items():
         if mask & low != lead:
             raise ValueError("polynomial does not factor through the parameter")
-        c = c / coeff
-        terms[Monomial(even, (mask ^ lead) >> shift)] = -c if flip else c
-    return SuperPoly._raw(ctx_out, terms)
+        nums[Monomial(even, (mask ^ lead) >> shift)] = c * scale
+    return SuperPoly._reduced(ctx_out, nums, poly.den * abs(pn))
 
 
 def _bracket_setup(x: SuperMatrix, y: SuperMatrix):

@@ -23,12 +23,20 @@ from typing import NamedTuple
 from . import linalg
 from .errors import (
     ContextMismatch,
+    LimitExceeded,
     NeitherBlockInvertible,
     NonConstantBody,
     NotInvertible,
     ParityError,
 )
 from .poly import Context, Parity, Scalar, SuperPoly, dot
+
+# Largest n for which _det expands an n x n grid.  Its memo holds one minor
+# per surviving row set, 2^n of them: a 10 x 10 grid of dense linear
+# entries in three variables takes about 3 s, and each further row about
+# 2.7 times as long.  The largest determinant in the demos, tests and
+# benchmark is 7 x 7.
+MAX_DET_SIZE = 12
 
 
 class SuperDim(NamedTuple):
@@ -109,6 +117,10 @@ def _det(ctx, grid) -> SuperPoly:
     divisors once even entries carry nilpotent parts.
     """
     n = len(grid)
+    if n > MAX_DET_SIZE:
+        raise LimitExceeded(
+            f"determinant of a {n}x{n} block is above the cap of {MAX_DET_SIZE} rows"
+        )
     one = SuperPoly.scalar(ctx, 1)
     if n == 0:
         return one

@@ -2,8 +2,13 @@
 
 A Context names the generators of k[t_1 .. t_p | theta_1 .. theta_q]: even
 generators commute with everything, odd generators anticommute among
-themselves and square to zero.  Coefficients are Fraction throughout, so
-every operation in this module is exact.
+themselves and square to zero.  A SuperPoly stores int numerators over one
+positive int denominator, reduced so that the denominator shares no factor
+with all the numerators; the ring operations add and multiply plain ints
+and reduce once per result, so every operation in this module is exact.
+Fraction appears only where a coefficient is read: coefficient,
+constant_term, at, sorted_terms (hence str and serialize) and the public
+constructor.
 
 A Monomial stores its odd part as an int mask: bit j set means theta_j
 is present, and theta_mask is the product of those generators in
@@ -22,8 +27,10 @@ polynomials is dot on one pair, and every sum of products in the package
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import ContextMismatch, LimitExceeded, ParityError
 
@@ -33,6 +40,17 @@ Scalar = (int, Fraction)
 # product, so an unchecked t^100000000 runs for minutes; no demo, test or
 # benchmark input comes near this.
 MAX_EXPONENT = 1000
+
+# Most terms one dot may accumulate.  A power or product of many-term
+# factors, such as (1+t+s+u)^1000, otherwise grows without bound; the
+# largest product in the demos, tests and benchmark has 127 terms.
+MAX_TERMS = 10_000
+
+# Most decimal digits in the numerator or denominator of a printed
+# coefficient; below CPython's own 4300-digit limit on int to str, so a
+# huge exact value ends in LimitExceeded rather than a ValueError.
+MAX_DIGITS = 4000
+_DIGITS_BOUND = 10**MAX_DIGITS
 
 
 def _exact(value) -> Fraction:
@@ -229,33 +247,78 @@ def _merge_even(a, b):
     return tuple(out)
 
 
-class SuperPoly:
-    """Sparse polynomial: {Monomial: Fraction} with no zero coefficients stored.
+class _Terms(Mapping):
+    """Read-only {Monomial: Fraction} view of a polynomial's terms.
 
-    Values are immutable once constructed; equality is equality of term maps,
-    which is canonical-form equality.
+    Length, iteration and membership read the numerators directly; a
+    Fraction is built only when a coefficient is read.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("_poly",)
 
-    def __init__(self, ctx: Context, terms: Mapping[Monomial, Fraction] = ()):
-        self.ctx = ctx
-        clean = {}
+    def __init__(self, poly):
+        self._poly = poly
+
+    def __getitem__(self, mono):
+        return Fraction(self._poly.nums[mono], self._poly.den)
+
+    def __len__(self):
+        return len(self._poly.nums)
+
+    def __iter__(self):
+        return iter(self._poly.nums)
+
+    def __contains__(self, mono):
+        return mono in self._poly.nums
+
+
+class SuperPoly:
+    """Sparse polynomial: integer numerators over one positive denominator.
+
+    nums maps each Monomial to a nonzero int and den is a positive int; the
+    coefficient of mono is nums[mono] / den.  The form is canonical:
+    gcd(den, *nums.values()) == 1, and zero has den 1, so two polynomials
+    are equal exactly when their (ctx, den, nums) are.  Values are
+    immutable once constructed.
+    """
+
+    __slots__ = ("ctx", "nums", "den")
+
+    def __init__(self, ctx: Context, terms: Mapping[Monomial, Fraction | int] = ()):
+        """From {Monomial: Fraction or int}; zero coefficients are dropped
+        and floats refused."""
+        coeffs = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, c in items:
-            if not isinstance(c, Fraction):
-                c = _exact(c)
+            c = _exact(c)
             if c:
-                clean[mono] = c
-        self.terms = clean
+                coeffs[mono] = c
+        # the lcm of reduced denominators shares no factor with all the
+        # scaled numerators, so this is already canonical
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.ctx = ctx
+        self.nums = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        self.den = den
 
     @classmethod
-    def _raw(cls, ctx, terms):
-        # internal: terms already pruned, coefficients already Fraction
+    def _raw(cls, ctx, nums, den=1):
+        # internal: nums pruned of zeros, den positive and already coprime to them
         p = object.__new__(cls)
         p.ctx = ctx
-        p.terms = terms
+        p.nums = nums
+        p.den = den
         return p
+
+    @classmethod
+    def _reduced(cls, ctx, nums, den):
+        # internal: nums pruned of zeros, den positive; divides out their
+        # common factor (all of den when nums is empty)
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {m: v // g for m, v in nums.items()}
+        return cls._raw(ctx, nums, den)
 
     @classmethod
     def zero(cls, ctx) -> "SuperPoly":
@@ -263,37 +326,44 @@ class SuperPoly:
 
     @classmethod
     def scalar(cls, ctx, value) -> "SuperPoly":
-        c = value if isinstance(value, Fraction) else _exact(value)
-        return cls._raw(ctx, {UNIT_MONOMIAL: c} if c else {})
+        if type(value) is int:
+            return cls._raw(ctx, {UNIT_MONOMIAL: value} if value else {})
+        c = _exact(value)
+        return cls._raw(ctx, {UNIT_MONOMIAL: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def var(cls, ctx, name) -> "SuperPoly":
         is_odd, idx = ctx.lookup(name)
         mono = Monomial((), 1 << idx) if is_odd else Monomial(((idx, 1),), 0)
-        return cls._raw(ctx, {mono: Fraction(1)})
+        return cls._raw(ctx, {mono: 1})
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        return _Terms(self)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {UNIT_MONOMIAL}
+        nums = self.nums
+        return not nums or (len(nums) == 1 and UNIT_MONOMIAL in nums)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(UNIT_MONOMIAL, Fraction(0))
+        return Fraction(self.nums.get(UNIT_MONOMIAL, 0), self.den)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+        return Fraction(self.nums.get(mono, 0), self.den)
 
     def parity(self) -> Parity:
         """EVEN, ODD, or MIXED; the zero polynomial is EVEN by convention."""
-        if not self.terms:
+        if not self.nums:
             return Parity.EVEN
-        seen = {m.mask.bit_count() & 1 for m in self.terms}
+        seen = {m.mask.bit_count() & 1 for m in self.nums}
         if len(seen) == 2:
             return Parity.MIXED
         return Parity(seen.pop())
@@ -301,12 +371,12 @@ class SuperPoly:
     def has_parity(self, parity: Parity) -> bool:
         """True when the polynomial is homogeneous of the given parity.
         Zero counts as homogeneous of every parity."""
-        return not self.terms or self.parity() is parity
+        return not self.nums or self.parity() is parity
 
     def body(self) -> "SuperPoly":
         """Kill the odd part: keep only terms with empty odd word."""
-        return SuperPoly._raw(
-            self.ctx, {m: c for m, c in self.terms.items() if not m.mask}
+        return SuperPoly._reduced(
+            self.ctx, {m: v for m, v in self.nums.items() if not m.mask}, self.den
         )
 
     # -- arithmetic ------------------------------------------------------
@@ -324,14 +394,28 @@ class SuperPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, 0) + c
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        den = self.den
+        if den == other.den:
+            nums = dict(self.nums)
+            right = other.nums.items()
+        else:
+            # both sides over the lcm of the two denominators
+            g = gcd(den, other.den)
+            up, other_up = other.den // g, den // g
+            nums = {m: v * up for m, v in self.nums.items()}
+            right = [(m, v * other_up) for m, v in other.nums.items()]
+            den *= up
+        for mono, v in right:
+            s = nums.get(mono, 0) + v
             if s:
-                terms[mono] = s
+                nums[mono] = s
             else:
-                terms.pop(mono, None)
-        return SuperPoly._raw(self.ctx, terms)
+                del nums[mono]
+        return SuperPoly._reduced(self.ctx, nums, den)
 
     __radd__ = __add__
 
@@ -345,17 +429,21 @@ class SuperPoly:
         return (-self) + other
 
     def __neg__(self):
-        return SuperPoly._raw(self.ctx, {m: -c for m, c in self.terms.items()})
+        return SuperPoly._raw(self.ctx, {m: -v for m, v in self.nums.items()}, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            c = Fraction(other)
-            if not c:
-                return SuperPoly.zero(self.ctx)
-            return SuperPoly._raw(self.ctx, {m: v * c for m, v in self.terms.items()})
-        if not isinstance(other, SuperPoly):
+        if isinstance(other, SuperPoly):
+            return dot(self.ctx, ((self, other),))
+        if not isinstance(other, Scalar):
             return NotImplemented
-        return dot(self.ctx, ((self, other),))
+        c = Fraction(other)
+        if not c:
+            return SuperPoly.zero(self.ctx)
+        n = c.numerator
+        return SuperPoly._reduced(
+            self.ctx, {m: v * n for m, v in self.nums.items()},
+            self.den * c.denominator,
+        )
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -375,7 +463,7 @@ class SuperPoly:
         out = SuperPoly.scalar(self.ctx, 1)
         for _ in range(n):
             out = out * self
-            if not out.terms:
+            if not out.nums:
                 break
         return out
 
@@ -384,13 +472,17 @@ class SuperPoly:
             other = SuperPoly.scalar(self.ctx, other)
         if not isinstance(other, SuperPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return (
+            self.ctx == other.ctx
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
         # a constant equals its Fraction, so it must hash like one too
         if self.is_constant():
             return hash(self.constant_term())
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, self.den, frozenset(self.nums.items())))
 
     # -- calculus --------------------------------------------------------
 
@@ -401,17 +493,17 @@ class SuperPoly:
         the odd word first, and each transposition costs a sign.
         """
         is_odd, idx = self.ctx.lookup(name)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int] = {}
         if is_odd:
             bit = 1 << idx
-            for (even, mask), c in self.terms.items():
+            for (even, mask), c in self.nums.items():
                 if not mask & bit:
                     continue
                 # one transposition per generator in front of theta_idx
                 passed = (mask & (bit - 1)).bit_count()
                 acc[Monomial(even, mask ^ bit)] = -c if passed & 1 else c
         else:
-            for mono, c in self.terms.items():
+            for mono, c in self.nums.items():
                 for k, (i, e) in enumerate(mono.even):
                     if i != idx:
                         continue
@@ -421,21 +513,22 @@ class SuperPoly:
                         ne = mono.even[:k] + ((i, e - 1),) + mono.even[k + 1 :]
                     acc[Monomial(ne, mono.mask)] = c * e
                     break
-        return SuperPoly._raw(self.ctx, acc)
+        # dropped terms (and the exponents e) can leave a common factor
+        return SuperPoly._reduced(self.ctx, acc, self.den)
 
     def at(self, point: "RationalPoint") -> Fraction:
         """Evaluate with odd generators sent to zero.  Exact."""
         if point.ctx != self.ctx:
             raise ContextMismatch("point context differs from polynomial context")
         total = Fraction(0)
-        for mono, c in self.terms.items():
+        for mono, c in self.nums.items():
             if mono.mask:
                 continue
             v = c
             for i, e in mono.even:
                 v *= point.even_values[i] ** e
             total += v
-        return total
+        return total / self.den
 
     def substitute(self, ctx_out: Context, images: Mapping[str, "SuperPoly"]) -> "SuperPoly":
         """Apply the ring map sending each generator to its image.
@@ -444,7 +537,8 @@ class SuperPoly:
         image over ctx_out; images must be parity-correct (even generators
         get EVEN polynomials, odd generators get ODD ones; zero is fine for
         either), which is what makes the substitution a well defined
-        homomorphism.
+        homomorphism.  The numerators are substituted and the sum divided
+        by den once.
         """
         cache: dict[tuple[Parity, int, int], SuperPoly] = {}
 
@@ -466,8 +560,8 @@ class SuperPoly:
         one = SuperPoly.scalar(ctx_out, 1)
 
         def pairs():
-            # c * (product of all factors but the last), last factor
-            for mono, c in self.terms.items():
+            # numerator * (product of all factors but the last), last factor
+            for mono, c in self.nums.items():
                 keys = [(Parity.EVEN, i, e) for i, e in mono.even]
                 keys += [(Parity.ODD, j, 1) for j in mono.odd]
                 head = SuperPoly.scalar(ctx_out, c)
@@ -478,7 +572,10 @@ class SuperPoly:
                 else:
                     yield head, factor(*keys[-1]) if keys else one
 
-        return dot(ctx_out, pairs())
+        out = dot(ctx_out, pairs())
+        if self.den == 1:
+            return out
+        return SuperPoly._reduced(ctx_out, out.nums, out.den * self.den)
 
     def rename(self, ctx_out: Context, name_map: Mapping[str, str] | None = None) -> "SuperPoly":
         """Transport along a generator renaming; names absent from the map
@@ -491,7 +588,7 @@ class SuperPoly:
 
     def _used_names(self):
         used = set()
-        for mono in self.terms:
+        for mono in self.nums:
             for i, _ in mono.even:
                 used.add(self.ctx.even[i])
             for j in mono.odd:
@@ -507,10 +604,17 @@ class SuperPoly:
         return (-mono.even_degree, tuple(-x for x in dense), mono.odd)
 
     def sorted_terms(self):
-        """Terms in canonical printing order: graded-lex descending on the
-        even part, then lexicographic on the odd word."""
-        for mono in sorted(self.terms, key=self._mono_key):
-            yield mono, self.terms[mono]
+        """(Monomial, Fraction) pairs in canonical printing order:
+        graded-lex descending on the even part, then lexicographic on the
+        odd word.  Every text form of a polynomial reads its coefficients
+        here, so a coefficient too long to print raises LimitExceeded."""
+        for mono in sorted(self.nums, key=self._mono_key):
+            c = Fraction(self.nums[mono], self.den)
+            if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
+                raise LimitExceeded(
+                    f"coefficient has more than {MAX_DIGITS} digits, the cap"
+                )
+            yield mono, c
 
     def _term_text(self, mono, coeff):
         factors = []
@@ -541,16 +645,26 @@ def dot(ctx: Context, pairs) -> SuperPoly:
 
     The one term-pair loop of the package: every product of two
     polynomials, and every sum of such products, accumulates here into a
-    single term map, with no intermediate polynomial per product or per
-    partial sum.  Coefficients that cancel, within one product or across
-    pairs, are dropped as they hit zero.
+    single map of int numerators over the lcm of the pairs' a.den * b.den,
+    with no intermediate polynomial per product or per partial sum.
+    Numerators that cancel, within one product or across pairs, are
+    dropped as they hit zero, and the sum is reduced once at the end.
+    Raises LimitExceeded once the sum holds more than MAX_TERMS terms.
     """
-    acc: dict[Monomial, Fraction] = {}
+    pairs = list(pairs)
+    den = 1
     for a, b in pairs:
-        if a.ctx != ctx or b.ctx != ctx:
+        if (a.ctx is not ctx and a.ctx != ctx) or (b.ctx is not ctx and b.ctx != ctx):
             raise ContextMismatch("operands live in different contexts")
-        right = b.terms.items()
-        for (e1, k1), c1 in a.terms.items():
+        d = a.den * b.den
+        if den % d:
+            den = den // gcd(den, d) * d
+    acc: dict[Monomial, int] = {}
+    for a, b in pairs:
+        scale = den // (a.den * b.den)
+        right = b.nums.items()
+        for (e1, k1), c1 in a.nums.items():
+            c1 *= scale
             swaps = _swap_parity(k1)
             for (e2, k2), c2 in right:
                 if k1 & k2:
@@ -566,7 +680,9 @@ def dot(ctx: Context, pairs) -> SuperPoly:
                         del acc[mono]
                         continue
                 acc[mono] = c
-    return SuperPoly._raw(ctx, acc)
+            if len(acc) > MAX_TERMS:
+                raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
+    return SuperPoly._reduced(ctx, acc, den)
 
 
 def _signed_sum(pieces) -> str:

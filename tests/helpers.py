@@ -48,6 +48,32 @@ def random_poly(rng, ctx, parity=None, max_even_deg=2, n_terms=3, lo=-5, hi=5):
     return out
 
 
+def random_rational_poly(rng, ctx, parity=None, max_even_deg=2, n_terms=3,
+                         max_den=12):
+    """Random polynomial with Fraction(n, d) coefficients, d in 1..max_den.
+
+    Built from Monomials through the public constructor, not by ring
+    arithmetic, so a test that checks + or * does not also build its
+    inputs with them.  parity restricts the odd word lengths as in
+    random_poly.
+    """
+    from supergeom import Monomial
+
+    q = len(ctx.odd)
+    lengths = [k for k in range(q + 1)
+               if parity is None or k % 2 == parity.value]
+    if not lengths:
+        raise ValueError("context has no odd generators")
+    terms = {}
+    for _ in range(n_terms):
+        even = tuple((i, d) for i in range(len(ctx.even))
+                     if (d := rng.randint(0, max_even_deg)))
+        mask = sum(1 << j for j in rng.sample(range(q), rng.choice(lengths)))
+        terms[Monomial(even, mask)] = Fraction(rng.randint(-9, 9),
+                                               rng.randint(1, max_den))
+    return SuperPoly(ctx, terms)
+
+
 def random_homogeneous(rng, ctx, **kw):
     """Random homogeneous polynomial of a random parity."""
     parity = Parity.EVEN if rng.random() < 0.5 else Parity.ODD

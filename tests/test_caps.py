@@ -1,0 +1,156 @@
+"""Size caps of the kernel: term count in dot, determinant size, and the
+digits of a printed coefficient.
+
+Each cap turns an input that used to run for minutes, or to end in a
+CPython message, into a LimitExceeded that a script reports as
+"error: line N: ..." before going on with the next statement.  The
+script repros run in a subprocess with a timeout, so a missing cap fails
+the test instead of hanging it.
+"""
+
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from supergeom import Context, LimitExceeded, SuperPoly
+from supergeom.matrix import MAX_DET_SIZE, _det
+from supergeom.poly import MAX_DIGITS, MAX_TERMS, dot
+from supergeom.script import run_script
+from supergeom.serialize import to_json
+
+
+def keep_going(tmp_path, text):
+    """Run a script with --keep-going; without the caps these repros were
+    still running after 10 s, with them each takes under 2 s."""
+    path = tmp_path / "repro.sg"
+    path.write_text(textwrap.dedent(text))
+    return subprocess.run(
+        [sys.executable, "-m", "supergeom", "--keep-going", "--script", str(path)],
+        capture_output=True, text=True, timeout=10,
+    )
+
+
+# -- terms -------------------------------------------------------------------
+
+
+def test_power_of_a_four_term_sum_hits_the_term_cap(tmp_path):
+    proc = keep_going(tmp_path, """\
+        context M even=[t, s, u] odd=[]
+        eval (1+t+s+u)^1000
+        eval t
+    """)
+    assert proc.stderr.startswith("error: line 2: ")
+    assert f"more than {MAX_TERMS} terms" in proc.stderr
+    assert proc.stdout == "t\n"
+
+
+def test_product_of_twenty_odd_binomials_hits_the_term_cap(tmp_path):
+    odd = ", ".join(f"th{i}" for i in range(1, 41))
+    product = "*".join(f"(1+th{i}*th{i + 20})" for i in range(1, 21))
+    proc = keep_going(tmp_path, f"""\
+        context M even=[] odd=[{odd}]
+        eval {product}
+        eval th1
+    """)
+    assert proc.stderr.startswith("error: line 2: ")
+    assert f"more than {MAX_TERMS} terms" in proc.stderr
+    assert proc.stdout == "th1\n"
+
+
+def test_dot_output_at_the_cap_is_kept_and_above_it_refused():
+    ctx = Context(even=["x", "y"])
+    x, y = ctx.var("x"), ctx.var("y")
+    xs = sum((x**i for i in range(100)), ctx.zero())
+    ys = sum((y**j for j in range(100)), ctx.zero())
+    assert len(dot(ctx, [(xs, ys)]).nums) == MAX_TERMS
+    with pytest.raises(LimitExceeded):
+        dot(ctx, [(xs + x**100, ys)])
+    with pytest.raises(LimitExceeded):
+        (xs + x**100) * ys
+
+
+# -- determinant size ----------------------------------------------------------
+
+
+def test_ber_of_a_22_by_22_block_is_refused(tmp_path):
+    rows = "; ".join(
+        ", ".join(f"t + {22 * i + j + 1}" for j in range(22)) for i in range(22)
+    )
+    proc = keep_going(tmp_path, f"""\
+        context M even=[t] odd=[]
+        matrix A dims 22|0 -> 22|0 rows [{rows}]
+        ber A
+        eval t
+    """)
+    assert proc.stderr.startswith("error: line 3: ")
+    assert f"cap of {MAX_DET_SIZE}" in proc.stderr
+    assert proc.stdout == "t\n"
+
+
+def test_det_at_the_cap_is_computed_and_above_it_refused():
+    ctx = Context(even=["t"])
+    t = ctx.var("t")
+
+    def diagonal(n):
+        return tuple(tuple(t + 1 if i == j else ctx.zero() for j in range(n))
+                     for i in range(n))
+
+    assert _det(ctx, diagonal(MAX_DET_SIZE)) == (t + 1) ** MAX_DET_SIZE
+    with pytest.raises(LimitExceeded):
+        _det(ctx, diagonal(MAX_DET_SIZE + 1))
+
+
+# -- printed digits ------------------------------------------------------------
+
+
+def test_huge_coefficient_is_a_script_error(tmp_path):
+    proc = keep_going(tmp_path, """\
+        context M even=[t] odd=[]
+        eval (10^999)^5
+        eval t
+    """)
+    assert proc.stderr.startswith("error: line 2: ")
+    assert f"more than {MAX_DIGITS} digits" in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
+    assert proc.stdout == "t\n"
+
+
+def test_digit_cap_boundary_in_str_and_json():
+    ctx = Context(even=["t"])
+    at_cap = SuperPoly.scalar(ctx, 10 ** (MAX_DIGITS - 1)) * ctx.var("t")
+    assert str(at_cap) == "1" + "0" * (MAX_DIGITS - 1) + "*t"
+    assert to_json(at_cap)["terms"][0]["coeff"] == str(10 ** (MAX_DIGITS - 1))
+    small = ctx.var("t") / 10**MAX_DIGITS
+    for p in (at_cap * 10, small):
+        with pytest.raises(LimitExceeded):
+            str(p)
+        with pytest.raises(LimitExceeded):
+            to_json(p)
+    # arithmetic itself stays exact above the cap
+    assert (at_cap * 10) / 10 == at_cap
+
+
+def test_huge_export_is_a_script_error():
+    result = run_script(
+        "context M even=[t] odd=[]\nlet p = (10^1000)^4*t\nexport p\neval t\n",
+        keep_going=True,
+    )
+    assert len(result.errors) == 1
+    assert result.errors[0].startswith("error: line 3: ")
+    assert result.output == "t\n"
+
+
+def test_literal_digits_are_capped_in_kernel_words():
+    at_cap = "9" * MAX_DIGITS
+    result = run_script(
+        f"context M even=[t] odd=[]\neval {at_cap}*t\neval {at_cap}9*t\n"
+        f"eval t^{at_cap}9\neval t\n",
+        keep_going=True,
+    )
+    assert result.output == f"{at_cap}*t\nt\n"
+    assert [e.split(":")[0] for e in result.errors] == ["error", "error"]
+    for line, err in zip((3, 4), result.errors):
+        assert err.startswith(f"error: line {line}, column ")
+        assert f"more than {MAX_DIGITS} digits" in err

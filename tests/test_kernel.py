@@ -13,16 +13,26 @@ a faithful algebra homomorphism.  So a product, a sum of products, or a
 supermatrix entry computed by the kernel must map to the matching
 product or sum of matrices.  Nothing here uses normalize_odd_word or any
 other sign code of the package.
+
+Even generators enter through evaluation: sending them to rational
+values is a ring homomorphism k[x, y | theta] -> Lambda(theta), so the
+model of an evaluated product, sum of products, substitution or
+determinant must be the matching product, sum or Leibniz expansion of
+the evaluated factors.  The inputs there carry Fraction(n, d)
+coefficients with d up to 12, so the kernel's common denominators,
+scale factors and final reductions all take part; the model reads
+coefficients only through the public terms view.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_poly
-from supergeom import Context, ContextMismatch, SuperPoly
-from supergeom.matrix import _gmul
+from helpers import random_poly, random_rational_poly
+from supergeom import Context, ContextMismatch, Parity, SuperPoly
+from supergeom.matrix import _det, _gmul
 from supergeom.poly import dot
 
 
@@ -189,3 +199,185 @@ class TestDotEdges:
             a = random_poly(rng, self.CTX)
             b = random_poly(rng, self.CTX)
             assert a * b == dot(self.CTX, [(a, b)])
+
+
+# -- even generators, through evaluation at rational points ----------------
+
+
+def mixed(q, even=("x", "y")):
+    return Context(even=list(even), odd=[f"theta{i + 1}" for i in range(q)])
+
+
+def rational_values(rng, n):
+    return [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n)]
+
+
+def model_at(p, q, values):
+    """The matrix of left multiplication by p with its even generators
+    set to values."""
+    thetas = [theta(q, i) for i in range(q)]
+    out = {}
+    for mono, c in p.terms.items():
+        for i, e in mono.even:
+            c *= values[i] ** e
+        word = identity(q)
+        for j in mono.odd:
+            word = mat_mul(word, thetas[j])
+        out = mat_add(out, {key: c * v for key, v in word.items()})
+    return out
+
+
+def mat_scale(x, c):
+    return {key: c * v for key, v in x.items()} if c else {}
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
+def test_rational_products_match_at_points(q):
+    ctx = mixed(q)
+    rng = random.Random(750 + q)
+    for _ in range(25):
+        a = random_rational_poly(rng, ctx, n_terms=rng.randint(0, 5))
+        b = random_rational_poly(rng, ctx, n_terms=rng.randint(0, 5))
+        at = rational_values(rng, 2)
+        assert model_at(a * b, q, at) == mat_mul(model_at(a, q, at),
+                                                 model_at(b, q, at))
+
+
+@pytest.mark.parametrize("q", [0, 2, 4])
+def test_rational_dot_matches_at_points(q):
+    ctx = mixed(q)
+    rng = random.Random(760 + q)
+    for _ in range(15):
+        pairs = [
+            (random_rational_poly(rng, ctx, n_terms=rng.randint(0, 4)),
+             random_rational_poly(rng, ctx, n_terms=rng.randint(0, 4)))
+            for _ in range(rng.randint(0, 5))
+        ]
+        at = rational_values(rng, 2)
+        expect = {}
+        for a, b in pairs:
+            expect = mat_add(expect, mat_mul(model_at(a, q, at), model_at(b, q, at)))
+        assert model_at(dot(ctx, pairs), q, at) == expect
+
+
+def test_rational_gmul_entries_match_at_points():
+    q = 3
+    ctx = mixed(q)
+    rng = random.Random(770)
+    for n, k, m in [(1, 1, 1), (2, 3, 2), (3, 2, 3)]:
+        a = tuple(tuple(random_rational_poly(rng, ctx, n_terms=2) for _ in range(k))
+                  for _ in range(n))
+        b = tuple(tuple(random_rational_poly(rng, ctx, n_terms=2) for _ in range(m))
+                  for _ in range(k))
+        at = rational_values(rng, 2)
+        out = _gmul(ctx, a, b)
+        for i in range(n):
+            for j in range(m):
+                expect = {}
+                for t in range(k):
+                    expect = mat_add(expect, mat_mul(model_at(a[i][t], q, at),
+                                                     model_at(b[t][j], q, at)))
+                assert model_at(out[i][j], q, at) == expect
+
+
+@pytest.mark.parametrize("q_in, q_out", [(2, 2), (3, 2), (2, 3)])
+def test_rational_substitute_matches_at_points(q_in, q_out):
+    src = mixed(q_in)
+    dst = mixed(q_out, even=("u", "v"))
+    rng = random.Random(780 + 10 * q_in + q_out)
+    for _ in range(15):
+        p = random_rational_poly(rng, src, n_terms=rng.randint(0, 4))
+        images = {name: random_rational_poly(rng, dst, parity=Parity.EVEN,
+                                             max_even_deg=1, n_terms=2)
+                  for name in src.even}
+        images.update({name: random_rational_poly(rng, dst, parity=Parity.ODD,
+                                                  max_even_deg=1, n_terms=2)
+                       for name in src.odd})
+        at = rational_values(rng, 2)
+        img = {name: model_at(f, q_out, at) for name, f in images.items()}
+        expect = {}
+        for mono, c in p.terms.items():
+            word = identity(q_out)
+            for i, e in mono.even:
+                for _ in range(e):
+                    word = mat_mul(word, img[src.even[i]])
+            for j in mono.odd:
+                word = mat_mul(word, img[src.odd[j]])
+            expect = mat_add(expect, mat_scale(word, c))
+        assert model_at(p.substitute(dst, images), q_out, at) == expect
+
+
+# -- _det at points, against a Leibniz expansion ----------------------------
+
+
+def leibniz(grid, mul, add, neg, one, zero):
+    """sum over permutations s of sign(s) * prod grid[i][s(i)]."""
+    n = len(grid)
+    total = zero
+    for perm in itertools.permutations(range(n)):
+        term = one
+        for i, j in enumerate(perm):
+            term = mul(term, grid[i][j])
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = add(total, neg(term) if inversions & 1 else term)
+    return total
+
+
+def evaluate(p, values):
+    """p at rational values of its even generators; odd-free p only."""
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        assert not mono.mask
+        for i, e in mono.even:
+            c *= values[i] ** e
+        total += c
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_det_of_rational_grids_matches_leibniz_at_points(n):
+    ctx = Context(even=["x", "y"])
+    rng = random.Random(800 + n)
+    for _ in range(4):
+        grid = tuple(
+            tuple(random_rational_poly(rng, ctx, max_even_deg=1,
+                                       n_terms=rng.randint(0, 3))
+                  for _ in range(n))
+            for _ in range(n)
+        )
+        det = _det(ctx, grid)
+        for _ in range(3):
+            at = rational_values(rng, 2)
+            values = [[evaluate(e, at) for e in row] for row in grid]
+            expect = leibniz(values, lambda a, b: a * b, lambda a, b: a + b,
+                             lambda a: -a, Fraction(1), Fraction(0))
+            assert evaluate(det, at) == expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_with_nilpotent_entries_matches_leibniz_in_the_model(n):
+    # entries body(x) + theta1*theta2 * tail(x): even, with nilpotent parts
+    q = 2
+    ctx = mixed(q, even=("x",))
+    x, t12 = ctx.var("x"), ctx.var("theta1") * ctx.var("theta2")
+    rng = random.Random(810 + n)
+
+    def tail():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 12)) * x + Fraction(
+            rng.randint(-9, 9), rng.randint(1, 12))
+
+    for _ in range(3):
+        grid = tuple(
+            tuple(random_rational_poly(rng, ctx, parity=Parity.EVEN, max_even_deg=1,
+                                       n_terms=rng.randint(0, 2))
+                  + t12 * tail()
+                  for _ in range(n))
+            for _ in range(n)
+        )
+        assert all(e.body() != e for row in grid for e in row)
+        det = _det(ctx, grid)
+        at = rational_values(rng, 1)
+        models = [[model_at(e, q, at) for e in row] for row in grid]
+        expect = leibniz(models, mat_mul, mat_add, lambda a: mat_scale(a, -1),
+                         identity(q), {})
+        assert model_at(det, q, at) == expect
