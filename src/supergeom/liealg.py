@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import ContextMismatch, ReservedGeneratorCollision
 from .matrix import SuperDim, SuperMatrix
-from .poly import Context, Monomial, Parity, SuperPoly, _exact, dot
+from .poly import Context, Parity, SuperPoly, _exact, _mono, dot
 
 RESERVED = ("epsilon1", "epsilon2", "epsilon3", "epsilon4")
 
@@ -54,8 +54,8 @@ def _lift(mat: SuperMatrix, ext: Context) -> SuperMatrix:
     followed by the user's: each odd mask moves up past the reserved bits."""
     shift = len(RESERVED)
     rows = [
-        [SuperPoly._raw(ext, {Monomial(m.even, m.mask << shift): c
-                              for m, c in e.nums.items()}, e.den)
+        [SuperPoly._raw(ext, {_mono(packed, mask << shift): c
+                              for (packed, mask), c in e.nums.items()}, e.den)
          for e in row]
         for row in mat.rows
     ]
@@ -102,10 +102,10 @@ def _divide(poly: SuperPoly, param: SuperPoly, ctx_out: Context,
     # into the numerators so the denominator stays positive
     scale = -param.den if flip != (pn < 0) else param.den
     nums = {}
-    for (even, mask), c in poly.nums.items():
+    for (packed, mask), c in poly.nums.items():
         if mask & low != lead:
             raise ValueError("polynomial does not factor through the parameter")
-        nums[Monomial(even, (mask ^ lead) >> shift)] = c * scale
+        nums[_mono(packed, (mask ^ lead) >> shift)] = c * scale
     return SuperPoly._reduced(ctx_out, nums, poly.den * abs(pn))
 
 

@@ -10,14 +10,23 @@ Fraction appears only where a coefficient is read: coefficient,
 constant_term, at, sorted_terms (hence str and serialize) and the public
 constructor.
 
-A Monomial stores its odd part as an int mask: bit j set means theta_j
-is present, and theta_mask is the product of those generators in
-increasing index order.  A product theta_k1 * theta_k2 is zero when
-k1 & k2 shares a bit.  Otherwise sorting the concatenated word moves each
-generator y of k2 leftwards past the generators of k1 above it, so the
-sign is (-1)^sum(popcount(k1 >> (y+1)) for y in k2).  _swap_parity(k1)
-holds the parity of each of those counts as one mask, which makes the
-sign one & and one bit_count per pair.
+A Monomial is a pair of ints (packed, mask).  packed holds the even part
+as fixed-width exponent fields: the exponent of t_i is the field of
+_FIELD_BITS bits that starts at bit i * _FIELD_BITS.  The top bit of every
+field is a guard bit and stays clear, so an exponent is at most
+MAX_FIELD_EXPONENT and the sum of two fields never carries into the next
+one.  The product of two even parts is then one addition, and a field that
+went past MAX_FIELD_EXPONENT shows as a guard bit of the sum: dot tests
+the sum against the guard bits of its context and raises LimitExceeded.
+
+The odd part is an int mask: bit j set means theta_j is present, and
+theta_mask is the product of those generators in increasing index order.
+A product theta_k1 * theta_k2 is zero when k1 & k2 shares a bit.
+Otherwise sorting the concatenated word moves each generator y of k2
+leftwards past the generators of k1 above it, so the sign is
+(-1)^sum(popcount(k1 >> (y+1)) for y in k2).  _swap_parity(k1) holds the
+parity of each of those counts as one mask, which makes the sign one &
+and one bit_count per pair.
 
 dot(ctx, pairs) is the only loop over pairs of terms: a product of two
 polynomials is dot on one pair, and every sum of products in the package
@@ -30,7 +39,7 @@ import enum
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
+from operator import itemgetter
 
 from .errors import ContextMismatch, LimitExceeded, ParityError
 
@@ -51,6 +60,18 @@ MAX_TERMS = 10_000
 # huge exact value ends in LimitExceeded rather than a ValueError.
 MAX_DIGITS = 4000
 _DIGITS_BOUND = 10**MAX_DIGITS
+
+# Width of one even exponent field in a packed Monomial.  The top bit of a
+# field is its guard bit, so MAX_FIELD_EXPONENT is the largest exponent of
+# one even generator; a product that passes it raises LimitExceeded.
+# CPython hashes an int modulo 2**61 - 1, which folds bit k onto bit
+# k % 61.  24-bit fields keep the first five fields at least 11 bits apart
+# after that fold, so their monomials hash apart while exponents stay
+# below 2**11; with 32-bit fields field 2 folds onto bit 3 and half the
+# monomials of degree <= 37 in three generators share a hash.
+_FIELD_BITS = 24
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+MAX_FIELD_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
 
 
 def _exact(value) -> Fraction:
@@ -142,7 +163,7 @@ def normalize_odd_word(word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 class Context:
     """Fixed, ordered generator names for one supercommutative ring."""
 
-    __slots__ = ("even", "odd", "_kinds")
+    __slots__ = ("even", "odd", "_kinds", "_guard")
 
     def __init__(self, even: Iterable[str] = (), odd: Iterable[str] = ()):
         self.even = tuple(even)
@@ -155,6 +176,9 @@ class Context:
         if len(kinds) != len(self.even) + len(self.odd):
             raise ValueError("generator names must be distinct")
         self._kinds = kinds
+        # the guard bit of every even exponent field
+        self._guard = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1)
+                          for i in range(len(self.even)))
 
     def lookup(self, name: str) -> tuple[bool, int]:
         """Return (is_odd, index) for a generator name."""
@@ -199,52 +223,85 @@ class Context:
         return f"Context(even={list(self.even)}, odd={list(self.odd)})"
 
 
-class Monomial(NamedTuple):
-    """even: ((generator index, exponent), ...) sorted, exponents positive;
-    mask: the odd part, bit j set when theta_j is present.  The odd
-    generators multiply in increasing index order, so the mask alone fixes
-    the monomial; products take their sign from dot's mask rule."""
+def _unpack(packed: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero fields of a packed even part as (index, exponent) pairs,
+    increasing index."""
+    out = []
+    i = 0
+    while packed:
+        e = packed & _FIELD_MASK
+        if e:
+            out.append((i, e))
+        packed >>= _FIELD_BITS
+        i += 1
+    return tuple(out)
 
-    even: tuple[tuple[int, int], ...]
-    mask: int
+
+class Monomial(tuple):
+    """A monomial t^a theta_K as the pair of ints (packed, mask).
+
+    packed holds the exponent of even generator i in the field of
+    _FIELD_BITS bits starting at bit i * _FIELD_BITS, with each field's top
+    (guard) bit clear, so an exponent is at most MAX_FIELD_EXPONENT; mask
+    has bit j set when theta_j is present, the generators multiplied in
+    increasing index order.  even, even_degree and odd are read-only views
+    decoded from the two ints.
+
+    Monomial(even, mask) takes (index, exponent) pairs in any order and
+    raises ValueError on a repeated or negative index, an exponent that is
+    not an int in 1..MAX_FIELD_EXPONENT, or a negative mask, so equal
+    monomials always compare and hash equal.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, even: Iterable[tuple[int, int]], mask: int):
+        packed = 0
+        for i, e in even:
+            if type(i) is not int or i < 0:
+                raise ValueError(f"even generator index {i!r} is not an int >= 0")
+            if type(e) is not int or not 0 < e <= MAX_FIELD_EXPONENT:
+                raise ValueError(
+                    f"exponent {e!r} is not an int in 1..{MAX_FIELD_EXPONENT}"
+                )
+            shift = _FIELD_BITS * i
+            if packed >> shift & _FIELD_MASK:
+                raise ValueError(f"even generator index {i} repeats")
+            packed |= e << shift
+        if type(mask) is not int or mask < 0:
+            raise ValueError(f"odd mask {mask!r} is not an int >= 0")
+        return tuple.__new__(cls, (packed, mask))
+
+    packed = property(itemgetter(0), doc="The even part as packed exponent fields.")
+    mask = property(itemgetter(1), doc="The odd part: bit j set when theta_j is present.")
+
+    @property
+    def even(self) -> tuple[tuple[int, int], ...]:
+        """((generator index, exponent), ...) by increasing index."""
+        return _unpack(self[0])
 
     @property
     def odd(self) -> tuple[int, ...]:
         """The odd word: strictly increasing generator indices."""
-        return _odd_word(self.mask)
+        return _odd_word(self[1])
 
     @property
     def even_degree(self) -> int:
-        return sum(e for _, e in self.even)
+        return sum(e for _, e in _unpack(self[0]))
+
+    def __getnewargs__(self):
+        return self.even, self[1]
+
+    def __repr__(self):
+        return f"Monomial(even={self.even!r}, mask={self[1]!r})"
 
 
-UNIT_MONOMIAL = Monomial((), 0)
+def _mono(packed: int, mask: int) -> Monomial:
+    """Monomial from a packed even part and an odd mask, both trusted."""
+    return tuple.__new__(Monomial, (packed, mask))
 
 
-def _merge_even(a, b):
-    """Add two sorted exponent lists."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ia, ea = a[i]
-        ib, eb = b[j]
-        if ia < ib:
-            out.append(a[i])
-            i += 1
-        elif ia > ib:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append((ia, ea + eb))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+UNIT_MONOMIAL = _mono(0, 0)
 
 
 class _Terms(Mapping):
@@ -334,7 +391,7 @@ class SuperPoly:
     @classmethod
     def var(cls, ctx, name) -> "SuperPoly":
         is_odd, idx = ctx.lookup(name)
-        mono = Monomial((), 1 << idx) if is_odd else Monomial(((idx, 1),), 0)
+        mono = _mono(0, 1 << idx) if is_odd else _mono(1 << (_FIELD_BITS * idx), 0)
         return cls._raw(ctx, {mono: 1})
 
     # -- queries ---------------------------------------------------------
@@ -496,23 +553,19 @@ class SuperPoly:
         acc: dict[Monomial, int] = {}
         if is_odd:
             bit = 1 << idx
-            for (even, mask), c in self.nums.items():
+            for (packed, mask), c in self.nums.items():
                 if not mask & bit:
                     continue
                 # one transposition per generator in front of theta_idx
                 passed = (mask & (bit - 1)).bit_count()
-                acc[Monomial(even, mask ^ bit)] = -c if passed & 1 else c
+                acc[_mono(packed, mask ^ bit)] = -c if passed & 1 else c
         else:
-            for mono, c in self.nums.items():
-                for k, (i, e) in enumerate(mono.even):
-                    if i != idx:
-                        continue
-                    if e == 1:
-                        ne = mono.even[:k] + mono.even[k + 1 :]
-                    else:
-                        ne = mono.even[:k] + ((i, e - 1),) + mono.even[k + 1 :]
-                    acc[Monomial(ne, mono.mask)] = c * e
-                    break
+            shift = _FIELD_BITS * idx
+            step = 1 << shift
+            for (packed, mask), c in self.nums.items():
+                e = packed >> shift & _FIELD_MASK
+                if e:
+                    acc[_mono(packed - step, mask)] = c * e
         # dropped terms (and the exponents e) can leave a common factor
         return SuperPoly._reduced(self.ctx, acc, self.den)
 
@@ -598,10 +651,11 @@ class SuperPoly:
     # -- rendering -------------------------------------------------------
 
     def _mono_key(self, mono: Monomial):
-        dense = [0] * len(self.ctx.even)
-        for i, e in mono.even:
-            dense[i] = e
-        return (-mono.even_degree, tuple(-x for x in dense), mono.odd)
+        # minus every exponent, so sum(neg) is minus the degree
+        packed = mono.packed
+        neg = tuple(-(packed >> (_FIELD_BITS * i) & _FIELD_MASK)
+                    for i in range(len(self.ctx.even)))
+        return (sum(neg), neg, mono.odd)
 
     def sorted_terms(self):
         """(Monomial, Fraction) pairs in canonical printing order:
@@ -649,7 +703,10 @@ def dot(ctx: Context, pairs) -> SuperPoly:
     with no intermediate polynomial per product or per partial sum.
     Numerators that cancel, within one product or across pairs, are
     dropped as they hit zero, and the sum is reduced once at the end.
-    Raises LimitExceeded once the sum holds more than MAX_TERMS terms.
+    The even part of a product is the sum of the two packed parts; a guard
+    bit set in that sum means one exponent passed MAX_FIELD_EXPONENT.
+    Raises LimitExceeded then, and once the sum holds more than MAX_TERMS
+    terms.
     """
     pairs = list(pairs)
     den = 1
@@ -659,6 +716,8 @@ def dot(ctx: Context, pairs) -> SuperPoly:
         d = a.den * b.den
         if den % d:
             den = den // gcd(den, d) * d
+    guard = ctx._guard
+    new = tuple.__new__
     acc: dict[Monomial, int] = {}
     for a, b in pairs:
         scale = den // (a.den * b.den)
@@ -672,7 +731,10 @@ def dot(ctx: Context, pairs) -> SuperPoly:
                 c = c1 * c2
                 if (swaps & k2).bit_count() & 1:
                     c = -c
-                mono = Monomial(_merge_even(e1, e2), k1 | k2)
+                e = e1 + e2
+                if e & guard:
+                    _field_overflow(ctx, e & guard)
+                mono = new(Monomial, (e, k1 | k2))
                 old = acc.get(mono)
                 if old is not None:
                     c += old
@@ -683,6 +745,14 @@ def dot(ctx: Context, pairs) -> SuperPoly:
             if len(acc) > MAX_TERMS:
                 raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
     return SuperPoly._reduced(ctx, acc, den)
+
+
+def _field_overflow(ctx: Context, guards: int):
+    """Raise for the lowest even generator whose guard bit is in guards."""
+    name = ctx.even[((guards & -guards).bit_length() - 1) // _FIELD_BITS]
+    raise LimitExceeded(
+        f"exponent of {name} is above the cap of {MAX_FIELD_EXPONENT}"
+    )
 
 
 def _signed_sum(pieces) -> str:

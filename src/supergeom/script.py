@@ -97,11 +97,20 @@ def _split_top(text: str, sep: str):
     return parts
 
 
+# Most characters of a bad literal that an error message repeats.
+_ECHO_CHARS = 40
+
+
 def _fraction(text: str, line):
     try:
         return Fraction(text.replace(" ", ""))
     except (ValueError, ZeroDivisionError):
-        raise ScriptError(f"bad rational {text.strip()!r}", line=line) from None
+        shown = text.strip()
+        if len(shown) > _ECHO_CHARS:
+            shown = f"{shown[:_ECHO_CHARS]!r}... ({len(shown)} characters)"
+        else:
+            shown = repr(shown)
+        raise ScriptError(f"bad rational {shown}", line=line) from None
 
 
 class Interpreter:

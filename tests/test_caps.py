@@ -1,5 +1,6 @@
-"""Size caps of the kernel: term count in dot, determinant size, and the
-digits of a printed coefficient.
+"""Size caps of the kernel: term count in dot, determinant size, the
+digits of a printed coefficient, and the exponent one even generator can
+reach.
 
 Each cap turns an input that used to run for minutes, or to end in a
 CPython message, into a LimitExceeded that a script reports as
@@ -16,7 +17,7 @@ import pytest
 
 from supergeom import Context, LimitExceeded, SuperPoly
 from supergeom.matrix import MAX_DET_SIZE, _det
-from supergeom.poly import MAX_DIGITS, MAX_TERMS, dot
+from supergeom.poly import MAX_DIGITS, MAX_FIELD_EXPONENT, MAX_TERMS, dot
 from supergeom.script import run_script
 from supergeom.serialize import to_json
 
@@ -102,6 +103,24 @@ def test_det_at_the_cap_is_computed_and_above_it_refused():
         _det(ctx, diagonal(MAX_DET_SIZE + 1))
 
 
+# -- exponent fields -----------------------------------------------------------
+
+
+def test_nested_power_past_the_field_cap_is_a_script_error(tmp_path):
+    # each ^ is within MAX_EXPONENT, but t^(10^9) passes the field cap;
+    # t sits in the field below s, which a carry would reach
+    proc = keep_going(tmp_path, """\
+        context M even=[t, s] odd=[]
+        eval (t^1000)^1000
+        eval (((t^1000)^1000)^1000)^1000
+        eval s
+    """)
+    assert proc.stderr == (
+        f"error: line 3: exponent of t is above the cap of {MAX_FIELD_EXPONENT}\n"
+    )
+    assert proc.stdout == "t^1000000\ns\n"
+
+
 # -- printed digits ------------------------------------------------------------
 
 
@@ -139,6 +158,20 @@ def test_huge_export_is_a_script_error():
     )
     assert len(result.errors) == 1
     assert result.errors[0].startswith("error: line 3: ")
+    assert result.output == "t\n"
+
+
+def test_long_bad_literal_is_echoed_only_in_part():
+    digits = "1" * 5000
+    result = run_script(
+        "context M even=[t] odd=[]\nmorphism f : M -> M [t]\n"
+        f"jacobian f ({digits})\neval t\n",
+        keep_going=True,
+    )
+    (err,) = result.errors
+    assert err.startswith("error: line 3: bad rational '1111")
+    assert "(5000 characters)" in err
+    assert len(err) < 120
     assert result.output == "t\n"
 
 

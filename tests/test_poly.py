@@ -6,7 +6,9 @@ implementation existed; the loops re-check them against independent
 expansions on random data.
 """
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ from supergeom import (
     SuperPoly,
     normalize_odd_word,
 )
-from supergeom.poly import MAX_EXPONENT, UNIT_MONOMIAL, dot
+from supergeom.poly import MAX_EXPONENT, MAX_FIELD_EXPONENT, UNIT_MONOMIAL, dot
 from supergeom.serialize import to_json
 
 T2 = Context(even=["t1", "t2"], odd=["theta1", "theta2"])
@@ -209,6 +211,60 @@ class TestOddMask:
                 assert mono.odd == word
                 assert mono.mask == sum(1 << j for j in word)
                 assert Monomial((), mono.mask).odd == word
+
+
+class TestMonomialConstructor:
+    """Monomial(even, mask) is canonical: equal monomials built from any
+    spelling of the pairs compare, hash and print equal, and spellings
+    that would name no monomial are refused."""
+
+    XY = Context(even=["x", "y"])
+
+    def test_pairs_in_any_order(self):
+        x, y = self.XY.var("x"), self.XY.var("y")
+        p = SuperPoly(self.XY, {Monomial(((1, 1), (0, 1)), 0): 1})
+        assert str(p) == "x*y"
+        assert p == x * y
+        assert Monomial(((1, 2), (0, 3)), 5) == Monomial(((0, 3), (1, 2)), 5)
+        assert Monomial(((1, 2), (0, 3)), 0).even == ((0, 3), (1, 2))
+
+    def test_zero_exponent_refused(self):
+        with pytest.raises(ValueError):
+            Monomial(((0, 0),), 0)
+
+    def test_repeated_index_refused(self):
+        with pytest.raises(ValueError):
+            Monomial(((0, 1), (0, 1)), 0)
+        with pytest.raises(ValueError):
+            Monomial(((1, 2), (0, 1), (1, 3)), 0)
+
+    @pytest.mark.parametrize("e", [-1, Fraction(1), 1.0, True, "1",
+                                   MAX_FIELD_EXPONENT + 1])
+    def test_bad_exponent_refused(self, e):
+        with pytest.raises(ValueError):
+            Monomial(((0, e),), 0)
+
+    @pytest.mark.parametrize("i", [-1, 1.0, True])
+    def test_bad_index_refused(self, i):
+        with pytest.raises(ValueError):
+            Monomial(((i, 1),), 0)
+
+    @pytest.mark.parametrize("mask", [-1, 1.0, None])
+    def test_bad_mask_refused(self, mask):
+        with pytest.raises(ValueError):
+            Monomial((), mask)
+
+    def test_largest_exponent_kept(self):
+        mono = Monomial(((1, MAX_FIELD_EXPONENT),), 0)
+        assert mono.even == ((1, MAX_FIELD_EXPONENT),)
+        assert mono.even_degree == MAX_FIELD_EXPONENT
+
+    def test_repr_copy_and_pickle_keep_the_monomial(self):
+        mono = Monomial(((2, 7), (0, 1)), 0b101)
+        assert repr(mono) == "Monomial(even=((0, 1), (2, 7)), mask=5)"
+        assert copy.deepcopy(mono) == mono
+        back = pickle.loads(pickle.dumps(mono))
+        assert type(back) is Monomial and back == mono
 
 
 class TestEvaluation:
