@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import ContextMismatch, ReservedGeneratorCollision
 from .matrix import SuperDim, SuperMatrix
-from .poly import Context, Parity, SuperPoly, _exact, _mono, dot
+from .poly import Context, Parity, SuperPoly, _exact, dot
 
 RESERVED = ("epsilon1", "epsilon2", "epsilon3", "epsilon4")
 
@@ -51,11 +51,13 @@ def _extended(ctx: Context) -> Context:
 
 def _lift(mat: SuperMatrix, ext: Context) -> SuperMatrix:
     """Transport mat into ext, whose odd generators are the reserved ones
-    followed by the user's: each odd mask moves up past the reserved bits."""
+    followed by the user's: the odd mask of each monomial code moves up
+    past the reserved bits, its even fields below ext._shift stay."""
     shift = len(RESERVED)
+    low = (1 << ext._shift) - 1
     rows = [
-        [SuperPoly._raw(ext, {_mono(packed, mask << shift): c
-                              for (packed, mask), c in e.nums.items()}, e.den)
+        [SuperPoly._raw(ext, {m & low | (m & ~low) << shift: c
+                              for m, c in e.nums.items()}, e.den)
          for e in row]
         for row in mat.rows
     ]
@@ -94,7 +96,11 @@ def _divide(poly: SuperPoly, param: SuperPoly, ctx_out: Context,
     generators dropped from the front of the context) and negated when
     flip is set."""
     ((word, pn),) = param.nums.items()
-    lead = word.mask
+    # poly, param and ctx_out share their even generators, so their codes
+    # keep the odd mask from the same bit up
+    odd_at = ctx_out._shift
+    even = (1 << odd_at) - 1
+    lead = word >> odd_at
     # bits below the parameter's last generator and below shift must be
     # exactly the parameter's
     low = (1 << max(shift, lead.bit_length())) - 1
@@ -102,10 +108,11 @@ def _divide(poly: SuperPoly, param: SuperPoly, ctx_out: Context,
     # into the numerators so the denominator stays positive
     scale = -param.den if flip != (pn < 0) else param.den
     nums = {}
-    for (packed, mask), c in poly.nums.items():
+    for code, c in poly.nums.items():
+        mask = code >> odd_at
         if mask & low != lead:
             raise ValueError("polynomial does not factor through the parameter")
-        nums[_mono(packed, (mask ^ lead) >> shift)] = c * scale
+        nums[code & even | (mask ^ lead) >> shift << odd_at] = c * scale
     return SuperPoly._reduced(ctx_out, nums, poly.den * abs(pn))
 
 

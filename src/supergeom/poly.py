@@ -10,23 +10,37 @@ Fraction appears only where a coefficient is read: coefficient,
 constant_term, at, sorted_terms (hence str and serialize) and the public
 constructor.
 
-A Monomial is a pair of ints (packed, mask).  packed holds the even part
-as fixed-width exponent fields: the exponent of t_i is the field of
-_FIELD_BITS bits that starts at bit i * _FIELD_BITS.  The top bit of every
-field is a guard bit and stays clear, so an exponent is at most
-MAX_FIELD_EXPONENT and the sum of two fields never carries into the next
-one.  The product of two even parts is then one addition, and a field that
-went past MAX_FIELD_EXPONENT shows as a guard bit of the sum: dot tests
-the sum against the guard bits of its context and raises LimitExceeded.
+A SuperPoly keys its numerators by one int per monomial, its code.  The
+even part sits in the low bits as fixed-width exponent fields: the
+exponent of t_i is the field of _FIELD_BITS bits that starts at bit
+i * _FIELD_BITS.  The top bit of every field is a guard bit and stays
+clear, so an exponent is at most MAX_FIELD_EXPONENT.  The odd part is a
+mask placed just above the p fields, at bit ctx._shift = p * _FIELD_BITS:
+bit ctx._shift + j set means theta_j is present, and theta_mask is the
+product of those generators in increasing index order.  The unit is code
+0.  The public Monomial is the pair (packed, mask) of the two parts; it is
+built only where a monomial crosses the API (the constructor, coefficient,
+terms and sorted_terms), and encode and decode convert it.
 
-The odd part is an int mask: bit j set means theta_j is present, and
-theta_mask is the product of those generators in increasing index order.
 A product theta_k1 * theta_k2 is zero when k1 & k2 shares a bit.
 Otherwise sorting the concatenated word moves each generator y of k2
 leftwards past the generators of k1 above it, so the sign is
-(-1)^sum(popcount(k1 >> (y+1)) for y in k2).  _swap_parity(k1) holds the
+(-1)^sum(popcount(k1 >> (y+1)) for y in k2).  _SWAP_PARITY[k1] holds the
 parity of each of those counts as one mask, which makes the sign one &
 and one bit_count per pair.
+
+For two monomials with disjoint odd masks the code of the product is the
+sum of the two codes.  Each even field of the sum is below 2**_FIELD_BITS
+because both guard bits were clear, so nothing carries out of a field,
+and the disjoint masks add like |.  A field that went past
+MAX_FIELD_EXPONENT shows as a guard bit of the sum: dot tests the sum
+against the guard bits of its context and raises LimitExceeded, so a
+carry never reaches the next field or the mask.
+
+The codes key plain dicts, and CPython hashes an int modulo 2**61 - 1,
+which folds bit k onto bit k % 61.  Over three even generators the mask
+starts at bit 72 and folds onto bits 11 and up, above every exponent
+below 2**11 of the first field; see _FIELD_BITS for the fields.
 
 dot(ctx, pairs) is the only loop over pairs of terms: a product of two
 polynomials is dot on one pair, and every sum of products in the package
@@ -61,7 +75,7 @@ MAX_TERMS = 10_000
 MAX_DIGITS = 4000
 _DIGITS_BOUND = 10**MAX_DIGITS
 
-# Width of one even exponent field in a packed Monomial.  The top bit of a
+# Width of one even exponent field in a monomial code.  The top bit of a
 # field is its guard bit, so MAX_FIELD_EXPONENT is the largest exponent of
 # one even generator; a product that passes it raises LimitExceeded.
 # CPython hashes an int modulo 2**61 - 1, which folds bit k onto bit
@@ -107,9 +121,8 @@ class Parity(enum.Enum):
         return self.name.lower()
 
 
-# odd-word masks seen so far: their index tuples and their swap parities
+# odd-word masks seen so far, as increasing index tuples
 _WORDS: dict[int, tuple[int, ...]] = {}
-_SWAP_PARITIES: dict[int, int] = {}
 
 
 def _odd_word(mask: int) -> tuple[int, ...]:
@@ -122,23 +135,29 @@ def _odd_word(mask: int) -> tuple[int, ...]:
     return word
 
 
-def _swap_parity(mask: int) -> int:
-    """Mask whose bit y is the parity of the number of bits of mask above y.
+class _SwapParity(dict):
+    """mask -> the mask whose bit y is the parity of the number of bits of
+    mask above y, computed on first lookup and kept.
 
     theta_mask * theta_y passes theta_y leftwards over exactly those
     generators, so for a disjoint mask k the product theta_mask * theta_k
-    has the sign (-1)^popcount(_swap_parity(mask) & k).
+    has the sign (-1)^popcount(_SWAP_PARITY[mask] & k).
     """
-    out = _SWAP_PARITIES.get(mask)
-    if out is None:
+
+    __slots__ = ()
+
+    def __missing__(self, mask: int) -> int:
         # suffix xor of mask >> 1 by doubling shifts
         out = mask >> 1
         step = 1
         while step < mask.bit_length():
             out ^= out >> step
             step <<= 1
-        _SWAP_PARITIES[mask] = out
-    return out
+        self[mask] = out
+        return out
+
+
+_SWAP_PARITY = _SwapParity()
 
 
 def normalize_odd_word(word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -154,7 +173,7 @@ def normalize_odd_word(word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
         bit = 1 << j
         if mask & bit:
             return 0, ()
-        if _swap_parity(mask) & bit:
+        if _SWAP_PARITY[mask] & bit:
             sign = -sign
         mask |= bit
     return sign, _odd_word(mask)
@@ -163,7 +182,7 @@ def normalize_odd_word(word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 class Context:
     """Fixed, ordered generator names for one supercommutative ring."""
 
-    __slots__ = ("even", "odd", "_kinds", "_guard")
+    __slots__ = ("even", "odd", "_kinds", "_guard", "_shift")
 
     def __init__(self, even: Iterable[str] = (), odd: Iterable[str] = ()):
         self.even = tuple(even)
@@ -179,6 +198,8 @@ class Context:
         # the guard bit of every even exponent field
         self._guard = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1)
                           for i in range(len(self.even)))
+        # a monomial code keeps its odd mask from this bit up
+        self._shift = _FIELD_BITS * len(self.even)
 
     def lookup(self, name: str) -> tuple[bool, int]:
         """Return (is_odd, index) for a generator name."""
@@ -245,7 +266,9 @@ class Monomial(tuple):
     (guard) bit clear, so an exponent is at most MAX_FIELD_EXPONENT; mask
     has bit j set when theta_j is present, the generators multiplied in
     increasing index order.  even, even_degree and odd are read-only views
-    decoded from the two ints.
+    decoded from the two ints.  A Monomial does not know its context: a
+    SuperPoly stores it as the one int encode(ctx, mono), which refuses a
+    generator index the context does not have.
 
     Monomial(even, mask) takes (index, exponent) pairs in any order and
     raises ValueError on a repeated or negative index, an exponent that is
@@ -296,19 +319,46 @@ class Monomial(tuple):
         return f"Monomial(even={self.even!r}, mask={self[1]!r})"
 
 
-def _mono(packed: int, mask: int) -> Monomial:
-    """Monomial from a packed even part and an odd mask, both trusted."""
-    return tuple.__new__(Monomial, (packed, mask))
+UNIT_MONOMIAL = Monomial((), 0)
 
 
-UNIT_MONOMIAL = _mono(0, 0)
+def encode(ctx: Context, mono: Monomial) -> int:
+    """The code of mono in ctx: packed | mask << ctx._shift.
+
+    Raises TypeError when mono is not a Monomial and ValueError when it
+    names an even or odd generator index that ctx does not have, which
+    would otherwise land on another generator's bits.
+    """
+    if not isinstance(mono, Monomial):
+        raise TypeError(f"{mono!r} is not a Monomial")
+    packed, mask = mono
+    shift = ctx._shift
+    if packed >> shift:
+        raise ValueError(
+            f"monomial has even generator index "
+            f"{(packed.bit_length() - 1) // _FIELD_BITS}, but the context "
+            f"has {len(ctx.even)} even generators"
+        )
+    if mask >> len(ctx.odd):
+        raise ValueError(
+            f"monomial has odd generator index {mask.bit_length() - 1}, "
+            f"but the context has {len(ctx.odd)} odd generators"
+        )
+    return packed | mask << shift
+
+
+def decode(ctx: Context, code: int) -> Monomial:
+    """The Monomial of a code in ctx; the inverse of encode."""
+    shift = ctx._shift
+    return tuple.__new__(Monomial, (code & ((1 << shift) - 1), code >> shift))
 
 
 class _Terms(Mapping):
     """Read-only {Monomial: Fraction} view of a polynomial's terms.
 
-    Length, iteration and membership read the numerators directly; a
-    Fraction is built only when a coefficient is read.
+    Length reads the numerators directly; iteration decodes each code, and
+    a Fraction is built only when a coefficient is read.  A monomial that
+    names a generator outside the polynomial's context is not a key.
     """
 
     __slots__ = ("_poly",)
@@ -316,40 +366,53 @@ class _Terms(Mapping):
     def __init__(self, poly):
         self._poly = poly
 
+    def _code(self, mono):
+        try:
+            return encode(self._poly.ctx, mono)
+        except (TypeError, ValueError):
+            return None
+
     def __getitem__(self, mono):
-        return Fraction(self._poly.nums[mono], self._poly.den)
+        poly = self._poly
+        num = poly.nums.get(self._code(mono))
+        if num is None:
+            raise KeyError(mono)
+        return Fraction(num, poly.den)
 
     def __len__(self):
         return len(self._poly.nums)
 
     def __iter__(self):
-        return iter(self._poly.nums)
+        ctx = self._poly.ctx
+        return (decode(ctx, code) for code in self._poly.nums)
 
     def __contains__(self, mono):
-        return mono in self._poly.nums
+        return self._code(mono) in self._poly.nums
 
 
 class SuperPoly:
     """Sparse polynomial: integer numerators over one positive denominator.
 
-    nums maps each Monomial to a nonzero int and den is a positive int; the
-    coefficient of mono is nums[mono] / den.  The form is canonical:
-    gcd(den, *nums.values()) == 1, and zero has den 1, so two polynomials
-    are equal exactly when their (ctx, den, nums) are.  Values are
-    immutable once constructed.
+    nums maps the code of each monomial (see encode) to a nonzero int and
+    den is a positive int; the coefficient of a monomial is its numerator
+    over den.  The form is canonical: gcd(den, *nums.values()) == 1, and
+    zero has den 1, so two polynomials are equal exactly when their
+    (ctx, den, nums) are.  Values are immutable once constructed.
     """
 
     __slots__ = ("ctx", "nums", "den")
 
     def __init__(self, ctx: Context, terms: Mapping[Monomial, Fraction | int] = ()):
-        """From {Monomial: Fraction or int}; zero coefficients are dropped
-        and floats refused."""
+        """From {Monomial: Fraction or int}; zero coefficients are dropped,
+        floats refused, and a monomial with a generator index outside ctx
+        raises ValueError."""
         coeffs = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, c in items:
+            code = encode(ctx, mono)
             c = _exact(c)
             if c:
-                coeffs[mono] = c
+                coeffs[code] = c
         # the lcm of reduced denominators shares no factor with all the
         # scaled numerators, so this is already canonical
         den = lcm(*(c.denominator for c in coeffs.values()))
@@ -383,16 +446,17 @@ class SuperPoly:
 
     @classmethod
     def scalar(cls, ctx, value) -> "SuperPoly":
+        # the unit monomial has code 0
         if type(value) is int:
-            return cls._raw(ctx, {UNIT_MONOMIAL: value} if value else {})
+            return cls._raw(ctx, {0: value} if value else {})
         c = _exact(value)
-        return cls._raw(ctx, {UNIT_MONOMIAL: c.numerator} if c else {}, c.denominator)
+        return cls._raw(ctx, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def var(cls, ctx, name) -> "SuperPoly":
         is_odd, idx = ctx.lookup(name)
-        mono = _mono(0, 1 << idx) if is_odd else _mono(1 << (_FIELD_BITS * idx), 0)
-        return cls._raw(ctx, {mono: 1})
+        bit = ctx._shift + idx if is_odd else _FIELD_BITS * idx
+        return cls._raw(ctx, {1 << bit: 1})
 
     # -- queries ---------------------------------------------------------
 
@@ -408,19 +472,22 @@ class SuperPoly:
 
     def is_constant(self) -> bool:
         nums = self.nums
-        return not nums or (len(nums) == 1 and UNIT_MONOMIAL in nums)
+        return not nums or (len(nums) == 1 and 0 in nums)
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.nums.get(UNIT_MONOMIAL, 0), self.den)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self.nums.get(mono, 0), self.den)
+        """The coefficient of mono, 0 when absent; ValueError when mono
+        names a generator index outside the context."""
+        return Fraction(self.nums.get(encode(self.ctx, mono), 0), self.den)
 
     def parity(self) -> Parity:
         """EVEN, ODD, or MIXED; the zero polynomial is EVEN by convention."""
         if not self.nums:
             return Parity.EVEN
-        seen = {m.mask.bit_count() & 1 for m in self.nums}
+        shift = self.ctx._shift
+        seen = {(m >> shift).bit_count() & 1 for m in self.nums}
         if len(seen) == 2:
             return Parity.MIXED
         return Parity(seen.pop())
@@ -432,8 +499,9 @@ class SuperPoly:
 
     def body(self) -> "SuperPoly":
         """Kill the odd part: keep only terms with empty odd word."""
+        shift = self.ctx._shift
         return SuperPoly._reduced(
-            self.ctx, {m: v for m, v in self.nums.items() if not m.mask}, self.den
+            self.ctx, {m: v for m, v in self.nums.items() if not m >> shift}, self.den
         )
 
     # -- arithmetic ------------------------------------------------------
@@ -550,22 +618,23 @@ class SuperPoly:
         the odd word first, and each transposition costs a sign.
         """
         is_odd, idx = self.ctx.lookup(name)
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         if is_odd:
-            bit = 1 << idx
-            for (packed, mask), c in self.nums.items():
-                if not mask & bit:
-                    continue
-                # one transposition per generator in front of theta_idx
-                passed = (mask & (bit - 1)).bit_count()
-                acc[_mono(packed, mask ^ bit)] = -c if passed & 1 else c
+            low = 1 << self.ctx._shift
+            bit = low << idx
+            # the odd generators in front of theta_idx, one transposition each
+            front = bit - low
+            for code, c in self.nums.items():
+                if code & bit:
+                    passed = (code & front).bit_count()
+                    acc[code ^ bit] = -c if passed & 1 else c
         else:
             shift = _FIELD_BITS * idx
             step = 1 << shift
-            for (packed, mask), c in self.nums.items():
-                e = packed >> shift & _FIELD_MASK
+            for code, c in self.nums.items():
+                e = code >> shift & _FIELD_MASK
                 if e:
-                    acc[_mono(packed - step, mask)] = c * e
+                    acc[code - step] = c * e
         # dropped terms (and the exponents e) can leave a common factor
         return SuperPoly._reduced(self.ctx, acc, self.den)
 
@@ -574,11 +643,12 @@ class SuperPoly:
         if point.ctx != self.ctx:
             raise ContextMismatch("point context differs from polynomial context")
         total = Fraction(0)
-        for mono, c in self.nums.items():
-            if mono.mask:
+        shift = self.ctx._shift
+        for code, c in self.nums.items():
+            if code >> shift:
                 continue
             v = c
-            for i, e in mono.even:
+            for i, e in _unpack(code):
                 v *= point.even_values[i] ** e
             total += v
         return total / self.den
@@ -614,9 +684,11 @@ class SuperPoly:
 
         def pairs():
             # numerator * (product of all factors but the last), last factor
-            for mono, c in self.nums.items():
-                keys = [(Parity.EVEN, i, e) for i, e in mono.even]
-                keys += [(Parity.ODD, j, 1) for j in mono.odd]
+            shift = self.ctx._shift
+            low = (1 << shift) - 1
+            for code, c in self.nums.items():
+                keys = [(Parity.EVEN, i, e) for i, e in _unpack(code & low)]
+                keys += [(Parity.ODD, j, 1) for j in _odd_word(code >> shift)]
                 head = SuperPoly.scalar(ctx_out, c)
                 for key in keys[:-1]:
                     head = head * factor(*key)
@@ -640,35 +712,36 @@ class SuperPoly:
         return self.substitute(ctx_out, images)
 
     def _used_names(self):
+        shift = self.ctx._shift
+        low = (1 << shift) - 1
         used = set()
-        for mono in self.nums:
-            for i, _ in mono.even:
+        for code in self.nums:
+            for i, _ in _unpack(code & low):
                 used.add(self.ctx.even[i])
-            for j in mono.odd:
+            for j in _odd_word(code >> shift):
                 used.add(self.ctx.odd[j])
         return used
 
     # -- rendering -------------------------------------------------------
 
-    def _mono_key(self, mono: Monomial):
+    def _code_key(self, code: int):
         # minus every exponent, so sum(neg) is minus the degree
-        packed = mono.packed
-        neg = tuple(-(packed >> (_FIELD_BITS * i) & _FIELD_MASK)
-                    for i in range(len(self.ctx.even)))
-        return (sum(neg), neg, mono.odd)
+        shift = self.ctx._shift
+        neg = tuple(-(code >> i & _FIELD_MASK) for i in range(0, shift, _FIELD_BITS))
+        return (sum(neg), neg, _odd_word(code >> shift))
 
     def sorted_terms(self):
         """(Monomial, Fraction) pairs in canonical printing order:
         graded-lex descending on the even part, then lexicographic on the
         odd word.  Every text form of a polynomial reads its coefficients
         here, so a coefficient too long to print raises LimitExceeded."""
-        for mono in sorted(self.nums, key=self._mono_key):
-            c = Fraction(self.nums[mono], self.den)
+        for code in sorted(self.nums, key=self._code_key):
+            c = Fraction(self.nums[code], self.den)
             if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
                 raise LimitExceeded(
                     f"coefficient has more than {MAX_DIGITS} digits, the cap"
                 )
-            yield mono, c
+            yield decode(self.ctx, code), c
 
     def _term_text(self, mono, coeff):
         factors = []
@@ -703,10 +776,10 @@ def dot(ctx: Context, pairs) -> SuperPoly:
     with no intermediate polynomial per product or per partial sum.
     Numerators that cancel, within one product or across pairs, are
     dropped as they hit zero, and the sum is reduced once at the end.
-    The even part of a product is the sum of the two packed parts; a guard
-    bit set in that sum means one exponent passed MAX_FIELD_EXPONENT.
-    Raises LimitExceeded then, and once the sum holds more than MAX_TERMS
-    terms.
+    The code of a product of monomials with disjoint odd masks is the sum
+    of the two codes; a guard bit set in that sum means one exponent
+    passed MAX_FIELD_EXPONENT.  Raises LimitExceeded then, and once the
+    sum holds more than MAX_TERMS terms.
     """
     pairs = list(pairs)
     den = 1
@@ -717,31 +790,32 @@ def dot(ctx: Context, pairs) -> SuperPoly:
         if den % d:
             den = den // gcd(den, d) * d
     guard = ctx._guard
-    new = tuple.__new__
-    acc: dict[Monomial, int] = {}
+    shift = ctx._shift
+    odd = -1 << shift
+    acc: dict[int, int] = {}
     for a, b in pairs:
         scale = den // (a.den * b.den)
         right = b.nums.items()
-        for (e1, k1), c1 in a.nums.items():
+        for m1, c1 in a.nums.items():
             c1 *= scale
-            swaps = _swap_parity(k1)
-            for (e2, k2), c2 in right:
-                if k1 & k2:
+            o1 = m1 & odd
+            swaps = _SWAP_PARITY[m1 >> shift] << shift
+            for m2, c2 in right:
+                if o1 & m2:
                     continue
                 c = c1 * c2
-                if (swaps & k2).bit_count() & 1:
+                if (swaps & m2).bit_count() & 1:
                     c = -c
-                e = e1 + e2
-                if e & guard:
-                    _field_overflow(ctx, e & guard)
-                mono = new(Monomial, (e, k1 | k2))
-                old = acc.get(mono)
+                m = m1 + m2
+                if m & guard:
+                    _field_overflow(ctx, m & guard)
+                old = acc.get(m)
                 if old is not None:
                     c += old
                     if not c:
-                        del acc[mono]
+                        del acc[m]
                         continue
-                acc[mono] = c
+                acc[m] = c
             if len(acc) > MAX_TERMS:
                 raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
     return SuperPoly._reduced(ctx, acc, den)

@@ -1,6 +1,6 @@
 """The stored form of a polynomial: int numerators over one denominator.
 
-A SuperPoly keeps nums (Monomial -> nonzero int) and one positive den with
+A SuperPoly keeps nums (monomial code -> nonzero int) and one positive den with
 gcd(den, *nums) == 1, and den == 1 for zero.  Equality and hashing compare
 that form directly, so every operation must hand back a reduced result;
 these tests run seeded chains of operations on rational-coefficient
@@ -16,6 +16,7 @@ import pytest
 
 from helpers import random_rational_poly
 from supergeom import Context, Parity, SuperPoly
+from supergeom.poly import decode, encode
 
 CTX = Context(even=["x", "y"], odd=["theta1", "theta2", "theta3"])
 
@@ -135,8 +136,8 @@ def test_terms_round_trip_through_the_public_constructor():
         p = random_rational_poly(rng, CTX, n_terms=rng.randint(0, 5))
         view = p.terms
         assert len(view) == len(p.nums)
-        assert set(view) == set(p.nums)
-        assert all(mono in view for mono in p.nums)
+        assert {encode(CTX, mono) for mono in view} == set(p.nums)
+        assert all(decode(CTX, code) in view for code in p.nums)
         assert all(type(c) is Fraction and c for c in view.values())
         assert SuperPoly(CTX, dict(view)) == p
         assert SuperPoly(CTX, view) == p

@@ -1,7 +1,8 @@
-"""Packed even exponents against the sorted-pair form they replaced.
+"""Packed even exponents and monomial codes against the forms they replaced.
 
-A Monomial keeps its even part as one int of fixed-width exponent fields,
-so the even part of a product is one addition and a guard bit per field
+A polynomial keys each monomial by one int code: the even part as
+fixed-width exponent fields in the low bits and the odd mask above them,
+so the product of two monomials is one addition and a guard bit per field
 catches an exponent past MAX_FIELD_EXPONENT.  The oracle here is the
 sorted-pair form: an even part as ((index, exponent), ...) by increasing
 index, and merge_even, the two-pointer merge that multiplied those lists
@@ -11,12 +12,13 @@ in a 70-generator one whose packed ints span many machine words, with
 exponents up to the largest a field holds.
 """
 
+import itertools
 import random
 
 import pytest
 
-from supergeom import Context, LimitExceeded, Monomial, SuperPoly
-from supergeom.poly import MAX_FIELD_EXPONENT, dot
+from supergeom import Context, LimitExceeded, Monomial, SuperPoly, normalize_odd_word
+from supergeom.poly import MAX_FIELD_EXPONENT, decode, dot, encode
 
 SMALL = Context(even=["x", "y", "z"], odd=["a", "b"])
 WIDE = Context(even=[f"x{i}" for i in range(70)], odd=["a", "b", "c"])
@@ -113,7 +115,8 @@ def test_even_degree_and_view_match_the_pairs(ctx):
     rng = random.Random(74)
     for _ in range(200):
         pairs = random_pairs(rng, ctx, MAX_FIELD_EXPONENT)
-        mono = only_monomial(single(ctx, pairs, mask=rng.randrange(8)))
+        mask = rng.randrange(1 << len(ctx.odd))
+        mono = only_monomial(single(ctx, pairs, mask=mask))
         assert mono.even == pairs
         assert mono.even_degree == sum(e for _, e in pairs)
 
@@ -173,3 +176,126 @@ def test_largest_exponent_is_reached_by_products():
     with pytest.raises(LimitExceeded, match="exponent of t is above"):
         acc * t
     assert acc * ctx.var("s") == ctx.var("s") * acc
+
+
+# -- the monomial code -------------------------------------------------
+#
+# A polynomial keys its numerators by one int per monomial: the packed
+# even fields in the low bits and the odd mask from bit 24 * p up, p the
+# number of even generators.  These tests pin that layout against the
+# pair form, against normalize_odd_word for the odd part of a product, and
+# against CPython's int hash, which folds bit k onto bit k % 61.
+
+def ctx_of(p, q):
+    return Context(even=[f"x{i}" for i in range(p)],
+                   odd=[f"th{j}" for j in range(q)])
+
+
+LAYOUTS = [(0, 6), (1, 4), (3, 0), (3, 6), (70, 3)]
+
+
+def random_monomial(rng, ctx, top):
+    return Monomial(random_pairs(rng, ctx, top) if ctx.even else (),
+                    rng.randrange(1 << len(ctx.odd)))
+
+
+def word_mask(word):
+    return sum(1 << j for j in word)
+
+
+@pytest.mark.parametrize("p, q", LAYOUTS, ids=lambda d: str(d))
+def test_code_round_trips_to_the_monomial(p, q):
+    ctx = ctx_of(p, q)
+    rng = random.Random(75 + p + q)
+    for _ in range(200):
+        mono = random_monomial(rng, ctx, MAX_FIELD_EXPONENT)
+        code = encode(ctx, mono)
+        # exponent of x_i at bit 24 i, theta_j at bit 24 p + j
+        assert code == (sum(e << 24 * i for i, e in mono.even)
+                        + sum(1 << 24 * p + j for j in mono.odd))
+        back = decode(ctx, code)
+        assert type(back) is Monomial and back == mono
+        assert (back.even, back.odd) == (mono.even, mono.odd)
+        poly = SuperPoly(ctx, {mono: 3})
+        assert set(poly.nums) == {code}
+        assert list(poly.terms) == [mono]
+        assert poly.coefficient(mono) == 3
+
+
+@pytest.mark.parametrize("p, q", [(1, 4), (3, 6), (70, 3)], ids=str)
+def test_products_match_the_oracles_with_a_full_top_field(p, q):
+    """Products and sums of products whose top even field reaches
+    MAX_FIELD_EXPONENT, the largest a field holds, right below the odd
+    mask, against merge_even for the even part and normalize_odd_word
+    for the odd part and its sign."""
+    ctx = ctx_of(p, q)
+    rng = random.Random(76 + p)
+    top = p - 1
+    pairs, want = [], {}
+    for k in range(60):
+        rest_a = [(i, e) for i, e in random_pairs(rng, ctx, 5) if i != top]
+        rest_b = [(i, e) for i, e in random_pairs(rng, ctx, 5) if i != top]
+        a_even = tuple(rest_a) + ((top, MAX_FIELD_EXPONENT - 1),)
+        b_even = tuple(rest_b) + (((top, 1),) if k % 2 else ())
+        a_word = tuple(sorted(rng.sample(range(q), rng.randint(1, q))))
+        b_word = tuple(sorted(rng.sample(range(q), rng.randint(0, q))))
+        a = SuperPoly(ctx, {Monomial(a_even, word_mask(a_word)): 1})
+        b = SuperPoly(ctx, {Monomial(b_even, word_mask(b_word)): 1})
+        sign, word = normalize_odd_word(a_word + b_word)
+        got = a * b
+        if not sign:
+            assert not got
+            continue
+        mono = Monomial(merge_even(sorted(a_even), sorted(b_even)),
+                        word_mask(word))
+        assert got.terms == {mono: sign}
+        assert dict(mono.even)[top] == MAX_FIELD_EXPONENT - 1 + k % 2
+        pairs.append((a * (k + 1), b))
+        want[mono] = want.get(mono, 0) + sign * (k + 1)
+    assert pairs
+    assert dot(ctx, pairs).terms == {m: c for m, c in want.items() if c}
+
+
+@pytest.mark.parametrize("p, q", [(1, 4), (3, 6), (70, 3)], ids=str)
+def test_top_field_overflow_beside_the_mask_raises(p, q):
+    ctx = ctx_of(p, q)
+    name = ctx.even[p - 1]
+    full = SuperPoly(ctx, {Monomial(((p - 1, MAX_FIELD_EXPONENT),), 0b1): 1})
+    th = ctx.var(ctx.odd[q - 1])
+    with pytest.raises(LimitExceeded, match=f"exponent of {name} is above"):
+        full * (th * ctx.var(name))
+    with pytest.raises(LimitExceeded, match=f"exponent of {name} is above"):
+        dot(ctx, [(th, th), (full, ctx.var(name) + 1)])
+
+
+@pytest.mark.parametrize("p, q", [(3, 6), (2, 6)], ids=str)
+def test_low_degree_codes_hash_apart(p, q):
+    """Every monomial of total degree <= 8 has its own int hash.  At 3|6
+    the mask starts at bit 72, which the hash folds onto bit 11."""
+    ctx = ctx_of(p, q)
+    codes = set()
+    for k in range(q + 1):
+        for word in itertools.combinations(range(q), k):
+            for exps in itertools.product(range(9 - k), repeat=p):
+                if sum(exps) <= 8 - k:
+                    pairs = [(i, e) for i, e in enumerate(exps) if e]
+                    codes.add(encode(ctx, Monomial(pairs, word_mask(word))))
+    assert len(codes) > 1000
+    assert len({hash(c) for c in codes}) == len(codes)
+
+
+@pytest.mark.parametrize("p, q", [(0, 6), (3, 6), (70, 3)], ids=str)
+def test_odd_partial_sign_counts_only_odd_generators(p, q):
+    """The left partial by theta_j takes one sign per odd generator in
+    front of it, whatever the even exponents are."""
+    ctx = ctx_of(p, q)
+    rng = random.Random(77 + p)
+    for _ in range(100):
+        # odd exponents on the even part, so its bits count oddly
+        even = tuple((i, e | 1) for i, e in random_pairs(rng, ctx, 99)) if p else ()
+        word = tuple(sorted(rng.sample(range(q), rng.randint(1, q))))
+        j = rng.choice(word)
+        got = SuperPoly(ctx, {Monomial(even, word_mask(word)): 1}).partial(ctx.odd[j])
+        rest = tuple(i for i in word if i != j)
+        sign = (-1) ** word.index(j)
+        assert got.terms == {Monomial(even, word_mask(rest)): sign}

@@ -267,6 +267,63 @@ class TestMonomialConstructor:
         assert type(back) is Monomial and back == mono
 
 
+class TestMonomialOutsideTheContext:
+    """A Monomial does not know its context, so a polynomial checks each
+    one against its own: an index past the context's generators is
+    refused on the way in and is never a key of the terms view."""
+
+    X_TH = Context(even=["x"], odd=["th"])
+    # even generator 1 and odd generator 1 of a 1|1 context do not exist
+    OUTSIDE = [Monomial(((1, 1),), 0), Monomial((), 0b10),
+               Monomial(((0, 2), (3, 1)), 0b1), Monomial(((0, 1),), 0b11)]
+
+    @pytest.mark.parametrize("mono", OUTSIDE, ids=repr)
+    def test_constructor_refuses(self, mono):
+        with pytest.raises(ValueError, match="context has 1"):
+            SuperPoly(self.X_TH, {mono: 1})
+        with pytest.raises(ValueError, match="context has 1"):
+            SuperPoly(self.X_TH, [(UNIT_MONOMIAL, 2), (mono, 1)])
+
+    @pytest.mark.parametrize("mono", OUTSIDE, ids=repr)
+    def test_coefficient_refuses(self, mono):
+        with pytest.raises(ValueError, match="context has 1"):
+            self.X_TH.var("th").coefficient(mono)
+
+    @pytest.mark.parametrize("mono", OUTSIDE, ids=repr)
+    def test_terms_view_has_no_such_key(self, mono):
+        ctx = self.X_TH
+        x, th = ctx.var("x"), ctx.var("th")
+        p = 3 + x * x * th + th + x
+        assert mono not in p.terms
+        with pytest.raises(KeyError):
+            p.terms[mono]
+
+    def test_an_even_index_past_the_fields_is_not_an_odd_generator(self):
+        # x_1 would sit where theta_0 sits in a monomial code of a 1|1
+        # context; it must not read as th
+        th = self.X_TH.var("th")
+        x1 = Monomial(((1, 1),), 0)
+        assert x1 not in th.terms
+        assert th.terms == {Monomial((), 1): 1}
+        with pytest.raises(ValueError):
+            th.coefficient(x1)
+
+    def test_keys_that_are_no_monomial(self):
+        p = self.X_TH.var("x")
+        assert (1, 0) not in p.terms
+        assert "x" not in p.terms
+        with pytest.raises(KeyError):
+            p.terms[(1, 0)]
+        with pytest.raises(TypeError):
+            SuperPoly(self.X_TH, {(1, 0): 1})
+
+    def test_json_never_sees_an_outside_index(self):
+        ctx = self.X_TH
+        p = SuperPoly(ctx, {Monomial(((0, 2),), 1): Fraction(1, 2)})
+        data = to_json(p)
+        assert data["terms"] == [{"coeff": "1/2", "even": [[1, 2]], "odd": [1]}]
+
+
 class TestEvaluation:
     def test_odd_terms_vanish(self):
         f = poly(T2, [(2, [("t1", 2)], []), (7, [], ["theta1"])])
