@@ -178,20 +178,19 @@ def _body_inverse(ctx, grid, label):
 
 
 def _series_inverse(ctx, grid, body, binv):
-    """Exact inverse of grid = body + N where every term of every entry of
-    N carries at least one odd generator.  Then N' = body^{-1} N is
-    nilpotent and (I + N')^{-1} is the finite alternating sum of its
-    powers, so the loop below terminates within len(ctx.odd) steps."""
-    n = len(grid)
-    nprime = _gmul(ctx, binv, _gsub(grid, body))
-    out = _gid(ctx, n)
-    power = nprime
-    neg = True
-    while not _gis_zero(power):
-        out = _gadd(out, _gneg(power) if neg else power)
-        power = _gmul(ctx, power, nprime)
-        neg = not neg
-    return _gmul(ctx, out, binv)
+    """Exact inverse of grid = body + N, every term of N carrying an odd
+    generator: the Neumann series sum_k z_k, z_0 = body^{-1} and z_{k+1} =
+    body^{-1} ((body - grid) z_k), which is zero once k > len(ctx.odd).
+    The sparse nilpotent factor body - grid multiplies the dense z_k from
+    the left; powers of the dense body^{-1} N would instead pair mostly
+    terms whose odd words overlap, which dot visits only to skip."""
+    step = _gsub(body, grid)
+    out = term = binv
+    while True:
+        term = _gmul(ctx, binv, _gmul(ctx, step, term))
+        if _gis_zero(term):
+            return out
+        out = _gadd(out, term)
 
 
 def _grid_inverse(ctx, grid, label):
@@ -454,10 +453,12 @@ class SuperMatrix:
     def invert(self) -> "SuperMatrix":
         """Exact two-sided inverse of an even square matrix.
 
-        T = B(I + N') with B the block-diagonal body matrix; both body
-        block determinants must be nonzero constants, B inverts over the
-        rationals, and the finite Neumann series handles the nilpotent
-        remainder.
+        T = B - (B - T) with B the block-diagonal body matrix; both body
+        block determinants must be nonzero constants, and B^{-1} comes
+        from the adjugate.  The nilpotent remainder is handled by the
+        finite Neumann series z_0 = B^{-1}, z_{k+1} = B^{-1} ((B - T) z_k),
+        T^{-1} = sum_k z_k, which keeps the sparse B - T on the left of
+        each product (see _series_inverse).
         """
         if self.parity is not Parity.EVEN:
             raise ParityError("only even matrices are inverted")

@@ -121,6 +121,12 @@ class Parity(enum.Enum):
         return self.name.lower()
 
 
+# Most entries _WORDS or _SWAP_PARITY holds.  Both are keyed by the odd
+# masks seen so far, which over many odd generators have no useful bound;
+# a miss that finds a cache this full empties it first, so a hit costs the
+# same and a long session keeps at most this many entries.
+MAX_CACHE = 1 << 16
+
 # odd-word masks seen so far, as increasing index tuples
 _WORDS: dict[int, tuple[int, ...]] = {}
 
@@ -129,6 +135,8 @@ def _odd_word(mask: int) -> tuple[int, ...]:
     """The set bits of mask as an increasing index tuple, interned."""
     word = _WORDS.get(mask)
     if word is None:
+        if len(_WORDS) >= MAX_CACHE:
+            _WORDS.clear()
         word = _WORDS[mask] = tuple(
             j for j in range(mask.bit_length()) if mask >> j & 1
         )
@@ -137,7 +145,8 @@ def _odd_word(mask: int) -> tuple[int, ...]:
 
 class _SwapParity(dict):
     """mask -> the mask whose bit y is the parity of the number of bits of
-    mask above y, computed on first lookup and kept.
+    mask above y, computed on first lookup and kept until the cache is
+    full (MAX_CACHE).
 
     theta_mask * theta_y passes theta_y leftwards over exactly those
     generators, so for a disjoint mask k the product theta_mask * theta_k
@@ -153,6 +162,8 @@ class _SwapParity(dict):
         while step < mask.bit_length():
             out ^= out >> step
             step <<= 1
+        if len(self) >= MAX_CACHE:
+            self.clear()
         self[mask] = out
         return out
 

@@ -1,6 +1,6 @@
 """Size caps of the kernel: term count in dot, determinant size, the
-digits of a printed coefficient, and the exponent one even generator can
-reach.
+digits of a printed coefficient, the exponent one even generator can
+reach, and the entries of the process-wide odd-word caches.
 
 Each cap turns an input that used to run for minutes, or to end in a
 CPython message, into a LimitExceeded that a script reports as
@@ -9,15 +9,18 @@ script repros run in a subprocess with a timeout, so a missing cap fails
 the test instead of hanging it.
 """
 
+import random
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
-from supergeom import Context, LimitExceeded, SuperPoly
+from helpers import random_rational_poly
+from supergeom import Context, LimitExceeded, Monomial, SuperPoly, normalize_odd_word
+from supergeom import poly
 from supergeom.matrix import MAX_DET_SIZE, _det
-from supergeom.poly import MAX_DIGITS, MAX_FIELD_EXPONENT, MAX_TERMS, dot
+from supergeom.poly import MAX_CACHE, MAX_DIGITS, MAX_FIELD_EXPONENT, MAX_TERMS, dot
 from supergeom.script import run_script
 from supergeom.serialize import to_json
 
@@ -187,3 +190,49 @@ def test_literal_digits_are_capped_in_kernel_words():
     for line, err in zip((3, 4), result.errors):
         assert err.startswith(f"error: line {line}, column ")
         assert f"more than {MAX_DIGITS} digits" in err
+
+
+# -- odd-word caches -----------------------------------------------------------
+
+
+def swap_parity(mask):
+    """Bit y set when an odd number of bits of mask lie above y."""
+    return sum(1 << y for y in range(mask.bit_length())
+               if bin(mask >> (y + 1)).count("1") & 1)
+
+
+def test_odd_word_caches_are_emptied_by_a_miss_at_their_bound():
+    poly._SWAP_PARITY.clear()
+    poly._WORDS.clear()
+    for mask in range(MAX_CACHE):
+        poly._SWAP_PARITY[mask]
+        poly._odd_word(mask)
+    assert len(poly._SWAP_PARITY) == len(poly._WORDS) == MAX_CACHE
+    # a hit at the bound keeps every entry
+    assert poly._odd_word(5) == (0, 2)
+    assert poly._SWAP_PARITY[5] == swap_parity(5) == 0b11
+    assert len(poly._SWAP_PARITY) == len(poly._WORDS) == MAX_CACHE
+    # a miss empties the cache before it stores the new entry
+    assert poly._odd_word(MAX_CACHE + 5) == (0, 2, 16)
+    assert poly._SWAP_PARITY[MAX_CACHE + 5] == swap_parity(MAX_CACHE + 5)
+    assert len(poly._SWAP_PARITY) == len(poly._WORDS) == 1
+
+
+def test_products_over_many_odd_generators_keep_the_caches_bounded(monkeypatch):
+    bound = 64
+    monkeypatch.setattr(poly, "MAX_CACHE", bound)
+    ctx = Context(odd=[f"th{j}" for j in range(40)])
+    rng = random.Random(40)
+    for _ in range(10):
+        a = random_rational_poly(rng, ctx, n_terms=40)
+        b = random_rational_poly(rng, ctx, n_terms=40)
+        want = {}
+        for ma, ca in a.terms.items():
+            for mb, cb in b.terms.items():
+                sign, word = normalize_odd_word(ma.odd + mb.odd)
+                if sign:
+                    m = Monomial((), sum(1 << j for j in word))
+                    want[m] = want.get(m, 0) + sign * ca * cb
+        assert dict((a * b).terms) == {m: c for m, c in want.items() if c}
+        assert len(poly._SWAP_PARITY) <= bound
+        assert len(poly._WORDS) <= bound
