@@ -453,12 +453,12 @@ class SuperMatrix:
     def invert(self) -> "SuperMatrix":
         """Exact two-sided inverse of an even square matrix.
 
-        T = B - (B - T) with B the block-diagonal body matrix; both body
-        block determinants must be nonzero constants, and B^{-1} comes
-        from the adjugate.  The nilpotent remainder is handled by the
-        finite Neumann series z_0 = B^{-1}, z_{k+1} = B^{-1} ((B - T) z_k),
-        T^{-1} = sum_k z_k, which keeps the sparse B - T on the left of
-        each product (see _series_inverse).
+        B is the block-diagonal body matrix of T; both body block
+        determinants must be nonzero constants, and B^{-1} comes from the
+        adjugate.  T - B is nilpotent, so T^{-1} is the finite Neumann
+        series sum_k z_k with z_0 = B^{-1} and z_{k+1} = B^{-1} ((B - T) z_k),
+        which keeps the sparse B - T on the left of each product (see
+        _series_inverse).
         """
         if self.parity is not Parity.EVEN:
             raise ParityError("only even matrices are inverted")

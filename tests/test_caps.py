@@ -1,6 +1,7 @@
 """Size caps of the kernel: term count in dot, determinant size, the
-digits of a printed coefficient, the exponent one even generator can
-reach, and the entries of the process-wide odd-word caches.
+digits of a printed coefficient, and the exponent one even generator can
+reach.  The last tests bound the process-wide odd-word caches, which a
+miss at MAX_CACHE entries empties instead of refusing anything.
 
 Each cap turns an input that used to run for minutes, or to end in a
 CPython message, into a LimitExceeded that a script reports as
