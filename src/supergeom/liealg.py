@@ -35,6 +35,12 @@ from .poly import Context, Parity, SuperPoly, _exact, dot
 
 RESERVED = ("epsilon1", "epsilon2", "epsilon3", "epsilon4")
 
+# Largest m or n that MatrixGroupSpec accepts.  Entry symbols are named
+# p{i}{j} by 1-based position, so from 11 on two positions share a name
+# (p1,11 and p11,1 are both p111); at 10|10 OSp takes about 0.6 s and SL
+# 0.1 s of CPU on a shared 2-vCPU host under Python 3.11.
+MAX_GROUP_DIM = 10
+
 
 def _check_reserved(ctx: Context):
     clash = [n for n in RESERVED if n in ctx]
@@ -180,6 +186,10 @@ class MatrixGroupSpec:
         if kind not in ("GL", "SL", "OSp"):
             raise ValueError(f"unknown group kind {kind!r}")
         dims = SuperDim(*dims)
+        if max(dims) > MAX_GROUP_DIM:
+            raise ValueError(
+                f"{kind} {dims} has a block above the cap of {MAX_GROUP_DIM}"
+            )
         self.kind = kind
         self.dims = dims
         if kind != "OSp":

@@ -137,8 +137,8 @@ def _det(ctx, grid) -> SuperPoly:
         for k, i in enumerate(rows):
             e = grid[i][col]
             if e:
-                term = e * minor(rows[:k] + rows[k + 1 :])
-                acc = acc - term if neg else acc + term
+                # negate the entry (a few terms), not the much larger product
+                acc = acc + (-e if neg else e) * minor(rows[:k] + rows[k + 1 :])
             neg = not neg
         memo[rows] = acc
         return acc

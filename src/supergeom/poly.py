@@ -45,6 +45,9 @@ below 2**11 of the first field; see _FIELD_BITS for the fields.
 dot(ctx, pairs) is the only loop over pairs of terms: a product of two
 polynomials is dot on one pair, and every sum of products in the package
 (supermatrix entries, applying a derivation, substitution) is one dot.
+It runs one of two inner loops per left term: the one for an odd-free
+left term drops the odd-mask skip and the sign test, which are no-ops
+there, and both accumulate into the same map.
 """
 
 from __future__ import annotations
@@ -791,6 +794,15 @@ def dot(ctx: Context, pairs) -> SuperPoly:
     of the two codes; a guard bit set in that sum means one exponent
     passed MAX_FIELD_EXPONENT.  Raises LimitExceeded then, and once the
     sum holds more than MAX_TERMS terms.
+
+    Each left term runs one of two inner loops of this one algorithm.  A
+    left term with odd generators skips right terms whose odd masks
+    overlap its own and takes the Koszul sign from _SWAP_PARITY.  An
+    odd-free left term (every term of a polynomial without odd
+    generators, such as a determinant entry over k[x]) needs neither:
+    its odd mask 0 overlaps nothing and _SWAP_PARITY[0] is 0, so its
+    loop has no skip and no sign test.  Both loops test the guard bits
+    of every product and accumulate the same way.
     """
     pairs = list(pairs)
     den = 1
@@ -810,23 +822,37 @@ def dot(ctx: Context, pairs) -> SuperPoly:
         for m1, c1 in a.nums.items():
             c1 *= scale
             o1 = m1 & odd
-            swaps = _SWAP_PARITY[m1 >> shift] << shift
-            for m2, c2 in right:
-                if o1 & m2:
-                    continue
-                c = c1 * c2
-                if (swaps & m2).bit_count() & 1:
-                    c = -c
-                m = m1 + m2
-                if m & guard:
-                    _field_overflow(ctx, m & guard)
-                old = acc.get(m)
-                if old is not None:
-                    c += old
-                    if not c:
-                        del acc[m]
+            if o1:
+                swaps = _SWAP_PARITY[m1 >> shift] << shift
+                for m2, c2 in right:
+                    if o1 & m2:
                         continue
-                acc[m] = c
+                    c = c1 * c2
+                    if (swaps & m2).bit_count() & 1:
+                        c = -c
+                    m = m1 + m2
+                    if m & guard:
+                        _field_overflow(ctx, m & guard)
+                    old = acc.get(m)
+                    if old is not None:
+                        c += old
+                        if not c:
+                            del acc[m]
+                            continue
+                    acc[m] = c
+            else:
+                for m2, c2 in right:
+                    c = c1 * c2
+                    m = m1 + m2
+                    if m & guard:
+                        _field_overflow(ctx, m & guard)
+                    old = acc.get(m)
+                    if old is not None:
+                        c += old
+                        if not c:
+                            del acc[m]
+                            continue
+                    acc[m] = c
             if len(acc) > MAX_TERMS:
                 raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
     return SuperPoly._reduced(ctx, acc, den)

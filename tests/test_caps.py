@@ -20,6 +20,7 @@ import pytest
 from helpers import random_rational_poly
 from supergeom import Context, LimitExceeded, Monomial, SuperPoly, normalize_odd_word
 from supergeom import poly
+from supergeom.liealg import MAX_GROUP_DIM, MatrixGroupSpec
 from supergeom.matrix import MAX_DET_SIZE, _det
 from supergeom.poly import MAX_CACHE, MAX_DIGITS, MAX_FIELD_EXPONENT, MAX_TERMS, dot
 from supergeom.script import run_script
@@ -237,3 +238,37 @@ def test_products_over_many_odd_generators_keep_the_caches_bounded(monkeypatch):
         assert dict((a * b).terms) == {m: c for m, c in want.items() if c}
         assert len(poly._SWAP_PARITY) <= bound
         assert len(poly._WORDS) <= bound
+
+
+# -- matrix group blocks -------------------------------------------------------
+
+
+@pytest.mark.parametrize("dims", ["9999999999|1", "11|0", "0|11"])
+def test_lie_above_the_block_cap_is_a_script_error(tmp_path, dims):
+    # 9999999999|1 used to run past any timeout; 11|0 and 0|11 named two
+    # entries p111 and ended in a misleading duplicate-generator error
+    kind = "SL" if dims.startswith("9") else "GL"
+    proc = keep_going(tmp_path, f"""\
+        lie {kind} {dims}
+        lie GL 1|1
+    """)
+    assert proc.stderr == (
+        f"error: line 1: {kind} {dims} has a block above the cap of {MAX_GROUP_DIM}\n"
+    )
+    assert proc.stdout == "no constraints\n"
+
+
+def test_lie_at_the_block_cap_is_computed(tmp_path):
+    proc = keep_going(tmp_path, f"lie GL {MAX_GROUP_DIM}|{MAX_GROUP_DIM}\n")
+    assert proc.returncode == 0
+    assert proc.stdout == "no constraints\n"
+
+
+@pytest.mark.parametrize("kind", ["GL", "SL", "OSp"])
+def test_group_spec_refuses_blocks_above_the_cap(kind):
+    n = MAX_GROUP_DIM + 1
+    for dims in [(n, 0), (0, n + 1), (10**10, 2)]:
+        with pytest.raises(ValueError, match=f"cap of {MAX_GROUP_DIM}"):
+            MatrixGroupSpec(kind, dims)
+    assert MatrixGroupSpec(kind, (MAX_GROUP_DIM, MAX_GROUP_DIM)).dims == (
+        MAX_GROUP_DIM, MAX_GROUP_DIM)

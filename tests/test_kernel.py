@@ -31,9 +31,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_poly, random_rational_poly
-from supergeom import Context, ContextMismatch, Parity, SuperPoly
+from supergeom import Context, ContextMismatch, LimitExceeded, Monomial, Parity, SuperPoly
 from supergeom.matrix import _det, _gmul
-from supergeom.poly import dot
+from supergeom.poly import MAX_FIELD_EXPONENT, dot
 
 
 def grassmann(q):
@@ -381,3 +381,124 @@ def test_det_with_nilpotent_entries_matches_leibniz_in_the_model(n):
         expect = leibniz(models, mat_mul, mat_add, lambda a: mat_scale(a, -1),
                          identity(q), {})
         assert model_at(det, q, at) == expect
+
+
+# -- the two inner loops of dot ----------------------------------------------
+#
+# dot runs each left term through one of two loops: an odd-free left term
+# has no odd-mask skip and no sign test, a left term with odd generators
+# has both.  The operands below hold both kinds of term in one
+# polynomial, so one product runs both loops into one accumulator, and
+# the cancelling pairs make the two loops cancel each other's terms.
+
+
+def split_operand(rng, ctx, n_free=3, n_odd=3):
+    """A polynomial with n_free odd-free and n_odd odd terms (fewer when
+    two draws land on one monomial), built from Monomials."""
+    q = len(ctx.odd)
+    terms = {}
+    for k in range(n_free + n_odd):
+        even = tuple((i, d) for i in range(len(ctx.even))
+                     if (d := rng.randint(0, 2)))
+        mask = rng.randint(1, (1 << q) - 1) if k >= n_free else 0
+        terms[Monomial(even, mask)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                               rng.randint(1, 12))
+    return SuperPoly(ctx, terms)
+
+
+def odd_free_part(p):
+    return SuperPoly(p.ctx, {m: c for m, c in p.terms.items() if not m.mask})
+
+
+def split_pairs(rng, ctx):
+    """Random (split, any) pairs, then one pair (u + g, g*w - u*w) for an
+    odd-free u and an odd g: its u*g*w terms come from the odd-free loop
+    and cancel the g*u*w terms of the odd loop, since u is even."""
+    pairs = [(split_operand(rng, ctx),
+              random_rational_poly(rng, ctx, n_terms=rng.randint(1, 4)))
+             for _ in range(rng.randint(1, 3))]
+    a = split_operand(rng, ctx)
+    u = odd_free_part(a)
+    g = a - u
+    w = random_rational_poly(rng, ctx, n_terms=3)
+    assert u and g
+    pairs.append((a, g * w - u * w))
+    return pairs
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_dot_over_split_operands_matches_the_model(q):
+    ctx = grassmann(q)
+    rng = random.Random(900 + q)
+    for _ in range(15):
+        pairs = split_pairs(rng, ctx)
+        expect = {}
+        for a, b in pairs:
+            expect = mat_add(expect, mat_mul(model(a, q), model(b, q)))
+        got = dot(ctx, pairs)
+        assert all(got.nums.values())
+        assert model(got, q) == expect
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_dot_over_split_operands_matches_at_points(q):
+    ctx = mixed(q)
+    rng = random.Random(910 + q)
+    for _ in range(15):
+        pairs = split_pairs(rng, ctx)
+        at = rational_values(rng, 2)
+        expect = {}
+        for a, b in pairs:
+            expect = mat_add(expect, mat_mul(model_at(a, q, at), model_at(b, q, at)))
+        got = dot(ctx, pairs)
+        assert all(got.nums.values())
+        assert model_at(got, q, at) == expect
+
+
+def test_loops_cancel_each_other_exactly():
+    # (u + theta1)(theta1*w - u*w) = -u^2*w: the u*theta1*w terms of the
+    # odd-free loop cancel the theta1*u*w terms of the odd loop
+    ctx = mixed(2)
+    x, y, t1, t2 = (ctx.var(n) for n in ("x", "y", "theta1", "theta2"))
+    u = 2 * x + Fraction(1, 3) * y
+    w = x * t2 + y
+    got = dot(ctx, [(u + t1, t1 * w - u * w)])
+    assert got.terms == (-(u * u) * w).terms
+    at = [Fraction(2, 3), Fraction(-5, 4)]
+    assert model_at(got, 2, at) == mat_scale(
+        mat_mul(mat_mul(model_at(u, 2, at), model_at(u, 2, at)), model_at(w, 2, at)),
+        -1)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_gmul_over_split_entries_matches_the_model(q):
+    for ctx, values in [(grassmann(q), []), (mixed(q), None)]:
+        rng = random.Random(920 + q + len(ctx.even))
+        at = values if values is not None else rational_values(rng, 2)
+        for n, k, m in [(1, 1, 1), (2, 3, 2), (3, 2, 3)]:
+            a = tuple(tuple(split_operand(rng, ctx, 2, 2) for _ in range(k))
+                      for _ in range(n))
+            b = tuple(tuple(random_rational_poly(rng, ctx, n_terms=3) for _ in range(m))
+                      for _ in range(k))
+            out = _gmul(ctx, a, b)
+            for i in range(n):
+                for j in range(m):
+                    expect = {}
+                    for t in range(k):
+                        expect = mat_add(expect, mat_mul(model_at(a[i][t], q, at),
+                                                         model_at(b[t][j], q, at)))
+                    assert model_at(out[i][j], q, at) == expect
+
+
+@pytest.mark.parametrize("left_mask", [0, 0b01], ids=["odd-free loop", "odd loop"])
+def test_each_loop_refuses_an_exponent_past_the_cap(left_mask):
+    ctx = mixed(2, even=("x",))
+    full = SuperPoly(ctx, {Monomial(((0, MAX_FIELD_EXPONENT),), left_mask): 1})
+    x, t2 = ctx.var("x"), ctx.var("theta2")
+    for right in (x, x * t2, 3 + x * t2):
+        with pytest.raises(LimitExceeded, match="exponent of x is above"):
+            dot(ctx, [(full, right)])
+    # the pair is refused even where the two products would cancel
+    with pytest.raises(LimitExceeded, match="exponent of x is above"):
+        dot(ctx, [(full, x), (-full, x)])
+    assert dot(ctx, [(full, t2), (-full, t2)]) == ctx.zero()
