@@ -33,8 +33,8 @@ from .poly import Context, Parity, Scalar, SuperPoly, dot
 
 # Largest n for which _det expands an n x n grid.  Its memo holds one minor
 # per surviving row set, 2^n of them: on grids of dense linear entries in
-# three variables (perfbench corpus.linear_matrix) it takes about 0.8 s of
-# CPU at 10 x 10, 2 s at 11 x 11 and 5 s at 12 x 12 on a shared 2-vCPU
+# three variables (perfbench corpus.linear_matrix) it takes about 0.5 s of
+# CPU at 10 x 10, 1.4 s at 11 x 11 and 3.8 s at 12 x 12 on a shared 2-vCPU
 # host under Python 3.11.  The largest determinant in the demos, tests and
 # benchmark is 7 x 7.
 MAX_DET_SIZE = 12

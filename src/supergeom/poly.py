@@ -42,12 +42,10 @@ which folds bit k onto bit k % 61.  Over three even generators the mask
 starts at bit 72 and folds onto bits 11 and up, above every exponent
 below 2**11 of the first field; see _FIELD_BITS for the fields.
 
-dot(ctx, pairs) is the only loop over pairs of terms: a product of two
+dot(ctx, pairs) is the only loop over pairs of terms, with one inner loop
+for odd-free left terms and one for the rest: a product of two
 polynomials is dot on one pair, and every sum of products in the package
 (supermatrix entries, applying a derivation, substitution) is one dot.
-It runs one of two inner loops per left term: the one for an odd-free
-left term drops the odd-mask skip and the sign test, which are no-ops
-there, and both accumulate into the same map.
 """
 
 from __future__ import annotations
@@ -793,16 +791,10 @@ def dot(ctx: Context, pairs) -> SuperPoly:
     The code of a product of monomials with disjoint odd masks is the sum
     of the two codes; a guard bit set in that sum means one exponent
     passed MAX_FIELD_EXPONENT.  Raises LimitExceeded then, and once the
-    sum holds more than MAX_TERMS terms.
-
-    Each left term runs one of two inner loops of this one algorithm.  A
-    left term with odd generators skips right terms whose odd masks
-    overlap its own and takes the Koszul sign from _SWAP_PARITY.  An
-    odd-free left term (every term of a polynomial without odd
-    generators, such as a determinant entry over k[x]) needs neither:
-    its odd mask 0 overlaps nothing and _SWAP_PARITY[0] is 0, so its
-    loop has no skip and no sign test.  Both loops test the guard bits
-    of every product and accumulate the same way.
+    sum holds more than MAX_TERMS terms.  Each left term runs one of two
+    inner loops of this one algorithm: an odd-free left term overlaps no
+    right term and _SWAP_PARITY[0] is 0, so its loop drops the odd-mask
+    skip and the sign test; both loops test the guard bits alike.
     """
     pairs = list(pairs)
     den = 1
