@@ -186,6 +186,8 @@ class MatrixGroupSpec:
         if kind not in ("GL", "SL", "OSp"):
             raise ValueError(f"unknown group kind {kind!r}")
         dims = SuperDim(*dims)
+        if min(dims) < 0:
+            raise ValueError(f"{kind} {dims} has a negative block size")
         if max(dims) > MAX_GROUP_DIM:
             raise ValueError(
                 f"{kind} {dims} has a block above the cap of {MAX_GROUP_DIM}"

@@ -31,12 +31,12 @@ from .errors import (
 )
 from .poly import Context, Parity, Scalar, SuperPoly, dot
 
-# Largest n for which _det expands an n x n grid.  Its memo holds one minor
-# per surviving row set, 2^n of them: on grids of dense linear entries in
-# three variables (perfbench corpus.linear_matrix) it takes about 0.5 s of
-# CPU at 10 x 10, 1.4 s at 11 x 11 and 3.8 s at 12 x 12 on a shared 2-vCPU
-# host under Python 3.11.  The largest determinant in the demos, tests and
-# benchmark is 7 x 7.
+# Largest n for which _minors expands an n x n grid.  A determinant fills
+# its (row set, column set) memo with one minor per row set, 2^n of them: on
+# grids of dense linear entries in three variables (perfbench
+# corpus.linear_matrix) _det takes 0.5-0.6 s of CPU at 10 x 10, 1.2-1.6 s at
+# 11 x 11 and 3.5-4.5 s at 12 x 12 on a shared 2-vCPU host under Python
+# 3.11.  The largest determinant in the demos, tests and benchmark is 7 x 7.
 MAX_DET_SIZE = 12
 
 
@@ -108,53 +108,45 @@ def _gis_zero(a):
     return all(not e for row in a for e in row)
 
 
-def _det(ctx, grid) -> SuperPoly:
-    """Determinant of a square grid of even (hence commuting) entries.
-
-    Division-free Laplace expansion down successive columns, memoised on
-    the surviving row set so shared minors are computed once.  Exact over
-    any commutative coefficient ring, nilpotents included, which rules
-    out fraction-free elimination here: its exact divisions can hit zero
-    divisors once even entries carry nilpotent parts.
-    """
+def _minors(ctx, grid):
+    """minor(rows, cols) of a square grid of even (hence commuting) entries:
+    the determinant on the increasing index tuples rows and cols, by
+    division-free Laplace expansion down cols[0] with one memo keyed by
+    (rows, cols), so a determinant and its cofactors share the minors on
+    trailing column sets.  Exact over any commutative coefficient ring,
+    nilpotents included, which rules out fraction-free elimination: its
+    exact divisions can hit zero divisors once even entries carry
+    nilpotent parts."""
     n = len(grid)
     if n > MAX_DET_SIZE:
         raise LimitExceeded(
             f"determinant of a {n}x{n} block is above the cap of {MAX_DET_SIZE} rows"
         )
-    one = SuperPoly.scalar(ctx, 1)
-    if n == 0:
-        return one
-    memo = {(): one}
+    memo = {((), ()): SuperPoly.scalar(ctx, 1)}
 
-    def minor(rows):
-        got = memo.get(rows)
+    def minor(rows, cols):
+        got = memo.get((rows, cols))
         if got is not None:
             return got
-        col = n - len(rows)
+        col, rest = cols[0], cols[1:]
         acc = SuperPoly.zero(ctx)
         neg = False
         for k, i in enumerate(rows):
             e = grid[i][col]
             if e:
                 # negate the entry (a few terms), not the much larger product
-                acc = acc + (-e if neg else e) * minor(rows[:k] + rows[k + 1 :])
+                acc = acc + (-e if neg else e) * minor(rows[:k] + rows[k + 1 :], rest)
             neg = not neg
-        memo[rows] = acc
+        memo[rows, cols] = acc
         return acc
 
-    return minor(tuple(range(n)))
+    return minor
 
 
-def _adjugate(ctx, grid):
-    n = len(grid)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [row[:j] + row[j + 1 :] for k, row in enumerate(grid) if k != i]
-            c = _det(ctx, sub)
-            out[j][i] = -c if (i + j) & 1 else c
-    return tuple(tuple(r) for r in out)
+def _det(ctx, grid) -> SuperPoly:
+    """Determinant of a square grid of even entries (see _minors)."""
+    full = tuple(range(len(grid)))
+    return _minors(ctx, grid)(full, full)
 
 
 def _body_inverse(ctx, grid, label):
@@ -163,34 +155,42 @@ def _body_inverse(ctx, grid, label):
     Returns (body_grid, inverse_of_body_grid).  The body determinant must
     be a nonzero constant; the body entries themselves may be arbitrary
     even-variable polynomials (a unipotent block like [[1, t], [0, 1]] is
-    fine).
+    fine).  Entry (i, j) of the inverse is the (j, i) cofactor over the
+    determinant, all read from one _minors memo.
     """
     body = tuple(tuple(e.body() for e in row) for row in grid)
-    d = _det(ctx, body)
+    minor = _minors(ctx, body)
+    full = tuple(range(len(body)))
+    d = minor(full, full)
     if not d.is_constant():
         raise NotInvertible(f"body determinant of {label} is not constant")
     c = d.constant_term()
     if not c:
         raise NotInvertible(f"body determinant of {label} is zero")
-    adj = _adjugate(ctx, body)
-    inv = tuple(tuple(e / c for e in row) for row in adj)
-    return body, inv
+
+    def entry(i, j):
+        e = minor(full[:j] + full[j + 1 :], full[:i] + full[i + 1 :]) / c
+        return -e if (i + j) & 1 else e
+
+    return body, tuple(tuple(entry(i, j) for j in full) for i in full)
 
 
 def _series_inverse(ctx, grid, body, binv):
     """Exact inverse of grid = body + N, every term of N carrying an odd
     generator: the Neumann series sum_k z_k, z_0 = body^{-1} and z_{k+1} =
-    body^{-1} ((body - grid) z_k), which is zero once k > len(ctx.odd).
-    The sparse nilpotent factor body - grid multiplies the dense z_k from
-    the left; powers of the dense body^{-1} N would instead pair mostly
-    terms whose odd words overlap, which dot visits only to skip."""
+    body^{-1} ((body - grid) z_k), which is zero once k > len(ctx.odd), so
+    a nonzero z_k past that is a kernel fault.  The sparse factor body -
+    grid multiplies the dense z_k from the left; powers of the dense
+    body^{-1} N would instead pair mostly terms whose odd words overlap,
+    which dot visits only to skip."""
     step = _gsub(body, grid)
     out = term = binv
-    while True:
+    for _ in range(len(ctx.odd) + 1):
         term = _gmul(ctx, binv, _gmul(ctx, step, term))
         if _gis_zero(term):
             return out
         out = _gadd(out, term)
+    raise RuntimeError("grid - body is not nilpotent: the series did not end")
 
 
 def _grid_inverse(ctx, grid, label):
@@ -455,10 +455,10 @@ class SuperMatrix:
 
         B is the block-diagonal body matrix of T; both body block
         determinants must be nonzero constants, and B^{-1} comes from the
-        adjugate.  T - B is nilpotent, so T^{-1} is the finite Neumann
-        series sum_k z_k with z_0 = B^{-1} and z_{k+1} = B^{-1} ((B - T) z_k),
-        which keeps the sparse B - T on the left of each product (see
-        _series_inverse).
+        cofactors of one memoised Laplace expansion per block.  T - B is
+        nilpotent, so T^{-1} is the finite Neumann series sum_k z_k with
+        z_0 = B^{-1} and z_{k+1} = B^{-1} ((B - T) z_k), which keeps the
+        sparse B - T on the left of each product (see _series_inverse).
         """
         if self.parity is not Parity.EVEN:
             raise ParityError("only even matrices are inverted")

@@ -44,8 +44,10 @@ below 2**11 of the first field; see _FIELD_BITS for the fields.
 
 dot(ctx, pairs) is the only loop over pairs of terms, with one inner loop
 for odd-free left terms and one for the rest: a product of two
-polynomials is dot on one pair, and every sum of products in the package
-(supermatrix entries, applying a derivation, substitution) is one dot.
+polynomials is dot on one pair, and the sums of products of supermatrix
+entries, applying a derivation and substitution are one dot each.  The
+Laplace expansion of matrix._minors is the exception: it still adds its
+products one * and one + at a time.
 """
 
 from __future__ import annotations

@@ -271,3 +271,13 @@ def test_group_spec_refuses_blocks_above_the_cap(kind):
             MatrixGroupSpec(kind, dims)
     assert MatrixGroupSpec(kind, (MAX_GROUP_DIM, MAX_GROUP_DIM)).dims == (
         MAX_GROUP_DIM, MAX_GROUP_DIM)
+
+
+@pytest.mark.parametrize("kind", ["GL", "SL", "OSp"])
+@pytest.mark.parametrize("dims", [(-1, 2), (2, -2)], ids=["-1|2", "2|-2"])
+def test_group_spec_refuses_negative_blocks(kind, dims):
+    # the script grammar only takes digits, but the library API took these
+    # and GL (-1, 2) came back as a -1|2 algebra
+    with pytest.raises(ValueError, match="negative block"):
+        MatrixGroupSpec(kind, dims)
+    assert MatrixGroupSpec(kind, (0, 2)).dims == (0, 2)

@@ -5,10 +5,12 @@ entry is exercised through subprocess to pin exit codes, stderr
 formatting, and byte-level determinism.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -466,6 +468,34 @@ def test_cli_deterministic_output(tmp_path):
     second = cli("--script", str(path))
     assert first.stdout == second.stdout
     assert first.stdout.encode() == second.stdout.encode()
+
+
+# sha256 of the stdout of the golden session and of the README session
+# (from "context M" through "export A"), which run ber, inv and srank
+# among the other statements: a kernel change that keeps the values must
+# not move one byte of either
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_SHA256 = "7898d4bdd2031dd836fdea14b9c8bdeabecfe55c342d7293d9c34d5084cb39db"
+README_SHA256 = "5fcdab416bcb82319247959a73f4e703c593bd9dc72bf9a134f898bb5560792b"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_cli_golden_session_bytes():
+    proc = cli("--script", str(ROOT / "demos" / "golden_session.sg"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sha256(proc.stdout) == GOLDEN_SHA256
+
+
+def test_cli_readme_session_bytes():
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("context M even=[t]")
+    end = readme.index("export A", start) + len("export A")
+    proc = cli(stdin=readme[start:end] + "\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sha256(proc.stdout) == README_SHA256
 
 
 def test_cli_json_out(tmp_path):

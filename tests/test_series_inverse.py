@@ -9,15 +9,16 @@ a finite sum.  The package builds it as z_0 = B^-1, z_{k+1} = B^-1 (-N z_k)
 in _series_inverse.  The oracle here is the other association: the powers
 of N' summed with alternating signs, then multiplied by B^-1 on the right.
 It uses only products and sums of single polynomials and a Gauss-Jordan
-body inverse whose pivots are nonzero constants; no _gmul, _det,
-_adjugate or _body_inverse of the package.  Its products pair mostly
-terms whose odd words overlap, which is why it lives here.
+body inverse whose pivots are nonzero constants; no _gmul, _minors,
+_det or _body_inverse of the package.  Its products pair mostly terms
+whose odd words overlap, which is why it lives here.
 
 The oracle is compared with invert() and _grid_inverse on seeded 1|1..4|4
 matrices over Lambda(theta1..theta6) and on matrices over
 k[t | theta1..theta4] whose bodies are polynomial in t and unipotent up
 to a constant diagonal, such as [[1, t], [0, 1]].  The second half counts
-the grid products one _series_inverse call makes.
+the grid products one _series_inverse call makes, also when a series
+that does not end is stopped.
 """
 
 import random
@@ -206,6 +207,16 @@ def test_the_bound_is_reached_by_a_chain_of_odd_generators(gmul_calls):
     got = series_inverse(GR6, rows)
     assert len(gmul_calls) == 2 * (len(GR6.odd) + 1)
     assert as_lists(got) == oracle_inverse(GR6, rows)
+
+
+def test_a_series_that_does_not_end_raises_instead_of_hanging(gmul_calls, monkeypatch):
+    # with the step left equal to the body every z_k equals z_0, as a
+    # broken dot or body split could make it; the loop used to run forever
+    monkeypatch.setattr(M, "_gsub", lambda a, b: a)
+    m = random_invertible(random.Random(1100), GR6, (2, 2), n_terms=3)
+    with pytest.raises(RuntimeError, match="grid - body is not nilpotent"):
+        series_inverse(GR6, m.rows)
+    assert len(gmul_calls) <= 2 * (len(GR6.odd) + 1)
 
 
 def test_a_grid_without_odd_part_returns_after_one_step(gmul_calls):
