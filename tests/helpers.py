@@ -162,3 +162,17 @@ def brute_srank(mat):
 
     t1, _, _, t4 = mat.blocks()
     return SuperDim(best(t1), best(t4))
+
+
+def grid_mul(ctx, x, y):
+    """Plain product of two grids, one polynomial product at a time."""
+    zero = ctx.zero()
+    return [
+        [sum((x[i][k] * y[k][j] for k in range(len(y))), zero)
+         for j in range(len(y[0]))]
+        for i in range(len(x))
+    ]
+
+
+def identity(ctx, n):
+    return [[ctx.scalar(int(i == j)) for j in range(n)] for i in range(n)]

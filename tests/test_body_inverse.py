@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_invertible
+from helpers import grid_mul, identity, random_invertible
 from supergeom import Context, linalg
 from supergeom import matrix as M
 from supergeom.poly import SuperPoly
@@ -47,19 +47,6 @@ def adjugate(ctx, grid):
 def oracle_inverse(ctx, body):
     c = M._det(ctx, body).constant_term()
     return [[e / c for e in row] for row in adjugate(ctx, body)]
-
-
-def grid_mul(ctx, x, y):
-    zero = ctx.zero()
-    return [
-        [sum((x[i][k] * y[k][j] for k in range(len(y))), zero)
-         for j in range(len(y[0]))]
-        for i in range(len(x))
-    ]
-
-
-def identity(ctx, n):
-    return [[ctx.scalar(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def check(ctx, grid):

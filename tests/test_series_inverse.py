@@ -26,27 +26,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_invertible, random_supermatrix
+from helpers import grid_mul, identity, random_invertible, random_supermatrix
 from supergeom import Context, SuperMatrix
 from supergeom import matrix as M
 
 GR6 = Context(odd=[f"theta{i}" for i in range(1, 7)])
 KT4 = Context(even=["t"], odd=[f"theta{i}" for i in range(1, 5)])
 SIZES = [(p, q) for p in range(1, 5) for q in range(1, 5)]
-
-
-def grid_mul(ctx, x, y):
-    """Plain product of two grids, one polynomial product at a time."""
-    zero = ctx.zero()
-    return [
-        [sum((x[i][k] * y[k][j] for k in range(len(y))), zero)
-         for j in range(len(y[0]))]
-        for i in range(len(x))
-    ]
-
-
-def identity(ctx, n):
-    return [[ctx.scalar(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def body_inverse(ctx, rows):
