@@ -234,13 +234,11 @@ class TangentVector:
         return hash((self.ctx, self.even_coords, self.odd_coords))
 
     def __str__(self):
-        bits = []
-        for name, c in zip(self.ctx.even + self.ctx.odd, self.coords()):
-            if not c:
-                continue
-            head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            bits.append(f"{head}d/d{name}|_x")
-        return " + ".join(bits) if bits else "0"
+        return _signed_sum(
+            (c < 0, ("" if abs(c) == 1 else f"{abs(c)}*") + f"d/d{name}|_x")
+            for name, c in zip(self.ctx.even + self.ctx.odd, self.coords())
+            if c
+        )
 
     def __repr__(self):
         return f"TangentVector({self})"

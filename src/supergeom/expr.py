@@ -1,7 +1,6 @@
 """Polynomial expression language for scripts and serialized values.
 
-Grammar, with the usual precedence (power binds tightest, then unary
-minus, product, sum):
+Grammar; power binds tightest, then unary minus, product, sum:
 
     expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
@@ -9,11 +8,12 @@ minus, product, sum):
     atom     := rational | ident | '(' expr ')'
     rational := int ('/' int)?
 
-Lowering multiplies through the ring, so the odd-word normalization
-makes parse order irrelevant: "theta2*theta1" and "-theta1*theta2"
-lower to the same value.  The canonical renderer of SuperPoly emits
-this grammar, which is what makes printing and parsing inverse to each
-other.
+The parser multiplies through the ring as it reads, so it builds no
+syntax tree and a line with several faults reports the first one it
+reaches.  Odd-word normalization makes parse order irrelevant:
+"theta2*theta1" and "-theta1*theta2" read as the same value.  The
+canonical renderer of SuperPoly emits this grammar, so printing and
+parsing are inverse.  A lone rational (a point, JSON) is '-'? rational.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ def tokenize(text: str, line=None):
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            col = len(text) - len(stripped) + 1
-            raise ScriptError(
-                f"unexpected character {stripped[0]!r}", line=line, col=col
-            )
+            raise ScriptError(f"unexpected character {stripped[0]!r}",
+                              line=line, col=len(text) - len(stripped) + 1)
         kind = m.lastgroup
         if kind == "int" and len(m.group(kind)) > MAX_DIGITS:
             # the printing cap; CPython itself refuses int() past 4300 digits
@@ -62,46 +60,19 @@ def tokenize(text: str, line=None):
     return out
 
 
-# AST nodes; Var keeps its column so name-resolution errors can point at it
-class Lit(NamedTuple):
-    value: Fraction
-
-
-class Var(NamedTuple):
-    name: str
-    col: int
-
-
-class Neg(NamedTuple):
-    arg: object
-
-
-class Sum(NamedTuple):
-    head: object
-    tail: tuple  # (sign, node) pairs
-
-
-class Prod(NamedTuple):
-    factors: tuple
-
-
-class Pow(NamedTuple):
-    base: object
-    exp: int
-
-
-# Open parentheses plus pending unary minuses allowed at once.  Parsing
-# and lowering recurse once per level, so this bounds their stack use and
-# turns absurdly nested input into a ScriptError instead of a crash.
+# Open parentheses plus pending unary minuses allowed at once.  Only the
+# parser recurses, once per level, so this bounds its stack and turns
+# absurdly nested input into a ScriptError instead of a crash.
 _MAX_DEPTH = 100
 
 
 class _Parser:
-    def __init__(self, tokens, line):
-        self.tokens = tokens
+    def __init__(self, text, line, ctx=None, env=None):
+        self.tokens = tokenize(text, line)
         self.line = line
-        self.i = 0
-        self.depth = 0
+        self.ctx = ctx
+        self.env = env
+        self.i = self.depth = 0
 
     @property
     def cur(self) -> Token:
@@ -111,11 +82,14 @@ class _Parser:
         tok = tok or self.cur
         raise ScriptError(message, line=self.line, col=tok.col)
 
-    def nest(self, tok):
-        """Enter one nesting level at tok; the caller leaves it."""
+    def nested(self, tok, rule) -> SuperPoly:
+        """Read rule one nesting level deeper, counted from tok."""
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             self.error(f"expression nested deeper than {_MAX_DEPTH} levels", tok)
+        out = rule()
+        self.depth -= 1
+        return out
 
     def eat_op(self, op) -> bool:
         if self.cur.kind == "op" and self.cur.text == op:
@@ -123,132 +97,104 @@ class _Parser:
             return True
         return False
 
-    def expr(self):
-        head = self.term()
-        tail = []
+    def expr(self) -> SuperPoly:
+        out = self.term()
         while self.cur.kind == "op" and self.cur.text in "+-":
-            sign = 1 if self.cur.text == "+" else -1
+            sign = self.cur.text
             self.i += 1
-            tail.append((sign, self.term()))
-        return Sum(head, tuple(tail)) if tail else head
+            part = self.term()
+            out = out + part if sign == "+" else out - part
+        return out
 
-    def term(self):
-        factors = [self.factor()]
+    def term(self) -> SuperPoly:
+        out = self.factor()
         while self.eat_op("*"):
-            factors.append(self.factor())
-        return Prod(tuple(factors)) if len(factors) > 1 else factors[0]
+            out = out * self.factor()
+        return out
 
-    def factor(self):
+    def factor(self) -> SuperPoly:
         tok = self.cur
         if self.eat_op("-"):
-            self.nest(tok)
-            node = Neg(self.factor())
-            self.depth -= 1
-            return node
-        node = self.atom()
+            return -self.nested(tok, self.factor)
+        out = self.atom()
+        # a loop: chained powers are left-associative and cost no depth
         while self.eat_op("^"):
-            node = Pow(node, self.exponent())
-        return node
+            out = out ** self.exponent()
+        return out
 
     def exponent(self) -> int:
-        if self.cur.kind == "op" and self.cur.text == "-":
-            self.error("exponent must be a nonnegative integer")
-        if self.cur.kind != "int":
-            self.error("expected an integer exponent")
         tok = self.cur
+        if tok.kind != "int":
+            self.error("exponent must be a nonnegative integer" if tok.text == "-"
+                       else "expected an integer exponent")
         self.i += 1
         if self.cur.kind == "op" and self.cur.text == "/":
             self.error("exponent must be an integer, not a fraction")
         return int(tok.text)
 
-    def atom(self):
+    def rational(self) -> Fraction:
+        value = Fraction(int(self.cur.text))
+        self.i += 1
+        if self.eat_op("/"):
+            den = self.cur
+            if den.kind != "int":
+                self.error("expected a denominator")
+            self.i += 1
+            if int(den.text) == 0:
+                self.error("zero denominator", den)
+            value /= int(den.text)
+        return value
+
+    def atom(self) -> SuperPoly:
         tok = self.cur
         if tok.kind == "int":
-            self.i += 1
-            value = Fraction(int(tok.text))
-            if self.eat_op("/"):
-                den = self.cur
-                if den.kind != "int":
-                    self.error("expected a denominator")
-                self.i += 1
-                if int(den.text) == 0:
-                    self.error("zero denominator", den)
-                value /= int(den.text)
-            return Lit(value)
+            return self.ctx.scalar(self.rational())
         if tok.kind == "ident":
             self.i += 1
-            return Var(tok.text, tok.col)
+            if tok.text in self.ctx:
+                return self.ctx.var(tok.text)
+            bound = self.env.get(tok.text) if self.env else None
+            if bound is None:
+                self.error(f"unknown generator {tok.text!r}", tok)
+            if bound.ctx != self.ctx:
+                self.error(f"{tok.text!r} is bound over a different context", tok)
+            return bound
         if tok.kind == "op" and tok.text == "(":
-            self.nest(tok)
             self.i += 1
-            node = self.expr()
+            out = self.nested(tok, self.expr)
             if not self.eat_op(")"):
                 self.error("expected ')'")
-            self.depth -= 1
-            return node
+            return out
         if tok.kind == "end":
             self.error("unexpected end of expression")
         self.error(f"unexpected {tok.text!r}")
 
 
-def parse(text: str, line=None):
-    """Text to AST; raises ScriptError with position on bad input."""
-    p = _Parser(tokenize(text, line), line)
-    node = p.expr()
+def parse_poly(text: str, ctx: Context, line=None, env=None) -> SuperPoly:
+    """Text to a polynomial over ctx.  env holds session bindings, which
+    generators shadow; a binding over another context is an error."""
+    p = _Parser(text, line, ctx, env)
+    out = p.expr()
     if p.cur.kind != "end":
         p.error(f"unexpected {p.cur.text!r} after expression")
-    return node
+    return out
 
 
-def lower(node, ctx: Context, line=None, env=None) -> SuperPoly:
-    """AST to a polynomial over the context.
-
-    env maps names to already-built polynomials (session bindings);
-    generators shadow it, and a binding over a different context is an
-    error rather than a silent miss.
-    """
-    if isinstance(node, Lit):
-        return ctx.scalar(node.value)
-    if isinstance(node, Var):
-        if node.name in ctx:
-            return ctx.var(node.name)
-        bound = env.get(node.name) if env else None
-        if bound is not None:
-            if bound.ctx != ctx:
-                raise ScriptError(
-                    f"{node.name!r} is bound over a different context",
-                    line=line, col=node.col,
-                )
-            return bound
-        raise ScriptError(
-            f"unknown generator {node.name!r}", line=line, col=node.col
-        )
-    if isinstance(node, Neg):
-        return -lower(node.arg, ctx, line, env)
-    if isinstance(node, Sum):
-        out = lower(node.head, ctx, line, env)
-        for sign, item in node.tail:
-            part = lower(item, ctx, line, env)
-            out = out + part if sign > 0 else out - part
-        return out
-    if isinstance(node, Prod):
-        out = ctx.one()
-        for f in node.factors:
-            out = out * lower(f, ctx, line, env)
-        return out
-    if isinstance(node, Pow):
-        # chained powers nest Pow nodes outside the depth budget, so
-        # unwind them in a loop rather than by recursion
-        exps = []
-        while isinstance(node, Pow):
-            exps.append(node.exp)
-            node = node.base
-        out = lower(node, ctx, line, env)
-        for e in reversed(exps):
-            out = out ** e
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
+# Most characters of a bad rational that an error message repeats.
+_ECHO_CHARS = 40
 
 
-def parse_poly(text: str, ctx: Context, line=None, env=None) -> SuperPoly:
-    return lower(parse(text, line), ctx, line, env)
+def parse_rational(text: str, line=None) -> Fraction:
+    """'-'? rational with spaces: only the form str(Fraction) writes."""
+    try:
+        p = _Parser(text, line)
+        sign = -1 if p.eat_op("-") else 1
+        if p.cur.kind == "int":
+            value = p.rational()
+            if p.cur.kind == "end":
+                return sign * value
+    except ScriptError:
+        pass
+    shown = text.strip()
+    more = f"... ({len(shown)} characters)" if len(shown) > _ECHO_CHARS else ""
+    raise ScriptError(f"bad rational {shown[:_ECHO_CHARS]!r}{more}", line=line)

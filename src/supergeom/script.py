@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import expr
@@ -97,22 +96,6 @@ def _split_top(text: str, sep: str):
     return parts
 
 
-# Most characters of a bad literal that an error message repeats.
-_ECHO_CHARS = 40
-
-
-def _fraction(text: str, line):
-    try:
-        return Fraction(text.replace(" ", ""))
-    except (ValueError, ZeroDivisionError):
-        shown = text.strip()
-        if len(shown) > _ECHO_CHARS:
-            shown = f"{shown[:_ECHO_CHARS]!r}... ({len(shown)} characters)"
-        else:
-            shown = repr(shown)
-        raise ScriptError(f"bad rational {shown}", line=line) from None
-
-
 class Interpreter:
     def __init__(self):
         self.contexts = {}
@@ -159,7 +142,7 @@ class Interpreter:
 
     def _point(self, text, ctx, line) -> RationalPoint:
         values = [] if not text.strip() else [
-            _fraction(v, line) for v in _split_top(text, ",")
+            expr.parse_rational(v, line) for v in _split_top(text, ",")
         ]
         m, n = ctx.dims
         if len(values) == m + n:

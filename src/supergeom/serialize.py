@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .expr import parse_poly
+from .expr import parse_poly, parse_rational
 from .groups import GroupLaw, product_context
 from .matrix import SuperDim, SuperMatrix
 from .morphism import Morphism
@@ -29,7 +29,7 @@ def _rational(text) -> Fraction:
     # a JSON number may be a float; only the string form is exact
     if not isinstance(text, str):
         raise ValueError(f"expected a rational written as a string, got {text!r}")
-    return Fraction(text)
+    return parse_rational(text)
 
 
 def _polys(texts, ctx: Context) -> list[SuperPoly]:

@@ -11,20 +11,32 @@ the test instead of hanging it.
 """
 
 import random
+import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
 from helpers import random_rational_poly
-from supergeom import Context, LimitExceeded, Monomial, SuperPoly, normalize_odd_word
+from supergeom import (
+    Context,
+    LimitExceeded,
+    Monomial,
+    PointedVariety,
+    RationalPoint,
+    ScriptError,
+    SuperPoly,
+    normalize_odd_word,
+)
 from supergeom import poly
 from supergeom.liealg import MAX_GROUP_DIM, MatrixGroupSpec
 from supergeom.matrix import MAX_DET_SIZE, _det
 from supergeom.poly import MAX_CACHE, MAX_DIGITS, MAX_FIELD_EXPONENT, MAX_TERMS, dot
+from supergeom.expr import parse_rational
 from supergeom.script import run_script
-from supergeom.serialize import to_json
+from supergeom.serialize import from_json, to_json
 
 
 def keep_going(tmp_path, text):
@@ -178,6 +190,52 @@ def test_long_bad_literal_is_echoed_only_in_part():
     assert "(5000 characters)" in err
     assert len(err) < 120
     assert result.output == "t\n"
+
+
+# Point coordinates and JSON rationals read only what str(Fraction)
+# writes, '-'? int ('/' int)?; Fraction(str) also takes exponents,
+# decimals and '_', and spent about a second of CPU on 1e2000000.
+NOT_RATIONALS = ["1e2000000", "0.5", "1_0"]
+
+
+@pytest.mark.parametrize("literal", NOT_RATIONALS)
+def test_point_coordinates_take_only_plain_rationals(literal):
+    result = run_script(
+        "context M even=[t] odd=[]\nmorphism f : M -> M [t]\n"
+        f"classify f ({literal})\neval t\n",
+        keep_going=True,
+    )
+    assert result.errors == (f"error: line 3: bad rational {literal!r}",)
+    assert result.output == "t\n"
+
+
+@pytest.mark.parametrize("literal", NOT_RATIONALS)
+def test_json_rationals_take_only_plain_rationals(literal):
+    ctx = Context(even=["x"], odd=[])
+    poly_data = to_json(3 * ctx.var("x"))
+    poly_data["terms"][0]["coeff"] = literal
+    variety = PointedVariety(ctx, [ctx.var("x") - 1], RationalPoint(ctx, [1]))
+    variety_data = to_json(variety)
+    variety_data["point"] = [literal]
+    for data in (poly_data, variety_data):
+        with pytest.raises(ScriptError, match=re.escape(f"bad rational {literal!r}")):
+            from_json(data)
+
+
+def test_plain_rationals_read_with_spaces_and_nothing_else():
+    at_cap = "9" * MAX_DIGITS
+    for text, value in [
+        ("7", 7), ("-0", 0), ("4/6", Fraction(2, 3)),
+        ("-3/2", Fraction(-3, 2)), (" - 3 / 2 ", Fraction(-3, 2)),
+        (at_cap, int(at_cap)),
+    ]:
+        assert parse_rational(text) == value
+    for text in [
+        "", "+1", "--1", "1 0", "1/", "1/0", "1/-2", "(1)", "x", "1e3",
+        at_cap + "9",
+    ]:
+        with pytest.raises(ScriptError, match="bad rational"):
+            parse_rational(text)
 
 
 def test_literal_digits_are_capped_in_kernel_words():

@@ -391,6 +391,30 @@ def test_expression_errors_carry_position():
     assert result.errors[0].startswith("error: line 3, column")
 
 
+# Each line has two faults.  The parser multiplies through the ring as
+# it reads, so it reports the first fault it reaches, ring caps included,
+# where reading the whole line before evaluating it would report the
+# stray ')' or the missing term.  The power on the last line is built,
+# within the term cap, before its stray ')' is seen.
+FIRST_FAULTS = [
+    ("eval foo )", "error: line 2, column 1: unknown generator 'foo'"),
+    ("eval g + )", "error: line 4, column 1: unknown generator 'g'"),
+    ("eval t^2000 +", "error: line 6: exponent 2000 is above the cap of 1000"),
+    ("eval (1+t+s+u)^36 )",
+     "error: line 8, column 14: unexpected ')' after expression"),
+]
+
+
+def test_a_line_with_several_faults_reports_the_first():
+    script = ["context M even=[t, s, u] odd=[]"]
+    for line, _ in FIRST_FAULTS:
+        script += [line, "eval t"]
+    proc = cli("--keep-going", stdin="\n".join(script) + "\n")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [error for _, error in FIRST_FAULTS]
+    assert proc.stdout == "t\n" * len(FIRST_FAULTS)
+
+
 @pytest.mark.parametrize("nested", [
     "(" * 3000 + "t" + ")" * 3000,
     "-" * 3000 + "t",
@@ -404,6 +428,14 @@ def test_deep_nesting_is_a_script_error(nested):
     assert result.errors[0].startswith("error: line 2, column")
     assert "nested deeper" in result.errors[0]
     assert lines(result) == ["t"]
+
+
+def test_nesting_depth_is_released_after_each_group():
+    # 150 groups side by side never nest deeper than one level
+    side_by_side = " + ".join(["(t)"] * 75 + ["-t^2"] * 75)
+    result = run_script("context G even=[t] odd=[]\neval " + side_by_side + "\n")
+    assert result.errors == ()
+    assert lines(result) == ["-75*t^2 + 75*t"]
 
 
 def test_long_power_chain_lowers():
@@ -496,6 +528,31 @@ def test_cli_readme_session_bytes():
     proc = cli(stdin=readme[start:end] + "\n")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert sha256(proc.stdout) == README_SHA256
+
+
+# The body [[1, 2], [3, 4]] has a nonzero cofactor at every position, so
+# a cofactor that loses its sign or its place in the body inverse moves
+# these bytes; inv B @ B == I was checked by hand from the printed rows.
+BODY_INVERSE_SCRIPT = """\
+context M even=[t] odd=[theta1, theta2]
+matrix B dims 2|1 -> 2|1 rows [1, 2, theta1; 3, 4, theta2; theta2, theta1, 1]
+inv B
+ber B
+"""
+
+BODY_INVERSE_REPORT = """\
+dims 2|1 -> 2|1
+[-2 + 5/2*theta1*theta2, 1 - 3/2*theta1*theta2, 2*theta1 - theta2]
+[3/2 - 9/4*theta1*theta2, -1/2 + 5/4*theta1*theta2, -3/2*theta1 + 1/2*theta2]
+[-3/2*theta1 + 2*theta2, 1/2*theta1 - theta2, 1 + 3/2*theta1*theta2]
+-2 - 3*theta1*theta2
+"""
+
+
+def test_cli_body_inverse_bytes():
+    proc = cli(stdin=BODY_INVERSE_SCRIPT)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == BODY_INVERSE_REPORT
 
 
 def test_cli_json_out(tmp_path):

@@ -7,6 +7,7 @@ composition on random polynomials.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -152,3 +153,12 @@ class TestTangentVector:
             TangentVector(CTX, [0.1])
         with pytest.raises(TypeError, match="inexact float"):
             TangentVector(CTX, odd=[0, 0.5])
+
+    def test_str_writes_negative_coordinates_as_differences(self):
+        ctx = Context(even=["x", "y"], odd=["xi"])
+        v = TangentVector(ctx, [1, -2], [-1])
+        assert str(v) == "d/dx|_x - 2*d/dy|_x - d/dxi|_x"
+        w = TangentVector(ctx, [Fraction(-3, 2), 0], [Fraction(1, 2)])
+        assert str(w) == "-3/2*d/dx|_x + 1/2*d/dxi|_x"
+        assert str(TangentVector(ctx, odd=[-1])) == "-d/dxi|_x"
+        assert str(TangentVector(ctx)) == "0"
