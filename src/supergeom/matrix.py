@@ -29,7 +29,7 @@ from .errors import (
     NotInvertible,
     ParityError,
 )
-from .poly import Context, Parity, Scalar, SuperPoly, dot
+from .poly import Context, Parity, Scalar, SuperPoly, dot_row
 
 # Largest n for which _minors expands an n x n grid.  A determinant fills
 # its (row set, column set) memo with one minor per row set, 2^n of them: on
@@ -92,8 +92,7 @@ def _gneg(a):
 
 
 def _gmul(ctx, a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(dot(ctx, zip(row, col)) for col in cols) for row in a)
+    return tuple(dot_row(ctx, row, b) for row in a)
 
 
 def _gblocks(tl, tr, bl, br):
@@ -182,14 +181,17 @@ def _series_inverse(ctx, grid, body, binv):
     a nonzero z_k past that is a kernel fault.  The sparse factor body -
     grid multiplies the dense z_k from the left; powers of the dense
     body^{-1} N would instead pair mostly terms whose odd words overlap,
-    which dot visits only to skip."""
+    which the term-pair loop visits only to skip.  The z_k are kept and
+    summed once: row i of the inverse is one dot_row of a row of ones
+    against the rows i of the z_k, so no partial sum is ever built."""
     step = _gsub(body, grid)
-    out = term = binv
+    terms = [binv]
     for _ in range(len(ctx.odd) + 1):
-        term = _gmul(ctx, binv, _gmul(ctx, step, term))
+        term = _gmul(ctx, binv, _gmul(ctx, step, terms[-1]))
         if _gis_zero(term):
-            return out
-        out = _gadd(out, term)
+            ones = (SuperPoly.scalar(ctx, 1),) * len(terms)
+            return tuple(dot_row(ctx, ones, rows) for rows in zip(*terms))
+        terms.append(term)
     raise RuntimeError("grid - body is not nilpotent: the series did not end")
 
 
@@ -458,7 +460,10 @@ class SuperMatrix:
         cofactors of one memoised Laplace expansion per block.  T - B is
         nilpotent, so T^{-1} is the finite Neumann series sum_k z_k with
         z_0 = B^{-1} and z_{k+1} = B^{-1} ((B - T) z_k), which keeps the
-        sparse B - T on the left of each product (see _series_inverse).
+        sparse B - T on the left of each product.  The z_k are summed
+        once, a row at a time, after the last nonzero one (see
+        _series_inverse), so the sum is subject to MAX_TERMS per entry
+        like any product.
         """
         if self.parity is not Parity.EVEN:
             raise ParityError("only even matrices are inverted")

@@ -33,7 +33,7 @@ For two monomials with disjoint odd masks the code of the product is the
 sum of the two codes.  Each even field of the sum is below 2**_FIELD_BITS
 because both guard bits were clear, so nothing carries out of a field,
 and the disjoint masks add like |.  A field that went past
-MAX_FIELD_EXPONENT shows as a guard bit of the sum: dot tests the sum
+MAX_FIELD_EXPONENT shows as a guard bit of the sum: _mac tests the sum
 against the guard bits of its context and raises LimitExceeded, so a
 carry never reaches the next field or the mask.
 
@@ -42,12 +42,16 @@ which folds bit k onto bit k % 61.  Over three even generators the mask
 starts at bit 72 and folds onto bits 11 and up, above every exponent
 below 2**11 of the first field; see _FIELD_BITS for the fields.
 
-dot(ctx, pairs) is the only loop over pairs of terms, with one inner loop
-for odd-free left terms and one for the rest: a product of two
-polynomials is dot on one pair, and the sums of products of supermatrix
-entries, applying a derivation and substitution are one dot each.  The
-Laplace expansion of matrix._minors is the exception: it still adds its
-products one * and one + at a time.
+_mac is the only loop over pairs of terms, with one inner loop for
+odd-free left terms and one for the rest, and it has three callers.  A
+product of two polynomials (SuperPoly.__mul__) calls it once.  dot(ctx,
+pairs) calls it once per pair, for a sum of products: applying a
+derivation, substitution and other sums of entry products are one dot
+each.  dot_row(ctx, row, grid) calls it once per left factor for all the
+columns of a product row: matrix._gmul is one dot_row per row, and the
+Neumann series of matrix._series_inverse is summed by dot_row against a
+row of ones.  The Laplace expansion of matrix._minors is the exception:
+it still adds its products one * and one + at a time.
 """
 
 from __future__ import annotations
@@ -572,7 +576,12 @@ class SuperPoly:
 
     def __mul__(self, other):
         if isinstance(other, SuperPoly):
-            return dot(self.ctx, ((self, other),))
+            ctx = self.ctx
+            if other.ctx is not ctx and other.ctx != ctx:
+                raise ContextMismatch("operands live in different contexts")
+            acc: dict[int, int] = {}
+            _mac(ctx, self.nums, ((acc, 1, other.nums.items()),))
+            return SuperPoly._reduced(ctx, acc, self.den * other.den)
         if not isinstance(other, Scalar):
             return NotImplemented
         c = Fraction(other)
@@ -781,47 +790,35 @@ class SuperPoly:
         return f"SuperPoly({self})"
 
 
-def dot(ctx: Context, pairs) -> SuperPoly:
-    """Sum of a*b over (a, b) pairs of polynomials over ctx.
+def _mac(ctx: Context, nums: dict[int, int], cols) -> None:
+    """Add a * b into each column for the left numerators nums of a.
 
-    The one term-pair loop of the package: every product of two
-    polynomials, and every sum of such products, accumulates here into a
-    single map of int numerators over the lcm of the pairs' a.den * b.den,
-    with no intermediate polynomial per product or per partial sum.
-    Numerators that cancel, within one product or across pairs, are
-    dropped as they hit zero, and the sum is reduced once at the end.
-    The code of a product of monomials with disjoint odd masks is the sum
-    of the two codes; a guard bit set in that sum means one exponent
-    passed MAX_FIELD_EXPONENT.  Raises LimitExceeded then, and once the
-    sum holds more than MAX_TERMS terms.  Each left term runs one of two
-    inner loops of this one algorithm: an odd-free left term overlaps no
-    right term and _SWAP_PARITY[0] is 0, so its loop drops the odd-mask
-    skip and the sign test; both loops test the guard bits alike.
+    The one term-pair loop of the package.  cols holds one (acc, scale,
+    right) per column: acc maps codes to int numerators, right is the
+    items of b.nums, and every product is multiplied by scale.
+    Numerators that cancel are dropped as they hit zero.  The code of a
+    product of monomials with disjoint odd masks is the sum of the two
+    codes; a guard bit set in that sum means one exponent passed
+    MAX_FIELD_EXPONENT.  Raises LimitExceeded then, and once one column
+    holds more than MAX_TERMS terms.  Each left term is set up once for
+    all columns and runs one of two inner loops of this one algorithm:
+    an odd-free left term overlaps no right term and _SWAP_PARITY[0] is
+    0, so its loop drops the odd-mask skip and the sign test; both loops
+    test the guard bits alike.
     """
-    pairs = list(pairs)
-    den = 1
-    for a, b in pairs:
-        if (a.ctx is not ctx and a.ctx != ctx) or (b.ctx is not ctx and b.ctx != ctx):
-            raise ContextMismatch("operands live in different contexts")
-        d = a.den * b.den
-        if den % d:
-            den = den // gcd(den, d) * d
     guard = ctx._guard
     shift = ctx._shift
     odd = -1 << shift
-    acc: dict[int, int] = {}
-    for a, b in pairs:
-        scale = den // (a.den * b.den)
-        right = b.nums.items()
-        for m1, c1 in a.nums.items():
-            c1 *= scale
-            o1 = m1 & odd
-            if o1:
-                swaps = _SWAP_PARITY[m1 >> shift] << shift
+    for m1, c1 in nums.items():
+        o1 = m1 & odd
+        if o1:
+            swaps = _SWAP_PARITY[m1 >> shift] << shift
+            for acc, scale, right in cols:
+                c0 = c1 * scale
                 for m2, c2 in right:
                     if o1 & m2:
                         continue
-                    c = c1 * c2
+                    c = c0 * c2
                     if (swaps & m2).bit_count() & 1:
                         c = -c
                     m = m1 + m2
@@ -834,9 +831,13 @@ def dot(ctx: Context, pairs) -> SuperPoly:
                             del acc[m]
                             continue
                     acc[m] = c
-            else:
+                if len(acc) > MAX_TERMS:
+                    raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
+        else:
+            for acc, scale, right in cols:
+                c0 = c1 * scale
                 for m2, c2 in right:
-                    c = c1 * c2
+                    c = c0 * c2
                     m = m1 + m2
                     if m & guard:
                         _field_overflow(ctx, m & guard)
@@ -847,9 +848,61 @@ def dot(ctx: Context, pairs) -> SuperPoly:
                             del acc[m]
                             continue
                     acc[m] = c
-            if len(acc) > MAX_TERMS:
-                raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
+                if len(acc) > MAX_TERMS:
+                    raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
+
+
+def dot(ctx: Context, pairs) -> SuperPoly:
+    """Sum of a*b over (a, b) pairs of polynomials over ctx.
+
+    Every pair accumulates through _mac into a single map of int
+    numerators over the lcm of the pairs' a.den * b.den, with no
+    intermediate polynomial per product or per partial sum, and the sum
+    is reduced once at the end.
+    """
+    pairs = list(pairs)
+    den = 1
+    for a, b in pairs:
+        if (a.ctx is not ctx and a.ctx != ctx) or (b.ctx is not ctx and b.ctx != ctx):
+            raise ContextMismatch("operands live in different contexts")
+        d = a.den * b.den
+        if den % d:
+            den = den // gcd(den, d) * d
+    acc: dict[int, int] = {}
+    for a, b in pairs:
+        _mac(ctx, a.nums, ((acc, den // (a.den * b.den), b.nums.items()),))
     return SuperPoly._reduced(ctx, acc, den)
+
+
+def dot_row(ctx: Context, row: Sequence[SuperPoly],
+            grid: Sequence[Sequence[SuperPoly]]) -> tuple[SuperPoly, ...]:
+    """The row of sums (sum_j row[j] * grid[j][k])_k, one per column of grid.
+
+    Column k accumulates as dot(ctx, zip(row, column k)) would, over the
+    lcm of its own pairs' denominators, but each left factor row[j] runs
+    through _mac once for all the columns, so each of its terms is set up
+    once per row rather than once per entry.  A zero left factor or grid
+    entry adds nothing; its context is still checked.  An empty grid
+    gives an empty row.
+    """
+    width = len(grid[0]) if grid else 0
+    dens = [1] * width
+    for a, right in zip(row, grid):
+        for k, b in enumerate(right):
+            if (a.ctx is not ctx and a.ctx != ctx) or (b.ctx is not ctx and b.ctx != ctx):
+                raise ContextMismatch("operands live in different contexts")
+            d = a.den * b.den
+            if dens[k] % d:
+                dens[k] = dens[k] // gcd(dens[k], d) * d
+    accs = [{} for _ in range(width)]
+    for a, right in zip(row, grid):
+        if a.nums:
+            da = a.den
+            _mac(ctx, a.nums, [
+                (acc, den // (da * b.den), b.nums.items())
+                for acc, den, b in zip(accs, dens, right) if b.nums
+            ])
+    return tuple(SuperPoly._reduced(ctx, acc, den) for acc, den in zip(accs, dens))
 
 
 def _field_overflow(ctx: Context, guards: int):

@@ -25,6 +25,25 @@ _DIMS = re.compile(r"^(\d+)\|(\d+)->(\d+)\|(\d+)$")
 _PARITIES = {"even": Parity.EVEN, "odd": Parity.ODD}
 
 
+_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _expect(value, kind, where):
+    # bool is an int subclass, but true is no index or exponent
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _get(data, key, kind=None):
+    """data[key], checked to be of kind when kind is given; ValueError
+    naming the key when it is missing or of another kind."""
+    if key not in data:
+        raise ValueError(f"missing key {key!r}")
+    value = data[key]
+    return value if kind is None else _expect(value, kind, f"key {key!r}")
+
+
 def _rational(text) -> Fraction:
     # a JSON number may be a float; only the string form is exact
     if not isinstance(text, str):
@@ -32,7 +51,16 @@ def _rational(text) -> Fraction:
     return parse_rational(text)
 
 
-def _polys(texts, ctx: Context) -> list[SuperPoly]:
+def _rationals(data, key) -> list[Fraction]:
+    return [_rational(text) for text in _get(data, key, list)]
+
+
+def _polys(data, key, ctx: Context, count=None) -> list[SuperPoly]:
+    """The polynomials written as text under data[key], count of them
+    when count is given."""
+    texts = _get(data, key, list)
+    if count is not None and len(texts) != count:
+        raise ValueError(f"key {key!r}: expected {count} polynomials, got {len(texts)}")
     # parse_poly takes text only; a JSON number would fail inside it
     for text in texts:
         if not isinstance(text, str):
@@ -42,7 +70,7 @@ def _polys(texts, ctx: Context) -> list[SuperPoly]:
 
 def _generator(names, index) -> str:
     # indices are 1-based; 0 or a negative index would wrap around silently
-    if not isinstance(index, int) or not 1 <= index <= len(names):
+    if type(index) is not int or not 1 <= index <= len(names):
         raise ValueError(f"generator index {index!r} outside 1..{len(names)}")
     return names[index - 1]
 
@@ -59,7 +87,11 @@ def _ctx_json(ctx: Context):
 
 
 def _ctx_load(data) -> Context:
-    return Context(even=data["even"], odd=data["odd"])
+    even, odd = (
+        [_expect(name, str, f"key {slot!r}") for name in _get(data, slot, list)]
+        for slot in ("even", "odd")
+    )
+    return Context(even=even, odd=odd)
 
 
 def _poly_terms(p: SuperPoly):
@@ -76,10 +108,14 @@ def _poly_terms(p: SuperPoly):
 def _poly_load(ctx: Context, terms) -> SuperPoly:
     p = ctx.zero()
     for t in terms:
-        part = ctx.scalar(_rational(t["coeff"]))
-        for i, e in t["even"]:
-            part = part * ctx.var(_generator(ctx.even, i)) ** e
-        for j in t["odd"]:
+        _expect(t, dict, "term")
+        part = ctx.scalar(_rational(_get(t, "coeff")))
+        for pair in _get(t, "even", list):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"key 'even': expected [index, exponent] pairs, got {pair!r}")
+            i, e = pair
+            part = part * ctx.var(_generator(ctx.even, i)) ** _expect(e, int, "exponent")
+        for j in _get(t, "odd", list):
             part = part * ctx.var(_generator(ctx.odd, j))
         p = p + part
     return p
@@ -139,47 +175,56 @@ def to_json(value):
 
 
 def from_json(data):
-    """Rebuild the value encoded by to_json."""
-    kind = data.get("type")
+    """Rebuild the value encoded by to_json.
+
+    Malformed structure (a value that is not an object, a missing key, a
+    key or array item of the wrong JSON kind, or the wrong number of
+    entries) raises ValueError naming the key or the expected kind; bad
+    polynomial or rational text raises ScriptError, a KernelError.
+    """
+    _expect(data, dict, "value")
+    kind = _get(data, "type", str)
     if kind == "context":
         return _ctx_load(data)
     if kind == "poly":
-        return _poly_load(_ctx_load(data["context"]), data["terms"])
+        ctx = _ctx_load(_get(data, "context", dict))
+        return _poly_load(ctx, _get(data, "terms", list))
     if kind == "matrix":
-        ctx = _ctx_load(data["context"])
-        m = _DIMS.match(data["dims"])
+        ctx = _ctx_load(_get(data, "context", dict))
+        dims = _get(data, "dims", str)
+        m = _DIMS.match(dims)
         if not m:
-            raise ValueError(f"bad dims header {data['dims']!r}")
+            raise ValueError(f"bad dims header {dims!r}")
         p, q, r, s = (int(g) for g in m.groups())
         source, target = SuperDim(p, q), SuperDim(r, s)
-        parity = _parity(data["parity"])
+        parity = _parity(_get(data, "parity"))
         n = source.total
-        entries = _polys(data["entries"], ctx)
+        entries = _polys(data, "entries", ctx, n * target.total)
         rows = [entries[i * n:(i + 1) * n] for i in range(target.total)]
         return SuperMatrix(ctx, source, target, rows, parity)
     if kind == "morphism":
-        source = _ctx_load(data["source"])
-        target = _ctx_load(data["target"])
-        images = _polys(data["images"], source)
+        source = _ctx_load(_get(data, "source", dict))
+        target = _ctx_load(_get(data, "target", dict))
+        images = _polys(data, "images", source)
         return Morphism(source, target, images)
     if kind == "field":
-        ctx = _ctx_load(data["context"])
-        parity = _parity(data["parity"])
-        coeffs = _polys(data["coefficients"], ctx)
+        ctx = _ctx_load(_get(data, "context", dict))
+        parity = _parity(_get(data, "parity"))
+        coeffs = _polys(data, "coefficients", ctx, sum(ctx.dims))
         m = len(ctx.even)
         return SuperDerivation(ctx, parity, coeffs[:m], coeffs[m:])
     if kind == "group":
-        coords = _ctx_load(data["coords"])
+        coords = _ctx_load(_get(data, "coords", dict))
         double = product_context(coords)
-        mu = Morphism(double, coords, _polys(data["mu"], double))
-        unit = RationalPoint(coords, [_rational(v) for v in data["unit"]])
+        mu = Morphism(double, coords, _polys(data, "mu", double))
+        unit = RationalPoint(coords, _rationals(data, "unit"))
         inverse = None
         if "inverse" in data:
-            inverse = Morphism(coords, coords, _polys(data["inverse"], coords))
+            inverse = Morphism(coords, coords, _polys(data, "inverse", coords))
         return GroupLaw(coords, mu, unit, inverse)
     if kind == "variety":
-        ambient = _ctx_load(data["ambient"])
-        gens = _polys(data["generators"], ambient)
-        point = RationalPoint(ambient, [_rational(v) for v in data["point"]])
+        ambient = _ctx_load(_get(data, "ambient", dict))
+        gens = _polys(data, "generators", ambient)
+        point = RationalPoint(ambient, _rationals(data, "point"))
         return PointedVariety(ambient, gens, point)
     raise ValueError(f"cannot deserialize type {kind!r}")

@@ -1,4 +1,6 @@
-"""The multiply-accumulate kernel poly.dot against an independent model.
+"""The multiply-accumulate kernel (products, poly.dot and poly.dot_row,
+all through the one term-pair loop poly._mac) against an independent
+model.
 
 Oracle: the left regular representation of the exterior algebra
 Lambda(theta1..thetaq).  The basis is the subsets S of {0..q-1}, with
@@ -33,7 +35,8 @@ import pytest
 from helpers import random_poly, random_rational_poly
 from supergeom import Context, ContextMismatch, LimitExceeded, Monomial, Parity, SuperPoly
 from supergeom.matrix import _det, _gmul
-from supergeom.poly import MAX_FIELD_EXPONENT, dot
+from supergeom import poly
+from supergeom.poly import MAX_FIELD_EXPONENT, dot, dot_row
 
 
 def grassmann(q):
@@ -137,13 +140,22 @@ def test_dot_matches_sum_of_matrix_products(q):
         assert model(dot(ctx, pairs), q) == expect
 
 
+def gmul_grid(rng, ctx, rows, cols):
+    """A rows x cols grid of polynomials with Fraction coefficients,
+    denominators up to 12, and about one entry in four zero."""
+    return tuple(
+        tuple(ctx.zero() if rng.random() < 0.25
+              else random_rational_poly(rng, ctx, n_terms=2)
+              for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
 def check_gmul(q, shape, rng):
     ctx = grassmann(q)
     n, k, m = shape
-    a = tuple(tuple(random_poly(rng, ctx, n_terms=2) for _ in range(k))
-              for _ in range(n))
-    b = tuple(tuple(random_poly(rng, ctx, n_terms=2) for _ in range(m))
-              for _ in range(k))
+    a = gmul_grid(rng, ctx, n, k)
+    b = gmul_grid(rng, ctx, k, m)
     out = _gmul(ctx, a, b)
     assert len(out) == n and all(len(row) == m for row in out)
     for i in range(n):
@@ -154,9 +166,15 @@ def check_gmul(q, shape, rng):
             assert model(out[i][j], q) == expect
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 2), (3, 2, 4)])
+GMUL_SHAPES = [(1, 1, 1), (2, 3, 2), (3, 2, 4), (2, 3, 0), (3, 2, 1), (1, 3, 1),
+               (3, 1, 4), (0, 2, 3)]
+
+
+@pytest.mark.parametrize("shape", GMUL_SHAPES)
 def test_gmul_entries_match_matrix_model(shape):
-    check_gmul(4, shape, random.Random(730 + sum(shape)))
+    # (n, k, m): widths 0 and 1, inner dimension 1 and no rows among them
+    for seed in range(3):
+        check_gmul(4, shape, random.Random(730 + 10 * seed + sum(shape)))
 
 
 def test_gmul_entries_match_matrix_model_over_six_generators():
@@ -199,6 +217,69 @@ class TestDotEdges:
             a = random_poly(rng, self.CTX)
             b = random_poly(rng, self.CTX)
             assert a * b == dot(self.CTX, [(a, b)])
+
+
+class TestDotRowEdges:
+    """dot_row against the per-column sums it stands for: one context
+    check per entry, one accumulator, denominator and term cap per
+    column."""
+
+    CTX = Context(even=["x"], odd=["theta1", "theta2"])
+    OTHER = Context(even=["x"], odd=["theta1"])
+
+    def gens(self):
+        return [self.CTX.var(n) for n in ("x", "theta1", "theta2")]
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("left", ["zero", "nonzero"])
+    def test_entry_over_another_context_rejected_in_any_column(self, column, left):
+        x, t1, t2 = self.gens()
+        grid = [[x, t1, 1 + x], [t2, x, t1 * t2]]
+        grid[1][column] = self.OTHER.var("theta1")
+        row = [x, self.CTX.zero() if left == "zero" else t1]
+        with pytest.raises(ContextMismatch):
+            dot_row(self.CTX, row, grid)
+
+    def test_left_factor_over_another_context_rejected_when_zero(self):
+        x, t1, t2 = self.gens()
+        with pytest.raises(ContextMismatch):
+            dot_row(self.CTX, [x, self.OTHER.zero()], [[x, t1], [t2, x]])
+
+    def test_one_column_cancels_to_the_canonical_zero(self):
+        x, t1, t2 = self.gens()
+        one = self.CTX.one()
+        row = [t1 / 2, t2 / 2]
+        got = dot_row(self.CTX, row, [[x / 5, t2 / 3, one], [x / 7, t1 / 3, one]])
+        assert got[1] == self.CTX.zero()
+        assert got[1].terms == {}
+        assert got[0] == x * t1 / 10 + x * t2 / 14
+        assert got[2] == (t1 + t2) / 2
+        assert got == tuple(dot(self.CTX, zip(row, col))
+                            for col in ([x / 5, x / 7], [t2 / 3, t1 / 3], [one, one]))
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_exponent_past_the_cap_raises_from_any_column(self, column):
+        x, t1, t2 = self.gens()
+        full = SuperPoly(self.CTX, {Monomial(((0, MAX_FIELD_EXPONENT),), 0): 1})
+        grid = [[t1, t2, t1 * t2]]
+        grid[0][column] = x * t2
+        with pytest.raises(LimitExceeded, match="exponent of x is above"):
+            dot_row(self.CTX, [full], grid)
+
+    def test_the_term_cap_applies_to_each_column(self, monkeypatch):
+        x, t1, t2 = self.gens()
+        monkeypatch.setattr(poly, "MAX_TERMS", 4)
+        zero, one = self.CTX.zero(), self.CTX.one()
+        row = [1 + x, x**2]
+        # four terms in every column, twelve between them
+        grid = [[t1 + t2, t1 + x**3 * t2, one], [zero, zero, 1 + t1]]
+        got = dot_row(self.CTX, row, grid)
+        assert [len(p.terms) for p in got] == [4, 4, 4]
+        for column in range(3):
+            wide = [list(r) for r in grid]
+            wide[0][column] = wide[0][column] + t1 * t2
+            with pytest.raises(LimitExceeded, match="more than 4 terms"):
+                dot_row(self.CTX, row, wide)
 
 
 # -- even generators, through evaluation at rational points ----------------
@@ -383,9 +464,9 @@ def test_det_with_nilpotent_entries_matches_leibniz_in_the_model(n):
         assert model_at(det, q, at) == expect
 
 
-# -- the two inner loops of dot ----------------------------------------------
+# -- the two inner loops of the term-pair loop ------------------------------
 #
-# dot runs each left term through one of two loops: an odd-free left term
+# poly._mac, under dot, runs each left term through one of two loops: an odd-free left term
 # has no odd-mask skip and no sign test, a left term with odd generators
 # has both.  The operands below hold both kinds of term in one
 # polynomial, so one product runs both loops into one accumulator, and

@@ -263,6 +263,34 @@ def test_osp_2_2_dimension():
     assert (len(even), len(odd)) == (4, 4)
 
 
+def kac_dimension(kind, m, n):
+    """even|odd dimension of gl(m|n), sl(m|n) or osp(m|n), n = 2k, from
+    Kac's classification (Lie superalgebras, Adv. Math. 26, 1977)."""
+    if kind == "GL":
+        return m * m + n * n, 2 * m * n
+    if kind == "SL":
+        return m * m + n * n - 1, 2 * m * n
+    k = n // 2
+    return m * (m - 1) // 2 + k * (2 * k + 1), 2 * m * k
+
+
+KAC_CASES = [(kind, m, n) for kind in ("GL", "SL", "OSp")
+             for m in range(5) for n in range(5)
+             if m + n and not (kind == "OSp" and n % 2)]
+
+
+@pytest.mark.parametrize("kind, m, n", KAC_CASES,
+                         ids=[f"{kind}{m}|{n}" for kind, m, n in KAC_CASES])
+def test_constraint_counts_match_kac_dimensions(kind, m, n):
+    # gl(m|n) is (m^2 + n^2)|2mn, and every constraint is homogeneous and
+    # cuts one dimension of its parity
+    res = lie_algebra(MatrixGroupSpec(kind, (m, n)))
+    even = sum(c.parity() is Parity.EVEN for c in res.constraints)
+    odd = sum(c.parity() is Parity.ODD for c in res.constraints)
+    assert even + odd == len(res.constraints)
+    assert (m * m + n * n - even, 2 * m * n - odd) == kac_dimension(kind, m, n)
+
+
 def _constraint_rows(ctx, polys, names):
     return [[c.partial(n).constant_term() for n in names] for c in polys]
 

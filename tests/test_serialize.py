@@ -23,6 +23,7 @@ from supergeom import (
     SuperDerivation,
     SuperDim,
     SuperMatrix,
+    ScriptError,
     product_context,
 )
 from supergeom.serialize import from_json, to_json
@@ -208,6 +209,7 @@ def test_field_bad_parity_rejected(parity):
 
 @pytest.mark.parametrize("slot, index", [
     ("even", 0), ("even", -1), ("even", 3), ("odd", 0), ("odd", 3),
+    ("even", True), ("odd", True), ("odd", "1"),
 ])
 def test_generator_index_out_of_range_rejected(slot, index):
     data = to_json(CTX.var("x") * CTX.var("theta2"))
@@ -244,3 +246,65 @@ def _number_in(field):
 def test_number_for_polynomial_text_rejected(field):
     with pytest.raises(ValueError, match="polynomial written as a string"):
         from_json(_number_in(field))
+
+
+def _poly_with(mutate):
+    return _tamper(CTX.var("t") ** 2 * CTX.var("theta1") + 1, mutate)
+
+
+def _term(key, value):
+    return _poly_with(lambda d: d["terms"][0].__setitem__(key, value))
+
+
+_MATRIX = SuperMatrix.identity(CTX, SuperDim(1, 1))
+_FIELD = SuperDerivation(CTX, Parity.EVEN, [CTX.one(), CTX.zero()],
+                         [CTX.zero(), CTX.zero()])
+
+
+@pytest.mark.parametrize("data, message", [
+    ("abc", "value: expected an object, got str"),
+    ([], "value: expected an object, got list"),
+    (None, "value: expected an object, got NoneType"),
+    ({}, "missing key 'type'"),
+    ({"type": 3}, "key 'type': expected a string, got int"),
+    ({"type": "poly"}, "missing key 'context'"),
+    ({"type": "context", "even": ["t"]}, "missing key 'odd'"),
+    ({"type": "context", "even": "tx", "odd": []}, "key 'even': expected an array"),
+    ({"type": "context", "even": [1], "odd": []}, "key 'even': expected a string, got int"),
+    (_poly_with(lambda d: d.__setitem__("context", [])),
+     "key 'context': expected an object, got list"),
+    (_poly_with(lambda d: d.__setitem__("terms", {})), "key 'terms': expected an array"),
+    (_poly_with(lambda d: d["terms"].__setitem__(0, "t")), "term: expected an object, got str"),
+    (_poly_with(lambda d: d["terms"][0].pop("odd")), "missing key 'odd'"),
+    (_term("even", [[1]]), r"expected \[index, exponent\] pairs"),
+    (_term("even", [1, 2]), r"expected \[index, exponent\] pairs"),
+    (_term("even", [[1, "2"]]), "exponent: expected an integer, got str"),
+    (_term("even", [[1, True]]), "exponent: expected an integer, got bool"),
+    (_term("odd", 1), "key 'odd': expected an array, got int"),
+    (_tamper(_MATRIX, lambda d: d.__setitem__("dims", 11)), "key 'dims': expected a string"),
+    (_tamper(_MATRIX, lambda d: d.__setitem__("entries", "1001")),
+     "key 'entries': expected an array, got str"),
+    (_tamper(_MATRIX, lambda d: d["entries"].append("0")),
+     "key 'entries': expected 4 polynomials, got 5"),
+    (_tamper(_FIELD, lambda d: d.__setitem__("coefficients", [])),
+     "key 'coefficients': expected 4 polynomials, got 0"),
+    (_tamper(_r11_law(False), lambda d: d.__setitem__("unit", "0")),
+     "key 'unit': expected an array, got str"),
+    (_tamper(_r11_law(True), lambda d: d.__setitem__("inverse", None)),
+     "key 'inverse': expected an array, got NoneType"),
+    (_tamper(PointedVariety(CTX, [CTX.var("t")], CTX.point([0, 1])),
+             lambda d: d.pop("point")), "missing key 'point'"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_malformed_structure_raises_value_error_naming_the_fault(data, message):
+    with pytest.raises(ValueError, match=message):
+        from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    _term("coeff", "1/"),
+    _tamper(_MATRIX, lambda d: d["entries"].__setitem__(0, "1 +")),
+    _tamper(_r11_law(False), lambda d: d.__setitem__("unit", ["x"])),
+])
+def test_bad_text_keeps_its_kernel_error(data):
+    with pytest.raises(ScriptError):
+        from_json(data)

@@ -27,7 +27,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import grid_mul, identity, random_invertible, random_supermatrix
-from supergeom import Context, SuperMatrix
+from supergeom import Context, SuperMatrix, SuperPoly
 from supergeom import matrix as M
 
 GR6 = Context(odd=[f"theta{i}" for i in range(1, 7)])
@@ -211,3 +211,25 @@ def test_a_grid_without_odd_part_returns_after_one_step(gmul_calls):
     got = series_inverse(KT4, rows)
     assert len(gmul_calls) == 2
     assert as_lists(got) == [[1, -t / 2], [0, Fraction(1, 2)]]
+
+
+def test_the_series_is_summed_without_adding_polynomials(monkeypatch):
+    # the z_k are summed once, a row at a time, through the term-pair
+    # loop; the step body - grid is the series' input and is made first
+    m = random_invertible(random.Random(1200), GR6, (3, 3), n_terms=3)
+    body, binv = M._body_inverse(GR6, m.rows, "T")
+    step = M._gsub(body, m.rows)
+    monkeypatch.setattr(M, "_gsub", lambda a, b: step)
+    adds = []
+    real_add = SuperPoly.__add__
+
+    def counted(self, other):
+        adds.append(1)
+        return real_add(self, other)
+
+    monkeypatch.setattr(SuperPoly, "__add__", counted)
+    monkeypatch.setattr(SuperPoly, "__radd__", counted)
+    got = M._series_inverse(GR6, m.rows, body, binv)
+    assert adds == []
+    monkeypatch.undo()
+    assert as_lists(got) == oracle_inverse(GR6, m.rows)
