@@ -79,9 +79,8 @@ class SuperDerivation:
         """
         if a.ctx != self.ctx:
             raise ContextMismatch("argument lives in a different context")
-        names = self.ctx.even + self.ctx.odd
         return dot(self.ctx, (
-            (c, a.partial(n)) for c, n in zip(self.coefficients(), names) if c
+            (c, a.partial(n)) for c, n in zip(self.coefficients(), self.ctx.names) if c
         ))
 
     def __call__(self, a):
@@ -144,14 +143,12 @@ class SuperDerivation:
 
     def __str__(self):
         bits = []
-        for name, coeff in zip(
-            self.ctx.even + self.ctx.odd, self.coefficients()
-        ):
+        for name, coeff in zip(self.ctx.names, self.coefficients()):
             if coeff.is_zero():
                 continue
             body = str(coeff)
             neg = False
-            if len(coeff.nums) > 1:
+            if len(coeff.terms) > 1:
                 body = f"({body})"
             elif body.startswith("-"):
                 neg = True
@@ -236,7 +233,7 @@ class TangentVector:
     def __str__(self):
         return _signed_sum(
             (c < 0, ("" if abs(c) == 1 else f"{abs(c)}*") + f"d/d{name}|_x")
-            for name, c in zip(self.ctx.even + self.ctx.odd, self.coords())
+            for name, c in zip(self.ctx.names, self.coords())
             if c
         )
 

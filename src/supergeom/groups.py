@@ -79,7 +79,7 @@ class GroupLaw:
     def iota(self) -> Morphism:
         src = self.mu.source
         swap = {}
-        for n in self.coords.even + self.coords.odd:
+        for n in self.coords.names:
             swap[n] = primed(n)
             swap[primed(n)] = n
         images = [img.rename(src, swap) for img in self.mu.images]
@@ -102,30 +102,26 @@ def check_group_axioms(law: GroupLaw):
     ] + ([_inverse_axiom(law)] if law.inverse is not None else [])
 
 
-def _names(ctx: Context):
-    return ctx.even + ctx.odd
-
-
 def _associativity(law: GroupLaw) -> AxiomResult:
     g = law.coords
     triple = product_context(g, copies=3)
 
     def lift(poly, shift):
         # reinterpret a doubled-context polynomial on factors (shift, shift+1)
-        m = {n: primed(n, shift) for n in _names(g)}
-        m.update({primed(n): primed(n, shift + 1) for n in _names(g)})
+        m = {n: primed(n, shift) for n in g.names}
+        m.update({primed(n): primed(n, shift + 1) for n in g.names})
         return poly.rename(triple, m)
 
     first_two = {}
     last_two = {}
-    for n in _names(g):
+    for n in g.names:
         first_two[n] = lift(law.mu.image(n), 0)
         first_two[primed(n)] = triple.var(primed(n, 2))
         last_two[n] = triple.var(n)
         last_two[primed(n)] = lift(law.mu.image(n), 1)
 
     residuals = []
-    for n in _names(g):
+    for n in g.names:
         lhs = law.mu.image(n).substitute(triple, first_two)
         rhs = law.mu.image(n).substitute(triple, last_two)
         if lhs != rhs:
@@ -138,13 +134,13 @@ def _unit_axiom(law: GroupLaw) -> AxiomResult:
     double = law.mu.source
     images_left = {}
     images_right = {}
-    for c in _names(g):
+    for c in g.names:
         images_left[c] = law._unit_value(c).rename(double)
         images_left[primed(c)] = double.var(primed(c))
         images_right[c] = double.var(c)
         images_right[primed(c)] = law._unit_value(c).rename(double)
     residuals = []
-    for n in _names(g):
+    for n in g.names:
         expected_left = double.var(primed(n))
         expected_right = double.var(n)
         actual_left = law.mu.image(n).substitute(double, images_left)
@@ -160,10 +156,10 @@ def _inverse_axiom(law: GroupLaw) -> AxiomResult:
     g = law.coords
     residuals = []
     images = {}
-    for c in _names(g):
+    for c in g.names:
         images[c] = g.var(c)
         images[primed(c)] = law.inverse.image(c)
-    for n in _names(g):
+    for n in g.names:
         actual = law.mu.image(n).substitute(g, images)
         residual = actual - law._unit_value(n)
         if residual:
@@ -174,7 +170,7 @@ def _inverse_axiom(law: GroupLaw) -> AxiomResult:
 def _directional(v: TangentVector, poly: SuperPoly, names) -> SuperPoly:
     """Sum of v's weights against the left partials along the given names."""
     ctx = poly.ctx
-    weights = dict(zip(_names(v.ctx), v.coords()))
+    weights = dict(zip(v.ctx.names, v.coords()))
     return dot(ctx, (
         (poly.partial(n), ctx.scalar(weights[n])) for n in names if weights[n]
     ))
@@ -201,7 +197,7 @@ def is_left_invariant(field: SuperDerivation, law: GroupLaw) -> bool:
         [c.rename(double) for c in field.odd_coeffs]
         + [double.zero()] * len(g.odd),
     )
-    for n in _names(g):
+    for n in g.names:
         lhs = lifted.apply(iota.image(n))
         rhs = iota.pullback(field.apply(g.var(n)))
         if lhs != rhs:
@@ -233,14 +229,14 @@ def infinitesimal_action(law: GroupLaw, sigma: Morphism,
         raise ValueError("sigma's source must end with a copy of its target")
 
     images = {}
-    for c in _names(g):
+    for c in g.names:
         images[c] = law._unit_value(c).rename(target)
-    for old, new in zip(rest_even + rest_odd, target.even + target.odd):
+    for old, new in zip(rest_even + rest_odd, target.names):
         images[old] = target.var(new)
 
     coeffs = []
-    for n_t in target.even + target.odd:
-        derived = _directional(v, sigma.image(n_t), _names(g))
+    for n_t in target.names:
+        derived = _directional(v, sigma.image(n_t), g.names)
         coeffs.append(derived.substitute(target, images))
     k = len(target.even)
     return SuperDerivation(target, parity, coeffs[:k], coeffs[k:])

@@ -1,12 +1,12 @@
 """Lie superalgebras of matrix supergroups via square-zero parameters.
 
 Four odd generator names are reserved for the dual-number parameters:
-epsilon1..epsilon4, prepended to the user's odd generators so that the
-reserved part of every canonical monomial sits at the front and can be
-stripped without sign bookkeeping.  A parameter matching an even
-direction is the square-zero even product of two of them; an odd
-direction takes a single reserved generator, so that I + eps*x is
-always an even, group-like matrix.
+epsilon1..epsilon4.  The brackets append them after the user's odd
+generators, so an entry moves into that context and back unchanged;
+lie_algebra's own context puts its reserved pair first.  A parameter
+matching an even direction is the square-zero even product of two of
+them; an odd direction takes a single reserved generator, so that
+I + eps*x is always an even, group-like matrix.
 
 Scalars act through the row-twisted left action of the matrix module.
 With parameters of matching parity the group commutator collapses
@@ -19,8 +19,8 @@ with the parameter product in the eps'*eps order, and the adjoint form
   (I+eps*x) y (I-eps*x) = y + eps*[x, y]
 
 needs no ordering care.  Both extractions below divide out the
-parameter and unwind the row twist, returning the bare bracket matrix
-over the caller's context.
+parameter by left partials, which carry the Koszul sign, and unwind the
+row twist, returning the bare bracket matrix over the caller's context.
 """
 
 from __future__ import annotations
@@ -52,21 +52,12 @@ def _check_reserved(ctx: Context):
 
 def _extended(ctx: Context) -> Context:
     _check_reserved(ctx)
-    return Context(even=ctx.even, odd=RESERVED + ctx.odd)
+    return Context(even=ctx.even, odd=ctx.odd + RESERVED)
 
 
 def _lift(mat: SuperMatrix, ext: Context) -> SuperMatrix:
-    """Transport mat into ext, whose odd generators are the reserved ones
-    followed by the user's: the odd mask of each monomial code moves up
-    past the reserved bits, its even fields below ext._shift stay."""
-    shift = len(RESERVED)
-    low = (1 << ext._shift) - 1
-    rows = [
-        [SuperPoly._raw(ext, {m & low | (m & ~low) << shift: c
-                              for m, c in e.nums.items()}, e.den)
-         for e in row]
-        for row in mat.rows
-    ]
+    """mat over ext, its context with the reserved generators appended."""
+    rows = [[e.extended(ext) for e in row] for row in mat.rows]
     return SuperMatrix(ext, mat.source, mat.target, rows, mat.parity)
 
 
@@ -84,9 +75,8 @@ def _strip_parameter(mat: SuperMatrix, scalar: SuperPoly,
     """Divide a matrix of the form scalar * B (row-twisted action) by the
     single-monomial scalar, landing back in the user context."""
     twist = scalar.parity() is Parity.ODD
-    shift = len(RESERVED)
     rows = [
-        [_divide(e, scalar, user_ctx, shift, twist and i >= mat.target.even)
+        [_divide(e, scalar, user_ctx, twist and i >= mat.target.even)
          for e in row]
         for i, row in enumerate(mat.rows)
     ]
@@ -95,31 +85,22 @@ def _strip_parameter(mat: SuperMatrix, scalar: SuperPoly,
 
 
 def _divide(poly: SuperPoly, param: SuperPoly, ctx_out: Context,
-            shift: int, flip: bool) -> SuperPoly:
-    """Divide poly = param * g by the single-monomial parameter, whose odd
-    generators precede every other odd generator of poly.  g lands in
-    ctx_out with its odd mask shifted down by shift bits (reserved
-    generators dropped from the front of the context) and negated when
-    flip is set."""
-    ((word, pn),) = param.nums.items()
-    # poly, param and ctx_out share their even generators, so their codes
-    # keep the odd mask from the same bit up
-    odd_at = ctx_out._shift
-    even = (1 << odd_at) - 1
-    lead = word >> odd_at
-    # bits below the parameter's last generator and below shift must be
-    # exactly the parameter's
-    low = (1 << max(shift, lead.bit_length())) - 1
-    # (c / den) / (pn / param.den), with pn's sign and the flip moved
-    # into the numerators so the denominator stays positive
-    scale = -param.den if flip != (pn < 0) else param.den
-    nums = {}
-    for code, c in poly.nums.items():
-        mask = code >> odd_at
-        if mask & low != lead:
-            raise ValueError("polynomial does not factor through the parameter")
-        nums[code & even | (mask ^ lead) >> shift << odd_at] = c * scale
-    return SuperPoly._reduced(ctx_out, nums, poly.den * abs(pn))
+            flip: bool) -> SuperPoly:
+    """The g with poly = param * g over ctx_out, negated when flip is set.
+    The left partials along the single-monomial parameter's generators,
+    in increasing order, strip it; each keeps exactly the terms holding
+    its generator, so a lost term is one the parameter does not divide."""
+    ((mono, coeff),) = param.terms.items()
+    g = poly
+    for j in mono.odd:
+        g = g.partial(param.ctx.odd[j])
+    if len(g.terms) != len(poly.terms):
+        raise ValueError("polynomial does not factor through the parameter")
+    if flip:
+        coeff = -coeff
+    if coeff != 1:
+        g = -g if coeff == -1 else g / coeff
+    return g.extended(ctx_out)
 
 
 def _bracket_setup(x: SuperMatrix, y: SuperMatrix):
@@ -314,14 +295,14 @@ def lie_algebra(spec: MatrixGroupSpec) -> LieAlgebraResult:
     if spec.kind == "GL":
         raw = []
     elif spec.kind == "SL":
-        raw = [_divide(group_like.berezinian() - 1, eps, ctx, 0, False)]
+        raw = [_divide(group_like.berezinian() - 1, eps, ctx, False)]
     else:
         phi = SuperMatrix(
             ctx, spec.dims, spec.dims,
             [[ctx.scalar(v) for v in row] for row in spec.form],
         )
         residue = group_like.supertranspose() @ phi @ group_like - phi
-        raw = [_divide(e, eps, ctx, 0, False)
+        raw = [_divide(e, eps, ctx, False)
                for row in residue.rows for e in row]
 
     return LieAlgebraResult(

@@ -39,7 +39,7 @@ class Morphism:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source: Context, target: Context, images):
-        names = target.even + target.odd
+        names = target.names
         images = tuple(images)
         if len(images) != len(names):
             raise ValueError(
@@ -61,14 +61,13 @@ class Morphism:
 
     @classmethod
     def identity(cls, ctx: Context) -> "Morphism":
-        return cls(ctx, ctx, [ctx.var(n) for n in ctx.even + ctx.odd])
+        return cls(ctx, ctx, [ctx.var(n) for n in ctx.names])
 
     def image(self, name: str) -> SuperPoly:
-        names = self.target.even + self.target.odd
-        return self.images[names.index(name)]
+        return self.images[self.target.names.index(name)]
 
     def image_map(self):
-        return dict(zip(self.target.even + self.target.odd, self.images))
+        return dict(zip(self.target.names, self.images))
 
     def __eq__(self, other):
         return (
@@ -129,7 +128,7 @@ class Morphism:
 
     def __str__(self):
         pieces = ", ".join(
-            f"{n} -> {img}" for n, img in zip(self.target.even + self.target.odd, self.images)
+            f"{n} -> {img}" for n, img in zip(self.target.names, self.images)
         )
         return f"({pieces})"
 

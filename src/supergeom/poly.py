@@ -20,7 +20,8 @@ bit ctx._shift + j set means theta_j is present, and theta_mask is the
 product of those generators in increasing index order.  The unit is code
 0.  The public Monomial is the pair (packed, mask) of the two parts; it is
 built only where a monomial crosses the API (the constructor, coefficient,
-terms and sorted_terms), and encode and decode convert it.
+terms and sorted_terms), and encode and decode convert it.  No other
+module reads a code; SuperPoly.extended adds or drops odd generators.
 
 A product theta_k1 * theta_k2 is zero when k1 & k2 shares a bit.
 Otherwise sorting the concatenated word moves each generator y of k2
@@ -200,17 +201,19 @@ def normalize_odd_word(word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 class Context:
     """Fixed, ordered generator names for one supercommutative ring."""
 
-    __slots__ = ("even", "odd", "_kinds", "_guard", "_shift")
+    __slots__ = ("even", "odd", "names", "_kinds", "_guard", "_shift")
 
     def __init__(self, even: Iterable[str] = (), odd: Iterable[str] = ()):
         self.even = tuple(even)
         self.odd = tuple(odd)
+        # every generator in order: the even names, then the odd ones
+        self.names = self.even + self.odd
         kinds: dict[str, tuple[bool, int]] = {}
         for i, name in enumerate(self.even):
             kinds[name] = (False, i)
         for j, name in enumerate(self.odd):
             kinds[name] = (True, j)
-        if len(kinds) != len(self.even) + len(self.odd):
+        if len(kinds) != len(self.names):
             raise ValueError("generator names must be distinct")
         self._kinds = kinds
         # the guard bit of every even exponent field
@@ -733,6 +736,22 @@ class SuperPoly:
         for name in self._used_names():
             images[name] = SuperPoly.var(ctx_out, name_map.get(name, name))
         return self.substitute(ctx_out, images)
+
+    def extended(self, ctx_out: Context) -> "SuperPoly":
+        """This polynomial over ctx_out, which has the same even generators
+        and odd generators that extend this context's or are a prefix of
+        them, so every code keeps its bits.  Raises ContextMismatch for any
+        other ctx_out and ValueError for a term with a dropped generator."""
+        ctx = self.ctx
+        q = len(ctx_out.odd)
+        if ctx_out.even != ctx.even or ctx_out.odd[:len(ctx.odd)] != ctx.odd[:q]:
+            raise ContextMismatch(f"{ctx_out!r} does not extend or truncate {ctx!r}")
+        # the largest code reaches the highest odd generator of any term
+        held = max(self.nums, default=0).bit_length() - ctx._shift
+        if held > q:
+            raise ValueError(f"a term holds odd generator {ctx.odd[held - 1]!r}, "
+                             f"which the target context lacks")
+        return SuperPoly._raw(ctx_out, self.nums, self.den)
 
     def _used_names(self):
         shift = self.ctx._shift

@@ -18,7 +18,7 @@ from .groups import GroupLaw, product_context
 from .matrix import SuperDim, SuperMatrix
 from .morphism import Morphism
 from .derivation import SuperDerivation
-from .poly import Context, Parity, RationalPoint, SuperPoly
+from .poly import MAX_FIELD_EXPONENT, Context, Monomial, Parity, RationalPoint, SuperPoly
 from .variety import PointedVariety
 
 _DIMS = re.compile(r"^(\d+)\|(\d+)->(\d+)\|(\d+)$")
@@ -68,11 +68,12 @@ def _polys(data, key, ctx: Context, count=None) -> list[SuperPoly]:
     return [parse_poly(text, ctx) for text in texts]
 
 
-def _generator(names, index) -> str:
-    # indices are 1-based; 0 or a negative index would wrap around silently
+def _index(names, index) -> int:
+    """The 0-based position of a 1-based generator index into names."""
+    # 0 or a negative index would wrap around silently
     if type(index) is not int or not 1 <= index <= len(names):
         raise ValueError(f"generator index {index!r} outside 1..{len(names)}")
-    return names[index - 1]
+    return index - 1
 
 
 def _parity(text) -> Parity:
@@ -105,20 +106,39 @@ def _poly_terms(p: SuperPoly):
     return out
 
 
+def _even_pair(ctx: Context, pair) -> tuple[int, int]:
+    """(0-based index, exponent) from an [index, exponent] pair."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"key 'even': expected [index, exponent] pairs, got {pair!r}")
+    i, e = pair
+    i = _index(ctx.even, i)
+    if not 1 <= _expect(e, int, "exponent") <= MAX_FIELD_EXPONENT:
+        raise ValueError(f"key 'even': exponent {e} outside 1..{MAX_FIELD_EXPONENT}")
+    return i, e
+
+
 def _poly_load(ctx: Context, terms) -> SuperPoly:
-    p = ctx.zero()
+    """The polynomial of a term list as _poly_terms writes it: nonzero
+    coefficients, generator indices strictly increasing within each
+    term, and no monomial twice."""
+    coeffs = {}
     for t in terms:
         _expect(t, dict, "term")
-        part = ctx.scalar(_rational(_get(t, "coeff")))
-        for pair in _get(t, "even", list):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError(f"key 'even': expected [index, exponent] pairs, got {pair!r}")
-            i, e = pair
-            part = part * ctx.var(_generator(ctx.even, i)) ** _expect(e, int, "exponent")
-        for j in _get(t, "odd", list):
-            part = part * ctx.var(_generator(ctx.odd, j))
-        p = p + part
-    return p
+        coeff = _rational(_get(t, "coeff"))
+        if not coeff:
+            raise ValueError("key 'coeff': zero coefficient")
+        even = [_even_pair(ctx, pair) for pair in _get(t, "even", list)]
+        odd = [_index(ctx.odd, j) for j in _get(t, "odd", list)]
+        for key, indices in (("even", [i for i, _ in even]), ("odd", odd)):
+            if any(a >= b for a, b in zip(indices, indices[1:])):
+                raise ValueError(
+                    f"key {key!r}: generator indices are not strictly increasing"
+                )
+        mono = Monomial(even, sum(1 << j for j in odd))
+        if mono in coeffs:
+            raise ValueError("key 'terms': a monomial repeats")
+        coeffs[mono] = coeff
+    return SuperPoly(ctx, coeffs)
 
 
 def to_json(value):
@@ -179,7 +199,8 @@ def from_json(data):
 
     Malformed structure (a value that is not an object, a missing key, a
     key or array item of the wrong JSON kind, or the wrong number of
-    entries) raises ValueError naming the key or the expected kind; bad
+    entries) raises ValueError naming the key or the expected kind, and
+    so does a term list to_json never writes (see _poly_load); bad
     polynomial or rational text raises ScriptError, a KernelError.
     """
     _expect(data, dict, "value")

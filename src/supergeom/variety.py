@@ -70,10 +70,9 @@ class LinearForm:
         return hash((self.ctx, self.even, self.odd))
 
     def __str__(self):
-        names = self.ctx.even + self.ctx.odd
         return _signed_sum(
             (c < 0, ("" if abs(c) == 1 else f"{abs(c)}*") + _symbol(name))
-            for name, c in zip(names, self.coefficients())
+            for name, c in zip(self.ctx.names, self.coefficients())
             if c
         )
 

@@ -30,7 +30,7 @@ from supergeom import (
     linalg,
     superbracket,
 )
-from supergeom.liealg import _divide, _extended, _lift, _parameter
+from supergeom.liealg import RESERVED, _divide, _extended, _lift, _parameter
 
 CTX = Context(even=["t"], odd=["theta1", "theta2", "theta3", "theta4"])
 
@@ -122,9 +122,11 @@ def test_commutator_super_jacobi():
 
 
 def test_lift_then_divide_returns_the_entry():
-    # _lift shifts odd masks past the reserved generators, _divide strips
-    # the parameter and shifts them back; rename is the independent route
+    # _lift appends the reserved generators to the context, _divide strips
+    # the parameter by left partials and drops them again; rename is the
+    # independent route into the extended context
     ext = _extended(CTX)
+    assert ext.odd == CTX.odd + RESERVED
     rng = random.Random(88)
     x = random_supermatrix(rng, CTX, (1, 1), (1, 1), Parity.ODD)
     lifted = _lift(x, ext)
@@ -132,18 +134,38 @@ def test_lift_then_divide_returns_the_entry():
     for row, lifted_row in zip(x.rows, lifted.rows):
         for e, le in zip(row, lifted_row):
             assert le == e.rename(ext)
-            assert _divide(eps * le, eps, CTX, 4, False) == e
-            assert _divide(eps * le, eps, CTX, 4, True) == -e
+            assert _divide(eps * le, eps, CTX, False) == e
+            assert _divide(eps * le, eps, CTX, True) == -e
+            assert _divide(3 * eps * le, -3 * eps, CTX, True) == e
 
 
-@pytest.mark.parametrize("extra", ["epsilon2", "theta1"])
-def test_divide_refuses_a_term_the_parameter_does_not_lead(extra):
-    # epsilon2 sits among the reserved bits; theta1 lacks epsilon3
+def _ext_poly(*factors):
     ext = _extended(CTX)
-    eps = ext.var("epsilon1") * ext.var("epsilon3")
-    poly = eps * ext.var("theta2") + ext.var(extra) * ext.var("epsilon1")
-    with pytest.raises(ValueError, match="does not factor through the parameter"):
-        _divide(poly, eps, CTX, 4, False)
+    out = ext.one()
+    for name in factors:
+        out = out * ext.var(name)
+    return out
+
+
+@pytest.mark.parametrize("poly, param, message", [
+    # epsilon2*epsilon1 and theta1*epsilon1 lack epsilon3, so the left
+    # partial along it drops their terms
+    pytest.param(
+        _ext_poly("epsilon1", "epsilon3", "theta2") + _ext_poly("epsilon2", "epsilon1"),
+        _ext_poly("epsilon1", "epsilon3"),
+        "does not factor through the parameter", id="epsilon2"),
+    pytest.param(
+        _ext_poly("epsilon1", "epsilon3", "theta2") + _ext_poly("theta1", "epsilon1"),
+        _ext_poly("epsilon1", "epsilon3"),
+        "does not factor through the parameter", id="theta1"),
+    # epsilon1 divides, but epsilon3 is left over outside the parameter
+    pytest.param(
+        _ext_poly("epsilon1", "epsilon3", "theta2"), _ext_poly("epsilon1"),
+        "odd generator 'epsilon3', which the target context lacks", id="epsilon3"),
+])
+def test_divide_refuses_a_term_the_parameter_does_not_lead(poly, param, message):
+    with pytest.raises(ValueError, match=message):
+        _divide(poly, param, CTX, False)
 
 
 def test_reserved_generators_rejected():

@@ -17,7 +17,14 @@ import random
 
 import pytest
 
-from supergeom import Context, LimitExceeded, Monomial, SuperPoly, normalize_odd_word
+from supergeom import (
+    Context,
+    ContextMismatch,
+    LimitExceeded,
+    Monomial,
+    SuperPoly,
+    normalize_odd_word,
+)
 from supergeom.poly import _FIELD_BITS, MAX_FIELD_EXPONENT, decode, dot, encode
 
 SMALL = Context(even=["x", "y", "z"], odd=["a", "b"])
@@ -303,3 +310,56 @@ def test_odd_partial_sign_counts_only_odd_generators(p, q):
         rest = tuple(i for i in word if i != j)
         sign = (-1) ** word.index(j)
         assert got.terms == {Monomial(even, word_mask(rest)): sign}
+
+
+# -- transport between related contexts -----------------------------------
+#
+# SuperPoly.extended moves a polynomial between contexts with the same
+# even generators whose odd generators extend one another, reusing its
+# codes.  rename, which substitutes and multiplies, is the oracle.
+
+@pytest.mark.parametrize("p, q", [(0, 3), (1, 4), (3, 2), (70, 3)], ids=str)
+def test_extended_round_trips_up_and_down(p, q):
+    ctx = ctx_of(p, q)
+    wide = Context(even=ctx.even, odd=ctx.odd + ("eps1", "eps2"))
+    rng = random.Random(78 + p)
+    for _ in range(50):
+        poly = SuperPoly(ctx, {random_monomial(rng, ctx, 9): rng.randint(-9, 9)
+                               for _ in range(rng.randint(0, 5))}) / rng.randint(1, 6)
+        up = poly.extended(wide)
+        assert up.ctx == wide and up == poly.rename(wide)
+        assert up.terms == poly.terms
+        down = up.extended(ctx)
+        assert down.ctx == ctx and down == poly
+        assert poly.extended(ctx) == poly
+
+
+@pytest.mark.parametrize("odd", [
+    ("b", "a", "c"),       # reordered
+    ("a", "d"),            # renamed
+    ("d", "a", "b", "c"),  # a new generator in front
+], ids=str)
+def test_extended_refuses_unrelated_odd_generators(odd):
+    ctx = Context(even=["x"], odd=["a", "b", "c"])
+    with pytest.raises(ContextMismatch, match="does not extend or truncate"):
+        ctx.var("x").extended(Context(even=["x"], odd=odd))
+
+
+@pytest.mark.parametrize("even", [(), ("y",), ("x", "y"), ("y", "x")], ids=str)
+def test_extended_refuses_other_even_generators(even):
+    ctx = Context(even=["x"], odd=["a"])
+    with pytest.raises(ContextMismatch, match="does not extend or truncate"):
+        ctx.one().extended(Context(even=even, odd=["a", "b"]))
+
+
+def test_extended_refuses_a_term_with_a_dropped_generator():
+    ctx = ctx_of(2, 4)
+    poly = ctx.var("x0") * ctx.var("th1") + ctx.var("th0") * ctx.var("th3")
+    # the message names the highest odd generator a term holds
+    for q in range(4):
+        with pytest.raises(ValueError, match="odd generator 'th3', which"):
+            poly.extended(Context(even=ctx.even, odd=ctx.odd[:q]))
+    with pytest.raises(ValueError, match="odd generator 'th1', which"):
+        (ctx.var("x0") * ctx.var("th1")).extended(Context(even=ctx.even, odd=ctx.odd[:1]))
+    kept = ctx.var("x0") * ctx.var("th1") + 1
+    assert kept.extended(Context(even=ctx.even, odd=ctx.odd[:2])).terms == kept.terms

@@ -52,6 +52,13 @@ class TestNormalizeOddWord:
         assert normalize_odd_word([2, 1, 2]) == (0, ())
 
 
+def test_context_names_list_even_then_odd():
+    assert T2.names == ("t1", "t2", "theta1", "theta2")
+    assert Context(odd=["a"]).names == ("a",)
+    assert Context().names == ()
+    assert [T3.lookup(n) for n in T3.names] == [(False, 0), (True, 0), (True, 1), (True, 2)]
+
+
 class TestMul:
     def test_ordered_product(self):
         th1, th2 = T2.var("theta1"), T2.var("theta2")

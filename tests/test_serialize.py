@@ -17,15 +17,18 @@ from helpers import random_poly, random_supermatrix
 from supergeom import (
     Context,
     GroupLaw,
+    Monomial,
     Morphism,
     Parity,
     PointedVariety,
     SuperDerivation,
     SuperDim,
     SuperMatrix,
+    SuperPoly,
     ScriptError,
     product_context,
 )
+from supergeom.poly import MAX_FIELD_EXPONENT
 from supergeom.serialize import from_json, to_json
 
 CTX = Context(even=["t", "x"], odd=["theta1", "theta2"])
@@ -66,6 +69,17 @@ def test_poly_roundtrip_random():
     for _ in range(100):
         p = random_poly(rng, CTX, max_even_deg=3, n_terms=4)
         assert roundtrip(p) == p
+
+
+def test_poly_roundtrip_keeps_exponents_past_the_power_cap():
+    # a product reaches exponents that ** refuses; the reader must not
+    # go through ** to rebuild them
+    t = CTX.var("t")
+    top = SuperPoly(CTX, {Monomial([(0, MAX_FIELD_EXPONENT), (1, 1)], 0): -3})
+    p = (t**1000) ** 2 * CTX.var("theta2") + top
+    assert to_json(p)["terms"][0]["even"] == [[1, MAX_FIELD_EXPONENT], [2, 1]]
+    assert to_json(p)["terms"][1]["even"] == [[1, 2000]]
+    assert roundtrip(p) == p
 
 
 def test_matrix_roundtrip_random():
@@ -294,6 +308,21 @@ _FIELD = SuperDerivation(CTX, Parity.EVEN, [CTX.one(), CTX.zero()],
      "key 'inverse': expected an array, got NoneType"),
     (_tamper(PointedVariety(CTX, [CTX.var("t")], CTX.point([0, 1])),
              lambda d: d.pop("point")), "missing key 'point'"),
+    # term lists to_json never writes
+    (_term("odd", [1, 1]), "key 'odd': generator indices are not strictly increasing"),
+    (_term("odd", [2, 1]), "key 'odd': generator indices are not strictly increasing"),
+    (_term("even", [[1, 1], [1, 2]]),
+     "key 'even': generator indices are not strictly increasing"),
+    (_term("even", [[2, 1], [1, 1]]),
+     "key 'even': generator indices are not strictly increasing"),
+    (_term("even", [[1, 0]]), "key 'even': exponent 0 outside 1..8388607"),
+    (_term("even", [[1, 2**23]]), "key 'even': exponent 8388608 outside 1..8388607"),
+    (_term("coeff", "0"), "key 'coeff': zero coefficient"),
+    (_term("coeff", "-0/3"), "key 'coeff': zero coefficient"),
+    (_poly_with(lambda d: d["terms"].append(dict(d["terms"][1], coeff="-1"))),
+     "key 'terms': a monomial repeats"),
+    (_poly_with(lambda d: d["terms"].append(dict(d["terms"][0]))),
+     "key 'terms': a monomial repeats"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_structure_raises_value_error_naming_the_fault(data, message):
     with pytest.raises(ValueError, match=message):
