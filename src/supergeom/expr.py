@@ -14,13 +14,18 @@ reaches.  Odd-word normalization makes parse order irrelevant:
 "theta2*theta1" and "-theta1*theta2" read as the same value.  The
 canonical renderer of SuperPoly emits this grammar, so printing and
 parsing are inverse.  A lone rational (a point, JSON) is '-'? rational.
+
+tokenize splits the whole line in one regex scan before parsing starts,
+into plain (kind, text, col) tuples, so a bad character or an over-long
+integer is reported ahead of any parse fault.  The parser keeps the
+current tuple in its tok attribute and steps through the list with one
+iterator.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ScriptError
 from .poly import MAX_DIGITS, Context, SuperPoly
@@ -30,33 +35,33 @@ _TOKEN = re.compile(
 )
 
 
-class Token(NamedTuple):
-    kind: str  # int | ident | op | end
-    text: str
-    col: int  # 1-based
-
-
-def tokenize(text: str, line=None):
-    pos = 0
+def tokenize(text: str, line=None) -> list[tuple[str, str, int]]:
+    """The tokens of text as (kind, text, col) tuples: kind is int, ident,
+    op or end, and col is 1-based.  The last token is ("end", "", n + 1)
+    for a text of n characters.  One scan; the first character no token
+    starts with raises ScriptError at its column, and so does an integer
+    literal of more than MAX_DIGITS digits."""
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ScriptError(f"unexpected character {stripped[0]!r}",
-                              line=line, col=len(text) - len(stripped) + 1)
+    pos = 0
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
+            # the scan skipped a character no token starts with
+            break
         kind = m.lastgroup
-        if kind == "int" and len(m.group(kind)) > MAX_DIGITS:
+        start = m.start(kind)
+        if kind == "int" and m.end() - start > MAX_DIGITS:
             # the printing cap; CPython itself refuses int() past 4300 digits
             raise ScriptError(
                 f"integer literal has more than {MAX_DIGITS} digits, the cap",
-                line=line, col=m.start(kind) + 1,
+                line=line, col=start + 1,
             )
-        out.append(Token(kind, m.group(kind), m.start(kind) + 1))
+        out.append((kind, m.group(kind), start + 1))
         pos = m.end()
-    out.append(Token("end", "", len(text) + 1))
+    stripped = text[pos:].lstrip()
+    if stripped:
+        raise ScriptError(f"unexpected character {stripped[0]!r}",
+                          line=line, col=len(text) - len(stripped) + 1)
+    out.append(("end", "", len(text) + 1))
     return out
 
 
@@ -67,20 +72,23 @@ _MAX_DEPTH = 100
 
 
 class _Parser:
+    """Reads tokens left to right; tok is the current (kind, text, col).
+    An op's text is never the text of an int, an ident or the end, so the
+    text alone tells an operator apart."""
+
     def __init__(self, text, line, ctx=None, env=None):
-        self.tokens = tokenize(text, line)
+        self.next_token = iter(tokenize(text, line)).__next__
+        self.tok = self.next_token()
         self.line = line
         self.ctx = ctx
         self.env = env
-        self.i = self.depth = 0
+        self.depth = 0
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
+    def advance(self):
+        self.tok = self.next_token()
 
     def error(self, message, tok=None):
-        tok = tok or self.cur
-        raise ScriptError(message, line=self.line, col=tok.col)
+        raise ScriptError(message, line=self.line, col=(tok or self.tok)[2])
 
     def nested(self, tok, rule) -> SuperPoly:
         """Read rule one nesting level deeper, counted from tok."""
@@ -92,19 +100,23 @@ class _Parser:
         return out
 
     def eat_op(self, op) -> bool:
-        if self.cur.kind == "op" and self.cur.text == op:
-            self.i += 1
+        if self.tok[1] == op:
+            self.advance()
             return True
         return False
 
     def expr(self) -> SuperPoly:
         out = self.term()
-        while self.cur.kind == "op" and self.cur.text in "+-":
-            sign = self.cur.text
-            self.i += 1
-            part = self.term()
-            out = out + part if sign == "+" else out - part
-        return out
+        while True:
+            sign = self.tok[1]
+            if sign == "+":
+                self.advance()
+                out = out + self.term()
+            elif sign == "-":
+                self.advance()
+                out = out - self.term()
+            else:
+                return out
 
     def term(self) -> SuperPoly:
         out = self.factor()
@@ -113,7 +125,7 @@ class _Parser:
         return out
 
     def factor(self) -> SuperPoly:
-        tok = self.cur
+        tok = self.tok
         if self.eat_op("-"):
             return -self.nested(tok, self.factor)
         out = self.atom()
@@ -123,51 +135,54 @@ class _Parser:
         return out
 
     def exponent(self) -> int:
-        tok = self.cur
-        if tok.kind != "int":
-            self.error("exponent must be a nonnegative integer" if tok.text == "-"
+        kind, text, _ = self.tok
+        if kind != "int":
+            self.error("exponent must be a nonnegative integer" if text == "-"
                        else "expected an integer exponent")
-        self.i += 1
-        if self.cur.kind == "op" and self.cur.text == "/":
+        self.advance()
+        if self.tok[1] == "/":
             self.error("exponent must be an integer, not a fraction")
-        return int(tok.text)
+        return int(text)
 
-    def rational(self) -> Fraction:
-        value = Fraction(int(self.cur.text))
-        self.i += 1
+    def rational(self) -> int | Fraction:
+        """An int literal, or a Fraction when a denominator follows."""
+        value = int(self.tok[1])
+        self.advance()
         if self.eat_op("/"):
-            den = self.cur
-            if den.kind != "int":
+            den = self.tok
+            if den[0] != "int":
                 self.error("expected a denominator")
-            self.i += 1
-            if int(den.text) == 0:
+            self.advance()
+            d = int(den[1])
+            if d == 0:
                 self.error("zero denominator", den)
-            value /= int(den.text)
+            return Fraction(value, d)
         return value
 
     def atom(self) -> SuperPoly:
-        tok = self.cur
-        if tok.kind == "int":
+        tok = self.tok
+        kind, text, _ = tok
+        if kind == "int":
             return self.ctx.scalar(self.rational())
-        if tok.kind == "ident":
-            self.i += 1
-            if tok.text in self.ctx:
-                return self.ctx.var(tok.text)
-            bound = self.env.get(tok.text) if self.env else None
+        if kind == "ident":
+            self.advance()
+            if text in self.ctx:
+                return self.ctx.var(text)
+            bound = self.env.get(text) if self.env else None
             if bound is None:
-                self.error(f"unknown generator {tok.text!r}", tok)
+                self.error(f"unknown generator {text!r}", tok)
             if bound.ctx != self.ctx:
-                self.error(f"{tok.text!r} is bound over a different context", tok)
+                self.error(f"{text!r} is bound over a different context", tok)
             return bound
-        if tok.kind == "op" and tok.text == "(":
-            self.i += 1
+        if text == "(":
+            self.advance()
             out = self.nested(tok, self.expr)
             if not self.eat_op(")"):
                 self.error("expected ')'")
             return out
-        if tok.kind == "end":
+        if kind == "end":
             self.error("unexpected end of expression")
-        self.error(f"unexpected {tok.text!r}")
+        self.error(f"unexpected {text!r}")
 
 
 def parse_poly(text: str, ctx: Context, line=None, env=None) -> SuperPoly:
@@ -175,8 +190,9 @@ def parse_poly(text: str, ctx: Context, line=None, env=None) -> SuperPoly:
     generators shadow; a binding over another context is an error."""
     p = _Parser(text, line, ctx, env)
     out = p.expr()
-    if p.cur.kind != "end":
-        p.error(f"unexpected {p.cur.text!r} after expression")
+    kind, text, _ = p.tok
+    if kind != "end":
+        p.error(f"unexpected {text!r} after expression")
     return out
 
 
@@ -189,10 +205,10 @@ def parse_rational(text: str, line=None) -> Fraction:
     try:
         p = _Parser(text, line)
         sign = -1 if p.eat_op("-") else 1
-        if p.cur.kind == "int":
+        if p.tok[0] == "int":
             value = p.rational()
-            if p.cur.kind == "end":
-                return sign * value
+            if p.tok[0] == "end":
+                return Fraction(sign * value)
     except ScriptError:
         pass
     shown = text.strip()

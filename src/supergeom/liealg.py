@@ -75,8 +75,10 @@ def _strip_parameter(mat: SuperMatrix, scalar: SuperPoly,
     """Divide a matrix of the form scalar * B (row-twisted action) by the
     single-monomial scalar, landing back in the user context."""
     twist = scalar.parity() is Parity.ODD
+    names, coeff = _read_parameter(scalar)
     rows = [
-        [_divide(e, scalar, user_ctx, twist and i >= mat.target.even)
+        [_divide(e, names, -coeff if twist and i >= mat.target.even else coeff,
+                 user_ctx)
          for e in row]
         for i, row in enumerate(mat.rows)
     ]
@@ -84,20 +86,23 @@ def _strip_parameter(mat: SuperMatrix, scalar: SuperPoly,
                        mat.parity + scalar.parity())
 
 
-def _divide(poly: SuperPoly, param: SuperPoly, ctx_out: Context,
-            flip: bool) -> SuperPoly:
-    """The g with poly = param * g over ctx_out, negated when flip is set.
-    The left partials along the single-monomial parameter's generators,
-    in increasing order, strip it; each keeps exactly the terms holding
-    its generator, so a lost term is one the parameter does not divide."""
+def _read_parameter(param: SuperPoly) -> tuple[tuple[str, ...], Fraction]:
+    """The odd generators of a single-monomial parameter, in increasing
+    order, and its coefficient."""
     ((mono, coeff),) = param.terms.items()
+    return tuple(param.ctx.odd[j] for j in mono.odd), coeff
+
+
+def _divide(poly: SuperPoly, names, coeff, ctx_out: Context) -> SuperPoly:
+    """The g with poly = coeff * theta_names * g over ctx_out, for the odd
+    generators names in increasing order.  The left partials along them
+    strip the parameter; each keeps exactly the terms holding its
+    generator, so a lost term is one the parameter does not divide."""
     g = poly
-    for j in mono.odd:
-        g = g.partial(param.ctx.odd[j])
+    for name in names:
+        g = g.partial(name)
     if len(g.terms) != len(poly.terms):
         raise ValueError("polynomial does not factor through the parameter")
-    if flip:
-        coeff = -coeff
     if coeff != 1:
         g = -g if coeff == -1 else g / coeff
     return g.extended(ctx_out)
@@ -290,20 +295,20 @@ def lie_algebra(spec: MatrixGroupSpec) -> LieAlgebraResult:
     ctx = Context(even=even_syms, odd=RESERVED[:2] + tuple(odd_syms))
     x = SuperMatrix(ctx, spec.dims, spec.dims, _symbol_grid(ctx, spec.dims))
     eps = ctx.var(RESERVED[0]) * ctx.var(RESERVED[1])
+    names, coeff = _read_parameter(eps)
     group_like = SuperMatrix.identity(ctx, spec.dims) + eps * x
 
     if spec.kind == "GL":
         raw = []
     elif spec.kind == "SL":
-        raw = [_divide(group_like.berezinian() - 1, eps, ctx, False)]
+        raw = [_divide(group_like.berezinian() - 1, names, coeff, ctx)]
     else:
         phi = SuperMatrix(
             ctx, spec.dims, spec.dims,
             [[ctx.scalar(v) for v in row] for row in spec.form],
         )
         residue = group_like.supertranspose() @ phi @ group_like - phi
-        raw = [_divide(e, eps, ctx, False)
-               for row in residue.rows for e in row]
+        raw = [_divide(e, names, coeff, ctx) for row in residue.rows for e in row]
 
     return LieAlgebraResult(
         spec.kind, spec.dims, ctx, x, eps, _canonical_constraints(ctx, raw)

@@ -18,6 +18,7 @@ cover both Grassmann coefficients and matrices evaluated at points.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from . import linalg
@@ -122,24 +123,28 @@ def _minors(ctx, grid):
             f"determinant of a {n}x{n} block is above the cap of {MAX_DET_SIZE} rows"
         )
     memo = {((), ()): SuperPoly.scalar(ctx, 1)}
+    return partial(_minor, ctx, grid, memo)
 
-    def minor(rows, cols):
-        got = memo.get((rows, cols))
-        if got is not None:
-            return got
-        col, rest = cols[0], cols[1:]
-        acc = SuperPoly.zero(ctx)
-        neg = False
-        for k, i in enumerate(rows):
-            e = grid[i][col]
-            if e:
-                # negate the entry (a few terms), not the much larger product
-                acc = acc + (-e if neg else e) * minor(rows[:k] + rows[k + 1 :], rest)
-            neg = not neg
-        memo[rows, cols] = acc
-        return acc
 
-    return minor
+def _minor(ctx, grid, memo, rows, cols):
+    # one step of _minors' expansion; a module function, not a closure
+    # over itself, so the memo holds no reference cycle and is freed as
+    # soon as its caller drops it
+    got = memo.get((rows, cols))
+    if got is not None:
+        return got
+    col, rest = cols[0], cols[1:]
+    acc = SuperPoly.zero(ctx)
+    neg = False
+    for k, i in enumerate(rows):
+        e = grid[i][col]
+        if e:
+            # negate the entry (a few terms), not the much larger product
+            acc = acc + (-e if neg else e) * _minor(
+                ctx, grid, memo, rows[:k] + rows[k + 1 :], rest)
+        neg = not neg
+    memo[rows, cols] = acc
+    return acc
 
 
 def _det(ctx, grid) -> SuperPoly:

@@ -7,8 +7,9 @@ positive int denominator, reduced so that the denominator shares no factor
 with all the numerators; the ring operations add and multiply plain ints
 and reduce once per result, so every operation in this module is exact.
 Fraction appears only where a coefficient is read: coefficient,
-constant_term, at, sorted_terms (hence str and serialize) and the public
-constructor.
+constant_term, at, sorted_terms (hence serialize) and the public
+constructor.  str prints from the numerators and den, one gcd per
+term, with each monomial's sort key and text cached per Context.
 
 A SuperPoly keys its numerators by one int per monomial, its code.  The
 even part sits in the low bits as fixed-width exponent fields: the
@@ -21,7 +22,10 @@ product of those generators in increasing index order.  The unit is code
 0.  The public Monomial is the pair (packed, mask) of the two parts; it is
 built only where a monomial crosses the API (the constructor, coefficient,
 terms and sorted_terms), and encode and decode convert it.  No other
-module reads a code; SuperPoly.extended adds or drops odd generators.
+module reads a code.  Two methods move codes between contexts without
+multiplying: SuperPoly.rename relabels them along a map of generator
+names, and SuperPoly.extended reuses them as they are when odd
+generators are appended or dropped at the end.
 
 A product theta_k1 * theta_k2 is zero when k1 & k2 shares a bit.
 Otherwise sorting the concatenated word moves each generator y of k2
@@ -201,7 +205,7 @@ def normalize_odd_word(word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 class Context:
     """Fixed, ordered generator names for one supercommutative ring."""
 
-    __slots__ = ("even", "odd", "names", "_kinds", "_guard", "_shift")
+    __slots__ = ("even", "odd", "names", "_kinds", "_guard", "_shift", "_texts")
 
     def __init__(self, even: Iterable[str] = (), odd: Iterable[str] = ()):
         self.even = tuple(even)
@@ -221,6 +225,8 @@ class Context:
                           for i in range(len(self.even)))
         # a monomial code keeps its odd mask from this bit up
         self._shift = _FIELD_BITS * len(self.even)
+        # code -> (sort key, factor text) of the monomials printed so far
+        self._texts: dict[int, tuple[tuple, str]] = {}
 
     def lookup(self, name: str) -> tuple[bool, int]:
         """Return (is_odd, index) for a generator name."""
@@ -231,6 +237,26 @@ class Context:
 
     def __contains__(self, name):
         return name in self._kinds
+
+    def _term(self, code: int) -> tuple[tuple, str]:
+        """(sort key, factor text) of a monomial code, cached until the
+        cache is full (MAX_CACHE).  The key sorts graded-lex descending on
+        the even part, then lexicographically on the odd word; the text is
+        the factors joined by '*', empty for the unit."""
+        got = self._texts.get(code)
+        if got is None:
+            shift = self._shift
+            exps = [code >> i & _FIELD_MASK for i in range(0, shift, _FIELD_BITS)]
+            word = _odd_word(code >> shift)
+            factors = [name if e == 1 else f"{name}^{e}"
+                       for name, e in zip(self.even, exps) if e]
+            factors += [self.odd[j] for j in word]
+            # minus every exponent, so sum(neg) is minus the degree
+            neg = tuple(-e for e in exps)
+            if len(self._texts) >= MAX_CACHE:
+                self._texts.clear()
+            got = self._texts[code] = ((sum(neg), neg, word), "*".join(factors))
+        return got
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -587,14 +613,11 @@ class SuperPoly:
             return SuperPoly._reduced(ctx, acc, self.den * other.den)
         if not isinstance(other, Scalar):
             return NotImplemented
-        c = Fraction(other)
-        if not c:
+        if not other:
             return SuperPoly.zero(self.ctx)
-        n = c.numerator
-        return SuperPoly._reduced(
-            self.ctx, {m: v * n for m, v in self.nums.items()},
-            self.den * c.denominator,
-        )
+        if isinstance(other, Fraction):
+            return self._scaled(other.numerator, other.denominator)
+        return self._scaled(int(other), 1)
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -602,9 +625,19 @@ class SuperPoly:
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, Scalar) and other:
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
+        if not isinstance(other, Scalar) or not other:
+            return NotImplemented
+        if isinstance(other, Fraction):
+            return self._scaled(other.denominator, other.numerator)
+        return self._scaled(1, int(other))
+
+    def _scaled(self, n: int, d: int) -> "SuperPoly":
+        # this polynomial times n/d for nonzero ints n and d, reduced once
+        if d < 0:
+            n, d = -n, -d
+        return SuperPoly._reduced(
+            self.ctx, {m: v * n for m, v in self.nums.items()}, self.den * d
+        )
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -729,13 +762,74 @@ class SuperPoly:
         return SuperPoly._reduced(ctx_out, out.nums, out.den * self.den)
 
     def rename(self, ctx_out: Context, name_map: Mapping[str, str] | None = None) -> "SuperPoly":
-        """Transport along a generator renaming; names absent from the map
-        keep their spelling in ctx_out."""
+        """Transport along a generator renaming: each generator that appears
+        becomes the generator of ctx_out named name_map.get(name, name).
+
+        A target ctx_out lacks raises ValueError, and a target of the other
+        parity ParityError, the unknown names first.  The codes are
+        relabelled with no products: each even exponent moves to its
+        target's field, and the odd generators are folded into the target
+        mask in increasing order with the sign rule of normalize_odd_word,
+        so a target reached twice gives zero.  Even generators merged onto
+        one target add their exponents, and a sum above MAX_FIELD_EXPONENT
+        raises LimitExceeded.
+        """
+        ctx = self.ctx
         name_map = name_map or {}
-        images = {}
-        for name in self._used_names():
-            images[name] = SuperPoly.var(ctx_out, name_map.get(name, name))
-        return self.substitute(ctx_out, images)
+        shift = ctx._shift
+        used = 0
+        for code in self.nums:
+            used |= code
+        # the generators that appear, as (index, name), and their targets
+        evens = [(i, name) for i, name in enumerate(ctx.even)
+                 if used >> _FIELD_BITS * i & _FIELD_MASK]
+        odds = [(j, name) for j, name in enumerate(ctx.odd) if used >> shift + j & 1]
+        targets = [ctx_out.lookup(name_map.get(name, name)) for _, name in evens + odds]
+        for k, ((_, name), (is_odd, _)) in enumerate(zip(evens + odds, targets)):
+            source_odd = k >= len(evens)
+            if is_odd != source_odd:
+                parity = Parity.ODD if source_odd else Parity.EVEN
+                raise ParityError(f"image of {parity} generator {name!r} is not {parity}")
+        # (source shift, target shift) of each even field, and (source bit,
+        # target mask bit) of each odd generator in increasing order
+        even_moves = [(_FIELD_BITS * i, _FIELD_BITS * t)
+                      for (i, _), (_, t) in zip(evens, targets)]
+        odd_moves = [(1 << shift + j, 1 << t)
+                     for (j, _), (_, t) in zip(odds, targets[len(evens):])]
+        # the even targets reached from more than one source
+        sources: dict[int, list[int]] = {}
+        for s, t in even_moves:
+            sources.setdefault(t, []).append(s)
+        merged = [(t, group) for t, group in sources.items() if len(group) > 1]
+        out_shift = ctx_out._shift
+        nums: dict[int, int] = {}
+        for code, c in self.nums.items():
+            for t, group in merged:
+                if sum(code >> s & _FIELD_MASK for s in group) > MAX_FIELD_EXPONENT:
+                    _field_overflow(ctx_out, 1 << t + _FIELD_BITS - 1)
+            out = 0
+            for s, t in even_moves:
+                out += (code >> s & _FIELD_MASK) << t
+            mask = 0
+            for b, bit in odd_moves:
+                if code & b:
+                    if mask & bit:
+                        break
+                    if _SWAP_PARITY[mask] & bit:
+                        c = -c
+                    mask |= bit
+            else:
+                out |= mask << out_shift
+                old = nums.get(out)
+                if old is not None:
+                    c += old
+                    if not c:
+                        del nums[out]
+                        continue
+                nums[out] = c
+        # merged terms can cancel and a doubled odd target zeroes a term,
+        # which can leave a common factor
+        return SuperPoly._reduced(ctx_out, nums, self.den)
 
     def extended(self, ctx_out: Context) -> "SuperPoly":
         """This polynomial over ctx_out, which has the same even generators
@@ -753,57 +847,48 @@ class SuperPoly:
                              f"which the target context lacks")
         return SuperPoly._raw(ctx_out, self.nums, self.den)
 
-    def _used_names(self):
-        shift = self.ctx._shift
-        low = (1 << shift) - 1
-        used = set()
-        for code in self.nums:
-            for i, _ in _unpack(code & low):
-                used.add(self.ctx.even[i])
-            for j in _odd_word(code >> shift):
-                used.add(self.ctx.odd[j])
-        return used
-
     # -- rendering -------------------------------------------------------
-
-    def _code_key(self, code: int):
-        # minus every exponent, so sum(neg) is minus the degree
-        shift = self.ctx._shift
-        neg = tuple(-(code >> i & _FIELD_MASK) for i in range(0, shift, _FIELD_BITS))
-        return (sum(neg), neg, _odd_word(code >> shift))
 
     def sorted_terms(self):
         """(Monomial, Fraction) pairs in canonical printing order:
         graded-lex descending on the even part, then lexicographic on the
-        odd word.  Every text form of a polynomial reads its coefficients
-        here, so a coefficient too long to print raises LimitExceeded."""
-        for code in sorted(self.nums, key=self._code_key):
+        odd word.  serialize reads its coefficients here and str prints the
+        same order, so a coefficient too long to print raises
+        LimitExceeded in both."""
+        ctx = self.ctx
+        for _, code in sorted((ctx._term(code)[0], code) for code in self.nums):
             c = Fraction(self.nums[code], self.den)
             if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
                 raise LimitExceeded(
                     f"coefficient has more than {MAX_DIGITS} digits, the cap"
                 )
-            yield decode(self.ctx, code), c
-
-    def _term_text(self, mono, coeff):
-        factors = []
-        for i, e in mono.even:
-            name = self.ctx.even[i]
-            factors.append(name if e == 1 else f"{name}^{e}")
-        for j in mono.odd:
-            factors.append(self.ctx.odd[j])
-        mag = abs(coeff)
-        if not factors:
-            return str(mag)
-        if mag == 1:
-            return "*".join(factors)
-        return "*".join([str(mag)] + factors)
+            yield decode(ctx, code), c
 
     def __str__(self):
-        return _signed_sum(
-            (coeff < 0, self._term_text(mono, coeff))
-            for mono, coeff in self.sorted_terms()
-        )
+        ctx = self.ctx
+        texts = ctx._texts
+        rows = []
+        for code, n in self.nums.items():
+            key, text = texts.get(code) or ctx._term(code)
+            rows.append((key, n, text))
+        # the keys of distinct codes differ, so only they are compared
+        rows.sort()
+        den = self.den
+        pieces = []
+        for _, n, text in rows:
+            g = gcd(n, den)
+            num, d = abs(n) // g, den // g
+            if num >= _DIGITS_BOUND or d >= _DIGITS_BOUND:
+                raise LimitExceeded(
+                    f"coefficient has more than {MAX_DIGITS} digits, the cap"
+                )
+            if num == 1 == d and text:
+                piece = text
+            else:
+                mag = str(num) if d == 1 else f"{num}/{d}"
+                piece = f"{mag}*{text}" if text else mag
+            pieces.append((n < 0, piece))
+        return _signed_sum(pieces)
 
     def __repr__(self):
         return f"SuperPoly({self})"

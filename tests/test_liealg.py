@@ -12,10 +12,12 @@ sets are frozen from hand expansions:
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from helpers import random_supermatrix
+from oracles import substitution_rename
 from supergeom import (
     Context,
     ContextMismatch,
@@ -30,7 +32,14 @@ from supergeom import (
     linalg,
     superbracket,
 )
-from supergeom.liealg import RESERVED, _divide, _extended, _lift, _parameter
+from supergeom.liealg import (
+    RESERVED,
+    _divide,
+    _extended,
+    _lift,
+    _parameter,
+    _read_parameter,
+)
 
 CTX = Context(even=["t"], odd=["theta1", "theta2", "theta3", "theta4"])
 
@@ -123,20 +132,25 @@ def test_commutator_super_jacobi():
 
 def test_lift_then_divide_returns_the_entry():
     # _lift appends the reserved generators to the context, _divide strips
-    # the parameter by left partials and drops them again; rename is the
-    # independent route into the extended context
+    # the parameter by left partials and drops them again; the
+    # substitution oracle is the independent route into the extended
+    # context
     ext = _extended(CTX)
     assert ext.odd == CTX.odd + RESERVED
     rng = random.Random(88)
     x = random_supermatrix(rng, CTX, (1, 1), (1, 1), Parity.ODD)
     lifted = _lift(x, ext)
     eps = _parameter(ext, Parity.EVEN, 1) * _parameter(ext, Parity.ODD, 0)
+    names, coeff = _read_parameter(eps)
+    assert names == ("epsilon1", "epsilon3", "epsilon4") and coeff == 1
+    assert _read_parameter(-3 * eps) == (names, -3)
     for row, lifted_row in zip(x.rows, lifted.rows):
         for e, le in zip(row, lifted_row):
-            assert le == e.rename(ext)
-            assert _divide(eps * le, eps, CTX, False) == e
-            assert _divide(eps * le, eps, CTX, True) == -e
-            assert _divide(3 * eps * le, -3 * eps, CTX, True) == e
+            assert le == substitution_rename(e, ext)
+            assert _divide(eps * le, names, 1, CTX) == e
+            assert _divide(eps * le, names, -1, CTX) == -e
+            assert _divide(3 * eps * le, names, 3, CTX) == e
+            assert _divide(3 * eps * le, names, Fraction(-3, 2), CTX) == -2 * e
 
 
 def _ext_poly(*factors):
@@ -165,7 +179,7 @@ def _ext_poly(*factors):
 ])
 def test_divide_refuses_a_term_the_parameter_does_not_lead(poly, param, message):
     with pytest.raises(ValueError, match=message):
-        _divide(poly, param, CTX, False)
+        _divide(poly, *_read_parameter(param), CTX)
 
 
 def test_reserved_generators_rejected():

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from oracles import substitution_rename
 from supergeom import (
     Context,
     ContextMismatch,
@@ -316,7 +317,7 @@ def test_odd_partial_sign_counts_only_odd_generators(p, q):
 #
 # SuperPoly.extended moves a polynomial between contexts with the same
 # even generators whose odd generators extend one another, reusing its
-# codes.  rename, which substitutes and multiplies, is the oracle.
+# codes.  The substitution form of rename, which multiplies, is the oracle.
 
 @pytest.mark.parametrize("p, q", [(0, 3), (1, 4), (3, 2), (70, 3)], ids=str)
 def test_extended_round_trips_up_and_down(p, q):
@@ -327,7 +328,7 @@ def test_extended_round_trips_up_and_down(p, q):
         poly = SuperPoly(ctx, {random_monomial(rng, ctx, 9): rng.randint(-9, 9)
                                for _ in range(rng.randint(0, 5))}) / rng.randint(1, 6)
         up = poly.extended(wide)
-        assert up.ctx == wide and up == poly.rename(wide)
+        assert up.ctx == wide and up == substitution_rename(poly, wide)
         assert up.terms == poly.terms
         down = up.extended(ctx)
         assert down.ctx == ctx and down == poly
