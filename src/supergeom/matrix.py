@@ -181,23 +181,52 @@ def _body_inverse(ctx, grid, label):
 
 def _series_inverse(ctx, grid, body, binv):
     """Exact inverse of grid = body + N, every term of N carrying an odd
-    generator: the Neumann series sum_k z_k, z_0 = body^{-1} and z_{k+1} =
-    body^{-1} ((body - grid) z_k), which is zero once k > len(ctx.odd), so
-    a nonzero z_k past that is a kernel fault.  The sparse factor body -
-    grid multiplies the dense z_k from the left; powers of the dense
-    body^{-1} N would instead pair mostly terms whose odd words overlap,
-    which the term-pair loop visits only to skip.  The z_k are kept and
-    summed once: row i of the inverse is one dot_row of a row of ones
-    against the rows i of the z_k, so no partial sum is ever built."""
-    step = _gsub(body, grid)
-    terms = [binv]
-    for _ in range(len(ctx.odd) + 1):
-        term = _gmul(ctx, binv, _gmul(ctx, step, terms[-1]))
-        if _gis_zero(term):
-            ones = (SuperPoly.scalar(ctx, 1),) * len(terms)
-            return tuple(dot_row(ctx, ones, rows) for rows in zip(*terms))
-        terms.append(term)
-    raise RuntimeError("grid - body is not nilpotent: the series did not end")
+    generator, built one odd degree at a time.  S = body - grid splits
+    into parts S_e whose terms carry exactly e odd generators, and the
+    part Y_d of the inverse with d odd generators per term is
+
+        Y_0 = body^{-1},   Y_d = body^{-1} sum_e S_e Y_{d-e},
+
+    the degree-d part of body Y = I + S Y, so each degree of the result
+    is computed once, and Y_d is zero for d > len(ctx.odd).  Only the
+    degrees e and d - e that occur are visited, and only the nonzero
+    entries of S_e enter the sum for row i, which is one dot_row: zero
+    blocks padded into it would cost the small inverses most.  Each
+    nonzero sum is multiplied by body^{-1} once.  A part of S with no odd
+    generator would feed Y_d into itself: it is a kernel fault and raises
+    before any product.  The Y_d share no monomial and are summed once:
+    row i of the inverse is one dot_row of a row of ones against the rows
+    i of the nonzero Y_d, so no partial sum is ever built."""
+    # row i of S as the triples (e, j, S_e[i][j]) of its nonzero parts
+    parts = []
+    for row in _gsub(body, grid):
+        out = []
+        for j, s in enumerate(row):
+            for e, part in s.odd_degree_parts().items():
+                if not e:
+                    raise RuntimeError(
+                        "grid - body is not nilpotent: a part has no odd generator")
+                out.append((e, j, part))
+        parts.append(out)
+    zero_row = (SuperPoly.zero(ctx),) * len(grid)
+    ys = {0: binv}
+    for d in range(1, len(ctx.odd) + 1):
+        rows = []
+        nonzero = False
+        for out in parts:
+            pairs = [(s, ys[d - e][j]) for e, j, s in out if d - e in ys]
+            if pairs:
+                row = dot_row(ctx, *zip(*pairs))
+                nonzero = nonzero or any(row)
+                rows.append(row)
+            else:
+                rows.append(zero_row)
+        if nonzero:
+            ys[d] = _gmul(ctx, binv, rows)
+    if len(ys) == 1:
+        return binv
+    ones = (SuperPoly.scalar(ctx, 1),) * len(ys)
+    return tuple(dot_row(ctx, ones, rows) for rows in zip(*ys.values()))
 
 
 def _grid_inverse(ctx, grid, label):
@@ -462,13 +491,15 @@ class SuperMatrix:
 
         B is the block-diagonal body matrix of T; both body block
         determinants must be nonzero constants, and B^{-1} comes from the
-        cofactors of one memoised Laplace expansion per block.  T - B is
-        nilpotent, so T^{-1} is the finite Neumann series sum_k z_k with
-        z_0 = B^{-1} and z_{k+1} = B^{-1} ((B - T) z_k), which keeps the
-        sparse B - T on the left of each product.  The z_k are summed
-        once, a row at a time, after the last nonzero one (see
-        _series_inverse), so the sum is subject to MAX_TERMS per entry
-        like any product.
+        cofactors of one memoised Laplace expansion per block.  Every
+        term of T - B carries an odd generator, so T^{-1} is built one odd
+        degree at a time: its part Y_d with d odd generators per term is
+        B^{-1} sum_e S_e Y_{d-e}, S_e the part of B - T with e odd
+        generators, which keeps the sparse S_e on the left of each
+        product.  The Y_d are summed once, a row at a time (see
+        _series_inverse), so each entry, and each intermediate sum,
+        which holds a single odd degree, is subject to MAX_TERMS like
+        any product.
         """
         if self.parity is not Parity.EVEN:
             raise ParityError("only even matrices are inverted")

@@ -53,10 +53,12 @@ product of two polynomials (SuperPoly.__mul__) calls it once.  dot(ctx,
 pairs) calls it once per pair, for a sum of products: applying a
 derivation, substitution and other sums of entry products are one dot
 each.  dot_row(ctx, row, grid) calls it once per left factor for all the
-columns of a product row: matrix._gmul is one dot_row per row, and the
-Neumann series of matrix._series_inverse is summed by dot_row against a
-row of ones.  The Laplace expansion of matrix._minors is the exception:
-it still adds its products one * and one + at a time.
+columns of a product row: matrix._gmul is one dot_row per row, and
+matrix._series_inverse builds each odd-degree part of an inverse with
+one dot_row per row, on the parts that SuperPoly.odd_degree_parts
+splits off, then sums those parts by dot_row against a row of ones.
+The Laplace expansion of matrix._minors is the exception: it still adds
+its products one * and one + at a time.
 """
 
 from __future__ import annotations
@@ -551,6 +553,24 @@ class SuperPoly:
             self.ctx, {m: v for m, v in self.nums.items() if not m >> shift}, self.den
         )
 
+    def odd_degree_parts(self) -> dict[int, "SuperPoly"]:
+        """{e: the terms with exactly e odd generators} for every e that
+        occurs, each part reduced on its own; zero gives {}, and a
+        polynomial of one degree is its own part.  The parts partition
+        the terms, so they sum back to this polynomial."""
+        shift = self.ctx._shift
+        split: dict[int, dict[int, int]] = {}
+        for code, v in self.nums.items():
+            e = (code >> shift).bit_count()
+            part = split.get(e)
+            if part is None:
+                part = split[e] = {}
+            part[code] = v
+        if len(split) == 1:
+            return dict.fromkeys(split, self)
+        return {e: SuperPoly._reduced(self.ctx, nums, self.den)
+                for e, nums in split.items()}
+
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other):
@@ -720,7 +740,9 @@ class SuperPoly:
         get EVEN polynomials, odd generators get ODD ones; zero is fine for
         either), which is what makes the substitution a well defined
         homomorphism.  The numerators are substituted and the sum divided
-        by den once.
+        by den once.  Powers of an image are built by repeated squaring,
+        so a stored exponent above MAX_EXPONENT, the cap of ** in
+        scripts, substitutes like any other.
         """
         cache: dict[tuple[Parity, int, int], SuperPoly] = {}
 
@@ -736,7 +758,7 @@ class SuperPoly:
                     raise ParityError(
                         f"image of {parity} generator {name!r} is not {parity}"
                     )
-                got = cache[(parity, i, e)] = img if e == 1 else img**e
+                got = cache[(parity, i, e)] = _power(img, e)
             return got
 
         one = SuperPoly.scalar(ctx_out, 1)
@@ -1007,6 +1029,24 @@ def dot_row(ctx: Context, row: Sequence[SuperPoly],
                 for acc, den, b in zip(accs, dens, right) if b.nums
             ])
     return tuple(SuperPoly._reduced(ctx, acc, den) for acc, den in zip(accs, dens))
+
+
+def _power(p: SuperPoly, e: int) -> SuperPoly:
+    """p ** e for e >= 1 by repeated squaring.  Unlike **, which takes the
+    script exponent cap MAX_EXPONENT, any e is accepted: a stored exponent
+    may reach MAX_FIELD_EXPONENT, and MAX_TERMS and the field cap bound
+    each of its at most 2 log2(e) products."""
+    out = None
+    while True:
+        if e & 1:
+            out = p if out is None else out * p
+        e >>= 1
+        if not e:
+            return out
+        p = p * p
+        if not p:
+            # a zero power of p is a factor of what is left
+            return p
 
 
 def _field_overflow(ctx: Context, guards: int):

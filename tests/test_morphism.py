@@ -16,12 +16,14 @@ from supergeom import (
     Context,
     ContextMismatch,
     MapClass,
+    Monomial,
     Morphism,
     Parity,
     ParityError,
     RationalPoint,
     SuperDim,
     SuperMatrix,
+    SuperPoly,
     compose,
     differential_at,
     pullback,
@@ -70,6 +72,12 @@ class TestPullback:
         for _ in range(10):
             f = random_poly(rng, CHART)
             assert ident.pullback(f) == f
+
+    def test_identity_fixes_exponents_above_the_power_cap(self):
+        # t^2000 is a legal stored value though ^ in scripts stops at 1000
+        ctx = Context(even=["t"], odd=["a"])
+        f = SuperPoly(ctx, {Monomial(((0, 2000),), 1): 3, Monomial(((0, 1001),), 0): 1})
+        assert Morphism.identity(ctx).pullback(f) == f
 
     def test_multiplicative_on_the_chart_example(self):
         phi = thick_point()

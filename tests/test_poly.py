@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import poly, random_poly
+from helpers import poly, random_poly, random_rational_poly
 from supergeom import (
     Context,
     ContextMismatch,
@@ -157,6 +157,46 @@ class TestBody:
             a = random_poly(rng, T3)
             b = random_poly(rng, T3)
             assert (a * b).body() == a.body() * b.body()
+
+
+class TestOddDegreeParts:
+    CTXS = [T2, T3, Context(even=["x", "y"], odd=[f"theta{i}" for i in range(1, 7)])]
+
+    def test_parts_partition_and_sum_back(self):
+        rng = random.Random(1700)
+        for ctx in self.CTXS:
+            for _ in range(60):
+                f = random_rational_poly(rng, ctx, n_terms=rng.randint(0, 8))
+                parts = f.odd_degree_parts()
+                seen = set()
+                for e, part in parts.items():
+                    assert part, "a part is never zero"
+                    # one odd degree per part, every term kept with its coefficient
+                    assert {len(mono.odd) for mono in part.terms} == {e}
+                    for mono, c in part.terms.items():
+                        assert f.terms[mono] == c
+                    seen |= set(part.terms)
+                    # reduced: the canonical form of its own terms
+                    assert part == SuperPoly(ctx, dict(part.terms))
+                assert seen == set(f.terms)
+                assert sum(len(part.terms) for part in parts.values()) == len(f.terms)
+                assert sum(parts.values(), ctx.zero()) == f
+
+    def test_zero_has_no_parts(self):
+        assert T3.zero().odd_degree_parts() == {}
+
+    def test_each_part_is_reduced_on_its_own(self):
+        th1, th2, th3 = (T3.var(f"theta{i}") for i in range(1, 4))
+        t = T3.var("t")
+        f = t / 6 + th1 / 2 + th1 * th2 * th3 / 3
+        assert f.den == 6
+        parts = f.odd_degree_parts()
+        assert parts == {0: t / 6, 1: th1 / 2, 3: th1 * th2 * th3 / 3}
+        assert [parts[e].den for e in (0, 1, 3)] == [6, 2, 3]
+
+    def test_a_single_degree_is_the_polynomial_itself(self):
+        f = T3.var("t") * T3.var("theta1") * T3.var("theta2") - 4 * T3.var("theta2") * T3.var("theta3")
+        assert f.odd_degree_parts() == {2: f}
 
 
 class TestPartial:
@@ -435,6 +475,23 @@ class TestSubstitute:
                     term = term * images[T2.odd[j]]
                 expect = expect + term
             assert f.substitute(T2, images) == expect
+
+    def test_exponents_above_the_power_cap(self):
+        # powers of an image are built by squaring, not by the capped **
+        t = T3.var("t")
+        ab = T3.var("theta1") * T3.var("theta2")
+
+        def t_to(e):
+            return SuperPoly(T3, {Monomial(((0, e),), 0): 1})
+
+        for e in (1001, 2000, MAX_FIELD_EXPONENT):
+            assert t_to(e).substitute(T3, {"t": t}) == t_to(e)
+            # the chart shift: f + theta1*theta2*f'
+            got = t_to(e).substitute(T3, {"t": t + ab})
+            assert got == t_to(e) + e * ab * t_to(e - 1)
+            # a nilpotent image squares to zero on the way
+            assert t_to(e).substitute(T3, {"t": ab}) == 0
+        assert t_to(2000).substitute(T3, {"t": 2 * t}) == 2**2000 * t_to(2000)
 
     def test_renaming(self):
         big = Context(even=["t", "tp"], odd=["theta", "thetap"])

@@ -1,24 +1,28 @@
-"""The Neumann-series inverse against the association it replaced.
+"""The inverse by odd degree against the association it replaced.
 
 An even grid T splits as T = B + N with B its body (the terms without odd
 generators) and N nilpotent, so
 
     T^-1 = (I + N')^-1 B^-1 = sum_k (-N')^k B^-1,   N' = B^-1 N,
 
-a finite sum.  The package builds it as z_0 = B^-1, z_{k+1} = B^-1 (-N z_k)
-in _series_inverse.  The oracle here is the other association: the powers
-of N' summed with alternating signs, then multiplied by B^-1 on the right.
-It uses only products and sums of single polynomials and a Gauss-Jordan
-body inverse whose pivots are nonzero constants; no _gmul, _minors,
-_det or _body_inverse of the package.  Its products pair mostly terms
-whose odd words overlap, which is why it lives here.
+a finite sum.  The package builds T^-1 one odd degree at a time in
+_series_inverse: with S = B - T = -N split into its parts S_e of odd
+degree e, the degree-d part is Y_0 = B^-1, Y_d = B^-1 sum_e S_e Y_{d-e}.
+The oracle here is the power series instead: the powers of N' summed
+with alternating signs, then multiplied by B^-1 on the right.  It uses
+only products and sums of single polynomials and a Gauss-Jordan body
+inverse whose pivots are nonzero constants; no _gmul, _minors, _det or
+_body_inverse of the package.  Its products pair mostly terms whose odd
+words overlap, which is why it lives here.
 
 The oracle is compared with invert() and _grid_inverse on seeded 1|1..4|4
-matrices over Lambda(theta1..theta6) and on matrices over
-k[t | theta1..theta4] whose bodies are polynomial in t and unipotent up
-to a constant diagonal, such as [[1, t], [0, 1]].  The second half counts
-the grid products one _series_inverse call makes, also when a series
-that does not end is stopped.
+matrices over Lambda(theta1..theta6), a 2|2 matrix over eight odd
+generators, a matrix whose nilpotent part has only degree-1 and degree-2
+terms, and matrices over k[t | theta1..theta4] whose bodies are
+polynomial in t and unipotent up to a constant diagonal, such as
+[[1, t], [0, 1]].  The second half counts the products by B^-1: one per
+odd degree the inverse holds, none without an odd part, and none when
+B - T has a part without odd generators, which raises instead.
 """
 
 import random
@@ -148,16 +152,17 @@ def test_the_textbook_unipotent_block_with_odd_corners():
     assert m @ m.invert() == SuperMatrix.identity(KT4, (2, 1))
 
 
-# -- how many steps -----------------------------------------------------------
+# -- how many products --------------------------------------------------------
 
 
 @pytest.fixture
 def gmul_calls(monkeypatch):
+    """The left factor of every _gmul call."""
     calls = []
     real = M._gmul
 
     def counted(ctx, a, b):
-        calls.append(1)
+        calls.append(a)
         return real(ctx, a, b)
 
     monkeypatch.setattr(M, "_gmul", counted)
@@ -166,12 +171,19 @@ def gmul_calls(monkeypatch):
 
 def series_inverse(ctx, rows):
     body, binv = M._body_inverse(ctx, tuple(map(tuple, rows)), "T")
-    return M._series_inverse(ctx, tuple(map(tuple, rows)), body, binv)
+    return M._series_inverse(ctx, tuple(map(tuple, rows)), body, binv), binv
+
+
+def odd_degrees(grid):
+    """The odd degrees >= 1 of the terms of a grid."""
+    return {len(mono.odd) for row in grid for e in row for mono in e.terms} - {0}
 
 
 @pytest.mark.parametrize("ctx, dim", [(GR6, (4, 4)), (GR6, (1, 3)), (KT4, (2, 2))],
                          ids=["gr6-4|4", "gr6-1|3", "kt4-2|2"])
-def test_at_most_two_grid_products_per_odd_generator_and_one(gmul_calls, ctx, dim):
+def test_one_body_inverse_product_per_odd_degree_of_the_inverse(gmul_calls, ctx, dim):
+    # Y_d = B^-1 (sum_e S_e Y_{d-e}) is one product by B^-1 for each
+    # degree d the inverse holds, so at most len(ctx.odd) in all
     rng = random.Random(1000 + dim[0])
     for _ in range(3):
         if ctx is GR6:
@@ -179,25 +191,30 @@ def test_at_most_two_grid_products_per_odd_generator_and_one(gmul_calls, ctx, di
         else:
             m = unipotent_matrix(rng, dim)
         gmul_calls.clear()
-        series_inverse(ctx, m.rows)
-        assert 0 < len(gmul_calls) <= 2 * (len(ctx.odd) + 1)
+        got, binv = series_inverse(ctx, m.rows)
+        assert all(a is binv for a in gmul_calls)
+        assert len(gmul_calls) == len(odd_degrees(got)) <= len(ctx.odd)
+        assert as_lists(got) == oracle_inverse(ctx, m.rows)
 
 
 def test_the_bound_is_reached_by_a_chain_of_odd_generators(gmul_calls):
-    # N with theta_{i+1} just above the diagonal of a 7x7 grid: N^6 holds
-    # theta1..theta6 in its corner and N^7 = 0, so z_1..z_6 are nonzero
-    # and the seventh step finds zero
+    # N with theta_{i+1} just above the diagonal of a 7x7 grid: N^d holds
+    # d of theta1..theta6 on its d-th superdiagonal, so every degree
+    # 1..6 occurs and each takes one product by B^-1
     n = len(GR6.odd) + 1
     rows = [[GR6.scalar(int(i == j)) + (GR6.var(f"theta{j}") if j == i + 1 else 0)
              for j in range(n)] for i in range(n)]
-    got = series_inverse(GR6, rows)
-    assert len(gmul_calls) == 2 * (len(GR6.odd) + 1)
+    got, binv = series_inverse(GR6, rows)
+    assert len(gmul_calls) == len(GR6.odd)
+    assert all(a is binv for a in gmul_calls)
     assert as_lists(got) == oracle_inverse(GR6, rows)
 
 
 def test_a_series_that_does_not_end_raises_instead_of_hanging(gmul_calls, monkeypatch):
-    # with the step left equal to the body every z_k equals z_0, as a
-    # broken dot or body split could make it; the loop used to run forever
+    # with body - grid left equal to the body, as a broken _gsub or body
+    # split could make it, every entry has a part without odd generators:
+    # such a part never lets a series end, and the recursion by odd
+    # degree raises on it rather than drop it
     monkeypatch.setattr(M, "_gsub", lambda a, b: a)
     m = random_invertible(random.Random(1100), GR6, (2, 2), n_terms=3)
     with pytest.raises(RuntimeError, match="grid - body is not nilpotent"):
@@ -205,17 +222,77 @@ def test_a_series_that_does_not_end_raises_instead_of_hanging(gmul_calls, monkey
     assert len(gmul_calls) <= 2 * (len(GR6.odd) + 1)
 
 
-def test_a_grid_without_odd_part_returns_after_one_step(gmul_calls):
+def test_one_part_without_odd_generators_raises_before_any_product(monkeypatch):
+    # a single stray body term in one entry of body - grid, the fault the
+    # recursion would otherwise skip with a wrong inverse and no error
+    m = random_invertible(random.Random(1150), GR6, (2, 2), n_terms=3)
+    real_gsub = M._gsub
+
+    def stray(a, b):
+        out = [list(row) for row in real_gsub(a, b)]
+        out[2][3] = out[2][3] + 5
+        return tuple(map(tuple, out))
+
+    products = []
+    monkeypatch.setattr(M, "_gsub", stray)
+    monkeypatch.setattr(M, "dot_row", lambda *args: products.append(args))
+    monkeypatch.setattr(M, "_gmul", lambda *args: products.append(args))
+    with pytest.raises(RuntimeError, match="grid - body is not nilpotent"):
+        series_inverse(GR6, m.rows)
+    assert products == []
+
+
+def test_a_grid_without_odd_part_returns_the_body_inverse(gmul_calls):
     t = KT4.var("t")
     rows = [[KT4.scalar(1), t], [KT4.zero(), KT4.scalar(2)]]
-    got = series_inverse(KT4, rows)
-    assert len(gmul_calls) == 2
+    got, binv = series_inverse(KT4, rows)
+    assert gmul_calls == []
+    assert got is binv
     assert as_lists(got) == [[1, -t / 2], [0, Fraction(1, 2)]]
 
 
+GR8 = Context(odd=[f"theta{i}" for i in range(1, 9)])
+
+
+def test_a_2_2_matrix_over_eight_odd_generators_matches_the_oracle():
+    rng = random.Random(1160)
+    for _ in range(2):
+        m = random_invertible(rng, GR8, (2, 2), n_terms=3)
+        want = oracle_inverse(GR8, m.rows)
+        assert as_lists(m.invert().rows) == want
+        assert m @ m.invert() == SuperMatrix.identity(GR8, (2, 2))
+
+
+def test_a_nilpotent_part_of_degrees_one_and_two_matches_the_oracle(gmul_calls):
+    # S_1 and S_2 only: every Y_d with d >= 3 is built from both parts
+    # through Y_{d-1} and Y_{d-2}
+    rng = random.Random(1170)
+    th = [GR6.var(name) for name in GR6.odd]
+    for _ in range(3):
+        m = random_invertible(rng, GR6, (2, 2), n_terms=1)
+        rows = []
+        for i, row in enumerate(m.rows):
+            out = []
+            for j, e in enumerate(row):
+                if (i < 2) == (j < 2):
+                    e = e.body() + sum(rng.randint(-3, 3) * a * b
+                                       for a, b in rng.sample(list(zip(th, th[1:])), 2))
+                else:
+                    e = sum(rng.randint(-3, 3) * a for a in rng.sample(th, 3))
+                out.append(e)
+            rows.append(out)
+        m = SuperMatrix(GR6, (2, 2), (2, 2), rows)
+        gmul_calls.clear()
+        got, binv = series_inverse(GR6, m.rows)
+        assert odd_degrees(got) == set(range(1, 7))
+        assert len(gmul_calls) == 6
+        assert as_lists(got) == oracle_inverse(GR6, m.rows)
+        assert as_lists(m.invert().rows) == as_lists(got)
+
+
 def test_the_series_is_summed_without_adding_polynomials(monkeypatch):
-    # the z_k are summed once, a row at a time, through the term-pair
-    # loop; the step body - grid is the series' input and is made first
+    # the Y_d are summed once, a row at a time, through the term-pair
+    # loop; body - grid is the series' input and is made first
     m = random_invertible(random.Random(1200), GR6, (3, 3), n_terms=3)
     body, binv = M._body_inverse(GR6, m.rows, "T")
     step = M._gsub(body, m.rows)
