@@ -138,6 +138,19 @@ def test_nested_power_past_the_field_cap_is_a_script_error(tmp_path):
     assert proc.stdout == "t^1000000\ns\n"
 
 
+def test_a_product_past_the_power_cap_pulls_back_while_caret_keeps_the_cap(tmp_path):
+    # t^2000 is a legal value; pullback raises the image of t to the
+    # 2000th power by squaring, where ^ still refuses 1001
+    proc = keep_going(tmp_path, """\
+        context M even=[t] odd=[theta1, theta2]
+        morphism chart : M -> M [t + theta1*theta2, theta1, theta2]
+        pullback chart t^1000 * t^1000
+        eval t^1001
+    """)
+    assert proc.stdout == "t^2000 + 2000*t^1999*theta1*theta2\n"
+    assert proc.stderr == "error: line 4: exponent 1001 is above the cap of 1000\n"
+
+
 # -- printed digits ------------------------------------------------------------
 
 
