@@ -85,11 +85,12 @@ class GroupLaw:
         images = [img.rename(src, swap) for img in self.mu.images]
         return Morphism(src, self.coords, images)
 
-    def _unit_value(self, name: str) -> SuperPoly:
-        ctx = self.coords
-        if name in ctx.odd:
+    def _unit_value(self, name: str, ctx: Context) -> SuperPoly:
+        """The unit's coordinate name as a constant over ctx."""
+        coords = self.coords
+        if name in coords.odd:
             return ctx.zero()
-        return ctx.scalar(self.unit.even_values[ctx.even.index(name)])
+        return ctx.scalar(self.unit.even_values[coords.even.index(name)])
 
 
 def check_group_axioms(law: GroupLaw):
@@ -135,10 +136,10 @@ def _unit_axiom(law: GroupLaw) -> AxiomResult:
     images_left = {}
     images_right = {}
     for c in g.names:
-        images_left[c] = law._unit_value(c).rename(double)
+        images_left[c] = law._unit_value(c, double)
         images_left[primed(c)] = double.var(primed(c))
         images_right[c] = double.var(c)
-        images_right[primed(c)] = law._unit_value(c).rename(double)
+        images_right[primed(c)] = law._unit_value(c, double)
     residuals = []
     for n in g.names:
         expected_left = double.var(primed(n))
@@ -161,7 +162,7 @@ def _inverse_axiom(law: GroupLaw) -> AxiomResult:
         images[primed(c)] = law.inverse.image(c)
     for n in g.names:
         actual = law.mu.image(n).substitute(g, images)
-        residual = actual - law._unit_value(n)
+        residual = actual - law._unit_value(n, g)
         if residual:
             residuals.append((n, residual))
     return AxiomResult("inverse", not residuals, tuple(residuals))
@@ -230,7 +231,7 @@ def infinitesimal_action(law: GroupLaw, sigma: Morphism,
 
     images = {}
     for c in g.names:
-        images[c] = law._unit_value(c).rename(target)
+        images[c] = law._unit_value(c, target)
     for old, new in zip(rest_even + rest_odd, target.names):
         images[old] = target.var(new)
 

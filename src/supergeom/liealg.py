@@ -2,8 +2,10 @@
 
 Four odd generator names are reserved for the dual-number parameters:
 epsilon1..epsilon4.  The brackets append them after the user's odd
-generators, so an entry moves into that context and back unchanged;
-lie_algebra's own context puts its reserved pair first.  A parameter
+generators, so an entry moves into that context and back with its codes
+kept; lie_algebra's own context puts its reserved pair first.  Where they
+sit changes only the speed: the renaming and the quotient count their
+signs wherever the generators are.  A parameter
 matching an even direction is the square-zero even product of two of
 them; an odd direction takes a single reserved generator, so that
 I + eps*x is always an even, group-like matrix.
@@ -18,9 +20,10 @@ with the parameter product in the eps'*eps order, and the adjoint form
 
   (I+eps*x) y (I-eps*x) = y + eps*[x, y]
 
-needs no ordering care.  Both extractions below divide out the
-parameter by left partials, which carry the Koszul sign, and unwind the
-row twist, returning the bare bracket matrix over the caller's context.
+needs no ordering care.  Both extractions below take each entry's left
+quotient by the parameter, which counts the Koszul sign in poly.py, unwind
+the row twist by dividing twisted rows by minus the parameter, and rename
+the quotient back into the caller's context.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def _extended(ctx: Context) -> Context:
 
 def _lift(mat: SuperMatrix, ext: Context) -> SuperMatrix:
     """mat over ext, its context with the reserved generators appended."""
-    rows = [[e.extended(ext) for e in row] for row in mat.rows]
+    rows = [[e.rename(ext) for e in row] for row in mat.rows]
     return SuperMatrix(ext, mat.source, mat.target, rows, mat.parity)
 
 
@@ -74,38 +77,21 @@ def _strip_parameter(mat: SuperMatrix, scalar: SuperPoly,
                      user_ctx: Context) -> SuperMatrix:
     """Divide a matrix of the form scalar * B (row-twisted action) by the
     single-monomial scalar, landing back in the user context."""
-    twist = scalar.parity() is Parity.ODD
-    names, coeff = _read_parameter(scalar)
+    # the odd rows of an odd scalar's action carry an extra sign
+    twisted = -scalar if scalar.parity() is Parity.ODD else scalar
     rows = [
-        [_divide(e, names, -coeff if twist and i >= mat.target.even else coeff,
-                 user_ctx)
-         for e in row]
+        [_divide(e, twisted if i >= mat.target.even else scalar, user_ctx) for e in row]
         for i, row in enumerate(mat.rows)
     ]
     return SuperMatrix(user_ctx, mat.source, mat.target, rows,
                        mat.parity + scalar.parity())
 
 
-def _read_parameter(param: SuperPoly) -> tuple[tuple[str, ...], Fraction]:
-    """The odd generators of a single-monomial parameter, in increasing
-    order, and its coefficient."""
-    ((mono, coeff),) = param.terms.items()
-    return tuple(param.ctx.odd[j] for j in mono.odd), coeff
-
-
-def _divide(poly: SuperPoly, names, coeff, ctx_out: Context) -> SuperPoly:
-    """The g with poly = coeff * theta_names * g over ctx_out, for the odd
-    generators names in increasing order.  The left partials along them
-    strip the parameter; each keeps exactly the terms holding its
-    generator, so a lost term is one the parameter does not divide."""
-    g = poly
-    for name in names:
-        g = g.partial(name)
-    if len(g.terms) != len(poly.terms):
-        raise ValueError("polynomial does not factor through the parameter")
-    if coeff != 1:
-        g = -g if coeff == -1 else g / coeff
-    return g.extended(ctx_out)
+def _divide(poly: SuperPoly, param: SuperPoly, ctx_out: Context) -> SuperPoly:
+    """The g with poly = param * g, for the one-term parameter c*theta_M,
+    renamed into ctx_out.  A term param does not divide raises ValueError,
+    and so does a quotient that still holds a generator ctx_out lacks."""
+    return poly.left_quotient(param).rename(ctx_out)
 
 
 def _bracket_setup(x: SuperMatrix, y: SuperMatrix):
@@ -295,20 +281,19 @@ def lie_algebra(spec: MatrixGroupSpec) -> LieAlgebraResult:
     ctx = Context(even=even_syms, odd=RESERVED[:2] + tuple(odd_syms))
     x = SuperMatrix(ctx, spec.dims, spec.dims, _symbol_grid(ctx, spec.dims))
     eps = ctx.var(RESERVED[0]) * ctx.var(RESERVED[1])
-    names, coeff = _read_parameter(eps)
     group_like = SuperMatrix.identity(ctx, spec.dims) + eps * x
 
     if spec.kind == "GL":
         raw = []
     elif spec.kind == "SL":
-        raw = [_divide(group_like.berezinian() - 1, names, coeff, ctx)]
+        raw = [_divide(group_like.berezinian() - 1, eps, ctx)]
     else:
         phi = SuperMatrix(
             ctx, spec.dims, spec.dims,
             [[ctx.scalar(v) for v in row] for row in spec.form],
         )
         residue = group_like.supertranspose() @ phi @ group_like - phi
-        raw = [_divide(e, names, coeff, ctx) for row in residue.rows for e in row]
+        raw = [_divide(e, eps, ctx) for row in residue.rows for e in row]
 
     return LieAlgebraResult(
         spec.kind, spec.dims, ctx, x, eps, _canonical_constraints(ctx, raw)

@@ -22,10 +22,12 @@ product of those generators in increasing index order.  The unit is code
 0.  The public Monomial is the pair (packed, mask) of the two parts; it is
 built only where a monomial crosses the API (the constructor, coefficient,
 terms and sorted_terms), and encode and decode convert it.  No other
-module reads a code.  Two methods move codes between contexts without
-multiplying: SuperPoly.rename relabels them along a map of generator
-names, and SuperPoly.extended reuses them as they are when odd
-generators are appended or dropped at the end.
+module reads a code.  SuperPoly.rename is the one move between
+contexts: it relabels codes along a map of generator names without
+multiplying, and keeps them as they are where every name keeps its
+index.  SuperPoly.left_quotient divides out a one-term odd factor
+theta_M in one pass, so the Koszul signs of products, partials,
+renamings and quotients are all counted in this module.
 
 A product theta_k1 * theta_k2 is zero when k1 & k2 shares a bit.
 Otherwise sorting the concatenated word moves each generator y of k2
@@ -788,17 +790,24 @@ class SuperPoly:
         becomes the generator of ctx_out named name_map.get(name, name).
 
         A target ctx_out lacks raises ValueError, and a target of the other
-        parity ParityError, the unknown names first.  The codes are
-        relabelled with no products: each even exponent moves to its
-        target's field, and the odd generators are folded into the target
-        mask in increasing order with the sign rule of normalize_odd_word,
-        so a target reached twice gives zero.  Even generators merged onto
-        one target add their exponents, and a sum above MAX_FIELD_EXPONENT
+        parity ParityError, the unknown names first.  With no name_map, a
+        ctx_out with the same even generators and the same odd generators
+        up to the highest one any term holds gives every name its index,
+        so the codes are kept as they are.  Otherwise they are relabelled
+        with no products: each even exponent moves to its target's field,
+        and the odd generators are folded into the target mask in
+        increasing order with the sign rule of normalize_odd_word, so a
+        target reached twice gives zero.  Even generators merged onto one
+        target add their exponents, and a sum above MAX_FIELD_EXPONENT
         raises LimitExceeded.
         """
         ctx = self.ctx
-        name_map = name_map or {}
         shift = ctx._shift
+        # the odd generators up to the highest one any term holds
+        held = ctx.odd[:max(max(self.nums, default=0).bit_length() - shift, 0)]
+        if not name_map and ctx_out.even == ctx.even and ctx_out.odd[:len(held)] == held:
+            return SuperPoly._raw(ctx_out, self.nums, self.den)
+        name_map = name_map or {}
         used = 0
         for code in self.nums:
             used |= code
@@ -853,21 +862,33 @@ class SuperPoly:
         # which can leave a common factor
         return SuperPoly._reduced(ctx_out, nums, self.den)
 
-    def extended(self, ctx_out: Context) -> "SuperPoly":
-        """This polynomial over ctx_out, which has the same even generators
-        and odd generators that extend this context's or are a prefix of
-        them, so every code keeps its bits.  Raises ContextMismatch for any
-        other ctx_out and ValueError for a term with a dropped generator."""
+    def left_quotient(self, factor: "SuperPoly") -> "SuperPoly":
+        """The g with self == factor * g, for a one-term factor c*theta_M
+        with no even part.
+
+        Each term must hold every generator of M, or ValueError is raised;
+        its code loses M's bits, and its sign is that of theta_M *
+        theta_rest, (-1)^popcount(_SWAP_PARITY[M] & rest) by the rule of
+        _mac.  The numerators are then scaled by 1/c once.  A factor that
+        is zero, has two terms or an even part raises ValueError, and one
+        over another context ContextMismatch.
+        """
         ctx = self.ctx
-        q = len(ctx_out.odd)
-        if ctx_out.even != ctx.even or ctx_out.odd[:len(ctx.odd)] != ctx.odd[:q]:
-            raise ContextMismatch(f"{ctx_out!r} does not extend or truncate {ctx!r}")
-        # the largest code reaches the highest odd generator of any term
-        held = max(self.nums, default=0).bit_length() - ctx._shift
-        if held > q:
-            raise ValueError(f"a term holds odd generator {ctx.odd[held - 1]!r}, "
-                             f"which the target context lacks")
-        return SuperPoly._raw(ctx_out, self.nums, self.den)
+        if factor.ctx is not ctx and factor.ctx != ctx:
+            raise ContextMismatch("operands live in different contexts")
+        shift = ctx._shift
+        if len(factor.nums) != 1 or next(iter(factor.nums)) & ((1 << shift) - 1):
+            raise ValueError(f"factor {factor} is not one term c*theta_M")
+        ((m, c),) = factor.nums.items()
+        swaps = _SWAP_PARITY[m >> shift] << shift
+        nums = {}
+        for code, v in self.nums.items():
+            if code & m != m:
+                raise ValueError("polynomial does not factor through the parameter")
+            code ^= m
+            nums[code] = -v if (swaps & code).bit_count() & 1 else v
+        out = SuperPoly._raw(ctx, nums, self.den)
+        return out if c == 1 == factor.den else out._scaled(factor.den, c)
 
     # -- rendering -------------------------------------------------------
 

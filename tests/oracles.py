@@ -7,7 +7,9 @@ the (Monomial, Fraction) terms by a key built from the Monomial, check the
 digit cap on the reduced Fraction and spell the factors from the
 generator names.  substitution_rename is rename before it relabelled
 codes: the ring map that sends each generator to its renamed generator,
-applied term by term through SuperPoly products.
+applied term by term through SuperPoly products.  partials_quotient is
+the left quotient by a one-term parameter as liealg took it before
+SuperPoly.left_quotient: one left partial per generator of the parameter.
 """
 
 from fractions import Fraction
@@ -88,3 +90,18 @@ def substitution_rename(p, ctx_out, name_map=None):
             term = term * images[ctx.odd[j]]
         out = out + term
     return out
+
+
+def partials_quotient(p, factor):
+    """The g with p == factor * g for a one-term factor c*theta_M.  The left
+    partials along M's generators in increasing order strip theta_M from
+    the front; each keeps exactly the terms that hold its generator, so a
+    lost term is one theta_M does not divide (ValueError).  The result is
+    then divided by c."""
+    ((mono, c),) = factor.terms.items()
+    g = p
+    for j in mono.odd:
+        g = g.partial(p.ctx.odd[j])
+    if len(g.terms) != len(p.terms):
+        raise ValueError("polynomial does not factor through the parameter")
+    return g / c

@@ -38,7 +38,6 @@ from supergeom.liealg import (
     _extended,
     _lift,
     _parameter,
-    _read_parameter,
 )
 
 CTX = Context(even=["t"], odd=["theta1", "theta2", "theta3", "theta4"])
@@ -131,8 +130,8 @@ def test_commutator_super_jacobi():
 
 
 def test_lift_then_divide_returns_the_entry():
-    # _lift appends the reserved generators to the context, _divide strips
-    # the parameter by left partials and drops them again; the
+    # _lift appends the reserved generators to the context, _divide takes
+    # the left quotient by the parameter and renames it back; the
     # substitution oracle is the independent route into the extended
     # context
     ext = _extended(CTX)
@@ -141,16 +140,16 @@ def test_lift_then_divide_returns_the_entry():
     x = random_supermatrix(rng, CTX, (1, 1), (1, 1), Parity.ODD)
     lifted = _lift(x, ext)
     eps = _parameter(ext, Parity.EVEN, 1) * _parameter(ext, Parity.ODD, 0)
-    names, coeff = _read_parameter(eps)
-    assert names == ("epsilon1", "epsilon3", "epsilon4") and coeff == 1
-    assert _read_parameter(-3 * eps) == (names, -3)
+    # the even pair commutes past epsilon1: the parameter is
+    # +epsilon1*epsilon3*epsilon4 in increasing order
+    assert eps == ext.var("epsilon1") * ext.var("epsilon3") * ext.var("epsilon4")
     for row, lifted_row in zip(x.rows, lifted.rows):
         for e, le in zip(row, lifted_row):
             assert le == substitution_rename(e, ext)
-            assert _divide(eps * le, names, 1, CTX) == e
-            assert _divide(eps * le, names, -1, CTX) == -e
-            assert _divide(3 * eps * le, names, 3, CTX) == e
-            assert _divide(3 * eps * le, names, Fraction(-3, 2), CTX) == -2 * e
+            assert _divide(eps * le, eps, CTX) == e
+            assert _divide(eps * le, -eps, CTX) == -e
+            assert _divide(3 * eps * le, 3 * eps, CTX) == e
+            assert _divide(3 * eps * le, Fraction(-3, 2) * eps, CTX) == -2 * e
 
 
 def _ext_poly(*factors):
@@ -162,8 +161,8 @@ def _ext_poly(*factors):
 
 
 @pytest.mark.parametrize("poly, param, message", [
-    # epsilon2*epsilon1 and theta1*epsilon1 lack epsilon3, so the left
-    # partial along it drops their terms
+    # epsilon2*epsilon1 and theta1*epsilon1 lack epsilon3, so the quotient
+    # refuses them
     pytest.param(
         _ext_poly("epsilon1", "epsilon3", "theta2") + _ext_poly("epsilon2", "epsilon1"),
         _ext_poly("epsilon1", "epsilon3"),
@@ -172,14 +171,15 @@ def _ext_poly(*factors):
         _ext_poly("epsilon1", "epsilon3", "theta2") + _ext_poly("theta1", "epsilon1"),
         _ext_poly("epsilon1", "epsilon3"),
         "does not factor through the parameter", id="theta1"),
-    # epsilon1 divides, but epsilon3 is left over outside the parameter
+    # epsilon1 divides, but epsilon3 is left over outside the parameter,
+    # and the caller's context has no such generator
     pytest.param(
         _ext_poly("epsilon1", "epsilon3", "theta2"), _ext_poly("epsilon1"),
-        "odd generator 'epsilon3', which the target context lacks", id="epsilon3"),
+        "unknown generator 'epsilon3'", id="epsilon3"),
 ])
 def test_divide_refuses_a_term_the_parameter_does_not_lead(poly, param, message):
     with pytest.raises(ValueError, match=message):
-        _divide(poly, *_read_parameter(param), CTX)
+        _divide(poly, param, CTX)
 
 
 def test_reserved_generators_rejected():

@@ -14,10 +14,12 @@ exponents up to the largest a field holds.
 
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
-from oracles import substitution_rename
+from oracles import partials_quotient, substitution_rename
 from supergeom import (
     Context,
     ContextMismatch,
@@ -26,6 +28,7 @@ from supergeom import (
     SuperPoly,
     normalize_odd_word,
 )
+from supergeom.groups import product_context
 from supergeom.poly import _FIELD_BITS, MAX_FIELD_EXPONENT, decode, dot, encode
 
 SMALL = Context(even=["x", "y", "z"], odd=["a", "b"])
@@ -313,54 +316,155 @@ def test_odd_partial_sign_counts_only_odd_generators(p, q):
         assert got.terms == {Monomial(even, word_mask(rest)): sign}
 
 
-# -- transport between related contexts -----------------------------------
+# -- transport and quotient between related contexts ------------------------
 #
-# SuperPoly.extended moves a polynomial between contexts with the same
-# even generators whose odd generators extend one another, reusing its
-# codes.  The substitution form of rename, which multiplies, is the oracle.
+# SuperPoly.rename keeps every code as it is when there is no name map and
+# the target has the same even generators and the same odd generators up
+# to the highest one a term holds; any other target relabels the codes.
+# The substitution form of rename, which multiplies, is the oracle.
+
+def seeded(rng, ctx, top=9):
+    """Up to five terms on random monomials over one small denominator."""
+    return SuperPoly(ctx, {random_monomial(rng, ctx, top): rng.randint(-9, 9)
+                           for _ in range(rng.randint(0, 5))}) / rng.randint(1, 6)
+
+
+def renames_as_the_oracle(poly, ctx_out, name_map=None):
+    """Check rename against the oracle, a refusal included; True when both
+    gave a value."""
+    try:
+        want = substitution_rename(poly, ctx_out, name_map)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            poly.rename(ctx_out, name_map)
+        return False
+    got = poly.rename(ctx_out, name_map)
+    assert got.ctx == ctx_out and got == want
+    return True
+
 
 @pytest.mark.parametrize("p, q", [(0, 3), (1, 4), (3, 2), (70, 3)], ids=str)
-def test_extended_round_trips_up_and_down(p, q):
+def test_rename_round_trips_up_and_down(p, q):
     ctx = ctx_of(p, q)
     wide = Context(even=ctx.even, odd=ctx.odd + ("eps1", "eps2"))
     rng = random.Random(78 + p)
     for _ in range(50):
-        poly = SuperPoly(ctx, {random_monomial(rng, ctx, 9): rng.randint(-9, 9)
-                               for _ in range(rng.randint(0, 5))}) / rng.randint(1, 6)
-        up = poly.extended(wide)
+        poly = seeded(rng, ctx)
+        up = poly.rename(wide)
         assert up.ctx == wide and up == substitution_rename(poly, wide)
-        assert up.terms == poly.terms
-        down = up.extended(ctx)
-        assert down.ctx == ctx and down == poly
-        assert poly.extended(ctx) == poly
+        assert up.terms == poly.terms and up.nums is poly.nums
+        down = up.rename(ctx)
+        assert down.ctx == ctx and down == poly and down.nums is poly.nums
+        assert poly.rename(ctx) == poly and poly.rename(ctx, {}).nums is poly.nums
 
 
-@pytest.mark.parametrize("odd", [
-    ("b", "a", "c"),       # reordered
-    ("a", "d"),            # renamed
-    ("d", "a", "b", "c"),  # a new generator in front
-], ids=str)
-def test_extended_refuses_unrelated_odd_generators(odd):
+@pytest.mark.parametrize("odd, name_map", [
+    pytest.param(("b", "a", "c"), None, id="('b', 'a', 'c')"),        # reordered
+    pytest.param(("a", "d"), {"b": "d", "c": "a"}, id="('a', 'd')"),  # renamed
+    pytest.param(("d", "a", "b", "c"), None, id="('d', 'a', 'b', 'c')"),  # one in front
+])
+def test_rename_relabels_reordered_or_renamed_odd_generators(odd, name_map):
     ctx = Context(even=["x"], odd=["a", "b", "c"])
-    with pytest.raises(ContextMismatch, match="does not extend or truncate"):
-        ctx.var("x").extended(Context(even=["x"], odd=odd))
+    out = Context(even=["x"], odd=odd)
+    rng = random.Random(79)
+    for _ in range(100):
+        assert renames_as_the_oracle(seeded(rng, ctx), out, name_map)
+    # a lone theta_a moves to the bit of a in out
+    assert ctx.var("a").rename(out, name_map) == out.var("a")
 
 
 @pytest.mark.parametrize("even", [(), ("y",), ("x", "y"), ("y", "x")], ids=str)
-def test_extended_refuses_other_even_generators(even):
+def test_rename_relabels_other_even_generators(even):
+    # a target without x refuses the terms that hold it, as the oracle does
     ctx = Context(even=["x"], odd=["a"])
-    with pytest.raises(ContextMismatch, match="does not extend or truncate"):
-        ctx.one().extended(Context(even=even, odd=["a", "b"]))
+    out = Context(even=even, odd=["a", "b"])
+    rng = random.Random(80)
+    values = sum(renames_as_the_oracle(seeded(rng, ctx), out) for _ in range(100))
+    assert values > 0 and (values < 100) == ("x" not in even)
+    assert ctx.var("a").rename(out) == out.var("a")
 
 
-def test_extended_refuses_a_term_with_a_dropped_generator():
+def test_rename_refuses_a_term_with_a_dropped_generator():
     ctx = ctx_of(2, 4)
     poly = ctx.var("x0") * ctx.var("th1") + ctx.var("th0") * ctx.var("th3")
-    # the message names the highest odd generator a term holds
-    for q in range(4):
-        with pytest.raises(ValueError, match="odd generator 'th3', which"):
-            poly.extended(Context(even=ctx.even, odd=ctx.odd[:q]))
-    with pytest.raises(ValueError, match="odd generator 'th1', which"):
-        (ctx.var("x0") * ctx.var("th1")).extended(Context(even=ctx.even, odd=ctx.odd[:1]))
+    # the message names the first generator a term holds that the target lacks
+    for q, name in enumerate(("th0", "th1", "th3", "th3")):
+        with pytest.raises(ValueError, match=f"unknown generator '{name}'"):
+            poly.rename(Context(even=ctx.even, odd=ctx.odd[:q]))
+    with pytest.raises(ValueError, match="unknown generator 'th1'"):
+        (ctx.var("x0") * ctx.var("th1")).rename(Context(even=ctx.even, odd=ctx.odd[:1]))
     kept = ctx.var("x0") * ctx.var("th1") + 1
-    assert kept.extended(Context(even=ctx.even, odd=ctx.odd[:2])).terms == kept.terms
+    assert kept.rename(Context(even=ctx.even, odd=ctx.odd[:2])).nums is kept.nums
+
+
+@pytest.mark.parametrize("p, q", [(0, 3), (1, 2), (2, 2)], ids=str)
+def test_rename_into_product_contexts(p, q):
+    # a 0|q group has no even generators, so its doubled and tripled
+    # contexts extend its odd ones and the codes are kept
+    ctx = ctx_of(p, q)
+    rng = random.Random(81 + p)
+    for copies in (2, 3):
+        out = product_context(ctx, copies)
+        for _ in range(50):
+            poly = seeded(rng, ctx)
+            assert renames_as_the_oracle(poly, out)
+            assert (poly.rename(out).nums is poly.nums) == (p == 0)
+
+
+# SuperPoly.left_quotient divides out a one-term factor c*theta_M in one
+# pass.  The oracle is the division liealg made before it: the left
+# partials along M's generators in increasing order, then c.
+
+def placements(q, k):
+    """k of q odd generators at the front, at the back and interleaved."""
+    return {"front": tuple(range(k)), "back": tuple(range(q - k, q)),
+            "interleaved": tuple(range(0, 2 * k, 2))}
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_left_quotient_matches_the_partials(p, k):
+    q = 8
+    ctx = ctx_of(p, q)
+    rng = random.Random(82 + 10 * p + k)
+    for where, word in placements(q, k).items():
+        theta = SuperPoly(ctx, {Monomial((), word_mask(word)): 1})
+        for c in (1, -1, 3, Fraction(-3, 2)):
+            factor = c * theta
+            for _ in range(20):
+                g = seeded(rng, ctx)
+                poly = factor * g
+                got = poly.left_quotient(factor)
+                assert got == partials_quotient(poly, factor), where
+                assert factor * got == poly
+                # a term without the first generator of M is refused
+                outside = min(set(range(q)) - set(word))
+                lacking = word_mask(word[1:]) | 1 << outside
+                bad = poly + SuperPoly(ctx, {Monomial((), lacking): 1})
+                for route in (bad.left_quotient, lambda f: partials_quotient(bad, f)):
+                    with pytest.raises(ValueError, match="does not factor"):
+                        route(factor)
+
+
+def test_left_quotient_by_a_constant_divides():
+    ctx = ctx_of(2, 3)
+    poly = seeded(random.Random(83), ctx)
+    assert poly.left_quotient(ctx.scalar(Fraction(-3, 2))) == poly / Fraction(-3, 2)
+    assert ctx.zero().left_quotient(ctx.var("th1")) == ctx.zero()
+
+
+@pytest.mark.parametrize("factor", [
+    pytest.param(lambda ctx: ctx.var("th0") + ctx.var("th1"), id="two terms"),
+    pytest.param(lambda ctx: ctx.var("x0") * ctx.var("th1"), id="even part"),
+    pytest.param(lambda ctx: ctx.zero(), id="zero"),
+])
+def test_left_quotient_refuses_a_factor_that_is_not_one_odd_term(factor):
+    ctx = ctx_of(1, 3)
+    with pytest.raises(ValueError, match="is not one term c\\*theta_M"):
+        (ctx.var("th0") * ctx.var("th1")).left_quotient(factor(ctx))
+
+
+def test_left_quotient_refuses_a_factor_over_another_context():
+    ctx = ctx_of(1, 3)
+    with pytest.raises(ContextMismatch):
+        ctx.var("th0").left_quotient(ctx_of(1, 4).var("th0"))
