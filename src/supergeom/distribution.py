@@ -19,7 +19,7 @@ from . import linalg
 from .derivation import SuperDerivation, bracket
 from .errors import ContextMismatch
 from .matrix import _grid_inverse, _gmul
-from .poly import SuperPoly
+from .poly import SuperPoly, dot_row
 
 
 class Involutivity(enum.Enum):
@@ -92,15 +92,13 @@ def involutive(dist) -> Involutivity:
     t0 = tuple(tuple(row[c] for c in chosen) for row in grid)
     normalized = _gmul(ctx, _grid_inverse(ctx, t0, "pivot submatrix"), grid)
 
+    # the residual of w, its coefficients minus lam_k times row k of the
+    # normalized grid with lam_k its coefficient in pivot column k, is
+    # one dot_row of (1, -lam_1, ...) against (coeffs, *normalized)
+    one = SuperPoly.scalar(ctx, 1)
     for w in pairs:
         coeffs = w.coefficients()
-        residual = list(coeffs)
-        for row, c in enumerate(chosen):
-            lam = coeffs[c]
-            if lam:
-                residual = [
-                    r - lam * t for r, t in zip(residual, normalized[row])
-                ]
-        if any(residual):
+        neg_lams = tuple(-coeffs[c] for c in chosen)
+        if any(dot_row(ctx, (one, *neg_lams), (coeffs, *normalized))):
             return Involutivity.NOT_INTEGRABLE
     return Involutivity.INTEGRABLE

@@ -29,6 +29,7 @@ the quotient back into the caller's context.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import linalg
@@ -221,22 +222,16 @@ class LieAlgebraResult(NamedTuple):
     constraints: tuple
 
 
-def _symbol_grid(ctx: Context, dims: SuperDim):
+def _symbol_names(dims: SuperDim):
+    """The entry names of X as a grid: p (T1), q (T2), r (T3) or s (T4)
+    by block, then the 1-based row and column in the block."""
     m, n = dims
-    rows = []
-    for i in range(m + n):
-        row = []
-        for j in range(m + n):
-            if i < m and j < m:
-                row.append(ctx.var(f"p{i + 1}{j + 1}"))
-            elif i < m:
-                row.append(ctx.var(f"q{i + 1}{j - m + 1}"))
-            elif j < m:
-                row.append(ctx.var(f"r{i - m + 1}{j + 1}"))
-            else:
-                row.append(ctx.var(f"s{i - m + 1}{j - m + 1}"))
-        rows.append(row)
-    return rows
+
+    def name(i, j):
+        bi, bj = i >= m, j >= m
+        return f"{'pqrs'[2 * bi + bj]}{i - m * bi + 1}{j - m * bj + 1}"
+
+    return [[name(i, j) for j in range(m + n)] for i in range(m + n)]
 
 
 def _canonical_constraints(ctx: Context, polys):
@@ -273,13 +268,13 @@ def lie_algebra(spec: MatrixGroupSpec) -> LieAlgebraResult:
     expanded entrywise with the supertranspose sign convention that
     makes (AB)^st = B^st A^st for even matrices.
     """
-    m, n = spec.dims
-    even_syms = [f"p{i + 1}{j + 1}" for i in range(m) for j in range(m)]
-    even_syms += [f"s{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    odd_syms = [f"q{i + 1}{j + 1}" for i in range(m) for j in range(n)]
-    odd_syms += [f"r{i + 1}{j + 1}" for i in range(n) for j in range(m)]
-    ctx = Context(even=even_syms, odd=RESERVED[:2] + tuple(odd_syms))
-    x = SuperMatrix(ctx, spec.dims, spec.dims, _symbol_grid(ctx, spec.dims))
+    names = _symbol_names(spec.dims)
+    # block by block, p q r s, each in row-major order
+    by_block = sorted((v for row in names for v in row), key=itemgetter(0))
+    ctx = Context(even=[v for v in by_block if v[0] in "ps"],
+                  odd=RESERVED[:2] + tuple(v for v in by_block if v[0] in "qr"))
+    x = SuperMatrix(ctx, spec.dims, spec.dims,
+                    [[ctx.var(v) for v in row] for row in names])
     eps = ctx.var(RESERVED[0]) * ctx.var(RESERVED[1])
     group_like = SuperMatrix.identity(ctx, spec.dims) + eps * x
 

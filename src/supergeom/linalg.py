@@ -41,13 +41,13 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def right_nullspace(rows, ncols):
-    """Basis of {v : M v = 0} as tuples of Fraction.
+def right_nullspace(echelon, pivots, ncols):
+    """Basis of {v : M v = 0} as tuples of Fraction, read from
+    (echelon, pivots) = rref(M).
 
     ncols must be passed explicitly so an empty row list still describes
     a map out of a known space.
     """
-    m, pivots = rref(rows)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -55,6 +55,6 @@ def right_nullspace(rows, ncols):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+            v[pc] = -echelon[r][fc]
         basis.append(tuple(v))
     return basis

@@ -84,10 +84,6 @@ def _gadd(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _gsub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def _gneg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
@@ -154,17 +150,17 @@ def _det(ctx, grid) -> SuperPoly:
 
 
 def _body_inverse(ctx, grid, label):
-    """Split an even square grid as body + nilpotent and invert the body.
+    """Inverse of the body of an even square grid, the grid of its
+    entries' terms without odd generators.
 
-    Returns (body_grid, inverse_of_body_grid).  The body determinant must
-    be a nonzero constant; the body entries themselves may be arbitrary
-    even-variable polynomials (a unipotent block like [[1, t], [0, 1]] is
-    fine).  Entry (i, j) of the inverse is the (j, i) cofactor over the
-    determinant, all read from one _minors memo.
+    The body determinant must be a nonzero constant; the body entries
+    themselves may be arbitrary even-variable polynomials (a unipotent
+    block like [[1, t], [0, 1]] is fine).  Entry (i, j) of the inverse is
+    the (j, i) cofactor over the determinant, all read from one _minors
+    memo.
     """
-    body = tuple(tuple(e.body() for e in row) for row in grid)
-    minor = _minors(ctx, body)
-    full = tuple(range(len(body)))
+    minor = _minors(ctx, tuple(tuple(e.body() for e in row) for row in grid))
+    full = tuple(range(len(grid)))
     d = minor(full, full)
     if not d.is_constant():
         raise NotInvertible(f"body determinant of {label} is not constant")
@@ -176,45 +172,43 @@ def _body_inverse(ctx, grid, label):
         e = minor(full[:j] + full[j + 1 :], full[:i] + full[i + 1 :]) / c
         return -e if (i + j) & 1 else e
 
-    return body, tuple(tuple(entry(i, j) for j in full) for i in full)
+    return tuple(tuple(entry(i, j) for j in full) for i in full)
 
 
-def _series_inverse(ctx, grid, body, binv):
-    """Exact inverse of grid = body + N, every term of N carrying an odd
-    generator, built one odd degree at a time.  S = body - grid splits
-    into parts S_e whose terms carry exactly e odd generators, and the
-    part Y_d of the inverse with d odd generators per term is
+def _series_inverse(ctx, grid, binv):
+    """Exact inverse of grid = B + N from binv = B^{-1}, built one odd
+    degree at a time.  Each entry splits into its parts of odd degree e:
+    the part with e = 0 is its body, the entry of B, and the parts N_e
+    with e >= 1 make up N.  The part Y_d of the inverse with d odd
+    generators per term is
 
-        Y_0 = body^{-1},   Y_d = body^{-1} sum_e S_e Y_{d-e},
+        Y_0 = B^{-1},   Y_d = -B^{-1} sum_{e >= 1} N_e Y_{d-e},
 
-    the degree-d part of body Y = I + S Y, so each degree of the result
-    is computed once, and Y_d is zero for d > len(ctx.odd).  Only the
-    degrees e and d - e that occur are visited, and only the nonzero
-    entries of S_e enter the sum for row i, which is one dot_row: zero
-    blocks padded into it would cost the small inverses most.  Each
-    nonzero sum is multiplied by body^{-1} once.  A part of S with no odd
-    generator would feed Y_d into itself: it is a kernel fault and raises
-    before any product.  The Y_d share no monomial and are summed once:
-    row i of the inverse is one dot_row of a row of ones against the rows
-    i of the nonzero Y_d, so no partial sum is ever built."""
-    # row i of S as the triples (e, j, S_e[i][j]) of its nonzero parts
-    parts = []
-    for row in _gsub(body, grid):
-        out = []
-        for j, s in enumerate(row):
-            for e, part in s.odd_degree_parts().items():
-                if not e:
-                    raise RuntimeError(
-                        "grid - body is not nilpotent: a part has no odd generator")
-                out.append((e, j, part))
-        parts.append(out)
+    the degree-d part of B Y = I - N Y, so each degree of the result is
+    computed once, and Y_d is zero for d > len(ctx.odd).  Only the degrees
+    e and d - e that occur are visited, and only the nonzero entries of
+    N_e enter the sum for row i, which is one dot_row: zero blocks padded
+    into it would cost the small inverses most.  Each nonzero sum is
+    multiplied once by -B^{-1}, which is negated once per series.  The
+    Y_d share no monomial and are summed once: row i of the inverse is
+    one dot_row of a row of ones against the rows i of the nonzero Y_d,
+    so no partial sum is ever built."""
+    # row i of N as the triples (e, j, N_e[i][j]) of its nonzero parts
+    parts = [
+        [(e, j, part) for j, x in enumerate(row)
+         for e, part in x.odd_degree_parts().items() if e]
+        for row in grid
+    ]
+    if not any(parts):
+        return binv
+    neg_binv = _gneg(binv)
     zero_row = (SuperPoly.zero(ctx),) * len(grid)
     ys = {0: binv}
     for d in range(1, len(ctx.odd) + 1):
         rows = []
         nonzero = False
         for out in parts:
-            pairs = [(s, ys[d - e][j]) for e, j, s in out if d - e in ys]
+            pairs = [(n, ys[d - e][j]) for e, j, n in out if d - e in ys]
             if pairs:
                 row = dot_row(ctx, *zip(*pairs))
                 nonzero = nonzero or any(row)
@@ -222,28 +216,30 @@ def _series_inverse(ctx, grid, body, binv):
             else:
                 rows.append(zero_row)
         if nonzero:
-            ys[d] = _gmul(ctx, binv, rows)
-    if len(ys) == 1:
-        return binv
+            ys[d] = _gmul(ctx, neg_binv, rows)
     ones = (SuperPoly.scalar(ctx, 1),) * len(ys)
     return tuple(dot_row(ctx, ones, rows) for rows in zip(*ys.values()))
 
 
 def _grid_inverse(ctx, grid, label):
-    body, binv = _body_inverse(ctx, grid, label)
-    return _series_inverse(ctx, grid, body, binv)
+    return _series_inverse(ctx, grid, _body_inverse(ctx, grid, label))
 
 
 def _schur(ctx, a, b, c, d, label):
     """(d^{-1}, b d^{-1}, a - b d^{-1} c) for the block grid [[a, b], [c, d]].
 
-    An empty d leaves a unchanged: a product through a zero inner
-    dimension would otherwise lose the width of a."""
+    Row i of the complement is one dot_row of (1, (b d^{-1})_i) against
+    the rows (a_i, -c), with c negated once.  An empty d leaves a
+    unchanged: a product through a zero inner dimension would otherwise
+    lose the width of a."""
     if not d:
         return d, b, a
     dinv = _grid_inverse(ctx, d, label)
     bdinv = _gmul(ctx, b, dinv)
-    return dinv, bdinv, _gsub(a, _gmul(ctx, bdinv, c))
+    one = (SuperPoly.scalar(ctx, 1),)
+    neg_c = _gneg(c)
+    return dinv, bdinv, tuple(
+        dot_row(ctx, one + row, (top,) + neg_c) for top, row in zip(a, bdinv))
 
 
 class SuperMatrix:
@@ -489,17 +485,17 @@ class SuperMatrix:
     def invert(self) -> "SuperMatrix":
         """Exact two-sided inverse of an even square matrix.
 
-        B is the block-diagonal body matrix of T; both body block
-        determinants must be nonzero constants, and B^{-1} comes from the
-        cofactors of one memoised Laplace expansion per block.  Every
-        term of T - B carries an odd generator, so T^{-1} is built one odd
-        degree at a time: its part Y_d with d odd generators per term is
-        B^{-1} sum_e S_e Y_{d-e}, S_e the part of B - T with e odd
-        generators, which keeps the sparse S_e on the left of each
-        product.  The Y_d are summed once, a row at a time (see
-        _series_inverse), so each entry, and each intermediate sum,
-        which holds a single odd degree, is subject to MAX_TERMS like
-        any product.
+        B, the body of T, is block diagonal: the odd entries of T2 and T3
+        have no body.  Both body block determinants must be nonzero
+        constants, and B^{-1} is assembled from the two block inverses,
+        each read from the cofactors of one memoised Laplace expansion.
+        T^{-1} is then built one odd degree at a time from the parts N_e
+        of T with e >= 1 odd generators: its part Y_d with d odd
+        generators per term is -B^{-1} sum_e N_e Y_{d-e}, which keeps the
+        sparse N_e on the left of each product.  The Y_d are summed once,
+        a row at a time (see _series_inverse), so each entry, and each
+        intermediate sum, which holds a single odd degree, is subject to
+        MAX_TERMS like any product.
         """
         if self.parity is not Parity.EVEN:
             raise ParityError("only even matrices are inverted")
@@ -508,13 +504,11 @@ class SuperMatrix:
         ctx = self.ctx
         p, q = self.source
         t1, _, _, t4 = self.blocks()
-        b1, i1 = _body_inverse(ctx, t1, "T1")
-        b4, i4 = _body_inverse(ctx, t4, "T4")
-        zero_pq = _gzero(ctx, p, q)
-        zero_qp = _gzero(ctx, q, p)
-        body = _gblocks(b1, zero_pq, zero_qp, b4)
-        binv = _gblocks(i1, zero_pq, zero_qp, i4)
-        grid = _series_inverse(ctx, self.rows, body, binv)
+        binv = _gblocks(
+            _body_inverse(ctx, t1, "T1"), _gzero(ctx, p, q),
+            _gzero(ctx, q, p), _body_inverse(ctx, t4, "T4"),
+        )
+        grid = _series_inverse(ctx, self.rows, binv)
         return SuperMatrix._wrap(ctx, self.source, self.target, grid, Parity.EVEN)
 
     def berezinian(self, formula=None) -> SuperPoly:

@@ -59,8 +59,11 @@ columns of a product row: matrix._gmul is one dot_row per row, and
 matrix._series_inverse builds each odd-degree part of an inverse with
 one dot_row per row, on the parts that SuperPoly.odd_degree_parts
 splits off, then sums those parts by dot_row against a row of ones.
-The Laplace expansion of matrix._minors is the exception: it still adds
-its products one * and one + at a time.
+A row of a Schur complement (matrix._schur) and the residual of a
+bracket in distribution.involutive are one dot_row each, with the
+subtracted terms weighted by negated factors.  The Laplace expansion of
+matrix._minors is the last exception: it still adds its products one *
+and one + at a time.
 """
 
 from __future__ import annotations

@@ -146,8 +146,10 @@ def tangent_space(v: PointedVariety) -> TangentSpaceResult:
     relations = [LinearForm(ctx, even=row) for row in even_ech if any(row)]
     relations += [LinearForm(ctx, odd=row) for row in odd_ech if any(row)]
 
-    basis = [TangentVector(ctx, even=w) for w in linalg.right_nullspace(even_rows, m)]
-    basis += [TangentVector(ctx, odd=w) for w in linalg.right_nullspace(odd_rows, n)]
+    basis = [TangentVector(ctx, even=w)
+             for w in linalg.right_nullspace(even_ech, even_piv, m)]
+    basis += [TangentVector(ctx, odd=w)
+              for w in linalg.right_nullspace(odd_ech, odd_piv, n)]
 
     dim = SuperDim(m - len(even_piv), n - len(odd_piv))
     return TangentSpaceResult(dim, basis, relations)

@@ -156,6 +156,26 @@ class TestTangentSpace:
             for vec in result.basis:
                 assert d.pairing(vec) == 0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_basis_annihilates_differentials_not_in_echelon_form(self, seed):
+        # dense integer differentials of both parities: the basis is read
+        # from their reduced echelon form, not from the rows as given
+        ctx = Context(even=["x", "y", "z"], odd=["xi", "eta", "zeta"])
+        rng = random.Random(2400 + seed)
+        point = random_point(rng, ctx)
+        gens = []
+        for parity in (Parity.EVEN, Parity.ODD):
+            for _ in range(2):
+                g = random_poly(rng, ctx, parity=parity, max_even_deg=2, n_terms=5)
+                gens.append(g - g.at(point))
+        v = PointedVariety(ctx, gens, point)
+        result = tangent_space(v)
+        assert len(result.basis) == sum(result.dimension)
+        for g in v.generators:
+            d = differential_of_function(g, v.point)
+            for vec in result.basis:
+                assert d.pairing(vec) == 0
+
     def test_row_space_invariance(self):
         a = PLANE.var("x") - 1
         b = PLANE.var("y")
