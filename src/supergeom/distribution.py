@@ -57,7 +57,7 @@ def _pivot_columns(grid):
     cols = [c for c in range(len(grid[0]))
             if all(row[c].body().is_constant() for row in grid)]
     body = [[row[c].body().constant_term() for c in cols] for row in grid]
-    pivots = linalg.rref(body)[1]
+    pivots = linalg.pivot_columns(body)
     if len(pivots) < len(grid):
         return None
     return [cols[p] for p in pivots]

@@ -35,7 +35,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import ContextMismatch, ReservedGeneratorCollision
 from .matrix import SuperDim, SuperMatrix
-from .poly import Context, Parity, SuperPoly, _exact, dot
+from .poly import Context, Monomial, Parity, SuperPoly, _exact, dot
 
 RESERVED = ("epsilon1", "epsilon2", "epsilon3", "epsilon4")
 
@@ -237,19 +237,23 @@ def _symbol_names(dims: SuperDim):
 def _canonical_constraints(ctx: Context, polys):
     """Row-reduce the linear constraints separately by parity and rebuild
     them, so any generating set with the same span prints identically."""
-    even_names = ctx.even
-    odd_names = ctx.odd[2:]  # skip the reserved parameter pair
-    even_rows, odd_rows = [], []
+    even, odd = [], []
     for c in polys:
-        if not c:
-            continue
-        names = even_names if c.has_parity(Parity.EVEN) else odd_names
-        row = [c.partial(name).constant_term() for name in names]
-        (even_rows if names is even_names else odd_rows).append(row)
+        if c:
+            (even if c.has_parity(Parity.EVEN) else odd).append(c)
 
     out = []
-    for rows, names in ((even_rows, even_names), (odd_rows, odd_names)):
-        echelon, _ = linalg.rref(rows)
+    # the odd symbols skip the reserved parameter pair
+    for group, names in ((even, ctx.even), (odd, ctx.odd[2:])):
+        if not group:
+            continue
+        # each symbol's monomial, built once; a polynomial's coefficient
+        # there is the constant term of its partial by the symbol
+        monos = []
+        for name in names:
+            is_odd, i = ctx.lookup(name)
+            monos.append(Monomial((), 1 << i) if is_odd else Monomial(((i, 1),), 0))
+        echelon, _ = linalg.rref([[c.coefficient(m) for m in monos] for c in group])
         for row in echelon:
             if not any(row):
                 continue

@@ -723,19 +723,38 @@ class SuperPoly:
         return SuperPoly._reduced(self.ctx, acc, self.den)
 
     def at(self, point: "RationalPoint") -> Fraction:
-        """Evaluate with odd generators sent to zero.  Exact."""
+        """Evaluate with odd generators sent to zero.  Exact.
+
+        The sum is taken in ints over one common denominator.  With E_i
+        the largest exponent of t_i in the body and p_i/q_i its value,
+        the value is sum(c * prod p_i^e_i * q_i^(E_i - e_i)) over
+        den * prod q_i^E_i, the product over every generator the body
+        holds, so a term that lacks t_i is still scaled by q_i^E_i.
+        """
         if point.ctx != self.ctx:
             raise ContextMismatch("point context differs from polynomial context")
-        total = Fraction(0)
         shift = self.ctx._shift
-        for code, c in self.nums.items():
-            if code >> shift:
-                continue
-            v = c
-            for i, e in _unpack(code):
-                v *= point.even_values[i] ** e
-            total += v
-        return total / self.den
+        body = [(code, c) for code, c in self.nums.items() if not code >> shift]
+        held = 0
+        for code, _ in body:
+            held |= code
+        den = self.den
+        # (field shift, p, q, E) of each generator the body holds
+        gens = []
+        for i, x in enumerate(point.even_values):
+            s = _FIELD_BITS * i
+            if held >> s & _FIELD_MASK:
+                top = max([code >> s & _FIELD_MASK for code, _ in body])
+                q = x.denominator
+                gens.append((s, x.numerator, q, top))
+                den *= q ** top
+        total = 0
+        for code, c in body:
+            for s, p, q, top in gens:
+                e = code >> s & _FIELD_MASK
+                c *= p ** e * q ** (top - e)
+            total += c
+        return Fraction(total, den)
 
     def substitute(self, ctx_out: Context, images: Mapping[str, "SuperPoly"]) -> "SuperPoly":
         """Apply the ring map sending each generator to its image.

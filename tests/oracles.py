@@ -1,6 +1,7 @@
-"""Reference forms of the printer and of rename, written against the public
-Monomial/Fraction API only, so they share no code with the code-level
-forms in poly.py that they check.
+"""Reference forms of the printer, rename, the parameter quotient, rref and
+at, written against the public Monomial/Fraction API only, so they share
+no code with the code-level forms in poly.py and linalg.py that they
+check.
 
 reference_str is the printer before it moved onto monomial codes: sort
 the (Monomial, Fraction) terms by a key built from the Monomial, check the
@@ -10,6 +11,10 @@ codes: the ring map that sends each generator to its renamed generator,
 applied term by term through SuperPoly products.  partials_quotient is
 the left quotient by a one-term parameter as liealg took it before
 SuperPoly.left_quotient: one left partial per generator of the parameter.
+reference_rref is linalg.rref before it eliminated over the integers:
+Gauss-Jordan on Fractions, each pivot row divided by its pivot at once.
+reference_at is SuperPoly.at before it summed over one denominator: each
+body term's Fraction coefficient times the powers of the point's values.
 """
 
 from fractions import Fraction
@@ -105,3 +110,43 @@ def partials_quotient(p, factor):
     if len(g.terms) != len(p.terms):
         raise ValueError("polynomial does not factor through the parameter")
     return g / c
+
+
+def reference_rref(rows):
+    """(echelon rows, pivot columns) by Gauss-Jordan on Fractions; the
+    input is not modified."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def reference_at(p, point):
+    """p at a RationalPoint, odd generators sent to zero, term by term."""
+    total = Fraction(0)
+    for mono, coeff in p.terms.items():
+        if mono.odd:
+            continue
+        v = coeff
+        for i, e in mono.even:
+            v *= point.even_values[i] ** e
+        total += v
+    return total

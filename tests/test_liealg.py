@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_supermatrix
-from oracles import substitution_rename
+from oracles import reference_rref, substitution_rename
 from supergeom import (
     Context,
     ContextMismatch,
@@ -356,6 +356,54 @@ def test_osp_agrees_with_direct_expansion(spec):
         got_ech, _ = linalg.rref(_constraint_rows(ctx, got, names))
         want_ech, _ = linalg.rref(_constraint_rows(ctx, want, names))
         assert [r for r in got_ech if any(r)] == [r for r in want_ech if any(r)]
+
+
+# rational forms off the standard one: a symmetric invertible even block
+# with denominators and an alternating odd block scaled by a fraction
+RATIONAL_FORMS = [
+    MatrixGroupSpec.OSp(2, 2, form=[
+        [Fraction(2, 3), Fraction(1, 5), 0, 0],
+        [Fraction(1, 5), Fraction(-7, 2), 0, 0],
+        [0, 0, 0, Fraction(5, 4)],
+        [0, 0, Fraction(-5, 4), 0],
+    ]),
+    MatrixGroupSpec.OSp(3, 2, form=[
+        [1, Fraction(-1, 2), 0, 0, 0],
+        [Fraction(-1, 2), 0, Fraction(3, 7), 0, 0],
+        [0, Fraction(3, 7), Fraction(-5, 9), 0, 0],
+        [0, 0, 0, 0, Fraction(-2, 9)],
+        [0, 0, 0, Fraction(2, 9), 0],
+    ]),
+]
+
+
+@pytest.mark.parametrize("spec", RATIONAL_FORMS, ids=["2|2", "3|2"])
+def test_osp_rational_form_matches_the_partial_rows_oracle(spec):
+    # oracle: the constraints as lie_algebra built them before it read
+    # coefficients, one left partial and constant term per symbol, reduced
+    # by the Fraction Gauss-Jordan and rebuilt as sums
+    res = lie_algebra(spec)
+    ctx = res.context
+    x = res.element
+    phi = SuperMatrix(
+        ctx, res.dims, res.dims,
+        [[ctx.scalar(v) for v in row] for row in spec.form],
+    )
+    direct = x.supertranspose() @ phi + phi @ x
+    want = []
+    for parity, names in ((Parity.EVEN, ctx.even), (Parity.ODD, ctx.odd[2:])):
+        polys = [e for row in direct.rows for e in row if e and e.parity() is parity]
+        echelon, _ = reference_rref(_constraint_rows(ctx, polys, names))
+        for row in echelon:
+            if any(row):
+                want.append(sum((c * ctx.var(n) for c, n in zip(row, names)),
+                                ctx.zero()))
+    assert res.constraints == tuple(want)
+    assert [str(c) for c in res.constraints] == [str(c) for c in want]
+    # osp(m|2k) has dimension m(m-1)/2 + k(2k+1) + 2mk (Kac)
+    m, n = spec.dims
+    k = n // 2
+    assert len(want) == (m + n) ** 2 - (m * (m - 1) // 2 + k * (2 * k + 1) + 2 * m * k)
 
 
 def test_sl_element_feeds_berezinian():
