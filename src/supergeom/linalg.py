@@ -5,15 +5,15 @@ anything poly._exact turns into a Fraction.  A float raises TypeError, since
 Fraction(0.1) is the binary float 3602879701896397/36028797018963968, not
 1/10.
 
-Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968, in its
-Gauss-Jordan form).  Each row is scaled once to ints by the lcm of its
-denominators, which leaves its row space unchanged.  A step replaces a row
-by pv*row - f*prow, with pv the pivot and f the row's entry in the pivot
-column, and divides the result by the gcd of its entries, so the inner loop
-multiplies and subtracts ints only.  With exact arithmetic no pivoting
-strategy is needed; the first nonzero entry in a column is as good a pivot
-as any.  rref builds Fractions only at the end, one per output entry;
-pivot_columns and rank build none.
+Elimination is fraction-free, in Gauss-Jordan form.  Each row is scaled
+once to ints by the lcm of its denominators, which leaves its row space
+unchanged.  A step replaces a row by pv*row - f*prow, with pv the pivot
+and f the row's entry in the pivot column, and divides the result by the
+gcd of its entries (where Bareiss, Math. Comp. 22, 1968, divides by the
+previous pivot), so the inner loop multiplies and subtracts ints only.
+With exact arithmetic no pivoting strategy is needed; the first nonzero
+entry in a column is as good a pivot as any.  rref builds Fractions only
+at the end, one per output entry; pivot_columns and rank build none.
 """
 
 from fractions import Fraction
