@@ -11,6 +11,11 @@ constant_term, at, sorted_terms (hence serialize) and the public
 constructor.  str prints from the numerators and den, one gcd per
 term, with each monomial's sort key and text cached per Context.
 
+Context(even, odd) returns the one live object of its signature, the
+ordered generator names that fix the ring, so every producer of contexts
+(scripts, serialize, groups, liealg and user code) shares one object and
+one print cache per signature, and contexts compare and hash by identity.
+
 A SuperPoly keys its numerators by one int per monomial, its code.  The
 even part sits in the low bits as fixed-width exponent fields: the
 exponent of t_i is the field of _FIELD_BITS bits that starts at bit
@@ -69,6 +74,8 @@ and one + at a time.
 from __future__ import annotations
 
 import enum
+import threading
+import weakref
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -209,31 +216,53 @@ def normalize_odd_word(word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return sign, _odd_word(mask)
 
 
+# the live Context of each (even, odd) signature; see Context
+_CONTEXTS = weakref.WeakValueDictionary()
+_CONTEXTS_LOCK = threading.Lock()
+
+
 class Context:
-    """Fixed, ordered generator names for one supercommutative ring."""
+    """Fixed, ordered generator names for one supercommutative ring.
 
-    __slots__ = ("even", "odd", "names", "_kinds", "_guard", "_shift", "_texts")
+    Context(even, odd) returns the one live object of its signature
+    (tuple(even), tuple(odd)), hash-consed in a weak registry, so two
+    contexts with the same names are one object and compare and hash by
+    identity.  Its fields are built once, in __new__; copy, deepcopy and
+    pickle rebuild through the constructor and so give back that object.
+    """
 
-    def __init__(self, even: Iterable[str] = (), odd: Iterable[str] = ()):
-        self.even = tuple(even)
-        self.odd = tuple(odd)
-        # every generator in order: the even names, then the odd ones
-        self.names = self.even + self.odd
-        kinds: dict[str, tuple[bool, int]] = {}
-        for i, name in enumerate(self.even):
-            kinds[name] = (False, i)
-        for j, name in enumerate(self.odd):
-            kinds[name] = (True, j)
-        if len(kinds) != len(self.names):
-            raise ValueError("generator names must be distinct")
-        self._kinds = kinds
-        # the guard bit of every even exponent field
-        self._guard = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1)
-                          for i in range(len(self.even)))
-        # a monomial code keeps its odd mask from this bit up
-        self._shift = _FIELD_BITS * len(self.even)
-        # code -> (sort key, factor text) of the monomials printed so far
-        self._texts: dict[int, tuple[tuple, str]] = {}
+    __slots__ = ("even", "odd", "names", "_kinds", "_guard", "_shift", "_texts",
+                 "__weakref__")
+
+    def __new__(cls, even: Iterable[str] = (), odd: Iterable[str] = ()):
+        even, odd = tuple(even), tuple(odd)
+        with _CONTEXTS_LOCK:
+            self = _CONTEXTS.get((even, odd))
+            if self is not None:
+                return self
+            # every generator in order: the even names, then the odd ones
+            names = even + odd
+            kinds: dict[str, tuple[bool, int]] = {}
+            for i, name in enumerate(even):
+                kinds[name] = (False, i)
+            for j, name in enumerate(odd):
+                kinds[name] = (True, j)
+            if len(kinds) != len(names):
+                raise ValueError("generator names must be distinct")
+            self = object.__new__(cls)
+            self.even, self.odd, self.names, self._kinds = even, odd, names, kinds
+            # the guard bit of every even exponent field
+            self._guard = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1)
+                              for i in range(len(even)))
+            # a monomial code keeps its odd mask from this bit up
+            self._shift = _FIELD_BITS * len(even)
+            # code -> (sort key, factor text) of the monomials printed so far
+            self._texts: dict[int, tuple[tuple, str]] = {}
+            _CONTEXTS[even, odd] = self
+        return self
+
+    def __reduce__(self):
+        return Context, (self.even, self.odd)
 
     def lookup(self, name: str) -> tuple[bool, int]:
         """Return (is_odd, index) for a generator name."""
@@ -283,16 +312,6 @@ class Context:
 
     def point(self, even_values) -> "RationalPoint":
         return RationalPoint(self, even_values)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Context)
-            and self.even == other.even
-            and self.odd == other.odd
-        )
-
-    def __hash__(self):
-        return hash((self.even, self.odd))
 
     def __repr__(self):
         return f"Context(even={list(self.even)}, odd={list(self.odd)})"
@@ -631,7 +650,7 @@ class SuperPoly:
     def __mul__(self, other):
         if isinstance(other, SuperPoly):
             ctx = self.ctx
-            if other.ctx is not ctx and other.ctx != ctx:
+            if other.ctx is not ctx:
                 raise ContextMismatch("operands live in different contexts")
             acc: dict[int, int] = {}
             _mac(ctx, self.nums, ((acc, 1, other.nums.items()),))
@@ -896,7 +915,7 @@ class SuperPoly:
         over another context ContextMismatch.
         """
         ctx = self.ctx
-        if factor.ctx is not ctx and factor.ctx != ctx:
+        if factor.ctx is not ctx:
             raise ContextMismatch("operands live in different contexts")
         shift = ctx._shift
         if len(factor.nums) != 1 or next(iter(factor.nums)) & ((1 << shift) - 1):
@@ -1032,7 +1051,7 @@ def dot(ctx: Context, pairs) -> SuperPoly:
     pairs = list(pairs)
     den = 1
     for a, b in pairs:
-        if (a.ctx is not ctx and a.ctx != ctx) or (b.ctx is not ctx and b.ctx != ctx):
+        if a.ctx is not ctx or b.ctx is not ctx:
             raise ContextMismatch("operands live in different contexts")
         d = a.den * b.den
         if den % d:
@@ -1058,7 +1077,7 @@ def dot_row(ctx: Context, row: Sequence[SuperPoly],
     dens = [1] * width
     for a, right in zip(row, grid):
         for k, b in enumerate(right):
-            if (a.ctx is not ctx and a.ctx != ctx) or (b.ctx is not ctx and b.ctx != ctx):
+            if a.ctx is not ctx or b.ctx is not ctx:
                 raise ContextMismatch("operands live in different contexts")
             d = a.den * b.den
             if dens[k] % d:

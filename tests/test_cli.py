@@ -7,6 +7,7 @@ formatting, and byte-level determinism.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -101,6 +102,18 @@ def test_generator_shadows_binding():
         eval t
     """)
     assert lines(result) == ["t"]
+
+
+def test_binding_survives_a_redeclared_context():
+    # the same names give the same context, so f still resolves
+    result = run("""
+        context even=[t] odd=[a]
+        let f = t^2 + t*a
+        context even=[t] odd=[a]
+        eval f*a
+    """)
+    assert result.ok
+    assert lines(result) == ["t^2*a"]
 
 
 def test_binding_from_other_context_rejected():
@@ -519,6 +532,24 @@ def test_cli_golden_session_bytes():
     proc = cli("--script", str(ROOT / "demos" / "golden_session.sg"))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert sha256(proc.stdout) == GOLDEN_SHA256
+
+
+def test_cli_golden_session_bytes_under_two_hash_seeds():
+    # hash(ctx) follows object identity and feeds SuperPoly.__hash__, so
+    # pin that no output depends on hash order
+    path = str(ROOT / "demos" / "golden_session.sg")
+    procs = [
+        subprocess.run(
+            [sys.executable, "-m", "supergeom", "--script", path],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("0", "1")
+    ]
+    for proc in procs:
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256
+    assert procs[0].stdout == procs[1].stdout
 
 
 def test_cli_readme_session_bytes():

@@ -101,6 +101,8 @@ def test_digit_cap(coeffs, fits):
 def test_the_text_cache_is_emptied_when_full(monkeypatch):
     monkeypatch.setattr(poly, "MAX_CACHE", 5)
     ctx = Context(even=["x", "y", "z"], odd=["a", "b", "c", "d"])
+    # the cache belongs to the signature, shared with every other test
+    ctx._texts.clear()
     rng = random.Random(1603)
     for _ in range(100):
         p = seeded_poly(rng, ctx, 30)
