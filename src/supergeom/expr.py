@@ -15,11 +15,14 @@ reaches.  Odd-word normalization makes parse order irrelevant:
 canonical renderer of SuperPoly emits this grammar, so printing and
 parsing are inverse.  A lone rational (a point, JSON) is '-'? rational.
 
-tokenize splits the whole line in one regex scan before parsing starts,
-into plain (kind, text, col) tuples, so a bad character or an over-long
-integer is reported ahead of any parse fault.  The parser keeps the
-current tuple in its tok attribute and steps through the list with one
-iterator.
+The line is split into tokens first, by one regex scan that returns the
+token strings, so a bad character or an over-long integer is reported
+ahead of any parse fault.  A token's kind is read off its text: an int is
+decimal digits, an ident an identifier, the end the empty string, and an
+op is none of these.  The descent steps through the strings with one
+iterator and carries no positions: only whitespace lies between the
+tokens of a line that scanned clean, so the column of a token is worked
+out from the strings before it, and only when an error is raised.
 """
 
 from __future__ import annotations
@@ -30,39 +33,43 @@ from fractions import Fraction
 from .errors import ScriptError
 from .poly import MAX_DIGITS, Context, SuperPoly
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^/()]))"
-)
+_WORD = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^/()]")
+# a character that is neither whitespace nor part of a token
+_BAD = re.compile(r"[^\s\dA-Za-z_+\-*^/()]")
 
 
-def tokenize(text: str, line=None) -> list[tuple[str, str, int]]:
-    """The tokens of text as (kind, text, col) tuples: kind is int, ident,
-    op or end, and col is 1-based.  The last token is ("end", "", n + 1)
-    for a text of n characters.  One scan; the first character no token
-    starts with raises ScriptError at its column, and so does an integer
-    literal of more than MAX_DIGITS digits."""
-    out = []
+def _column(text: str, words: list[str], k: int) -> int:
+    """The 1-based column of words[k] in text, where words are the tokens of
+    text in order and the last one is the end "".  No character between
+    two tokens can start a token, so each token is the first match of its
+    string after the end of the one before."""
     pos = 0
-    for m in _TOKEN.finditer(text):
-        if m.start() != pos:
-            # the scan skipped a character no token starts with
-            break
-        kind = m.lastgroup
-        start = m.start(kind)
-        if kind == "int" and m.end() - start > MAX_DIGITS:
+    for word in words[:k]:
+        pos = text.index(word, pos) + len(word)
+    return text.index(words[k], pos) + 1 if words[k] else len(text) + 1
+
+
+def _words(text: str, line) -> list[str]:
+    """The token strings of text, then "" for the end.  The first character
+    no token starts with raises ScriptError at its column, and so does an
+    integer literal of more than MAX_DIGITS digits, whichever comes first."""
+    words = _WORD.findall(text)
+    words.append("")
+    bad = _BAD.search(text)
+    if bad or max(map(len, words)) > MAX_DIGITS:
+        long = [k for k, w in enumerate(words)
+                if len(w) > MAX_DIGITS and w.isdecimal()]
+        col = _column(text, words, long[0]) if long else len(text) + 1
+        if bad and bad.start() < col:
+            raise ScriptError(f"unexpected character {bad.group()!r}",
+                              line=line, col=bad.start() + 1)
+        if long:
             # the printing cap; CPython itself refuses int() past 4300 digits
             raise ScriptError(
                 f"integer literal has more than {MAX_DIGITS} digits, the cap",
-                line=line, col=start + 1,
+                line=line, col=col,
             )
-        out.append((kind, m.group(kind), start + 1))
-        pos = m.end()
-    stripped = text[pos:].lstrip()
-    if stripped:
-        raise ScriptError(f"unexpected character {stripped[0]!r}",
-                          line=line, col=len(text) - len(stripped) + 1)
-    out.append(("end", "", len(text) + 1))
-    return out
+    return words
 
 
 # Open parentheses plus pending unary minuses allowed at once.  Only the
@@ -72,117 +79,108 @@ _MAX_DEPTH = 100
 
 
 class _Parser:
-    """Reads tokens left to right; tok is the current (kind, text, col).
-    An op's text is never the text of an int, an ident or the end, so the
-    text alone tells an operator apart."""
+    """Reads token strings left to right; tok is the current one."""
 
     def __init__(self, text, line, ctx=None, env=None):
-        self.next_token = iter(tokenize(text, line)).__next__
-        self.tok = self.next_token()
+        self.text = text
+        self.words = _words(text, line)
+        self.rest = iter(self.words)
+        self.next = self.rest.__next__
+        self.tok = self.next()
         self.line = line
         self.ctx = ctx
         self.env = env
         self.depth = 0
 
-    def advance(self):
-        self.tok = self.next_token()
-
-    def error(self, message, tok=None):
-        raise ScriptError(message, line=self.line, col=(tok or self.tok)[2])
-
-    def nested(self, tok, rule) -> SuperPoly:
-        """Read rule one nesting level deeper, counted from tok."""
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            self.error(f"expression nested deeper than {_MAX_DEPTH} levels", tok)
-        out = rule()
-        self.depth -= 1
-        return out
-
-    def eat_op(self, op) -> bool:
-        if self.tok[1] == op:
-            self.advance()
-            return True
-        return False
+    def error(self, message, back=0):
+        """Raise at the current token, or at the one back tokens before it."""
+        k = len(self.words) - self.rest.__length_hint__() - 1 - back
+        raise ScriptError(message, line=self.line,
+                          col=_column(self.text, self.words, k))
 
     def expr(self) -> SuperPoly:
         out = self.term()
         while True:
-            sign = self.tok[1]
+            sign = self.tok
             if sign == "+":
-                self.advance()
+                self.tok = self.next()
                 out = out + self.term()
             elif sign == "-":
-                self.advance()
+                self.tok = self.next()
                 out = out - self.term()
             else:
                 return out
 
     def term(self) -> SuperPoly:
         out = self.factor()
-        while self.eat_op("*"):
+        while self.tok == "*":
+            self.tok = self.next()
             out = out * self.factor()
         return out
 
     def factor(self) -> SuperPoly:
         tok = self.tok
-        if self.eat_op("-"):
-            return -self.nested(tok, self.factor)
-        out = self.atom()
+        if tok.isdecimal():
+            out = self.ctx.scalar(self.rational())
+        elif tok == "-" or tok == "(":
+            self.tok = self.next()
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                self.error(f"expression nested deeper than {_MAX_DEPTH} levels", 1)
+            if tok == "-":
+                # the minus takes the whole factor after it, powers included
+                out = -self.factor()
+                self.depth -= 1
+                return out
+            out = self.expr()
+            if self.tok != ")":
+                self.error("expected ')'")
+            self.tok = self.next()
+            self.depth -= 1
+        elif tok.isidentifier():
+            self.tok = self.next()
+            if tok in self.ctx:
+                out = self.ctx.var(tok)
+            else:
+                out = self.env.get(tok) if self.env else None
+                if out is None:
+                    self.error(f"unknown generator {tok!r}", 1)
+                if out.ctx != self.ctx:
+                    self.error(f"{tok!r} is bound over a different context", 1)
+        elif tok:
+            self.error(f"unexpected {tok!r}")
+        else:
+            self.error("unexpected end of expression")
         # a loop: chained powers are left-associative and cost no depth
-        while self.eat_op("^"):
+        while self.tok == "^":
+            self.tok = self.next()
             out = out ** self.exponent()
         return out
 
     def exponent(self) -> int:
-        kind, text, _ = self.tok
-        if kind != "int":
-            self.error("exponent must be a nonnegative integer" if text == "-"
+        tok = self.tok
+        if not tok.isdecimal():
+            self.error("exponent must be a nonnegative integer" if tok == "-"
                        else "expected an integer exponent")
-        self.advance()
-        if self.tok[1] == "/":
+        self.tok = self.next()
+        if self.tok == "/":
             self.error("exponent must be an integer, not a fraction")
-        return int(text)
+        return int(tok)
 
     def rational(self) -> int | Fraction:
         """An int literal, or a Fraction when a denominator follows."""
-        value = int(self.tok[1])
-        self.advance()
-        if self.eat_op("/"):
-            den = self.tok
-            if den[0] != "int":
-                self.error("expected a denominator")
-            self.advance()
-            d = int(den[1])
-            if d == 0:
-                self.error("zero denominator", den)
-            return Fraction(value, d)
-        return value
-
-    def atom(self) -> SuperPoly:
-        tok = self.tok
-        kind, text, _ = tok
-        if kind == "int":
-            return self.ctx.scalar(self.rational())
-        if kind == "ident":
-            self.advance()
-            if text in self.ctx:
-                return self.ctx.var(text)
-            bound = self.env.get(text) if self.env else None
-            if bound is None:
-                self.error(f"unknown generator {text!r}", tok)
-            if bound.ctx != self.ctx:
-                self.error(f"{text!r} is bound over a different context", tok)
-            return bound
-        if text == "(":
-            self.advance()
-            out = self.nested(tok, self.expr)
-            if not self.eat_op(")"):
-                self.error("expected ')'")
-            return out
-        if kind == "end":
-            self.error("unexpected end of expression")
-        self.error(f"unexpected {text!r}")
+        value = int(self.tok)
+        self.tok = self.next()
+        if self.tok != "/":
+            return value
+        den = self.tok = self.next()
+        if not den.isdecimal():
+            self.error("expected a denominator")
+        self.tok = self.next()
+        d = int(den)
+        if d == 0:
+            self.error("zero denominator", 1)
+        return Fraction(value, d)
 
 
 def parse_poly(text: str, ctx: Context, line=None, env=None) -> SuperPoly:
@@ -190,9 +188,8 @@ def parse_poly(text: str, ctx: Context, line=None, env=None) -> SuperPoly:
     generators shadow; a binding over another context is an error."""
     p = _Parser(text, line, ctx, env)
     out = p.expr()
-    kind, text, _ = p.tok
-    if kind != "end":
-        p.error(f"unexpected {text!r} after expression")
+    if p.tok:
+        p.error(f"unexpected {p.tok!r} after expression")
     return out
 
 
@@ -204,10 +201,13 @@ def parse_rational(text: str, line=None) -> Fraction:
     """'-'? rational with spaces: only the form str(Fraction) writes."""
     try:
         p = _Parser(text, line)
-        sign = -1 if p.eat_op("-") else 1
-        if p.tok[0] == "int":
+        sign = 1
+        if p.tok == "-":
+            p.tok = p.next()
+            sign = -1
+        if p.tok.isdecimal():
             value = p.rational()
-            if p.tok[0] == "end":
+            if not p.tok:
                 return Fraction(sign * value)
     except ScriptError:
         pass

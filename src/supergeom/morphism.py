@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 
+from . import linalg
 from .errors import ContextMismatch, ParityError
 from .matrix import SuperDim, SuperMatrix
 from .poly import Context, Parity, RationalPoint, SuperPoly
@@ -93,16 +94,20 @@ class Morphism:
         vals = [self.image(n).at(m) for n in self.target.even]
         return RationalPoint(self.target, vals)
 
+    def _jacobian(self, m: RationalPoint) -> list:
+        """Column j of the Jacobian at m: the rationals of d(image j)."""
+        if m.ctx != self.source:
+            raise ContextMismatch("point is not in the morphism's source")
+        return [differential_of_function(img, m).coefficients()
+                for img in self.images]
+
     def differential_at(self, m: RationalPoint) -> SuperMatrix:
         """Block Jacobian at a rational point, rows indexed by source
         coordinates.  Cross-parity partials die at the point, so the
         result is block-diagonal with rational entries."""
-        if m.ctx != self.source:
-            raise ContextMismatch("point is not in the morphism's source")
         src = SuperDim(*self.source.dims)
         # column j is d(image j); a 0|0 target still has src.total rows
-        cols = [differential_of_function(img, m).coefficients()
-                for img in self.images]
+        cols = self._jacobian(m)
         rows = [[SuperPoly.scalar(self.source, col[i]) for col in cols]
                 for i in range(src.total)]
         return SuperMatrix(self.source, SuperDim(*self.target.dims), src, rows)
@@ -113,11 +118,16 @@ class Morphism:
         The differential is injective on a parity block exactly when that
         block has rank equal to the source dimension, surjective when the
         rank matches the target; with the row layout above those are the
-        row and column counts respectively.
+        row and column counts respectively.  The ranks are those of
+        differential_at(m).srank(), taken on the columns of the two
+        rational blocks, that is on their transposes.
         """
-        r = self.differential_at(m).srank()
-        inj = r == SuperDim(*self.source.dims)
-        surj = r == SuperDim(*self.target.dims)
+        cols = self._jacobian(m)
+        p, k = len(self.source.even), len(self.target.even)
+        r = (linalg.rank([col[:p] for col in cols[:k]]),
+             linalg.rank([col[p:] for col in cols[k:]]))
+        inj = r == self.source.dims
+        surj = r == self.target.dims
         if inj and surj:
             return MapClass.DIFFEO
         if inj:

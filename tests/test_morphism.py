@@ -271,3 +271,33 @@ class TestClassify:
         phi = Morphism(line, line, [line.var("t") ** 2])
         assert phi.classify_at(line.point([0])) is None
         assert phi.classify_at(line.point([1])) is MapClass.DIFFEO
+
+    def test_class_is_read_off_the_srank_of_the_differential(self):
+        # classify_at ranks the two rational blocks without building the
+        # SuperMatrix; it must agree with differential_at(m).srank()
+        rng = random.Random(2202)
+        dims = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)]
+        seen = set()
+        for (p, q), (r, s) in ((a, b) for a in dims for b in dims):
+            src = Context(even=[f"s{i}" for i in range(p)],
+                          odd=[f"sigma{j}" for j in range(q)])
+            dst = Context(even=[f"t{i}" for i in range(r)],
+                          odd=[f"tau{j}" for j in range(s)])
+
+            def image(parity):
+                if parity is Parity.ODD and not q:
+                    return src.zero()
+                return random_poly(rng, src, parity, max_even_deg=1,
+                                   n_terms=rng.randint(0, 3), lo=-2, hi=2)
+
+            for _ in range(4):
+                phi = Morphism(src, dst, [image(Parity.EVEN) for _ in range(r)]
+                               + [image(Parity.ODD) for _ in range(s)])
+                m = random_point(rng, src, -2, 2)
+                rank = phi.differential_at(m).srank()
+                inj, surj = rank == SuperDim(p, q), rank == SuperDim(r, s)
+                expect = (MapClass.DIFFEO if inj and surj else MapClass.IMMERSION
+                          if inj else MapClass.SUBMERSION if surj else None)
+                assert phi.classify_at(m) is expect, (phi, m)
+                seen.add(expect)
+        assert seen == {None, *MapClass}
