@@ -8,9 +8,22 @@ Grammar; power binds tightest, then unary minus, product, sum:
     atom     := rational | ident | '(' expr ')'
     rational := int ('/' int)?
 
-The parser multiplies through the ring as it reads, so it builds no
-syntax tree and a line with several faults reports the first one it
-reaches.  Odd-word normalization makes parse order irrelevant:
+The parser evaluates as it reads, so it builds no syntax tree and a line
+with several faults reports the first one it reaches.  A term's literal
+factors (rationals, context generators, gen^n and unary minus) fold into
+one coefficient and one monomial code as they are read: poly's
+_times_generator multiplies the code by each generator with the Koszul
+sign of the ring, gives zero for a repeated odd generator, and raises on
+an exponent past the field cap at the same factor as a ring product
+would; a term that is zero folds no further generators, as a product by
+zero overflows nothing.  The literal terms of one level sum into one map
+of codes that becomes one SuperPoly at the end, so a sum of literal
+monomials makes no ring product, sum or power.  A group, '(' expr ')' or
+a session binding, is multiplied in by * in its place, its powers by
+**, and every factor after it in the term by *, so overflows, caps and
+errors come in reading order; such a term is added to the sum by +.  A
+literal with a chained power, such as x^2^3, is a group from its second
+'^' on.  Odd-word normalization makes parse order irrelevant:
 "theta2*theta1" and "-theta1*theta2" read as the same value.  The
 canonical renderer of SuperPoly emits this grammar, so printing and
 parsing are inverse.  A lone rational (a point, JSON) is '-'? rational.
@@ -31,7 +44,8 @@ import re
 from fractions import Fraction
 
 from .errors import ScriptError
-from .poly import MAX_DIGITS, Context, SuperPoly
+from .poly import (MAX_DIGITS, _UNIT_CODE, Context, SuperPoly, _cap_exponent,
+                   _times_generator)
 
 _WORD = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^/()]")
 # a character that is neither whitespace nor part of a token
@@ -99,73 +113,124 @@ class _Parser:
                           col=_column(self.text, self.words, k))
 
     def expr(self) -> SuperPoly:
-        out = self.term()
+        # literal terms sum into one map of codes, the others by + at the end
+        coeffs: dict[int, int | Fraction] = {}
+        groups = []
+        c = 1
         while True:
+            c, code, out = self.term(c)
+            if out is not None:
+                groups.append(out)
+            elif c:
+                coeffs[code] = coeffs.get(code, 0) + c
             sign = self.tok
             if sign == "+":
-                self.tok = self.next()
-                out = out + self.term()
+                c = 1
             elif sign == "-":
-                self.tok = self.next()
-                out = out - self.term()
+                c = -1
             else:
-                return out
-
-    def term(self) -> SuperPoly:
-        out = self.factor()
-        while self.tok == "*":
+                break
             self.tok = self.next()
-            out = out * self.factor()
+        if groups and not coeffs:
+            out = groups.pop()
+        else:
+            out = SuperPoly._from_coefficients(self.ctx, coeffs)
+        for group in groups:
+            out = out + group
         return out
 
-    def factor(self) -> SuperPoly:
-        tok = self.tok
-        if tok.isdecimal():
-            out = self.ctx.scalar(self.rational())
-        elif tok == "-" or tok == "(":
+    def term(self, c):
+        """c times the product of one term's factors, read left to right.
+        Literal factors fold into c and one monomial code, with no ring
+        product, until a group comes; the term is then (c, code, None).  A
+        group is multiplied in by * in its place, and so is every factor
+        after it, and the term is (None, None, product)."""
+        ctx = self.ctx
+        code = _UNIT_CODE
+        out = None
+        while True:
+            tok = self.tok
+            depth = self.depth
+            while tok == "-":
+                # the minus takes the whole factor after it, powers included
+                tok = self.tok = self.next()
+                self.depth += 1
+                if self.depth > _MAX_DEPTH:
+                    self.error(f"expression nested deeper than {_MAX_DEPTH} levels", 1)
+                c = -c
+            group = None
+            if tok.isdecimal():
+                value = self.rational()
+                if self.tok == "^":
+                    value **= self.exponent()
+                if self.tok == "^":
+                    group = ctx.scalar(value)
+                else:
+                    c *= value
+            elif tok in ctx and tok.isidentifier():
+                self.tok = self.next()
+                n = self.exponent() if self.tok == "^" else 1
+                if self.tok == "^":
+                    group = ctx.var(tok) ** n
+                elif c:
+                    # a zero term stays zero, so it can no longer overflow
+                    sign, code = _times_generator(ctx, code, tok, n)
+                    c *= sign
+            else:
+                group = self.group(tok)
+            if group is not None:
+                # chained powers are left-associative and cost no depth
+                while self.tok == "^":
+                    group = group ** self.exponent()
+                if code != _UNIT_CODE:
+                    group = SuperPoly._from_coefficients(ctx, {code: c}) * group
+                elif c != 1:
+                    group = -group if c == -1 else group * c
+                out = group if out is None else out * group
+                c, code = 1, _UNIT_CODE
+            elif out is not None:
+                out = out * SuperPoly._from_coefficients(ctx, {code: c})
+                c, code = 1, _UNIT_CODE
+            self.depth = depth
+            if self.tok != "*":
+                return (c, code, None) if out is None else (None, None, out)
+            self.tok = self.next()
+
+    def group(self, tok) -> SuperPoly:
+        """A parenthesised expression or a session binding."""
+        if tok == "(":
             self.tok = self.next()
             self.depth += 1
             if self.depth > _MAX_DEPTH:
                 self.error(f"expression nested deeper than {_MAX_DEPTH} levels", 1)
-            if tok == "-":
-                # the minus takes the whole factor after it, powers included
-                out = -self.factor()
-                self.depth -= 1
-                return out
             out = self.expr()
             if self.tok != ")":
                 self.error("expected ')'")
             self.tok = self.next()
             self.depth -= 1
-        elif tok.isidentifier():
+            return out
+        if tok.isidentifier():
             self.tok = self.next()
-            if tok in self.ctx:
-                out = self.ctx.var(tok)
-            else:
-                out = self.env.get(tok) if self.env else None
-                if out is None:
-                    self.error(f"unknown generator {tok!r}", 1)
-                if out.ctx != self.ctx:
-                    self.error(f"{tok!r} is bound over a different context", 1)
-        elif tok:
+            out = self.env.get(tok) if self.env else None
+            if out is None:
+                self.error(f"unknown generator {tok!r}", 1)
+            if out.ctx != self.ctx:
+                self.error(f"{tok!r} is bound over a different context", 1)
+            return out
+        if tok:
             self.error(f"unexpected {tok!r}")
-        else:
-            self.error("unexpected end of expression")
-        # a loop: chained powers are left-associative and cost no depth
-        while self.tok == "^":
-            self.tok = self.next()
-            out = out ** self.exponent()
-        return out
+        self.error("unexpected end of expression")
 
     def exponent(self) -> int:
-        tok = self.tok
+        """The n of '^' n, from the current token '^'; at most MAX_EXPONENT."""
+        tok = self.tok = self.next()
         if not tok.isdecimal():
             self.error("exponent must be a nonnegative integer" if tok == "-"
                        else "expected an integer exponent")
         self.tok = self.next()
         if self.tok == "/":
             self.error("exponent must be an integer, not a fraction")
-        return int(tok)
+        return _cap_exponent(int(tok))
 
     def rational(self) -> int | Fraction:
         """An int literal, or a Fraction when a denominator follows."""

@@ -26,8 +26,13 @@ bit ctx._shift + j set means theta_j is present, and theta_mask is the
 product of those generators in increasing index order.  The unit is code
 0.  The public Monomial is the pair (packed, mask) of the two parts; it is
 built only where a monomial crosses the API (the constructor, coefficient,
-terms and sorted_terms), and encode and decode convert it.  No other
-module reads a code.  SuperPoly.rename is the one move between
+terms and sorted_terms), and encode and decode convert it.  Codes are
+built by the ring operations here, by var and scalar, and for the
+expression parser by _times_generator, which multiplies a code by one
+generator to a power with the sign rule of _mac, and
+SuperPoly._from_coefficients, which makes a polynomial of a map of codes
+to coefficients.  The parser holds those codes without reading them; no
+other module reads a code.  SuperPoly.rename is the one move between
 contexts: it relabels codes along a map of generator names without
 multiplying, and keeps them as they are where every name keeps its
 index.  SuperPoly.left_quotient divides out a one-term odd factor
@@ -56,7 +61,9 @@ below 2**11 of the first field; see _FIELD_BITS for the fields.
 
 _mac is the only loop over pairs of terms, with one inner loop for
 odd-free left terms and one for the rest, and it has three callers.  A
-product of two polynomials (SuperPoly.__mul__) calls it once.  dot(ctx,
+product of two polynomials (SuperPoly.__mul__) calls it once; the parser
+reaches it only for a product with a group or binding, since it folds
+literal factors with _times_generator.  dot(ctx,
 pairs) calls it once per pair, for a sum of products: applying a
 derivation, substitution and other sums of entry products are one dot
 each.  dot_row(ctx, row, grid) calls it once per left factor for all the
@@ -514,6 +521,17 @@ class SuperPoly:
         return cls._raw(ctx, nums, den)
 
     @classmethod
+    def _from_coefficients(cls, ctx, coeffs: dict[int, int | Fraction]) -> "SuperPoly":
+        # internal: from {code: int or Fraction}, zeros dropped; the lcm of
+        # the reduced denominators leaves it canonical, as in __init__
+        den = lcm(*[c.denominator for c in coeffs.values() if type(c) is not int])
+        nums = {}
+        for code, c in coeffs.items():
+            if c:
+                nums[code] = c * den if type(c) is int else c.numerator * (den // c.denominator)
+        return cls._raw(ctx, nums, den)
+
+    @classmethod
     def zero(cls, ctx) -> "SuperPoly":
         return cls._raw(ctx, {})
 
@@ -686,8 +704,7 @@ class SuperPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if n > MAX_EXPONENT:
-            raise LimitExceeded(f"exponent {n} is above the cap of {MAX_EXPONENT}")
+        _cap_exponent(n)
         out = SuperPoly.scalar(self.ctx, 1)
         for _ in range(n):
             out = out * self
@@ -1040,6 +1057,38 @@ def _mac(ctx: Context, nums: dict[int, int], cols) -> None:
                     raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
 
 
+# the code of the unit monomial, where _times_generator starts a product
+_UNIT_CODE = 0
+
+
+def _times_generator(ctx: Context, code: int, name: str, n: int) -> tuple[int, int]:
+    """(sign, code) of the monomial code times generator name to the n,
+    on the right, for 0 <= n <= MAX_EXPONENT; sign 0 when that is zero.
+
+    The parser folds each literal factor of a term through this, in
+    reading order, instead of multiplying polynomials, so it must agree
+    with _mac: an odd generator passes leftwards over the generators of
+    the mask above it, sign (-1)^popcount(_SWAP_PARITY[mask] & bit), and
+    one already in the mask or to a power n >= 2 gives zero.  An even
+    exponent that passes MAX_FIELD_EXPONENT sets its guard bit and raises
+    LimitExceeded.  n = 0 leaves the code as it is.
+    """
+    if not n:
+        return 1, code
+    is_odd, i = ctx._kinds[name]
+    if is_odd:
+        shift = ctx._shift
+        mask = code >> shift
+        bit = 1 << i
+        if n > 1 or mask & bit:
+            return 0, code
+        return -1 if _SWAP_PARITY[mask] & bit else 1, code | bit << shift
+    code += n << _FIELD_BITS * i
+    if code & ctx._guard:
+        _field_overflow(ctx, code & ctx._guard)
+    return 1, code
+
+
 def dot(ctx: Context, pairs) -> SuperPoly:
     """Sum of a*b over (a, b) pairs of polynomials over ctx.
 
@@ -1109,6 +1158,14 @@ def _power(p: SuperPoly, e: int) -> SuperPoly:
         if not p:
             # a zero power of p is a factor of what is left
             return p
+
+
+def _cap_exponent(n: int) -> int:
+    """n, for an exponent of ** or of a power in a script; LimitExceeded
+    when it is above MAX_EXPONENT."""
+    if n > MAX_EXPONENT:
+        raise LimitExceeded(f"exponent {n} is above the cap of {MAX_EXPONENT}")
+    return n
 
 
 def _field_overflow(ctx: Context, guards: int):

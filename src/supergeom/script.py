@@ -77,22 +77,26 @@ def _logical_lines(text: str):
         yield start, " ".join(part.strip() for part in buf)
 
 
+# the brackets and the separator, one pattern per separator _split_top takes
+_SPLITTERS = {sep: re.compile(rf"[()\[\]{sep}]") for sep in ",;"}
+
+
 def _split_top(text: str, sep: str):
     """Split at top-level separators, ignoring ones inside () or []."""
     parts = []
     depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([":
+    start = 0
+    for m in _SPLITTERS[sep].finditer(text):
+        ch = m.group()
+        if ch == sep:
+            if not depth:
+                parts.append(text[start:m.start()].strip())
+                start = m.end()
+        elif ch in "([":
             depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
         else:
-            cur.append(ch)
-    parts.append("".join(cur).strip())
+            depth -= 1
+    parts.append(text[start:].strip())
     return parts
 
 

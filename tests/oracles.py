@@ -1,7 +1,8 @@
 """Reference forms of the printer, rename, the parameter quotient, rref,
-at and the expression parser, written against the public Monomial/Fraction API only, so they share
-no code with the code-level forms in poly.py and linalg.py that they
-check.
+at, the expression parser and the script's list splitter, written
+against the public Monomial/Fraction API only, so they share no code
+with the code-level forms in poly.py, linalg.py, expr.py and script.py
+that they check.
 
 reference_str is the printer before it moved onto monomial codes: sort
 the (Monomial, Fraction) terms by a key built from the Monomial, check the
@@ -18,7 +19,9 @@ body term's Fraction coefficient times the powers of the point's values.
 reference_tokenize, reference_parse_poly and reference_parse_rational are
 the parser before it read token strings: a tokenizer that yields
 (kind, text, col) tuples, one method per grammar rule and a column carried
-by every token.
+by every token, and a ring product for every factor and a ring sum for
+every term.  reference_split_top is script._split_top before it jumped
+from bracket to bracket with a regex: one step per character.
 """
 
 import re
@@ -333,3 +336,22 @@ def reference_parse_rational(text: str, line=None) -> Fraction:
     shown = text.strip()
     more = f"... ({len(shown)} characters)" if len(shown) > _ECHO_CHARS else ""
     raise ScriptError(f"bad rational {shown[:_ECHO_CHARS]!r}{more}", line=line)
+
+
+def reference_split_top(text: str, sep: str):
+    """Split at top-level separators, ignoring ones inside () or []."""
+    parts = []
+    depth = 0
+    cur = []
+    for ch in text:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if ch == sep and depth == 0:
+            parts.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur).strip())
+    return parts

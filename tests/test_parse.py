@@ -13,7 +13,17 @@ message, line and column, on every input here:
   ٣ that \\d and int() accept, a non-breaking space and a tab;
 - nesting at the depth cap, and literals at the digit cap placed before
   and after a bad character;
-- short faulty texts, and parse_rational on the point and JSON forms.
+- short faulty texts, and parse_rational on the point and JSON forms;
+- the literal fold: repeated and permuted odd generators, zero and
+  capped powers, minus runs at the depth cap, groups and bindings between
+  literal factors, a product that passes the exponent field cap with and
+  without a zero in front, and a sum of 10,001 terms.
+
+The parser folds literal factors into one monomial and sums literal terms
+into one map, so a work count checks that such texts make no ring
+product, sum or power.  script._split_top is checked against the
+character loop it replaced on seeded lists, their edits and bracket-heavy
+strings.
 """
 
 import random
@@ -22,11 +32,12 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reference_parse_poly, reference_parse_rational
-from supergeom import Context, LimitExceeded, ScriptError, expr
+from oracles import (reference_parse_poly, reference_parse_rational,
+                     reference_split_top)
+from supergeom import Context, LimitExceeded, Monomial, ScriptError, SuperPoly, expr
 from supergeom.expr import parse_poly, parse_rational
-from supergeom.poly import MAX_DIGITS
-from supergeom.script import run_script
+from supergeom.poly import MAX_DIGITS, MAX_EXPONENT, MAX_FIELD_EXPONENT, _power
+from supergeom.script import _split_top, run_script
 
 ROOT = Path(__file__).resolve().parent.parent
 OTHER = Context(even=["u"], odd=["v"])
@@ -209,3 +220,127 @@ def test_a_successful_parse_computes_no_column(monkeypatch):
     assert parsed > 200
     assert parse_rational(" -3/4 ") == Fraction(-3, 4)
     assert run_script(golden).output == output
+
+
+# odd words, powers and minus runs that the parser folds into one monomial
+FOLD_CTX = Context(even=["x", "y"], odd=["theta1", "theta2", "theta3"])
+FOLD_ENV = {"f": parse_poly("x + theta1", FOLD_CTX), "h": parse_poly("3*theta2", FOLD_CTX),
+            "g": OTHER.var("u")}
+FOLDS = [
+    "theta1*theta1", "theta1^2", "theta1^0", "x^0", "0^0", "theta1^1", "theta1^2^0",
+    "-theta1^2^0", "theta1^0^5", "theta1*x*theta1", "theta1*theta1*z", "0*z",
+    "theta3*theta1*theta2", "theta3*theta2*theta1", "theta2*theta3*theta1",
+    "-theta2*x*theta1*y^2*theta3", "theta2*theta1 + theta1*theta2",
+    "theta3*theta1 - theta1*theta3 + 2*theta1*theta3",
+    *["-" * n + "x*theta2*theta1" for n in (99, 100, 101)],
+    *["2*" + "-" * n + "theta2^1*theta1" for n in (99, 100, 101)],
+    "3/4*x", "3/4*x - 1/4*x - 1/2*x", "-3/4*x^2*theta1 + 1/6*theta1*x^2", "2^1000",
+    "2^1001", "x^1001", "x^2^3", "-2^2^2", "x^1000^1001", "0*x^1001", "theta1^1001",
+    "x^1001/2", "2^0^1001", "(3/2)^2*x", "x^2^0", "0^5*theta1",
+    "2*theta2*(x+1)*theta1", "theta2*(theta1)", "theta2*h*theta1", "f*theta2*f",
+    "theta1*f*theta2*x^2", "-f", "3*-f", "-(x+1)*theta1", "2*(x+1)^2*theta1",
+    "0*(x)", "(x)*0*x", "x*f^2*theta3 - theta3*f", "g*x", "x*g", "theta1*theta1*(x)",
+    "(theta2)*-theta1*-3", "x - (x) + f - f", "(x)^1001", "f^2^1001", "theta1*(x*é",
+    "x*(y", "x*)", "2*3 + theta1^3*x",
+]
+
+
+def _squaring_pow(monkeypatch):
+    """Run ** below the cap by repeated squaring, once per power: the same
+    values and errors, without the thousand products of each x^1000."""
+    plain = SuperPoly.__pow__
+    powers = {}
+
+    def power(p, n):
+        if not isinstance(n, int) or not 0 < n <= MAX_EXPONENT:
+            return plain(p, n)
+        got = powers.get((p, n))
+        if got is None:
+            got = powers[p, n] = _power(p, n)
+        return got
+
+    monkeypatch.setattr(SuperPoly, "__pow__", power)
+
+
+@pytest.mark.parametrize("line", [None, 3])
+def test_literal_folds_match_the_reference(line):
+    for text in FOLDS:
+        for env in (None, FOLD_ENV):
+            assert outcome(parse_poly, text, FOLD_CTX, line, env) == \
+                outcome(reference_parse_poly, text, FOLD_CTX, line, env), text[:40]
+
+
+def test_generator_names_that_are_not_identifiers_are_not_read():
+    # the Python API accepts any names; the parser reads only identifiers
+    ctx = Context(even=["x", "(", ""], odd=["-", "theta"])
+    for text in ["(x)", "x*(x)", "-theta", "x - theta", "x*", "(", "x^2*theta*(x)"]:
+        assert outcome(parse_poly, text, ctx) == outcome(reference_parse_poly, text, ctx), text
+
+
+def test_field_overflow_matches_the_reference(monkeypatch):
+    # 8389 * 1000 is the first multiple of 1000 above the field cap
+    assert 8388 * 1000 <= MAX_FIELD_EXPONENT < 8389 * 1000
+    over = "*".join(["x^1000"] * 8389)
+    texts = [over, over[7:], "0*" + over, "theta1*theta1*" + over, "theta1*" + over + "*theta1",
+             "(x)*" + over, "2*(x)*" + over, over + "*z", over[7:] + "*z", "(0)*" + over]
+    expected = [outcome(parse_poly, text, FOLD_CTX) for text in texts]
+    _squaring_pow(monkeypatch)
+    assert expected == [outcome(reference_parse_poly, text, FOLD_CTX) for text in texts]
+    message = f"exponent of x is above the cap of {MAX_FIELD_EXPONENT}"
+    x8388000 = SuperPoly(FOLD_CTX, {Monomial([(0, 8388 * 1000)], 0): 1})
+    assert [e[:2] if isinstance(e, tuple) else e for e in expected] == [
+        (LimitExceeded, message), x8388000, 0, 0, (LimitExceeded, message),
+        (LimitExceeded, message), (LimitExceeded, message), (LimitExceeded, message),
+        (ScriptError, f"column {len(over) - 5}: unknown generator 'z'"), 0]
+
+
+def test_a_sum_of_ten_thousand_and_one_terms_matches_the_reference():
+    # MAX_TERMS caps products only; a serialized polynomial of any size loads
+    text = " + ".join(f"{k % 7 - 3 or 1}*x^{k // 100}*y^{k % 100}*theta{k % 3 + 1}"
+                      for k in range(10_001))
+    value = parse_poly(text, FOLD_CTX)
+    assert len(value.terms) == 10_001
+    assert value == reference_parse_poly(text, FOLD_CTX)
+
+
+def test_literal_monomials_make_no_ring_operation(monkeypatch):
+    counts = dict.fromkeys(["__mul__", "__add__", "__pow__"], 0)
+    for name in counts:
+        def counted(*args, _name=name, _plain=getattr(SuperPoly, name)):
+            counts[_name] += 1
+            return _plain(*args)
+        monkeypatch.setattr(SuperPoly, name, counted)
+    literal = "3*x^2*theta2*theta1 - 1/2*y + x*-theta3 - 4 + theta1^0*2^3 - x^2*theta1*theta2"
+    value = parse_poly(literal, FOLD_CTX)
+    assert counts == dict.fromkeys(counts, 0)
+    assert value == reference_parse_poly(literal, FOLD_CTX)
+    parse_poly("2*theta2*(x + 1)*theta1", FOLD_CTX)
+    assert counts["__mul__"] > 0
+
+
+def _lists(rng):
+    """Script argument lists: seeded expressions joined by commas or
+    semicolons, some in brackets."""
+    names = list(CTX.names)
+    out = []
+    for _ in range(60):
+        items = [_text(rng, names) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            items[0] = "[" + items[0]
+            items[-1] += "]"
+        out.append(rng.choice([", ", ",", " ; ", ";"]).join(items))
+    return out
+
+
+def test_split_top_matches_the_character_loop():
+    rng = random.Random(2300)
+    golden = (ROOT / "demos" / "golden_session.sg").read_text()
+    texts = golden.splitlines() + _lists(rng)
+    texts += [edit for text in texts for edit in _edits(rng, text, 3)]
+    texts += [text for text, *_ in CASES]
+    for _ in range(300):
+        texts.append("".join(rng.choice(")(,;[] ab") for _ in range(rng.randint(0, 24))))
+    texts += ["", ",", ";", ")(", "(,)", "),(", "a)b,c(d,e", "[a,b],(c;d);e", "]]],[[[,"]
+    for text in texts:
+        for sep in ",;":
+            assert _split_top(text, sep) == reference_split_top(text, sep), (text, sep)
