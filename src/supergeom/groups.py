@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .derivation import SuperDerivation, TangentVector
 from .errors import ContextMismatch, ParityError
 from .morphism import Morphism
-from .poly import Context, Parity, RationalPoint, SuperPoly, dot
+from .poly import Context, Parity, RationalPoint, SuperPoly
 
 PRIME = "p"
 
@@ -168,15 +168,6 @@ def _inverse_axiom(law: GroupLaw) -> AxiomResult:
     return AxiomResult("inverse", not residuals, tuple(residuals))
 
 
-def _directional(v: TangentVector, poly: SuperPoly, names) -> SuperPoly:
-    """Sum of v's weights against the left partials along the given names."""
-    ctx = poly.ctx
-    weights = dict(zip(v.ctx.names, v.coords()))
-    return dot(ctx, (
-        (poly.partial(n), ctx.scalar(weights[n])) for n in names if weights[n]
-    ))
-
-
 def left_invariant_field(law: GroupLaw, v: TangentVector) -> SuperDerivation:
     """The left-invariant field with value v at the unit: the
     infinitesimal action of the anti-law iota on G itself."""
@@ -235,9 +226,10 @@ def infinitesimal_action(law: GroupLaw, sigma: Morphism,
     for old, new in zip(rest_even + rest_odd, target.names):
         images[old] = target.var(new)
 
-    coeffs = []
-    for n_t in target.names:
-        derived = _directional(v, sigma.image(n_t), g.names)
-        coeffs.append(derived.substitute(target, images))
+    # v's weights on the group coordinates, zeros on the M coordinates
+    along = SuperDerivation(src, parity, v.even_coords + (0,) * len(rest_even),
+                            v.odd_coords + (0,) * len(rest_odd))
+    coeffs = [along.apply(sigma.image(n_t)).substitute(target, images)
+              for n_t in target.names]
     k = len(target.even)
     return SuperDerivation(target, parity, coeffs[:k], coeffs[k:])

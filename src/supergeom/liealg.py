@@ -35,7 +35,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import ContextMismatch, ReservedGeneratorCollision
 from .matrix import SuperDim, SuperMatrix
-from .poly import Context, Monomial, Parity, SuperPoly, _exact, dot
+from .poly import Context, Monomial, Parity, SuperPoly, _exact
 
 RESERVED = ("epsilon1", "epsilon2", "epsilon3", "epsilon4")
 
@@ -247,20 +247,14 @@ def _canonical_constraints(ctx: Context, polys):
     for group, names in ((even, ctx.even), (odd, ctx.odd[2:])):
         if not group:
             continue
-        # each symbol's monomial, built once; a polynomial's coefficient
-        # there is the constant term of its partial by the symbol
+        # each symbol's monomial, built once: it reads the symbol's
+        # coefficient in each constraint and keys it in each reduced row
         monos = []
         for name in names:
             is_odd, i = ctx.lookup(name)
             monos.append(Monomial((), 1 << i) if is_odd else Monomial(((i, 1),), 0))
         echelon, _ = linalg.rref([[c.coefficient(m) for m in monos] for c in group])
-        for row in echelon:
-            if not any(row):
-                continue
-            out.append(dot(ctx, (
-                (ctx.var(name), ctx.scalar(coeff))
-                for coeff, name in zip(row, names) if coeff
-            )))
+        out += [SuperPoly(ctx, zip(monos, row)) for row in echelon if any(row)]
     return tuple(out)
 
 

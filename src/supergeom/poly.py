@@ -16,6 +16,13 @@ ordered generator names that fix the ring, so every producer of contexts
 (scripts, serialize, groups, liealg and user code) shares one object and
 one print cache per signature, and contexts compare and hash by identity.
 
+Every bounded cache here is one type, _Memo: key -> fn(key), emptied
+when a miss finds MAX_CACHE entries.  _WORDS holds odd words, _SWAP_PARITY
+Koszul sign masks, each Context's _texts its monomials' sort keys and
+texts, and each substitute call its images' powers.  One constructor,
+SuperPoly._from_coefficients, makes the canonical numerators and den of
+a map of coefficients, for the public constructor and the parser.
+
 A SuperPoly keys its numerators by one int per monomial, its code.  The
 even part sits in the low bits as fixed-width exponent fields: the
 exponent of t_i is the field of _FIELD_BITS bits that starts at bit
@@ -85,6 +92,7 @@ import threading
 import weakref
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -154,54 +162,54 @@ class Parity(enum.Enum):
         return self.name.lower()
 
 
-# Most entries _WORDS or _SWAP_PARITY holds.  Both are keyed by the odd
+# Most entries one _Memo holds.  The odd-word memos are keyed by the odd
 # masks seen so far, which over many odd generators have no useful bound;
-# a miss that finds a cache this full empties it first, so a hit costs the
+# a miss that finds a memo this full empties it first, so a hit costs the
 # same and a long session keeps at most this many entries.
 MAX_CACHE = 1 << 16
 
-# odd-word masks seen so far, as increasing index tuples
-_WORDS: dict[int, tuple[int, ...]] = {}
+
+class _Memo(dict):
+    """key -> fn(key), computed on first lookup and kept until a miss
+    finds MAX_CACHE entries, which empties the memo first.  MAX_CACHE is
+    read at each miss."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self.fn(key)
+        if len(self) >= MAX_CACHE:
+            self.clear()
+        self[key] = value
+        return value
 
 
-def _odd_word(mask: int) -> tuple[int, ...]:
-    """The set bits of mask as an increasing index tuple, interned."""
-    word = _WORDS.get(mask)
-    if word is None:
-        if len(_WORDS) >= MAX_CACHE:
-            _WORDS.clear()
-        word = _WORDS[mask] = tuple(
-            j for j in range(mask.bit_length()) if mask >> j & 1
-        )
-    return word
+# odd-word mask -> its set bits as an increasing index tuple, interned
+_WORDS = _Memo(lambda mask: tuple(j for j in range(mask.bit_length()) if mask >> j & 1))
+_odd_word = _WORDS.__getitem__
 
 
-class _SwapParity(dict):
-    """mask -> the mask whose bit y is the parity of the number of bits of
-    mask above y, computed on first lookup and kept until the cache is
-    full (MAX_CACHE).
+def _swap_parity(mask: int) -> int:
+    """The mask whose bit y is the parity of the number of bits of mask
+    above y.
 
     theta_mask * theta_y passes theta_y leftwards over exactly those
     generators, so for a disjoint mask k the product theta_mask * theta_k
     has the sign (-1)^popcount(_SWAP_PARITY[mask] & k).
     """
-
-    __slots__ = ()
-
-    def __missing__(self, mask: int) -> int:
-        # suffix xor of mask >> 1 by doubling shifts
-        out = mask >> 1
-        step = 1
-        while step < mask.bit_length():
-            out ^= out >> step
-            step <<= 1
-        if len(self) >= MAX_CACHE:
-            self.clear()
-        self[mask] = out
-        return out
+    # suffix xor of mask >> 1 by doubling shifts
+    out = mask >> 1
+    step = 1
+    while step < mask.bit_length():
+        out ^= out >> step
+        step <<= 1
+    return out
 
 
-_SWAP_PARITY = _SwapParity()
+_SWAP_PARITY = _Memo(_swap_parity)
 
 
 def normalize_odd_word(word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -263,8 +271,10 @@ class Context:
                               for i in range(len(even)))
             # a monomial code keeps its odd mask from this bit up
             self._shift = _FIELD_BITS * len(even)
-            # code -> (sort key, factor text) of the monomials printed so far
-            self._texts: dict[int, tuple[tuple, str]] = {}
+            # code -> (sort key, factor text) of the monomials printed so
+            # far; its function holds the names, not the context, so no
+            # cycle keeps a dropped context in the registry
+            self._texts = _Memo(partial(_monomial_text, even, odd, self._shift))
             _CONTEXTS[even, odd] = self
         return self
 
@@ -280,26 +290,6 @@ class Context:
 
     def __contains__(self, name):
         return name in self._kinds
-
-    def _term(self, code: int) -> tuple[tuple, str]:
-        """(sort key, factor text) of a monomial code, cached until the
-        cache is full (MAX_CACHE).  The key sorts graded-lex descending on
-        the even part, then lexicographically on the odd word; the text is
-        the factors joined by '*', empty for the unit."""
-        got = self._texts.get(code)
-        if got is None:
-            shift = self._shift
-            exps = [code >> i & _FIELD_MASK for i in range(0, shift, _FIELD_BITS)]
-            word = _odd_word(code >> shift)
-            factors = [name if e == 1 else f"{name}^{e}"
-                       for name, e in zip(self.even, exps) if e]
-            factors += [self.odd[j] for j in word]
-            # minus every exponent, so sum(neg) is minus the degree
-            neg = tuple(-e for e in exps)
-            if len(self._texts) >= MAX_CACHE:
-                self._texts.clear()
-            got = self._texts[code] = ((sum(neg), neg, word), "*".join(factors))
-        return got
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -322,6 +312,20 @@ class Context:
 
     def __repr__(self):
         return f"Context(even={list(self.even)}, odd={list(self.odd)})"
+
+
+def _monomial_text(even, odd, shift: int, code: int) -> tuple[tuple, str]:
+    """(sort key, factor text) of a monomial code over the generator
+    names even and odd, its odd mask from bit shift up.  The key sorts
+    graded-lex descending on the even part, then lexicographically on the
+    odd word; the text is the factors joined by '*', empty for the unit."""
+    exps = [code >> i & _FIELD_MASK for i in range(0, shift, _FIELD_BITS)]
+    word = _odd_word(code >> shift)
+    factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(even, exps) if e]
+    factors += [odd[j] for j in word]
+    # minus every exponent, so sum(neg) is minus the degree
+    neg = tuple(-e for e in exps)
+    return (sum(neg), neg, word), "*".join(factors)
 
 
 def _unpack(packed: int) -> tuple[tuple[int, int], ...]:
@@ -490,15 +494,10 @@ class SuperPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, c in items:
             code = encode(ctx, mono)
-            c = _exact(c)
-            if c:
+            if c := _exact(c):
                 coeffs[code] = c
-        # the lcm of reduced denominators shares no factor with all the
-        # scaled numerators, so this is already canonical
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        self.ctx = ctx
-        self.nums = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
-        self.den = den
+        p = SuperPoly._from_coefficients(ctx, coeffs)
+        self.ctx, self.nums, self.den = ctx, p.nums, p.den
 
     @classmethod
     def _raw(cls, ctx, nums, den=1):
@@ -523,7 +522,8 @@ class SuperPoly:
     @classmethod
     def _from_coefficients(cls, ctx, coeffs: dict[int, int | Fraction]) -> "SuperPoly":
         # internal: from {code: int or Fraction}, zeros dropped; the lcm of
-        # the reduced denominators leaves it canonical, as in __init__
+        # the reduced denominators shares no factor with all the scaled
+        # numerators, so this is already canonical
         den = lcm(*[c.denominator for c in coeffs.values() if type(c) is not int])
         nums = {}
         for code, c in coeffs.items():
@@ -795,32 +795,33 @@ class SuperPoly:
     def substitute(self, ctx_out: Context, images: Mapping[str, "SuperPoly"]) -> "SuperPoly":
         """Apply the ring map sending each generator to its image.
 
-        Every generator actually appearing in this polynomial must have an
-        image over ctx_out; images must be parity-correct (even generators
-        get EVEN polynomials, odd generators get ODD ones; zero is fine for
-        either), which is what makes the substitution a well defined
+        Each term multiplies its numerator by the images of its generators
+        in order, the even powers by index and then the odd word, and
+        reads no further image once that partial product is zero: so
+        (t*a*b).substitute(d, {t: s, a: 0}) is 0 with no image for b.
+        Every image read must be given, else ValueError, and be a
+        polynomial over ctx_out of the generator's parity (EVEN for even
+        generators, ODD for odd ones; zero is fine for either), else
+        ParityError, which is what makes the substitution a well defined
         homomorphism.  The numerators are substituted and the sum divided
         by den once.  Powers of an image are built by repeated squaring,
         so a stored exponent above MAX_EXPONENT, the cap of ** in
         scripts, substitutes like any other.
         """
-        cache: dict[tuple[Parity, int, int], SuperPoly] = {}
-
-        def factor(parity, i, e):
+        def image_power(key):
             # image of generator i raised to e, looked up only when needed
-            got = cache.get((parity, i, e))
-            if got is None:
-                name = (self.ctx.odd if parity is Parity.ODD else self.ctx.even)[i]
-                img = images.get(name)
-                if img is None:
-                    raise ValueError(f"no image for generator {name!r}")
-                if not img.has_parity(parity):
-                    raise ParityError(
-                        f"image of {parity} generator {name!r} is not {parity}"
-                    )
-                got = cache[(parity, i, e)] = _power(img, e)
-            return got
+            parity, i, e = key
+            name = (self.ctx.odd if parity is Parity.ODD else self.ctx.even)[i]
+            img = images.get(name)
+            if img is None:
+                raise ValueError(f"no image for generator {name!r}")
+            if not img.has_parity(parity):
+                raise ParityError(
+                    f"image of {parity} generator {name!r} is not {parity}"
+                )
+            return _power(img, e)
 
+        powers = _Memo(image_power)
         one = SuperPoly.scalar(ctx_out, 1)
 
         def pairs():
@@ -832,11 +833,11 @@ class SuperPoly:
                 keys += [(Parity.ODD, j, 1) for j in _odd_word(code >> shift)]
                 head = SuperPoly.scalar(ctx_out, c)
                 for key in keys[:-1]:
-                    head = head * factor(*key)
+                    head = head * powers[key]
                     if not head:
                         break
                 else:
-                    yield head, factor(*keys[-1]) if keys else one
+                    yield head, powers[keys[-1]] if keys else one
 
         out = dot(ctx_out, pairs())
         if self.den == 1:
@@ -957,7 +958,7 @@ class SuperPoly:
         same order, so a coefficient too long to print raises
         LimitExceeded in both."""
         ctx = self.ctx
-        for _, code in sorted((ctx._term(code)[0], code) for code in self.nums):
+        for _, code in sorted((ctx._texts[code][0], code) for code in self.nums):
             c = Fraction(self.nums[code], self.den)
             if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
                 raise LimitExceeded(
@@ -966,11 +967,10 @@ class SuperPoly:
             yield decode(ctx, code), c
 
     def __str__(self):
-        ctx = self.ctx
-        texts = ctx._texts
+        texts = self.ctx._texts
         rows = []
         for code, n in self.nums.items():
-            key, text = texts.get(code) or ctx._term(code)
+            key, text = texts[code]
             rows.append((key, n, text))
         # the keys of distinct codes differ, so only they are compared
         rows.sort()

@@ -17,7 +17,7 @@ import pytest
 
 from supergeom.script import run_script
 from supergeom.serialize import from_json
-from supergeom import Morphism, SuperMatrix
+from supergeom import Morphism, SuperMatrix, poly
 
 
 def run(text, **kw):
@@ -550,6 +550,24 @@ def test_cli_golden_session_bytes_under_two_hash_seeds():
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256
     assert procs[0].stdout == procs[1].stdout
+
+
+def test_golden_session_bytes_when_every_memo_holds_two_entries(monkeypatch):
+    # a miss at two entries empties the memo, so the session evicts the
+    # odd words, the sign masks and every context's texts over and over;
+    # the memos start empty, since a context's texts are shared with
+    # every other test that printed in its signature
+    monkeypatch.setattr(poly, "MAX_CACHE", 2)
+    contexts = list(poly._CONTEXTS.values())
+    memos = [poly._WORDS, poly._SWAP_PARITY] + [ctx._texts for ctx in contexts]
+    for memo in memos:
+        memo.clear()
+    text = (ROOT / "demos" / "golden_session.sg").read_text()
+    result = run_script(text)
+    assert result.errors == ()
+    assert sha256(result.output) == GOLDEN_SHA256
+    memos += [ctx._texts for ctx in poly._CONTEXTS.values()]
+    assert max(len(memo) for memo in memos) <= 2
 
 
 def test_cli_readme_session_bytes():

@@ -5,8 +5,9 @@ producer of contexts (the constructor, script context statements,
 from_json, product_context and liealg._extended) hands back the one live
 object of a signature, and contexts compare and hash by identity.  Copies
 and pickles come back as that object, a construction that fails registers
-nothing, dropped contexts leave the weak registry, and threads racing on
-a new signature still get one object.
+nothing, dropped contexts leave the weak registry, even without the cycle
+collector once they have printed, and threads racing on a new signature
+still get one object.
 """
 
 import copy
@@ -16,6 +17,7 @@ import pickle
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -136,6 +138,21 @@ def test_dropped_contexts_leave_the_registry():
     del ctx
     gc.collect()
     assert len(_CONTEXTS) == start
+
+
+def test_a_dropped_context_that_printed_dies_without_the_collector():
+    # its print memo must not refer back to it: a reference cycle would
+    # keep it registered until the next collection
+    ctx = Context(["refcount_t"], ["refcount_a"])
+    str(ctx.var("refcount_t") * ctx.var("refcount_a") + 1)
+    assert len(ctx._texts) == 2
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_threads_racing_on_a_new_signature_get_one_object():
