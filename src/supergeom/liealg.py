@@ -35,7 +35,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import ContextMismatch, ReservedGeneratorCollision
 from .matrix import SuperDim, SuperMatrix
-from .poly import Context, Monomial, Parity, SuperPoly, _exact
+from .poly import Context, Parity, SuperPoly, _exact, _linear_rows
 
 RESERVED = ("epsilon1", "epsilon2", "epsilon3", "epsilon4")
 
@@ -247,14 +247,12 @@ def _canonical_constraints(ctx: Context, polys):
     for group, names in ((even, ctx.even), (odd, ctx.odd[2:])):
         if not group:
             continue
-        # each symbol's monomial, built once: it reads the symbol's
-        # coefficient in each constraint and keys it in each reduced row
-        monos = []
-        for name in names:
-            is_odd, i = ctx.lookup(name)
-            monos.append(Monomial((), 1 << i) if is_odd else Monomial(((i, 1),), 0))
-        echelon, _ = linalg.rref([[c.coefficient(m) for m in monos] for c in group])
-        out += [SuperPoly(ctx, zip(monos, row)) for row in echelon if any(row)]
+        # each constraint's int row is a multiple of its coefficients on
+        # the symbols, which leaves the reduced echelon form unchanged
+        codes, rows = _linear_rows(ctx, names, group)
+        echelon, _ = linalg.rref(rows)
+        out += [SuperPoly._from_coefficients(ctx, dict(zip(codes, row)))
+                for row in echelon if any(row)]
     return tuple(out)
 
 

@@ -30,7 +30,7 @@ from .errors import (
     NotInvertible,
     ParityError,
 )
-from .poly import Context, Parity, Scalar, SuperPoly, dot_row
+from .poly import _PARITIES, Context, Parity, Scalar, SuperPoly, dot_row
 
 # Largest n for which _minors expands an n x n grid.  A determinant fills
 # its (row set, column set) memo with one minor per row set, 2^n of them: on
@@ -279,7 +279,7 @@ class SuperMatrix:
                     raise TypeError(f"entry ({i},{j}) is not a polynomial")
                 elif e.ctx != ctx:
                     raise ContextMismatch(f"entry ({i},{j}) built over a different context")
-                need = Parity((rp + _par(source, j) + parity.value) & 1)
+                need = _PARITIES[(rp + _par(source, j) + parity.value) & 1]
                 if not e.has_parity(need):
                     raise ParityError(
                         f"entry ({i},{j}) of a {parity} matrix must be {need}"

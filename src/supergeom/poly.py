@@ -19,9 +19,12 @@ one print cache per signature, and contexts compare and hash by identity.
 Every bounded cache here is one type, _Memo: key -> fn(key), emptied
 when a miss finds MAX_CACHE entries.  _WORDS holds odd words, _SWAP_PARITY
 Koszul sign masks, each Context's _texts its monomials' sort keys and
-texts, and each substitute call its images' powers.  One constructor,
+texts, and each substitute call its images' powers, keyed (0, i, e) for
+t_i^e and (1, j, 1) for theta_j; an image is looked up and its parity
+checked at its first power, once per call.  One constructor,
 SuperPoly._from_coefficients, makes the canonical numerators and den of
-a map of coefficients, for the public constructor and the parser.
+a map of coefficients, for the public constructor, the parser and the
+reduced Lie constraints, whose int rows _linear_rows reads.
 
 A SuperPoly keys its numerators by one int per monomial, its code.  The
 even part sits in the low bits as fixed-width exponent fields: the
@@ -38,13 +41,14 @@ built by the ring operations here, by var and scalar, and for the
 expression parser by _times_generator, which multiplies a code by one
 generator to a power with the sign rule of _mac, and
 SuperPoly._from_coefficients, which makes a polynomial of a map of codes
-to coefficients.  The parser holds those codes without reading them; no
-other module reads a code.  SuperPoly.rename is the one move between
-contexts: it relabels codes along a map of generator names without
-multiplying, and keeps them as they are where every name keeps its
-index.  SuperPoly.left_quotient divides out a one-term odd factor
-theta_M in one pass, so the Koszul signs of products, partials,
-renamings and quotients are all counted in this module.
+to coefficients.  The parser, and liealg for its constraints, hold those
+codes without reading them; no other module reads a code.
+SuperPoly.rename is the one move between contexts: it relabels codes
+along a map of generator names without multiplying, and keeps them as
+they are where every name keeps its index.  SuperPoly.left_quotient
+divides out a one-term odd factor theta_M in one pass, so the Koszul
+signs of products, partials, renamings and quotients are all counted in
+this module.
 
 A product theta_k1 * theta_k2 is zero when k1 & k2 shares a bit.
 Otherwise sorting the concatenated word moves each generator y of k2
@@ -151,15 +155,19 @@ class Parity(enum.Enum):
             return NotImplemented
         if Parity.MIXED in (self, other):
             raise ValueError("cannot add MIXED parities")
-        return Parity((self.value + other.value) % 2)
+        return _PARITIES[(self.value + other.value) & 1]
 
     def flipped(self) -> "Parity":
         if self is Parity.MIXED:
             raise ValueError("cannot flip MIXED parity")
-        return Parity(1 - self.value)
+        return _PARITIES[1 - self.value]
 
     def __str__(self):
         return self.name.lower()
+
+
+# the Parity of a bit 0 or 1, read without the Parity(int) enum lookup
+_PARITIES = (Parity.EVEN, Parity.ODD)
 
 
 # Most entries one _Memo holds.  The odd-word memos are keyed by the odd
@@ -578,10 +586,12 @@ class SuperPoly:
         if not self.nums:
             return Parity.EVEN
         shift = self.ctx._shift
-        seen = {(m >> shift).bit_count() & 1 for m in self.nums}
-        if len(seen) == 2:
-            return Parity.MIXED
-        return Parity(seen.pop())
+        codes = iter(self.nums)
+        odd = (next(codes) >> shift).bit_count() & 1
+        for code in codes:
+            if (code >> shift).bit_count() & 1 != odd:
+                return Parity.MIXED
+        return _PARITIES[odd]
 
     def has_parity(self, parity: Parity) -> bool:
         """True when the polynomial is homogeneous of the given parity.
@@ -803,23 +813,30 @@ class SuperPoly:
         polynomial over ctx_out of the generator's parity (EVEN for even
         generators, ODD for odd ones; zero is fine for either), else
         ParityError, which is what makes the substitution a well defined
-        homomorphism.  The numerators are substituted and the sum divided
+        homomorphism.  Each image is looked up and its parity checked
+        once, when it is first read, however many of its powers the terms
+        hold.  The numerators are substituted and the sum divided
         by den once.  Powers of an image are built by repeated squaring,
         so a stored exponent above MAX_EXPONENT, the cap of ** in
         scripts, substitutes like any other.
         """
         def image_power(key):
-            # image of generator i raised to e, looked up only when needed
-            parity, i, e = key
-            name = (self.ctx.odd if parity is Parity.ODD else self.ctx.even)[i]
+            # the image of generator i of the tag's parity (0 even, 1 odd)
+            # to the e; the image itself is the power (tag, i, 1), so it is
+            # looked up and checked once, when it is first read
+            tag, i, e = key
+            if e > 1:
+                return _power(powers[tag, i, 1], e)
+            name = (self.ctx.odd if tag else self.ctx.even)[i]
             img = images.get(name)
             if img is None:
                 raise ValueError(f"no image for generator {name!r}")
+            parity = _PARITIES[tag]
             if not img.has_parity(parity):
                 raise ParityError(
                     f"image of {parity} generator {name!r} is not {parity}"
                 )
-            return _power(img, e)
+            return img
 
         powers = _Memo(image_power)
         one = SuperPoly.scalar(ctx_out, 1)
@@ -829,8 +846,8 @@ class SuperPoly:
             shift = self.ctx._shift
             low = (1 << shift) - 1
             for code, c in self.nums.items():
-                keys = [(Parity.EVEN, i, e) for i, e in _unpack(code & low)]
-                keys += [(Parity.ODD, j, 1) for j in _odd_word(code >> shift)]
+                keys = [(0, i, e) for i, e in _unpack(code & low)]
+                keys += [(1, j, 1) for j in _odd_word(code >> shift)]
                 head = SuperPoly.scalar(ctx_out, c)
                 for key in keys[:-1]:
                     head = head * powers[key]
@@ -1140,6 +1157,17 @@ def dot_row(ctx: Context, row: Sequence[SuperPoly],
                 for acc, den, b in zip(accs, dens, right) if b.nums
             ])
     return tuple(SuperPoly._reduced(ctx, acc, den) for acc, den in zip(accs, dens))
+
+
+def _linear_rows(ctx: Context, names, polys) -> tuple[list[int], list[list[int]]]:
+    """(codes, rows): the code of each generator in names, and for each
+    polynomial over ctx its numerators on those generators, its
+    coefficients there times its den.  liealg reduces these int rows and
+    rebuilds each reduced row from the codes through
+    SuperPoly._from_coefficients."""
+    codes = [1 << (ctx._shift + i if is_odd else _FIELD_BITS * i)
+             for is_odd, i in map(ctx.lookup, names)]
+    return codes, [[p.nums.get(code, 0) for code in codes] for p in polys]
 
 
 def _power(p: SuperPoly, e: int) -> SuperPoly:

@@ -22,13 +22,22 @@ the parser before it read token strings: a tokenizer that yields
 by every token, and a ring product for every factor and a ring sum for
 every term.  reference_split_top is script._split_top before it jumped
 from bracket to bracket with a regex: one step per character.
+
+reference_parity and reference_canonical_constraints are kept verbatim
+from the code they check, so they read the numerators where that code
+did.  reference_parity is SuperPoly.parity before it compared each term
+with the first: the set of every term's odd-degree parity.
+reference_canonical_constraints is liealg._canonical_constraints before
+it reduced int rows: one Monomial per symbol and one Fraction per
+coefficient read, reduced by linalg.rref and rebuilt by the public
+constructor.
 """
 
 import re
 from fractions import Fraction
 
 from supergeom import (Context, LimitExceeded, Monomial, Parity, ParityError,
-                       ScriptError, SuperPoly)
+                       ScriptError, SuperPoly, linalg)
 from supergeom.expr import _ECHO_CHARS, _MAX_DEPTH
 from supergeom.poly import MAX_DIGITS
 
@@ -355,3 +364,36 @@ def reference_split_top(text: str, sep: str):
             cur.append(ch)
     parts.append("".join(cur).strip())
     return parts
+
+
+def reference_parity(p):
+    """EVEN, ODD, or MIXED; the zero polynomial is EVEN by convention."""
+    if not p.nums:
+        return Parity.EVEN
+    shift = p.ctx._shift
+    seen = {(m >> shift).bit_count() & 1 for m in p.nums}
+    if len(seen) == 2:
+        return Parity.MIXED
+    return Parity(seen.pop())
+
+
+def reference_canonical_constraints(ctx, polys):
+    """Row-reduce the linear constraints separately by parity and rebuild
+    them, so any generating set with the same span prints identically."""
+    even, odd = [], []
+    for c in polys:
+        if c:
+            (even if c.has_parity(Parity.EVEN) else odd).append(c)
+
+    out = []
+    # the odd symbols skip the reserved parameter pair
+    for group, names in ((even, ctx.even), (odd, ctx.odd[2:])):
+        if not group:
+            continue
+        monos = []
+        for name in names:
+            is_odd, i = ctx.lookup(name)
+            monos.append(Monomial((), 1 << i) if is_odd else Monomial(((i, 1),), 0))
+        echelon, _ = linalg.rref([[c.coefficient(m) for m in monos] for c in group])
+        out += [SuperPoly(ctx, zip(monos, row)) for row in echelon if any(row)]
+    return tuple(out)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_supermatrix
-from oracles import reference_rref, substitution_rename
+from oracles import reference_canonical_constraints, reference_rref, substitution_rename
 from supergeom import (
     Context,
     ContextMismatch,
@@ -32,8 +32,10 @@ from supergeom import (
     linalg,
     superbracket,
 )
+from supergeom import liealg
 from supergeom.liealg import (
     RESERVED,
+    _canonical_constraints,
     _divide,
     _extended,
     _lift,
@@ -404,6 +406,66 @@ def test_osp_rational_form_matches_the_partial_rows_oracle(spec):
     m, n = spec.dims
     k = n // 2
     assert len(want) == (m + n) ** 2 - (m * (m - 1) // 2 + k * (2 * k + 1) + 2 * m * k)
+
+
+# GL, SL and OSp (even n) for every m|n up to 3|3, and the rational forms
+ORACLE_SPECS = [
+    MatrixGroupSpec(kind, (m, n))
+    for kind in ("GL", "SL", "OSp") for m in range(4) for n in range(4)
+    if kind != "OSp" or n % 2 == 0
+] + RATIONAL_FORMS
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS,
+                         ids=lambda s: f"{s.kind}{s.dims[0]}|{s.dims[1]}")
+def test_constraints_match_the_coefficient_oracle(spec, monkeypatch):
+    # the raw constraints lie_algebra hands over, reduced both ways
+    seen = []
+
+    def spy(ctx, polys):
+        seen.append((ctx, polys))
+        return _canonical_constraints(ctx, polys)
+
+    monkeypatch.setattr(liealg, "_canonical_constraints", spy)
+    res = lie_algebra(spec)
+    ((ctx, raw),) = seen
+    want = reference_canonical_constraints(ctx, raw)
+    assert res.constraints == want
+    assert [str(c) for c in res.constraints] == [str(c) for c in want]
+
+
+def test_synthetic_constraints_match_the_coefficient_oracle():
+    # rational coefficients, duplicates, scaled copies, rows that vanish
+    # on the symbols, terms off the symbols, and each parity alone
+    spec = MatrixGroupSpec.OSp(2, 2)
+    ctx = lie_algebra(spec).context
+    rng = random.Random(25)
+    even_syms = [ctx.var(n) for n in ctx.even]
+    odd_syms = [ctx.var(n) for n in ctx.odd[2:]]
+
+    def form(syms):
+        return sum((Fraction(rng.randint(-6, 6), rng.randint(1, 9)) * v
+                    for v in rng.sample(syms, rng.randint(1, 3))), ctx.zero())
+
+    eps = ctx.var(RESERVED[0])
+    for trial in range(40):
+        even = [form(even_syms) for _ in range(rng.randint(0, 4))]
+        odd = [form(odd_syms) for _ in range(rng.randint(0, 4))]
+        polys = even + odd
+        if polys:
+            c = rng.choice(polys)
+            polys += [c, c * Fraction(rng.randint(1, 9), rng.randint(2, 9)), -c]
+        # zero, a constant and an off-symbol odd term read as zero rows
+        polys += [ctx.zero(), ctx.scalar(Fraction(3, 7)), eps * Fraction(5, 2)]
+        if trial % 4 == 0:
+            polys += [form(even_syms) + 2]
+        rng.shuffle(polys)
+        for group in (polys, [p for p in polys if p.has_parity(Parity.EVEN)],
+                      [p for p in polys if not p.has_parity(Parity.EVEN)]):
+            got = _canonical_constraints(ctx, group)
+            want = reference_canonical_constraints(ctx, group)
+            assert got == want
+            assert [str(c) for c in got] == [str(c) for c in want]
 
 
 def test_sl_element_feeds_berezinian():

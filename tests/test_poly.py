@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import poly, random_poly, random_rational_poly
+from oracles import reference_parity
 from supergeom import (
     Context,
     ContextMismatch,
@@ -128,6 +129,46 @@ class TestParity:
 
     def test_zero_is_even(self):
         assert T2.zero().parity() is Parity.EVEN
+
+    @pytest.mark.parametrize("p,q", itertools.product(range(4), repeat=2))
+    def test_matches_the_set_oracle(self, p, q):
+        # parity() stops at the first term whose odd degree differs from
+        # the first term's; the oracle collects every term's
+        ctx = Context(even=[f"t{i}" for i in range(p)], odd=[f"a{j}" for j in range(q)])
+        rng = random.Random(100 * p + q)
+        polys = [ctx.zero(), ctx.one()]
+        for _ in range(30):
+            polys.append(random_poly(rng, ctx, n_terms=rng.randint(1, 6)))
+            polys.append(random_poly(rng, ctx, Parity.EVEN, n_terms=rng.randint(1, 6)))
+            if q:
+                polys.append(random_poly(rng, ctx, Parity.ODD, n_terms=rng.randint(1, 6)))
+        if q:
+            # one odd term among even ones, second and last in term order
+            even = [Monomial(((i, 1),), 0) for i in range(p)] + [UNIT_MONOMIAL]
+            odd = Monomial((), 1)
+            for terms in ([even[0], odd] + even[1:], even + [odd]):
+                f = SuperPoly(ctx, [(m, 1) for m in terms])
+                assert list(f.terms) == terms
+                polys += [f, -f]
+        for f in polys:
+            assert f.parity() is reference_parity(f)
+            for parity in Parity:
+                assert f.has_parity(parity) is (not f or reference_parity(f) is parity)
+        assert {reference_parity(f) for f in polys} == (
+            set(Parity) if q else {Parity.EVEN})
+
+    def test_add_and_flip_on_every_pair(self):
+        grades = {Parity.EVEN: 0, Parity.ODD: 1}
+        for a, b in itertools.product(Parity, repeat=2):
+            if Parity.MIXED in (a, b):
+                with pytest.raises(ValueError, match="cannot add MIXED parities"):
+                    a + b
+            else:
+                assert a + b is Parity((grades[a] + grades[b]) % 2)
+        assert Parity.EVEN.flipped() is Parity.ODD
+        assert Parity.ODD.flipped() is Parity.EVEN
+        with pytest.raises(ValueError, match="cannot flip MIXED parity"):
+            Parity.MIXED.flipped()
 
 
 class TestBody:
@@ -445,6 +486,30 @@ class TestSubstitute:
     def test_missing_image_rejected(self):
         with pytest.raises(ValueError, match="no image for generator 'theta2'"):
             (T3.var("t") * T3.var("theta2")).substitute(T3, {"t": T3.var("t")})
+
+    def test_each_image_is_read_and_checked_once(self, monkeypatch):
+        # t^2 + t^3 + t*a meets t at three exponents, but looks its image
+        # up and checks its parity once, and a's once
+        ctx = Context(even=["t"], odd=["a"])
+        t, a = ctx.var("t"), ctx.var("a")
+        f = t**2 + t**3 + t * a
+        checks = []
+        has_parity = SuperPoly.has_parity
+
+        def counted(p, parity):
+            checks.append(parity)
+            return has_parity(p, parity)
+
+        monkeypatch.setattr(SuperPoly, "has_parity", counted)
+        images = {"t": t + 1, "a": 2 * a}
+        assert f.substitute(ctx, images) == (t + 1)**2 + (t + 1)**3 + (t + 1) * 2 * a
+        assert checks == [Parity.EVEN, Parity.ODD]
+        # an odd image for t is refused when t^3 first reads it, in the
+        # same words as at exponent 1
+        for g in (t**3, f):
+            with pytest.raises(ParityError) as err:
+                g.substitute(ctx, {"t": a, "a": a})
+            assert str(err.value) == "image of even generator 't' is not even"
 
     def test_vanished_product_reads_no_further_image(self):
         # theta1*theta2 -> eta*eta = 0 before theta3's image is needed
