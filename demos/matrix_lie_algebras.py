@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Lie algebras of matrix supergroups, computed through dual numbers.
+"""Lie algebras of matrix supergroups, from the linearised equations.
 
 A group element infinitesimally close to the identity is I + eps X with
 eps an even square-zero parameter; the defining equations of the group,
-expanded to first order, carve out the constraints on X.
+expanded to first order, carve out the constraints on X: str X = 0 for
+SL and X^st Phi + Phi X = 0 for OSp.
 """
 
 from supergeom import MatrixGroupSpec, Parity, lie_algebra

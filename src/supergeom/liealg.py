@@ -1,13 +1,24 @@
-"""Lie superalgebras of matrix supergroups via square-zero parameters.
+"""Lie superalgebras of matrix supergroups, and brackets via square-zero
+parameters.
 
-Four odd generator names are reserved for the dual-number parameters:
-epsilon1..epsilon4.  The brackets append them after the user's odd
-generators, so an entry moves into that context and back with its codes
-kept; lie_algebra's own context puts its reserved pair first.  Where they
-sit changes only the speed: the renaming and the quotient count their
-signs wherever the generators are.  A parameter
-matching an even direction is the square-zero even product of two of
-them; an odd direction takes a single reserved generator, so that
+lie_algebra reads Lie(G) off the first-order equations at I + eps*X,
+with eps = epsilon1*epsilon2 even and eps^2 = 0.  There
+
+  (I + eps*X)^st Phi (I + eps*X) - Phi = eps*(X^st Phi + Phi X)
+  Ber(I + eps*X) = 1 + eps*str X
+
+so OSp's constraints are the entries of X^st Phi + Phi X, SL's is str X,
+and GL has none; lie_algebra forms those directly, without the group
+element.  Its context puts the reserved pair first and its result carries
+eps, the parameter of I + eps*X.
+
+The brackets use dual numbers.  Four odd generator names are
+reserved for the parameters: epsilon1..epsilon4.  The brackets append
+them after the user's odd generators, so an entry moves into that context
+and back with its codes kept.  Where they sit changes only the speed: the
+renaming and the quotient count their signs wherever the generators are.
+A parameter matching an even direction is the square-zero even product of
+two of them; an odd direction takes a single reserved generator, so that
 I + eps*x is always an even, group-like matrix.
 
 Scalars act through the row-twisted left action of the matrix module.
@@ -35,7 +46,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import ContextMismatch, ReservedGeneratorCollision
 from .matrix import SuperDim, SuperMatrix
-from .poly import Context, Parity, SuperPoly, _exact, _linear_rows
+from .poly import Context, Parity, SuperPoly, _exact, _linear_rows, _pivot_row
 
 RESERVED = ("epsilon1", "epsilon2", "epsilon3", "epsilon4")
 
@@ -250,42 +261,39 @@ def _canonical_constraints(ctx: Context, polys):
         # each constraint's int row is a multiple of its coefficients on
         # the symbols, which leaves the reduced echelon form unchanged
         codes, rows = _linear_rows(ctx, names, group)
-        echelon, _ = linalg.rref(rows)
-        out += [SuperPoly._from_coefficients(ctx, dict(zip(codes, row)))
-                for row in echelon if any(row)]
+        echelon, pivots = linalg._eliminate_ints(rows)
+        out += [_pivot_row(ctx, codes, row, row[c]) for row, c in zip(echelon, pivots)]
     return tuple(out)
 
 
 def lie_algebra(spec: MatrixGroupSpec) -> LieAlgebraResult:
-    """First-order expansion of the defining equations at I + epsilon*X.
+    """Lie(G) from the first-order equations at I + epsilon*X.
 
-    GL has no equations.  SL imposes Ber(I + epsilon*X) = 1, which
-    collapses to supertrace zero.  OSp imposes preservation of Phi,
-    expanded entrywise with the supertranspose sign convention that
-    makes (AB)^st = B^st A^st for even matrices.
+    GL has no equations.  SL imposes Ber(I + epsilon*X) = 1 + epsilon*str X
+    = 1, so str X = 0.  OSp imposes (I + epsilon*X)^st Phi (I + epsilon*X)
+    = Phi, whose first-order part is X^st Phi + Phi X = 0 entrywise, with
+    the supertranspose sign convention that makes (AB)^st = B^st A^st for
+    even matrices.
     """
-    names = _symbol_names(spec.dims)
+    dims = spec.dims
+    names = _symbol_names(dims)
     # block by block, p q r s, each in row-major order
     by_block = sorted((v for row in names for v in row), key=itemgetter(0))
     ctx = Context(even=[v for v in by_block if v[0] in "ps"],
                   odd=RESERVED[:2] + tuple(v for v in by_block if v[0] in "qr"))
-    x = SuperMatrix(ctx, spec.dims, spec.dims,
-                    [[ctx.var(v) for v in row] for row in names])
-    eps = ctx.var(RESERVED[0]) * ctx.var(RESERVED[1])
-    group_like = SuperMatrix.identity(ctx, spec.dims) + eps * x
+    x = SuperMatrix._wrap(ctx, dims, dims,
+                          tuple(tuple(map(ctx.var, row)) for row in names), Parity.EVEN)
 
     if spec.kind == "GL":
         raw = []
     elif spec.kind == "SL":
-        raw = [_divide(group_like.berezinian() - 1, eps, ctx)]
+        raw = [x.supertrace()]
     else:
-        phi = SuperMatrix(
-            ctx, spec.dims, spec.dims,
-            [[ctx.scalar(v) for v in row] for row in spec.form],
-        )
-        residue = group_like.supertranspose() @ phi @ group_like - phi
-        raw = [_divide(e, eps, ctx) for row in residue.rows for e in row]
+        phi = SuperMatrix._wrap(ctx, dims, dims, tuple(
+            tuple(map(ctx.scalar, row)) for row in spec.form), Parity.EVEN)
+        raw = [e for row in (x.supertranspose() @ phi + phi @ x).rows for e in row]
 
+    eps = ctx.var(RESERVED[0]) * ctx.var(RESERVED[1])
     return LieAlgebraResult(
-        spec.kind, spec.dims, ctx, x, eps, _canonical_constraints(ctx, raw)
+        spec.kind, dims, ctx, x, eps, _canonical_constraints(ctx, raw)
     )

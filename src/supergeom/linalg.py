@@ -13,7 +13,9 @@ gcd of its entries (where Bareiss, Math. Comp. 22, 1968, divides by the
 previous pivot), so the inner loop multiplies and subtracts ints only.
 With exact arithmetic no pivoting strategy is needed; the first nonzero
 entry in a column is as good a pivot as any.  rref builds Fractions only
-at the end, one per output entry; pivot_columns and rank build none.
+at the end, one per output entry; pivot_columns and rank build none, and
+neither does _eliminate_ints, the elimination on rows that are already
+ints, which liealg calls to keep its constraints' echelon form in ints.
 """
 
 from fractions import Fraction
@@ -37,11 +39,15 @@ def _int_row(row):
 
 
 def _eliminate(rows):
+    """_eliminate_ints of the int rows of rows."""
+    return _eliminate_ints([_int_row(row) for row in rows])
+
+
+def _eliminate_ints(m):
     """(int rows, pivot columns) of a matrix whose row space is that of
-    rows, with each pivot column zero outside its pivot row: dividing each
-    pivot row by its pivot gives the reduced echelon form.  Rows past the
-    last pivot are zero."""
-    m = [_int_row(row) for row in rows]
+    the int rows m, which it reduces in place, with each pivot column zero
+    outside its pivot row: dividing each pivot row by its pivot gives the
+    reduced echelon form.  Rows past the last pivot are zero."""
     if not m:
         return m, []
     pivots = []

@@ -23,8 +23,9 @@ texts, and each substitute call its images' powers, keyed (0, i, e) for
 t_i^e and (1, j, 1) for theta_j; an image is looked up and its parity
 checked at its first power, once per call.  One constructor,
 SuperPoly._from_coefficients, makes the canonical numerators and den of
-a map of coefficients, for the public constructor, the parser and the
-reduced Lie constraints, whose int rows _linear_rows reads.
+a map of coefficients, for the public constructor and the parser; the
+reduced Lie constraints are int echelon rows over the codes _linear_rows
+reads, and _pivot_row makes each one a polynomial over its pivot.
 
 A SuperPoly keys its numerators by one int per monomial, its code.  The
 even part sits in the low bits as fixed-width exponent fields: the
@@ -848,12 +849,16 @@ class SuperPoly:
             for code, c in self.nums.items():
                 keys = [(0, i, e) for i, e in _unpack(code & low)]
                 keys += [(1, j, 1) for j in _odd_word(code >> shift)]
-                head = SuperPoly.scalar(ctx_out, c)
-                for key in keys[:-1]:
-                    head = head * powers[key]
+                # a term of two factors or more starts from its first image
+                # power, and the head is tested before each further image
+                # is read
+                head = (powers[keys[0]]._scaled(c, 1) if len(keys) > 1
+                        else SuperPoly.scalar(ctx_out, c))
+                for key in keys[1:-1]:
                     if not head:
                         break
-                else:
+                    head = head * powers[key]
+                if head:
                     yield head, powers[keys[-1]] if keys else one
 
         out = dot(ctx_out, pairs())
@@ -1163,11 +1168,17 @@ def _linear_rows(ctx: Context, names, polys) -> tuple[list[int], list[list[int]]
     """(codes, rows): the code of each generator in names, and for each
     polynomial over ctx its numerators on those generators, its
     coefficients there times its den.  liealg reduces these int rows and
-    rebuilds each reduced row from the codes through
-    SuperPoly._from_coefficients."""
+    rebuilds each pivot row from the codes through _pivot_row."""
     codes = [1 << (ctx._shift + i if is_odd else _FIELD_BITS * i)
              for is_odd, i in map(ctx.lookup, names)]
     return codes, [[p.nums.get(code, 0) for code in codes] for p in polys]
+
+
+def _pivot_row(ctx: Context, codes, row, pivot: int) -> SuperPoly:
+    """The sum of row[k] / pivot times the generator of code codes[k], for
+    an int row and its nonzero pivot, over |pivot| and reduced once."""
+    s = 1 if pivot > 0 else -1
+    return SuperPoly._reduced(ctx, {c: s * v for c, v in zip(codes, row) if v}, s * pivot)
 
 
 def _power(p: SuperPoly, e: int) -> SuperPoly:

@@ -1,0 +1,57 @@
+"""The byte-identity surface: one sha256 per output a speed change must
+not move.
+
+- "lie": the report and errors of run_script(..., keep_going=True) over
+  `lie GL|SL|OSp m|n` for every m|n <= 3|3, so OSp with odd n adds its
+  error text;
+- "demo/NAME": the stdout of each demo script, run in process.
+
+tests/test_identity.py compares these with tests/identity.json.  A change
+that moves output on purpose regenerates the file and names each changed
+surface in CHANGES.md:
+
+    PYTHONPATH=src python tests/identity.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import runpy
+from pathlib import Path
+
+from supergeom.script import run_script
+
+ROOT = Path(__file__).resolve().parent.parent
+JSON_PATH = Path(__file__).resolve().parent / "identity.json"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+LIE_SCRIPT = "".join(f"lie {kind} {m}|{n}\n" for kind in ("GL", "SL", "OSp")
+                     for m in range(4) for n in range(4))
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def lie_digest():
+    result = run_script(LIE_SCRIPT, keep_going=True)
+    return sha256(result.output + "\n".join(result.errors))
+
+
+def demo_digest(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return sha256(out.getvalue())
+
+
+def surfaces():
+    digests = {"lie": lie_digest()}
+    digests.update((f"demo/{p.name}", demo_digest(p)) for p in DEMOS)
+    return digests
+
+
+if __name__ == "__main__":
+    JSON_PATH.write_text(json.dumps(surfaces(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {JSON_PATH}")

@@ -31,14 +31,23 @@ reference_canonical_constraints is liealg._canonical_constraints before
 it reduced int rows: one Monomial per symbol and one Fraction per
 coefficient read, reduced by linalg.rref and rebuilt by the public
 constructor.
+
+reference_lie_algebra is liealg.lie_algebra before it read the linearised
+equations, kept verbatim: it expands the group element I + eps*X, takes
+the Berezinian (SL) or the form's residue (I + eps*X)^st Phi (I + eps*X) -
+Phi (OSp), and divides each entry by eps, all through the dual-number
+quotient.
 """
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 from supergeom import (Context, LimitExceeded, Monomial, Parity, ParityError,
-                       ScriptError, SuperPoly, linalg)
+                       ScriptError, SuperMatrix, SuperPoly, linalg)
 from supergeom.expr import _ECHO_CHARS, _MAX_DEPTH
+from supergeom.liealg import (RESERVED, LieAlgebraResult, _canonical_constraints,
+                              _divide, _symbol_names)
 from supergeom.poly import MAX_DIGITS
 
 
@@ -397,3 +406,38 @@ def reference_canonical_constraints(ctx, polys):
         echelon, _ = linalg.rref([[c.coefficient(m) for m in monos] for c in group])
         out += [SuperPoly(ctx, zip(monos, row)) for row in echelon if any(row)]
     return tuple(out)
+
+
+def reference_lie_algebra(spec):
+    """First-order expansion of the defining equations at I + epsilon*X.
+
+    GL has no equations.  SL imposes Ber(I + epsilon*X) = 1, which
+    collapses to supertrace zero.  OSp imposes preservation of Phi,
+    expanded entrywise with the supertranspose sign convention that
+    makes (AB)^st = B^st A^st for even matrices.
+    """
+    names = _symbol_names(spec.dims)
+    # block by block, p q r s, each in row-major order
+    by_block = sorted((v for row in names for v in row), key=itemgetter(0))
+    ctx = Context(even=[v for v in by_block if v[0] in "ps"],
+                  odd=RESERVED[:2] + tuple(v for v in by_block if v[0] in "qr"))
+    x = SuperMatrix(ctx, spec.dims, spec.dims,
+                    [[ctx.var(v) for v in row] for row in names])
+    eps = ctx.var(RESERVED[0]) * ctx.var(RESERVED[1])
+    group_like = SuperMatrix.identity(ctx, spec.dims) + eps * x
+
+    if spec.kind == "GL":
+        raw = []
+    elif spec.kind == "SL":
+        raw = [_divide(group_like.berezinian() - 1, eps, ctx)]
+    else:
+        phi = SuperMatrix(
+            ctx, spec.dims, spec.dims,
+            [[ctx.scalar(v) for v in row] for row in spec.form],
+        )
+        residue = group_like.supertranspose() @ phi @ group_like - phi
+        raw = [_divide(e, eps, ctx) for row in residue.rows for e in row]
+
+    return LieAlgebraResult(
+        spec.kind, spec.dims, ctx, x, eps, _canonical_constraints(ctx, raw)
+    )

@@ -518,6 +518,28 @@ class TestSubstitute:
         f = T3.var("theta1") * T3.var("theta2") * T3.var("theta3") + T3.var("theta1")
         assert f.substitute(line, {"theta1": eta, "theta2": eta}) == eta
 
+    @pytest.mark.parametrize("coeff", [1, -3, Fraction(5, 7)])
+    def test_zero_first_image_reads_no_further_image(self, coeff):
+        # t -> 0 kills t*a*b before a's image is needed, at any numerator
+        # and den of the term; a read of a or b would raise ValueError
+        ctx = Context(even=["t"], odd=["a", "b"])
+        d = Context(even=["s"], odd=["c"])
+        f = coeff * ctx.var("t") * ctx.var("a") * ctx.var("b")
+        assert f.substitute(d, {"t": d.zero()}) == d.zero()
+        assert (f + ctx.var("t")).substitute(d, {"t": d.zero()}) == d.zero()
+
+    def test_docstring_case_reads_no_image_for_b(self):
+        # (t*a*b).substitute(d, {t: s, a: 0}) is 0 with no image for b
+        ctx = Context(even=["t"], odd=["a", "b"])
+        d = Context(even=["s"], odd=["c"])
+        s = d.var("s")
+        f = ctx.var("t") * ctx.var("a") * ctx.var("b")
+        assert f.substitute(d, {"t": s, "a": d.zero()}) == d.zero()
+        g = f + 2 * ctx.var("t") ** 2
+        assert g.substitute(d, {"t": s, "a": d.zero()}) == 2 * s**2
+        with pytest.raises(ValueError, match="no image for generator 'b'"):
+            f.substitute(d, {"t": s, "a": d.var("c")})
+
     def test_matches_term_by_term_expansion(self):
         # the image of each term is its coefficient times the product of
         # its generators' images, taken one factor at a time
