@@ -107,19 +107,21 @@ def _associativity(law: GroupLaw) -> AxiomResult:
     g = law.coords
     triple = product_context(g, copies=3)
 
-    def lift(poly, shift):
-        # reinterpret a doubled-context polynomial on factors (shift, shift+1)
-        m = {n: primed(n, shift) for n in g.names}
-        m.update({primed(n): primed(n, shift + 1) for n in g.names})
-        return poly.rename(triple, m)
+    # a doubled-context polynomial on factors (0, 1) keeps its names, and
+    # the doubled context starts the triple one; on factors (1, 2) each
+    # name gains one prime
+    later = {}
+    for n in g.names:
+        later[n] = primed(n)
+        later[primed(n)] = primed(n, 2)
 
     first_two = {}
     last_two = {}
     for n in g.names:
-        first_two[n] = lift(law.mu.image(n), 0)
+        first_two[n] = law.mu.image(n).rename(triple)
         first_two[primed(n)] = triple.var(primed(n, 2))
         last_two[n] = triple.var(n)
-        last_two[primed(n)] = lift(law.mu.image(n), 1)
+        last_two[primed(n)] = law.mu.image(n).rename(triple, later)
 
     residuals = []
     for n in g.names:

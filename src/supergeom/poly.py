@@ -20,8 +20,9 @@ Every bounded cache here is one type, _Memo: key -> fn(key), emptied
 when a miss finds MAX_CACHE entries.  _WORDS holds odd words, _SWAP_PARITY
 Koszul sign masks, each Context's _texts its monomials' sort keys and
 texts, and each substitute call its images' powers, keyed (0, i, e) for
-t_i^e and (1, j, 1) for theta_j; an image is looked up and its parity
-checked at its first power, once per call.  One constructor,
+t_i^e and (1, j, 1) for theta_j; an image is looked up and its parity and
+context checked at its first power, once per call, and the call sums its
+terms into one numerator map.  One constructor,
 SuperPoly._from_coefficients, makes the canonical numerators and den of
 a map of coefficients, for the public constructor and the parser; the
 reduced Lie constraints are int echelon rows over the codes _linear_rows
@@ -45,11 +46,11 @@ SuperPoly._from_coefficients, which makes a polynomial of a map of codes
 to coefficients.  The parser, and liealg for its constraints, hold those
 codes without reading them; no other module reads a code.
 SuperPoly.rename is the one move between contexts: it relabels codes
-along a map of generator names without multiplying, and keeps them as
-they are where every name keeps its index.  SuperPoly.left_quotient
-divides out a one-term odd factor theta_M in one pass, so the Koszul
-signs of products, partials, renamings and quotients are all counted in
-this module.
+along a map of generator names without multiplying, and where every
+name keeps its index it only moves the odd mask to the target's shift.
+SuperPoly.left_quotient divides out a one-term odd factor theta_M in one
+pass, so the Koszul signs of products, partials, renamings and quotients
+are all counted in this module.
 
 A product theta_k1 * theta_k2 is zero when k1 & k2 shares a bit.
 Otherwise sorting the concatenated word moves each generator y of k2
@@ -72,17 +73,18 @@ starts at bit 72 and folds onto bits 11 and up, above every exponent
 below 2**11 of the first field; see _FIELD_BITS for the fields.
 
 _mac is the only loop over pairs of terms, with one inner loop for
-odd-free left terms and one for the rest, and it has three callers.  A
+odd-free left terms and one for the rest, and it has four callers.  A
 product of two polynomials (SuperPoly.__mul__) calls it once; the parser
 reaches it only for a product with a group or binding, since it folds
-literal factors with _times_generator.  dot(ctx,
-pairs) calls it once per pair, for a sum of products: applying a
-derivation, substitution and other sums of entry products are one dot
-each.  dot_row(ctx, row, grid) calls it once per left factor for all the
-columns of a product row: matrix._gmul is one dot_row per row, and
-matrix._series_inverse builds each odd-degree part of an inverse with
-one dot_row per row, on the parts that SuperPoly.odd_degree_parts
-splits off, then sums those parts by dot_row against a row of ones.
+literal factors with _times_generator.  SuperPoly.substitute calls it
+once per term, into one map for the whole image.  dot(ctx, pairs) calls
+it once per pair, for a sum of products: applying a derivation and other
+sums of entry products are one dot each.  dot_row(ctx, row, grid)
+calls it once per left factor for all the columns of a product row:
+matrix._gmul is one dot_row per row, and matrix._series_inverse builds
+each odd-degree part of an inverse with one dot_row per row, on the
+parts that SuperPoly.odd_degree_parts splits off, then sums those parts
+by dot_row against a row of ones.
 A row of a Schur complement (matrix._schur) and the residual of a
 bracket in distribution.involutive are one dot_row each, with the
 subtracted terms weighted by negated factors.  The Laplace expansion of
@@ -806,20 +808,22 @@ class SuperPoly:
     def substitute(self, ctx_out: Context, images: Mapping[str, "SuperPoly"]) -> "SuperPoly":
         """Apply the ring map sending each generator to its image.
 
-        Each term multiplies its numerator by the images of its generators
-        in order, the even powers by index and then the odd word, and
-        reads no further image once that partial product is zero: so
+        Each term multiplies the images of its generators in order, the
+        even powers by index and then the odd word, and reads no further
+        image once that partial product is zero: so
         (t*a*b).substitute(d, {t: s, a: 0}) is 0 with no image for b.
-        Every image read must be given, else ValueError, and be a
-        polynomial over ctx_out of the generator's parity (EVEN for even
-        generators, ODD for odd ones; zero is fine for either), else
-        ParityError, which is what makes the substitution a well defined
-        homomorphism.  Each image is looked up and its parity checked
-        once, when it is first read, however many of its powers the terms
-        hold.  The numerators are substituted and the sum divided
-        by den once.  Powers of an image are built by repeated squaring,
-        so a stored exponent above MAX_EXPONENT, the cap of ** in
-        scripts, substitutes like any other.
+        Every image read must be given, else ValueError, be a polynomial
+        of the generator's parity (EVEN for even generators, ODD for odd
+        ones; zero is fine for either), else ParityError, which is what
+        makes the substitution a well defined homomorphism, and be over
+        ctx_out, else ContextMismatch.  Each image is looked up and
+        checked once, when it is first read, however many of its powers
+        the terms hold.  Every term goes through _mac into one numerator
+        map, its numerator the scale of its last factor, over the lcm of
+        the terms' denominators so far, and the sum is divided by den
+        once.  Powers of an image are built by repeated squaring, so a
+        stored exponent above MAX_EXPONENT, the cap of ** in scripts,
+        substitutes like any other.
         """
         def image_power(key):
             # the image of generator i of the tag's parity (0 even, 1 odd)
@@ -834,37 +838,37 @@ class SuperPoly:
                 raise ValueError(f"no image for generator {name!r}")
             parity = _PARITIES[tag]
             if not img.has_parity(parity):
-                raise ParityError(
-                    f"image of {parity} generator {name!r} is not {parity}"
-                )
+                raise ParityError(f"image of {parity} generator {name!r} is not {parity}")
+            if img.ctx is not ctx_out:
+                raise ContextMismatch("operands live in different contexts")
             return img
 
         powers = _Memo(image_power)
-        one = SuperPoly.scalar(ctx_out, 1)
-
-        def pairs():
-            # numerator * (product of all factors but the last), last factor
-            shift = self.ctx._shift
-            low = (1 << shift) - 1
-            for code, c in self.nums.items():
-                keys = [(0, i, e) for i, e in _unpack(code & low)]
-                keys += [(1, j, 1) for j in _odd_word(code >> shift)]
-                # a term of two factors or more starts from its first image
-                # power, and the head is tested before each further image
-                # is read
-                head = (powers[keys[0]]._scaled(c, 1) if len(keys) > 1
-                        else SuperPoly.scalar(ctx_out, c))
-                for key in keys[1:-1]:
-                    if not head:
-                        break
-                    head = head * powers[key]
-                if head:
-                    yield head, powers[keys[-1]] if keys else one
-
-        out = dot(ctx_out, pairs())
-        if self.den == 1:
-            return out
-        return SuperPoly._reduced(ctx_out, out.nums, out.den * self.den)
+        one = SuperPoly._raw(ctx_out, {0: 1})
+        shift = self.ctx._shift
+        low = (1 << shift) - 1
+        acc: dict[int, int] = {}
+        den = 1  # the lcm of the terms' denominators so far
+        for code, c in self.nums.items():
+            keys = [(0, i, e) for i, e in _unpack(code & low)]
+            keys += [(1, j, 1) for j in _odd_word(code >> shift)]
+            # a term of two factors or more starts from its first image
+            # power, and the head is tested before each further image is
+            # read
+            head = powers[keys[0]] if len(keys) > 1 else one
+            for key in keys[1:-1]:
+                if not head:
+                    break
+                head = head * powers[key]
+            if head:
+                last = powers[keys[-1]] if keys else one
+                d = head.den * last.den
+                if den % d:
+                    # a new lcm: the numerators so far move up to it
+                    up = d // gcd(den, d)
+                    den, acc = den * up, {m: v * up for m, v in acc.items()}
+                _mac(ctx_out, head.nums, ((acc, c * (den // d), last.nums.items()),))
+        return SuperPoly._reduced(ctx_out, acc, den * self.den)
 
     def rename(self, ctx_out: Context, name_map: Mapping[str, str] | None = None) -> "SuperPoly":
         """Transport along a generator renaming: each generator that appears
@@ -872,22 +876,30 @@ class SuperPoly:
 
         A target ctx_out lacks raises ValueError, and a target of the other
         parity ParityError, the unknown names first.  With no name_map, a
-        ctx_out with the same even generators and the same odd generators
-        up to the highest one any term holds gives every name its index,
-        so the codes are kept as they are.  Otherwise they are relabelled
-        with no products: each even exponent moves to its target's field,
-        and the odd generators are folded into the target mask in
-        increasing order with the sign rule of normalize_odd_word, so a
-        target reached twice gives zero.  Even generators merged onto one
-        target add their exponents, and a sum above MAX_FIELD_EXPONENT
-        raises LimitExceeded.
+        ctx_out whose even generators start with this context's, and whose
+        odd generators start with the odd generators up to the highest one
+        any term holds, gives every name its index: each code keeps its
+        even fields and moves its odd mask from ctx._shift to
+        ctx_out._shift, so the codes are kept as they are when the two
+        shifts are equal.  Otherwise they are relabelled with no products:
+        each even exponent moves to its target's field, and the odd
+        generators are folded into the target mask in increasing order
+        with the sign rule of normalize_odd_word, so a target reached
+        twice gives zero.  Even generators merged onto one target add
+        their exponents, and a sum above MAX_FIELD_EXPONENT raises
+        LimitExceeded.
         """
         ctx = self.ctx
         shift = ctx._shift
         # the odd generators up to the highest one any term holds
         held = ctx.odd[:max(max(self.nums, default=0).bit_length() - shift, 0)]
-        if not name_map and ctx_out.even == ctx.even and ctx_out.odd[:len(held)] == held:
-            return SuperPoly._raw(ctx_out, self.nums, self.den)
+        if (not name_map and ctx_out.even[:len(ctx.even)] == ctx.even
+                and ctx_out.odd[:len(held)] == held):
+            nums, out_shift = self.nums, ctx_out._shift
+            if out_shift != shift:
+                low = (1 << shift) - 1
+                nums = {m & low | m >> shift << out_shift: c for m, c in nums.items()}
+            return SuperPoly._raw(ctx_out, nums, self.den)
         name_map = name_map or {}
         used = 0
         for code in self.nums:

@@ -176,3 +176,97 @@ def grid_mul(ctx, x, y):
 
 def identity(ctx, n):
     return [[ctx.scalar(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+# -- session scripts ---------------------------------------------------------
+
+
+def poly_text(rng, evens, odds, parity=None, n_terms=2, max_deg=2, dens=(1,)):
+    """Script text of a random polynomial with coefficients n/d, d drawn
+    from dens; parity EVEN/ODD fixes each term's odd word length mod 2,
+    and is 0 when no length has that parity."""
+    lengths = [k for k in range(len(odds) + 1)
+               if parity is None or k % 2 == parity.value]
+    terms = []
+    for _ in range(n_terms if lengths else 0):
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice(dens))
+        factors = [str(abs(c))]
+        for name in evens:
+            deg = rng.randint(0, max_deg)
+            if deg:
+                factors.append(name if deg == 1 else f"{name}^{deg}")
+        factors += sorted(rng.sample(odds, rng.choice(lengths)))
+        terms.append(("-" if c < 0 else "+") + " " + "*".join(factors))
+    text = " ".join(terms)
+    if text.startswith("+ "):
+        text = text[2:]
+    elif text.startswith("- "):
+        text = "-" + text[2:]
+    return text or "0"
+
+
+# statements that fail on purpose, one per script: an unknown generator, an
+# image of the wrong parity, a point with no coordinates and an unbound name
+_FAULTS = (
+    "pullback phi z + x1",
+    "morphism bad : M -> M [theta1, {odd}]",
+    "jacobian phi ()",
+    "export nothing",
+)
+
+
+def session_script(rng):
+    """One seeded session script for the byte-identity surface.
+
+    A morphism with rational images is pulled back, and a dilation pulls
+    back a stored power above the script's exponent cap; a group law,
+    twisted by an odd form and in one draw of three broken by a term that
+    is not associative, has its axioms and two invariant fields printed;
+    one statement fails on purpose; and the morphism, the group and the
+    context are exported.
+    """
+    EVEN, ODD = Parity.EVEN, Parity.ODD
+    m, n = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+    xs = [f"x{i + 1}" for i in range(m)]
+    ths = [f"theta{j + 1}" for j in range(n)]
+    lines = [f"context M even=[{', '.join(xs)}] odd=[{', '.join(ths)}]"]
+    images = [f"{x} + " + poly_text(rng, xs, ths, EVEN, dens=(1, 2, 3)) for x in xs]
+    images += [f"{th} + " + poly_text(rng, xs, ths, ODD, dens=(1, 5)) for th in ths]
+    lines.append(f"morphism phi : M -> M [{', '.join(images)}]")
+    for _ in range(3):
+        lines.append("pullback phi " + poly_text(rng, xs, ths, n_terms=3, max_deg=3,
+                                                 dens=(1, 4)))
+    scale = rng.choice(["-1", "1/2", "-2/3"])
+    dilation = [f"{scale}*{x}" for x in xs] + ths
+    lines.append(f"morphism dil : M -> M [{', '.join(dilation)}]")
+    lines.append(f"let big = {xs[0]}^600 * {xs[0]}^600")
+    lines.append(f"pullback dil big - {xs[-1]}^2 * big")
+    odd_image = poly_text(rng, xs, ths, ODD, dens=(1, 2))
+    lines.append(rng.choice(_FAULTS).format(odd=", ".join([odd_image] * (len(images) - 1))))
+
+    gm, gn = rng.choice([(1, 1), (1, 2), (2, 2)])
+    ts = [f"t{i + 1}" for i in range(gm)]
+    eta = [f"eta{j + 1}" for j in range(gn)]
+    lines.append(f"context G even=[{', '.join(ts)}] odd=[{', '.join(eta)}]")
+    mu, inv = [], []
+    for t in ts:
+        # t + t' + sum c*a*b' over the odd pairs, with inverse -t + sum c*a*b
+        law, inverse = f"{t} + {t}p", f"-{t}"
+        for a in eta:
+            for b in eta:
+                c = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                if c:
+                    term = f" {'-' if c < 0 else '+'} {abs(c)}*{a}*{b}"
+                    law += term + "p"
+                    inverse += term
+        mu.append(law)
+        inv.append(inverse)
+    mu += [f"{e} + {e}p" for e in eta]
+    inv += [f"-{e}" for e in eta]
+    if rng.randrange(3) == 0:
+        mu[-1] += f" + {ts[0]}*{eta[-1]}p"
+    lines.append(f"group g context=G mu=[{', '.join(mu)}] unit=({', '.join('0' for _ in ts)}) "
+                 f"inv=[{', '.join(inv)}]")
+    lines += ["axioms g", f"livf d/d{rng.choice(ts)} g", f"livf d/d{rng.choice(eta)} g"]
+    lines += ["export phi", "export g", "export M"]
+    return "\n".join(lines) + "\n"

@@ -4,6 +4,9 @@ not move.
 - "lie": the report and errors of run_script(..., keep_going=True) over
   `lie GL|SL|OSp m|n` for every m|n <= 3|3, so OSp with odd n adds its
   error text;
+- "corpus": the report, errors and exports of run_script(...,
+  keep_going=True) over helpers.session_script for seeds
+  0..CORPUS_SEEDS - 1;
 - "demo/NAME": the stdout of each demo script, run in process.
 
 tests/test_identity.py compares these with tests/identity.json.  A change
@@ -17,9 +20,11 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import runpy
 from pathlib import Path
 
+from helpers import session_script
 from supergeom.script import run_script
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +44,19 @@ def lie_digest():
     return sha256(result.output + "\n".join(result.errors))
 
 
+CORPUS_SEEDS = 150
+
+
+def corpus_digest():
+    h = hashlib.sha256()
+    for seed in range(CORPUS_SEEDS):
+        result = run_script(session_script(random.Random(seed)), keep_going=True)
+        h.update(result.output.encode())
+        h.update("\n".join(result.errors).encode())
+        h.update(json.dumps(result.exports, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def demo_digest(path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -47,7 +65,7 @@ def demo_digest(path):
 
 
 def surfaces():
-    digests = {"lie": lie_digest()}
+    digests = {"lie": lie_digest(), "corpus": corpus_digest()}
     digests.update((f"demo/{p.name}", demo_digest(p)) for p in DEMOS)
     return digests
 

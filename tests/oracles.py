@@ -37,18 +37,28 @@ equations, kept verbatim: it expands the group element I + eps*X, takes
 the Berezinian (SL) or the form's residue (I + eps*X)^st Phi (I + eps*X) -
 Phi (OSp), and divides each entry by eps, all through the dual-number
 quotient.
+
+reference_substitute is SuperPoly.substitute before it accumulated every
+term into one numerator map, kept verbatim with its dot as reference_dot:
+a generator yields each term's head (the numerator times every image
+power but the last) with its last factor, and dot lists those pairs,
+checks the context of each, takes the lcm of their denominators and then
+accumulates them.
 """
 
 import re
 from fractions import Fraction
 from operator import itemgetter
 
-from supergeom import (Context, LimitExceeded, Monomial, Parity, ParityError,
-                       ScriptError, SuperMatrix, SuperPoly, linalg)
+from math import gcd
+
+from supergeom import (Context, ContextMismatch, LimitExceeded, Monomial, Parity,
+                       ParityError, ScriptError, SuperMatrix, SuperPoly, linalg)
 from supergeom.expr import _ECHO_CHARS, _MAX_DEPTH
 from supergeom.liealg import (RESERVED, LieAlgebraResult, _canonical_constraints,
                               _divide, _symbol_names)
-from supergeom.poly import MAX_DIGITS
+from supergeom.poly import (_PARITIES, MAX_DIGITS, _mac, _Memo, _odd_word, _power,
+                            _unpack)
 
 
 def reference_key(ctx, mono):
@@ -441,3 +451,65 @@ def reference_lie_algebra(spec):
     return LieAlgebraResult(
         spec.kind, spec.dims, ctx, x, eps, _canonical_constraints(ctx, raw)
     )
+
+
+def reference_substitute(self, ctx_out, images):
+    def image_power(key):
+        # the image of generator i of the tag's parity (0 even, 1 odd)
+        # to the e; the image itself is the power (tag, i, 1), so it is
+        # looked up and checked once, when it is first read
+        tag, i, e = key
+        if e > 1:
+            return _power(powers[tag, i, 1], e)
+        name = (self.ctx.odd if tag else self.ctx.even)[i]
+        img = images.get(name)
+        if img is None:
+            raise ValueError(f"no image for generator {name!r}")
+        parity = _PARITIES[tag]
+        if not img.has_parity(parity):
+            raise ParityError(
+                f"image of {parity} generator {name!r} is not {parity}"
+            )
+        return img
+
+    powers = _Memo(image_power)
+    one = SuperPoly.scalar(ctx_out, 1)
+
+    def pairs():
+        # numerator * (product of all factors but the last), last factor
+        shift = self.ctx._shift
+        low = (1 << shift) - 1
+        for code, c in self.nums.items():
+            keys = [(0, i, e) for i, e in _unpack(code & low)]
+            keys += [(1, j, 1) for j in _odd_word(code >> shift)]
+            # a term of two factors or more starts from its first image
+            # power, and the head is tested before each further image
+            # is read
+            head = (powers[keys[0]]._scaled(c, 1) if len(keys) > 1
+                    else SuperPoly.scalar(ctx_out, c))
+            for key in keys[1:-1]:
+                if not head:
+                    break
+                head = head * powers[key]
+            if head:
+                yield head, powers[keys[-1]] if keys else one
+
+    out = reference_dot(ctx_out, pairs())
+    if self.den == 1:
+        return out
+    return SuperPoly._reduced(ctx_out, out.nums, out.den * self.den)
+
+
+def reference_dot(ctx, pairs):
+    pairs = list(pairs)
+    den = 1
+    for a, b in pairs:
+        if a.ctx is not ctx or b.ctx is not ctx:
+            raise ContextMismatch("operands live in different contexts")
+        d = a.den * b.den
+        if den % d:
+            den = den // gcd(den, d) * d
+    acc: dict[int, int] = {}
+    for a, b in pairs:
+        _mac(ctx, a.nums, ((acc, den // (a.den * b.den), b.nums.items()),))
+    return SuperPoly._reduced(ctx, acc, den)

@@ -137,8 +137,13 @@ def test_corrupted_law_fails_unit():
 
 
 def test_corrupted_law_fails_associativity():
+    # the residual mu(mu(g, g'), g'') - mu(g, mu(g', g'')) reads both lifts
+    # of the law into the tripled context
     reports = {r.axiom: r for r in check_group_axioms(corrupted_law())}
     assert not reports["associativity"].passed
+    assert str(reports["associativity"]) == (
+        "associativity: FAIL (t: theta*thetapp - thetap*thetapp)"
+    )
 
 
 def test_wrong_inverse_reported():

@@ -4,17 +4,21 @@ import json
 
 import pytest
 
-from identity import DEMOS, JSON_PATH, demo_digest, lie_digest
+from identity import DEMOS, JSON_PATH, corpus_digest, demo_digest, lie_digest
 
 PINNED = json.loads(JSON_PATH.read_text())
 
 
 def test_every_demo_is_pinned():
-    assert sorted(PINNED) == sorted(["lie"] + [f"demo/{p.name}" for p in DEMOS])
+    assert sorted(PINNED) == sorted(["lie", "corpus"] + [f"demo/{p.name}" for p in DEMOS])
 
 
 def test_lie_constraints_and_errors_keep_their_bytes():
     assert lie_digest() == PINNED["lie"]
+
+
+def test_session_corpus_keeps_its_bytes():
+    assert corpus_digest() == PINNED["corpus"]
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)

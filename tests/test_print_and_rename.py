@@ -149,7 +149,8 @@ def test_an_odd_transposition_flips_the_sign():
 
 def test_rename_into_product_contexts_as_groups_does():
     # the maps of groups.py: into the doubled context, the swap of iota and
-    # the two lifts of associativity into the tripled context
+    # the two lifts of associativity into the tripled context, written out
+    # in full
     g = Context(even=["x", "y"], odd=["a", "b", "c"])
     double = product_context(g, 2)
     triple = product_context(g, 3)
@@ -172,6 +173,26 @@ def test_rename_into_product_contexts_as_groups_does():
         assert pp.rename(double, swap).rename(double, swap) == pp
         for m in lifts:
             check_rename(pp, triple, m)
+        # the first lift keeps every name, so no map gives it too
+        assert pp.rename(triple) == pp.rename(triple, lifts[0])
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda c: "{}|{}".format(*c.dims))
+def test_a_rename_into_a_wider_context_moves_the_odd_mask(ctx):
+    # no name map, and ctx_out's generator lists start with ctx's: every
+    # name keeps its index, and the odd mask moves to ctx_out's shift
+    wider = [
+        Context(ctx.even + ("w1",), ctx.odd),
+        Context(ctx.even, ctx.odd + ("e1",)),
+        Context(ctx.even + ("w1", "w2"), ctx.odd + ("e1", "e2")),
+        Context(ctx.even + tuple(f"w{i}" for i in range(9)), ctx.odd + ("e1",)),
+    ]
+    rng = random.Random(1608 + len(ctx.even))
+    for _ in range(60):
+        p = seeded_poly(rng, ctx, rng.choice((9, MAX_FIELD_EXPONENT)))
+        for out in wider:
+            check_rename(p, out, None)
+            assert p.rename(out).rename(ctx) == p
 
 
 def test_merged_generators_add_exponents_and_kill_odd_repeats():
