@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import ContextMismatch, ParityError
-from .poly import Context, Parity, Scalar, SuperPoly, _exact, _signed_sum, dot
+from .poly import Context, Parity, Scalar, SuperPoly, _exact, _signed_sum, dot_row
 
 
 def _check_coeff(ctx, poly, required, slot):
@@ -71,17 +71,28 @@ class SuperDerivation:
         return all(c.is_zero() for c in self.coefficients())
 
     def apply(self, a: SuperPoly) -> SuperPoly:
-        """Evaluate the derivation on a polynomial.
+        """Evaluate the derivation on a polynomial: the sum of each
+        nonzero coefficient times the left partial of a by its generator,
+        one dot_row of one column.
 
         Coefficients multiply the left partials from the left; this makes
         the operator satisfy the graded Leibniz rule
         D(ab) = D(a) b + (-1)^{|D||a|} a D(b).
         """
-        if a.ctx != self.ctx:
+        return self._apply_each((a,))[0]
+
+    def _apply_each(self, polys):
+        """The derivation applied to each of polys, as one dot_row: the
+        nonzero coefficients against the grid whose row for generator n
+        holds the left partials of polys by n.  The zero field gives one
+        zero per polynomial."""
+        ctx = self.ctx
+        if any(a.ctx != ctx for a in polys):
             raise ContextMismatch("argument lives in a different context")
-        return dot(self.ctx, (
-            (c, a.partial(n)) for c, n in zip(self.coefficients(), self.ctx.names) if c
-        ))
+        used = [(c, n) for c, n in zip(self.coefficients(), ctx.names) if c]
+        return (dot_row(ctx, [c for c, _ in used],
+                        [[a.partial(n) for a in polys] for _, n in used])
+                or (SuperPoly.zero(ctx),) * len(polys))
 
     def __call__(self, a):
         return self.apply(a)
@@ -164,24 +175,29 @@ class SuperDerivation:
 def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
     """Super Lie bracket [d1, d2] = d1 d2 - (-1)^{|d1||d2|} d2 d1.
 
-    The composite is again a derivation, so its coefficients are read off by
-    applying it to each coordinate generator x; since d(x) is d's own
-    coefficient on x, that is one apply per side.
+    The composite is again a derivation, so its coefficient on a
+    generator x is its value on x, d1(d2(x)) - sign d2(d1(x)), where d(x)
+    is d's own coefficient on x and sign is -1 when both fields are odd,
+    else 1.  All of them are one dot_row: the row holds d1's nonzero
+    coefficients, then -sign times d2's, and the grid row of each holds
+    the left partials of the other field's coefficients by that
+    coefficient's generator.  Both sides of a coefficient accumulate in
+    one sum, so it holds at most MAX_TERMS terms.
     """
     if d1.ctx != d2.ctx:
         raise ContextMismatch("derivations live in different contexts")
     ctx = d1.ctx
-    swap_sign = -1 if (d1.parity is Parity.ODD and d2.parity is Parity.ODD) else 1
-
-    def on(n):
-        return d1.apply(d2.coefficient(n)) - d2.apply(d1.coefficient(n)) * swap_sign
-
-    return SuperDerivation(
-        ctx,
-        d1.parity + d2.parity,
-        [on(n) for n in ctx.even],
-        [on(n) for n in ctx.odd],
-    )
+    both_odd = d1.parity is Parity.ODD and d2.parity is Parity.ODD
+    row, grid = [], []
+    for d, other, negate in ((d1, d2, False), (d2, d1, not both_odd)):
+        targets = other.coefficients()
+        for c, n in zip(d.coefficients(), ctx.names):
+            if c:
+                row.append(-c if negate else c)
+                grid.append([a.partial(n) for a in targets])
+    coeffs = dot_row(ctx, row, grid) or (SuperPoly.zero(ctx),) * len(ctx.names)
+    k = len(ctx.even)
+    return SuperDerivation(ctx, d1.parity + d2.parity, coeffs[:k], coeffs[k:])
 
 
 class TangentVector:

@@ -191,12 +191,9 @@ def is_left_invariant(field: SuperDerivation, law: GroupLaw) -> bool:
         [c.rename(double) for c in field.odd_coeffs]
         + [double.zero()] * len(g.odd),
     )
-    for n in g.names:
-        lhs = lifted.apply(iota.image(n))
-        rhs = iota.pullback(field.apply(g.var(n)))
-        if lhs != rhs:
-            return False
-    return True
+    # the right side on x_n is iota* of field(x_n), field's coefficient on x_n
+    return all(lhs == iota.pullback(c) for lhs, c
+               in zip(lifted._apply_each(iota.images), field.coefficients()))
 
 
 def infinitesimal_action(law: GroupLaw, sigma: Morphism,
@@ -205,6 +202,10 @@ def infinitesimal_action(law: GroupLaw, sigma: Morphism,
 
     sigma's source must list the group coordinates first, then the
     M coordinates, which are matched positionally with sigma's target.
+    v, weighted onto the group coordinates of sigma's source, is applied
+    to all of sigma's images in one dot_row; each result, evaluated at the
+    unit on the group coordinates, is rho(v)'s coefficient on its
+    target generator.
     """
     g = law.coords
     if v.ctx != g:
@@ -231,7 +232,6 @@ def infinitesimal_action(law: GroupLaw, sigma: Morphism,
     # v's weights on the group coordinates, zeros on the M coordinates
     along = SuperDerivation(src, parity, v.even_coords + (0,) * len(rest_even),
                             v.odd_coords + (0,) * len(rest_odd))
-    coeffs = [along.apply(sigma.image(n_t)).substitute(target, images)
-              for n_t in target.names]
+    coeffs = [w.substitute(target, images) for w in along._apply_each(sigma.images)]
     k = len(target.even)
     return SuperDerivation(target, parity, coeffs[:k], coeffs[k:])

@@ -73,23 +73,23 @@ starts at bit 72 and folds onto bits 11 and up, above every exponent
 below 2**11 of the first field; see _FIELD_BITS for the fields.
 
 _mac is the only loop over pairs of terms, with one inner loop for
-odd-free left terms and one for the rest, and it has four callers.  A
+odd-free left terms and one for the rest, and it has three callers.  A
 product of two polynomials (SuperPoly.__mul__) calls it once; the parser
 reaches it only for a product with a group or binding, since it folds
 literal factors with _times_generator.  SuperPoly.substitute calls it
-once per term, into one map for the whole image.  dot(ctx, pairs) calls
-it once per pair, for a sum of products: applying a derivation and other
-sums of entry products are one dot each.  dot_row(ctx, row, grid)
-calls it once per left factor for all the columns of a product row:
-matrix._gmul is one dot_row per row, and matrix._series_inverse builds
-each odd-degree part of an inverse with one dot_row per row, on the
-parts that SuperPoly.odd_degree_parts splits off, then sums those parts
-by dot_row against a row of ones.
-A row of a Schur complement (matrix._schur) and the residual of a
-bracket in distribution.involutive are one dot_row each, with the
-subtracted terms weighted by negated factors.  The Laplace expansion of
-matrix._minors is the last exception: it still adds its products one *
-and one + at a time.
+once per term, into one map for the whole image.  dot_row(ctx, row,
+grid), the one sum of products, calls it once per left factor for all
+the columns of a product row: matrix._gmul is one dot_row per row, and
+matrix._series_inverse builds each odd-degree part of an inverse with
+one dot_row per row, on the parts that SuperPoly.odd_degree_parts
+splits off, then sums those parts by dot_row against a row of ones.
+A row of a Schur complement (matrix._schur), the residual of a bracket
+in distribution.involutive and a whole derivation bracket are one
+dot_row each, with the subtracted terms weighted by negated factors; a
+derivation applied to one polynomial or to all the images of a map
+(apply, livf, is_left_invariant) is one dot_row too.  The Laplace
+expansion of matrix._minors is the last exception: it still adds its
+products one * and one + at a time.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ Scalar = (int, Fraction)
 # benchmark input comes near this.
 MAX_EXPONENT = 1000
 
-# Most terms one dot may accumulate.  A power or product of many-term
-# factors, such as (1+t+s+u)^1000, otherwise grows without bound; the
-# largest product in the demos, tests and benchmark has 127 terms.
+# Most terms one product or sum of products may accumulate.  A power or
+# product of many-term factors, such as (1+t+s+u)^1000, otherwise grows
+# without bound; the largest product in the demos, tests and benchmark
+# has 127 terms.
 MAX_TERMS = 10_000
 
 # Most decimal digits in the numerator or denominator of a printed
@@ -229,7 +230,7 @@ def normalize_odd_word(word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     Returns (sign, sorted_word) where sign is the sign of the sorting
     permutation, or (0, ()) when an index repeats, since theta*theta = 0.
     The generators are folded into a mask one at a time with the sign
-    rule of dot.
+    rule of _mac.
     """
     mask, sign = 0, 1
     for j in word:
@@ -1123,36 +1124,15 @@ def _times_generator(ctx: Context, code: int, name: str, n: int) -> tuple[int, i
     return 1, code
 
 
-def dot(ctx: Context, pairs) -> SuperPoly:
-    """Sum of a*b over (a, b) pairs of polynomials over ctx.
-
-    Every pair accumulates through _mac into a single map of int
-    numerators over the lcm of the pairs' a.den * b.den, with no
-    intermediate polynomial per product or per partial sum, and the sum
-    is reduced once at the end.
-    """
-    pairs = list(pairs)
-    den = 1
-    for a, b in pairs:
-        if a.ctx is not ctx or b.ctx is not ctx:
-            raise ContextMismatch("operands live in different contexts")
-        d = a.den * b.den
-        if den % d:
-            den = den // gcd(den, d) * d
-    acc: dict[int, int] = {}
-    for a, b in pairs:
-        _mac(ctx, a.nums, ((acc, den // (a.den * b.den), b.nums.items()),))
-    return SuperPoly._reduced(ctx, acc, den)
-
-
 def dot_row(ctx: Context, row: Sequence[SuperPoly],
             grid: Sequence[Sequence[SuperPoly]]) -> tuple[SuperPoly, ...]:
     """The row of sums (sum_j row[j] * grid[j][k])_k, one per column of grid.
 
-    Column k accumulates as dot(ctx, zip(row, column k)) would, over the
-    lcm of its own pairs' denominators, but each left factor row[j] runs
-    through _mac once for all the columns, so each of its terms is set up
-    once per row rather than once per entry.  A zero left factor or grid
+    Column k accumulates every product row[j] * grid[j][k] into one map
+    of int numerators over the lcm of its own pairs' denominators, and is
+    reduced once at the end.  Each left factor row[j] runs through _mac
+    once for all the columns, so each of its terms is set up once per row
+    rather than once per entry.  A zero left factor or grid
     entry adds nothing; its context is still checked.  An empty grid
     gives an empty row.
     """

@@ -5,6 +5,7 @@ test controls its own seed."""
 from fractions import Fraction
 
 from supergeom import Parity, SuperPoly
+from supergeom.poly import dot_row
 
 
 def poly(ctx, triples):
@@ -18,6 +19,13 @@ def poly(ctx, triples):
             term = term * SuperPoly.var(ctx, name)
         out = out + term
     return out
+
+
+def one_column(ctx, pairs):
+    """dot_row over a one-column grid: the sum of a*b over (a, b) pairs,
+    as a one-entry tuple, or () for no pairs."""
+    pairs = list(pairs)
+    return dot_row(ctx, [a for a, _ in pairs], [[b] for _, b in pairs])
 
 
 def random_poly(rng, ctx, parity=None, max_even_deg=2, n_terms=3, lo=-5, hi=5):
@@ -269,4 +277,36 @@ def session_script(rng):
                  f"inv=[{', '.join(inv)}]")
     lines += ["axioms g", f"livf d/d{rng.choice(ts)} g", f"livf d/d{rng.choice(eta)} g"]
     lines += ["export phi", "export g", "export M"]
+    return "\n".join(lines) + "\n"
+
+
+def fields_script(rng):
+    """One seeded script over vector fields for the byte-identity surface.
+
+    Over a context of 1|1 to 2|2, fields X and Y with rational
+    coefficients, each even or odd (both odd in one draw of four), and
+    the zero field Z; X and Y are exported with their parities, then
+    bracketed with each other in both orders, with themselves and with
+    Z, and their spans are tested for involutivity.
+    """
+    EVEN, ODD = Parity.EVEN, Parity.ODD
+    m, n = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+    xs = [f"x{i + 1}" for i in range(m)]
+    ths = [f"theta{j + 1}" for j in range(n)]
+
+    def field(parity):
+        coeffs = [poly_text(rng, xs, ths, parity, dens=(1, 2, 3)) for _ in xs]
+        coeffs += [poly_text(rng, xs, ths, parity.flipped(), dens=(1, 2, 3))
+                   for _ in ths]
+        return ", ".join(coeffs)
+
+    px, py = rng.choice([(EVEN, EVEN), (EVEN, ODD), (ODD, EVEN), (ODD, ODD)])
+    lines = [f"context M even=[{', '.join(xs)}] odd=[{', '.join(ths)}]",
+             f"field X = [{field(px)}]",
+             f"field Y = [{field(py)}]",
+             f"field Z = [{', '.join('0' for _ in xs + ths)}]",
+             "export X", "export Y",
+             "bracket X Y", "bracket Y X", "bracket X X", "bracket Y Y",
+             "bracket X Z", "bracket Z Z",
+             "involutive X Y", "involutive X", "involutive Y", "involutive Z"]
     return "\n".join(lines) + "\n"

@@ -7,6 +7,10 @@ not move.
 - "corpus": the report, errors and exports of run_script(...,
   keep_going=True) over helpers.session_script for seeds
   0..CORPUS_SEEDS - 1;
+- "fields": the report, errors and exports of run_script(...,
+  keep_going=True) over helpers.fields_script for seeds
+  0..FIELDS_SEEDS - 1: brackets of even and odd fields (odd with odd,
+  each with itself and with the zero field) and their involutivity;
 - "demo/NAME": the stdout of each demo script, run in process.
 
 tests/test_identity.py compares these with tests/identity.json.  A change
@@ -24,7 +28,7 @@ import random
 import runpy
 from pathlib import Path
 
-from helpers import session_script
+from helpers import fields_script, session_script
 from supergeom.script import run_script
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,14 +51,25 @@ def lie_digest():
 CORPUS_SEEDS = 150
 
 
-def corpus_digest():
+def scripts_digest(script, seeds):
     h = hashlib.sha256()
-    for seed in range(CORPUS_SEEDS):
-        result = run_script(session_script(random.Random(seed)), keep_going=True)
+    for seed in range(seeds):
+        result = run_script(script(random.Random(seed)), keep_going=True)
         h.update(result.output.encode())
         h.update("\n".join(result.errors).encode())
         h.update(json.dumps(result.exports, sort_keys=True).encode())
     return h.hexdigest()
+
+
+def corpus_digest():
+    return scripts_digest(session_script, CORPUS_SEEDS)
+
+
+FIELDS_SEEDS = 100
+
+
+def fields_digest():
+    return scripts_digest(fields_script, FIELDS_SEEDS)
 
 
 def demo_digest(path):
@@ -65,7 +80,8 @@ def demo_digest(path):
 
 
 def surfaces():
-    digests = {"lie": lie_digest(), "corpus": corpus_digest()}
+    digests = {"lie": lie_digest(), "corpus": corpus_digest(),
+               "fields": fields_digest()}
     digests.update((f"demo/{p.name}", demo_digest(p)) for p in DEMOS)
     return digests
 

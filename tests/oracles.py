@@ -39,11 +39,21 @@ Phi (OSp), and divides each entry by eps, all through the dual-number
 quotient.
 
 reference_substitute is SuperPoly.substitute before it accumulated every
-term into one numerator map, kept verbatim with its dot as reference_dot:
-a generator yields each term's head (the numerator times every image
-power but the last) with its last factor, and dot lists those pairs,
-checks the context of each, takes the lcm of their denominators and then
-accumulates them.
+term into one numerator map, kept verbatim with the pair sum it called,
+poly.dot, as reference_dot: a generator yields each term's head (the
+numerator times every image power but the last) with its last factor,
+and dot lists those pairs, checks the context of each, takes the lcm of
+their denominators and then accumulates them.
+
+reference_apply and reference_bracket are SuperDerivation.apply and
+derivation.bracket before the bracket became one dot_row, kept verbatim
+over reference_dot: apply is one dot of the nonzero coefficients with
+the argument's left partials, and the bracket applies each field to
+each of the other's coefficients, 2(p+q) applies, then subtracts the
+second side times the swap sign generator by generator.
+reference_infinitesimal_action and reference_is_left_invariant are
+groups.infinitesimal_action and groups.is_left_invariant in that form,
+one reference_apply per image and per generator.
 """
 
 import re
@@ -53,7 +63,8 @@ from operator import itemgetter
 from math import gcd
 
 from supergeom import (Context, ContextMismatch, LimitExceeded, Monomial, Parity,
-                       ParityError, ScriptError, SuperMatrix, SuperPoly, linalg)
+                       ParityError, ScriptError, SuperDerivation, SuperMatrix,
+                       SuperPoly, linalg)
 from supergeom.expr import _ECHO_CHARS, _MAX_DEPTH
 from supergeom.liealg import (RESERVED, LieAlgebraResult, _canonical_constraints,
                               _divide, _symbol_names)
@@ -513,3 +524,83 @@ def reference_dot(ctx, pairs):
     for a, b in pairs:
         _mac(ctx, a.nums, ((acc, den // (a.den * b.den), b.nums.items()),))
     return SuperPoly._reduced(ctx, acc, den)
+
+
+def reference_apply(self, a):
+    if a.ctx != self.ctx:
+        raise ContextMismatch("argument lives in a different context")
+    return reference_dot(self.ctx, (
+        (c, a.partial(n)) for c, n in zip(self.coefficients(), self.ctx.names) if c
+    ))
+
+
+def reference_bracket(d1, d2):
+    if d1.ctx != d2.ctx:
+        raise ContextMismatch("derivations live in different contexts")
+    ctx = d1.ctx
+    swap_sign = -1 if (d1.parity is Parity.ODD and d2.parity is Parity.ODD) else 1
+
+    def on(n):
+        return (reference_apply(d1, d2.coefficient(n))
+                - reference_apply(d2, d1.coefficient(n)) * swap_sign)
+
+    return SuperDerivation(
+        ctx,
+        d1.parity + d2.parity,
+        [on(n) for n in ctx.even],
+        [on(n) for n in ctx.odd],
+    )
+
+
+def reference_is_left_invariant(field, law):
+    if field.ctx != law.coords:
+        raise ContextMismatch("field must live in the group context")
+    g = law.coords
+    double = law.mu.source
+    iota = law.iota()
+    lifted = SuperDerivation(
+        double,
+        field.parity,
+        [c.rename(double) for c in field.even_coeffs]
+        + [double.zero()] * len(g.even),
+        [c.rename(double) for c in field.odd_coeffs]
+        + [double.zero()] * len(g.odd),
+    )
+    for n in g.names:
+        lhs = reference_apply(lifted, iota.image(n))
+        rhs = iota.pullback(reference_apply(field, g.var(n)))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def reference_infinitesimal_action(law, sigma, v):
+    g = law.coords
+    if v.ctx != g:
+        raise ContextMismatch("tangent vector must live in the group context")
+    parity = v.parity()
+    if parity is Parity.MIXED:
+        raise ParityError("tangent vector must be parity homogeneous")
+    src = sigma.source
+    m, n = len(g.even), len(g.odd)
+    if src.even[:m] != g.even or src.odd[:n] != g.odd:
+        raise ValueError("sigma's source must start with the group coordinates")
+    rest_even = src.even[m:]
+    rest_odd = src.odd[n:]
+    target = sigma.target
+    if len(rest_even) != len(target.even) or len(rest_odd) != len(target.odd):
+        raise ValueError("sigma's source must end with a copy of its target")
+
+    images = {}
+    for c in g.names:
+        images[c] = law._unit_value(c, target)
+    for old, new in zip(rest_even + rest_odd, target.names):
+        images[old] = target.var(new)
+
+    # v's weights on the group coordinates, zeros on the M coordinates
+    along = SuperDerivation(src, parity, v.even_coords + (0,) * len(rest_even),
+                            v.odd_coords + (0,) * len(rest_odd))
+    coeffs = [reference_apply(along, sigma.image(n_t)).substitute(target, images)
+              for n_t in target.names]
+    k = len(target.even)
+    return SuperDerivation(target, parity, coeffs[:k], coeffs[k:])

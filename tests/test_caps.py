@@ -1,4 +1,5 @@
-"""Size caps of the kernel: term count in dot, determinant size, the
+"""Size caps of the kernel: term count in a product or sum of products
+(a derivation bracket included), determinant size, the
 digits of a printed coefficient, and the exponent one even generator can
 reach.  The last tests bound the process-wide odd-word caches, which a
 miss at MAX_CACHE entries empties instead of refusing anything.
@@ -19,21 +20,25 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_rational_poly
+from helpers import one_column, random_rational_poly
+from oracles import reference_bracket
 from supergeom import (
     Context,
     LimitExceeded,
     Monomial,
+    Parity,
     PointedVariety,
     RationalPoint,
     ScriptError,
+    SuperDerivation,
     SuperPoly,
+    bracket,
     normalize_odd_word,
 )
 from supergeom import poly
 from supergeom.liealg import MAX_GROUP_DIM, MatrixGroupSpec
 from supergeom.matrix import MAX_DET_SIZE, _det
-from supergeom.poly import MAX_CACHE, MAX_DIGITS, MAX_FIELD_EXPONENT, MAX_TERMS, dot
+from supergeom.poly import MAX_CACHE, MAX_DIGITS, MAX_FIELD_EXPONENT, MAX_TERMS
 from supergeom.expr import parse_rational
 from supergeom.script import run_script
 from supergeom.serialize import from_json, to_json
@@ -82,11 +87,30 @@ def test_dot_output_at_the_cap_is_kept_and_above_it_refused():
     x, y = ctx.var("x"), ctx.var("y")
     xs = sum((x**i for i in range(100)), ctx.zero())
     ys = sum((y**j for j in range(100)), ctx.zero())
-    assert len(dot(ctx, [(xs, ys)]).nums) == MAX_TERMS
+    (at_cap,) = one_column(ctx, [(xs, ys)])
+    assert len(at_cap.nums) == MAX_TERMS
     with pytest.raises(LimitExceeded):
-        dot(ctx, [(xs + x**100, ys)])
+        one_column(ctx, [(xs + x**100, ys)])
     with pytest.raises(LimitExceeded):
         (xs + x**100) * ys
+
+
+def test_bracket_sums_both_sides_under_one_cap():
+    # [x d/dx + 2 d/dy, y*q d/dx] = (2q - y*q) d/dx: each side applies to
+    # 6,000 terms, below the cap, and the sides share no monomial.  The
+    # bracket sums both into one accumulator per coefficient, so it
+    # raises where two capped applies and an uncapped - gave 12,000 terms
+    ctx = Context(even=["x", "y", "w", "u"])
+    x, y, w, u = (ctx.var(n) for n in ctx.even)
+    q = (sum((w**i for i in range(60)), ctx.zero())
+         * sum((u**j for j in range(100)), ctx.zero()))
+    zero = ctx.zero()
+    d1 = SuperDerivation(ctx, Parity.EVEN, [x, ctx.scalar(2), zero, zero])
+    d2 = SuperDerivation(ctx, Parity.EVEN, [y * q, zero, zero, zero])
+    assert len(d1.apply(y * q).nums) == len(d2.apply(x).nums) == 6000
+    assert len(reference_bracket(d1, d2).coefficient("x").nums) == 12000
+    with pytest.raises(LimitExceeded, match=f"more than {MAX_TERMS} terms"):
+        bracket(d1, d2)
 
 
 # -- determinant size ----------------------------------------------------------

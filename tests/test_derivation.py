@@ -21,6 +21,7 @@ from supergeom import (
     TangentVector,
     bracket,
 )
+from supergeom.script import run_script
 
 CTX = Context(even=["t"], odd=["theta1", "theta2"])
 
@@ -130,6 +131,40 @@ class TestBracket:
             s_c = -1 if (py * pz + px * pz) % 2 else 1
             total = s_a * a + s_b * b + s_c * c
             assert total.is_zero()
+
+
+class TestZeroField:
+    """A field with no nonzero coefficient sums an empty row: it still
+    gives one zero per argument, or per generator for a bracket."""
+
+    def test_apply_gives_the_zero_of_the_context(self):
+        zero = SuperDerivation(CTX, Parity.ODD)
+        got = zero.apply(CTX.var("t") * CTX.var("theta1") + 3)
+        assert got == CTX.zero()
+        assert got.ctx is CTX
+
+    @pytest.mark.parametrize("p1", [Parity.EVEN, Parity.ODD])
+    @pytest.mark.parametrize("p2", [Parity.EVEN, Parity.ODD])
+    def test_bracket_of_zero_fields_has_every_coefficient(self, p1, p2):
+        got = bracket(SuperDerivation(CTX, p1), SuperDerivation(CTX, p2))
+        assert len(got.even_coeffs) == 1 and len(got.odd_coeffs) == 2
+        assert got.is_zero()
+        assert got.parity is (Parity.ODD if p1 is not p2 else Parity.EVEN)
+
+    def test_bracket_with_a_zero_side(self):
+        d = derivation(CTX, Parity.ODD, {"t": CTX.var("theta1"), "theta2": 1})
+        for zero in (SuperDerivation(CTX, Parity.EVEN), SuperDerivation(CTX, Parity.ODD)):
+            for got in (bracket(d, zero), bracket(zero, d)):
+                assert got.is_zero()
+                assert got.parity is d.parity + zero.parity
+
+    def test_zero_field_in_a_script(self):
+        result = run_script("context M even=[x] odd=[theta]\n"
+                            "field X = [0, 0]\n"
+                            "bracket X X\n"
+                            "involutive X\n")
+        assert result.errors == ()
+        assert result.output == "0\nIntegrable\n"
 
 
 class TestRendering:

@@ -296,6 +296,18 @@ def test_trivial_action_gives_zero_field():
         assert rho.is_zero()
 
 
+@pytest.mark.parametrize("make", ALL_LAWS)
+def test_zero_vector_gives_the_zero_field(make):
+    law = make()
+    g = law.coords
+    for sigma in (law.mu, law.iota()):
+        rho = infinitesimal_action(law, sigma, TangentVector(g))
+        assert rho.is_zero()
+        assert rho.parity is Parity.EVEN
+        assert len(rho.coefficients()) == len(g.names)
+    assert is_left_invariant(left_invariant_field(law, TangentVector(g)), law)
+
+
 def test_action_source_split_validated():
     law = r11_law()
     scrambled = Context(even=["s", "t"], odd=["theta", "thetap"])

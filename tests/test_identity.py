@@ -4,13 +4,15 @@ import json
 
 import pytest
 
-from identity import DEMOS, JSON_PATH, corpus_digest, demo_digest, lie_digest
+from identity import (DEMOS, JSON_PATH, corpus_digest, demo_digest, fields_digest,
+                      lie_digest)
 
 PINNED = json.loads(JSON_PATH.read_text())
 
 
 def test_every_demo_is_pinned():
-    assert sorted(PINNED) == sorted(["lie", "corpus"] + [f"demo/{p.name}" for p in DEMOS])
+    surfaces = ["lie", "corpus", "fields"] + [f"demo/{p.name}" for p in DEMOS]
+    assert sorted(PINNED) == sorted(surfaces)
 
 
 def test_lie_constraints_and_errors_keep_their_bytes():
@@ -19,6 +21,10 @@ def test_lie_constraints_and_errors_keep_their_bytes():
 
 def test_session_corpus_keeps_its_bytes():
     assert corpus_digest() == PINNED["corpus"]
+
+
+def test_field_brackets_keep_their_bytes():
+    assert fields_digest() == PINNED["fields"]
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)

@@ -1,6 +1,6 @@
-"""The multiply-accumulate kernel (products, poly.dot and poly.dot_row,
-all through the one term-pair loop poly._mac) against an independent
-model.
+"""The multiply-accumulate kernel (products and poly.dot_row, the one
+sum of products, all through the one term-pair loop poly._mac) against
+an independent model.
 
 Oracle: the left regular representation of the exterior algebra
 Lambda(theta1..thetaq).  The basis is the subsets S of {0..q-1}, with
@@ -32,11 +32,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_poly, random_rational_poly
+from helpers import one_column, random_poly, random_rational_poly
+from oracles import reference_dot
 from supergeom import Context, ContextMismatch, LimitExceeded, Monomial, Parity, SuperPoly
 from supergeom.matrix import _det, _gmul
 from supergeom import poly
-from supergeom.poly import MAX_FIELD_EXPONENT, dot, dot_row
+from supergeom.poly import MAX_FIELD_EXPONENT, dot_row
 
 
 def grassmann(q):
@@ -137,7 +138,8 @@ def test_dot_matches_sum_of_matrix_products(q):
         expect = {}
         for a, b in pairs:
             expect = mat_add(expect, mat_mul(model(a, q), model(b, q)))
-        assert model(dot(ctx, pairs), q) == expect
+        got = one_column(ctx, pairs)
+        assert [model(p, q) for p in got] == ([expect] if pairs else [])
 
 
 def gmul_grid(rng, ctx, rows, cols):
@@ -186,7 +188,9 @@ class TestDotEdges:
     CTX = Context(even=["x"], odd=["theta1", "theta2"])
 
     def test_empty_pair_list_is_zero_of_the_context(self):
-        z = dot(self.CTX, [])
+        # no pairs give no column; a column of zero factors gives the zero
+        assert one_column(self.CTX, []) == ()
+        (z,) = one_column(self.CTX, [(self.CTX.zero(), self.CTX.one())])
         assert z.ctx == self.CTX
         assert z.terms == {}
         assert z == SuperPoly.zero(self.CTX)
@@ -197,18 +201,18 @@ class TestDotEdges:
         pair = [self.CTX.var("x"), self.CTX.var("theta1")]
         pair[side] = other.var("theta1")
         with pytest.raises(ContextMismatch):
-            dot(self.CTX, [(self.CTX.one(), self.CTX.one()), tuple(pair)])
+            one_column(self.CTX, [(self.CTX.one(), self.CTX.one()), tuple(pair)])
 
     def test_cancellation_across_pairs_leaves_no_zero(self):
         x, t1, t2 = (self.CTX.var(n) for n in ("x", "theta1", "theta2"))
         # x*t1*t2 cancels between the first two pairs; x^2 between the
         # last two; only t1 survives
-        p = dot(self.CTX, [(x * t1, t2), (x * t2, t1), (x, x), (t1, 1 + t1),
-                           (-x, x)])
+        (p,) = one_column(self.CTX, [(x * t1, t2), (x * t2, t1), (x, x),
+                                     (t1, 1 + t1), (-x, x)])
         assert p == t1
         assert p.terms == t1.terms
         assert all(c for c in p.terms.values())
-        q = dot(self.CTX, [(t1, t2), (t2, t1)])
+        (q,) = one_column(self.CTX, [(t1, t2), (t2, t1)])
         assert q.terms == {}
 
     def test_product_is_the_kernel_on_one_pair(self):
@@ -216,7 +220,7 @@ class TestDotEdges:
         for _ in range(20):
             a = random_poly(rng, self.CTX)
             b = random_poly(rng, self.CTX)
-            assert a * b == dot(self.CTX, [(a, b)])
+            assert (a * b,) == one_column(self.CTX, [(a, b)])
 
 
 class TestDotRowEdges:
@@ -254,7 +258,7 @@ class TestDotRowEdges:
         assert got[1].terms == {}
         assert got[0] == x * t1 / 10 + x * t2 / 14
         assert got[2] == (t1 + t2) / 2
-        assert got == tuple(dot(self.CTX, zip(row, col))
+        assert got == tuple(reference_dot(self.CTX, zip(row, col))
                             for col in ([x / 5, x / 7], [t2 / 3, t1 / 3], [one, one]))
 
     @pytest.mark.parametrize("column", [0, 1, 2])
@@ -338,7 +342,8 @@ def test_rational_dot_matches_at_points(q):
         expect = {}
         for a, b in pairs:
             expect = mat_add(expect, mat_mul(model_at(a, q, at), model_at(b, q, at)))
-        assert model_at(dot(ctx, pairs), q, at) == expect
+        got = one_column(ctx, pairs)
+        assert [model_at(p, q, at) for p in got] == ([expect] if pairs else [])
 
 
 def test_rational_gmul_entries_match_at_points():
@@ -466,11 +471,12 @@ def test_det_with_nilpotent_entries_matches_leibniz_in_the_model(n):
 
 # -- the two inner loops of the term-pair loop ------------------------------
 #
-# poly._mac, under dot, runs each left term through one of two loops: an odd-free left term
-# has no odd-mask skip and no sign test, a left term with odd generators
-# has both.  The operands below hold both kinds of term in one
-# polynomial, so one product runs both loops into one accumulator, and
-# the last pair of split_pairs makes the two loops cancel each other.
+# poly._mac, under dot_row, runs each left term through one of two
+# loops: an odd-free left term has no odd-mask skip and no sign test, a
+# left term with odd generators has both.  The operands below hold both
+# kinds of term in one polynomial, so one product runs both loops into
+# one accumulator, and the last pair of split_pairs makes the two loops
+# cancel each other.
 
 
 def split_operand(rng, ctx, n_free=3, n_odd=3):
@@ -512,7 +518,7 @@ def test_dot_over_split_operands_matches_the_model(q):
         expect = {}
         for a, b in pairs:
             expect = mat_add(expect, mat_mul(model(a, q), model(b, q)))
-        got = dot(ctx, pairs)
+        (got,) = one_column(ctx, pairs)
         assert all(got.nums.values())
         assert model(got, q) == expect
 
@@ -527,7 +533,7 @@ def test_dot_over_split_operands_matches_at_points(q):
         expect = {}
         for a, b in pairs:
             expect = mat_add(expect, mat_mul(model_at(a, q, at), model_at(b, q, at)))
-        got = dot(ctx, pairs)
+        (got,) = one_column(ctx, pairs)
         assert all(got.nums.values())
         assert model_at(got, q, at) == expect
 
@@ -559,8 +565,8 @@ def test_each_loop_refuses_an_exponent_past_the_cap(left_mask):
     x, t2 = ctx.var("x"), ctx.var("theta2")
     for right in (x, x * t2, 3 + x * t2):
         with pytest.raises(LimitExceeded, match="exponent of x is above"):
-            dot(ctx, [(full, right)])
+            one_column(ctx, [(full, right)])
     # the pair is refused even where the two products would cancel
     with pytest.raises(LimitExceeded, match="exponent of x is above"):
-        dot(ctx, [(full, x), (-full, x)])
-    assert dot(ctx, [(full, t2), (-full, t2)]) == ctx.zero()
+        one_column(ctx, [(full, x), (-full, x)])
+    assert one_column(ctx, [(full, t2), (-full, t2)]) == (ctx.zero(),)

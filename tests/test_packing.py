@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import one_column
 from oracles import partials_quotient, substitution_rename
 from supergeom import (
     Context,
@@ -29,7 +30,7 @@ from supergeom import (
     normalize_odd_word,
 )
 from supergeom.groups import product_context
-from supergeom.poly import _FIELD_BITS, MAX_FIELD_EXPONENT, decode, dot, encode
+from supergeom.poly import _FIELD_BITS, MAX_FIELD_EXPONENT, decode, encode
 
 SMALL = Context(even=["x", "y", "z"], odd=["a", "b"])
 WIDE = Context(even=[f"x{i}" for i in range(70)], odd=["a", "b", "c"])
@@ -98,7 +99,8 @@ def test_sums_of_products_match_the_merge_oracle():
         pairs.append((single(WIDE, a) * (k + 1), single(WIDE, b)))
         key = merge_even(a, b)
         want[key] = want.get(key, 0) + k + 1
-    got = {mono.even: c for mono, c in dot(WIDE, pairs).terms.items()}
+    (total,) = one_column(WIDE, pairs)
+    got = {mono.even: c for mono, c in total.terms.items()}
     assert got == {key: c for key, c in want.items() if c}
 
 
@@ -172,7 +174,7 @@ def test_overflow_inside_a_sum_of_products_raises():
     x = SMALL.var("x")
     full = single(SMALL, ((0, MAX_FIELD_EXPONENT),))
     with pytest.raises(LimitExceeded):
-        dot(SMALL, [(x, x), (full, 1 + x), (x, -x)])
+        one_column(SMALL, [(x, x), (full, 1 + x), (x, -x)])
 
 
 def test_largest_exponent_is_reached_by_products():
@@ -268,7 +270,8 @@ def test_products_match_the_oracles_with_a_full_top_field(p, q):
         pairs.append((a * (k + 1), b))
         want[mono] = want.get(mono, 0) + sign * (k + 1)
     assert pairs
-    assert dot(ctx, pairs).terms == {m: c for m, c in want.items() if c}
+    (total,) = one_column(ctx, pairs)
+    assert total.terms == {m: c for m, c in want.items() if c}
 
 
 @pytest.mark.parametrize("p, q", [(1, 4), (3, 6), (70, 3)], ids=str)
@@ -280,7 +283,7 @@ def test_top_field_overflow_beside_the_mask_raises(p, q):
     with pytest.raises(LimitExceeded, match=f"exponent of {name} is above"):
         full * (th * ctx.var(name))
     with pytest.raises(LimitExceeded, match=f"exponent of {name} is above"):
-        dot(ctx, [(th, th), (full, ctx.var(name) + 1)])
+        one_column(ctx, [(th, th), (full, ctx.var(name) + 1)])
 
 
 @pytest.mark.parametrize("p, q", [(3, 6), (2, 6)], ids=str)

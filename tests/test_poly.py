@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import poly, random_poly, random_rational_poly
+from helpers import one_column, poly, random_poly, random_rational_poly
 from oracles import reference_parity
 from supergeom import (
     Context,
@@ -27,7 +27,7 @@ from supergeom import (
     SuperPoly,
     normalize_odd_word,
 )
-from supergeom.poly import MAX_EXPONENT, MAX_FIELD_EXPONENT, UNIT_MONOMIAL, dot
+from supergeom.poly import MAX_EXPONENT, MAX_FIELD_EXPONENT, UNIT_MONOMIAL
 from supergeom.serialize import to_json
 
 T2 = Context(even=["t1", "t2"], odd=["theta1", "theta2"])
@@ -272,13 +272,13 @@ class TestPartial:
         # sum over generators n of n * d/dn p scales each term c*m by its
         # even degree plus its odd word length; for an odd n this holds
         # only if the left-derivative sign of partial undoes the sign the
-        # product theta_n * (d/dn p) picks up in dot
+        # product theta_n * (d/dn p) picks up in the sum
         ctx = Context(even=["x", "y"], odd=[f"theta{i}" for i in range(1, 7)])
         names = ctx.even + ctx.odd
         rng = random.Random(23)
         for _ in range(200):
             p = random_poly(rng, ctx, n_terms=4)
-            lhs = dot(ctx, [(ctx.var(n), p.partial(n)) for n in names])
+            (lhs,) = one_column(ctx, [(ctx.var(n), p.partial(n)) for n in names])
             rhs = SuperPoly(ctx, {
                 m: (m.even_degree + len(m.odd)) * c for m, c in p.terms.items()
             })
