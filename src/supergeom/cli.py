@@ -43,9 +43,13 @@ def main(argv=None) -> int:
     for err in result.errors:
         print(err, file=sys.stderr)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(result.exports, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                json.dump(result.exports, fh, indent=2)
+                fh.write("\n")
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
     return 0 if result.ok else 1
 
 

@@ -23,10 +23,19 @@ class SuperDerivation:
 
     For parity pi the even coefficients f_i must be homogeneous of parity pi
     and the odd coefficients g_j of parity pi+1, so applying the operator
-    shifts parity by pi.
+    shifts parity by pi.  The coefficients are held as one tuple in
+    Context order (ctx.names: even generators, then odd); even_coeffs and
+    odd_coeffs are read-only slices of it.
+
+    The public constructor takes the two halves and checks, in order: the
+    parity is EVEN or ODD, there is one coefficient per generator, and
+    each coefficient (a rational is made a constant) lives in ctx and is
+    homogeneous of its slot's parity, even slots first.  Fields the
+    kernel derives from checked fields are built by _wrap, which checks
+    nothing.
     """
 
-    __slots__ = ("ctx", "parity", "even_coeffs", "odd_coeffs")
+    __slots__ = ("ctx", "parity", "_coeffs")
 
     def __init__(self, ctx, parity, even_coeffs=None, odd_coeffs=None):
         if parity not in (Parity.EVEN, Parity.ODD):
@@ -35,40 +44,50 @@ class SuperDerivation:
         odd_coeffs = list(odd_coeffs or [SuperPoly.zero(ctx)] * len(ctx.odd))
         if len(even_coeffs) != len(ctx.even) or len(odd_coeffs) != len(ctx.odd):
             raise ValueError("one coefficient per generator expected")
+        k = len(ctx.even)
         self.ctx = ctx
         self.parity = parity
-        self.even_coeffs = tuple(
-            _check_coeff(ctx, c, parity, f"d/d{ctx.even[i]}")
-            for i, c in enumerate(even_coeffs)
+        self._coeffs = tuple(
+            _check_coeff(ctx, c, parity if i < k else parity.flipped(), f"d/d{n}")
+            for i, (c, n) in enumerate(zip(even_coeffs + odd_coeffs, ctx.names))
         )
-        self.odd_coeffs = tuple(
-            _check_coeff(ctx, c, parity.flipped(), f"d/d{ctx.odd[j]}")
-            for j, c in enumerate(odd_coeffs)
-        )
+
+    @classmethod
+    def _wrap(cls, ctx, parity, coeffs):
+        # internal: coeffs a tuple over ctx in ctx.names order, each
+        # homogeneous of the parity its slot needs
+        d = object.__new__(cls)
+        d.ctx = ctx
+        d.parity = parity
+        d._coeffs = coeffs
+        return d
 
     @classmethod
     def coordinate(cls, ctx, name) -> "SuperDerivation":
         """The basis field d/d<name>."""
         is_odd, idx = ctx.lookup(name)
-        one = SuperPoly.scalar(ctx, 1)
-        evens = [SuperPoly.zero(ctx)] * len(ctx.even)
-        odds = [SuperPoly.zero(ctx)] * len(ctx.odd)
-        if is_odd:
-            odds[idx] = one
-            return cls(ctx, Parity.ODD, evens, odds)
-        evens[idx] = one
-        return cls(ctx, Parity.EVEN, evens, odds)
+        coeffs = [SuperPoly.zero(ctx)] * len(ctx.names)
+        coeffs[len(ctx.even) * is_odd + idx] = SuperPoly.scalar(ctx, 1)
+        return cls._wrap(ctx, Parity.ODD if is_odd else Parity.EVEN, tuple(coeffs))
+
+    @property
+    def even_coeffs(self):
+        return self._coeffs[:len(self.ctx.even)]
+
+    @property
+    def odd_coeffs(self):
+        return self._coeffs[len(self.ctx.even):]
 
     def coefficient(self, name) -> SuperPoly:
         is_odd, idx = self.ctx.lookup(name)
-        return self.odd_coeffs[idx] if is_odd else self.even_coeffs[idx]
+        return self._coeffs[len(self.ctx.even) * is_odd + idx]
 
     def coefficients(self):
-        """All coefficients, even slots first."""
-        return self.even_coeffs + self.odd_coeffs
+        """All coefficients, in ctx.names order (even slots first)."""
+        return self._coeffs
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coefficients())
+        return not any(self._coeffs)
 
     def apply(self, a: SuperPoly) -> SuperPoly:
         """Evaluate the derivation on a polynomial: the sum of each
@@ -89,7 +108,7 @@ class SuperDerivation:
         ctx = self.ctx
         if any(a.ctx != ctx for a in polys):
             raise ContextMismatch("argument lives in a different context")
-        used = [(c, n) for c, n in zip(self.coefficients(), ctx.names) if c]
+        used = [(c, n) for c, n in zip(self._coeffs, ctx.names) if c]
         return (dot_row(ctx, [c for c, _ in used],
                         [[a.partial(n) for a in polys] for _, n in used])
                 or (SuperPoly.zero(ctx),) * len(polys))
@@ -101,12 +120,11 @@ class SuperDerivation:
         return (
             isinstance(other, SuperDerivation)
             and self.ctx == other.ctx
-            and self.even_coeffs == other.even_coeffs
-            and self.odd_coeffs == other.odd_coeffs
+            and self._coeffs == other._coeffs
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.even_coeffs, self.odd_coeffs))
+        return hash((self.ctx, self._coeffs))
 
     def __add__(self, other):
         if not isinstance(other, SuperDerivation):
@@ -116,20 +134,11 @@ class SuperDerivation:
         if not self.is_zero() and not other.is_zero() and self.parity != other.parity:
             raise ParityError("cannot add derivations of different parities")
         parity = other.parity if self.is_zero() else self.parity
-        return SuperDerivation(
-            self.ctx,
-            parity,
-            [a + b for a, b in zip(self.even_coeffs, other.even_coeffs)],
-            [a + b for a, b in zip(self.odd_coeffs, other.odd_coeffs)],
-        )
+        coeffs = tuple(a + b for a, b in zip(self._coeffs, other._coeffs))
+        return SuperDerivation._wrap(self.ctx, parity, coeffs)
 
     def __neg__(self):
-        return SuperDerivation(
-            self.ctx,
-            self.parity,
-            [-c for c in self.even_coeffs],
-            [-c for c in self.odd_coeffs],
-        )
+        return SuperDerivation._wrap(self.ctx, self.parity, tuple(-c for c in self._coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, SuperDerivation):
@@ -145,16 +154,11 @@ class SuperDerivation:
         if scalar.parity() is Parity.MIXED:
             raise ParityError("scalar must be homogeneous")
         parity = self.parity if scalar.is_zero() or scalar.parity() is Parity.EVEN else self.parity.flipped()
-        return SuperDerivation(
-            self.ctx,
-            parity,
-            [scalar * c for c in self.even_coeffs],
-            [scalar * c for c in self.odd_coeffs],
-        )
+        return SuperDerivation._wrap(self.ctx, parity, tuple(scalar * c for c in self._coeffs))
 
     def __str__(self):
         bits = []
-        for name, coeff in zip(self.ctx.names, self.coefficients()):
+        for name, coeff in zip(self.ctx.names, self._coeffs):
             if coeff.is_zero():
                 continue
             body = str(coeff)
@@ -190,14 +194,13 @@ def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
     both_odd = d1.parity is Parity.ODD and d2.parity is Parity.ODD
     row, grid = [], []
     for d, other, negate in ((d1, d2, False), (d2, d1, not both_odd)):
-        targets = other.coefficients()
-        for c, n in zip(d.coefficients(), ctx.names):
+        targets = other._coeffs
+        for c, n in zip(d._coeffs, ctx.names):
             if c:
                 row.append(-c if negate else c)
                 grid.append([a.partial(n) for a in targets])
     coeffs = dot_row(ctx, row, grid) or (SuperPoly.zero(ctx),) * len(ctx.names)
-    k = len(ctx.even)
-    return SuperDerivation(ctx, d1.parity + d2.parity, coeffs[:k], coeffs[k:])
+    return SuperDerivation._wrap(ctx, d1.parity + d2.parity, coeffs)
 
 
 class TangentVector:

@@ -84,7 +84,7 @@ def involutive(dist) -> Involutivity:
     if all(w.is_zero() for w in pairs):
         return Involutivity.INTEGRABLE
 
-    grid = tuple(tuple(f.coefficients()) for f in fields)
+    grid = tuple(f.coefficients() for f in fields)
     chosen = _pivot_columns(grid)
     if chosen is None:
         return Involutivity.INDETERMINATE

@@ -183,14 +183,11 @@ def is_left_invariant(field: SuperDerivation, law: GroupLaw) -> bool:
     g = law.coords
     double = law.mu.source
     iota = law.iota()
-    lifted = SuperDerivation(
-        double,
-        field.parity,
-        [c.rename(double) for c in field.even_coeffs]
-        + [double.zero()] * len(g.even),
-        [c.rename(double) for c in field.odd_coeffs]
-        + [double.zero()] * len(g.odd),
-    )
+    # double.names holds G's even names, their primes, G's odd names and
+    # theirs, so field's coefficients land on the unprimed slots
+    lifted = SuperDerivation._wrap(double, field.parity, tuple(
+        [c.rename(double) for c in field.even_coeffs] + [double.zero()] * len(g.even)
+        + [c.rename(double) for c in field.odd_coeffs] + [double.zero()] * len(g.odd)))
     # the right side on x_n is iota* of field(x_n), field's coefficient on x_n
     return all(lhs == iota.pullback(c) for lhs, c
                in zip(lifted._apply_each(iota.images), field.coefficients()))
@@ -232,6 +229,5 @@ def infinitesimal_action(law: GroupLaw, sigma: Morphism,
     # v's weights on the group coordinates, zeros on the M coordinates
     along = SuperDerivation(src, parity, v.even_coords + (0,) * len(rest_even),
                             v.odd_coords + (0,) * len(rest_odd))
-    coeffs = [w.substitute(target, images) for w in along._apply_each(sigma.images)]
-    k = len(target.even)
-    return SuperDerivation(target, parity, coeffs[:k], coeffs[k:])
+    return SuperDerivation._wrap(target, parity, tuple(
+        w.substitute(target, images) for w in along._apply_each(sigma.images)))

@@ -616,6 +616,17 @@ def test_cli_json_out(tmp_path):
     assert from_json(data["A"]).berezinian() is not None
 
 
+def test_cli_json_out_unwritable(tmp_path):
+    path = tmp_path / "session.sg"
+    path.write_text(SCRIPT)
+    report = cli("--script", str(path)).stdout
+    proc = cli("--script", str(path), "--json-out", str(tmp_path / "nowhere" / "x.json"))
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == report
+
+
 def test_cli_error_exit(tmp_path):
     path = tmp_path / "broken.sg"
     path.write_text("context G even=[t] odd=[]\neval nope\n")
