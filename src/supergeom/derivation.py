@@ -40,8 +40,9 @@ class SuperDerivation:
     def __init__(self, ctx, parity, even_coeffs=None, odd_coeffs=None):
         if parity not in (Parity.EVEN, Parity.ODD):
             raise ParityError("a derivation's parity must be EVEN or ODD")
-        even_coeffs = list(even_coeffs or [SuperPoly.zero(ctx)] * len(ctx.even))
-        odd_coeffs = list(odd_coeffs or [SuperPoly.zero(ctx)] * len(ctx.odd))
+        zero = SuperPoly.zero(ctx)
+        even_coeffs = [zero] * len(ctx.even) if even_coeffs is None else list(even_coeffs)
+        odd_coeffs = [zero] * len(ctx.odd) if odd_coeffs is None else list(odd_coeffs)
         if len(even_coeffs) != len(ctx.even) or len(odd_coeffs) != len(ctx.odd):
             raise ValueError("one coefficient per generator expected")
         k = len(ctx.even)
@@ -210,8 +211,8 @@ class TangentVector:
     __slots__ = ("ctx", "even_coords", "odd_coords")
 
     def __init__(self, ctx: Context, even=None, odd=None):
-        even = tuple(_exact(v) for v in (even or [0] * len(ctx.even)))
-        odd = tuple(_exact(v) for v in (odd or [0] * len(ctx.odd)))
+        even = tuple(map(_exact, [0] * len(ctx.even) if even is None else even))
+        odd = tuple(map(_exact, [0] * len(ctx.odd) if odd is None else odd))
         if len(even) != len(ctx.even) or len(odd) != len(ctx.odd):
             raise ValueError("one coordinate per generator expected")
         self.ctx = ctx

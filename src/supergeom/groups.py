@@ -6,11 +6,11 @@ names with a "p" suffix the second.  All axiom checks are symbolic
 identities between pullbacks, so a failed axiom comes with the exact
 residual polynomial as evidence.
 
-Left-invariant fields follow the anti-law route: V = (v_G) iota* where
-iota(g, g') = g'g is mu with its factors swapped.  Differentiate the
-first factor, evaluate it at the unit, and what survives on the second
-copy is the field.  On R^{1|1} this yields -theta d/dt + d/dtheta for
-v = d/dtheta at e, matching the group's sign conventions.
+Left-invariant fields are read from mu alone: V = (id x v) mu*.  v
+differentiates mu in its second factor (the primed names), that factor
+is set to the unit, and what survives on the first factor is the field.
+On R^{1|1} this yields -theta d/dt + d/dtheta for v = d/dtheta at e,
+matching the group's sign conventions.
 """
 
 from __future__ import annotations
@@ -74,16 +74,6 @@ class GroupLaw:
         self.mu = mu
         self.unit = unit
         self.inverse = inverse
-
-    # iota(g, g') = g' g: swap the two factors of mu
-    def iota(self) -> Morphism:
-        src = self.mu.source
-        swap = {}
-        for n in self.coords.names:
-            swap[n] = primed(n)
-            swap[primed(n)] = n
-        images = [img.rename(src, swap) for img in self.mu.images]
-        return Morphism(src, self.coords, images)
 
     def _unit_value(self, name: str, ctx: Context) -> SuperPoly:
         """The unit's coordinate name as a constant over ctx."""
@@ -171,63 +161,71 @@ def _inverse_axiom(law: GroupLaw) -> AxiomResult:
 
 
 def left_invariant_field(law: GroupLaw, v: TangentVector) -> SuperDerivation:
-    """The left-invariant field with value v at the unit: the
-    infinitesimal action of the anti-law iota on G itself."""
-    return infinitesimal_action(law, law.iota(), v)
+    """The left-invariant field V = (id x v) mu* with value v at the unit:
+    v differentiates mu's second factor, which is then set to the unit,
+    and mu's first factor becomes G's coordinates."""
+    names = law.coords.names
+    return _at_unit(law, law.mu, v, _vector_parity(law, v), [primed(n) for n in names], names)
 
 
 def is_left_invariant(field: SuperDerivation, law: GroupLaw) -> bool:
-    """Does (field x id) iota* = iota* field hold on every coordinate?"""
+    """Does (id x field) mu* = mu* field hold on every coordinate?  field
+    acts on mu's second factor, the primed slots of the doubled context."""
     if field.ctx != law.coords:
         raise ContextMismatch("field must live in the group context")
-    g = law.coords
     double = law.mu.source
-    iota = law.iota()
-    # double.names holds G's even names, their primes, G's odd names and
-    # theirs, so field's coefficients land on the unprimed slots
-    lifted = SuperDerivation._wrap(double, field.parity, tuple(
-        [c.rename(double) for c in field.even_coeffs] + [double.zero()] * len(g.even)
-        + [c.rename(double) for c in field.odd_coeffs] + [double.zero()] * len(g.odd)))
-    # the right side on x_n is iota* of field(x_n), field's coefficient on x_n
-    return all(lhs == iota.pullback(c) for lhs, c
-               in zip(lifted._apply_each(iota.images), field.coefficients()))
+    to_primed = {n: primed(n) for n in law.coords.names}
+    lifted = _placed(double, field.parity, to_primed.values(),
+                     [c.rename(double, to_primed) for c in field.coefficients()])
+    # the right side on x_n is mu* of field(x_n), field's coefficient on x_n
+    return all(lhs == law.mu.pullback(c) for lhs, c
+               in zip(lifted._apply_each(law.mu.images), field.coefficients()))
 
 
 def infinitesimal_action(law: GroupLaw, sigma: Morphism,
                          v: TangentVector) -> SuperDerivation:
-    """The vector field rho(v) on M induced by an action sigma: G x M -> M.
+    """The vector field rho(v) = (v x id) sigma* on M induced by an action
+    sigma: G x M -> M: v differentiates sigma's group factor, which is
+    then set to the unit.
 
     sigma's source must list the group coordinates first, then the
     M coordinates, which are matched positionally with sigma's target.
-    v, weighted onto the group coordinates of sigma's source, is applied
-    to all of sigma's images in one dot_row; each result, evaluated at the
-    unit on the group coordinates, is rho(v)'s coefficient on its
-    target generator.
     """
     g = law.coords
-    if v.ctx != g:
+    parity = _vector_parity(law, v)
+    src = sigma.source
+    m, n = g.dims
+    if src.even[:m] != g.even or src.odd[:n] != g.odd:
+        raise ValueError("sigma's source must start with the group coordinates")
+    if (len(src.even) - m, len(src.odd) - n) != sigma.target.dims:
+        raise ValueError("sigma's source must end with a copy of its target")
+    return _at_unit(law, sigma, v, parity, g.names, src.even[m:] + src.odd[n:])
+
+
+def _vector_parity(law, v):
+    if v.ctx != law.coords:
         raise ContextMismatch("tangent vector must live in the group context")
     parity = v.parity()
     if parity is Parity.MIXED:
         raise ParityError("tangent vector must be parity homogeneous")
+    return parity
+
+
+def _at_unit(law, sigma, v, parity, group, rest):
+    """v, weighted onto the source names group (G's names in order), is
+    applied to all of sigma's images in one dot_row; each result, with
+    the unit put for group and the target's generators for rest, is the
+    field's coefficient on its target generator."""
     src = sigma.source
-    m, n = len(g.even), len(g.odd)
-    if src.even[:m] != g.even or src.odd[:n] != g.odd:
-        raise ValueError("sigma's source must start with the group coordinates")
-    rest_even = src.even[m:]
-    rest_odd = src.odd[n:]
     target = sigma.target
-    if len(rest_even) != len(target.even) or len(rest_odd) != len(target.odd):
-        raise ValueError("sigma's source must end with a copy of its target")
-
-    images = {}
-    for c in g.names:
-        images[c] = law._unit_value(c, target)
-    for old, new in zip(rest_even + rest_odd, target.names):
-        images[old] = target.var(new)
-
-    # v's weights on the group coordinates, zeros on the M coordinates
-    along = SuperDerivation(src, parity, v.even_coords + (0,) * len(rest_even),
-                            v.odd_coords + (0,) * len(rest_odd))
+    along = _placed(src, parity, group, [src.scalar(w) for w in v.coords()])
+    images = {s: law._unit_value(n, target) for s, n in zip(group, law.coords.names)}
+    images.update(zip(rest, map(target.var, target.names)))
     return SuperDerivation._wrap(target, parity, tuple(
         w.substitute(target, images) for w in along._apply_each(sigma.images)))
+
+
+def _placed(ctx, parity, names, coeffs):
+    # the field over ctx with coeffs on names and zero on every other slot
+    on = dict(zip(names, coeffs))
+    return SuperDerivation._wrap(ctx, parity, tuple(on.get(n, ctx.zero()) for n in ctx.names))

@@ -36,8 +36,8 @@ class LinearForm:
     __slots__ = ("ctx", "even", "odd")
 
     def __init__(self, ctx: Context, even=None, odd=None):
-        even = tuple(_exact(v) for v in (even or [0] * len(ctx.even)))
-        odd = tuple(_exact(v) for v in (odd or [0] * len(ctx.odd)))
+        even = tuple(map(_exact, [0] * len(ctx.even) if even is None else even))
+        odd = tuple(map(_exact, [0] * len(ctx.odd) if odd is None else odd))
         if len(even) != len(ctx.even) or len(odd) != len(ctx.odd):
             raise ValueError("one coefficient per coordinate expected")
         self.ctx = ctx

@@ -54,6 +54,12 @@ second side times the swap sign generator by generator.
 reference_infinitesimal_action and reference_is_left_invariant are
 groups.infinitesimal_action and groups.is_left_invariant in that form,
 one reference_apply per image and per generator.
+
+reference_iota is GroupLaw.iota, kept verbatim: the anti-law
+iota(g, g') = g'g, mu with its two factors swapped by a rename.  Before
+the group layer read mu alone, left_invariant_field was the infinitesimal
+action of iota and is_left_invariant checked (field x id) iota* =
+iota* field; reference_is_left_invariant still takes that route.
 """
 
 import re
@@ -62,10 +68,11 @@ from operator import itemgetter
 
 from math import gcd
 
-from supergeom import (Context, ContextMismatch, LimitExceeded, Monomial, Parity,
-                       ParityError, ScriptError, SuperDerivation, SuperMatrix,
+from supergeom import (Context, ContextMismatch, LimitExceeded, Monomial, Morphism,
+                       Parity, ParityError, ScriptError, SuperDerivation, SuperMatrix,
                        SuperPoly, linalg)
 from supergeom.expr import _ECHO_CHARS, _MAX_DEPTH
+from supergeom.groups import primed
 from supergeom.liealg import (RESERVED, LieAlgebraResult, _canonical_constraints,
                               _divide, _symbol_names)
 from supergeom.poly import (_PARITIES, MAX_DIGITS, _mac, _Memo, _odd_word, _power,
@@ -552,12 +559,23 @@ def reference_bracket(d1, d2):
     )
 
 
+# iota(g, g') = g' g: swap the two factors of mu
+def reference_iota(law):
+    src = law.mu.source
+    swap = {}
+    for n in law.coords.names:
+        swap[n] = primed(n)
+        swap[primed(n)] = n
+    images = [img.rename(src, swap) for img in law.mu.images]
+    return Morphism(src, law.coords, images)
+
+
 def reference_is_left_invariant(field, law):
     if field.ctx != law.coords:
         raise ContextMismatch("field must live in the group context")
     g = law.coords
     double = law.mu.source
-    iota = law.iota()
+    iota = reference_iota(law)
     lifted = SuperDerivation(
         double,
         field.parity,

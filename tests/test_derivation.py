@@ -158,6 +158,17 @@ class TestZeroField:
                 assert got.is_zero()
                 assert got.parity is d.parity + zero.parity
 
+    def test_only_none_means_a_zero_half(self):
+        # an empty list is a half with no coefficients, not the zero half
+        ctx = Context(even=["t", "s"], odd=["th"])
+        for even, odd in (([], [0]), ([0, 0], []), ([], [])):
+            with pytest.raises(ValueError, match="one coefficient per generator"):
+                SuperDerivation(ctx, Parity.EVEN, even, odd)
+        assert SuperDerivation(ctx, Parity.EVEN, None, [0]).is_zero()
+        assert SuperDerivation(ctx, Parity.ODD, [0, 0]).is_zero()
+        # a half with no generators takes the empty list
+        assert SuperDerivation(Context(odd=["th"]), Parity.ODD, [], [1]).odd_coeffs == (1,)
+
     def test_zero_field_in_a_script(self):
         result = run_script("context M even=[x] odd=[theta]\n"
                             "field X = [0, 0]\n"
@@ -188,6 +199,14 @@ class TestTangentVector:
             TangentVector(CTX, [0.1])
         with pytest.raises(TypeError, match="inexact float"):
             TangentVector(CTX, odd=[0, 0.5])
+
+    def test_only_none_means_a_zero_half(self):
+        ctx = Context(even=["t", "s"], odd=["th"])
+        for even, odd in (([], [1]), ([1, 0], []), ([], [])):
+            with pytest.raises(ValueError, match="one coordinate per generator"):
+                TangentVector(ctx, even, odd)
+        assert TangentVector(ctx, None, [1]) == TangentVector.coordinate(ctx, "th")
+        assert TangentVector(Context(odd=["th"]), [], [1]).coords() == (1,)
 
     def test_str_writes_negative_coordinates_as_differences(self):
         ctx = Context(even=["x", "y"], odd=["xi"])

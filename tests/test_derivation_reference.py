@@ -1,6 +1,7 @@
 """Derivations against the form they replaced: oracles.reference_apply,
 reference_bracket, reference_infinitesimal_action and
-reference_is_left_invariant.
+reference_is_left_invariant; left_invariant_field against the
+infinitesimal action of the anti-law oracles.reference_iota.
 
 apply, bracket, infinitesimal_action and is_left_invariant each sum
 through one dot_row; the reference applied a field to one polynomial at
@@ -19,8 +20,8 @@ from itertools import product
 import pytest
 
 from helpers import random_rational_poly
-from oracles import (reference_apply, reference_bracket,
-                     reference_infinitesimal_action, reference_is_left_invariant)
+from oracles import (reference_apply, reference_bracket, reference_infinitesimal_action,
+                     reference_iota, reference_is_left_invariant)
 from supergeom import (Context, ContextMismatch, GroupLaw, Morphism, Parity,
                        SuperDerivation, TangentVector, bracket, infinitesimal_action,
                        is_left_invariant, left_invariant_field, product_context)
@@ -134,6 +135,25 @@ def twisted_law(rng, m, n):
     return GroupLaw(g, Morphism(gg, g, mu), g.point([0] * m))
 
 
+def heisenberg_law(rng, m, n):
+    """t_i + t_i' + sum c a b' over odd pairs, eta + eta': associative for
+    any coefficients, and not commutative once one is nonzero, so its
+    left-invariant fields need not be right-invariant."""
+    g = Context(even=[f"t{i + 1}" for i in range(m)],
+                odd=[f"eta{j + 1}" for j in range(n)])
+    gg = product_context(g)
+    v = gg.var
+    mu = []
+    for t in g.even:
+        img = v(t) + v(t + "p")
+        for a in g.odd:
+            for b in g.odd:
+                img = img + Fraction(rng.randint(-3, 3), rng.choice((1, 2))) * v(a) * v(b + "p")
+        mu.append(img)
+    mu += [v(e) + v(e + "p") for e in g.odd]
+    return GroupLaw(g, Morphism(gg, g, mu), g.point([0] * m))
+
+
 LAW_SHAPES = [(1, 1), (1, 2), (2, 2), (1, 0)]
 
 
@@ -153,10 +173,28 @@ def test_infinitesimal_action_matches_the_reference(shape):
     rng = random.Random(1400 + 10 * shape[0] + shape[1])
     for _ in range(4):
         law = twisted_law(rng, *shape)
-        for sigma in (law.mu, law.iota()):
+        for sigma in (law.mu, reference_iota(law)):
             v = random_vector(rng, law.coords)
             assert_same_field(infinitesimal_action(law, sigma, v),
                               reference_infinitesimal_action(law, sigma, v))
+
+
+@pytest.mark.parametrize("shape", LAW_SHAPES, ids=str)
+def test_left_invariant_field_matches_the_anti_law_action(shape):
+    # left_invariant_field differentiates mu in its second factor; the
+    # reference differentiates the first factor of iota, mu with its
+    # factors swapped
+    rng = random.Random(1450 + 10 * shape[0] + shape[1])
+    parities = set()
+    for _ in range(4):
+        law = twisted_law(rng, *shape)
+        g = law.coords
+        iota = reference_iota(law)
+        for v in [TangentVector(g)] + [random_vector(rng, g) for _ in range(6)]:
+            assert_same_field(left_invariant_field(law, v),
+                              reference_infinitesimal_action(law, iota, v))
+            parities.add(v.parity())
+    assert parities == ({EVEN, ODD} if shape[1] else {EVEN})
 
 
 @pytest.mark.parametrize("shape", LAW_SHAPES, ids=str)
@@ -173,4 +211,25 @@ def test_is_left_invariant_matches_the_reference(shape):
             got = is_left_invariant(field, law)
             assert got == reference_is_left_invariant(field, law)
             verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("shape", LAW_SHAPES, ids=str)
+def test_is_left_invariant_matches_the_reference_on_associative_laws(shape):
+    # on twisted_law, which is not associative, only zero fields are
+    # invariant; here the left-invariant fields are, and the coordinate
+    # fields of a noncommutative law are not
+    rng = random.Random(1550 + 10 * shape[0] + shape[1])
+    verdicts = set()
+    for _ in range(4):
+        law = heisenberg_law(rng, *shape)
+        g = law.coords
+        fields = [left_invariant_field(law, TangentVector.coordinate(g, n)) for n in g.names]
+        fields += [random_field(rng, g, rng.choice((EVEN, ODD))) for _ in range(3)]
+        fields += [SuperDerivation.coordinate(g, n) for n in g.names]
+        for field in fields:
+            got = is_left_invariant(field, law)
+            assert got == reference_is_left_invariant(field, law)
+            verdicts.add(got)
+        assert all(is_left_invariant(f, law) for f in fields[:len(g.names)])
     assert verdicts == {True, False}

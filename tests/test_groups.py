@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from oracles import reference_infinitesimal_action, reference_iota
 from supergeom import (
     Context,
     ContextMismatch,
@@ -31,6 +32,7 @@ from supergeom import (
 G11 = Context(even=["t"], odd=["theta"])
 G10 = Context(even=["t"], odd=[])
 G12 = Context(even=["t"], odd=["theta1", "theta2"])
+G20 = Context(even=["a", "b"])
 
 
 def r11_law(with_inverse=True):
@@ -74,6 +76,16 @@ def corrupted_law():
     tp, thp = gg.var("tp"), gg.var("thetap")
     mu = Morphism(gg, G11, [t + tp + th * thp, th])
     return GroupLaw(G11, mu, G11.point([0]))
+
+
+def affine_law():
+    # the affine group (a, b)(a', b') = (aa', ab' + b) in the coordinates
+    # (a, b - a^2): mu is quadratic in each factor's a and the unit is
+    # (1, -1), so a field read off mu at the unit reads the unit's values
+    gg = product_context(G20)
+    a, b, ap, bp = (gg.var(n) for n in ("a", "b", "ap", "bp"))
+    mu = Morphism(gg, G20, [a * ap, a * bp + a * ap ** 2 + b + a ** 2 - a ** 2 * ap ** 2])
+    return GroupLaw(G20, mu, G20.point([1, -1]))
 
 
 ALL_LAWS = [r11_law, additive_law, r12_law]
@@ -268,6 +280,24 @@ def test_random_tangent_vectors_stay_invariant():
         assert is_left_invariant(field, law)
 
 
+def test_fields_read_the_unit_where_mu_is_not_linear_in_a_factor():
+    law = affine_law()
+    assert all(r.passed for r in check_group_axioms(law))
+    a, b = G20.var("a"), G20.var("b")
+    da, db = (TangentVector.coordinate(G20, n) for n in G20.names)
+    x = left_invariant_field(law, da)
+    y = left_invariant_field(law, db)
+    assert x.coefficients() == (a, 2 * a - 2 * a ** 2)
+    assert y.coefficients() == (G20.zero(), a)
+    for v, field in ((da, x), (db, y)):
+        assert field == reference_infinitesimal_action(law, reference_iota(law), v)
+        assert is_left_invariant(field, law)
+    assert not is_left_invariant(SuperDerivation.coordinate(G20, "a"), law)
+    assert bracket(x, y) == y
+    # the right-invariant field differentiates mu's first factor at the unit
+    assert infinitesimal_action(law, law.mu, da).coefficients() == (a, b - a ** 2 + 2)
+
+
 # -- infinitesimal actions -----------------------------------------------------
 
 
@@ -300,7 +330,7 @@ def test_trivial_action_gives_zero_field():
 def test_zero_vector_gives_the_zero_field(make):
     law = make()
     g = law.coords
-    for sigma in (law.mu, law.iota()):
+    for sigma in (law.mu, reference_iota(law)):
         rho = infinitesimal_action(law, sigma, TangentVector(g))
         assert rho.is_zero()
         assert rho.parity is Parity.EVEN

@@ -148,12 +148,14 @@ def test_an_odd_transposition_flips_the_sign():
 
 
 def test_rename_into_product_contexts_as_groups_does():
-    # the maps of groups.py: into the doubled context, the swap of iota and
-    # the two lifts of associativity into the tripled context, written out
-    # in full
+    # the maps of groups.py: into the doubled context, G onto the primed
+    # slots (is_left_invariant's lift of a field onto mu's second factor)
+    # and the two lifts of associativity into the tripled context, written
+    # out in full; and the swap of oracles.reference_iota
     g = Context(even=["x", "y"], odd=["a", "b", "c"])
     double = product_context(g, 2)
     triple = product_context(g, 3)
+    to_primed = {n: primed(n) for n in g.names}
     swap = {}
     for n in g.names:
         swap[n] = primed(n)
@@ -167,6 +169,7 @@ def test_rename_into_product_contexts_as_groups_does():
     for _ in range(150):
         p = seeded_poly(rng, g, 9)
         check_rename(p, double, None)
+        check_rename(p, double, to_primed)
         check_rename(p, triple, None)
         pp = seeded_poly(rng, double, rng.choice((9, MAX_FIELD_EXPONENT)))
         check_rename(pp, double, swap)

@@ -196,6 +196,14 @@ class TestLinearFormRendering:
         assert str(form) == "-X"
 
 
+def test_linear_form_reads_only_none_as_a_zero_half():
+    for even, odd in (([], [0, 1]), ([1, 0], []), ([], [])):
+        with pytest.raises(ValueError, match="one coefficient per coordinate"):
+            LinearForm(PLANE, even, odd)
+    assert LinearForm(PLANE, None, [0, 1]).coefficients() == (0, 0, 0, 1)
+    assert LinearForm(Context(odd=["xi"]), [], [1]).coefficients() == (1,)
+
+
 def test_linear_form_floats_rejected():
     # Fraction(0.1) would store the binary float, not 1/10
     with pytest.raises(TypeError, match="inexact float"):
