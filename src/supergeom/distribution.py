@@ -40,12 +40,11 @@ class Distribution:
         fields = tuple(fields)
         if not fields:
             raise ValueError("a distribution needs at least one field")
+        if not all(isinstance(f, SuperDerivation) for f in fields):
+            raise TypeError("distribution fields must be derivations")
         ctx = fields[0].ctx
-        for f in fields:
-            if not isinstance(f, SuperDerivation):
-                raise TypeError("distribution fields must be derivations")
-            if f.ctx != ctx:
-                raise ContextMismatch("fields live in different contexts")
+        if any(f.ctx != ctx for f in fields):
+            raise ContextMismatch("fields live in different contexts")
         self.ctx = ctx
         self.fields = fields
 

@@ -4,7 +4,9 @@ A law is the multiplication morphism mu from the doubled context to G,
 with the primed-copy convention: unprimed names are the first factor,
 names with a "p" suffix the second.  All axiom checks are symbolic
 identities between pullbacks, so a failed axiom comes with the exact
-residual polynomial as evidence.
+residual polynomial as evidence.  Each side of an axiom pulls all of
+mu's images back along one image map in one poly._substitute_each, and
+one helper, _axiom, turns the two sides into the report's residual row.
 
 Left-invariant fields are read from mu alone: V = (id x v) mu*.  v
 differentiates mu in its second factor (the primed names), that factor
@@ -15,12 +17,13 @@ matching the group's sign conventions.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .derivation import SuperDerivation, TangentVector
 from .errors import ContextMismatch, ParityError
 from .morphism import Morphism
-from .poly import Context, Parity, RationalPoint, SuperPoly
+from .poly import Context, Parity, RationalPoint, SuperPoly, _substitute_each
 
 PRIME = "p"
 
@@ -86,78 +89,49 @@ class GroupLaw:
 def check_group_axioms(law: GroupLaw):
     """Symbolic associativity, two-sided unit, and (when an inversion is
     attached) mu(g, i(g)) = e.  Failures are returned, not raised: each
-    report row carries the nonzero residual polynomials."""
-    return [
-        _associativity(law),
-        _unit_axiom(law),
-    ] + ([_inverse_axiom(law)] if law.inverse is not None else [])
+    report row carries the nonzero residual polynomials.
 
-
-def _associativity(law: GroupLaw) -> AxiomResult:
-    g = law.coords
+    Each side is one _substitute_each of mu's images: associativity
+    compares mu(mu(g, g'), g'') with mu(g, mu(g', g'')) over the triple
+    context, the unit mu(e, g') with g' and mu(g, e) with g (all left
+    sides are built before the right ones, and the rows alternate left
+    and right per coordinate), and the inversion mu(g, i(g)) with e.
+    """
+    g, mu = law.coords, law.mu
+    double = mu.source
     triple = product_context(g, copies=3)
+    names = g.names
+    primes = tuple(primed(n) for n in names)
+
+    def side(ctx, first, second):
+        # mu(first, second): first put for G's names, second for the primed ones
+        return _substitute_each(mu.images, ctx, dict(zip(names + primes, (*first, *second))))
 
     # a doubled-context polynomial on factors (0, 1) keeps its names, and
     # the doubled context starts the triple one; on factors (1, 2) each
     # name gains one prime
-    later = {}
-    for n in g.names:
-        later[n] = primed(n)
-        later[primed(n)] = primed(n, 2)
-
-    first_two = {}
-    last_two = {}
-    for n in g.names:
-        first_two[n] = law.mu.image(n).rename(triple)
-        first_two[primed(n)] = triple.var(primed(n, 2))
-        last_two[n] = triple.var(n)
-        last_two[primed(n)] = law.mu.image(n).rename(triple, later)
-
-    residuals = []
-    for n in g.names:
-        lhs = law.mu.image(n).substitute(triple, first_two)
-        rhs = law.mu.image(n).substitute(triple, last_two)
-        if lhs != rhs:
-            residuals.append((n, lhs - rhs))
-    return AxiomResult("associativity", not residuals, tuple(residuals))
+    later = {s: primed(s) for s in names + primes}
+    reports = [_axiom("associativity", names,
+                      side(triple, [img.rename(triple) for img in mu.images],
+                           [triple.var(primed(p)) for p in primes]),
+                      side(triple, [triple.var(n) for n in names],
+                           [img.rename(triple, later) for img in mu.images]))]
+    xs, xps = [double.var(n) for n in names], [double.var(p) for p in primes]
+    units = [law._unit_value(n, double) for n in names]
+    left, right = side(double, units, xps), side(double, xs, units)
+    reports.append(_axiom("unit", [f"{s} at {n}" for n in names for s in ("left", "right")],
+                          [*chain(*zip(left, right))], [*chain(*zip(xps, xs))]))
+    if law.inverse is not None:
+        reports.append(_axiom("inverse", names,
+                              side(g, [g.var(n) for n in names], law.inverse.images),
+                              [law._unit_value(n, g) for n in names]))
+    return reports
 
 
-def _unit_axiom(law: GroupLaw) -> AxiomResult:
-    g = law.coords
-    double = law.mu.source
-    images_left = {}
-    images_right = {}
-    for c in g.names:
-        images_left[c] = law._unit_value(c, double)
-        images_left[primed(c)] = double.var(primed(c))
-        images_right[c] = double.var(c)
-        images_right[primed(c)] = law._unit_value(c, double)
-    residuals = []
-    for n in g.names:
-        expected_left = double.var(primed(n))
-        expected_right = double.var(n)
-        actual_left = law.mu.image(n).substitute(double, images_left)
-        actual_right = law.mu.image(n).substitute(double, images_right)
-        if actual_left != expected_left:
-            residuals.append((f"left at {n}", actual_left - expected_left))
-        if actual_right != expected_right:
-            residuals.append((f"right at {n}", actual_right - expected_right))
-    return AxiomResult("unit", not residuals, tuple(residuals))
-
-
-def _inverse_axiom(law: GroupLaw) -> AxiomResult:
-    g = law.coords
-    residuals = []
-    images = {}
-    for c in g.names:
-        images[c] = g.var(c)
-        images[primed(c)] = law.inverse.image(c)
-    for n in g.names:
-        actual = law.mu.image(n).substitute(g, images)
-        residual = actual - law._unit_value(n, g)
-        if residual:
-            residuals.append((n, residual))
-    return AxiomResult("inverse", not residuals, tuple(residuals))
+def _axiom(name, labels, actual, expected):
+    # the row of one axiom: a residual actual - expected per label where they differ
+    residuals = tuple((label, a - e) for label, a, e in zip(labels, actual, expected) if a != e)
+    return AxiomResult(name, not residuals, residuals)
 
 
 def left_invariant_field(law: GroupLaw, v: TangentVector) -> SuperDerivation:
@@ -178,8 +152,8 @@ def is_left_invariant(field: SuperDerivation, law: GroupLaw) -> bool:
     lifted = _placed(double, field.parity, to_primed.values(),
                      [c.rename(double, to_primed) for c in field.coefficients()])
     # the right side on x_n is mu* of field(x_n), field's coefficient on x_n
-    return all(lhs == law.mu.pullback(c) for lhs, c
-               in zip(lifted._apply_each(law.mu.images), field.coefficients()))
+    return (lifted._apply_each(law.mu.images)
+            == _substitute_each(field.coefficients(), double, law.mu.image_map()))
 
 
 def infinitesimal_action(law: GroupLaw, sigma: Morphism,
@@ -221,8 +195,8 @@ def _at_unit(law, sigma, v, parity, group, rest):
     along = _placed(src, parity, group, [src.scalar(w) for w in v.coords()])
     images = {s: law._unit_value(n, target) for s, n in zip(group, law.coords.names)}
     images.update(zip(rest, map(target.var, target.names)))
-    return SuperDerivation._wrap(target, parity, tuple(
-        w.substitute(target, images) for w in along._apply_each(sigma.images)))
+    return SuperDerivation._wrap(target, parity,
+                                 _substitute_each(along._apply_each(sigma.images), target, images))
 
 
 def _placed(ctx, parity, names, coeffs):

@@ -21,7 +21,7 @@ import enum
 from . import linalg
 from .errors import ContextMismatch, ParityError
 from .matrix import SuperDim, SuperMatrix
-from .poly import Context, Parity, RationalPoint, SuperPoly
+from .poly import Context, Parity, RationalPoint, SuperPoly, _substitute_each
 from .variety import differential_of_function
 
 
@@ -65,7 +65,8 @@ class Morphism:
         return cls(ctx, ctx, [ctx.var(n) for n in ctx.names])
 
     def image(self, name: str) -> SuperPoly:
-        return self.images[self.target.names.index(name)]
+        is_odd, idx = self.target.lookup(name)
+        return self.images[len(self.target.even) * is_odd + idx]
 
     def image_map(self):
         return dict(zip(self.target.names, self.images))
@@ -151,10 +152,13 @@ def pullback(phi: Morphism, f: SuperPoly) -> SuperPoly:
 
 
 def compose(psi: Morphism, phi: Morphism) -> Morphism:
-    """psi after phi; pullbacks compose the other way around."""
+    """psi after phi; pullbacks compose the other way around, so the
+    images are phi* of psi's images, pulled back through one memo of
+    phi's image powers."""
     if phi.target != psi.source:
         raise ContextMismatch("inner morphism's target must be outer's source")
-    return Morphism(phi.source, psi.target, [phi.pullback(g) for g in psi.images])
+    return Morphism(phi.source, psi.target,
+                    _substitute_each(psi.images, phi.source, phi.image_map()))
 
 
 def differential_at(phi: Morphism, m: RationalPoint) -> SuperMatrix:

@@ -19,10 +19,14 @@ one print cache per signature, and contexts compare and hash by identity.
 Every bounded cache here is one type, _Memo: key -> fn(key), emptied
 when a miss finds MAX_CACHE entries.  _WORDS holds odd words, _SWAP_PARITY
 Koszul sign masks, each Context's _texts its monomials' sort keys and
-texts, and each substitute call its images' powers, keyed (0, i, e) for
-t_i^e and (1, j, 1) for theta_j; an image is looked up and its parity and
-context checked at its first power, once per call, and the call sums its
-terms into one numerator map.  One constructor,
+texts, and each image map its images' powers, keyed (0, i, e) for
+t_i^e and (1, j, 1) for theta_j: _substitute_each pulls a whole tuple of
+polynomials back through one such memo, so an image is looked up and its
+parity and context checked at its first power, once per image map, and
+each polynomial's terms are summed into one numerator map.
+SuperPoly.substitute is its one-polynomial case; compose, the group
+axioms and the left-invariant fields pull all their polynomials of one
+map through one call.  One constructor,
 SuperPoly._from_coefficients, makes the canonical numerators and den of
 a map of coefficients, for the public constructor and the parser; the
 reduced Lie constraints are int echelon rows over the codes _linear_rows
@@ -76,8 +80,8 @@ _mac is the only loop over pairs of terms, with one inner loop for
 odd-free left terms and one for the rest, and it has three callers.  A
 product of two polynomials (SuperPoly.__mul__) calls it once; the parser
 reaches it only for a product with a group or binding, since it folds
-literal factors with _times_generator.  SuperPoly.substitute calls it
-once per term, into one map for the whole image.  dot_row(ctx, row,
+literal factors with _times_generator.  _substitute_each calls it once
+per term, into one map per substituted polynomial.  dot_row(ctx, row,
 grid), the one sum of products, calls it once per left factor for all
 the columns of a product row: matrix._gmul is one dot_row per row, and
 matrix._series_inverse builds each odd-degree part of an inverse with
@@ -807,7 +811,9 @@ class SuperPoly:
         return Fraction(total, den)
 
     def substitute(self, ctx_out: Context, images: Mapping[str, "SuperPoly"]) -> "SuperPoly":
-        """Apply the ring map sending each generator to its image.
+        """Apply the ring map sending each generator to its image: the
+        one-polynomial case of _substitute_each, which pulls a tuple of
+        polynomials over one context back through one memo of image powers.
 
         Each term multiplies the images of its generators in order, the
         even powers by index and then the odd word, and reads no further
@@ -826,50 +832,7 @@ class SuperPoly:
         stored exponent above MAX_EXPONENT, the cap of ** in scripts,
         substitutes like any other.
         """
-        def image_power(key):
-            # the image of generator i of the tag's parity (0 even, 1 odd)
-            # to the e; the image itself is the power (tag, i, 1), so it is
-            # looked up and checked once, when it is first read
-            tag, i, e = key
-            if e > 1:
-                return _power(powers[tag, i, 1], e)
-            name = (self.ctx.odd if tag else self.ctx.even)[i]
-            img = images.get(name)
-            if img is None:
-                raise ValueError(f"no image for generator {name!r}")
-            parity = _PARITIES[tag]
-            if not img.has_parity(parity):
-                raise ParityError(f"image of {parity} generator {name!r} is not {parity}")
-            if img.ctx is not ctx_out:
-                raise ContextMismatch("operands live in different contexts")
-            return img
-
-        powers = _Memo(image_power)
-        one = SuperPoly._raw(ctx_out, {0: 1})
-        shift = self.ctx._shift
-        low = (1 << shift) - 1
-        acc: dict[int, int] = {}
-        den = 1  # the lcm of the terms' denominators so far
-        for code, c in self.nums.items():
-            keys = [(0, i, e) for i, e in _unpack(code & low)]
-            keys += [(1, j, 1) for j in _odd_word(code >> shift)]
-            # a term of two factors or more starts from its first image
-            # power, and the head is tested before each further image is
-            # read
-            head = powers[keys[0]] if len(keys) > 1 else one
-            for key in keys[1:-1]:
-                if not head:
-                    break
-                head = head * powers[key]
-            if head:
-                last = powers[keys[-1]] if keys else one
-                d = head.den * last.den
-                if den % d:
-                    # a new lcm: the numerators so far move up to it
-                    up = d // gcd(den, d)
-                    den, acc = den * up, {m: v * up for m, v in acc.items()}
-                _mac(ctx_out, head.nums, ((acc, c * (den // d), last.nums.items()),))
-        return SuperPoly._reduced(ctx_out, acc, den * self.den)
+        return _substitute_each((self,), ctx_out, images)[0]
 
     def rename(self, ctx_out: Context, name_map: Mapping[str, str] | None = None) -> "SuperPoly":
         """Transport along a generator renaming: each generator that appears
@@ -1122,6 +1085,63 @@ def _times_generator(ctx: Context, code: int, name: str, n: int) -> tuple[int, i
     if code & ctx._guard:
         _field_overflow(ctx, code & ctx._guard)
     return 1, code
+
+
+def _substitute_each(polys: Sequence[SuperPoly], ctx_out: Context,
+                     images: Mapping[str, SuperPoly]) -> tuple[SuperPoly, ...]:
+    """SuperPoly.substitute of each of polys, which all live over one
+    context, as a tuple.  One _Memo of image powers serves the whole
+    tuple, keyed (0, i, e) for t_i^e and (1, j, 1) for theta_j: an image
+    is looked up and checked at its first read in any of polys, and each
+    power is built once for all of them.
+    """
+    def image_power(key):
+        # the image of generator i of the tag's parity (0 even, 1 odd)
+        # to the e; the image itself is the power (tag, i, 1), so it is
+        # looked up and checked once, when it is first read
+        tag, i, e = key
+        if e > 1:
+            return _power(powers[tag, i, 1], e)
+        name = (polys[0].ctx.odd if tag else polys[0].ctx.even)[i]
+        img = images.get(name)
+        if img is None:
+            raise ValueError(f"no image for generator {name!r}")
+        parity = _PARITIES[tag]
+        if not img.has_parity(parity):
+            raise ParityError(f"image of {parity} generator {name!r} is not {parity}")
+        if img.ctx is not ctx_out:
+            raise ContextMismatch("operands live in different contexts")
+        return img
+
+    powers = _Memo(image_power)
+    one = SuperPoly._raw(ctx_out, {0: 1})
+    out = []
+    for poly in polys:
+        shift = poly.ctx._shift
+        low = (1 << shift) - 1
+        acc: dict[int, int] = {}
+        den = 1  # the lcm of the terms' denominators so far
+        for code, c in poly.nums.items():
+            keys = [(0, i, e) for i, e in _unpack(code & low)]
+            keys += [(1, j, 1) for j in _odd_word(code >> shift)]
+            # a term of two factors or more starts from its first image
+            # power, and the head is tested before each further image is
+            # read
+            head = powers[keys[0]] if len(keys) > 1 else one
+            for key in keys[1:-1]:
+                if not head:
+                    break
+                head = head * powers[key]
+            if head:
+                last = powers[keys[-1]] if keys else one
+                d = head.den * last.den
+                if den % d:
+                    # a new lcm: the numerators so far move up to it
+                    up = d // gcd(den, d)
+                    den, acc = den * up, {m: v * up for m, v in acc.items()}
+                _mac(ctx_out, head.nums, ((acc, c * (den // d), last.nums.items()),))
+        out.append(SuperPoly._reduced(ctx_out, acc, den * poly.den))
+    return tuple(out)
 
 
 def dot_row(ctx: Context, row: Sequence[SuperPoly],

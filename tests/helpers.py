@@ -310,3 +310,90 @@ def fields_script(rng):
              "bracket X Z", "bracket Z Z",
              "involutive X Y", "involutive X", "involutive Y", "involutive Z"]
     return "\n".join(lines) + "\n"
+
+
+# -- group laws and morphisms ------------------------------------------------
+
+
+def broken_law(rng):
+    """A seeded law on G = m|n, rational and in one draw of four without an
+    inversion, with some of its axioms broken.
+
+    The base law is t_i + t_i' + sum c a b' over the odd pairs and
+    eta + eta', with inversion -t_i + sum c a b and -eta: associative,
+    unit 0.  Each fault is added in about one draw of three: c t1 t1'^2
+    on t1 and t1 eta_n' on eta_n (associativity), c t1'^2 (the left
+    unit, mu(e, g') = g'), c t1^2 and t1 eta_n (the right unit,
+    mu(g, e) = g), a unit point moved off 0 (both sides) and a constant
+    added to the inversion of t1.
+    """
+    from supergeom import Context, GroupLaw, Morphism, product_context
+
+    m, n = rng.choice([(1, 0), (1, 1), (1, 2), (2, 1), (2, 2)])
+    g = Context(even=[f"t{i + 1}" for i in range(m)],
+                odd=[f"eta{j + 1}" for j in range(n)])
+    gg = product_context(g)
+    v, w = gg.var, g.var
+    mu, inv = [], []
+    for t in g.even:
+        law, inverse = v(t) + v(t + "p"), -w(t)
+        for a in g.odd:
+            for b in g.odd:
+                c = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                law = law + c * v(a) * v(b + "p")
+                inverse = inverse + c * w(a) * w(b)
+        mu.append(law)
+        inv.append(inverse)
+    mu += [v(e) + v(e + "p") for e in g.odd]
+    inv += [-w(e) for e in g.odd]
+
+    def c():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice((1, 2, 5)))
+
+    t1 = g.even[0]
+    faults = [rng.randrange(3) == 0 for _ in range(6)]
+    if faults[0]:
+        mu[0] = mu[0] + c() * v(t1) * v(t1 + "p") ** 2
+    if faults[1]:
+        mu[0] = mu[0] + c() * v(t1 + "p") ** 2
+    if faults[2]:
+        mu[0] = mu[0] + c() * v(t1) ** 2
+    if n and faults[3]:
+        mu[-1] = mu[-1] + v(t1) * v(g.odd[-1] + "p")
+    if n and faults[4]:
+        mu[-1] = mu[-1] + v(t1) * v(g.odd[-1])
+    if faults[5]:
+        inv[0] = inv[0] + c()
+    unit = [c() if rng.randrange(3) == 0 else 0 for _ in g.even]
+    inverse = Morphism(g, g, inv) if rng.randrange(4) else None
+    return GroupLaw(g, Morphism(gg, g, mu), g.point(unit), inverse)
+
+
+def random_morphism(rng, source, target):
+    """A morphism source -> target whose images are random_rational_poly
+    of the right parities, two terms each with denominators up to 4;
+    source needs an odd generator when target has one."""
+    from supergeom import Morphism
+
+    return Morphism(source, target, [
+        random_rational_poly(rng, source, Parity.ODD if name in target.odd else Parity.EVEN,
+                             n_terms=2, max_den=4)
+        for name in target.names])
+
+
+# M -> N -> P dimensions for random_chain: M and N need an odd generator
+# for the odd images
+CHAINS = [((1, 1), (1, 1), (1, 0)), ((2, 1), (1, 2), (1, 1)),
+          ((1, 2), (2, 1), (2, 2)), ((2, 2), (2, 2), (1, 2))]
+
+
+def random_chain(rng):
+    """(psi, phi), random morphisms M -> N -> P over x/theta, y/phi and
+    z/psi names, psi drawn first."""
+    from supergeom import Context
+
+    m, n, p = (Context(even=[f"{x}{i + 1}" for i in range(e)],
+                       odd=[f"{th}{j + 1}" for j in range(o)])
+               for (e, o), (x, th) in zip(rng.choice(CHAINS),
+                                          [("x", "theta"), ("y", "phi"), ("z", "psi")]))
+    return random_morphism(rng, n, p), random_morphism(rng, m, n)

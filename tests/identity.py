@@ -11,6 +11,11 @@ not move.
   keep_going=True) over helpers.fields_script for seeds
   0..FIELDS_SEEDS - 1: brackets of even and odd fields (odd with odd,
   each with itself and with the zero field) and their involutivity;
+- "laws": the axiom reports of helpers.broken_law for seeds
+  0..LAWS_SEEDS - 1, which fail associativity, the unit on either side
+  and the inversion, and str(compose(psi, phi)) of
+  helpers.random_chain; the script corpus reaches neither unit nor
+  inversion failures, nor compose;
 - "demo/NAME": the stdout of each demo script, run in process.
 
 tests/test_identity.py compares these with tests/identity.json.  A change
@@ -28,7 +33,8 @@ import random
 import runpy
 from pathlib import Path
 
-from helpers import fields_script, session_script
+from helpers import broken_law, fields_script, random_chain, session_script
+from supergeom import check_group_axioms, compose
 from supergeom.script import run_script
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +78,18 @@ def fields_digest():
     return scripts_digest(fields_script, FIELDS_SEEDS)
 
 
+LAWS_SEEDS = 200
+
+def laws_digest():
+    h = hashlib.sha256()
+    for seed in range(LAWS_SEEDS):
+        rng = random.Random(seed)
+        lines = [str(r) for r in check_group_axioms(broken_law(rng))]
+        lines.append(str(compose(*random_chain(rng))))
+        h.update(("\n".join(lines) + "\n").encode())
+    return h.hexdigest()
+
+
 def demo_digest(path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -81,7 +99,7 @@ def demo_digest(path):
 
 def surfaces():
     digests = {"lie": lie_digest(), "corpus": corpus_digest(),
-               "fields": fields_digest()}
+               "fields": fields_digest(), "laws": laws_digest()}
     digests.update((f"demo/{p.name}", demo_digest(p)) for p in DEMOS)
     return digests
 

@@ -60,6 +60,13 @@ iota(g, g') = g'g, mu with its two factors swapped by a rename.  Before
 the group layer read mu alone, left_invariant_field was the infinitesimal
 action of iota and is_left_invariant checked (field x id) iota* =
 iota* field; reference_is_left_invariant still takes that route.
+
+reference_check_group_axioms is groups.check_group_axioms before it
+substituted each side of an axiom as one tuple: one function per axiom,
+one substitution per polynomial and side, and the unit's left and right
+residuals built coordinate by coordinate.  Each substitution is
+reference_substitute, so it shares no image-power memo with the code it
+checks.
 """
 
 import re
@@ -72,7 +79,7 @@ from supergeom import (Context, ContextMismatch, LimitExceeded, Monomial, Morphi
                        Parity, ParityError, ScriptError, SuperDerivation, SuperMatrix,
                        SuperPoly, linalg)
 from supergeom.expr import _ECHO_CHARS, _MAX_DEPTH
-from supergeom.groups import primed
+from supergeom.groups import AxiomResult, primed, product_context
 from supergeom.liealg import (RESERVED, LieAlgebraResult, _canonical_constraints,
                               _divide, _symbol_names)
 from supergeom.poly import (_PARITIES, MAX_DIGITS, _mac, _Memo, _odd_word, _power,
@@ -622,3 +629,71 @@ def reference_infinitesimal_action(law, sigma, v):
               for n_t in target.names]
     k = len(target.even)
     return SuperDerivation(target, parity, coeffs[:k], coeffs[k:])
+
+
+def reference_check_group_axioms(law):
+    return [
+        _reference_associativity(law),
+        _reference_unit_axiom(law),
+    ] + ([_reference_inverse_axiom(law)] if law.inverse is not None else [])
+
+
+def _reference_associativity(law):
+    g = law.coords
+    triple = product_context(g, copies=3)
+    later = {}
+    for n in g.names:
+        later[n] = primed(n)
+        later[primed(n)] = primed(n, 2)
+    first_two = {}
+    last_two = {}
+    for n in g.names:
+        first_two[n] = law.mu.image(n).rename(triple)
+        first_two[primed(n)] = triple.var(primed(n, 2))
+        last_two[n] = triple.var(n)
+        last_two[primed(n)] = law.mu.image(n).rename(triple, later)
+    residuals = []
+    for n in g.names:
+        lhs = reference_substitute(law.mu.image(n), triple, first_two)
+        rhs = reference_substitute(law.mu.image(n), triple, last_two)
+        if lhs != rhs:
+            residuals.append((n, lhs - rhs))
+    return AxiomResult("associativity", not residuals, tuple(residuals))
+
+
+def _reference_unit_axiom(law):
+    g = law.coords
+    double = law.mu.source
+    images_left = {}
+    images_right = {}
+    for c in g.names:
+        images_left[c] = law._unit_value(c, double)
+        images_left[primed(c)] = double.var(primed(c))
+        images_right[c] = double.var(c)
+        images_right[primed(c)] = law._unit_value(c, double)
+    residuals = []
+    for n in g.names:
+        expected_left = double.var(primed(n))
+        expected_right = double.var(n)
+        actual_left = reference_substitute(law.mu.image(n), double, images_left)
+        actual_right = reference_substitute(law.mu.image(n), double, images_right)
+        if actual_left != expected_left:
+            residuals.append((f"left at {n}", actual_left - expected_left))
+        if actual_right != expected_right:
+            residuals.append((f"right at {n}", actual_right - expected_right))
+    return AxiomResult("unit", not residuals, tuple(residuals))
+
+
+def _reference_inverse_axiom(law):
+    g = law.coords
+    residuals = []
+    images = {}
+    for c in g.names:
+        images[c] = g.var(c)
+        images[primed(c)] = law.inverse.image(c)
+    for n in g.names:
+        actual = reference_substitute(law.mu.image(n), g, images)
+        residual = actual - law._unit_value(n, g)
+        if residual:
+            residuals.append((n, residual))
+    return AxiomResult("inverse", not residuals, tuple(residuals))

@@ -107,6 +107,14 @@ class TestValidation:
         with pytest.raises(ContextMismatch):
             Distribution([d_dt(R11, "t"), d_dt(R21, "t1")])
 
+    @pytest.mark.parametrize("fields", [[1], [1, "field"], ["field", 1]])
+    def test_a_field_that_is_not_a_derivation_is_a_type_error(self, fields):
+        fields = [d_dt(R11, "t") if f == "field" else f for f in fields]
+        with pytest.raises(TypeError, match="distribution fields must be derivations"):
+            Distribution(fields)
+        with pytest.raises(TypeError, match="distribution fields must be derivations"):
+            involutive(fields)
+
     def test_distribution_object_accepted(self):
         d = Distribution([d_dt(R11, "t")])
         assert involutive(d) is Involutivity.INTEGRABLE

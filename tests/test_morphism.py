@@ -126,6 +126,12 @@ class TestValidation:
         with pytest.raises(ContextMismatch):
             Morphism(CHART, LINE, [LINE.var("t")])
 
+    def test_image_by_name(self):
+        phi = chart_morphism()
+        assert [phi.image(n) for n in CHART.names] == list(phi.images)
+        with pytest.raises(ValueError, match="unknown generator 'zz'"):
+            phi.image("zz")
+
 
 class TestCompose:
     def test_identity_neutral(self):
