@@ -49,9 +49,12 @@ generator to a power with the sign rule of _mac, and
 SuperPoly._from_coefficients, which makes a polynomial of a map of codes
 to coefficients.  The parser, and liealg for its constraints, hold those
 codes without reading them; no other module reads a code.
-SuperPoly.rename is the one move between contexts: it relabels codes
-along a map of generator names without multiplying, and where every
-name keeps its index it only moves the odd mask to the target's shift.
+SuperPoly.rename is the one move between contexts.  A map that moves
+the even generators by one index offset and the odd ones by another,
+as every caller in the package does, keeps their order, so each code
+moves its even fields and its odd mask by one shift each, with no sign
+and no product; any other map is the substitution of each generator by
+its target.
 SuperPoly.left_quotient divides out a one-term odd factor theta_M in one
 pass, so the Koszul signs of products, partials, renamings and quotients
 are all counted in this module.
@@ -839,85 +842,62 @@ class SuperPoly:
         becomes the generator of ctx_out named name_map.get(name, name).
 
         A target ctx_out lacks raises ValueError, and a target of the other
-        parity ParityError, the unknown names first.  With no name_map, a
+        parity ParityError, the unknown names first.  A map that moves
+        every even generator that appears by one index offset, and every
+        odd one by another, keeps the order within each parity, so each
+        code only moves: its even fields to their targets' fields and its
+        odd mask to the target's bits, with no sign.  With no name_map, a
         ctx_out whose even generators start with this context's, and whose
         odd generators start with the odd generators up to the highest one
-        any term holds, gives every name its index: each code keeps its
-        even fields and moves its odd mask from ctx._shift to
-        ctx_out._shift, so the codes are kept as they are when the two
-        shifts are equal.  Otherwise they are relabelled with no products:
-        each even exponent moves to its target's field, and the odd
-        generators are folded into the target mask in increasing order
-        with the sign rule of normalize_odd_word, so a target reached
-        twice gives zero.  Even generators merged onto one target add
-        their exponents, and a sum above MAX_FIELD_EXPONENT raises
-        LimitExceeded.
+        any term holds, is such a map with both offsets 0, found with no
+        lookups.  A move that changes no bit keeps the codes as they are.
+        Any other map (a swap, a merge, two offsets of one parity) is the
+        substitution of each generator by its target, so an odd
+        transposition flips the sign, merged even generators add their
+        exponents (LimitExceeded past MAX_FIELD_EXPONENT), repeated odd
+        targets give zero, and the result holds at most MAX_TERMS terms.
         """
         ctx = self.ctx
-        shift = ctx._shift
+        shift, out_shift = ctx._shift, ctx_out._shift
         # the odd generators up to the highest one any term holds
         held = ctx.odd[:max(max(self.nums, default=0).bit_length() - shift, 0)]
         if (not name_map and ctx_out.even[:len(ctx.even)] == ctx.even
                 and ctx_out.odd[:len(held)] == held):
-            nums, out_shift = self.nums, ctx_out._shift
-            if out_shift != shift:
-                low = (1 << shift) - 1
-                nums = {m & low | m >> shift << out_shift: c for m, c in nums.items()}
-            return SuperPoly._raw(ctx_out, nums, self.den)
-        name_map = name_map or {}
-        used = 0
-        for code in self.nums:
-            used |= code
-        # the generators that appear, as (index, name), and their targets
-        evens = [(i, name) for i, name in enumerate(ctx.even)
-                 if used >> _FIELD_BITS * i & _FIELD_MASK]
-        odds = [(j, name) for j, name in enumerate(ctx.odd) if used >> shift + j & 1]
-        targets = [ctx_out.lookup(name_map.get(name, name)) for _, name in evens + odds]
-        for k, ((_, name), (is_odd, _)) in enumerate(zip(evens + odds, targets)):
-            source_odd = k >= len(evens)
-            if is_odd != source_odd:
-                parity = Parity.ODD if source_odd else Parity.EVEN
-                raise ParityError(f"image of {parity} generator {name!r} is not {parity}")
-        # (source shift, target shift) of each even field, and (source bit,
-        # target mask bit) of each odd generator in increasing order
-        even_moves = [(_FIELD_BITS * i, _FIELD_BITS * t)
-                      for (i, _), (_, t) in zip(evens, targets)]
-        odd_moves = [(1 << shift + j, 1 << t)
-                     for (j, _), (_, t) in zip(odds, targets[len(evens):])]
-        # the even targets reached from more than one source
-        sources: dict[int, list[int]] = {}
-        for s, t in even_moves:
-            sources.setdefault(t, []).append(s)
-        merged = [(t, group) for t, group in sources.items() if len(group) > 1]
-        out_shift = ctx_out._shift
-        nums: dict[int, int] = {}
-        for code, c in self.nums.items():
-            for t, group in merged:
-                if sum(code >> s & _FIELD_MASK for s in group) > MAX_FIELD_EXPONENT:
-                    _field_overflow(ctx_out, 1 << t + _FIELD_BITS - 1)
-            out = 0
-            for s, t in even_moves:
-                out += (code >> s & _FIELD_MASK) << t
-            mask = 0
-            for b, bit in odd_moves:
-                if code & b:
-                    if mask & bit:
-                        break
-                    if _SWAP_PARITY[mask] & bit:
-                        c = -c
-                    mask |= bit
-            else:
-                out |= mask << out_shift
-                old = nums.get(out)
-                if old is not None:
-                    c += old
-                    if not c:
-                        del nums[out]
-                        continue
-                nums[out] = c
-        # merged terms can cancel and a doubled odd target zeroes a term,
-        # which can leave a common factor
-        return SuperPoly._reduced(ctx_out, nums, self.den)
+            moves = 0, 0, shift, out_shift
+        else:
+            name_map = name_map or {}
+            used = 0
+            for code in self.nums:
+                used |= code
+            # the generators that appear, as (index, name), and their targets
+            evens = [(i, name) for i, name in enumerate(ctx.even)
+                     if used >> _FIELD_BITS * i & _FIELD_MASK]
+            odds = [(j, name) for j, name in enumerate(ctx.odd) if used >> shift + j & 1]
+            targets = [ctx_out.lookup(name_map.get(name, name)) for _, name in evens + odds]
+            for k, ((_, name), (is_odd, _)) in enumerate(zip(evens + odds, targets)):
+                source_odd = k >= len(evens)
+                if is_odd != source_odd:
+                    parity = _PARITIES[source_odd]
+                    raise ParityError(f"image of {parity} generator {name!r} is not {parity}")
+            # (source index, target index) of each, split by parity
+            pairs = [(i, t) for (i, _), (_, t) in zip(evens + odds, targets)]
+            even_pairs, odd_pairs = pairs[:len(evens)], pairs[len(evens):]
+            if len({t - i for i, t in even_pairs}) > 1 or len({t - j for j, t in odd_pairs}) > 1:
+                images = {name: ctx_out.var(name_map.get(name, name)) for _, name in evens + odds}
+                return _substitute_each((self,), ctx_out, images)[0]
+            # the lowest generator of each parity and its target fix the move
+            i, t = even_pairs[0] if even_pairs else (0, 0)
+            j, u = odd_pairs[0] if odd_pairs else (0, 0)
+            moves = _FIELD_BITS * i, _FIELD_BITS * t, shift + j, out_shift + u
+        # (even source bit, even target bit, odd source bit, odd target bit):
+        # no field or odd bit below the source bits is set
+        even_from, even_to, odd_from, odd_to = moves
+        nums = self.nums
+        if (even_from, odd_from) != (even_to, odd_to):
+            low = (1 << shift) - 1
+            nums = {(m & low) >> even_from << even_to | m >> odd_from << odd_to: c
+                    for m, c in nums.items()}
+        return SuperPoly._raw(ctx_out, nums, self.den)
 
     def left_quotient(self, factor: "SuperPoly") -> "SuperPoly":
         """The g with self == factor * g, for a one-term factor c*theta_M

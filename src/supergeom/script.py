@@ -127,7 +127,10 @@ class Interpreter:
         return {k: v for k, (kind, v) in self.values.items() if kind == "poly"}
 
     def _polys(self, text, ctx, line):
-        """Comma-separated expressions over ctx, as a list of polynomials."""
+        """Comma-separated expressions over ctx, as a list of polynomials;
+        blank text is the empty list."""
+        if not text.strip():
+            return []
         env = self._env()
         return [
             expr.parse_poly(e, ctx, line, env) for e in _split_top(text, ",")
@@ -156,9 +159,9 @@ class Interpreter:
                 )
             values = values[:m]
         elif len(values) != m:
+            counts = f"{m} or {m + n}" if n else m
             raise ScriptError(
-                f"expected {m} or {m + n} coordinates, got {len(values)}",
-                line=line,
+                f"expected {counts} coordinates, got {len(values)}", line=line
             )
         return RationalPoint(ctx, values)
 
@@ -213,8 +216,10 @@ class Interpreter:
         source = SuperDim(int(m.group("p")), int(m.group("q")))
         target = SuperDim(int(m.group("r")), int(m.group("s")))
         parity = Parity.ODD if m.group("odd") else Parity.EVEN
+        text = m.group("rows")
+        # blank text is no rows, as for a 0|0 target
         rows = [self._polys(row, ctx, line)
-                for row in _split_top(m.group("rows"), ";")]
+                for row in _split_top(text, ";")] if text.strip() else []
         self.values[m.group("name")] = (
             "matrix", SuperMatrix(ctx, source, target, rows, parity)
         )

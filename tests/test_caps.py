@@ -1,8 +1,9 @@
 """Size caps of the kernel: term count in a product or sum of products
-(a derivation bracket included), determinant size, the
-digits of a printed coefficient, and the exponent one even generator can
-reach.  The last tests bound the process-wide odd-word caches, which a
-miss at MAX_CACHE entries empties instead of refusing anything.
+(a derivation bracket and a rename that substitutes included),
+determinant size, the digits of a printed coefficient, and the exponent
+one even generator can reach.  The last tests bound the process-wide
+odd-word caches, which a miss at MAX_CACHE entries empties instead of
+refusing anything.
 
 Each cap turns an input that used to run for minutes, or to end in a
 CPython message, into a LimitExceeded that a script reports as
@@ -111,6 +112,21 @@ def test_bracket_sums_both_sides_under_one_cap():
     assert len(reference_bracket(d1, d2).coefficient("x").nums) == 12000
     with pytest.raises(LimitExceeded, match=f"more than {MAX_TERMS} terms"):
         bracket(d1, d2)
+
+
+def test_a_rename_past_the_term_cap_is_refused_only_where_it_substitutes():
+    # x^i y^j for i, j < 100 and x^100: a map that keeps the order of the
+    # names moves the codes, uncapped; a swap is a substitution, whose
+    # accumulator holds at most MAX_TERMS terms
+    ctx = Context(even=["x", "y"])
+    p = SuperPoly(ctx, {Monomial([(k, e) for k, e in enumerate((i, j)) if e], 0): 1
+                        for i in range(100) for j in range(100)}) + ctx.var("x") ** 100
+    assert len(p.nums) == MAX_TERMS + 1
+    wider = Context(even=["w", "x", "y"])
+    moved = p.rename(wider)
+    assert len(moved.nums) == MAX_TERMS + 1 and moved.rename(ctx) == p
+    with pytest.raises(LimitExceeded, match=f"more than {MAX_TERMS} terms"):
+        p.rename(ctx, {"x": "y", "y": "x"})
 
 
 # -- determinant size ----------------------------------------------------------

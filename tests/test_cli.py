@@ -207,6 +207,75 @@ def test_point_arity_checked():
     assert "odd coordinates of a point must be zero" in result.errors[0]
 
 
+def test_point_arity_names_one_count_without_odd_generators():
+    result = run("""
+        context M even=[t] odd=[]
+        variety V ideal=[t] point=()
+    """)
+    assert result.errors == ("error: line 3: expected 1 coordinates, got 0",)
+
+
+def test_a_blank_ideal_is_the_whole_space():
+    result = run("""
+        context M even=[t] odd=[theta]
+        variety V ideal=[] point=(0)
+        tangent V
+    """)
+    assert result.ok and lines(result) == ["dim 1|1"]
+
+
+def test_a_group_on_the_point_passes_its_axioms():
+    result = run("""
+        context Z even=[] odd=[]
+        group G context=Z mu=[] unit=() inv=[]
+        axioms G
+        group H context=Z mu=[] unit=()
+        axioms H
+    """)
+    assert result.ok
+    assert lines(result) == ["associativity: pass", "unit: pass", "inverse: pass",
+                             "associativity: pass", "unit: pass"]
+
+
+def test_a_morphism_onto_the_point_has_no_images():
+    result = run("""
+        context E even=[] odd=[]
+        context M even=[t] odd=[theta]
+        morphism f : M -> E []
+        jacobian f (0)
+        classify f (0)
+    """)
+    assert result.ok
+    assert lines(result) == ["dims 0|0 -> 1|1", "[]", "[]", "submersion"]
+
+
+def test_a_field_on_the_point_has_no_coefficients():
+    result = run("""
+        context Z even=[] odd=[]
+        field X = []
+        bracket X X
+        involutive X
+        context M even=[t] odd=[]
+        field Y = []
+    """, keep_going=True)
+    assert lines(result) == ["0", "Integrable"]
+    assert result.errors == ("error: line 7: expected 1 coefficients, got 0",)
+
+
+def test_a_matrix_on_the_point_has_no_rows():
+    result = run("""
+        context Z even=[] odd=[]
+        matrix A dims 0|0 -> 0|0 rows []
+        ber A
+        strace A
+        srank A
+        export A
+    """)
+    assert result.ok
+    assert lines(result)[:3] == ["1", "0", "0|0"]
+    assert result.exports["A"]["entries"] == []
+
+
 GROUP_PREFIX = """
     context G even=[t] odd=[theta]
     group g context=G mu=[t + tp + theta*thetap,
