@@ -204,20 +204,54 @@ def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
     return SuperDerivation._wrap(ctx, d1.parity + d2.parity, coeffs)
 
 
-class TangentVector:
-    """Point derivation at a rational point: rational weights on the
-    coordinate directions d/dt_i|_x and d/dtheta_j|_x."""
+class _Weights:
+    """Rational weights on a context's coordinates, held as one tuple in
+    Context order (ctx.names: even coordinates, then odd).  The
+    constructor takes the two halves, and only None means a zero half;
+    floats are refused.  Subclasses set the length error text and the
+    symbol each coordinate prints with."""
 
-    __slots__ = ("ctx", "even_coords", "odd_coords")
+    __slots__ = ("ctx", "_weights")
 
     def __init__(self, ctx: Context, even=None, odd=None):
         even = tuple(map(_exact, [0] * len(ctx.even) if even is None else even))
         odd = tuple(map(_exact, [0] * len(ctx.odd) if odd is None else odd))
         if len(even) != len(ctx.even) or len(odd) != len(ctx.odd):
-            raise ValueError("one coordinate per generator expected")
+            raise ValueError(self._LENGTH_ERROR)
         self.ctx = ctx
-        self.even_coords = even
-        self.odd_coords = odd
+        self._weights = even + odd
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.ctx == other.ctx
+            and self._weights == other._weights
+        )
+
+    def __hash__(self):
+        return hash((self.ctx, self._weights))
+
+    def __str__(self):
+        return _signed_sum(
+            (c < 0, ("" if abs(c) == 1 else f"{abs(c)}*") + self._symbol(name))
+            for name, c in zip(self.ctx.names, self._weights)
+            if c
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class TangentVector(_Weights):
+    """Point derivation at a rational point: rational weights on the
+    coordinate directions d/dt_i|_x and d/dtheta_j|_x."""
+
+    __slots__ = ()
+    _LENGTH_ERROR = "one coordinate per generator expected"
+
+    @staticmethod
+    def _symbol(name):
+        return f"d/d{name}|_x"
 
     @classmethod
     def coordinate(cls, ctx, name) -> "TangentVector":
@@ -226,6 +260,14 @@ class TangentVector:
         odd = [0] * len(ctx.odd)
         (odd if is_odd else even)[idx] = 1
         return cls(ctx, even, odd)
+
+    @property
+    def even_coords(self):
+        return self._weights[:len(self.ctx.even)]
+
+    @property
+    def odd_coords(self):
+        return self._weights[len(self.ctx.even):]
 
     def parity(self) -> Parity:
         has_even = any(self.even_coords)
@@ -237,25 +279,4 @@ class TangentVector:
         return Parity.EVEN
 
     def coords(self):
-        return self.even_coords + self.odd_coords
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TangentVector)
-            and self.ctx == other.ctx
-            and self.even_coords == other.even_coords
-            and self.odd_coords == other.odd_coords
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.even_coords, self.odd_coords))
-
-    def __str__(self):
-        return _signed_sum(
-            (c < 0, ("" if abs(c) == 1 else f"{abs(c)}*") + f"d/d{name}|_x")
-            for name, c in zip(self.ctx.names, self.coords())
-            if c
-        )
-
-    def __repr__(self):
-        return f"TangentVector({self})"
+        return self._weights

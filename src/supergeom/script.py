@@ -81,23 +81,29 @@ def _logical_lines(text: str):
 _SPLITTERS = {sep: re.compile(rf"[()\[\]{sep}]") for sep in ",;"}
 
 
-def _split_top(text: str, sep: str):
-    """Split at top-level separators, ignoring ones inside () or []."""
-    parts = []
+def _items(text: str, sep: str):
+    """Yield the items between top-level separators, ignoring ones inside
+    () or [].  Each is stripped on the right and keeps the text before it
+    as blanks, so a column the expression parser reads in an item is the
+    item's column in text."""
     depth = 0
     start = 0
     for m in _SPLITTERS[sep].finditer(text):
         ch = m.group()
         if ch == sep:
             if not depth:
-                parts.append(text[start:m.start()].strip())
+                yield " " * start + text[start:m.start()].rstrip()
                 start = m.end()
         elif ch in "([":
             depth += 1
         else:
             depth -= 1
-    parts.append(text[start:].strip())
-    return parts
+    yield " " * start + text[start:].rstrip()
+
+
+def _split_top(text: str, sep: str):
+    """Split at top-level separators, ignoring ones inside () or []."""
+    return [item.strip() for item in _items(text, sep)]
 
 
 class Interpreter:
@@ -128,13 +134,12 @@ class Interpreter:
 
     def _polys(self, text, ctx, line):
         """Comma-separated expressions over ctx, as a list of polynomials;
-        blank text is the empty list."""
+        blank text is the empty list.  An error column counts from the
+        start of text."""
         if not text.strip():
             return []
         env = self._env()
-        return [
-            expr.parse_poly(e, ctx, line, env) for e in _split_top(text, ",")
-        ]
+        return [expr.parse_poly(e, ctx, line, env) for e in _items(text, ",")]
 
     def _value(self, name, want, line):
         kind_value = self.values.get(name)
@@ -219,7 +224,7 @@ class Interpreter:
         text = m.group("rows")
         # blank text is no rows, as for a 0|0 target
         rows = [self._polys(row, ctx, line)
-                for row in _split_top(text, ";")] if text.strip() else []
+                for row in _items(text, ";")] if text.strip() else []
         self.values[m.group("name")] = (
             "matrix", SuperMatrix(ctx, source, target, rows, parity)
         )

@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .derivation import TangentVector
+from .derivation import TangentVector, _Weights
 from .errors import ContextMismatch, ParityError, PointNotOnVariety
 from .matrix import SuperDim
-from .poly import Context, Parity, RationalPoint, SuperPoly, _exact, _signed_sum
+from .poly import Context, Parity, RationalPoint, SuperPoly
 
 
 def value_at(f: SuperPoly, x: RationalPoint) -> Fraction:
@@ -25,59 +25,38 @@ def value_at(f: SuperPoly, x: RationalPoint) -> Fraction:
     return f.at(x)
 
 
-def _symbol(name: str) -> str:
-    # dt_i at x is written by capitalising the coordinate: xi -> Xi, x1 -> X1
-    return name[0].upper() + name[1:]
-
-
-class LinearForm:
+class LinearForm(_Weights):
     """Rational linear form in the point differentials (dt_i)_x, (dtheta_j)_x."""
 
-    __slots__ = ("ctx", "even", "odd")
+    __slots__ = ()
+    _LENGTH_ERROR = "one coefficient per coordinate expected"
 
-    def __init__(self, ctx: Context, even=None, odd=None):
-        even = tuple(map(_exact, [0] * len(ctx.even) if even is None else even))
-        odd = tuple(map(_exact, [0] * len(ctx.odd) if odd is None else odd))
-        if len(even) != len(ctx.even) or len(odd) != len(ctx.odd):
-            raise ValueError("one coefficient per coordinate expected")
-        self.ctx = ctx
-        self.even = even
-        self.odd = odd
+    @staticmethod
+    def _symbol(name):
+        # dt_i at x is written by capitalising the coordinate: xi -> Xi, x1 -> X1
+        return name[0].upper() + name[1:]
+
+    @property
+    def even(self):
+        return self._weights[:len(self.ctx.even)]
+
+    @property
+    def odd(self):
+        return self._weights[len(self.ctx.even):]
 
     def is_zero(self) -> bool:
-        return not any(self.even) and not any(self.odd)
+        return not any(self._weights)
 
     def coefficients(self):
-        return self.even + self.odd
+        return self._weights
 
     def pairing(self, v: TangentVector) -> Fraction:
         """Evaluate the form on a tangent vector."""
         if v.ctx != self.ctx:
             raise ContextMismatch("tangent vector lives in a different context")
         return sum(
-            (c * w for c, w in zip(self.coefficients(), v.coords())), Fraction(0)
+            (c * w for c, w in zip(self._weights, v.coords())), Fraction(0)
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearForm)
-            and self.ctx == other.ctx
-            and self.even == other.even
-            and self.odd == other.odd
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.even, self.odd))
-
-    def __str__(self):
-        return _signed_sum(
-            (c < 0, ("" if abs(c) == 1 else f"{abs(c)}*") + _symbol(name))
-            for name, c in zip(self.ctx.names, self.coefficients())
-            if c
-        )
-
-    def __repr__(self):
-        return f"LinearForm({self})"
 
 
 def differential_of_function(f: SuperPoly, x: RationalPoint) -> LinearForm:

@@ -2,6 +2,7 @@
 small contexts.  Every generator takes an explicit random.Random so each
 test controls its own seed."""
 
+import itertools
 from fractions import Fraction
 
 from supergeom import Parity, SuperPoly
@@ -309,6 +310,41 @@ def fields_script(rng):
              "bracket X Y", "bracket Y X", "bracket X X", "bracket Y Y",
              "bracket X Z", "bracket Z Z",
              "involutive X Y", "involutive X", "involutive Y", "involutive Z"]
+    return "\n".join(lines) + "\n"
+
+
+def distributions_script(rng):
+    """One seeded script over distributions for the byte-identity surface.
+
+    Over a context of 1|1 to 2|2, three or four fields, each even or odd,
+    whose coefficients are zero, free of the even generators (a constant
+    body, so pivot columns can exist), or general, in proportions drawn
+    per script; every nonempty subset of the fields is then tested for
+    involutivity, in combinations order.
+    """
+    EVEN, ODD = Parity.EVEN, Parity.ODD
+    m, n = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+    xs = [f"x{i + 1}" for i in range(m)]
+    ths = [f"theta{j + 1}" for j in range(n)]
+    p_zero, p_const = rng.choice([(0.5, 0.5), (0.3, 0.6), (0.2, 0.4), (0.1, 0.1)])
+
+    def coeff(parity):
+        r = rng.random()
+        if r < p_zero:
+            return "0"
+        evens = xs if r >= p_zero + p_const else []
+        return poly_text(rng, evens, ths, parity, n_terms=rng.randint(1, 2),
+                         dens=(1, 2))
+
+    names = "ABCD"[:rng.randint(3, 4)]
+    lines = [f"context M even=[{', '.join(xs)}] odd=[{', '.join(ths)}]"]
+    for name in names:
+        parity = rng.choice([EVEN, ODD])
+        coeffs = [coeff(parity) for _ in xs] + [coeff(parity.flipped()) for _ in ths]
+        lines.append(f"field {name} = [{', '.join(coeffs)}]")
+    lines += [f"involutive {' '.join(subset)}"
+              for k in range(1, len(names) + 1)
+              for subset in itertools.combinations(names, k)]
     return "\n".join(lines) + "\n"
 
 

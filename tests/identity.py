@@ -11,6 +11,10 @@ not move.
   keep_going=True) over helpers.fields_script for seeds
   0..FIELDS_SEEDS - 1: brackets of even and odd fields (odd with odd,
   each with itself and with the zero field) and their involutivity;
+- "distributions": the report and errors of run_script(...,
+  keep_going=True) over helpers.distributions_script for seeds
+  0..DISTRIBUTIONS_SEEDS - 1: involutive over every subset of three or
+  four fields of mixed parity, all three verdicts among them;
 - "laws": the axiom reports of helpers.broken_law for seeds
   0..LAWS_SEEDS - 1, which fail associativity, the unit on either side
   and the inversion, and str(compose(psi, phi)) of
@@ -33,7 +37,8 @@ import random
 import runpy
 from pathlib import Path
 
-from helpers import broken_law, fields_script, random_chain, session_script
+from helpers import (broken_law, distributions_script, fields_script, random_chain,
+                     session_script)
 from supergeom import check_group_axioms, compose
 from supergeom.script import run_script
 
@@ -78,6 +83,13 @@ def fields_digest():
     return scripts_digest(fields_script, FIELDS_SEEDS)
 
 
+DISTRIBUTIONS_SEEDS = 100
+
+
+def distributions_digest():
+    return scripts_digest(distributions_script, DISTRIBUTIONS_SEEDS)
+
+
 LAWS_SEEDS = 200
 
 def laws_digest():
@@ -99,7 +111,8 @@ def demo_digest(path):
 
 def surfaces():
     digests = {"lie": lie_digest(), "corpus": corpus_digest(),
-               "fields": fields_digest(), "laws": laws_digest()}
+               "fields": fields_digest(), "distributions": distributions_digest(),
+               "laws": laws_digest()}
     digests.update((f"demo/{p.name}", demo_digest(p)) for p in DEMOS)
     return digests
 

@@ -6,6 +6,11 @@ together with d/dt (integrable, [chi,chi] = 2 d/dt lies in the span),
 and the lone field d/dtheta1 + theta1*d/dt2 in R^{2|1} whose self
 bracket 2 d/dt2 escapes the span.  {d/dt1, t1*d/dt2} has no constant
 pivot pair, which is exactly the indeterminate case.
+
+involutive takes the brackets one pair at a time and decides each as it
+comes; the edge tests count the brackets it takes and pin the two
+shortcuts it must not take: normalising before a nonzero bracket needs
+it, and skipping an odd field's bracket with itself.
 """
 
 import itertools
@@ -21,8 +26,10 @@ from supergeom import (
     Involutivity,
     Parity,
     SuperDerivation,
+    bracket,
     involutive,
 )
+from supergeom import distribution
 from supergeom.distribution import _pivot_columns
 
 R11 = Context(even=["t"], odd=["theta1"])
@@ -69,6 +76,44 @@ class TestVerdicts:
         )
         fields = [d_dt(R21, "t1"), d_dt(R21, "t2"), chi]
         assert involutive(fields) is Involutivity.INTEGRABLE
+
+
+class TestEdges:
+    @pytest.fixture
+    def brackets(self, monkeypatch):
+        """The pairs distribution.bracket is called with, in order."""
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return bracket(a, b)
+
+        monkeypatch.setattr(distribution, "bracket", counted)
+        return calls
+
+    def test_a_lone_even_field_takes_no_bracket(self, brackets):
+        t1 = R20.var("t1")
+        x = SuperDerivation(R20, Parity.EVEN, [t1, t1 * t1], [])
+        assert involutive([x]) is Involutivity.INTEGRABLE
+        assert brackets == []
+
+    def test_no_pivot_is_decided_at_the_first_nonzero_bracket(self, brackets):
+        x = d_dt(R20, "t1")
+        y = SuperDerivation(R20, Parity.EVEN, [R20.zero(), R20.var("t1")], [])
+        assert not bracket(x, y).is_zero()
+        assert involutive([x, y]) is Involutivity.INDETERMINATE
+        assert brackets == [(x, y)]
+
+    def test_thirteen_coordinate_fields_normalize_nothing(self):
+        # every bracket is zero, so no 13 x 13 pivot submatrix is inverted
+        ctx = Context(even=[f"t{i}" for i in range(13)], odd=[])
+        fields = [d_dt(ctx, n) for n in ctx.even]
+        assert involutive(fields) is Involutivity.INTEGRABLE
+
+    def test_an_odd_field_is_bracketed_with_itself(self):
+        # [X, X] = 2 d/dt, outside the span of X = theta1 d/dt + d/dtheta1
+        assert 2 * d_dt(R11, "t") == bracket(chi_r11(), chi_r11())
+        assert involutive([chi_r11()]) is Involutivity.NOT_INTEGRABLE
 
 
 class TestOrderIndependence:

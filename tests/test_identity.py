@@ -4,14 +4,15 @@ import json
 
 import pytest
 
-from identity import (DEMOS, JSON_PATH, corpus_digest, demo_digest, fields_digest,
-                      laws_digest, lie_digest)
+from identity import (DEMOS, JSON_PATH, corpus_digest, demo_digest,
+                      distributions_digest, fields_digest, laws_digest, lie_digest)
 
 PINNED = json.loads(JSON_PATH.read_text())
 
 
 def test_every_demo_is_pinned():
-    surfaces = ["lie", "corpus", "fields", "laws"] + [f"demo/{p.name}" for p in DEMOS]
+    surfaces = ["lie", "corpus", "fields", "distributions", "laws"]
+    surfaces += [f"demo/{p.name}" for p in DEMOS]
     assert sorted(PINNED) == sorted(surfaces)
 
 
@@ -25,6 +26,10 @@ def test_session_corpus_keeps_its_bytes():
 
 def test_field_brackets_keep_their_bytes():
     assert fields_digest() == PINNED["fields"]
+
+
+def test_involutivity_verdicts_keep_their_bytes():
+    assert distributions_digest() == PINNED["distributions"]
 
 
 def test_axiom_reports_and_composites_keep_their_bytes():

@@ -344,3 +344,28 @@ def test_split_top_matches_the_character_loop():
     for text in texts:
         for sep in ",;":
             assert _split_top(text, sep) == reference_split_top(text, sep), (text, sep)
+
+
+# A fault inside a bracketed list is reported at its column in the list,
+# counted from the first character after the '[' that opens it, so the
+# column tells the items apart; eval and let count from the expression.
+LIST_FAULTS = [
+    ("morphism f : M -> M [t + $, s]", "unexpected character '$'", 5),
+    ("morphism f : M -> M [t, s + $]", "unexpected character '$'", 8),
+    ("field X = [t, s + $]", "unexpected character '$'", 8),
+    ("field X = [ t,  u]", "unknown generator 'u'", 6),
+    ("field X = [t, s +, 0]", "unexpected end of expression", 7),
+    ("group g context=M mu=[t + tp, s + $] unit=(0, 0)", "unexpected character '$'", 13),
+    ("group g context=M mu=[t + tp, s + sp] unit=(0, 0) inv=[-t, -$]",
+     "unexpected character '$'", 6),
+    ("variety V ideal=[t, s - $] point=(0, 0)", "unexpected character '$'", 8),
+    ("matrix A dims 1|1 -> 1|1 rows [1, 0; 0, 1 + $]", "unexpected character '$'", 14),
+    ("matrix A dims 1|1 -> 1|1 rows [1, $; 0, 1]", "unexpected character '$'", 4),
+]
+
+
+@pytest.mark.parametrize("statement,message,col", LIST_FAULTS,
+                         ids=[s.split()[0] + str(col) for s, _, col in LIST_FAULTS])
+def test_a_fault_in_a_list_has_its_column_in_the_list(statement, message, col):
+    result = run_script("context M even=[t, s] odd=[]\n" + statement + "\n")
+    assert result.errors == (f"error: line 2, column {col}: {message}",)

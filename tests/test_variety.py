@@ -21,6 +21,7 @@ from supergeom import (
     PointNotOnVariety,
     PointedVariety,
     SuperDim,
+    TangentVector,
     differential_of_function,
     tangent_space,
     value_at,
@@ -210,3 +211,18 @@ def test_linear_form_floats_rejected():
         LinearForm(PLANE, even=[0.1, 0])
     with pytest.raises(TypeError, match="inexact float"):
         LinearForm(PLANE, odd=[0, 0.5])
+
+
+def test_a_form_and_a_vector_with_the_same_weights_differ():
+    form = LinearForm(PLANE, even=[1, 0], odd=[0, Fraction(1, 2)])
+    v = TangentVector(PLANE, even=[1, 0], odd=[0, Fraction(1, 2)])
+    assert form != v and v != form
+    assert form == LinearForm(PLANE, [1, 0], [0, Fraction(1, 2)])
+    assert repr(form) == "LinearForm(X + 1/2*Eta)"
+    assert repr(v) == "TangentVector(d/dx|_x + 1/2*d/deta|_x)"
+    assert (form.even, form.odd) == ((1, 0), (0, Fraction(1, 2)))
+    assert (v.even_coords, v.odd_coords) == ((1, 0), (0, Fraction(1, 2)))
+    with pytest.raises(AttributeError):
+        form.even = (0, 0)
+    with pytest.raises(AttributeError):
+        v.odd_coords = (0, 0)
