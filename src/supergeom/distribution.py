@@ -14,12 +14,13 @@ machinery over the full polynomial ring, so we refuse to guess.
 from __future__ import annotations
 
 import enum
+from itertools import chain, combinations
 
 from . import linalg
 from .derivation import SuperDerivation, bracket
 from .errors import ContextMismatch
 from .matrix import _grid_inverse, _gmul
-from .poly import Parity, SuperPoly, dot_row
+from .poly import SuperPoly, dot_row
 
 
 class Involutivity(enum.Enum):
@@ -72,10 +73,11 @@ def involutive(dist) -> Involutivity:
 
     The brackets are taken one pair at a time and each is decided as it
     comes, so the verdict reads no bracket past the one that settles it.
-    An even field's bracket with itself is identically zero and is not
-    taken; a zero bracket lies in any span.  The pivot columns and the
-    normalized grid are built at the first nonzero bracket, and no
-    pivots give INDETERMINATE there.
+    The pairs of distinct fields come first and the self-brackets last:
+    an even field's is identically zero, so a verdict settled by the
+    other pairs never takes it.  A zero bracket lies in any span.  The
+    pivot columns and the normalized grid are built at the first nonzero
+    bracket, and no pivots give INDETERMINATE there.
     """
     if not isinstance(dist, Distribution):
         dist = Distribution(dist)
@@ -83,23 +85,22 @@ def involutive(dist) -> Involutivity:
     ctx = dist.ctx
     one = SuperPoly.scalar(ctx, 1)
     chosen = None
-    for i, x in enumerate(fields):
-        for y in fields[i + 1 if x.parity is Parity.EVEN else i:]:
-            w = bracket(x, y)
-            if w.is_zero():
-                continue
-            coeffs = w.coefficients()
+    for x, y in chain(combinations(fields, 2), zip(fields, fields)):
+        w = bracket(x, y)
+        if w.is_zero():
+            continue
+        coeffs = w.coefficients()
+        if chosen is None:
+            grid = tuple(f.coefficients() for f in fields)
+            chosen = _pivot_columns(grid)
             if chosen is None:
-                grid = tuple(f.coefficients() for f in fields)
-                chosen = _pivot_columns(grid)
-                if chosen is None:
-                    return Involutivity.INDETERMINATE
-                t0 = tuple(tuple(row[c] for c in chosen) for row in grid)
-                normalized = _gmul(ctx, _grid_inverse(ctx, t0, "pivot submatrix"), grid)
-            # the residual of w, its coefficients minus lam_k times row k of
-            # the normalized grid with lam_k its coefficient in pivot column
-            # k, is one dot_row of (1, -lam_1, ...) against (coeffs, *normalized)
-            neg_lams = tuple(-coeffs[c] for c in chosen)
-            if any(dot_row(ctx, (one, *neg_lams), (coeffs, *normalized))):
-                return Involutivity.NOT_INTEGRABLE
+                return Involutivity.INDETERMINATE
+            t0 = tuple(tuple(row[c] for c in chosen) for row in grid)
+            normalized = _gmul(ctx, _grid_inverse(ctx, t0, "pivot submatrix"), grid)
+        # the residual of w, its coefficients minus lam_k times row k of the
+        # normalized grid with lam_k its coefficient in pivot column k, is
+        # one dot_row of (1, -lam_1, ...) against (coeffs, *normalized)
+        neg_lams = tuple(-coeffs[c] for c in chosen)
+        if any(dot_row(ctx, (one, *neg_lams), (coeffs, *normalized))):
+            return Involutivity.NOT_INTEGRABLE
     return Involutivity.INTEGRABLE

@@ -66,13 +66,10 @@ def _column(text: str, words: list[str], k: int) -> int:
 def _words(text: str, line) -> list[str]:
     """The token strings of text, then "" for the end.  The first character
     no token starts with raises ScriptError at its column, and so does an
-    integer literal of more than MAX_DIGITS digits, whichever comes first.
-    Both scans start after the leading blanks, which a list item carries
-    only to place its columns."""
-    start = len(text) - len(text.lstrip())
-    words = _WORD.findall(text, start)
+    integer literal of more than MAX_DIGITS digits, whichever comes first."""
+    words = _WORD.findall(text)
     words.append("")
-    bad = _BAD.search(text, start)
+    bad = _BAD.search(text)
     if bad or max(map(len, words)) > MAX_DIGITS:
         long = [k for k, w in enumerate(words)
                 if len(w) > MAX_DIGITS and w.isdecimal()]

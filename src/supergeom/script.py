@@ -82,28 +82,27 @@ _SPLITTERS = {sep: re.compile(rf"[()\[\]{sep}]") for sep in ",;"}
 
 
 def _items(text: str, sep: str):
-    """Yield the items between top-level separators, ignoring ones inside
-    () or [].  Each is stripped on the right and keeps the text before it
-    as blanks, so a column the expression parser reads in an item is the
-    item's column in text."""
+    """Yield (start, item) for the items between top-level separators,
+    ignoring ones inside () or [].  An item is stripped on the right and
+    keeps its leading blanks, so it starts at index start of text."""
     depth = 0
     start = 0
     for m in _SPLITTERS[sep].finditer(text):
         ch = m.group()
         if ch == sep:
             if not depth:
-                yield " " * start + text[start:m.start()].rstrip()
+                yield start, text[start:m.start()].rstrip()
                 start = m.end()
         elif ch in "([":
             depth += 1
         else:
             depth -= 1
-    yield " " * start + text[start:].rstrip()
+    yield start, text[start:].rstrip()
 
 
 def _split_top(text: str, sep: str):
     """Split at top-level separators, ignoring ones inside () or []."""
-    return [item.strip() for item in _items(text, sep)]
+    return [item.strip() for _, item in _items(text, sep)]
 
 
 class Interpreter:
@@ -132,14 +131,22 @@ class Interpreter:
         """let-bound polynomials, resolvable inside later expressions."""
         return {k: v for k, (kind, v) in self.values.items() if kind == "poly"}
 
-    def _polys(self, text, ctx, line):
+    def _polys(self, text, ctx, line, at=0):
         """Comma-separated expressions over ctx, as a list of polynomials;
         blank text is the empty list.  An error column counts from the
-        start of text."""
+        start of text, which is at index at of its list."""
         if not text.strip():
             return []
         env = self._env()
-        return [expr.parse_poly(e, ctx, line, env) for e in _items(text, ",")]
+        polys = []
+        for start, e in _items(text, ","):
+            try:
+                polys.append(expr.parse_poly(e, ctx, line, env))
+            except ScriptError as err:
+                # str(err) is "line L, column C: message"
+                raise ScriptError(str(err).partition(": ")[2], line=line,
+                                  col=at + start + err.col) from None
+        return polys
 
     def _value(self, name, want, line):
         kind_value = self.values.get(name)
@@ -223,8 +230,8 @@ class Interpreter:
         parity = Parity.ODD if m.group("odd") else Parity.EVEN
         text = m.group("rows")
         # blank text is no rows, as for a 0|0 target
-        rows = [self._polys(row, ctx, line)
-                for row in _items(text, ";")] if text.strip() else []
+        rows = [self._polys(row, ctx, line, start)
+                for start, row in _items(text, ";")] if text.strip() else []
         self.values[m.group("name")] = (
             "matrix", SuperMatrix(ctx, source, target, rows, parity)
         )

@@ -7,10 +7,11 @@ and the lone field d/dtheta1 + theta1*d/dt2 in R^{2|1} whose self
 bracket 2 d/dt2 escapes the span.  {d/dt1, t1*d/dt2} has no constant
 pivot pair, which is exactly the indeterminate case.
 
-involutive takes the brackets one pair at a time and decides each as it
-comes; the edge tests count the brackets it takes and pin the two
-shortcuts it must not take: normalising before a nonzero bracket needs
-it, and skipping an odd field's bracket with itself.
+involutive takes the brackets one pair at a time, the pairs of distinct
+fields before the self-brackets, and decides each as it comes; the edge
+tests count the brackets it takes and pin the two shortcuts it must not
+take: normalising before a nonzero bracket needs it, and skipping an odd
+field's bracket with itself.
 """
 
 import itertools
@@ -91,17 +92,22 @@ class TestEdges:
         monkeypatch.setattr(distribution, "bracket", counted)
         return calls
 
-    def test_a_lone_even_field_takes_no_bracket(self, brackets):
+    def test_a_lone_even_field_takes_only_its_zero_self_bracket(self, brackets):
         t1 = R20.var("t1")
         x = SuperDerivation(R20, Parity.EVEN, [t1, t1 * t1], [])
         assert involutive([x]) is Involutivity.INTEGRABLE
-        assert brackets == []
+        assert brackets == [(x, x)]
 
     def test_no_pivot_is_decided_at_the_first_nonzero_bracket(self, brackets):
+        # five more pairs follow (x, y), two of them nonzero, and none is taken
+        t1, t2 = R20.var("t1"), R20.var("t2")
         x = d_dt(R20, "t1")
-        y = SuperDerivation(R20, Parity.EVEN, [R20.zero(), R20.var("t1")], [])
+        y = SuperDerivation(R20, Parity.EVEN, [R20.zero(), t1], [])
+        z = SuperDerivation(R20, Parity.EVEN, [t2, t1 * t1], [])
+        assert _pivot_columns([f.coefficients() for f in (x, y, z)]) is None
         assert not bracket(x, y).is_zero()
-        assert involutive([x, y]) is Involutivity.INDETERMINATE
+        assert not bracket(x, z).is_zero() and not bracket(y, z).is_zero()
+        assert involutive([x, y, z]) is Involutivity.INDETERMINATE
         assert brackets == [(x, y)]
 
     def test_thirteen_coordinate_fields_normalize_nothing(self):
