@@ -30,7 +30,7 @@ from .errors import (
     NotInvertible,
     ParityError,
 )
-from .poly import _PARITIES, Context, Parity, Scalar, SuperPoly, dot_row
+from .poly import _PARITIES, Context, Parity, Scalar, SuperPoly, _disjoint_sum, dot_row
 
 # Largest n for which _minors expands an n x n grid.  A determinant fills
 # its (row set, column set) memo with one minor per row set, 2^n of them: on
@@ -190,13 +190,16 @@ def _series_inverse(ctx, grid, binv):
     N_e enter the sum for row i, which is one dot_row: zero blocks padded
     into it would cost the small inverses most.  Each nonzero sum is
     multiplied once by -B^{-1}, which is negated once per series.  The
-    Y_d share no monomial and are summed once: row i of the inverse is
-    one dot_row of a row of ones against the rows i of the nonzero Y_d,
-    so no partial sum is ever built."""
-    # row i of N as the triples (e, j, N_e[i][j]) of its nonzero parts
+    Y_d share no monomial, so each entry of the inverse joins the entries
+    of the nonzero Y_d with one _disjoint_sum, with no product and no
+    partial sum."""
+    # row i of N as the triples (e, j, N_e[i][j]) of its nonzero parts,
+    # by increasing e: the Y_{d-e} of most odd generators come first, and
+    # the denominators of the later ones mostly divide theirs, so a column
+    # of dot_row seldom has to scale its numerators up
     parts = [
-        [(e, j, part) for j, x in enumerate(row)
-         for e, part in x.odd_degree_parts().items() if e]
+        sorted((e, j, part) for j, x in enumerate(row)
+               for e, part in x.odd_degree_parts().items() if e)
         for row in grid
     ]
     if not any(parts):
@@ -217,8 +220,8 @@ def _series_inverse(ctx, grid, binv):
                 rows.append(zero_row)
         if nonzero:
             ys[d] = _gmul(ctx, neg_binv, rows)
-    ones = (SuperPoly.scalar(ctx, 1),) * len(ys)
-    return tuple(dot_row(ctx, ones, rows) for rows in zip(*ys.values()))
+    return tuple(tuple(_disjoint_sum(ctx, entries) for entries in zip(*row))
+                 for row in zip(*ys.values()))
 
 
 def _grid_inverse(ctx, grid, label):
@@ -492,10 +495,11 @@ class SuperMatrix:
         T^{-1} is then built one odd degree at a time from the parts N_e
         of T with e >= 1 odd generators: its part Y_d with d odd
         generators per term is -B^{-1} sum_e N_e Y_{d-e}, which keeps the
-        sparse N_e on the left of each product.  The Y_d are summed once,
-        a row at a time (see _series_inverse), so each entry, and each
-        intermediate sum, which holds a single odd degree, is subject to
-        MAX_TERMS like any product.
+        sparse N_e on the left of each product.  The Y_d share no monomial
+        and are joined entry by entry with no product (see
+        _series_inverse); each entry, and each intermediate sum, which
+        holds a single odd degree, is subject to MAX_TERMS like any
+        product.
         """
         if self.parity is not Parity.EVEN:
             raise ParityError("only even matrices are inverted")

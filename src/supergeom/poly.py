@@ -85,11 +85,13 @@ product of two polynomials (SuperPoly.__mul__) calls it once; the parser
 reaches it only for a product with a group or binding, since it folds
 literal factors with _times_generator.  _substitute_each calls it once
 per term, into one map per substituted polynomial.  dot_row(ctx, row,
-grid), the one sum of products, calls it once per left factor for all
-the columns of a product row: matrix._gmul is one dot_row per row, and
-matrix._series_inverse builds each odd-degree part of an inverse with
-one dot_row per row, on the parts that SuperPoly.odd_degree_parts
-splits off, then sums those parts by dot_row against a row of ones.
+grid), the one sum of products, checks every context first and then
+calls it once per nonzero left factor for all the columns of a product
+row, each column over the running lcm of its products' denominators:
+matrix._gmul is one dot_row per row, and matrix._series_inverse builds
+each odd-degree part of an inverse with one dot_row per row, on the
+parts that SuperPoly.odd_degree_parts splits off.  Those parts share no
+monomial, so _disjoint_sum joins them with no product.
 A row of a Schur complement (matrix._schur), the residual of a bracket
 in distribution.involutive and a whole derivation bracket are one
 dot_row each, with the subtracted terms weighted by negated factors; a
@@ -1128,32 +1130,63 @@ def dot_row(ctx: Context, row: Sequence[SuperPoly],
             grid: Sequence[Sequence[SuperPoly]]) -> tuple[SuperPoly, ...]:
     """The row of sums (sum_j row[j] * grid[j][k])_k, one per column of grid.
 
-    Column k accumulates every product row[j] * grid[j][k] into one map
-    of int numerators over the lcm of its own pairs' denominators, and is
+    The context of every left factor and grid entry is checked first, so
+    ContextMismatch comes before any product.  Column k then accumulates
+    every product row[j] * grid[j][k] into one map of int numerators,
+    over the lcm of the denominators of the products it has taken so
+    far: a product whose a.den * b.den does not divide it raises it to
+    their lcm and scales the column's numerators up once.  Each column is
     reduced once at the end.  Each left factor row[j] runs through _mac
     once for all the columns, so each of its terms is set up once per row
-    rather than once per entry.  A zero left factor or grid
-    entry adds nothing; its context is still checked.  An empty grid
-    gives an empty row.
+    rather than once per entry.  A zero left factor or grid entry adds
+    nothing and takes no part in the denominators.  An empty grid gives
+    an empty row.
     """
-    width = len(grid[0]) if grid else 0
-    dens = [1] * width
     for a, right in zip(row, grid):
-        for k, b in enumerate(right):
-            if a.ctx is not ctx or b.ctx is not ctx:
+        if a.ctx is not ctx and right:
+            raise ContextMismatch("operands live in different contexts")
+        for b in right:
+            if b.ctx is not ctx:
                 raise ContextMismatch("operands live in different contexts")
-            d = a.den * b.den
-            if dens[k] % d:
-                dens[k] = dens[k] // gcd(dens[k], d) * d
+    width = len(grid[0]) if grid else 0
     accs = [{} for _ in range(width)]
+    dens = [1] * width
     for a, right in zip(row, grid):
         if a.nums:
             da = a.den
-            _mac(ctx, a.nums, [
-                (acc, den // (da * b.den), b.nums.items())
-                for acc, den, b in zip(accs, dens, right) if b.nums
-            ])
-    return tuple(SuperPoly._reduced(ctx, acc, den) for acc, den in zip(accs, dens))
+            cols = []
+            for k, b in enumerate(right):
+                if b.nums:
+                    d = da * b.den
+                    den = dens[k]
+                    if den % d:
+                        up = d // gcd(den, d)
+                        den = dens[k] = den * up
+                        accs[k] = {m: v * up for m, v in accs[k].items()}
+                    cols.append((accs[k], den // d, b.nums.items()))
+            _mac(ctx, a.nums, cols)
+    zero = SuperPoly.zero(ctx)
+    return tuple(SuperPoly._reduced(ctx, acc, den) if acc else zero
+                 for acc, den in zip(accs, dens))
+
+
+def _disjoint_sum(ctx: Context, polys: Sequence[SuperPoly]) -> SuperPoly:
+    """The sum of polys over ctx, which share no monomial: their
+    numerators over the lcm of their denominators.  Raises LimitExceeded
+    past MAX_TERMS terms, as a product does.
+
+    The sum is canonical with no reduction: each prime q divides the lcm
+    exactly as often as it divides some p.den, and p's numerators, which
+    are not all multiples of q, are scaled by a factor prime to q."""
+    den = lcm(*[p.den for p in polys])
+    nums = {}
+    for p in polys:
+        up = den // p.den
+        for m, v in p.nums.items():
+            nums[m] = v * up
+    if len(nums) > MAX_TERMS:
+        raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
+    return SuperPoly._raw(ctx, nums, den)
 
 
 def _linear_rows(ctx: Context, names, polys) -> tuple[list[int], list[list[int]]]:

@@ -270,6 +270,16 @@ class TestDotRowEdges:
         with pytest.raises(LimitExceeded, match="exponent of x is above"):
             dot_row(self.CTX, [full], grid)
 
+    def test_contexts_are_checked_before_any_product(self):
+        # the first row alone raises LimitExceeded once multiplied, so
+        # only a check of every entry ahead of the products sees the
+        # last row's entry over another context
+        x, t1, t2 = self.gens()
+        full = SuperPoly(self.CTX, {Monomial(((0, MAX_FIELD_EXPONENT),), 0): 1})
+        grid = [[x * t2, t1, t1 * t2], [t2, x, self.OTHER.var("theta1")]]
+        with pytest.raises(ContextMismatch):
+            dot_row(self.CTX, [full, t1], grid)
+
     def test_the_term_cap_applies_to_each_column(self, monkeypatch):
         x, t1, t2 = self.gens()
         monkeypatch.setattr(poly, "MAX_TERMS", 4)

@@ -31,8 +31,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import grid_mul, identity, random_invertible, random_supermatrix
-from supergeom import Context, SuperMatrix, SuperPoly
+from supergeom import Context, LimitExceeded, SuperMatrix, SuperPoly
 from supergeom import matrix as M
+from supergeom import poly
 
 GR6 = Context(odd=[f"theta{i}" for i in range(1, 7)])
 KT4 = Context(even=["t"], odd=[f"theta{i}" for i in range(1, 5)])
@@ -267,8 +268,9 @@ def test_a_nilpotent_part_of_degrees_one_and_two_matches_the_oracle(gmul_calls):
 
 
 def test_the_series_is_summed_without_adding_polynomials(monkeypatch):
-    # the parts of N and the Y_d are summed a row at a time through the
-    # term-pair loop; B^-1 is the series' input and is made first
+    # the parts of N are summed a row at a time by dot_row, and the Y_d,
+    # which share no monomial, are joined entry by entry with no product;
+    # B^-1 is the series' input and is made first
     m = random_invertible(random.Random(1200), GR6, (3, 3), n_terms=3)
     binv = M._body_inverse(GR6, m.rows, "T")
     adds = []
@@ -284,3 +286,23 @@ def test_the_series_is_summed_without_adding_polynomials(monkeypatch):
     assert adds == []
     monkeypatch.undo()
     assert as_lists(got) == oracle_inverse(GR6, m.rows)
+
+
+def test_the_joined_inverse_keeps_the_term_cap(monkeypatch, gmul_calls):
+    # under a cap between the largest odd-degree part of the inverse and
+    # its largest entry, every Y_d is built and the join of the parts
+    # raises the product's error
+    m = random_invertible(random.Random(1202), GR6, (2, 2), n_terms=3)
+    inverse = m.invert().rows
+    part = max(len(p.terms) for row in inverse for e in row
+               for p in e.odd_degree_parts().values())
+    entry = max(len(e.terms) for row in inverse for e in row)
+    assert (part, entry) == (17, 27)
+    for cap in range(part, entry):
+        monkeypatch.setattr(poly, "MAX_TERMS", cap)
+        gmul_calls.clear()
+        with pytest.raises(LimitExceeded, match=f"^product has more than {cap} terms, the cap$"):
+            m.invert()
+        assert len(gmul_calls) == len(odd_degrees(inverse))
+    monkeypatch.setattr(poly, "MAX_TERMS", entry)
+    assert m.invert().rows == inverse
