@@ -54,9 +54,10 @@ def _pivot_columns(grid):
     """Lexicographically first set of one column per row whose entries
     all have constant bodies and whose body submatrix is invertible, or
     None.  Pivot columns of the reduced echelon form are that first set."""
+    values = [[e._body_value() for e in row] for row in grid]
     cols = [c for c in range(len(grid[0]))
-            if all(row[c].body().is_constant() for row in grid)]
-    body = [[row[c].body().constant_term() for c in cols] for row in grid]
+            if all(row[c] is not None for row in values)]
+    body = [[row[c] for c in cols] for row in values]
     pivots = linalg.pivot_columns(body)
     if len(pivots) < len(grid):
         return None

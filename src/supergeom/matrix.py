@@ -18,6 +18,7 @@ cover both Grassmann coefficients and matrices evaluated at points.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
@@ -104,49 +105,53 @@ def _gis_zero(a):
     return all(not e for row in a for e in row)
 
 
-def _minors(ctx, grid):
-    """minor(rows, cols) of a square grid of even (hence commuting) entries:
-    the determinant on the increasing index tuples rows and cols, by
-    division-free Laplace expansion down cols[0] with one memo keyed by
-    (rows, cols), so a determinant and its cofactors share the minors on
-    trailing column sets.  Exact over any commutative coefficient ring,
-    nilpotents included, which rules out fraction-free elimination: its
-    exact divisions can hit zero divisors once even entries carry
-    nilpotent parts."""
+def _minors(grid, one, zero):
+    """minor(key) of a square grid over a commutative ring whose unit and
+    zero are one and zero: the determinant on the rows of the row mask
+    key & (2^n - 1) and the columns of the column mask key >> n, by
+    division-free Laplace expansion down the lowest column with one memo
+    keyed by that packed int, so a determinant and its cofactors share
+    the minors on trailing column sets and each step clears two bits.
+    The ring is the entries' own: even (hence commuting) polynomials for
+    _det, ints and Fractions for the constant bodies of _body_inverse.
+    Exact over any commutative coefficient ring, nilpotents included,
+    which rules out fraction-free elimination: its exact divisions can
+    hit zero divisors once even entries carry nilpotent parts."""
     n = len(grid)
     if n > MAX_DET_SIZE:
         raise LimitExceeded(
             f"determinant of a {n}x{n} block is above the cap of {MAX_DET_SIZE} rows"
         )
-    memo = {((), ()): SuperPoly.scalar(ctx, 1)}
-    return partial(_minor, ctx, grid, memo)
+    return partial(_minor, grid, n, zero, {0: one})
 
 
-def _minor(ctx, grid, memo, rows, cols):
-    # one step of _minors' expansion; a module function, not a closure
-    # over itself, so the memo holds no reference cycle and is freed as
-    # soon as its caller drops it
-    got = memo.get((rows, cols))
+def _minor(grid, n, zero, memo, key):
+    # one step of _minors' expansion, summed with * and + in the entries'
+    # ring; a module function, not a closure over itself, so the memo
+    # holds no reference cycle and is freed as soon as its caller drops it
+    got = memo.get(key)
     if got is not None:
         return got
-    col, rest = cols[0], cols[1:]
-    acc = SuperPoly.zero(ctx)
+    cols = key >> n
+    col = (cols & -cols).bit_length() - 1
+    rest = key ^ 1 << n + col
+    acc = zero
     neg = False
-    for k, i in enumerate(rows):
-        e = grid[i][col]
-        if e:
-            # negate the entry (a few terms), not the much larger product
-            acc = acc + (-e if neg else e) * _minor(
-                ctx, grid, memo, rows[:k] + rows[k + 1 :], rest)
-        neg = not neg
-    memo[rows, cols] = acc
+    for i, row in enumerate(grid):
+        if key >> i & 1:
+            e = row[col]
+            if e:
+                # negate the entry (a few terms), not the much larger product
+                acc = acc + (-e if neg else e) * _minor(grid, n, zero, memo, rest ^ 1 << i)
+            neg = not neg
+    memo[key] = acc
     return acc
 
 
 def _det(ctx, grid) -> SuperPoly:
     """Determinant of a square grid of even entries (see _minors)."""
-    full = tuple(range(len(grid)))
-    return _minors(ctx, grid)(full, full)
+    full = (1 << 2 * len(grid)) - 1
+    return _minors(grid, SuperPoly.scalar(ctx, 1), SuperPoly.zero(ctx))(full)
 
 
 def _body_inverse(ctx, grid, label):
@@ -157,22 +162,33 @@ def _body_inverse(ctx, grid, label):
     themselves may be arbitrary even-variable polynomials (a unipotent
     block like [[1, t], [0, 1]] is fine).  Entry (i, j) of the inverse is
     the (j, i) cofactor over the determinant, all read from one _minors
-    memo.
+    memo.  When every body is constant (SuperPoly._body_value) the
+    expansion runs over those ints and Fractions and each entry is one
+    scalar; otherwise it runs over the body polynomials.
     """
-    minor = _minors(ctx, tuple(tuple(e.body() for e in row) for row in grid))
-    full = tuple(range(len(grid)))
-    d = minor(full, full)
-    if not d.is_constant():
+    n = len(grid)
+    values = [[e._body_value() for e in row] for row in grid]
+    constant = all(v is not None for row in values for v in row)
+    if constant:
+        minor = _minors(values, 1, 0)
+    else:
+        minor = _minors([[e.body() for e in row] for row in grid],
+                        SuperPoly.scalar(ctx, 1), SuperPoly.zero(ctx))
+    full = (1 << 2 * n) - 1
+    d = minor(full)
+    if not (constant or d.is_constant()):
         raise NotInvertible(f"body determinant of {label} is not constant")
-    c = d.constant_term()
-    if not c:
+    d = d if constant else d.constant_term()
+    if not d:
         raise NotInvertible(f"body determinant of {label} is zero")
 
     def entry(i, j):
-        e = minor(full[:j] + full[j + 1 :], full[:i] + full[i + 1 :]) / c
-        return -e if (i + j) & 1 else e
+        # the (j, i) cofactor, with row j and column i struck out, over d
+        c = minor(full ^ 1 << j ^ 1 << n + i)
+        c = -c if (i + j) & 1 else c
+        return SuperPoly.scalar(ctx, Fraction(c, d)) if constant else c / d
 
-    return tuple(tuple(entry(i, j) for j in full) for i in full)
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
 def _series_inverse(ctx, grid, binv):
@@ -603,12 +619,12 @@ class SuperMatrix:
             for row in grid:
                 out = []
                 for e in row:
-                    b = e.body()
-                    if not b.is_constant():
+                    v = e._body_value()
+                    if v is None:
                         raise NonConstantBody(
-                            f"{label} entry has non-constant body {b}"
+                            f"{label} entry has non-constant body {e.body()}"
                         )
-                    out.append(b.constant_term())
+                    out.append(v)
                 rows.append(out)
             return rows
 

@@ -97,8 +97,11 @@ in distribution.involutive and a whole derivation bracket are one
 dot_row each, with the subtracted terms weighted by negated factors; a
 derivation applied to one polynomial or to all the images of a map
 (apply, livf, is_left_invariant) is one dot_row too.  The Laplace
-expansion of matrix._minors is the last exception: it still adds its
-products one * and one + at a time.
+expansion of matrix._minors sums outside dot_row, one * and one + at a
+time, because it runs over any commutative ring: over these polynomials
+for matrix._det and a body that is not constant, and over plain ints and
+Fractions for a constant body, which SuperPoly._body_value reads in one
+pass with no polynomial built.
 """
 
 from __future__ import annotations
@@ -618,6 +621,16 @@ class SuperPoly:
             self.ctx, {m: v for m, v in self.nums.items() if not m >> shift}, self.den
         )
 
+    def _body_value(self) -> int | Fraction | None:
+        """The body as an int (when whole) or a Fraction when it is
+        constant, else None: one pass over the codes, no polynomial built."""
+        shift = self.ctx._shift
+        for code in self.nums:
+            if code and not code >> shift:
+                return None
+        c, den = self.nums.get(0, 0), self.den
+        return Fraction(c, den) if c % den else c // den
+
     def odd_degree_parts(self) -> dict[int, "SuperPoly"]:
         """{e: the terms with exactly e odd generators} for every e that
         occurs, each part reduced on its own; zero gives {}, and a
@@ -1077,23 +1090,28 @@ def _substitute_each(polys: Sequence[SuperPoly], ctx_out: Context,
     is looked up and checked at its first read in any of polys, and each
     power is built once for all of them.
     """
+    checked = {}  # (tag, i) -> the image of that generator, checked
+
     def image_power(key):
         # the image of generator i of the tag's parity (0 even, 1 odd)
-        # to the e; the image itself is the power (tag, i, 1), so it is
-        # looked up and checked once, when it is first read
+        # to the e; the image is looked up and checked once, when it is
+        # first read, and kept in checked rather than in powers, so this
+        # function holds no reference to the memo that holds it and the
+        # call leaves no cycle for the collector
         tag, i, e = key
-        if e > 1:
-            return _power(powers[tag, i, 1], e)
-        name = (polys[0].ctx.odd if tag else polys[0].ctx.even)[i]
-        img = images.get(name)
+        img = checked.get((tag, i))
         if img is None:
-            raise ValueError(f"no image for generator {name!r}")
-        parity = _PARITIES[tag]
-        if not img.has_parity(parity):
-            raise ParityError(f"image of {parity} generator {name!r} is not {parity}")
-        if img.ctx is not ctx_out:
-            raise ContextMismatch("operands live in different contexts")
-        return img
+            name = (polys[0].ctx.odd if tag else polys[0].ctx.even)[i]
+            img = images.get(name)
+            if img is None:
+                raise ValueError(f"no image for generator {name!r}")
+            parity = _PARITIES[tag]
+            if not img.has_parity(parity):
+                raise ParityError(f"image of {parity} generator {name!r} is not {parity}")
+            if img.ctx is not ctx_out:
+                raise ContextMismatch("operands live in different contexts")
+            checked[tag, i] = img
+        return _power(img, e) if e > 1 else img
 
     powers = _Memo(image_power)
     one = SuperPoly._raw(ctx_out, {0: 1})

@@ -60,11 +60,17 @@ class LinearForm(_Weights):
 
 
 def differential_of_function(f: SuperPoly, x: RationalPoint) -> LinearForm:
-    """(df)_x: partials evaluated at the point, odd ones as left derivatives."""
+    """(df)_x: partials evaluated at the point, odd ones as left derivatives.
+
+    A homogeneous f takes only the partials by generators of its own
+    parity: the others have the opposite parity, so they vanish at every
+    point.  A mixed f takes both."""
     if x.ctx != f.ctx:
         raise ContextMismatch("point context differs from polynomial context")
-    even = [f.partial(n).at(x) for n in f.ctx.even]
-    odd = [f.partial(n).at(x) for n in f.ctx.odd]
+    # None is a zero half
+    parity = f.parity()
+    even = [f.partial(n).at(x) for n in f.ctx.even] if parity is not Parity.ODD else None
+    odd = [f.partial(n).at(x) for n in f.ctx.odd] if parity is not Parity.EVEN else None
     return LinearForm(f.ctx, even, odd)
 
 

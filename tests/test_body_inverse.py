@@ -1,7 +1,7 @@
 """Body inverses from one shared minor memo against n^2 separate expansions.
 
 _body_inverse reads the body determinant and every cofactor from one
-_minors memo keyed by (row set, column set).  The oracle here is the
+_minors memo keyed by (row set, column set), packed into one int.  The oracle here is the
 adjugate the package used before: each cofactor is the determinant of
 its own copied sub-grid, expanded by a separate _det call with a fresh
 memo, so no minor is shared between cofactors.  A cofactor read from the
@@ -14,7 +14,12 @@ The grids are dense constant bodies, bodies polynomial in t with a
 constant determinant (triangular ones with a constant diagonal, and
 products of a lower and an upper unipotent grid), and the T1 and T4
 blocks of seeded supermatrices over Lambda(theta1..theta6), for n = 0..6.
-The last test counts the polynomial products of one dense 4x4 inverse.
+Two tests count the work of one dense 4x4 inverse: the polynomial
+products of a body polynomial in t, and the _minor steps of a constant
+body, which expands over its rationals with no polynomial product.
+Constant bodies with rational entries and odd parts are checked against
+the right half of rref([B | I]), and a singular or oversized constant
+block against its error.
 """
 
 import random
@@ -23,7 +28,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import grid_mul, identity, random_invertible
-from supergeom import Context, linalg
+from supergeom import Context, LimitExceeded, NotInvertible, SuperMatrix, linalg
 from supergeom import matrix as M
 from supergeom.poly import SuperPoly
 
@@ -125,8 +130,9 @@ def test_diagonal_blocks_of_grassmann_matrices_match_the_oracle(n):
 
 
 def test_a_dense_4x4_inverse_shares_its_minors(monkeypatch):
-    # n^2 separate expansions of the 3x3 cofactors took 16 * 12 products
-    # on top of the 32 of the determinant, 224 in all
+    # a body polynomial in t expands over polynomials: n^2 separate
+    # expansions of the 3x3 cofactors take 16 * 12 products on top of the
+    # 32 of the determinant, 224 in all, and the shared memo 96
     calls = []
     real = SuperPoly.__mul__
 
@@ -135,9 +141,79 @@ def test_a_dense_4x4_inverse_shares_its_minors(monkeypatch):
             calls.append(1)
         return real(self, other)
 
-    grid = dense_constant(random.Random(1500), KT, 4)
+    grid = unipotent_product(random.Random(1500), 4)
     monkeypatch.setattr(SuperPoly, "__mul__", counted)
     M._body_inverse(KT, grid, "T")
     monkeypatch.undo()
-    assert len(calls) <= 112
+    assert 0 < len(calls) <= 112
     check(KT, grid)
+
+
+def test_a_dense_4x4_constant_inverse_shares_its_minors(monkeypatch):
+    # a constant body expands over its rationals with no polynomial
+    # product; n^2 separate expansions take 16 * 13 _minor steps on top
+    # of the 33 of the determinant, 241 in all, and the shared memo 113
+    steps, products = [], []
+    minor, mul = M._minor, SuperPoly.__mul__
+
+    def counted_minor(*args):
+        steps.append(1)
+        return minor(*args)
+
+    def counted_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    grid = dense_constant(random.Random(1500), KT, 4)
+    monkeypatch.setattr(M, "_minor", counted_minor)
+    monkeypatch.setattr(SuperPoly, "__mul__", counted_mul)
+    M._body_inverse(KT, grid, "T")
+    monkeypatch.undo()
+    assert 0 < len(steps) <= 120
+    assert not products
+    check(KT, grid)
+
+
+def rational_constant(rng, ctx, n):
+    """Invertible grid of rational constants plus even odd-degree parts,
+    with the rational body as Fraction rows."""
+    tail = ctx.var("theta1") * ctx.var("theta2") + 2 * ctx.var("theta3") * ctx.var("theta5")
+    while True:
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+                for _ in range(n)]
+        if linalg.rank(rows) == n:
+            grid = tuple(tuple(ctx.scalar(v) + rng.randint(-2, 2) * tail for v in r)
+                         for r in rows)
+            return grid, rows
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_rational_constant_bodies_match_elimination(n):
+    # the right half of rref([B | I]) is B^{-1}, by row reduction alone
+    rng = random.Random(1600 + n)
+    for _ in range(3):
+        grid, body = rational_constant(rng, GR6, n)
+        echelon, _ = linalg.rref([row + [Fraction(int(i == j)) for j in range(n)]
+                                  for i, row in enumerate(body)])
+        inv = M._body_inverse(GR6, grid, "T")
+        assert [[e.constant_term() for e in row] for row in inv] == [
+            row[n:] for row in echelon]
+        assert all(e.is_constant() for row in inv for e in row)
+
+
+def test_a_singular_constant_block_is_not_inverted():
+    m = SuperMatrix.from_blocks(
+        GR6,
+        [[GR6.scalar(Fraction(1, 2)), GR6.scalar(3)], [GR6.scalar(1), GR6.scalar(6)]],
+        [[GR6.var("theta1")], [GR6.zero()]],
+        [[GR6.var("theta2"), GR6.zero()]],
+        [[GR6.scalar(1)]],
+    )
+    with pytest.raises(NotInvertible, match="body determinant of T1 is zero"):
+        m.invert()
+
+
+def test_a_13x13_constant_body_is_above_the_cap():
+    m = SuperMatrix.identity(GR6, (M.MAX_DET_SIZE + 1, 0))
+    with pytest.raises(LimitExceeded, match=f"13x13 block is above the cap of {M.MAX_DET_SIZE}"):
+        m.invert()

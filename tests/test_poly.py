@@ -7,6 +7,7 @@ expansions on random data.
 """
 
 import copy
+import gc
 import itertools
 import pickle
 import random
@@ -198,6 +199,31 @@ class TestBody:
             a = random_poly(rng, T3)
             b = random_poly(rng, T3)
             assert (a * b).body() == a.body() * b.body()
+
+
+class TestBodyValue:
+    def test_constant_bodies_read_as_rationals(self):
+        theta1, theta2 = T3.var("theta1"), T3.var("theta2")
+        assert T3.zero()._body_value() == 0
+        assert T3.scalar(-4)._body_value() == -4
+        assert type(T3.scalar(-4)._body_value()) is int
+        assert T3.scalar(Fraction(5, 6))._body_value() == Fraction(5, 6)
+        assert (3 + theta1 * theta2)._body_value() == 3
+        # the body of a polynomial over den 2 may be whole on its own
+        assert (3 + theta1 * theta2 / 2)._body_value() == 3
+        assert type((3 + theta1 * theta2 / 2)._body_value()) is int
+        assert (T3.var("t") * theta1 * theta2)._body_value() == 0
+
+    def test_a_body_with_an_even_generator_reads_none(self):
+        assert (T3.var("t") + 1)._body_value() is None
+        assert (T3.var("t") + T3.var("theta1") * T3.var("theta2"))._body_value() is None
+
+    def test_agrees_with_body(self):
+        rng = random.Random(18)
+        for _ in range(100):
+            f = random_rational_poly(rng, T2, max_even_deg=rng.choice([0, 2]))
+            b = f.body()
+            assert f._body_value() == (b.constant_term() if b.is_constant() else None)
 
 
 class TestOddDegreeParts:
@@ -510,6 +536,21 @@ class TestSubstitute:
             with pytest.raises(ParityError) as err:
                 g.substitute(ctx, {"t": a, "a": a})
             assert str(err.value) == "image of even generator 't' is not even"
+
+    def test_a_substitution_leaves_no_garbage(self):
+        # the memo of image powers holds no reference cycle, so it and its
+        # powers are freed with the call, not by the cyclic collector
+        t, a = T3.var("t"), T3.var("theta1")
+        f = t**3 + t**2 * a + a * T3.var("theta2")
+        images = {"t": t + a * T3.var("theta3"), "theta1": 2 * a, "theta2": t * a}
+        gc.collect()
+        gc.disable()
+        try:
+            got = f.substitute(T3, images)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert got == (t + a * T3.var("theta3"))**3 + (t + a * T3.var("theta3"))**2 * 2 * a
 
     def test_vanished_product_reads_no_further_image(self):
         # theta1*theta2 -> eta*eta = 0 before theta3's image is needed

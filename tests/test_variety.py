@@ -21,6 +21,7 @@ from supergeom import (
     PointNotOnVariety,
     PointedVariety,
     SuperDim,
+    SuperPoly,
     TangentVector,
     differential_of_function,
     tangent_space,
@@ -50,6 +51,30 @@ class TestDifferentialOfFunction:
         d = differential_of_function(cross_term(), PLANE.point([1, 1]))
         assert d.coefficients() == (0, 0, 1, 1)
         assert str(d) == "Xi + Eta"
+
+    @pytest.mark.parametrize("f, taken", [
+        (PLANE.var("x") * PLANE.var("y") + PLANE.var("x") * PLANE.var("xi") * PLANE.var("eta"),
+         ["x", "y"]),
+        (PLANE.var("y") ** 2 * PLANE.var("xi") + 3 * PLANE.var("eta"), ["xi", "eta"]),
+        (PLANE.var("x") ** 2 + PLANE.var("y") * PLANE.var("eta"), ["x", "y", "xi", "eta"]),
+    ], ids=["even", "odd", "mixed"])
+    def test_only_partials_of_the_functions_parity_are_taken(self, monkeypatch, f, taken):
+        # a partial of a homogeneous f by a generator of the other parity
+        # has the opposite parity and vanishes at every point, so it is
+        # not taken; a mixed f takes both halves
+        x = PLANE.point([2, Fraction(-1, 3)])
+        full = LinearForm(PLANE, *(
+            [f.partial(n).at(x) for n in names] for names in (PLANE.even, PLANE.odd)))
+        seen = []
+        partial = SuperPoly.partial
+
+        def counted(p, name):
+            seen.append(name)
+            return partial(p, name)
+
+        monkeypatch.setattr(SuperPoly, "partial", counted)
+        assert differential_of_function(f, x) == full
+        assert seen == taken
 
     def test_constant_has_zero_differential(self):
         d = differential_of_function(PLANE.scalar(5), PLANE.point([0, 0]))
