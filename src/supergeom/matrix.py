@@ -31,14 +31,18 @@ from .errors import (
     NotInvertible,
     ParityError,
 )
-from .poly import _PARITIES, Context, Parity, Scalar, SuperPoly, _disjoint_sum, dot_row
+from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _disjoint_sum,
+                   _kronecker_image, dot_row)
 
 # Largest n for which _minors expands an n x n grid.  A determinant fills
 # its (row set, column set) memo with one minor per row set, 2^n of them: on
 # grids of dense linear entries in three variables (perfbench
-# corpus.linear_matrix) _det takes 0.5-0.6 s of CPU at 10 x 10, 1.2-1.6 s at
-# 11 x 11 and 3.5-4.5 s at 12 x 12 on a shared 2-vCPU host under Python
-# 3.11.  The largest determinant in the demos, tests and benchmark is 7 x 7.
+# corpus.linear_matrix) _det takes 0.5 s of CPU at 10 x 10, 1.3 s at
+# 11 x 11 and 3.6 s at 12 x 12 on a shared 2-vCPU host under Python 3.11,
+# all three on the polynomial path: their boxes of 11^3 to 13^3 slots are
+# past the rule of poly._kronecker_image, and their images took 0.36,
+# 1.7 and 4.9 s.  Outside the cap tests, the largest determinant in the
+# demos, tests and benchmark is 8 x 8.
 MAX_DET_SIZE = 12
 
 
@@ -112,8 +116,10 @@ def _minors(grid, one, zero):
     division-free Laplace expansion down the lowest column with one memo
     keyed by that packed int, so a determinant and its cofactors share
     the minors on trailing column sets and each step clears two bits.
-    The ring is the entries' own: even (hence commuting) polynomials for
-    _det, ints and Fractions for the constant bodies of _body_inverse.
+    The ring is the entries' own, one of three: the ints of the Kronecker
+    image of an odd-free grid (poly._kronecker_image) and even (hence
+    commuting) polynomials for _det, and ints and Fractions for the
+    constant bodies of _body_inverse.
     Exact over any commutative coefficient ring, nilpotents included,
     which rules out fraction-free elimination: its exact divisions can
     hit zero divisors once even entries carry nilpotent parts."""
@@ -149,9 +155,21 @@ def _minor(grid, n, zero, memo, key):
 
 
 def _det(ctx, grid) -> SuperPoly:
-    """Determinant of a square grid of even entries (see _minors)."""
+    """Determinant of a square grid of even entries (see _minors).
+
+    An odd-free grid that the rule of poly._kronecker_image takes is
+    expanded over its image in Z, the evaluation of its polynomials at
+    one point whose int determinant holds every coefficient of theirs as
+    a base-2^b digit, and read back from that one int.  Any other grid,
+    odd parts included, is expanded over its polynomials.  Both paths
+    take the same MAX_DET_SIZE cap, and the rule keeps the image to grids
+    on which the polynomial expansion would meet no other cap."""
     full = (1 << 2 * len(grid)) - 1
-    return _minors(grid, SuperPoly.scalar(ctx, 1), SuperPoly.zero(ctx))(full)
+    image = _kronecker_image(ctx, grid)
+    if image is None:
+        return _minors(grid, SuperPoly.scalar(ctx, 1), SuperPoly.zero(ctx))(full)
+    ints, unpack = image
+    return unpack(_minors(ints, 1, 0)(full))
 
 
 def _body_inverse(ctx, grid, label):

@@ -98,10 +98,19 @@ dot_row each, with the subtracted terms weighted by negated factors; a
 derivation applied to one polynomial or to all the images of a map
 (apply, livf, is_left_invariant) is one dot_row too.  The Laplace
 expansion of matrix._minors sums outside dot_row, one * and one + at a
-time, because it runs over any commutative ring: over these polynomials
-for matrix._det and a body that is not constant, and over plain ints and
-Fractions for a constant body, which SuperPoly._body_value reads in one
-pass with no polynomial built.
+time, because it runs over any commutative ring, one of three.  Over
+these polynomials for matrix._det and a body that is not constant.  Over
+plain ints and Fractions for a constant body, which
+SuperPoly._body_value reads in one pass with no polynomial built.  And
+over the ints of the Kronecker image (Kronecker 1882; Harvey, J. Symbolic
+Comput. 44, 2009) of an odd-free grid of matrix._det: _kronecker_image
+evaluates each entry at t_i = 2^(b s_i), slot widths and strides read
+from the exponent fields of the grid's codes and sized by a
+Goldstein-Graham bound, so the int determinant holds each coefficient of
+the polynomial one as a digit, and its unpack reads them back into codes.
+A rule read in the same pass over the codes keeps the image to grids
+where it measured the faster expansion and where the polynomial one
+would meet no cap.
 """
 
 from __future__ import annotations
@@ -112,8 +121,8 @@ import weakref
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
-from operator import itemgetter
+from math import comb, gcd, lcm, prod
+from operator import itemgetter, mul
 
 from .errors import ContextMismatch, LimitExceeded, ParityError
 
@@ -1205,6 +1214,111 @@ def _disjoint_sum(ctx: Context, polys: Sequence[SuperPoly]) -> SuperPoly:
     if len(nums) > MAX_TERMS:
         raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
     return SuperPoly._raw(ctx, nums, den)
+
+
+# The two constants of _kronecker_image's rule: an odd-free grid of at
+# least _KRONECKER_ROWS rows goes to the integers while its box of
+# W = prod(d_i + 1) slots is at most _KRONECKER_K * a^(3/2), a the mean
+# term count of its nonzero entries.  tests/det_sweep.py times both
+# expansions on seeded grids and refits K.
+_KRONECKER_ROWS = 4
+_KRONECKER_K = 100
+
+
+def _kronecker_image(ctx: Context, grid):
+    """(ints, unpack) for a square grid of odd-free polynomials over ctx,
+    such that unpack(d) is the determinant of the grid when d is the
+    determinant of the int grid ints; None when the grid fails the rule
+    below, and matrix._det keeps the polynomial Laplace expansion.
+
+    The image is the evaluation t_i -> 2^(b s_i), a ring map Z[t] -> Z,
+    of the grid with each row scaled to ints by the lcm L_r of its
+    denominators: an entry sum c_m t^(e_m) maps to sum c_m 2^(b pos(e_m)),
+    pos the mixed-radix index of the exponent vector e_m with radix
+    d_i + 1, where d_i sums each row's largest degree in t_i and so bounds
+    the degree in t_i of every minor.  Each coefficient of the scaled
+    determinant is at most B = prod_r (sum_j |a_rj|_1^2)^(1/2) in absolute
+    value (Goldstein and Graham, SIAM Review 16, 1974: Hadamard's
+    inequality on the unit torus, then Parseval), and b is the smallest
+    width with B < 2^(b-1), so unpack reads the coefficients back as
+    signed base-2^b digits, over prod_r L_r.
+
+    The rule reads one pass over the terms, before anything is packed.
+    The grid has at least _KRONECKER_ROWS rows.  No entry has an odd code,
+    the scan stopping at the first entry with one.  C(D + p, p) is at most
+    MAX_TERMS, D the sum of each row's largest total degree: every minor
+    then has at most that many terms, and every d_i <= D < MAX_TERMS is
+    below MAX_FIELD_EXPONENT, so the image is taken only where the
+    polynomial expansion would meet neither cap.  And
+    W <= _KRONECKER_K * a^(3/2), a the mean term count of the nonzero
+    entries: the box grows as the product of the d_i + 1 while the terms
+    do not, and a box of many empty slots over few terms per entry makes
+    the integer expansion the slower one.
+    """
+    if len(grid) < _KRONECKER_ROWS:
+        return None
+    fields = range(0, ctx._shift, _FIELD_BITS)
+    odd = 1 << ctx._shift  # the least code with an odd generator
+    exps = {}  # code -> (its exponent fields, its total degree)
+    tops = []  # each row's largest exponent of each even generator
+    scales = []  # each row's L_r
+    degree = terms = nonzero = 0
+    norm = 1  # B^2, an int
+    for row in grid:
+        codes = set()
+        sizes = []  # (sum of |numerators|, den) of each nonzero entry
+        for e in row:
+            nums = e.nums
+            if nums:
+                if max(nums) >= odd:
+                    return None
+                codes.update(nums)
+                sizes.append((sum(map(abs, nums.values())), e.den))
+                terms += len(nums)
+        nonzero += len(sizes)
+        for code in codes - exps.keys():
+            f = [code >> i & _FIELD_MASK for i in fields]
+            exps[code] = f, sum(f)
+        seen = [exps[code] for code in codes]
+        tops.append([max(col) for col in zip(*[f for f, _ in seen])] or [0] * len(fields))
+        degree += max([d for _, d in seen], default=0)
+        scale = lcm(*[d for _, d in sizes])
+        scales.append(scale)
+        norm *= sum((s * (scale // d)) ** 2 for s, d in sizes)
+    box = [sum(col) for col in zip(*tops)]  # the d_i
+    radix = [d + 1 for d in box]
+    width = prod(radix)
+    if (comb(degree + len(box), len(box)) > MAX_TERMS
+            or width * width * nonzero ** 3 > _KRONECKER_K ** 2 * terms ** 3):
+        return None
+    b = (norm.bit_length() + 1) // 2 + 1
+    steps = []  # the bit shift of one unit of each exponent
+    step = b
+    for r in radix:
+        steps.append(step)
+        step *= r
+    at = {code: sum(map(mul, f, steps)) for code, (f, _) in exps.items()}
+    ints = [[sum([c << at[code] for code, c in e.nums.items()]) * (scale // e.den)
+             if e.nums else 0 for e in row] for row, scale in zip(grid, scales)]
+
+    def unpack(v):
+        # v plus 2^(b-1) in every slot has the digit c + 2^(b-1), in
+        # [1, 2^b), at the slot of each coefficient c; the string holds
+        # the slots from the last to the first, and codes the code of each
+        # slot from the first, the exponent of t_1 running fastest
+        half = 1 << b - 1
+        bits = format(v + ((1 << b * width) - 1) // ((1 << b) - 1) * half, "b")
+        bits = bits.zfill(b * width)
+        codes = [0]
+        for i, r in zip(fields, radix):
+            codes = [code | e << i for e in range(r) for code in codes]
+        zero = format(half, "b")
+        nums = {code: int(digit, 2) - half for code, digit
+                in zip(reversed(codes), [bits[i:i + b] for i in range(0, b * width, b)])
+                if digit != zero}
+        return SuperPoly._reduced(ctx, nums, prod(scales))
+
+    return ints, unpack
 
 
 def _linear_rows(ctx: Context, names, polys) -> tuple[list[int], list[list[int]]]:

@@ -160,6 +160,45 @@ def test_det_at_the_cap_is_computed_and_above_it_refused():
         _det(ctx, diagonal(MAX_DET_SIZE + 1))
 
 
+def test_an_odd_free_grid_above_the_size_cap_is_refused_on_its_image():
+    ctx = Context(even=["x", "y"])
+    rng = random.Random(3300)
+    n = MAX_DET_SIZE + 1
+    grid = [[ctx.var("x") * rng.randint(-3, 3) + rng.randint(-3, 3) for _ in range(n)]
+            for _ in range(n)]
+    assert poly._kronecker_image(ctx, grid) is not None
+    with pytest.raises(LimitExceeded,
+                       match=f"determinant of a {n}x{n} block is above the cap of "
+                             f"{MAX_DET_SIZE} rows"):
+        _det(ctx, grid)
+
+
+def test_an_odd_free_grid_past_the_term_cap_still_raises():
+    # C(D + 6, 6) > MAX_TERMS over six variables: the polynomial expansion
+    # runs, as it always did, and raises inside the last products
+    ctx = Context(even=[f"x{i}" for i in range(1, 7)])
+    rng = random.Random(1)
+
+    def entry():
+        return SuperPoly(ctx, {Monomial([(i, rng.randint(1, 4)) for i in rng.sample(range(6), 2)],
+                                        0): rng.randint(1, 5) for _ in range(10)})
+
+    grid = [[entry() for _ in range(4)] for _ in range(4)]
+    assert poly._kronecker_image(ctx, grid) is None
+    with pytest.raises(LimitExceeded, match=f"product has more than {MAX_TERMS} terms, the cap"):
+        _det(ctx, grid)
+
+
+def test_an_odd_free_grid_past_the_field_cap_still_raises():
+    # each entry's exponent is within the field, the determinant's is not
+    ctx = Context(even=["t"])
+    entry = poly._power(ctx.var("t"), 3_000_000) + 1
+    grid = [[entry if i == j else ctx.zero() for j in range(4)] for i in range(4)]
+    assert poly._kronecker_image(ctx, grid) is None
+    with pytest.raises(LimitExceeded, match=f"exponent of t is above the cap of {MAX_FIELD_EXPONENT}"):
+        _det(ctx, grid)
+
+
 # -- exponent fields -----------------------------------------------------------
 
 

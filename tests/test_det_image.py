@@ -1,0 +1,249 @@
+"""Odd-free determinants through their Kronecker image in Z.
+
+matrix._det expands a grid that poly._kronecker_image takes over its int
+image and reads the determinant back; every other grid over its
+polynomials.  The values here are compared with _minors over the
+polynomials themselves, on seeded grids: Fraction entries, a zero row, a
+zero determinant, constants (one slot, W = 1), univariate entries of
+degree 10, Hadamard matrices times one common monomial, where the
+coefficient bound holds with equality, and diagonal grids whose one
+coefficient is the largest digit the slot width allows, of either sign.
+A slot width one bit short, or a radix of d_i in place of d_i + 1, fails
+the last two.
+
+Then both sides of the rule are pinned on named grids, and the order of
+its checks: the odd-part test stops at the first entry with an odd code,
+and the rule is decided before any entry is packed.
+"""
+
+import random
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from supergeom import Context, Monomial, SuperPoly
+from supergeom import poly
+from supergeom.matrix import _det, _minors
+from supergeom.poly import MAX_FIELD_EXPONENT, MAX_TERMS, _kronecker_image
+
+XYZ = Context(even=["x", "y", "z"])
+XY = Context(even=["x", "y"])
+T = Context(even=["t"])
+
+
+def polynomial_det(ctx, grid):
+    full = (1 << 2 * len(grid)) - 1
+    return _minors(grid, ctx.one(), ctx.zero())(full)
+
+
+def imaged_det(ctx, grid):
+    """_det of a grid the rule sends to the image."""
+    assert _kronecker_image(ctx, grid) is not None
+    return _det(ctx, grid)
+
+
+def linear_grid(rng, ctx, n, coefficient):
+    """n x n affine-linear entries c0 + c1 t1 + ... over the even
+    generators of ctx, as the even_det benchmark builds them."""
+    gens = [ctx.var(name) for name in ctx.even]
+    return [[sum((g * coefficient(rng) for g in gens), ctx.scalar(coefficient(rng)))
+              for _ in range(n)] for _ in range(n)]
+
+
+def small_int(rng):
+    return rng.randint(-3, 3)
+
+
+def small_fraction(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+
+def hadamard(n):
+    """Sylvester's +-1 Hadamard matrix of order n, a power of 2."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-c for c in row] for row in h]
+    return h
+
+
+# -- values ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_fraction_grids_match_the_polynomial_expansion(n):
+    rng = random.Random(3100 + n)
+    for _ in range(3):
+        grid = linear_grid(rng, XYZ, n, small_fraction)
+        assert imaged_det(XYZ, grid) == polynomial_det(XYZ, grid)
+
+
+def test_a_zero_row_gives_zero():
+    grid = linear_grid(random.Random(3110), XYZ, 5, small_fraction)
+    grid[2] = [XYZ.zero()] * 5
+    assert imaged_det(XYZ, grid) == XYZ.zero() == polynomial_det(XYZ, grid)
+
+
+def test_a_dependent_row_gives_zero():
+    rng = random.Random(3111)
+    grid = linear_grid(rng, XYZ, 5, small_fraction)
+    # row 4 is row 0 over 3 minus x times row 1, a dependent row whose
+    # entries are not those of any other row
+    grid[4] = [a / 3 - XYZ.var("x") * b for a, b in zip(grid[0], grid[1])]
+    assert imaged_det(XYZ, grid) == XYZ.zero()
+
+
+@pytest.mark.parametrize("ctx", [XYZ, Context(even=[], odd=["a", "b"])],
+                         ids=["three-even", "no-even"])
+def test_constant_grids_take_one_slot(ctx):
+    rng = random.Random(3120)
+    for n in (4, 5, 6):
+        grid = [[ctx.scalar(small_fraction(rng)) for _ in range(n)] for _ in range(n)]
+        det = imaged_det(ctx, grid)
+        assert det == polynomial_det(ctx, grid) and det.is_constant()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_univariate_entries_of_degree_10(n):
+    t = T.var("t")
+    rng = random.Random(3130 + n)
+    for _ in range(2):
+        grid = [[sum((small_fraction(rng) * t ** e for e in range(11)), T.zero())
+                 for _ in range(n)] for _ in range(n)]
+        assert imaged_det(T, grid) == polynomial_det(T, grid)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_hadamard_times_a_monomial_meets_the_bound(n):
+    # every entry is +-xy, so |a_rj|_1 = 1, each row's bound is n^(1/2) and
+    # B = n^(n/2) = |det H|: the determinant's one coefficient is the bound
+    xy = XY.var("x") * XY.var("y")
+    h = hadamard(n)
+    det_h = _minors(h, 1, 0)((1 << 2 * n) - 1)
+    assert det_h * det_h == n ** n
+    grid = [[xy * c for c in row] for row in h]
+    assert imaged_det(XY, grid) == det_h * xy ** n
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("diagonal", [(1, 1, 1, 1), (1, 1, 3, 5), (1, 3, 5, 17),
+                                      (3, 5, 17, 257)])
+def test_a_digit_of_the_largest_magnitude_reads_back(diagonal, sign):
+    # a diagonal grid of one-term entries meets the bound with equality:
+    # its determinant's one coefficient is B = prod |c_r| = 2^k - 1, so the
+    # smallest width with B < 2^(b-1) is b = k + 1, and B = 2^(b-1) - 1 is
+    # the largest digit that width reads back, here at x^2 y^2
+    x, y = XY.var("x"), XY.var("y")
+    cs = (sign * diagonal[0],) + diagonal[1:]
+    grid = [[(c * (x if r < 2 else y) if r == j else XY.zero()) for j in range(4)]
+            for r, c in enumerate(cs)]
+    value = sign * diagonal[0] * diagonal[1] * diagonal[2] * diagonal[3]
+    assert (abs(value) + 1) & abs(value) == 0
+    assert imaged_det(XY, grid) == value * x ** 2 * y ** 2
+
+
+# -- the rule -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_even_det_grids_take_the_image(n):
+    rng = random.Random(3200 + n)
+    for _ in range(3):
+        grid = linear_grid(rng, XYZ, n, small_int)
+        assert imaged_det(XYZ, grid) == polynomial_det(XYZ, grid)
+
+
+def test_three_row_grids_stay_polynomial():
+    grid = linear_grid(random.Random(3210), XYZ, 3, small_int)
+    assert _kronecker_image(XYZ, grid) is None
+
+
+def test_seven_by_seven_over_six_variables_stays_polynomial():
+    ctx = Context(even=[f"x{i}" for i in range(1, 7)])
+    grid = linear_grid(random.Random(3220), ctx, 7, small_int)
+    assert _kronecker_image(ctx, grid) is None
+
+
+def test_one_term_cubic_entries_stay_polynomial():
+    # few terms in a wide box: W = (d + 1)^3 >= 512 slots for a = 1
+    rng = random.Random(3230)
+
+    def cubic():
+        a = rng.randint(0, 3)
+        b = rng.randint(0, 3 - a)
+        exps = [(0, a), (1, b), (2, 3 - a - b)]
+        return SuperPoly(XYZ, {Monomial([(i, e) for i, e in exps if e], 0): small_int(rng) or 1})
+
+    grid = [[cubic() for _ in range(7)] for _ in range(7)]
+    assert _kronecker_image(XYZ, grid) is None
+
+
+def test_the_term_bound_keeps_every_exponent_in_its_field():
+    # C(D + p, p) <= MAX_TERMS gives d_i <= D < MAX_TERMS for p >= 1, so
+    # the rule needs no test of its own against the field cap
+    assert MAX_TERMS <= MAX_FIELD_EXPONENT
+
+
+def test_a_grid_past_the_term_bound_stays_polynomial():
+    # two rows of dense degree-36 entries in x and two in y: the box has
+    # W = 73^2 slots, well within K a^(3/2) for a = 37 terms an entry, but
+    # D = 144 and C(D + 2, 2) = 10585 is above MAX_TERMS
+    rng = random.Random(3240)
+    x, y = XY.var("x"), XY.var("y")
+
+    def dense(g):
+        return sum(((small_fraction(rng) or 1) * g ** e for e in range(37)), XY.zero())
+
+    grid = [[dense(x) for _ in range(4)] for _ in range(2)]
+    grid += [[dense(y) for _ in range(4)] for _ in range(2)]
+    assert all(len(e.terms) == 37 for row in grid for e in row)
+    assert 73 ** 2 <= poly._KRONECKER_K * 37 ** 1.5
+    assert comb(144 + 2, 2) > MAX_TERMS
+    assert _kronecker_image(XY, grid) is None
+
+
+class _CountedNums(dict):
+    """A numerator map that counts the calls of items(), which only the
+    packing of an entry makes."""
+
+    def __init__(self, nums):
+        super().__init__(nums)
+        self.items_calls = 0
+
+    def items(self):
+        self.items_calls += 1
+        return super().items()
+
+
+def _counted(grid):
+    return [[SuperPoly._raw(e.ctx, _CountedNums(e.nums), e.den) for e in row]
+            for row in grid]
+
+
+def test_the_rule_is_decided_before_any_entry_is_packed():
+    rng = random.Random(3250)
+    taken = _counted(linear_grid(rng, XYZ, 5, small_int))
+    assert _kronecker_image(XYZ, taken) is not None
+    assert {e.nums.items_calls for row in taken for e in row} == {1}
+    # refused by W alone: 7 x 7 linear entries over six variables
+    ctx = Context(even=[f"x{i}" for i in range(1, 7)])
+    refused = _counted(linear_grid(rng, ctx, 7, small_int))
+    assert _kronecker_image(ctx, refused) is None
+    assert {e.nums.items_calls for row in refused for e in row} == {0}
+
+
+class _Unread(dict):
+    """A nonempty numerator map that fails the test when it is read."""
+
+    def __iter__(self):
+        raise AssertionError("an entry after the first odd code was read")
+
+    items = keys = values = __iter__
+
+
+def test_the_odd_part_scan_stops_at_the_first_odd_code():
+    ctx = Context(even=["t"], odd=["a", "b"])
+    first = ctx.var("a") * ctx.var("b") + ctx.var("t")
+    unread = SuperPoly._raw(ctx, _Unread({0: 1}), 1)
+    grid = [[first] + [unread] * 4] + [[unread] * 5 for _ in range(4)]
+    assert _kronecker_image(ctx, grid) is None
