@@ -63,10 +63,11 @@ def _column(text: str, words: list[str], k: int) -> int:
     return text.index(words[k], pos) + 1 if words[k] else len(text) + 1
 
 
-def _words(text: str, line) -> list[str]:
+def _words(text: str, line, at=0) -> list[str]:
     """The token strings of text, then "" for the end.  The first character
     no token starts with raises ScriptError at its column, and so does an
-    integer literal of more than MAX_DIGITS digits, whichever comes first."""
+    integer literal of more than MAX_DIGITS digits, whichever comes first;
+    columns count as if text started at column at + 1."""
     words = _WORD.findall(text)
     words.append("")
     bad = _BAD.search(text)
@@ -76,12 +77,12 @@ def _words(text: str, line) -> list[str]:
         col = _column(text, words, long[0]) if long else len(text) + 1
         if bad and bad.start() < col:
             raise ScriptError(f"unexpected character {bad.group()!r}",
-                              line=line, col=bad.start() + 1)
+                              line=line, col=at + bad.start() + 1)
         if long:
             # the printing cap; CPython itself refuses int() past 4300 digits
             raise ScriptError(
                 f"integer literal has more than {MAX_DIGITS} digits, the cap",
-                line=line, col=col,
+                line=line, col=at + col,
             )
     return words
 
@@ -95,9 +96,10 @@ _MAX_DEPTH = 100
 class _Parser:
     """Reads token strings left to right; tok is the current one."""
 
-    def __init__(self, text, line, ctx=None, env=None):
+    def __init__(self, text, line, ctx=None, env=None, at=0):
         self.text = text
-        self.words = _words(text, line)
+        self.at = at
+        self.words = _words(text, line, at)
         self.rest = iter(self.words)
         self.next = self.rest.__next__
         self.tok = self.next()
@@ -110,7 +112,7 @@ class _Parser:
         """Raise at the current token, or at the one back tokens before it."""
         k = len(self.words) - self.rest.__length_hint__() - 1 - back
         raise ScriptError(message, line=self.line,
-                          col=_column(self.text, self.words, k))
+                          col=self.at + _column(self.text, self.words, k))
 
     def expr(self) -> SuperPoly:
         # literal terms sum into one map of codes, the others by + at the end
@@ -248,10 +250,12 @@ class _Parser:
         return Fraction(value, d)
 
 
-def parse_poly(text: str, ctx: Context, line=None, env=None) -> SuperPoly:
+def parse_poly(text: str, ctx: Context, line=None, env=None, at=0) -> SuperPoly:
     """Text to a polynomial over ctx.  env holds session bindings, which
-    generators shadow; a binding over another context is an error."""
-    p = _Parser(text, line, ctx, env)
+    generators shadow; a binding over another context is an error.  An
+    error's column counts as if text started at column at + 1, so an item
+    that starts at index at of a longer list is placed in that list."""
+    p = _Parser(text, line, ctx, env, at)
     out = p.expr()
     if p.tok:
         p.error(f"unexpected {p.tok!r} after expression")

@@ -6,14 +6,17 @@ starts a comment.  Binding statements (context, let, matrix, morphism,
 field, group, variety) populate a single namespace; command statements
 (eval, ber, strace, srank, inv, pullback, jacobian, classify, tangent,
 livf, bracket, lie, involutive, axioms, export) append their canonical
-rendering to the report.  Expressions are evaluated over the most
-recently declared context; morphisms and groups refer to contexts by
-name.
+rendering to the report.  A handler's name fixes its statement head:
+the Interpreter method stmt_HEAD runs a binding statement and cmd_HEAD a
+command, and the table of heads is built from those names once, at
+import.  Expressions are evaluated over the most recently declared
+context; morphisms and groups refer to contexts by name.
 
 Output is plain ASCII and depends only on the script text, never on
 hashing or platform, so identical scripts give byte-identical reports.
-Failures are collected as "error: line N: ..." messages; execution
-stops at the first one unless keep_going is set.
+Failures are collected as "error: line N: ..." messages; a kernel error
+or ValueError raised inside a statement is reported the same way as a
+ScriptError.  Execution stops at the first one unless keep_going is set.
 """
 
 from __future__ import annotations
@@ -134,19 +137,13 @@ class Interpreter:
     def _polys(self, text, ctx, line, at=0):
         """Comma-separated expressions over ctx, as a list of polynomials;
         blank text is the empty list.  An error column counts from the
-        start of text, which is at index at of its list."""
+        start of text, which is at index at of its list: parse_poly is
+        given each item's start."""
         if not text.strip():
             return []
         env = self._env()
-        polys = []
-        for start, e in _items(text, ","):
-            try:
-                polys.append(expr.parse_poly(e, ctx, line, env))
-            except ScriptError as err:
-                # str(err) is "line L, column C: message"
-                raise ScriptError(str(err).partition(": ")[2], line=line,
-                                  col=at + start + err.col) from None
-        return polys
+        return [expr.parse_poly(e, ctx, line, env, at + start)
+                for start, e in _items(text, ",")]
 
     def _value(self, name, want, line):
         kind_value = self.values.get(name)
@@ -200,13 +197,10 @@ class Interpreter:
             rf"\s+odd\s*=\s*\[(?P<odd>[^\]]*)\]",
             rest, line, "context [NAME] even=[...] odd=[...]",
         )
-        try:
-            ctx = Context(
-                even=self._names_list(m.group("even"), line),
-                odd=self._names_list(m.group("odd"), line),
-            )
-        except ValueError as e:
-            raise ScriptError(str(e), line=line) from None
+        ctx = Context(
+            even=self._names_list(m.group("even"), line),
+            odd=self._names_list(m.group("odd"), line),
+        )
         self.active = ctx
         if m.group("name"):
             self.contexts[m.group("name")] = ctx
@@ -391,12 +385,9 @@ class Interpreter:
     def cmd_lie(self, rest, line):
         m = self._match(r"(?P<kind>GL|SL|OSp)\s+(?P<m>\d+)\|(?P<n>\d+)",
                         rest, line, "lie GL|SL|OSp m|n")
-        try:
-            spec = MatrixGroupSpec(
-                m.group("kind"), (int(m.group("m")), int(m.group("n")))
-            )
-        except ValueError as e:
-            raise ScriptError(str(e), line=line) from None
+        spec = MatrixGroupSpec(
+            m.group("kind"), (int(m.group("m")), int(m.group("n")))
+        )
         result = lie_algebra(spec)
         if not result.constraints:
             self.report.append("no constraints")
@@ -432,37 +423,19 @@ class Interpreter:
 
     # -- driver ---------------------------------------------------------------
 
-    STATEMENTS = {
-        "context": stmt_context,
-        "let": stmt_let,
-        "matrix": stmt_matrix,
-        "morphism": stmt_morphism,
-        "field": stmt_field,
-        "group": stmt_group,
-        "variety": stmt_variety,
-        "eval": cmd_eval,
-        "ber": cmd_ber,
-        "strace": cmd_strace,
-        "srank": cmd_srank,
-        "inv": cmd_inv,
-        "pullback": cmd_pullback,
-        "jacobian": cmd_jacobian,
-        "classify": cmd_classify,
-        "tangent": cmd_tangent,
-        "livf": cmd_livf,
-        "bracket": cmd_bracket,
-        "lie": cmd_lie,
-        "involutive": cmd_involutive,
-        "axioms": cmd_axioms,
-        "export": cmd_export,
-    }
-
     def execute(self, lineno, statement):
         head, _, rest = statement.partition(" ")
-        handler = self.STATEMENTS.get(head)
+        handler = _STATEMENTS.get(head)
         if handler is None:
             raise ScriptError(f"unknown statement {head!r}", line=lineno)
         handler(self, rest.strip(), lineno)
+
+
+# statement head -> handler: stmt_HEAD binds a name, cmd_HEAD reports
+_STATEMENTS = {
+    name.partition("_")[2]: handler for name, handler in vars(Interpreter).items()
+    if name.startswith(("stmt_", "cmd_"))
+}
 
 
 def run_script(text: str, keep_going: bool = False) -> ScriptResult:

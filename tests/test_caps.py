@@ -96,6 +96,18 @@ def test_dot_output_at_the_cap_is_kept_and_above_it_refused():
         (xs + x**100) * ys
 
 
+def test_a_product_of_odd_left_terms_past_the_cap_is_refused():
+    # every left term t^k*a is odd, so only the odd-left-term loop of _mac
+    # runs; 101 * 101 = 10,201 distinct products pass the cap
+    ctx = Context(even=["t", "s"], odd=["a"])
+    t, s, a = ctx.var("t"), ctx.var("s"), ctx.var("a")
+    left = sum((t**k * a for k in range(101)), ctx.zero())
+    right = sum((s**k for k in range(101)), ctx.zero())
+    assert len(left.nums) * len(right.nums) == 10_201 > MAX_TERMS
+    with pytest.raises(LimitExceeded, match=f"^product has more than {MAX_TERMS} terms, the cap$"):
+        left * right
+
+
 def test_bracket_sums_both_sides_under_one_cap():
     # [x d/dx + 2 d/dy, y*q d/dx] = (2q - y*q) d/dx: each side applies to
     # 6,000 terms, below the cap, and the sides share no monomial.  The
