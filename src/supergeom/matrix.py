@@ -37,12 +37,12 @@ from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _disjoint_sum,
 # Largest n for which _minors expands an n x n grid.  A determinant fills
 # its (row set, column set) memo with one minor per row set, 2^n of them: on
 # grids of dense linear entries in three variables (perfbench
-# corpus.linear_matrix) _det takes 0.5 s of CPU at 10 x 10, 1.3 s at
-# 11 x 11 and 3.6 s at 12 x 12 on a shared 2-vCPU host under Python 3.11,
-# all three on the polynomial path: their boxes of 11^3 to 13^3 slots are
-# past the rule of poly._kronecker_image, and their images took 0.36,
-# 1.7 and 4.9 s.  Outside the cap tests, the largest determinant in the
-# demos, tests and benchmark is 8 x 8.
+# corpus.linear_matrix) _det takes 0.08 s of CPU at 10 x 10, 0.23 s at
+# 11 x 11 and 0.7-0.9 s at 12 x 12 on a shared 2-vCPU host under Python
+# 3.11, all three over the image of poly._kronecker_image; the polynomial
+# expansion of the same grids takes 0.46, 1.4 and 3.4 s.  Outside the cap
+# tests, the largest determinant in the demos, tests and benchmark is
+# 8 x 8.
 MAX_DET_SIZE = 12
 
 
@@ -117,9 +117,10 @@ def _minors(grid, one, zero):
     keyed by that packed int, so a determinant and its cofactors share
     the minors on trailing column sets and each step clears two bits.
     The ring is the entries' own, one of three: the ints of the Kronecker
-    image of an odd-free grid (poly._kronecker_image) and even (hence
-    commuting) polynomials for _det, and ints and Fractions for the
-    constant bodies of _body_inverse.
+    image of an odd-free grid (poly._kronecker_image, whose sparse entries
+    are poly._Shifted pairs that multiply an int minor as that entry's
+    int would) and even (hence commuting) polynomials for _det, and ints
+    and Fractions for the constant bodies of _body_inverse.
     Exact over any commutative coefficient ring, nilpotents included,
     which rules out fraction-free elimination: its exact divisions can
     hit zero divisors once even entries carry nilpotent parts."""
