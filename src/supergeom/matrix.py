@@ -117,10 +117,10 @@ def _minors(grid, one, zero):
     keyed by that packed int, so a determinant and its cofactors share
     the minors on trailing column sets and each step clears two bits.
     The ring is the entries' own, one of three: the ints of the Kronecker
-    image of an odd-free grid (poly._kronecker_image, whose sparse entries
-    are poly._Shifted pairs that multiply an int minor as that entry's
-    int would) and even (hence commuting) polynomials for _det, and ints
-    and Fractions for the constant bodies of _body_inverse.
+    image of an odd-free grid (poly._kronecker_image, whose nonzero
+    entries are poly._Shifted pairs that multiply an int minor as that
+    entry's int would) and even (hence commuting) polynomials for _det,
+    and ints and Fractions for the constant bodies of _body_inverse.
     Exact over any commutative coefficient ring, nilpotents included,
     which rules out fraction-free elimination: its exact divisions can
     hit zero divisors once even entries carry nilpotent parts."""

@@ -108,12 +108,11 @@ evaluates each entry at t_i = 2^(b s_i), slot widths and strides read
 from the exponent fields of the grid's codes and sized by a
 Goldstein-Graham bound, so the int determinant holds each coefficient of
 the polynomial one as a digit, and its unpack reads them back into codes.
-An image entry has a few nonzero slots in a wide int, so one with many
-bits per slot is a _Shifted, its (coefficient, shift) pairs, whose
-product with a minor is one shifted multiple of the minor per pair; a
-dense entry stays an int.  A rule read in the same pass over the codes
-keeps the image to grids where it measured the faster expansion and
-where the polynomial one would meet no cap.
+An image entry has a few nonzero slots in a wide int, so each nonzero
+entry is a _Shifted, its (coefficient, shift) pairs, whose product with
+a minor is one shifted multiple of the minor per pair.  A rule read in
+the same pass over the codes keeps the image to grids where it measured
+the faster expansion and where the polynomial one would meet no cap.
 """
 
 from __future__ import annotations
@@ -1226,15 +1225,13 @@ def _disjoint_sum(ctx: Context, polys: Sequence[SuperPoly]) -> SuperPoly:
 # expansions on seeded grids and refits K.
 _KRONECKER_ROWS = 4
 _KRONECKER_K = 600
-# An image entry of more bits than _SHIFTED_BITS per nonzero slot is
-# mostly zero slots, and multiplies as its (coefficient, shift) pairs.
-_SHIFTED_BITS = 128
 
 
 class _Shifted(tuple):
     """An image entry sum c << s as its (c, s) pairs: a product with an
     int m is one c * m << s per pair, where the int entry would multiply
-    every digit of its zero slots by m."""
+    every digit of its zero slots by m.  It multiplies an int on either
+    side, as the commutative ring of matrix._minors requires."""
 
     __slots__ = ()
 
@@ -1244,6 +1241,8 @@ class _Shifted(tuple):
         for c, s in self[1:]:
             acc += c * m << s
         return acc
+
+    __rmul__ = __mul__
 
     def __neg__(self):
         return _Shifted([(-c, s) for c, s in self])
@@ -1265,11 +1264,10 @@ def _kronecker_image(ctx: Context, grid):
     value (Goldstein and Graham, SIAM Review 16, 1974: Hadamard's
     inequality on the unit torus, then Parseval), and b is the smallest
     width with B < 2^(b-1), so unpack reads the coefficients back as
-    signed base-2^b digits, over prod_r L_r.  An entry of more than
-    _SHIFTED_BITS bits per term is given as the _Shifted pairs
-    (c_m L_r / den, b pos(e_m)) of that sum, which multiply a minor at
-    the cost of its few terms, not of its width; any other entry is the
-    int itself.
+    signed base-2^b digits, over prod_r L_r.  Each nonzero entry is
+    given as the _Shifted pairs (c_m L_r / den, b pos(e_m)) of that sum,
+    which multiply a minor at the cost of its few terms, not of its
+    width, and a zero entry as the int 0.
 
     The rule reads one pass over the terms, before anything is packed.
     The grid has at least _KRONECKER_ROWS rows.  No entry has an odd code,
@@ -1326,14 +1324,8 @@ def _kronecker_image(ctx: Context, grid):
         steps.append(step)
         step *= r
     at = {code: sum(map(mul, f, steps)) for code, (f, _) in exps.items()}
-
-    def pack(e, up):
-        pairs = [(c * up, at[code]) for code, c in e.nums.items()]
-        v = sum([c << s for c, s in pairs])
-        return _Shifted(pairs) if v.bit_length() > _SHIFTED_BITS * len(pairs) else v
-
-    ints = [[pack(e, scale // e.den) if e.nums else 0 for e in row]
-            for row, scale in zip(grid, scales)]
+    ints = [[_Shifted([(c * (scale // e.den), at[code]) for code, c in e.nums.items()])
+             if e.nums else 0 for e in row] for row, scale in zip(grid, scales)]
 
     def unpack(v):
         # v plus 2^(b-1) in every slot has the digit c + 2^(b-1), in

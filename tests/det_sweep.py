@@ -18,13 +18,14 @@ It then totals the time of the path each K in CANDIDATES would choose,
 with the slowest grid against its faster path (all grids, and those
 whose faster path takes 1 ms or more, where the fixed cost of packing
 no longer decides), and prints the K of least total.  pytest does not
-collect this file; test_det_image.py runs its value comparison on the
+collect this file; test_det_image.py compares both values on its
 small grids.  Run it as:
 
     PYTHONPATH=src python tests/det_sweep.py
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -145,27 +146,20 @@ def forced_image_det(ctx, grid):
         poly._KRONECKER_K, poly._KRONECKER_ROWS = saved
 
 
-def compare(ctx, grid):
-    """(n, a, W, C(D + p, p), poly ms, image ms) of one grid, with image
-    ms None where the image is left untimed; raises AssertionError when
-    the two expansions differ."""
-    a, w, c = shape(grid)
-    by_poly, poly_ms = best_ms(lambda: polynomial_det(ctx, grid))
-    image_ms = None
-    if w <= MAX_W and c <= poly.MAX_TERMS:
-        by_image, image_ms = best_ms(lambda: forced_image_det(ctx, grid))
-        assert by_image == by_poly, f"values differ: p={len(ctx.even)} n={len(grid)}"
-    return len(grid), a, w, c, poly_ms, image_ms
-
-
 def main():
     rows = []
     print(f"{'kind':7} {'p':>2} {'n':>3} {'a':>6} {'W':>7} {'C(D+p,p)':>9} "
           f"{'poly ms':>9} {'image ms':>9}  rule")
     for kind, ctx, grid in grids():
-        rows.append(compare(ctx, grid))
-        _, a, w, c, poly_ms, image_ms = rows[-1]
+        a, w, c = shape(grid)
+        by_poly, poly_ms = best_ms(lambda: polynomial_det(ctx, grid))
+        image_ms = None
+        if w <= MAX_W and c <= poly.MAX_TERMS:
+            by_image, image_ms = best_ms(lambda: forced_image_det(ctx, grid))
+            if by_image != by_poly:
+                sys.exit(f"values differ: {kind} p={len(ctx.even)} n={len(grid)}")
         choice = "image" if poly._kronecker_image(ctx, grid) else "poly"
+        rows.append((len(grid), a, w, c, poly_ms, image_ms))
         shown = f"{image_ms:9.2f}" if image_ms is not None else f"{'-':>9}"
         print(f"{kind:7} {len(ctx.even):2} {len(grid):3} {a:6.2f} {w:7} {c:9} "
               f"{poly_ms:9.2f} {shown}  {choice}", flush=True)
