@@ -32,17 +32,17 @@ from .errors import (
     ParityError,
 )
 from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _disjoint_sum,
-                   _kronecker_image, dot_row)
+                   _image_dot, _kronecker_image, dot_row)
 
 # Largest n for which _minors expands an n x n grid.  A determinant fills
 # its (row set, column set) memo with one minor per row set, 2^n of them: on
 # grids of dense linear entries in three variables (perfbench
-# corpus.linear_matrix) _det takes 0.08 s of CPU at 10 x 10, 0.23 s at
-# 11 x 11 and 0.7-0.9 s at 12 x 12 on a shared 2-vCPU host under Python
+# corpus.linear_matrix) _det takes 0.04 s of CPU at 10 x 10, 0.11 s at
+# 11 x 11 and 0.32-0.34 s at 12 x 12 on a shared 2-vCPU host under Python
 # 3.11, all three over the image of poly._kronecker_image; the polynomial
-# expansion of the same grids takes 0.46, 1.4 and 3.4 s.  Outside the cap
-# tests, the largest determinant in the demos, tests and benchmark is
-# 8 x 8.
+# expansion of the same grids takes 0.28, 0.84-0.95 and 2.5-2.9 s.
+# Outside the cap tests, the largest determinant in the demos, tests and
+# benchmark is 8 x 8.
 MAX_DET_SIZE = 12
 
 
@@ -109,49 +109,60 @@ def _gis_zero(a):
     return all(not e for row in a for e in row)
 
 
-def _minors(grid, one, zero):
-    """minor(key) of a square grid over a commutative ring whose unit and
-    zero are one and zero: the determinant on the rows of the row mask
-    key & (2^n - 1) and the columns of the column mask key >> n, by
-    division-free Laplace expansion down the lowest column with one memo
-    keyed by that packed int, so a determinant and its cofactors share
-    the minors on trailing column sets and each step clears two bits.
-    The ring is the entries' own, one of three: the ints of the Kronecker
-    image of an odd-free grid (poly._kronecker_image, whose nonzero
-    entries are poly._Shifted pairs that multiply an int minor as that
-    entry's int would) and even (hence commuting) polynomials for _det,
-    and ints and Fractions for the constant bodies of _body_inverse.
-    Exact over any commutative coefficient ring, nilpotents included,
-    which rules out fraction-free elimination: its exact divisions can
-    hit zero divisors once even entries carry nilpotent parts."""
+def _minors(grid, one, dot):
+    """minor(key) of a square grid over a commutative ring whose unit is
+    one: the determinant on the rows of the row mask key & (2^n - 1) and
+    the columns of the column mask key >> n, by division-free Laplace
+    expansion down the lowest column with one memo keyed by that packed
+    int, so a determinant and its cofactors share the minors on trailing
+    column sets and each step clears two bits.  The ring supplies the
+    column sum: dot(triples) is the sum of the terms +-e * m over a
+    column's (entry e, minor m, negated) triples, its nonzero entries in
+    row order.  The ring is one of three: the ints of the Kronecker image
+    of an odd-free grid (poly._kronecker_image, whose _image_dot sums each
+    shift once) and even (hence commuting) polynomials for _det, and ints
+    and Fractions for the constant bodies of _body_inverse, both summed
+    by _chain.  Exact over any commutative coefficient ring, nilpotents
+    included, which rules out fraction-free elimination: its exact
+    divisions can hit zero divisors once even entries carry nilpotent
+    parts."""
     n = len(grid)
     if n > MAX_DET_SIZE:
         raise LimitExceeded(
             f"determinant of a {n}x{n} block is above the cap of {MAX_DET_SIZE} rows"
         )
-    return partial(_minor, grid, n, zero, {0: one})
+    return partial(_minor, grid, n, dot, {0: one})
 
 
-def _minor(grid, n, zero, memo, key):
-    # one step of _minors' expansion, summed with * and + in the entries'
-    # ring; a module function, not a closure over itself, so the memo
-    # holds no reference cycle and is freed as soon as its caller drops it
+def _minor(grid, n, dot, memo, key):
+    # one step of _minors' expansion; a module function, not a closure
+    # over itself, so the memo holds no reference cycle and is freed as
+    # soon as its caller drops it
     got = memo.get(key)
     if got is not None:
         return got
     cols = key >> n
     col = (cols & -cols).bit_length() - 1
     rest = key ^ 1 << n + col
-    acc = zero
+    triples = []
     neg = False
     for i, row in enumerate(grid):
         if key >> i & 1:
             e = row[col]
             if e:
-                # negate the entry (a few terms), not the much larger product
-                acc = acc + (-e if neg else e) * _minor(grid, n, zero, memo, rest ^ 1 << i)
+                triples.append((e, _minor(grid, n, dot, memo, rest ^ 1 << i), neg))
             neg = not neg
-    memo[key] = acc
+    memo[key] = got = dot(triples)
+    return got
+
+
+def _chain(zero, triples):
+    # the column sum of _minors over polynomials and over scalars, one *
+    # and one + a term from zero; it negates the entry (a few terms), not
+    # the much larger minor
+    acc = zero
+    for e, m, neg in triples:
+        acc = acc + (-e if neg else e) * m
     return acc
 
 
@@ -161,16 +172,18 @@ def _det(ctx, grid) -> SuperPoly:
     An odd-free grid that the rule of poly._kronecker_image takes is
     expanded over its image in Z, the evaluation of its polynomials at
     one point whose int determinant holds every coefficient of theirs as
-    a base-2^b digit, and read back from that one int.  Any other grid,
-    odd parts included, is expanded over its polynomials.  Both paths
-    take the same MAX_DET_SIZE cap, and the rule keeps the image to grids
-    on which the polynomial expansion would meet no other cap."""
+    a base-2^b digit, and read back from that one int; each column sum
+    there is poly._image_dot.  Any other grid, odd parts included, is
+    expanded over its polynomials.  Both paths take the same
+    MAX_DET_SIZE cap, and the rule keeps the image to grids on which the
+    polynomial expansion would meet no other cap."""
     full = (1 << 2 * len(grid)) - 1
     image = _kronecker_image(ctx, grid)
     if image is None:
-        return _minors(grid, SuperPoly.scalar(ctx, 1), SuperPoly.zero(ctx))(full)
+        return _minors(grid, SuperPoly.scalar(ctx, 1),
+                       partial(_chain, SuperPoly.zero(ctx)))(full)
     ints, unpack = image
-    return unpack(_minors(ints, 1, 0)(full))
+    return unpack(_minors(ints, 1, _image_dot)(full))
 
 
 def _body_inverse(ctx, grid, label):
@@ -189,10 +202,10 @@ def _body_inverse(ctx, grid, label):
     values = [[e._body_value() for e in row] for row in grid]
     constant = all(v is not None for row in values for v in row)
     if constant:
-        minor = _minors(values, 1, 0)
+        minor = _minors(values, 1, partial(_chain, 0))
     else:
         minor = _minors([[e.body() for e in row] for row in grid],
-                        SuperPoly.scalar(ctx, 1), SuperPoly.zero(ctx))
+                        SuperPoly.scalar(ctx, 1), partial(_chain, SuperPoly.zero(ctx)))
     full = (1 << 2 * n) - 1
     d = minor(full)
     if not (constant or d.is_constant()):

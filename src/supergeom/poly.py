@@ -97,22 +97,24 @@ in distribution.involutive and a whole derivation bracket are one
 dot_row each, with the subtracted terms weighted by negated factors; a
 derivation applied to one polynomial or to all the images of a map
 (apply, livf, is_left_invariant) is one dot_row too.  The Laplace
-expansion of matrix._minors sums outside dot_row, one * and one + at a
-time, because it runs over any commutative ring, one of three.  Over
-these polynomials for matrix._det and a body that is not constant.  Over
-plain ints and Fractions for a constant body, which
-SuperPoly._body_value reads in one pass with no polynomial built.  And
-over the ints of the Kronecker image (Kronecker 1882; Harvey, J. Symbolic
-Comput. 44, 2009) of an odd-free grid of matrix._det: _kronecker_image
-evaluates each entry at t_i = 2^(b s_i), slot widths and strides read
-from the exponent fields of the grid's codes and sized by a
-Goldstein-Graham bound, so the int determinant holds each coefficient of
-the polynomial one as a digit, and its unpack reads them back into codes.
-An image entry has a few nonzero slots in a wide int, so each nonzero
-entry is a _Shifted, its (coefficient, shift) pairs, whose product with
-a minor is one shifted multiple of the minor per pair.  A rule read in
-the same pass over the codes keeps the image to grids where it measured
-the faster expansion and where the polynomial one would meet no cap.
+expansion of matrix._minors sums outside dot_row, with a column sum that
+its ring supplies, one ring of three.  Over these polynomials for
+matrix._det and a body that is not constant, and over plain ints and
+Fractions for a constant body, which SuperPoly._body_value reads in one
+pass with no polynomial built: one * and one + a term.  And over the
+ints of the Kronecker image (Kronecker 1882; Harvey, J. Symbolic Comput.
+44, 2009) of an odd-free grid of matrix._det: _kronecker_image evaluates
+each entry at t_i = 2^(b s_i), slot widths and strides read from the
+exponent fields of the grid's codes and sized by a Goldstein-Graham
+bound, so the int determinant holds each coefficient of the polynomial
+one as a digit, and its unpack reads back the slots of total degree at
+most the grid's bound D, the only ones that can hold one.  An image
+entry has a few nonzero slots in a wide int, so each nonzero entry is
+the tuple of its (coefficient, shift) pairs, and the entries of a column
+share a few shifts: _image_dot sums the coefficients times the minors
+per shift and shifts each sum once.  A rule read in the same pass over
+the codes keeps the image to grids where it measured the faster
+expansion and where the polynomial one would meet no cap.
 """
 
 from __future__ import annotations
@@ -1227,27 +1229,6 @@ _KRONECKER_ROWS = 4
 _KRONECKER_K = 600
 
 
-class _Shifted(tuple):
-    """An image entry sum c << s as its (c, s) pairs: a product with an
-    int m is one c * m << s per pair, where the int entry would multiply
-    every digit of its zero slots by m.  It multiplies an int on either
-    side, as the commutative ring of matrix._minors requires."""
-
-    __slots__ = ()
-
-    def __mul__(self, m):
-        c, s = self[0]
-        acc = c * m << s  # not 0 + ..., which copies the first product
-        for c, s in self[1:]:
-            acc += c * m << s
-        return acc
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _Shifted([(-c, s) for c, s in self])
-
-
 def _kronecker_image(ctx: Context, grid):
     """(ints, unpack) for a square grid of odd-free polynomials over ctx,
     such that unpack(d) is the determinant of the grid when d is the
@@ -1264,10 +1245,12 @@ def _kronecker_image(ctx: Context, grid):
     value (Goldstein and Graham, SIAM Review 16, 1974: Hadamard's
     inequality on the unit torus, then Parseval), and b is the smallest
     width with B < 2^(b-1), so unpack reads the coefficients back as
-    signed base-2^b digits, over prod_r L_r.  Each nonzero entry is
-    given as the _Shifted pairs (c_m L_r / den, b pos(e_m)) of that sum,
-    which multiply a minor at the cost of its few terms, not of its
-    width, and a zero entry as the int 0.
+    signed base-2^b digits, over prod_r L_r; only the slots of total
+    degree at most D (below) can hold one, and only they are read.  Each
+    nonzero entry is given as the tuple of pairs (c_m L_r / den,
+    b pos(e_m)) of that sum, which _image_dot multiplies into a minor at
+    the cost of its few terms, not of its width, and a zero entry as the
+    int 0.
 
     The rule reads one pass over the terms, before anything is packed.
     The grid has at least _KRONECKER_ROWS rows.  No entry has an odd code,
@@ -1324,27 +1307,45 @@ def _kronecker_image(ctx: Context, grid):
         steps.append(step)
         step *= r
     at = {code: sum(map(mul, f, steps)) for code, (f, _) in exps.items()}
-    ints = [[_Shifted([(c * (scale // e.den), at[code]) for code, c in e.nums.items()])
+    ints = [[tuple([(c * (scale // e.den), at[code]) for code, c in e.nums.items()])
              if e.nums else 0 for e in row] for row, scale in zip(grid, scales)]
+    # (code, shift) of each slot of total degree <= D, the exponent of t_1
+    # running fastest: only these can hold a coefficient
+    slots = [(0, 0, 0)]
+    for i, r, step in zip(fields, radix, steps):
+        slots = [(code | e << i, shift + e * step, total + e) for e in range(r)
+                 for code, shift, total in slots if total + e <= degree]
 
     def unpack(v):
         # v plus 2^(b-1) in every slot has the digit c + 2^(b-1), in
         # [1, 2^b), at the slot of each coefficient c; the string holds
-        # the slots from the last to the first, and codes the code of each
-        # slot from the first, the exponent of t_1 running fastest
+        # the slots from the last to the first
         half = 1 << b - 1
-        bits = format(v + ((1 << b * width) - 1) // ((1 << b) - 1) * half, "b")
-        bits = bits.zfill(b * width)
-        codes = [0]
-        for i, r in zip(fields, radix):
-            codes = [code | e << i for e in range(r) for code in codes]
+        top = b * width
+        bits = format(v + ((1 << top) - 1) // ((1 << b) - 1) * half, "b").zfill(top)
         zero = format(half, "b")
-        nums = {code: int(digit, 2) - half for code, digit
-                in zip(reversed(codes), [bits[i:i + b] for i in range(0, b * width, b)])
-                if digit != zero}
+        nums = {}
+        for code, shift, _ in reversed(slots):
+            digit = bits[top - shift - b:top - shift]
+            if digit != zero:
+                nums[code] = int(digit, 2) - half
         return SuperPoly._reduced(ctx, nums, prod(scales))
 
     return ints, unpack
+
+
+def _image_dot(triples):
+    """The column sum of matrix._minors over a Kronecker image: the sum of
+    +-e * m over (entry, minor, negated) triples, each entry the tuple of
+    (c, s) pairs of its int sum c << s.  The products c * m are summed per
+    shift s, and each sum is shifted and added once: the entries of a
+    column share a few shifts, so no product pays a shift of its own."""
+    sums = {}
+    for e, m, neg in triples:
+        for c, s in e:
+            t = -c * m if neg else c * m
+            sums[s] = sums[s] + t if s in sums else t
+    return sum([t << s for s, t in sums.items()])
 
 
 def _linear_rows(ctx: Context, names, polys) -> tuple[list[int], list[list[int]]]:

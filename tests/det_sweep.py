@@ -28,11 +28,12 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb, prod
 
 from supergeom import Context, Monomial, SuperPoly, poly
-from supergeom.matrix import _det, _minors
+from supergeom.matrix import _chain, _det, _minors
 
 # the largest n per p of each kind, so the polynomial expansion stays
 # under about a second per grid
@@ -132,7 +133,7 @@ def best_ms(fn):
 
 def polynomial_det(ctx, grid):
     full = (1 << 2 * len(grid)) - 1
-    return _minors(grid, ctx.one(), ctx.zero())(full)
+    return _minors(grid, ctx.one(), partial(_chain, ctx.zero()))(full)
 
 
 def forced_image_det(ctx, grid):

@@ -11,11 +11,15 @@ coefficient is the largest digit the slot width allows, of either sign.
 A slot width one bit short, or a radix of d_i in place of d_i + 1, fails
 the last two.
 
-Each nonzero image entry is a poly._Shifted, its (coefficient, shift)
+Each nonzero image entry is a plain tuple of (coefficient, shift)
 pairs, one per term, and a zero entry the int 0: every test that expands
 an image pins that form, since an entry packed back into one int changes
-no value, only the time.  Grids that mix constants, zeros and entries
-over one slot or many are compared with the polynomial expansion too.
+no value, only the time.  poly._image_dot, the image's column sum, is
+compared with the same sum over those ints.  Grids that mix constants,
+zeros and entries over one slot or many are compared with the polynomial
+expansion too, and triangular grids whose determinant is one term at the
+total-degree bound, in a single variable: unpack reads only the slots
+within that bound, and this term sits on its edge.
 The value comparison of tests/det_sweep.py runs on its small grids, so
 the sweep's forced image stays in working order.
 
@@ -26,15 +30,16 @@ and the rule is decided before any entry is packed.
 
 import random
 from fractions import Fraction
-from math import comb
+from functools import partial
+from math import comb, prod
 
 import pytest
 
 import det_sweep
 from supergeom import Context, Monomial, SuperPoly
 from supergeom import poly
-from supergeom.matrix import _det, _minors
-from supergeom.poly import MAX_FIELD_EXPONENT, MAX_TERMS, _kronecker_image, _Shifted
+from supergeom.matrix import _chain, _det, _minors
+from supergeom.poly import MAX_FIELD_EXPONENT, MAX_TERMS, _image_dot, _kronecker_image
 
 XYZ = Context(even=["x", "y", "z"])
 XY = Context(even=["x", "y"])
@@ -43,16 +48,21 @@ T = Context(even=["t"])
 
 def polynomial_det(ctx, grid):
     full = (1 << 2 * len(grid)) - 1
-    return _minors(grid, ctx.one(), ctx.zero())(full)
+    return _minors(grid, ctx.one(), partial(_chain, ctx.zero()))(full)
 
 
 def imaged_det(ctx, grid):
     """_det of a grid the rule sends to the image, whose nonzero entries
-    each take one (coefficient, shift) pair per term and zeros the int 0."""
+    are each a plain tuple of one (coefficient, shift) pair per term and
+    whose zeros are the int 0."""
     image = _kronecker_image(ctx, grid)
     assert image is not None
     for e, p in zip([e for row in image[0] for e in row], [p for row in grid for p in row]):
-        assert isinstance(e, _Shifted) and len(e) == len(p.nums) if p.nums else e == 0
+        if p.nums:
+            assert type(e) is tuple and len(e) == len(p.nums)
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in e)
+        else:
+            assert type(e) is int and e == 0
     return _det(ctx, grid)
 
 
@@ -132,7 +142,7 @@ def test_hadamard_times_a_monomial_meets_the_bound(n):
     # B = n^(n/2) = |det H|: the determinant's one coefficient is the bound
     xy = XY.var("x") * XY.var("y")
     h = hadamard(n)
-    det_h = _minors(h, 1, 0)((1 << 2 * n) - 1)
+    det_h = _minors(h, 1, partial(_chain, 0))((1 << 2 * n) - 1)
     assert det_h * det_h == n ** n
     grid = [[xy * c for c in row] for row in h]
     assert imaged_det(XY, grid) == det_h * xy ** n
@@ -162,13 +172,47 @@ def nonzero(rng):
     return rng.choice([-3, -2, -1, 1, 2, 3])
 
 
-def test_a_shifted_entry_multiplies_and_negates_as_its_int():
-    e = _Shifted([(5, 0), (-3, 70), (2, 200)])
-    value = 5 - (3 << 70) + (2 << 200)
-    for m in (1, -7, 3 ** 90, -(2 ** 300) + 1):
-        assert e * m == m * e == value * m
-        assert -e * m == m * -e == -value * m
-    assert isinstance(-e, _Shifted)
+def test_the_image_dot_sums_as_the_entry_ints():
+    # each entry is the int sum c << s of its pairs; the dot is the sum of
+    # +-entry * minor over the triples, whatever shifts the rows share
+    def as_int(e):
+        return sum(c << s for c, s in e)
+
+    column = [((5, 0), (-3, 70), (2, 200)),  # shifts 0 and 70 repeat below
+              ((7, 70), (-1, 0)),
+              ((4, 0), (-6, 70), (9, 333)),  # 333 in this row alone
+              ((-2, 200),)]
+    minors = [3 ** 90, -(2 ** 300) + 1, -7, 1]
+    for negated in [(False,) * 4, (True,) * 4, (False, True, True, False),
+                    (True, False, False, True)]:
+        triples = list(zip(column, minors, negated))
+        expected = sum((-1 if neg else 1) * as_int(e) * m for e, m, neg in triples)
+        assert _image_dot(triples) == expected
+    for e, m, neg in [(column[0], minors[0], True), (column[2], -5, False),
+                      (((11, 40),), 3 ** 50, True)]:
+        assert _image_dot([(e, m, neg)]) == (-1 if neg else 1) * as_int(e) * m
+    assert _image_dot([]) == 0
+
+
+@pytest.mark.parametrize("var", ["x", "z"])
+@pytest.mark.parametrize("powers", [(1, 1, 1, 1), (2, 3, 1, 4), (5, 0, 2, 3)])
+def test_a_term_at_the_degree_bound_reads_back(powers, var):
+    # a triangular grid whose diagonal holds powers of one variable and
+    # whose upper entries are of no higher total degree: D is the sum of
+    # the powers, and the determinant is the one term c t^D, at the slot
+    # of total degree D where t alone reaches its largest exponent
+    rng = random.Random(3160 + sum(powers))
+    t = XYZ.var(var)
+    gens = [XYZ.var(g) for g in XYZ.even]
+
+    def upper(k):
+        return XYZ.scalar(small_fraction(rng)) + sum(
+            (g * small_fraction(rng) for g in gens), XYZ.zero()) * min(k, 1)
+
+    cs = [small_fraction(rng) or 1 for _ in powers]
+    grid = [[(c * t ** k if r == j else upper(k) if r < j else XYZ.zero())
+             for j in range(4)] for r, (c, k) in enumerate(zip(cs, powers))]
+    assert imaged_det(XYZ, grid) == prod(cs) * t ** sum(powers) == polynomial_det(XYZ, grid)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
