@@ -31,8 +31,8 @@ from .errors import (
     NotInvertible,
     ParityError,
 )
-from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _disjoint_sum,
-                   _image_dot, _kronecker_image, dot_row)
+from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _image_dot,
+                   _kronecker_image, _pack, _packed_dot, _split, dot_row)
 
 # Largest n for which _minors expands an n x n grid.  A determinant fills
 # its (row set, column set) memo with one minor per row set, 2^n of them: on
@@ -94,7 +94,16 @@ def _gneg(a):
 
 
 def _gmul(ctx, a, b):
-    return tuple(dot_row(ctx, row, b) for row in a)
+    # b is packed once for all the rows of a
+    width = len(b[0]) if b else 0
+    rows = _gmul_packed(ctx, a, [_pack(ctx, row) for row in b], width)
+    return tuple(_split(ctx, (row,), width) for row in rows)
+
+
+def _gmul_packed(ctx, a, rows, width):
+    # the rows of grid a times the packed rows of width entries, as
+    # packed rows (see poly._pack)
+    return [_packed_dot(ctx, row, rows, width) for row in a]
 
 
 def _gblocks(tl, tr, bl, br):
@@ -137,7 +146,8 @@ def _minors(grid, one, dot):
 def _minor(grid, n, dot, memo, key):
     # one step of _minors' expansion; a module function, not a closure
     # over itself, so the memo holds no reference cycle and is freed as
-    # soon as its caller drops it
+    # soon as its caller drops it.  The memo is read before each
+    # recursive call, so a minor already taken costs no call
     got = memo.get(key)
     if got is not None:
         return got
@@ -150,7 +160,11 @@ def _minor(grid, n, dot, memo, key):
         if key >> i & 1:
             e = row[col]
             if e:
-                triples.append((e, _minor(grid, n, dot, memo, rest ^ 1 << i), neg))
+                sub = rest ^ 1 << i
+                m = memo.get(sub)
+                if m is None:
+                    m = _minor(grid, n, dot, memo, sub)
+                triples.append((e, m, neg))
             neg = not neg
     memo[key] = got = dot(triples)
     return got
@@ -233,18 +247,19 @@ def _series_inverse(ctx, grid, binv):
         Y_0 = B^{-1},   Y_d = -B^{-1} sum_{e >= 1} N_e Y_{d-e},
 
     the degree-d part of B Y = I - N Y, so each degree of the result is
-    computed once, and Y_d is zero for d > len(ctx.odd).  Only the degrees
-    e and d - e that occur are visited, and only the nonzero entries of
-    N_e enter the sum for row i, which is one dot_row: zero blocks padded
-    into it would cost the small inverses most.  Each nonzero sum is
-    multiplied once by -B^{-1}, which is negated once per series.  The
-    Y_d share no monomial, so each entry of the inverse joins the entries
-    of the nonzero Y_d with one _disjoint_sum, with no product and no
-    partial sum."""
+    computed once, and Y_d is zero for d > len(ctx.odd).  Each Y_d is
+    kept as packed rows (poly._pack), the right factor of both products.
+    Only the degrees e and d - e that occur are visited, and only the
+    nonzero entries of N_e enter the sum for row i, which is one packed
+    row: zero blocks padded into it would cost the small inverses most.
+    Each nonzero sum is multiplied once by -B^{-1}, which is negated once
+    per series.  The Y_d share no monomial, so each row of the inverse
+    is split from the packed rows of all the Y_d at once, at the end,
+    with no product and no partial sum."""
     # row i of N as the triples (e, j, N_e[i][j]) of its nonzero parts,
     # by increasing e: the Y_{d-e} of most odd generators come first, and
-    # the denominators of the later ones mostly divide theirs, so a column
-    # of dot_row seldom has to scale its numerators up
+    # the denominators of the later ones mostly divide theirs, so a sum
+    # seldom has to scale its numerators up
     parts = [
         sorted((e, j, part) for j, x in enumerate(row)
                for e, part in x.odd_degree_parts().items() if e)
@@ -252,24 +267,17 @@ def _series_inverse(ctx, grid, binv):
     ]
     if not any(parts):
         return binv
+    n = len(grid)
     neg_binv = _gneg(binv)
-    zero_row = (SuperPoly.zero(ctx),) * len(grid)
-    ys = {0: binv}
+    ys = {0: [_pack(ctx, row) for row in binv]}
     for d in range(1, len(ctx.odd) + 1):
-        rows = []
-        nonzero = False
+        sums = []
         for out in parts:
-            pairs = [(n, ys[d - e][j]) for e, j, n in out if d - e in ys]
-            if pairs:
-                row = dot_row(ctx, *zip(*pairs))
-                nonzero = nonzero or any(row)
-                rows.append(row)
-            else:
-                rows.append(zero_row)
-        if nonzero:
-            ys[d] = _gmul(ctx, neg_binv, rows)
-    return tuple(tuple(_disjoint_sum(ctx, entries) for entries in zip(*row))
-                 for row in zip(*ys.values()))
+            pairs = [(x, ys[d - e][j]) for e, j, x in out if d - e in ys]
+            sums.append(_packed_dot(ctx, *zip(*pairs), n) if pairs else None)
+        if any(sums):
+            ys[d] = _gmul_packed(ctx, neg_binv, sums, n)
+    return tuple(_split(ctx, rows, n) for rows in zip(*ys.values()))
 
 
 def _grid_inverse(ctx, grid, label):
@@ -543,11 +551,12 @@ class SuperMatrix:
         T^{-1} is then built one odd degree at a time from the parts N_e
         of T with e >= 1 odd generators: its part Y_d with d odd
         generators per term is -B^{-1} sum_e N_e Y_{d-e}, which keeps the
-        sparse N_e on the left of each product.  The Y_d share no monomial
-        and are joined entry by entry with no product (see
-        _series_inverse); each entry, and each intermediate sum, which
-        holds a single odd degree, is subject to MAX_TERMS like any
-        product.
+        sparse N_e on the left of each product.  Each Y_d stays as packed
+        rows, one numerator map per row (poly._pack), and the Y_d, which
+        share no monomial, are split into the entries of the inverse once,
+        with no product (see _series_inverse).  Each entry is held to
+        MAX_TERMS there, like any product; inside the sums a packed row
+        is held to MAX_TERMS per column slot.
         """
         if self.parity is not Parity.EVEN:
             raise ParityError("only even matrices are inverted")

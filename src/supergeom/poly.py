@@ -84,14 +84,23 @@ odd-free left terms and one for the rest, and it has three callers.  A
 product of two polynomials (SuperPoly.__mul__) calls it once; the parser
 reaches it only for a product with a group or binding, since it folds
 literal factors with _times_generator.  _substitute_each calls it once
-per term, into one map per substituted polynomial.  dot_row(ctx, row,
-grid), the one sum of products, checks every context first and then
-calls it once per nonzero left factor for all the columns of a product
-row, each column over the running lcm of its products' denominators:
-matrix._gmul is one dot_row per row, and matrix._series_inverse builds
-each odd-degree part of an inverse with one dot_row per row, on the
-parts that SuperPoly.odd_degree_parts splits off.  Those parts share no
-monomial, so _disjoint_sum joins them with no product.
+per term, into one map per substituted polynomial.  _packed_dot, the
+one sum of products, calls it once per nonzero left factor against a
+packed row: _pack keys the numerators of a row of polynomials over one
+den by code << w | k for column k, w = (width - 1).bit_length(), so
+_mac shifts each left code by w and one call meets the whole row (more
+of the key in one int, as Monagan and Pearce, CASC 2007, pack exponent
+vectors), and the sum is one such map over the running lcm of its
+products' denominators.  A zero entry holds no key.  _split reads a
+packed row, or the sum of several that share no key, back as its
+entries, each reduced once and held to MAX_TERMS; inside the sum _mac
+holds a packed row to MAX_TERMS << w.  dot_row(ctx, row, grid) is one
+pack per grid row, one packed sum and one split; matrix._gmul packs its
+right grid once for all its rows; matrix._series_inverse keeps each
+odd-degree part Y_d of an inverse as packed rows, the right factor of
+both its products, on the parts that SuperPoly.odd_degree_parts splits
+off, and splits the rows of all the Y_d, which share no monomial, once
+at the end.
 A row of a Schur complement (matrix._schur), the residual of a bracket
 in distribution.involutive and a whole derivation bracket are one
 dot_row each, with the subtracted terms weighted by negated factors; a
@@ -720,7 +729,7 @@ class SuperPoly:
             if other.ctx is not ctx:
                 raise ContextMismatch("operands live in different contexts")
             acc: dict[int, int] = {}
-            _mac(ctx, self.nums, ((acc, 1, other.nums.items()),))
+            _mac(ctx, self.nums, acc, 1, other.nums.items())
             return SuperPoly._reduced(ctx, acc, self.den * other.den)
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -1001,66 +1010,66 @@ class SuperPoly:
         return f"SuperPoly({self})"
 
 
-def _mac(ctx: Context, nums: dict[int, int], cols) -> None:
-    """Add a * b into each column for the left numerators nums of a.
+def _mac(ctx: Context, nums: dict[int, int], acc: dict[int, int], scale: int,
+         right, w: int = 0) -> None:
+    """Add scale * a * b into acc for the left numerators nums of a.
 
-    The one term-pair loop of the package.  cols holds one (acc, scale,
-    right) per column: acc maps codes to int numerators, right is the
-    items of b.nums, and every product is multiplied by scale.
-    Numerators that cancel are dropped as they hit zero.  The code of a
-    product of monomials with disjoint odd masks is the sum of the two
-    codes; a guard bit set in that sum means one exponent passed
-    MAX_FIELD_EXPONENT.  Raises LimitExceeded then, and once one column
-    holds more than MAX_TERMS terms.  Each left term is set up once for
-    all columns and runs one of two inner loops of this one algorithm:
-    an odd-free left term overlaps no right term and _SWAP_PARITY[0] is
-    0, so its loop drops the odd-mask skip and the sign test; both loops
+    The one term-pair loop of the package.  acc maps keys to int
+    numerators and right is the items of b's numerators.  A key is a
+    code shifted left by w, with the low w bits free for a column index
+    (see _pack); w is 0 for the maps of single polynomials.  Numerators
+    that cancel are dropped as they hit zero.  The code of a product of
+    monomials with disjoint odd masks is the sum of the two codes, so
+    each left code is shifted by w once and added to the right keys; a
+    guard bit set in that sum means one exponent passed
+    MAX_FIELD_EXPONENT.  Raises LimitExceeded then, naming the
+    generator, and once acc holds more than MAX_TERMS << w keys.  Each
+    left term runs one of two inner loops of this one algorithm: an
+    odd-free left term overlaps no right term and _SWAP_PARITY[0] is 0,
+    so its loop drops the odd-mask skip and the sign test; both loops
     test the guard bits alike.
     """
-    guard = ctx._guard
-    shift = ctx._shift
+    guard = ctx._guard << w
+    shift = ctx._shift + w
     odd = -1 << shift
+    cap = MAX_TERMS << w
     for m1, c1 in nums.items():
+        m1 <<= w
         o1 = m1 & odd
+        c0 = c1 * scale
         if o1:
             swaps = _SWAP_PARITY[m1 >> shift] << shift
-            for acc, scale, right in cols:
-                c0 = c1 * scale
-                for m2, c2 in right:
-                    if o1 & m2:
+            for m2, c2 in right:
+                if o1 & m2:
+                    continue
+                c = c0 * c2
+                if (swaps & m2).bit_count() & 1:
+                    c = -c
+                m = m1 + m2
+                if m & guard:
+                    _field_overflow(ctx, (m & guard) >> w)
+                old = acc.get(m)
+                if old is not None:
+                    c += old
+                    if not c:
+                        del acc[m]
                         continue
-                    c = c0 * c2
-                    if (swaps & m2).bit_count() & 1:
-                        c = -c
-                    m = m1 + m2
-                    if m & guard:
-                        _field_overflow(ctx, m & guard)
-                    old = acc.get(m)
-                    if old is not None:
-                        c += old
-                        if not c:
-                            del acc[m]
-                            continue
-                    acc[m] = c
-                if len(acc) > MAX_TERMS:
-                    raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
+                acc[m] = c
         else:
-            for acc, scale, right in cols:
-                c0 = c1 * scale
-                for m2, c2 in right:
-                    c = c0 * c2
-                    m = m1 + m2
-                    if m & guard:
-                        _field_overflow(ctx, m & guard)
-                    old = acc.get(m)
-                    if old is not None:
-                        c += old
-                        if not c:
-                            del acc[m]
-                            continue
-                    acc[m] = c
-                if len(acc) > MAX_TERMS:
-                    raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
+            for m2, c2 in right:
+                c = c0 * c2
+                m = m1 + m2
+                if m & guard:
+                    _field_overflow(ctx, (m & guard) >> w)
+                old = acc.get(m)
+                if old is not None:
+                    c += old
+                    if not c:
+                        del acc[m]
+                        continue
+                acc[m] = c
+        if len(acc) > cap:
+            raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
 
 
 # the code of the unit monomial, where _times_generator starts a product
@@ -1152,7 +1161,7 @@ def _substitute_each(polys: Sequence[SuperPoly], ctx_out: Context,
                     # a new lcm: the numerators so far move up to it
                     up = d // gcd(den, d)
                     den, acc = den * up, {m: v * up for m, v in acc.items()}
-                _mac(ctx_out, head.nums, ((acc, c * (den // d), last.nums.items()),))
+                _mac(ctx_out, head.nums, acc, c * (den // d), last.nums.items())
         out.append(SuperPoly._reduced(ctx_out, acc, den * poly.den))
     return tuple(out)
 
@@ -1161,63 +1170,93 @@ def dot_row(ctx: Context, row: Sequence[SuperPoly],
             grid: Sequence[Sequence[SuperPoly]]) -> tuple[SuperPoly, ...]:
     """The row of sums (sum_j row[j] * grid[j][k])_k, one per column of grid.
 
-    The context of every left factor and grid entry is checked first, so
-    ContextMismatch comes before any product.  Column k then accumulates
-    every product row[j] * grid[j][k] into one map of int numerators,
-    over the lcm of the denominators of the products it has taken so
-    far: a product whose a.den * b.den does not divide it raises it to
-    their lcm and scales the column's numerators up once.  Each column is
-    reduced once at the end.  Each left factor row[j] runs through _mac
-    once for all the columns, so each of its terms is set up once per row
-    rather than once per entry.  A zero left factor or grid entry adds
-    nothing and takes no part in the denominators.  An empty grid gives
-    an empty row.
+    The context of every grid entry and left factor is checked first, so
+    ContextMismatch comes before any product.  Each row of grid is
+    packed into one map (_pack), so each left factor row[j] meets the
+    whole of grid[j] in one _mac call, and the sums accumulate into one
+    packed row (_packed_dot), which _split reads back as the entries,
+    each reduced once and held to MAX_TERMS.  An empty grid gives an
+    empty row.
     """
-    for a, right in zip(row, grid):
-        if a.ctx is not ctx and right:
-            raise ContextMismatch("operands live in different contexts")
-        for b in right:
-            if b.ctx is not ctx:
-                raise ContextMismatch("operands live in different contexts")
     width = len(grid[0]) if grid else 0
-    accs = [{} for _ in range(width)]
-    dens = [1] * width
-    for a, right in zip(row, grid):
-        if a.nums:
-            da = a.den
-            cols = []
-            for k, b in enumerate(right):
-                if b.nums:
-                    d = da * b.den
-                    den = dens[k]
-                    if den % d:
-                        up = d // gcd(den, d)
-                        den = dens[k] = den * up
-                        accs[k] = {m: v * up for m, v in accs[k].items()}
-                    cols.append((accs[k], den // d, b.nums.items()))
-            _mac(ctx, a.nums, cols)
-    zero = SuperPoly.zero(ctx)
-    return tuple(SuperPoly._reduced(ctx, acc, den) if acc else zero
-                 for acc, den in zip(accs, dens))
+    rows = [_pack(ctx, r) for r in grid]
+    return _split(ctx, (_packed_dot(ctx, row, rows, width),), width)
 
 
-def _disjoint_sum(ctx: Context, polys: Sequence[SuperPoly]) -> SuperPoly:
-    """The sum of polys over ctx, which share no monomial: their
-    numerators over the lcm of their denominators.  Raises LimitExceeded
-    past MAX_TERMS terms, as a product does.
-
-    The sum is canonical with no reduction: each prime q divides the lcm
-    exactly as often as it divides some p.den, and p's numerators, which
-    are not all multiples of q, are scaled by a factor prime to q."""
-    den = lcm(*[p.den for p in polys])
+def _pack(ctx: Context, row: Sequence[SuperPoly]):
+    """A row of polynomials over ctx as one packed row: the numerators of
+    its entries over the lcm of their denominators in one map, entry k's
+    code m keyed m << w | k with w = (len(row) - 1).bit_length(), so
+    keys of different entries never meet.  The pair (map, den), or None
+    when every entry is zero; a row of one entry (w = 0) is its own map,
+    with no copy.  ContextMismatch for an entry over another context."""
+    den = 1
+    for b in row:
+        if b.ctx is not ctx:
+            raise ContextMismatch("operands live in different contexts")
+        if den % b.den:
+            den = lcm(den, b.den)
+    w = (len(row) - 1).bit_length()
+    if not w:
+        return (row[0].nums, den) if row[0].nums else None
     nums = {}
-    for p in polys:
-        up = den // p.den
-        for m, v in p.nums.items():
-            nums[m] = v * up
-    if len(nums) > MAX_TERMS:
-        raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
-    return SuperPoly._raw(ctx, nums, den)
+    for k, b in enumerate(row):
+        if b.nums:
+            up = den // b.den
+            for m, v in b.nums.items():
+                nums[m << w | k] = v * up
+    return (nums, den) if nums else None
+
+
+def _packed_dot(ctx: Context, row: Sequence[SuperPoly], rows, width: int):
+    """The packed row sum_j row[j] * rows[j] for packed rows of width
+    entries (see _pack), or None when it is zero.  The context of every
+    left factor is checked first.  The sum is one map over the running
+    lcm of its products' denominators: a product whose a.den * den_j
+    does not divide it raises it to their lcm and scales the map up
+    once.  A zero factor or row adds nothing."""
+    for a, _ in zip(row, rows):
+        if a.ctx is not ctx:
+            raise ContextMismatch("operands live in different contexts")
+    w = (width - 1).bit_length()
+    acc: dict[int, int] = {}
+    den = 1
+    for a, packed in zip(row, rows):
+        if a.nums and packed:
+            right, d = packed
+            d *= a.den
+            if den % d:
+                up = d // gcd(den, d)
+                den, acc = den * up, {m: v * up for m, v in acc.items()}
+            _mac(ctx, a.nums, acc, den // d, right.items(), w)
+    return (acc, den) if acc else None
+
+
+def _split(ctx: Context, rows, width: int) -> tuple[SuperPoly, ...]:
+    """The entries of the sum of packed rows of width entries that share
+    no key, such as the parts of one row by odd degree: their maps over
+    the lcm of their denominators, each entry reduced once.  Raises
+    LimitExceeded for an entry of more than MAX_TERMS terms, as a
+    product does."""
+    w = (width - 1).bit_length()
+    low = (1 << w) - 1
+    rows = [r for r in rows if r]
+    den = lcm(*[d for _, d in rows])
+    if w or len(rows) > 1:
+        entries = [{} for _ in range(width)]
+        for nums, d in rows:
+            up = den // d
+            for key, v in nums.items():
+                entries[key & low][key >> w] = v * up
+    else:
+        # one column and at most one row: its map is the entry's
+        entries = [rows[0][0] if rows else {}]
+    out = []
+    for nums in entries:
+        if len(nums) > MAX_TERMS:
+            raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
+        out.append(SuperPoly._reduced(ctx, nums, den))
+    return tuple(out)
 
 
 # The two constants of _kronecker_image's rule: an odd-free grid of at

@@ -536,7 +536,7 @@ def reference_dot(ctx, pairs):
             den = den // gcd(den, d) * d
     acc: dict[int, int] = {}
     for a, b in pairs:
-        _mac(ctx, a.nums, ((acc, den // (a.den * b.den), b.nums.items()),))
+        _mac(ctx, a.nums, acc, den // (a.den * b.den), b.nums.items())
     return SuperPoly._reduced(ctx, acc, den)
 
 

@@ -152,7 +152,10 @@ def test_a_dense_4x4_inverse_shares_its_minors(monkeypatch):
 def test_a_dense_4x4_constant_inverse_shares_its_minors(monkeypatch):
     # a constant body expands over its rationals with no polynomial
     # product; n^2 separate expansions take 16 * 13 _minor steps on top
-    # of the 33 of the determinant, 241 in all, and the shared memo 113
+    # of the 33 of the determinant, 241 in all.  The shared memo computes
+    # 43 minors, and since it is read before each recursive call, the
+    # only other steps are the 4 cofactors the determinant already took:
+    # 47 in all
     steps, products = [], []
     minor, mul = M._minor, SuperPoly.__mul__
 

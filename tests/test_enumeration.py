@@ -14,12 +14,24 @@ transposition per inversion, so the product is (-1)^inversions
 theta_(K + L).  Nothing here uses _SWAP_PARITY, _odd_word or any other
 sign code of the package.  The left factors carry 1/2 and the grid 1/3,
 so every column also runs dot_row's common denominator.
+
+A sum of products packs each row of its grid into one map, keyed by
+code << w | k for column k and w = (width - 1).bit_length().  The second
+half sends dot_row and _gmul over grids of width 1, 2, 3, 5, 8 and 9
+(w = 0 to 4; 3, 5 and 9 are one past a power of two, where a w one bit
+short would let the last column bleed into the code) and over a context
+with even generators too, against the same model, with exponents added
+generator by generator.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from supergeom import Context, Monomial, SuperPoly
+from supergeom.matrix import _gmul
 from supergeom.poly import dot_row
 
 Q = 6
@@ -56,3 +68,50 @@ def test_every_basis_pair_matches_the_inversion_count():
             if {mono.mask: c for mono, c in p.terms.items()} != want:
                 wrong.append((word(k), word(l)))
     assert not wrong, f"{len(wrong)} wrong products theta_K * theta_L, (K, L) first: {wrong[:5]}"
+
+
+MIXED = Context(even=["x", "y"], odd=[f"theta{i}" for i in range(1, 5)])
+WIDTHS = [1, 2, 3, 5, 8, 9]
+
+
+def model_dot(row, col):
+    """{Monomial: coefficient} of sum_j row[j] * col[j], term by term."""
+    out = {}
+    for a, b in zip(row, col):
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                for mask, sign in model_product(m1.mask, m2.mask).items():
+                    even = dict(m1.even)
+                    for i, e in m2.even:
+                        even[i] = even.get(i, 0) + e
+                    mono = Monomial(sorted(even.items()), mask)
+                    out[mono] = out.get(mono, 0) + sign * c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+def random_entry(rng, ctx):
+    """Zero one time in five, else up to four terms drawn from a few
+    monomials, so the sums meet and cancel, over denominators 1..5."""
+    if not rng.randrange(5):
+        return SuperPoly.zero(ctx)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        even = [(i, e) for i in range(len(ctx.even)) if (e := rng.randint(0, 2))]
+        mono = Monomial(even, rng.randrange(1 << len(ctx.odd)))
+        terms[mono] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
+    return SuperPoly(ctx, terms)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_packed_rows_keep_their_columns_apart(width):
+    rng = random.Random(1900 + width)
+    for ctx in (GR6, MIXED):
+        for _ in range(4):
+            a = [[random_entry(rng, ctx) for _ in range(3)] for _ in range(2)]
+            b = [[random_entry(rng, ctx) for _ in range(width)] for _ in range(3)]
+            got = _gmul(ctx, a, b)
+            assert [len(row) for row in got] == [width, width]
+            for row, out in zip(a, got):
+                for k, p in enumerate(out):
+                    assert dict(p.terms) == model_dot(row, [r[k] for r in b])
+            assert dot_row(ctx, a[1], b) == got[1]

@@ -30,7 +30,8 @@ from supergeom import (
     normalize_odd_word,
 )
 from supergeom.groups import product_context
-from supergeom.poly import _FIELD_BITS, MAX_FIELD_EXPONENT, decode, encode
+from supergeom.matrix import _gmul
+from supergeom.poly import _FIELD_BITS, MAX_FIELD_EXPONENT, decode, dot_row, encode
 
 SMALL = Context(even=["x", "y", "z"], odd=["a", "b"])
 WIDE = Context(even=[f"x{i}" for i in range(70)], odd=["a", "b", "c"])
@@ -286,10 +287,28 @@ def test_top_field_overflow_beside_the_mask_raises(p, q):
         one_column(ctx, [(th, th), (full, ctx.var(name) + 1)])
 
 
+@pytest.mark.parametrize("width", [2, 3, 5, 8, 9])
+def test_an_overflow_in_a_packed_row_names_its_generator(width):
+    """A packed row shifts each code by w bits (see poly._pack), and so
+    the guard bits; the overflow still names the generator that passed
+    MAX_FIELD_EXPONENT, whichever column the product lands in."""
+    ctx = ctx_of(3, 2)
+    for i, name in enumerate(ctx.even):
+        full = SuperPoly(ctx, {Monomial(((i, MAX_FIELD_EXPONENT),), 0b1): 1})
+        row = [ctx.zero()] * (width - 1) + [ctx.var(name) * ctx.var(ctx.odd[1])]
+        with pytest.raises(LimitExceeded, match=f"^exponent of {name} is above"):
+            dot_row(ctx, [full], [row])
+        with pytest.raises(LimitExceeded, match=f"^exponent of {name} is above"):
+            _gmul(ctx, ((ctx.one(),), (full,)), (tuple(row),))
+
+
 @pytest.mark.parametrize("p, q", [(3, 6), (2, 6)], ids=str)
 def test_low_degree_codes_hash_apart(p, q):
     """Every monomial of total degree <= 8 has its own int hash.  At 3|6
-    the mask starts at bit 72, which the hash folds onto bit 11."""
+    the mask starts at bit 72, which the hash folds onto bit 11.  So do
+    the keys code << w | k of a packed row of up to 2^w entries (see
+    poly._pack) for w up to 4, a row of 16 entries: the shift moves each
+    field w bits up, and so where the hash folds it."""
     ctx = ctx_of(p, q)
     codes = set()
     for k in range(q + 1):
@@ -299,7 +318,10 @@ def test_low_degree_codes_hash_apart(p, q):
                     pairs = [(i, e) for i, e in enumerate(exps) if e]
                     codes.add(encode(ctx, Monomial(pairs, word_mask(word))))
     assert len(codes) > 1000
-    assert len({hash(c) for c in codes}) == len(codes)
+    for w in range(5):
+        keys = {c << w | k for c in codes for k in range(1 << w)}
+        assert len(keys) == len(codes) << w
+        assert len({hash(key) for key in keys}) == len(keys)
 
 
 @pytest.mark.parametrize("p, q", [(0, 6), (3, 6), (70, 3)], ids=str)

@@ -158,15 +158,16 @@ def test_the_textbook_unipotent_block_with_odd_corners():
 
 @pytest.fixture
 def gmul_calls(monkeypatch):
-    """The left factor of every _gmul call."""
+    """The left factor of every grid product over packed rows, the form
+    the series keeps each Y_d in."""
     calls = []
-    real = M._gmul
+    real = M._gmul_packed
 
-    def counted(ctx, a, b):
+    def counted(ctx, a, rows, width):
         calls.append(a)
-        return real(ctx, a, b)
+        return real(ctx, a, rows, width)
 
-    monkeypatch.setattr(M, "_gmul", counted)
+    monkeypatch.setattr(M, "_gmul_packed", counted)
     return calls
 
 
