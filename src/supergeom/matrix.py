@@ -37,8 +37,8 @@ from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _image_dot,
 # Largest n for which _minors expands an n x n grid.  A determinant fills
 # its (row set, column set) memo with one minor per row set, 2^n of them: on
 # grids of dense linear entries in three variables (perfbench
-# corpus.linear_matrix) _det takes 0.04 s of CPU at 10 x 10, 0.11 s at
-# 11 x 11 and 0.32-0.34 s at 12 x 12 on a shared 2-vCPU host under Python
+# corpus.linear_matrix) _det takes 0.03 s of CPU at 10 x 10, 0.09 s at
+# 11 x 11 and 0.24-0.28 s at 12 x 12 on a shared 2-vCPU host under Python
 # 3.11, all three over the image of poly._kronecker_image; the polynomial
 # expansion of the same grids takes 0.28, 0.84-0.95 and 2.5-2.9 s.
 # Outside the cap tests, the largest determinant in the demos, tests and

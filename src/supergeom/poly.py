@@ -113,17 +113,21 @@ Fractions for a constant body, which SuperPoly._body_value reads in one
 pass with no polynomial built: one * and one + a term.  And over the
 ints of the Kronecker image (Kronecker 1882; Harvey, J. Symbolic Comput.
 44, 2009) of an odd-free grid of matrix._det: _kronecker_image evaluates
-each entry at t_i = 2^(b s_i), slot widths and strides read from the
-exponent fields of the grid's codes and sized by a Goldstein-Graham
-bound, so the int determinant holds each coefficient of the polynomial
-one as a digit, and its unpack reads back the slots of total degree at
-most the grid's bound D, the only ones that can hold one.  An image
-entry has a few nonzero slots in a wide int, so each nonzero entry is
-the tuple of its (coefficient, shift) pairs, and the entries of a column
-share a few shifts: _image_dot sums the coefficients times the minors
-per shift and shifts each sum once.  A rule read in the same pass over
-the codes keeps the image to grids where it measured the faster
-expansion and where the polynomial one would meet no cap.
+each entry at t_i = 2^(b u_i), the slot width b sized by a
+Goldstein-Graham bound and the slot units u_i a linear form read from the
+exponent fields of the grid's codes (_slot_units): over three generators
+it is injective on the exponent vectors of total degree at most the
+grid's bound D, the support of the determinant, not on their whole box
+(Arnold and Roche, ISSAC 2014), so it spans about half the box's slots.
+The int determinant holds each coefficient of the polynomial one as a
+digit, and its unpack reads back the slots of total degree at most D,
+the only ones that can hold one.  An image entry has a few nonzero slots
+in a wide int, so each nonzero entry is the tuple of its (coefficient,
+shift) pairs, and the entries of a column share a few shifts: _image_dot
+sums the coefficients times the minors per shift and shifts each sum
+once.  A rule read in the same pass over the codes keeps the image to
+grids where it measured the faster expansion and where the polynomial
+one would meet no cap.
 """
 
 from __future__ import annotations
@@ -1268,28 +1272,59 @@ _KRONECKER_ROWS = 4
 _KRONECKER_K = 600
 
 
+def _slot_units(box, degree):
+    """(units, span) of a Kronecker image with box d_i and total-degree
+    bound D: the slot index of t^e is sum e_i units[i], distinct for every
+    e of total degree at most D with each e_i <= d_i, and below span.
+
+    The three generators of largest d_i share one digit of span D m + 1
+    under the units (1, a, m), m = C(D + 2, 2) + D mod 2 and
+    a = m - D - D mod 2, where that span is below the product of their
+    radices d_i + 1; each other generator is a mixed-radix digit of radix
+    d_i + 1 above it.  With two generators or fewer holding terms the
+    digit is never narrower, and the index is the mixed radix of the whole
+    box, t_1 the lowest digit.  tests/test_det_image.py proves the digit by
+    enumeration for every D the rule admits.
+    """
+    m = comb(degree + 2, 2) + degree % 2
+    big = sorted(range(len(box)), key=box.__getitem__)[-3:]
+    units = dict(zip(sorted(big), (1, m - degree - degree % 2, m)))
+    span = degree * m + 1
+    if span >= prod([box[i] + 1 for i in big]):
+        units, span = {}, 1
+    for i, d in enumerate(box):
+        if i not in units:
+            units[i] = span
+            span *= d + 1
+    return [units[i] for i in range(len(box))], span
+
+
 def _kronecker_image(ctx: Context, grid):
     """(ints, unpack) for a square grid of odd-free polynomials over ctx,
     such that unpack(d) is the determinant of the grid when d is the
     determinant of the int grid ints; None when the grid fails the rule
     below, and matrix._det keeps the polynomial Laplace expansion.
 
-    The image is the evaluation t_i -> 2^(b s_i), a ring map Z[t] -> Z,
+    The image is the evaluation t_i -> 2^(b u_i), a ring map Z[t] -> Z,
     of the grid with each row scaled to ints by the lcm L_r of its
     denominators: an entry sum c_m t^(e_m) maps to sum c_m 2^(b pos(e_m)),
-    pos the mixed-radix index of the exponent vector e_m with radix
-    d_i + 1, where d_i sums each row's largest degree in t_i and so bounds
-    the degree in t_i of every minor.  Each coefficient of the scaled
-    determinant is at most B = prod_r (sum_j |a_rj|_1^2)^(1/2) in absolute
-    value (Goldstein and Graham, SIAM Review 16, 1974: Hadamard's
-    inequality on the unit torus, then Parseval), and b is the smallest
-    width with B < 2^(b-1), so unpack reads the coefficients back as
-    signed base-2^b digits, over prod_r L_r; only the slots of total
-    degree at most D (below) can hold one, and only they are read.  Each
-    nonzero entry is given as the tuple of pairs (c_m L_r / den,
-    b pos(e_m)) of that sum, which _image_dot multiplies into a minor at
-    the cost of its few terms, not of its width, and a zero entry as the
-    int 0.
+    pos(e) = sum e_i u_i the linear form of _slot_units, with d_i the sum
+    of each row's largest degree in t_i, which bounds the degree in t_i of
+    every minor, and D (below) the bound of its total degree: pos is
+    distinct on every exponent vector a minor can hold, and below the
+    form's span of slots.  Over three generators of d_i = D the span is
+    about half of the box W = prod(d_i + 1), 260 slots against 512 at
+    D = 7, and every image int, minor and unpacked string is as much
+    shorter.  Each coefficient of the scaled determinant is at most
+    B = prod_r (sum_j |a_rj|_1^2)^(1/2) in absolute value (Goldstein and
+    Graham, SIAM Review 16, 1974: Hadamard's inequality on the unit
+    torus, then Parseval), and b is the smallest width with B < 2^(b-1),
+    so unpack reads the coefficients back as signed base-2^b digits, over
+    prod_r L_r; only the slots of total degree at most D can hold one, and
+    only they are read.  Each nonzero entry is given as the tuple of pairs
+    (c_m L_r / den, b pos(e_m)) of that sum, which _image_dot multiplies
+    into a minor at the cost of its few terms, not of its width, and a
+    zero entry as the int 0.
 
     The rule reads one pass over the terms, before anything is packed.
     The grid has at least _KRONECKER_ROWS rows.  No entry has an odd code,
@@ -1301,7 +1336,8 @@ def _kronecker_image(ctx: Context, grid):
     W <= _KRONECKER_K * a^(3/2), a the mean term count of the nonzero
     entries: the box grows as the product of the d_i + 1 while the terms
     do not, and a box of many empty slots over few terms per entry makes
-    the integer expansion the slower one.
+    the integer expansion the slower one.  The rule reads the box W, not
+    the span, as when K was fitted by tests/det_sweep.py.
     """
     if len(grid) < _KRONECKER_ROWS:
         return None
@@ -1340,11 +1376,8 @@ def _kronecker_image(ctx: Context, grid):
             or width * width * nonzero ** 3 > _KRONECKER_K ** 2 * terms ** 3):
         return None
     b = (norm.bit_length() + 1) // 2 + 1
-    steps = []  # the bit shift of one unit of each exponent
-    step = b
-    for r in radix:
-        steps.append(step)
-        step *= r
+    units, span = _slot_units(box, degree)
+    steps = [b * u for u in units]  # the bit shift of one unit of each exponent
     at = {code: sum(map(mul, f, steps)) for code, (f, _) in exps.items()}
     ints = [[tuple([(c * (scale // e.den), at[code]) for code, c in e.nums.items()])
              if e.nums else 0 for e in row] for row, scale in zip(grid, scales)]
@@ -1360,7 +1393,7 @@ def _kronecker_image(ctx: Context, grid):
         # [1, 2^b), at the slot of each coefficient c; the string holds
         # the slots from the last to the first
         half = 1 << b - 1
-        top = b * width
+        top = b * span
         bits = format(v + ((1 << top) - 1) // ((1 << b) - 1) * half, "b").zfill(top)
         zero = format(half, "b")
         nums = {}

@@ -11,6 +11,26 @@ coefficient is the largest digit the slot width allows, of either sign.
 A slot width one bit short, or a radix of d_i in place of d_i + 1, fails
 the last two.
 
+The image's slot index is the linear form of poly._slot_units.  Where
+three generators hold terms and their box is wider than it, they share
+one digit under the units (1, a, m), m = C(D + 2, 2) + D mod 2 and
+a = m - D - D mod 2.  The digit is proved by
+enumeration: distinct on every exponent vector of total degree <= D,
+for every D the term bound admits over three generators, and no wider
+than the box.  The image's own units are read off its shifts on dense
+linear grids over x, y, z at n = 4..8, on a Hadamard grid whose
+coefficient meets the bound, on a four-generator context holding three
+of them and one holding all four, and on a grid whose box is narrower
+than the digit, which keeps the mixed radix.  Each mutant of the form
+collides on the simplex and fails the enumeration, the dense linear
+grids, the four-generator grids and the even_det and Fraction grids at
+the sizes where it collides: the odd term dropped from m and a at odd
+D >= 3 (n = 5, 7), a + 1 at D = 2 and D >= 4, and m - 1 at D >= 2 (every
+n here, and the Hadamard grid too).  The slot width one bit short fails
+the Hadamard grid over x, y, z at +16, besides the XY grids above; the
+radix d_i fails the narrower box and the four-generator grids, whose w
+is a digit above the simplex one.
+
 Each nonzero image entry is a plain tuple of (coefficient, shift)
 pairs, one per term, and a zero entry the int 0: every test that expands
 an image pins that form, since an entry packed back into one int changes
@@ -163,6 +183,120 @@ def test_a_digit_of_the_largest_magnitude_reads_back(diagonal, sign):
     value = sign * diagonal[0] * diagonal[1] * diagonal[2] * diagonal[3]
     assert (abs(value) + 1) & abs(value) == 0
     assert imaged_det(XY, grid) == value * x ** 2 * y ** 2
+
+
+# -- the slot form ---------------------------------------------------------------
+
+
+def simplex_units(d):
+    """The units (1, a, m) of the three-generator digit at total-degree
+    bound d, as the form is stated: m = C(d + 2, 2) + d mod 2 and
+    a = m - d - d mod 2."""
+    m = comb(d + 2, 2) + d % 2
+    return 1, m - d - d % 2, m
+
+
+def image_units(ctx, grid):
+    """Each even generator's slot unit in the image of grid, read off the
+    shifts of its entries' pairs: a term t_i alone sits at b u_i, and
+    every generator has such a term in these grids."""
+    ints, _ = _kronecker_image(ctx, grid)
+    shifts = {}
+    for row, image_row in zip(grid, ints):
+        for p, e in zip(row, image_row):
+            if p.nums:
+                shifts.update(zip(p.nums, [s for _, s in e]))
+    codes = {g: next(iter(ctx.var(g).nums)) for g in ctx.even}
+    units = {g: shifts[code] for g, code in codes.items() if code in shifts}
+    b = min(units.values())
+    return {g: s // b for g, s in units.items()}
+
+
+def test_the_slot_form_is_injective_on_every_simplex_the_rule_admits():
+    # the rule admits three generators up to the largest D with
+    # C(D + 3, 3) <= MAX_TERMS; a box of d_i = D for all three is the
+    # widest, and every smaller box holds a subset of the same simplex
+    top = max(d for d in range(MAX_TERMS) if comb(d + 3, 3) <= MAX_TERMS)
+    assert comb(top + 4, 3) > MAX_TERMS
+    for d in range(top + 1):
+        units, span = poly._slot_units([d, d, d], d)
+        slots = {i * units[0] + j * units[1] + k * units[2]
+                 for k in range(d + 1) for j in range(d + 1 - k) for i in range(d + 1 - k - j)}
+        assert len(slots) == comb(d + 3, 3)
+        assert max(slots) < span <= (d + 1) ** 3
+        if d:
+            assert (tuple(units), span) == (simplex_units(d), d * simplex_units(d)[2] + 1)
+    # 111, 169 and 260 slots against boxes of 216, 343 and 512
+    assert [poly._slot_units([d] * 3, d)[1] for d in (5, 6, 7)] == [111, 169, 260]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_dense_linear_xyz_grids_take_the_simplex_digit(n):
+    # linear entries in x, y and z: d_i = D = n, odd and even, and the
+    # determinant holds every monomial of total degree <= n
+    grid = linear_grid(random.Random(3300 + n), XYZ, n, small_int)
+    assert image_units(XYZ, grid) == dict(zip("xyz", simplex_units(n)))
+    det = imaged_det(XYZ, grid)
+    assert det == polynomial_det(XYZ, grid) and len(det.nums) == comb(n + 3, 3)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_hadamard_columns_of_x_y_z_meet_the_bound_on_the_simplex_digit(sign):
+    # column j of a 4 x 4 Hadamard matrix times x, y, z, x: every row holds
+    # each generator to degree 1, so d_i = D = 4 and the image takes the
+    # simplex digit, and each row's bound is 2, so the one coefficient
+    # det H = +-16 is the bound B itself, a power of 2 (an 8 x 8 one has
+    # a box of 729 slots over one term an entry, which the rule refuses)
+    n = 4
+    gens = [XYZ.var(g) for g in "xyz"]
+    h = hadamard(n)
+    h[0] = [sign * c for c in h[0]]
+    det_h = _minors(h, 1, partial(_chain, 0))((1 << 2 * n) - 1)
+    assert det_h * det_h == n ** n
+    grid = [[gens[j % 3] * c for j, c in enumerate(row)] for row in h]
+    assert image_units(XYZ, grid) == dict(zip("xyz", simplex_units(n)))
+    assert imaged_det(XYZ, grid) == det_h * prod(gens[j % 3] for j in range(n))
+
+
+@pytest.mark.parametrize("n", [4, 6, 7])
+def test_a_four_generator_context_holding_three(n):
+    # w holds no term: its unit lies above the digit, over a radix of 1
+    ctx = Context(even=["w", "x", "y", "z"])
+    x, y, z = (ctx.var(g) for g in "xyz")
+    rng = random.Random(3310 + n)
+    grid = [[x * small_int(rng) + y * small_int(rng) + z * small_int(rng) + small_int(rng)
+             for _ in range(n)] for _ in range(n)]
+    digit = n * simplex_units(n)[2] + 1
+    assert poly._slot_units([0, n, n, n], n) == ([digit, *simplex_units(n)], digit)
+    assert image_units(ctx, grid) == dict(zip("xyz", simplex_units(n)))
+    assert imaged_det(ctx, grid) == polynomial_det(ctx, grid)
+
+
+def test_a_fourth_generator_is_a_digit_above_the_simplex():
+    # w in one row only: d = (1, 5, 5, 5), the three largest share the
+    # digit of 111 slots and w is a digit of radix 2 above it
+    ctx = Context(even=["w", "x", "y", "z"])
+    x, y, z = (ctx.var(g) for g in "xyz")
+    rng = random.Random(3320)
+    grid = [[x * small_int(rng) + y * small_int(rng) + z * small_int(rng) + small_int(rng)
+             for _ in range(5)] for _ in range(5)]
+    grid[2][3] = grid[2][3] + ctx.var("w") * 2 + x
+    assert image_units(ctx, grid) == {"w": 111, "x": 1, "y": 16, "z": 22}
+    assert poly._slot_units([1, 5, 5, 5], 5)[1] == 222
+    assert imaged_det(ctx, grid) == polynomial_det(ctx, grid)
+
+
+def test_a_box_narrower_than_the_digit_keeps_the_mixed_radix():
+    # x in every row, y and z in one row each: d = (5, 1, 1) and D = 5,
+    # a box of 24 slots against the digit's 111
+    rng = random.Random(3330)
+    x, y, z = (XYZ.var(g) for g in "xyz")
+    grid = [[x * small_int(rng) + small_int(rng) for _ in range(5)] for _ in range(5)]
+    grid[0][1] = grid[0][1] + y
+    grid[3][4] = grid[3][4] - z * 3
+    assert poly._slot_units([5, 1, 1], 5) == ([1, 6, 12], 24)
+    assert image_units(XYZ, grid) == {"x": 1, "y": 6, "z": 12}
+    assert imaged_det(XYZ, grid) == polynomial_det(XYZ, grid)
 
 
 # -- the image entries ---------------------------------------------------------
