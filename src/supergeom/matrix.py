@@ -32,7 +32,7 @@ from .errors import (
     ParityError,
 )
 from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _image_dot,
-                   _kronecker_image, _pack, _packed_dot, _split, dot_row)
+                   _kronecker_image, _pack, _packed_dot, _split)
 
 # Largest n for which _minors expands an n x n grid.  A determinant fills
 # its (row set, column set) memo with one minor per row set, 2^n of them: on
@@ -287,18 +287,15 @@ def _grid_inverse(ctx, grid, label):
 def _schur(ctx, a, b, c, d, label):
     """(d^{-1}, b d^{-1}, a - b d^{-1} c) for the block grid [[a, b], [c, d]].
 
-    Row i of the complement is one dot_row of (1, (b d^{-1})_i) against
-    the rows (a_i, -c), with c negated once.  An empty d leaves a
-    unchanged: a product through a zero inner dimension would otherwise
-    lose the width of a."""
+    The complement is one grid product [1 | b d^{-1}] [a; -c], its right
+    grid packed once.  An empty d leaves a unchanged: a product through a
+    zero inner dimension would otherwise lose the width of a."""
     if not d:
         return d, b, a
     dinv = _grid_inverse(ctx, d, label)
     bdinv = _gmul(ctx, b, dinv)
-    one = (SuperPoly.scalar(ctx, 1),)
-    neg_c = _gneg(c)
-    return dinv, bdinv, tuple(
-        dot_row(ctx, one + row, (top,) + neg_c) for top, row in zip(a, bdinv))
+    left = tuple(e + row for e, row in zip(_gid(ctx, len(a)), bdinv))
+    return dinv, bdinv, _gmul(ctx, left, a + _gneg(c))
 
 
 class SuperMatrix:

@@ -101,9 +101,10 @@ odd-degree part Y_d of an inverse as packed rows, the right factor of
 both its products, on the parts that SuperPoly.odd_degree_parts splits
 off, and splits the rows of all the Y_d, which share no monomial, once
 at the end.
-A row of a Schur complement (matrix._schur), the residual of a bracket
-in distribution.involutive and a whole derivation bracket are one
-dot_row each, with the subtracted terms weighted by negated factors; a
+A Schur complement (matrix._schur) is one matrix._gmul of
+[1 | b d^-1] by [a; -c].  The residual of a bracket in
+distribution.involutive and a whole derivation bracket are one dot_row
+each, with the subtracted terms weighted by negated factors; a
 derivation applied to one polynomial or to all the images of a map
 (apply, livf, is_left_invariant) is one dot_row too.  The Laplace
 expansion of matrix._minors sums outside dot_row, with a column sum that
@@ -1264,8 +1265,8 @@ def _split(ctx: Context, rows, width: int) -> tuple[SuperPoly, ...]:
 
 
 # The two constants of _kronecker_image's rule: an odd-free grid of at
-# least _KRONECKER_ROWS rows goes to the integers while its box of
-# W = prod(d_i + 1) slots is at most _KRONECKER_K * a^(3/2), a the mean
+# least _KRONECKER_ROWS rows goes to the integers while the span of its
+# slot form (_slot_units) is at most _KRONECKER_K * a^(3/2), a the mean
 # term count of its nonzero entries.  tests/det_sweep.py times both
 # expansions on seeded grids and refits K.
 _KRONECKER_ROWS = 4
@@ -1332,12 +1333,11 @@ def _kronecker_image(ctx: Context, grid):
     MAX_TERMS, D the sum of each row's largest total degree: every minor
     then has at most that many terms, and every d_i <= D < MAX_TERMS is
     below MAX_FIELD_EXPONENT, so the image is taken only where the
-    polynomial expansion would meet neither cap.  And
-    W <= _KRONECKER_K * a^(3/2), a the mean term count of the nonzero
-    entries: the box grows as the product of the d_i + 1 while the terms
-    do not, and a box of many empty slots over few terms per entry makes
-    the integer expansion the slower one.  The rule reads the box W, not
-    the span, as when K was fitted by tests/det_sweep.py.
+    polynomial expansion would meet neither cap.  And the form's span is
+    at most _KRONECKER_K * a^(3/2), a the mean term count of the nonzero
+    entries: the span grows with the d_i while the terms do not, and many
+    empty slots over few terms per entry make the integer expansion the
+    slower one.
     """
     if len(grid) < _KRONECKER_ROWS:
         return None
@@ -1370,13 +1370,11 @@ def _kronecker_image(ctx: Context, grid):
         scales.append(scale)
         norm *= sum((s * (scale // d)) ** 2 for s, d in sizes)
     box = [sum(col) for col in zip(*tops)]  # the d_i
-    radix = [d + 1 for d in box]
-    width = prod(radix)
+    units, span = _slot_units(box, degree)
     if (comb(degree + len(box), len(box)) > MAX_TERMS
-            or width * width * nonzero ** 3 > _KRONECKER_K ** 2 * terms ** 3):
+            or span * span * nonzero ** 3 > _KRONECKER_K ** 2 * terms ** 3):
         return None
     b = (norm.bit_length() + 1) // 2 + 1
-    units, span = _slot_units(box, degree)
     steps = [b * u for u in units]  # the bit shift of one unit of each exponent
     at = {code: sum(map(mul, f, steps)) for code, (f, _) in exps.items()}
     ints = [[tuple([(c * (scale // e.den), at[code]) for code, c in e.nums.items()])
@@ -1384,8 +1382,8 @@ def _kronecker_image(ctx: Context, grid):
     # (code, shift) of each slot of total degree <= D, the exponent of t_1
     # running fastest: only these can hold a coefficient
     slots = [(0, 0, 0)]
-    for i, r, step in zip(fields, radix, steps):
-        slots = [(code | e << i, shift + e * step, total + e) for e in range(r)
+    for i, d, step in zip(fields, box, steps):
+        slots = [(code | e << i, shift + e * step, total + e) for e in range(d + 1)
                  for code, shift, total in slots if total + e <= degree]
 
     def unpack(v):

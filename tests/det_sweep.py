@@ -2,19 +2,20 @@
 grids, and refit the constant K of poly._kronecker_image's rule.
 
 For each grid it prints p (even generators), n (rows), a (the mean term
-count of the nonzero entries), W (the image's box of slots,
-prod(d_i + 1)), C(D + p, p) (the monomials of total degree <= D), the
-milliseconds of the polynomial Laplace expansion and of the same
-expansion over the int image (each the best of a few runs, the image's
-with its packing and unpacking), and the path the rule takes.  The grids
-are dense (every monomial up to a degree) and sparse (half the entries
-zero, the rest one or two monomials of degree <= 3), with Fraction
-coefficients, and dense linear with small int coefficients, over
-p = 1..6 and n = 3..10; sizes whose polynomial
+count of the nonzero entries), the span of the image's slots (the slot
+form of poly._slot_units, which the rule reads), C(D + p, p) (the
+monomials of total degree <= D), the milliseconds of the polynomial
+Laplace expansion and of the same expansion over the int image (each the
+best of a few runs, the image's with its packing and unpacking), and the
+path the rule takes.  The grids are dense (every monomial up to a
+degree) and sparse (half the entries zero, the rest one or two monomials
+of degree <= 3), with Fraction coefficients, and dense linear with small
+int coefficients, over p = 1..6 and n = 3..10; sizes whose polynomial
 expansion would take seconds are left out, and "-" marks an image left
-untimed because its box is too wide.  Both values are compared.
+untimed because its span is too wide.  Both values are compared.
 
 It then totals the time of the path each K in CANDIDATES would choose,
+asking poly._kronecker_image itself with its K set to each candidate,
 with the slowest grid against its faster path (all grids, and those
 whose faster path takes 1 ms or more, where the fixed cost of packing
 no longer decides), and prints the K of least total.  pytest does not
@@ -27,10 +28,11 @@ small grids.  Run it as:
 import random
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import comb, prod
+from math import comb
 
 from supergeom import Context, Monomial, SuperPoly, poly
 from supergeom.matrix import _chain, _det, _minors
@@ -41,8 +43,8 @@ DENSE_N = {1: 10, 2: 10, 3: 9, 4: 7, 5: 6, 6: 6}
 SPARSE_N = {1: 10, 2: 10, 3: 10, 4: 9, 5: 8, 6: 8}
 # grids of each kind and size
 SEEDS = 2
-# widest box whose image is timed
-MAX_W = 40_000
+# widest span whose image is timed
+MAX_SPAN = 40_000
 CANDIDATES = (25, 50, 75, 100, 125, 150, 175, 200, 250, 300, 400, 600, 1000)
 
 
@@ -101,7 +103,7 @@ def grids(ps=range(1, 7), ns=range(3, 11)):
 
 
 def shape(grid):
-    """(a, W, C(D + p, p)) of a grid, from its public terms."""
+    """(a, span, C(D + p, p)) of a grid, from its public terms."""
     entries = [e for row in grid for e in row if e]
     a = sum(len(e.terms) for e in entries) / max(len(entries), 1)
     p = len(grid[0][0].ctx.even)
@@ -117,7 +119,7 @@ def shape(grid):
                 top = max(top, mono.even_degree)
         box = [b + t for b, t in zip(box, tops)]
         total += top
-    return a, prod(d + 1 for d in box), comb(total + p, p)
+    return a, poly._slot_units(box, total)[1], comb(total + p, p)
 
 
 def best_ms(fn):
@@ -136,45 +138,61 @@ def polynomial_det(ctx, grid):
     return _minors(grid, ctx.one(), partial(_chain, ctx.zero()))(full)
 
 
-def forced_image_det(ctx, grid):
-    """_det with the rule's K and row count set aside: the image of every
-    grid that fits the caps."""
+@contextmanager
+def rule(k, rows):
+    """poly._kronecker_image's rule with its K and row count set to k and
+    rows."""
     saved = poly._KRONECKER_K, poly._KRONECKER_ROWS
-    poly._KRONECKER_K, poly._KRONECKER_ROWS = float("inf"), 0
+    poly._KRONECKER_K, poly._KRONECKER_ROWS = k, rows
     try:
-        return _det(ctx, grid)
+        yield
     finally:
         poly._KRONECKER_K, poly._KRONECKER_ROWS = saved
 
 
+def forced_image_det(ctx, grid):
+    """_det with the rule's K and row count set aside: the image of every
+    grid that fits the caps."""
+    with rule(float("inf"), 0):
+        return _det(ctx, grid)
+
+
+def taken_at(ctx, grid):
+    """The K in CANDIDATES for which poly._kronecker_image takes grid."""
+    taken = set()
+    for k in CANDIDATES:
+        with rule(k, poly._KRONECKER_ROWS):
+            if poly._kronecker_image(ctx, grid) is not None:
+                taken.add(k)
+    return taken
+
+
 def main():
     rows = []
-    print(f"{'kind':7} {'p':>2} {'n':>3} {'a':>6} {'W':>7} {'C(D+p,p)':>9} "
+    print(f"{'kind':7} {'p':>2} {'n':>3} {'a':>6} {'span':>7} {'C(D+p,p)':>9} "
           f"{'poly ms':>9} {'image ms':>9}  rule")
     for kind, ctx, grid in grids():
-        a, w, c = shape(grid)
+        a, span, c = shape(grid)
         by_poly, poly_ms = best_ms(lambda: polynomial_det(ctx, grid))
         image_ms = None
-        if w <= MAX_W and c <= poly.MAX_TERMS:
+        if span <= MAX_SPAN and c <= poly.MAX_TERMS:
             by_image, image_ms = best_ms(lambda: forced_image_det(ctx, grid))
             if by_image != by_poly:
                 sys.exit(f"values differ: {kind} p={len(ctx.even)} n={len(grid)}")
         choice = "image" if poly._kronecker_image(ctx, grid) else "poly"
-        rows.append((len(grid), a, w, c, poly_ms, image_ms))
+        rows.append((taken_at(ctx, grid), poly_ms, image_ms))
         shown = f"{image_ms:9.2f}" if image_ms is not None else f"{'-':>9}"
-        print(f"{kind:7} {len(ctx.even):2} {len(grid):3} {a:6.2f} {w:7} {c:9} "
+        print(f"{kind:7} {len(ctx.even):2} {len(grid):3} {a:6.2f} {span:7} {c:9} "
               f"{poly_ms:9.2f} {shown}  {choice}", flush=True)
 
     def faster(r):
-        return min(r[4], r[5]) if r[5] is not None else r[4]
+        return min(r[1], r[2]) if r[2] is not None else r[1]
 
     def taken(r, k):
-        n, a, w, c, poly_ms, image_ms = r
-        image = (n >= poly._KRONECKER_ROWS and c <= poly.MAX_TERMS
-                 and w * w <= k * k * a ** 3 and image_ms is not None)
-        return image_ms if image else poly_ms
+        ks, poly_ms, image_ms = r
+        return image_ms if k in ks and image_ms is not None else poly_ms
 
-    print(f"\n{len(rows)} grids: {sum(r[4] for r in rows):.0f} ms on the polynomial "
+    print(f"\n{len(rows)} grids: {sum(r[1] for r in rows):.0f} ms on the polynomial "
           f"path alone, {sum(map(faster, rows)):.0f} ms on the faster path of each")
     totals = {}
     for k in CANDIDATES:

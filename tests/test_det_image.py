@@ -4,7 +4,7 @@ matrix._det expands a grid that poly._kronecker_image takes over its int
 image and reads the determinant back; every other grid over its
 polynomials.  The values here are compared with _minors over the
 polynomials themselves, on seeded grids: Fraction entries, a zero row, a
-zero determinant, constants (one slot, W = 1), univariate entries of
+zero determinant, constants (one slot), univariate entries of
 degree 10, Hadamard matrices times one common monomial, where the
 coefficient bound holds with equality, and diagonal grids whose one
 coefficient is the largest digit the slot width allows, of either sign.
@@ -45,7 +45,11 @@ the sweep's forced image stays in working order.
 
 Then both sides of the rule are pinned on named grids, and the order of
 its checks: the odd-part test stops at the first entry with an odd code,
-and the rule is decided before any entry is packed.
+and the rule is decided before any entry is packed.  The rule reads the
+span of the slot form, not the box W = prod(d_i + 1): the sweep's dense
+linear grids over five variables, 6 x 6 Fraction and 5 x 5 int ones, and
+the 8 x 8 Hadamard grid over x, y, z take the image by their span, where
+their box is past K a^(3/2), so a rule reading W again fails them.
 """
 
 import random
@@ -242,20 +246,20 @@ def test_dense_linear_xyz_grids_take_the_simplex_digit(n):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_hadamard_columns_of_x_y_z_meet_the_bound_on_the_simplex_digit(sign):
-    # column j of a 4 x 4 Hadamard matrix times x, y, z, x: every row holds
-    # each generator to degree 1, so d_i = D = 4 and the image takes the
-    # simplex digit, and each row's bound is 2, so the one coefficient
-    # det H = +-16 is the bound B itself, a power of 2 (an 8 x 8 one has
-    # a box of 729 slots over one term an entry, which the rule refuses)
-    n = 4
+    # column j of an n x n Hadamard matrix times x, y, z, x, ...: every row
+    # holds each generator to degree 1, so d_i = D = n and the image takes
+    # the simplex digit, and each row's bound is n^(1/2), so the one
+    # coefficient det H = +-n^(n/2), +-16 at n = 4 and +-4096 at n = 8, is
+    # the bound B itself, a power of 2
     gens = [XYZ.var(g) for g in "xyz"]
-    h = hadamard(n)
-    h[0] = [sign * c for c in h[0]]
-    det_h = _minors(h, 1, partial(_chain, 0))((1 << 2 * n) - 1)
-    assert det_h * det_h == n ** n
-    grid = [[gens[j % 3] * c for j, c in enumerate(row)] for row in h]
-    assert image_units(XYZ, grid) == dict(zip("xyz", simplex_units(n)))
-    assert imaged_det(XYZ, grid) == det_h * prod(gens[j % 3] for j in range(n))
+    for n in (4, 8):
+        h = hadamard(n)
+        h[0] = [sign * c for c in h[0]]
+        det_h = _minors(h, 1, partial(_chain, 0))((1 << 2 * n) - 1)
+        assert det_h * det_h == n ** n
+        grid = [[gens[j % 3] * c for j, c in enumerate(row)] for row in h]
+        assert image_units(XYZ, grid) == dict(zip("xyz", simplex_units(n)))
+        assert imaged_det(XYZ, grid) == det_h * prod(gens[j % 3] for j in range(n))
 
 
 @pytest.mark.parametrize("n", [4, 6, 7])
@@ -383,6 +387,21 @@ def test_even_det_grids_take_the_image(n):
         assert imaged_det(XYZ, grid) == polynomial_det(XYZ, grid)
 
 
+@pytest.mark.parametrize("kind, n", [("dense1", 6), ("ints1", 5)])
+def test_five_variable_sweep_grids_take_the_image_by_their_span(kind, n):
+    # dense linear grids over five variables: d_i = D = n, so three of them
+    # share the simplex digit and the span, 8281 slots at n = 6 and 3996 at
+    # n = 5, is about half the box of (n + 1)^5, 16807 and 7776.  With at
+    # most six terms an entry only the span is within K a^(3/2)
+    grids = [(ctx, g) for k, ctx, g in det_sweep.grids(ps=[5], ns=[n]) if k == kind]
+    assert len(grids) == det_sweep.SEEDS
+    for ctx, grid in grids:
+        a, span, _ = det_sweep.shape(grid)
+        assert span * span <= poly._KRONECKER_K ** 2 * a ** 3 < (n + 1) ** 10
+        assert poly._KRONECKER_K in det_sweep.taken_at(ctx, grid)
+        assert imaged_det(ctx, grid) == polynomial_det(ctx, grid)
+
+
 def test_three_row_grids_stay_polynomial():
     grid = linear_grid(random.Random(3210), XYZ, 3, small_int)
     assert _kronecker_image(XYZ, grid) is None
@@ -395,7 +414,7 @@ def test_seven_by_seven_over_six_variables_stays_polynomial():
 
 
 def test_one_term_cubic_entries_stay_polynomial():
-    # few terms in a wide box: W = (d + 1)^3 >= 512 slots for a = 1
+    # few terms over many slots: D = 21 and a span of 5335 slots for a = 1
     rng = random.Random(3230)
 
     def cubic():
@@ -415,8 +434,9 @@ def test_the_term_bound_keeps_every_exponent_in_its_field():
 
 
 def test_a_grid_past_the_term_bound_stays_polynomial():
-    # two rows of dense degree-36 entries in x and two in y: the box has
-    # W = 73^2 slots, well within K a^(3/2) for a = 37 terms an entry, but
+    # two rows of dense degree-36 entries in x and two in y: the span, over
+    # two generators the box, has 73^2 slots, well within K a^(3/2) for
+    # a = 37 terms an entry, but
     # D = 144 and C(D + 2, 2) = 10585 is above MAX_TERMS
     rng = random.Random(3240)
     x, y = XY.var("x"), XY.var("y")
@@ -455,7 +475,7 @@ def test_the_rule_is_decided_before_any_entry_is_packed():
     taken = _counted(linear_grid(rng, XYZ, 5, small_int))
     assert _kronecker_image(XYZ, taken) is not None
     assert {e.nums.items_calls for row in taken for e in row} == {1}
-    # refused by W alone: 7 x 7 linear entries over six variables
+    # refused by the span alone: 7 x 7 linear entries over six variables
     ctx = Context(even=[f"x{i}" for i in range(1, 7)])
     refused = _counted(linear_grid(rng, ctx, 7, small_int))
     assert _kronecker_image(ctx, refused) is None

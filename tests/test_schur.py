@@ -1,8 +1,8 @@
 """Schur complements against the plain product and difference.
 
 _schur(ctx, a, b, c, d, label) returns (d^-1, b d^-1, a - b d^-1 c) for
-the block grid [[a, b], [c, d]], with each row of the complement one
-dot_row of (1, (b d^-1)_i) against the rows (a_i, -c).  The oracle here
+the block grid [[a, b], [c, d]], the complement one grid product
+[1 | b d^-1] [a; -c] whose right grid is packed once.  The oracle here
 takes b d^-1 c one polynomial product at a time (helpers.grid_mul) and
 subtracts it from a with plain -.  Both orientations are checked, the
 primary complement of T4 and the alternate complement of T1, on seeded
