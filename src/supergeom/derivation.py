@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import ContextMismatch, ParityError
-from .poly import Context, Parity, Scalar, SuperPoly, _exact, _signed_sum, dot_row
+from .poly import Context, Parity, Scalar, SuperPoly, _derive, _exact, _pack, _signed_sum
 
 
 def _check_coeff(ctx, poly, required, slot):
@@ -93,7 +93,7 @@ class SuperDerivation:
     def apply(self, a: SuperPoly) -> SuperPoly:
         """Evaluate the derivation on a polynomial: the sum of each
         nonzero coefficient times the left partial of a by its generator,
-        one dot_row of one column.
+        the one-polynomial case of _apply_each.
 
         Coefficients multiply the left partials from the left; this makes
         the operator satisfy the graded Leibniz rule
@@ -102,17 +102,16 @@ class SuperDerivation:
         return self._apply_each((a,))[0]
 
     def _apply_each(self, polys):
-        """The derivation applied to each of polys, as one dot_row: the
-        nonzero coefficients against the grid whose row for generator n
-        holds the left partials of polys by n.  The zero field gives one
+        """The derivation applied to each of polys: polys packed once as
+        one row, and one _derive that sums each nonzero coefficient times
+        the row's left partial by its generator.  The zero field gives one
         zero per polynomial."""
         ctx = self.ctx
         if any(a.ctx != ctx for a in polys):
             raise ContextMismatch("argument lives in a different context")
-        used = [(c, n) for c, n in zip(self._coeffs, ctx.names) if c]
-        return (dot_row(ctx, [c for c, _ in used],
-                        [[a.partial(n) for a in polys] for _, n in used])
-                or (SuperPoly.zero(ctx),) * len(polys))
+        packed = _pack(ctx, polys)
+        return _derive(ctx, [(c, n, packed) for c, n in zip(self._coeffs, ctx.names) if c],
+                       len(polys))
 
     def __call__(self, a):
         return self.apply(a)
@@ -183,25 +182,21 @@ def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
     The composite is again a derivation, so its coefficient on a
     generator x is its value on x, d1(d2(x)) - sign d2(d1(x)), where d(x)
     is d's own coefficient on x and sign is -1 when both fields are odd,
-    else 1.  All of them are one dot_row: the row holds d1's nonzero
-    coefficients, then -sign times d2's, and the grid row of each holds
-    the left partials of the other field's coefficients by that
-    coefficient's generator.  Both sides of a coefficient accumulate in
+    else 1.  Each field's coefficients are packed once as one row, and
+    all of them are one _derive: d1's nonzero coefficients against the
+    left partials of d2's row by their generators, then -sign times d2's
+    against those of d1's row.  Both sides of a coefficient accumulate in
     one sum, so it holds at most MAX_TERMS terms.
     """
     if d1.ctx != d2.ctx:
         raise ContextMismatch("derivations live in different contexts")
     ctx = d1.ctx
     both_odd = d1.parity is Parity.ODD and d2.parity is Parity.ODD
-    row, grid = [], []
+    terms = []
     for d, other, negate in ((d1, d2, False), (d2, d1, not both_odd)):
-        targets = other._coeffs
-        for c, n in zip(d._coeffs, ctx.names):
-            if c:
-                row.append(-c if negate else c)
-                grid.append([a.partial(n) for a in targets])
-    coeffs = dot_row(ctx, row, grid) or (SuperPoly.zero(ctx),) * len(ctx.names)
-    return SuperDerivation._wrap(ctx, d1.parity + d2.parity, coeffs)
+        packed = _pack(ctx, other._coeffs)
+        terms += [(-c if negate else c, n, packed) for c, n in zip(d._coeffs, ctx.names) if c]
+    return SuperDerivation._wrap(ctx, d1.parity + d2.parity, _derive(ctx, terms, len(ctx.names)))
 
 
 class _Weights:

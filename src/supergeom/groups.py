@@ -187,7 +187,7 @@ def _vector_parity(law, v):
 
 def _at_unit(law, sigma, v, parity, group, rest):
     """v, weighted onto the source names group (G's names in order), is
-    applied to all of sigma's images in one dot_row; each result, with
+    applied to all of sigma's images packed as one row; each result, with
     the unit put for group and the target's generators for rest, is the
     field's coefficient on its target generator."""
     src = sigma.source

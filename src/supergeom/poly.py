@@ -103,10 +103,17 @@ off, and splits the rows of all the Y_d, which share no monomial, once
 at the end.
 A Schur complement (matrix._schur) is one matrix._gmul of
 [1 | b d^-1] by [a; -c].  The residual of a bracket in
-distribution.involutive and a whole derivation bracket are one dot_row
-each, with the subtracted terms weighted by negated factors; a
-derivation applied to one polynomial or to all the images of a map
-(apply, livf, is_left_invariant) is one dot_row too.  The Laplace
+distribution.involutive is one dot_row, with the subtracted terms
+weighted by negated factors.  A derivation applied to one polynomial or
+to all the images of a map (apply, livf, is_left_invariant) packs them
+once as one row, and a whole derivation bracket packs each field's
+coefficients once; _derive then takes the left partial of a packed row
+per nonzero coefficient in one pass over its keys (_packed_partial, which
+reads the odd mask and the exponent fields w bits up), and sums the
+coefficients times those partials in one _packed_dot and one _split, the
+bracket's subtracted side weighted by negated coefficients.
+SuperPoly.partial is _packed_partial at w = 0, so the package has one
+partial loop and builds no grid of partials.  The Laplace
 expansion of matrix._minors sums outside dot_row, with a column sum that
 its ring supplies, one ring of three.  Over these polynomials for
 matrix._det and a body that is not constant, and over plain ints and
@@ -795,31 +802,14 @@ class SuperPoly:
     # -- calculus --------------------------------------------------------
 
     def partial(self, name: str) -> "SuperPoly":
-        """Left partial derivative with respect to one generator.
+        """Left partial derivative with respect to one generator: the
+        w = 0 case of _packed_partial.
 
         For an odd generator the struck variable is moved to the front of
         the odd word first, and each transposition costs a sign.
         """
-        is_odd, idx = self.ctx.lookup(name)
-        acc: dict[int, int] = {}
-        if is_odd:
-            low = 1 << self.ctx._shift
-            bit = low << idx
-            # the odd generators in front of theta_idx, one transposition each
-            front = bit - low
-            for code, c in self.nums.items():
-                if code & bit:
-                    passed = (code & front).bit_count()
-                    acc[code ^ bit] = -c if passed & 1 else c
-        else:
-            shift = _FIELD_BITS * idx
-            step = 1 << shift
-            for code, c in self.nums.items():
-                e = code >> shift & _FIELD_MASK
-                if e:
-                    acc[code - step] = c * e
         # dropped terms (and the exponents e) can leave a common factor
-        return SuperPoly._reduced(self.ctx, acc, self.den)
+        return SuperPoly._reduced(self.ctx, _packed_partial(self.ctx, self.nums, name, 0), self.den)
 
     def at(self, point: "RationalPoint") -> Fraction:
         """Evaluate with odd generators sent to zero.  Exact.
@@ -1262,6 +1252,46 @@ def _split(ctx: Context, rows, width: int) -> tuple[SuperPoly, ...]:
             raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
         out.append(SuperPoly._reduced(ctx, nums, den))
     return tuple(out)
+
+
+def _packed_partial(ctx: Context, nums: dict[int, int], name: str, w: int) -> dict[int, int]:
+    """The numerators of the left partial by generator name of every
+    entry of a packed row, keys code << w | k (see _pack), in one pass and
+    over the row's den, unreduced; w = 0 for one polynomial's numerators.
+
+    For an odd generator the struck variable is moved to the front of
+    the odd word first, and each transposition costs a sign.  The column
+    index sits below the code, so the odd mask and the exponent fields
+    are read w bits up.
+    """
+    is_odd, idx = ctx.lookup(name)
+    acc: dict[int, int] = {}
+    if is_odd:
+        low = 1 << (ctx._shift + w)
+        bit = low << idx
+        # the odd generators in front of theta_idx, one transposition each
+        front = bit - low
+        for key, c in nums.items():
+            if key & bit:
+                acc[key ^ bit] = -c if (key & front).bit_count() & 1 else c
+    else:
+        shift = _FIELD_BITS * idx + w
+        step = 1 << shift
+        for key, c in nums.items():
+            if e := key >> shift & _FIELD_MASK:
+                acc[key - step] = c * e
+    return acc
+
+
+def _derive(ctx: Context, terms, width: int) -> tuple[SuperPoly, ...]:
+    """The entries of sum c * d/dname (row) over the (c, name, packed)
+    triples, each packed a packed row of width entries (see _pack) or
+    None: one packed partial per triple, one _packed_dot and one _split.
+    No triple, or only zero partials, gives width zeros."""
+    w = (width - 1).bit_length()
+    rows = [(nums, packed[1]) if packed and (nums := _packed_partial(ctx, packed[0], name, w))
+            else None for _, name, packed in terms]
+    return _split(ctx, (_packed_dot(ctx, [c for c, _, _ in terms], rows, width),), width)
 
 
 # The two constants of _kronecker_image's rule: an odd-free grid of at

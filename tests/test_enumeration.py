@@ -22,6 +22,15 @@ half sends dot_row and _gmul over grids of width 1, 2, 3, 5, 8 and 9
 short would let the last column bleed into the code) and over a context
 with even generators too, against the same model, with exponents added
 generator by generator.
+
+A derivation applied to a tuple packs it the same way and takes the left
+partial of the whole packed row, so the third part applies random fields
+to tuples of the same widths and checks each entry against a model of
+the left partial: theta_i is struck with the sign (-1)^(number of odd
+generators before it), and t^e becomes e t^(e-1).  The odd sign's mask
+and the exponent field must both be read w bits up; over Lambda(theta1..
+theta6) a mask read without w counts the column index's bits as odd
+generators.
 """
 
 import random
@@ -30,7 +39,7 @@ from itertools import combinations
 
 import pytest
 
-from supergeom import Context, Monomial, SuperPoly
+from supergeom import Context, Monomial, Parity, SuperDerivation, SuperPoly
 from supergeom.matrix import _gmul
 from supergeom.poly import dot_row
 
@@ -75,11 +84,12 @@ WIDTHS = [1, 2, 3, 5, 8, 9]
 
 
 def model_dot(row, col):
-    """{Monomial: coefficient} of sum_j row[j] * col[j], term by term."""
+    """{Monomial: coefficient} of sum_j row[j] * col[j], term by term, for
+    row and col of term maps {Monomial: coefficient}."""
     out = {}
     for a, b in zip(row, col):
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 for mask, sign in model_product(m1.mask, m2.mask).items():
                     even = dict(m1.even)
                     for i, e in m2.even:
@@ -113,5 +123,62 @@ def test_packed_rows_keep_their_columns_apart(width):
             assert [len(row) for row in got] == [width, width]
             for row, out in zip(a, got):
                 for k, p in enumerate(out):
-                    assert dict(p.terms) == model_dot(row, [r[k] for r in b])
+                    assert dict(p.terms) == model_dot([e.terms for e in row],
+                                                      [r[k].terms for r in b])
             assert dot_row(ctx, a[1], b) == got[1]
+
+
+def model_partial(p, ctx, name):
+    """{Monomial: coefficient} of the left partial of p by generator name.
+    theta_i is moved to the front past the odd generators before it, one
+    sign each, and struck; t^e is multiplied by e and lowered to t^(e-1)."""
+    out = {}
+    if name in ctx.odd:
+        i = ctx.odd.index(name)
+        for mono, c in p.terms.items():
+            if mono.mask >> i & 1:
+                before = sum(mono.mask >> j & 1 for j in range(i))
+                out[Monomial(mono.even, mono.mask & ~(1 << i))] = (-1) ** before * c
+    else:
+        i = ctx.even.index(name)
+        for mono, c in p.terms.items():
+            even = dict(mono.even)
+            if e := even.pop(i, 0):
+                if e > 1:
+                    even[i] = e - 1
+                out[Monomial(sorted(even.items()), mono.mask)] = e * c
+    return out
+
+
+def random_field(rng, ctx):
+    """A random homogeneous field: each coefficient random_entry's terms
+    of the parity its slot needs."""
+    parity = rng.choice([Parity.EVEN, Parity.ODD])
+    slots = [parity] * len(ctx.even) + [parity.flipped()] * len(ctx.odd)
+    coeffs = [SuperPoly(ctx, {m: c for m, c in random_entry(rng, ctx).terms.items()
+                              if m.mask.bit_count() % 2 == (slot is Parity.ODD)})
+              for slot in slots]
+    p = len(ctx.even)
+    return SuperDerivation(ctx, parity, coeffs[:p], coeffs[p:])
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_derivations_differentiate_each_column_of_a_packed_row(width):
+    """A field applied to a tuple packs it as one row of width entries and
+    takes the left partial of the whole row per generator, keys
+    code << w | k: the odd mask and the exponent fields sit w bits up.
+    Each entry must be the sum of the coefficients times the model's
+    partials of its own polynomial."""
+    rng = random.Random(2900 + width)
+    for ctx in (GR6, MIXED):
+        for trial in range(4):
+            field = random_field(rng, ctx)
+            polys = [random_entry(rng, ctx) for _ in range(width)]
+            got = field._apply_each(polys)
+            assert len(got) == width
+            coeffs = [c.terms for c in field.coefficients()]
+            for k, (p, out) in enumerate(zip(polys, got)):
+                want = model_dot(coeffs, [model_partial(p, ctx, n) for n in ctx.names])
+                assert dict(out.terms) == want, (
+                    f"{ctx}, trial {trial}: column {k} of {width}, ({field})({p})")
+            assert field.apply(polys[-1]) == got[-1]

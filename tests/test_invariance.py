@@ -28,28 +28,42 @@ each test checks that identity on the generators first.
   verdict equals that of the X.
 - srank: srank(P X Q) = srank(X) for invertible even P and Q, X a 3|2 x
   2|3 matrix of constant bodies whose blocks have every body rank.
+- tangent: where phi's body is linear, phi^-1(x) is rational, and the
+  pulled-back variety (phi*I, phi^-1(x)) has the dimensions of (I, x).
+  The generators are homogeneous, vanish at x, and have linear parts of
+  random rank.
+- classify: for a morphism f: M -> N into 1|1, 2|3 and 3|4 targets and an
+  automorphism psi of N with an invertible linear body, psi f phi at
+  phi^-1(m) falls in the class of f at m.  The trials reach every class
+  and None.
 
 Each failure names its seed and phi.  Each of these sign mutants turns
 the coordinate distributions NOT_INTEGRABLE after phi at 8 of the 12
 seeds, and swaps a verdict of the random pairs: SuperPoly.partial without
 its odd sign, and derivation.bracket taking its second side with both_odd
-in place of not both_odd.  srank reads bodies only, so no sign mutant
-shows there: it is a cheap check, not a sign oracle.
+in place of not both_odd.  srank, tangent and classify read bodies and
+linear parts only, so no sign mutant shows there: they are cheap checks,
+not sign oracles.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from supergeom import (
     Context,
     Involutivity,
+    MapClass,
     Morphism,
     Parity,
+    PointedVariety,
     SuperDerivation,
     SuperDim,
     SuperMatrix,
+    compose,
     involutive,
+    tangent_space,
 )
 
 M = Context(even=["x", "y"], odd=["a", "b", "c"])
@@ -202,3 +216,125 @@ def test_srank_is_invariant_under_invertible_even_factors(seed):
     p = even_matrix(rng, target, target, invertible_body(rng, 3), invertible_body(rng, 2))
     q = even_matrix(rng, source, source, invertible_body(rng, 2), invertible_body(rng, 3))
     assert (p @ x @ q).srank() == x.srank(), f"seed {seed}: X = {x}"
+
+
+LINEAR = [seed for seed in SEEDS if seed % 2 == 0]
+
+
+def random_point(rng):
+    return M.point([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in M.even])
+
+
+def preimage(phi, point):
+    """phi^-1(point) for phi with an affine body: the body's offset and
+    columns read from image_point at 0 and at the unit points, and the
+    2 x 2 system solved by Cramer's rule."""
+    base = phi.image_point(M.point([0, 0])).even_values
+    (a, c), (b, d) = [[u - v for u, v in zip(phi.image_point(M.point(e)).even_values, base)]
+                      for e in ([1, 0], [0, 1])]
+    r, s = [u - v for u, v in zip(point.even_values, base)]
+    det = a * d - b * c
+    m = M.point([(r * d - b * s) / det, (a * s - r * c) / det])
+    assert phi.image_point(m) == point
+    return m
+
+
+def vanishing(rng, point):
+    """Homogeneous generators that vanish at point: even ones int
+    combinations of x - x0 and y - y0 of a random rank, plus a product of
+    the two and a nilpotent part; odd ones int combinations of a, b, c of a
+    random rank, plus a times x and a nilpotent part."""
+    x0, y0 = point.even_values
+    dx, dy = X - x0, Y - y0
+    gens = [dx * i + dy * j + dx * dy * rng.randint(-2, 2) + nilpotent(rng, Parity.EVEN)
+            for i, j in of_rank(rng, rng.randint(0, 2), 2, rng.randint(0, 2))]
+    gens += [sum((g * k for g, k in zip(ODD, row)), A * X * rng.randint(-1, 1))
+             + nilpotent(rng, Parity.ODD)
+             for row in of_rank(rng, rng.randint(0, 3), 3, rng.randint(0, 3))]
+    return gens
+
+
+def test_tangent_spaces_keep_their_dimensions():
+    seen = set()
+    for seed in LINEAR:
+        phi, _ = draw_phi(seed)
+        rng = random.Random(3000 + seed)
+        for _ in range(4):
+            point = random_point(rng)
+            gens = vanishing(rng, point)
+            before = tangent_space(PointedVariety(M, gens, point)).dimension
+            moved = PointedVariety(M, [phi.pullback(g) for g in gens], preimage(phi, point))
+            after = tangent_space(moved).dimension
+            assert after == before, (
+                f"seed {seed}: I = {[str(g) for g in gens]} at {point} is {before}, after "
+                f"phi = {[str(p) for p in phi.images]} {after}")
+            seen.add(before)
+    # the trials reach several dimensions, so the check is not vacuous
+    assert len(seen) >= 4, seen
+
+
+TARGETS = [Context(even=["u"], odd=["d"]),
+           Context(even=["u", "v"], odd=["d", "e", "g"]),
+           Context(even=["u", "v", "w"], odd=["d", "e", "g", "h"])]
+
+
+def linear_automorphism(rng, ctx):
+    """An automorphism of ctx whose even images are an invertible int map
+    of the even generators plus a constant and a nilpotent product of two
+    odd ones, and whose odd images are an invertible int map of the odd
+    generators, the last plus a cubic: its differential at every point is
+    the two int maps."""
+    evens, odds = [ctx.var(n) for n in ctx.even], [ctx.var(n) for n in ctx.odd]
+    pair = odds[0] * odds[1] if len(odds) > 1 else ctx.zero()
+    images = [sum((g * k for g, k in zip(evens, row)), pair * rng.randint(-1, 1))
+              + rng.randint(-2, 2)
+              for row in invertible_body(rng, len(evens))]
+    odd = [sum((g * k for g, k in zip(odds, row)), ctx.zero())
+           for row in invertible_body(rng, len(odds))]
+    if len(odds) > 2:
+        odd[-1] = odd[-1] + odds[0] * odds[1] * odds[2] * small(rng)
+    return Morphism(ctx, ctx, images + odd)
+
+
+def linear_part(rng, rows, cols, full):
+    """An int rows x cols matrix: of full rank when full (a corner of an
+    invertible one), else of a random rank at most min(rows, cols)."""
+    if full:
+        return [row[:cols] for row in invertible_body(rng, max(rows, cols))[:rows]]
+    return of_rank(rng, rows, cols, rng.randint(0, min(rows, cols)))
+
+
+def morphism_into(rng, target, point, full):
+    """A morphism M -> target whose differential at point has blocks of a
+    random rank, both full when full: even images int combinations of
+    x - x0 and y - y0 plus a constant, a square and a nilpotent part, odd
+    images int combinations of a, b, c plus a cubic."""
+    x0, y0 = point.even_values
+    dx, dy = X - x0, Y - y0
+    k, q = target.dims
+    even = [dx * i + dy * j + rng.randint(-2, 2) + dx * dx * small(rng)
+            + nilpotent(rng, Parity.EVEN)
+            for i, j in linear_part(rng, k, 2, full)]
+    odd = [sum((g * c for g, c in zip(ODD, row)), A * B * C * rng.randint(-1, 1))
+           for row in linear_part(rng, q, 3, full)]
+    return Morphism(M, target, even + odd)
+
+
+def test_classes_are_invariant_under_automorphisms():
+    seen = set()
+    for seed in LINEAR:
+        phi, _ = draw_phi(seed)
+        rng = random.Random(4000 + seed)
+        for target in TARGETS:
+            psi = linear_automorphism(rng, target)
+            for full in (True, False):
+                m = random_point(rng)
+                f = morphism_into(rng, target, m, full)
+                before = f.classify_at(m)
+                after = compose(psi, compose(f, phi)).classify_at(preimage(phi, m))
+                assert after is before, (
+                    f"seed {seed}: f = {f} at {m} is {before}, psi f phi at phi^-1(m) is "
+                    f"{after}; phi = {[str(p) for p in phi.images]}, psi = {psi}")
+                seen.add(before)
+    # the trials reach every class and None, so the check is not vacuous
+    assert seen == {*MapClass, None}, seen
