@@ -1,0 +1,142 @@
+"""The mutation catalogue: hand-made faults that the test suite must catch.
+
+Each Mutant names one fault in a file of the tree: its edits are
+(old, new) text pairs, and each old text must occur exactly once in the
+unmutated file, so an entry that no longer fits the code fails the run
+instead of passing unseen.  tests are the pytest node ids expected to
+kill it: run.py applies the edits to a copy of the tree and runs
+`pytest -x` on them, and at least one must fail or time out.
+
+Add an entry here for every mutant a change is checked against, with the
+tests that kill it, so a later edit to those tests that lets the mutant
+survive fails `python mutants/run.py`.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    edits: tuple
+    tests: tuple
+
+
+POLY = "src/supergeom/poly.py"
+MATRIX = "src/supergeom/matrix.py"
+WIDTH_TEST = "tests/test_enumeration.py::test_packed_rows_keep_their_columns_apart"
+SCHUR_TESTS = (
+    "tests/test_schur.py::test_complements_match_the_plain_difference",
+    "tests/test_schur.py::test_the_complement_is_summed_without_adding_polynomials",
+    "tests/test_acceptance.py::test_criterion_01_berezinian_multiplicativity",
+)
+
+CATALOGUE = (
+    # -- packed rows: a key is code << w | column (poly._pack) --------------
+    Mutant(
+        "_mac's overflow report without >> w",
+        POLY,
+        (("                    c = -c\n"
+          "                m = m1 + m2\n"
+          "                if m & guard:\n"
+          "                    _field_overflow(ctx, (m & guard) >> w)",
+          "                    c = -c\n"
+          "                m = m1 + m2\n"
+          "                if m & guard:\n"
+          "                    _field_overflow(ctx, m & guard)"),
+         ("                c = c0 * c2\n"
+          "                m = m1 + m2\n"
+          "                if m & guard:\n"
+          "                    _field_overflow(ctx, (m & guard) >> w)",
+          "                c = c0 * c2\n"
+          "                m = m1 + m2\n"
+          "                if m & guard:\n"
+          "                    _field_overflow(ctx, m & guard)")),
+        ("tests/test_packing.py::test_an_overflow_in_a_packed_row_names_its_generator",
+         "tests/test_kernel.py::TestDotRowEdges::test_exponent_past_the_cap_raises_from_any_column"),
+    ),
+    Mutant(
+        "w one bit short at widths that are not powers of two",
+        POLY,
+        (("    w = (len(row) - 1).bit_length()\n",
+          "    w = len(row).bit_length() - 1\n"),
+         ("    w = (width - 1).bit_length()\n    acc: dict[int, int] = {}\n",
+          "    w = width.bit_length() - 1\n    acc: dict[int, int] = {}\n"),
+         ("    w = (width - 1).bit_length()\n    low = (1 << w) - 1\n",
+          "    w = width.bit_length() - 1\n    low = (1 << w) - 1\n")),
+        (f"{WIDTH_TEST}[3]", f"{WIDTH_TEST}[5]", f"{WIDTH_TEST}[9]"),
+    ),
+    Mutant(
+        "_split without its per-entry MAX_TERMS test",
+        POLY,
+        (("        if len(nums) > MAX_TERMS:\n"
+          "            raise LimitExceeded(f\"product has more than {MAX_TERMS} terms, the cap\")\n"
+          "        out.append(", "        out.append("),),
+        ("tests/test_kernel.py::TestDotRowEdges::test_the_term_cap_applies_to_each_column",
+         "tests/test_series_inverse.py::test_the_joined_inverse_keeps_the_term_cap",
+         "tests/test_caps.py::test_bracket_sums_both_sides_under_one_cap"),
+    ),
+    # -- the Schur complement [1 | b d^-1] [a; -c] -------------------------
+    Mutant(
+        "_schur's identity block off the diagonal",
+        MATRIX,
+        (("zip(_gid(ctx, len(a)), bdinv)", "zip(_gid(ctx, len(a))[::-1], bdinv)"),),
+        SCHUR_TESTS,
+    ),
+    Mutant(
+        "_schur with -c left unnegated",
+        MATRIX,
+        (("_gmul(ctx, left, a + _gneg(c))", "_gmul(ctx, left, a + c)"),),
+        SCHUR_TESTS,
+    ),
+    # -- the left partial of a packed row (poly._packed_partial) -----------
+    Mutant(
+        "_packed_partial's odd front mask without the shift by w",
+        POLY,
+        (("        front = bit - low\n", "        front = bit - (1 << ctx._shift)\n"),),
+        ("tests/test_enumeration.py::test_derivations_differentiate_each_column_of_a_packed_row",
+         "tests/test_derivation_model.py::test_bracket_is_the_graded_commutator",
+         "tests/test_derivation_reference.py::test_bracket_matches_the_reference"),
+    ),
+    Mutant(
+        "_packed_partial's even field read without w",
+        POLY,
+        (("        shift = _FIELD_BITS * idx + w\n", "        shift = _FIELD_BITS * idx\n"),),
+        ("tests/test_enumeration.py::test_derivations_differentiate_each_column_of_a_packed_row",
+         "tests/test_derivation_model.py::test_bracket_with_an_even_generator_is_the_graded_commutator"),
+    ),
+    # -- Koszul signs that coordinate invariance sees -----------------------
+    Mutant(
+        "the left partial without its odd sign",
+        POLY,
+        (("acc[key ^ bit] = -c if (key & front).bit_count() & 1 else c", "acc[key ^ bit] = c"),),
+        ("tests/test_invariance.py::test_coordinate_distributions_stay_integrable",
+         "tests/test_invariance.py::test_verdicts_never_swap"),
+    ),
+    Mutant(
+        "bracket taking its second side with both_odd",
+        "src/supergeom/derivation.py",
+        (("(d2, d1, not both_odd)", "(d2, d1, both_odd)"),),
+        ("tests/test_invariance.py::test_coordinate_distributions_stay_integrable",
+         "tests/test_invariance.py::test_verdicts_never_swap"),
+    ),
+    # -- the matrix operations on elementary supermatrices ------------------
+    Mutant(
+        "supertranspose of an even matrix with the sign on T3, not T2",
+        MATRIX,
+        (("                    if j < r and i >= p:\n", "                    if j >= r and i < p:\n"),),
+        ("tests/test_elementary.py::test_every_basis_matrix_transposes_and_traces_by_the_model",),
+    ),
+    Mutant(
+        "superbracket without its odd-odd sign",
+        MATRIX,
+        (("    if a.parity is Parity.ODD and b.parity is Parity.ODD:\n        return ab + ba\n", ""),),
+        ("tests/test_elementary.py::test_every_pair_of_basis_matrices_multiplies_and_brackets_by_the_model",),
+    ),
+    Mutant(
+        "supertrace of an odd matrix as top - bot",
+        MATRIX,
+        (("return top + bot if self.parity is Parity.ODD else top - bot", "return top - bot"),),
+        ("tests/test_elementary.py::test_every_basis_matrix_transposes_and_traces_by_the_model",),
+    ),
+)

@@ -20,7 +20,7 @@ from . import linalg
 from .derivation import SuperDerivation, bracket
 from .errors import ContextMismatch
 from .matrix import _grid_inverse, _gmul
-from .poly import SuperPoly, dot_row
+from .poly import SuperPoly
 
 
 class Involutivity(enum.Enum):
@@ -100,8 +100,8 @@ def involutive(dist) -> Involutivity:
             normalized = _gmul(ctx, _grid_inverse(ctx, t0, "pivot submatrix"), grid)
         # the residual of w, its coefficients minus lam_k times row k of the
         # normalized grid with lam_k its coefficient in pivot column k, is
-        # one dot_row of (1, -lam_1, ...) against (coeffs, *normalized)
+        # the one row of (1, -lam_1, ...) times the grid (coeffs, *normalized)
         neg_lams = tuple(-coeffs[c] for c in chosen)
-        if any(dot_row(ctx, (one, *neg_lams), (coeffs, *normalized))):
+        if any(_gmul(ctx, ((one, *neg_lams),), (coeffs, *normalized))[0]):
             return Involutivity.NOT_INTEGRABLE
     return Involutivity.INTEGRABLE

@@ -94,7 +94,8 @@ def _gneg(a):
 
 
 def _gmul(ctx, a, b):
-    # b is packed once for all the rows of a
+    # the package's one grid product: b is packed once for all the rows
+    # of a, and each row of a is one packed sum (poly._packed_dot)
     width = len(b[0]) if b else 0
     rows = _gmul_packed(ctx, a, [_pack(ctx, row) for row in b], width)
     return tuple(_split(ctx, (row,), width) for row in rows)
@@ -103,7 +104,7 @@ def _gmul(ctx, a, b):
 def _gmul_packed(ctx, a, rows, width):
     # the rows of grid a times the packed rows of width entries, as
     # packed rows (see poly._pack)
-    return [_packed_dot(ctx, row, rows, width) for row in a]
+    return [_packed_dot(ctx, list(zip(row, rows)), width) for row in a]
 
 
 def _gblocks(tl, tr, bl, br):
@@ -271,10 +272,8 @@ def _series_inverse(ctx, grid, binv):
     neg_binv = _gneg(binv)
     ys = {0: [_pack(ctx, row) for row in binv]}
     for d in range(1, len(ctx.odd) + 1):
-        sums = []
-        for out in parts:
-            pairs = [(x, ys[d - e][j]) for e, j, x in out if d - e in ys]
-            sums.append(_packed_dot(ctx, *zip(*pairs), n) if pairs else None)
+        sums = [_packed_dot(ctx, [(x, ys[d - e][j]) for e, j, x in out if d - e in ys], n)
+                for out in parts]
         if any(sums):
             ys[d] = _gmul_packed(ctx, neg_binv, sums, n)
     return tuple(_split(ctx, rows, n) for rows in zip(*ys.values()))

@@ -84,9 +84,9 @@ odd-free left terms and one for the rest, and it has three callers.  A
 product of two polynomials (SuperPoly.__mul__) calls it once; the parser
 reaches it only for a product with a group or binding, since it folds
 literal factors with _times_generator.  _substitute_each calls it once
-per term, into one map per substituted polynomial.  _packed_dot, the
-one sum of products, calls it once per nonzero left factor against a
-packed row: _pack keys the numerators of a row of polynomials over one
+per term, into one map per substituted polynomial.  _packed_dot calls
+it once per (left factor, packed row) pair whose factor and row are
+both nonzero: _pack keys the numerators of a row of polynomials over one
 den by code << w | k for column k, w = (width - 1).bit_length(), so
 _mac shifts each left code by w and one call meets the whole row (more
 of the key in one int, as Monagan and Pearce, CASC 2007, pack exponent
@@ -94,28 +94,29 @@ vectors), and the sum is one such map over the running lcm of its
 products' denominators.  A zero entry holds no key.  _split reads a
 packed row, or the sum of several that share no key, back as its
 entries, each reduced once and held to MAX_TERMS; inside the sum _mac
-holds a packed row to MAX_TERMS << w.  dot_row(ctx, row, grid) is one
-pack per grid row, one packed sum and one split; matrix._gmul packs its
-right grid once for all its rows; matrix._series_inverse keeps each
-odd-degree part Y_d of an inverse as packed rows, the right factor of
+holds a packed row to MAX_TERMS << w.  matrix._gmul, the one grid
+product, packs its right grid once, takes one packed sum per row of its
+left grid and splits each; matrix._series_inverse keeps each odd-degree
+part Y_d of an inverse as packed rows, the right factor of
 both its products, on the parts that SuperPoly.odd_degree_parts splits
 off, and splits the rows of all the Y_d, which share no monomial, once
 at the end.
 A Schur complement (matrix._schur) is one matrix._gmul of
 [1 | b d^-1] by [a; -c].  The residual of a bracket in
-distribution.involutive is one dot_row, with the subtracted terms
-weighted by negated factors.  A derivation applied to one polynomial or
-to all the images of a map (apply, livf, is_left_invariant) packs them
-once as one row, and a whole derivation bracket packs each field's
-coefficients once; _derive then takes the left partial of a packed row
-per nonzero coefficient in one pass over its keys (_packed_partial, which
-reads the odd mask and the exponent fields w bits up), and sums the
-coefficients times those partials in one _packed_dot and one _split, the
+distribution.involutive is a one-row matrix._gmul, with the subtracted
+terms weighted by negated factors.  A derivation applied to one
+polynomial or to all the images of a map (apply, livf,
+is_left_invariant) packs them once as one row, and a whole derivation
+bracket packs each field's coefficients once; _derive then takes the
+left partial of a packed row per nonzero coefficient in one pass over
+its keys (_packed_partial, which reads the odd mask and the exponent
+fields w bits up), and sums the (coefficient, partial) pairs of the
+partials that are not zero in one _packed_dot and one _split, the
 bracket's subtracted side weighted by negated coefficients.
 SuperPoly.partial is _packed_partial at w = 0, so the package has one
-partial loop and builds no grid of partials.  The Laplace
-expansion of matrix._minors sums outside dot_row, with a column sum that
-its ring supplies, one ring of three.  Over these polynomials for
+partial loop and builds no grid of partials.  The Laplace expansion of
+matrix._minors sums outside _packed_dot, with a column sum that its
+ring supplies, one ring of three.  Over these polynomials for
 matrix._det and a body that is not constant, and over plain ints and
 Fractions for a constant body, which SuperPoly._body_value reads in one
 pass with no polynomial built: one * and one + a term.  And over the
@@ -757,8 +758,10 @@ class SuperPoly:
         return NotImplemented
 
     def __truediv__(self, other):
-        if not isinstance(other, Scalar) or not other:
+        if not isinstance(other, Scalar):
             return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division by zero")
         if isinstance(other, Fraction):
             return self._scaled(other.denominator, other.numerator)
         return self._scaled(1, int(other))
@@ -1161,23 +1164,6 @@ def _substitute_each(polys: Sequence[SuperPoly], ctx_out: Context,
     return tuple(out)
 
 
-def dot_row(ctx: Context, row: Sequence[SuperPoly],
-            grid: Sequence[Sequence[SuperPoly]]) -> tuple[SuperPoly, ...]:
-    """The row of sums (sum_j row[j] * grid[j][k])_k, one per column of grid.
-
-    The context of every grid entry and left factor is checked first, so
-    ContextMismatch comes before any product.  Each row of grid is
-    packed into one map (_pack), so each left factor row[j] meets the
-    whole of grid[j] in one _mac call, and the sums accumulate into one
-    packed row (_packed_dot), which _split reads back as the entries,
-    each reduced once and held to MAX_TERMS.  An empty grid gives an
-    empty row.
-    """
-    width = len(grid[0]) if grid else 0
-    rows = [_pack(ctx, r) for r in grid]
-    return _split(ctx, (_packed_dot(ctx, row, rows, width),), width)
-
-
 def _pack(ctx: Context, row: Sequence[SuperPoly]):
     """A row of polynomials over ctx as one packed row: the numerators of
     its entries over the lcm of their denominators in one map, entry k's
@@ -1203,20 +1189,22 @@ def _pack(ctx: Context, row: Sequence[SuperPoly]):
     return (nums, den) if nums else None
 
 
-def _packed_dot(ctx: Context, row: Sequence[SuperPoly], rows, width: int):
-    """The packed row sum_j row[j] * rows[j] for packed rows of width
-    entries (see _pack), or None when it is zero.  The context of every
-    left factor is checked first.  The sum is one map over the running
-    lcm of its products' denominators: a product whose a.den * den_j
-    does not divide it raises it to their lcm and scales the map up
-    once.  A zero factor or row adds nothing."""
-    for a, _ in zip(row, rows):
+def _packed_dot(ctx: Context, pairs, width: int):
+    """The packed row sum a * packed over a list of (a, packed) pairs,
+    each a a left factor and packed a packed row of width entries (see
+    _pack), or None when the sum is zero.  The context of every left
+    factor is checked first, so ContextMismatch comes before any
+    product.  The sum is one map over the running lcm of its products'
+    denominators: a product whose a.den * den_j does not divide it
+    raises it to their lcm and scales the map up once.  A zero factor or
+    row adds nothing."""
+    for a, _ in pairs:
         if a.ctx is not ctx:
             raise ContextMismatch("operands live in different contexts")
     w = (width - 1).bit_length()
     acc: dict[int, int] = {}
     den = 1
-    for a, packed in zip(row, rows):
+    for a, packed in pairs:
         if a.nums and packed:
             right, d = packed
             d *= a.den
@@ -1286,12 +1274,13 @@ def _packed_partial(ctx: Context, nums: dict[int, int], name: str, w: int) -> di
 def _derive(ctx: Context, terms, width: int) -> tuple[SuperPoly, ...]:
     """The entries of sum c * d/dname (row) over the (c, name, packed)
     triples, each packed a packed row of width entries (see _pack) or
-    None: one packed partial per triple, one _packed_dot and one _split.
-    No triple, or only zero partials, gives width zeros."""
+    None: one packed partial per triple, paired with its c unless it is
+    zero, then one _packed_dot and one _split.  No triple, or only zero
+    partials, gives width zeros."""
     w = (width - 1).bit_length()
-    rows = [(nums, packed[1]) if packed and (nums := _packed_partial(ctx, packed[0], name, w))
-            else None for _, name, packed in terms]
-    return _split(ctx, (_packed_dot(ctx, [c for c, _, _ in terms], rows, width),), width)
+    pairs = [(c, (nums, packed[1])) for c, name, packed in terms
+             if packed and (nums := _packed_partial(ctx, packed[0], name, w))]
+    return _split(ctx, (_packed_dot(ctx, pairs, width),), width)
 
 
 # The two constants of _kronecker_image's rule: an odd-free grid of at

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 from supergeom import Parity, SuperPoly
-from supergeom.poly import dot_row
+from supergeom.matrix import _gmul
 
 
 def poly(ctx, triples):
@@ -23,10 +23,10 @@ def poly(ctx, triples):
 
 
 def one_column(ctx, pairs):
-    """dot_row over a one-column grid: the sum of a*b over (a, b) pairs,
-    as a one-entry tuple, or () for no pairs."""
+    """The one-row grid product over a one-column grid: the sum of a*b
+    over (a, b) pairs, as a one-entry tuple, or () for no pairs."""
     pairs = list(pairs)
-    return dot_row(ctx, [a for a, _ in pairs], [[b] for _, b in pairs])
+    return _gmul(ctx, ([a for a, _ in pairs],), [[b] for _, b in pairs])[0]
 
 
 def random_poly(rng, ctx, parity=None, max_even_deg=2, n_terms=3, lo=-5, hi=5):

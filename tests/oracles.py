@@ -46,7 +46,7 @@ and dot lists those pairs, checks the context of each, takes the lcm of
 their denominators and then accumulates them.
 
 reference_apply and reference_bracket are SuperDerivation.apply and
-derivation.bracket before the bracket became one dot_row, kept verbatim
+derivation.bracket before the bracket became one sum of products, kept verbatim
 over reference_dot: apply is one dot of the nonzero coefficients with
 the argument's left partials, and the bracket applies each field to
 each of the other's coefficients, 2(p+q) applies, then subtracts the

@@ -4,7 +4,7 @@ reference_is_left_invariant; left_invariant_field against the
 infinitesimal action of the anti-law oracles.reference_iota.
 
 apply, bracket, infinitesimal_action and is_left_invariant each sum
-through one dot_row; the reference applied a field to one polynomial at
+through one poly._derive; the reference applied a field to one polynomial at
 a time through a pair list and, for a bracket, subtracted the two sides
 generator by generator.  Fields are compared by their coefficients and
 by their parity, since SuperDerivation.__eq__ reads no parity.  The

@@ -1,6 +1,6 @@
-"""The multiply-accumulate kernel (products and poly.dot_row, the one
-sum of products, all through the one term-pair loop poly._mac) against
-an independent model.
+"""The multiply-accumulate kernel (products and matrix._gmul, the one
+grid product, all through the one term-pair loop poly._mac) against an
+independent model.
 
 Oracle: the left regular representation of the exterior algebra
 Lambda(theta1..thetaq).  The basis is the subsets S of {0..q-1}, with
@@ -37,7 +37,7 @@ from oracles import reference_dot
 from supergeom import Context, ContextMismatch, LimitExceeded, Monomial, Parity, SuperPoly
 from supergeom.matrix import _det, _gmul
 from supergeom import poly
-from supergeom.poly import MAX_FIELD_EXPONENT, dot_row
+from supergeom.poly import MAX_FIELD_EXPONENT
 
 
 def grassmann(q):
@@ -224,9 +224,9 @@ class TestDotEdges:
 
 
 class TestDotRowEdges:
-    """dot_row against the per-column sums it stands for: one context
-    check per entry, one accumulator, denominator and term cap per
-    column."""
+    """A one-row _gmul against the per-column sums it stands for: one
+    context check per entry, one accumulator, denominator and term cap
+    per column."""
 
     CTX = Context(even=["x"], odd=["theta1", "theta2"])
     OTHER = Context(even=["x"], odd=["theta1"])
@@ -242,18 +242,18 @@ class TestDotRowEdges:
         grid[1][column] = self.OTHER.var("theta1")
         row = [x, self.CTX.zero() if left == "zero" else t1]
         with pytest.raises(ContextMismatch):
-            dot_row(self.CTX, row, grid)
+            _gmul(self.CTX, (row,), grid)[0]
 
     def test_left_factor_over_another_context_rejected_when_zero(self):
         x, t1, t2 = self.gens()
         with pytest.raises(ContextMismatch):
-            dot_row(self.CTX, [x, self.OTHER.zero()], [[x, t1], [t2, x]])
+            _gmul(self.CTX, ([x, self.OTHER.zero()],), [[x, t1], [t2, x]])[0]
 
     def test_one_column_cancels_to_the_canonical_zero(self):
         x, t1, t2 = self.gens()
         one = self.CTX.one()
         row = [t1 / 2, t2 / 2]
-        got = dot_row(self.CTX, row, [[x / 5, t2 / 3, one], [x / 7, t1 / 3, one]])
+        got = _gmul(self.CTX, (row,), [[x / 5, t2 / 3, one], [x / 7, t1 / 3, one]])[0]
         assert got[1] == self.CTX.zero()
         assert got[1].terms == {}
         assert got[0] == x * t1 / 10 + x * t2 / 14
@@ -268,7 +268,7 @@ class TestDotRowEdges:
         grid = [[t1, t2, t1 * t2]]
         grid[0][column] = x * t2
         with pytest.raises(LimitExceeded, match="exponent of x is above"):
-            dot_row(self.CTX, [full], grid)
+            _gmul(self.CTX, ([full],), grid)[0]
 
     def test_contexts_are_checked_before_any_product(self):
         # the first row alone raises LimitExceeded once multiplied, so
@@ -278,7 +278,7 @@ class TestDotRowEdges:
         full = SuperPoly(self.CTX, {Monomial(((0, MAX_FIELD_EXPONENT),), 0): 1})
         grid = [[x * t2, t1, t1 * t2], [t2, x, self.OTHER.var("theta1")]]
         with pytest.raises(ContextMismatch):
-            dot_row(self.CTX, [full, t1], grid)
+            _gmul(self.CTX, ([full, t1],), grid)[0]
 
     def test_the_term_cap_applies_to_each_column(self, monkeypatch):
         x, t1, t2 = self.gens()
@@ -287,13 +287,13 @@ class TestDotRowEdges:
         row = [1 + x, x**2]
         # four terms in every column, twelve between them
         grid = [[t1 + t2, t1 + x**3 * t2, one], [zero, zero, 1 + t1]]
-        got = dot_row(self.CTX, row, grid)
+        got = _gmul(self.CTX, (row,), grid)[0]
         assert [len(p.terms) for p in got] == [4, 4, 4]
         for column in range(3):
             wide = [list(r) for r in grid]
             wide[0][column] = wide[0][column] + t1 * t2
             with pytest.raises(LimitExceeded, match="more than 4 terms"):
-                dot_row(self.CTX, row, wide)
+                _gmul(self.CTX, (row,), wide)[0]
 
 
 # -- even generators, through evaluation at rational points ----------------
@@ -481,7 +481,7 @@ def test_det_with_nilpotent_entries_matches_leibniz_in_the_model(n):
 
 # -- the two inner loops of the term-pair loop ------------------------------
 #
-# poly._mac, under dot_row, runs each left term through one of two
+# poly._mac, under every product, runs each left term through one of two
 # loops: an odd-free left term has no odd-mask skip and no sign test, a
 # left term with odd generators has both.  The operands below hold both
 # kinds of term in one polynomial, so one product runs both loops into

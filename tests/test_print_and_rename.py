@@ -276,6 +276,13 @@ def test_division_by_a_scalar_scales_the_numerators():
         assert got == SuperPoly(ctx, got.terms)  # canonical form
     p = ctx.var("x") + ctx.var("a")
     assert p / -1 == -p
-    for bad in (0, Fraction(0), 0.5, "2"):
+    # a zero scalar is a ZeroDivisionError, as for Fraction, even for the
+    # zero polynomial; an operand that is no scalar is NotImplemented
+    for zero in (0, Fraction(0)):
+        for q in (p, ctx.zero()):
+            with pytest.raises(ZeroDivisionError):
+                q / zero
+    for bad in (0.5, "2", p):
+        assert p.__truediv__(bad) is NotImplemented
         with pytest.raises(TypeError):
             p / bad

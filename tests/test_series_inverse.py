@@ -269,7 +269,7 @@ def test_a_nilpotent_part_of_degrees_one_and_two_matches_the_oracle(gmul_calls):
 
 
 def test_the_series_is_summed_without_adding_polynomials(monkeypatch):
-    # the parts of N are summed a row at a time by dot_row, and the Y_d,
+    # the parts of N are summed a row at a time by _packed_dot, and the Y_d,
     # which share no monomial, are joined entry by entry with no product;
     # B^-1 is the series' input and is made first
     m = random_invertible(random.Random(1200), GR6, (3, 3), n_terms=3)
