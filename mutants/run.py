@@ -1,16 +1,16 @@
 """Run the mutation catalogue: each mutant must be killed by its tests.
 
-    python mutants/run.py [--catalogue FILE] [--root DIR]
+    python mutants/run.py
 
-The tree under --root (default: the repository) is copied once to a
-temporary directory, without .git and caches.  The killing tests of every
-mutant are first run together on the unmutated copy, and must all be
-found and pass there.  Then each mutant in turn is written into the copy,
-its tests run as one `python -m pytest -x` subprocess with src/ on
-PYTHONPATH, and the file is restored.  A mutant is killed when pytest
-exits nonzero (a test or its collection fails) or the run passes
-TIMEOUT_S, and survives when its tests pass.  An entry is stale when one
-of its old texts does not occur exactly once in its file.
+The repository is copied once to a temporary directory, without .git and
+caches.  The killing tests of every mutant are first run together on the
+unmutated copy, and must all be found and pass there.  Then each mutant
+in turn is written into the copy, its tests run as one
+`python -m pytest -x` subprocess with src/ on PYTHONPATH, and the file
+is restored.  A mutant is killed when pytest exits nonzero (a test or
+its collection fails) or the run passes TIMEOUT_S, and survives when its
+tests pass.  An entry is stale when one of its old texts does not occur
+exactly once in its file.
 
 One line per mutant gives its verdict, the killing test and the wall
 time; the exit status is 1 when any mutant survives, any entry is stale
@@ -19,10 +19,8 @@ or the unmutated tree fails, else 0.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
-import runpy
 import shutil
 import subprocess
 import sys
@@ -35,10 +33,6 @@ HERE = Path(__file__).resolve().parent
 # mutant that makes the code loop reaches it
 TIMEOUT_S = 300
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")
-
-
-def load(path: Path):
-    return runpy.run_path(str(path))["CATALOGUE"]
 
 
 def pytest(tree: Path, tests, timeout: float):
@@ -106,13 +100,7 @@ def run(catalogue, root: Path) -> int:
     return 1 if failed else 0
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--catalogue", type=Path, default=HERE / "catalogue.py")
-    parser.add_argument("--root", type=Path, default=HERE.parent)
-    args = parser.parse_args()
-    return run(load(args.catalogue), args.root.resolve())
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    from catalogue import CATALOGUE
+
+    sys.exit(run(CATALOGUE, HERE.parent))

@@ -1,12 +1,13 @@
 """run.py over a toy tree: a killed mutant passes the run, and a surviving
 or stale one fails it.  Nothing here gates on timing."""
 
-import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
-RUN = Path(__file__).resolve().parents[1] / "run.py"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from catalogue import Mutant  # noqa: E402
+from run import run as run_catalogue  # noqa: E402
 
 TOY = '''
 def add(a, b):
@@ -25,60 +26,53 @@ def test_add():
     assert add(2, 3) == 5
 '''
 
-KILLED = 'Mutant("add subtracts", "src/toy.py", (("a + b", "a - b"),), ("tests/test_toy.py::test_add",))'
-SURVIVING = ('Mutant("double triples", "src/toy.py", (("add(a, a)", "add(a, add(a, a))"),),'
-             ' ("tests/test_toy.py::test_add",))')
-STALE = 'Mutant("gone", "src/toy.py", (("a * b", "a / b"),), ("tests/test_toy.py::test_add",))'
-AMBIGUOUS = 'Mutant("twice", "src/toy.py", (("add(", "sub("),), ("tests/test_toy.py::test_add",))'
-MISSING_TEST = ('Mutant("no such test", "src/toy.py", (("a + b", "a - b"),),'
-                ' ("tests/test_toy.py::test_gone",))')
+TEST = ("tests/test_toy.py::test_add",)
+KILLED = Mutant("add subtracts", "src/toy.py", (("a + b", "a - b"),), TEST)
+SURVIVING = Mutant("double triples", "src/toy.py", (("add(a, a)", "add(a, add(a, a))"),), TEST)
+STALE = Mutant("gone", "src/toy.py", (("a * b", "a / b"),), TEST)
+AMBIGUOUS = Mutant("twice", "src/toy.py", (("add(", "sub("),), TEST)
+MISSING_TEST = Mutant("no such test", "src/toy.py", (("a + b", "a - b"),),
+                      ("tests/test_toy.py::test_gone",))
 
 
-def run(tmp_path, *entries):
+def run(tmp_path, capsys, *catalogue):
     (tmp_path / "src").mkdir()
     (tmp_path / "tests").mkdir()
     (tmp_path / "src" / "toy.py").write_text(TOY)
     (tmp_path / "tests" / "test_toy.py").write_text(TOY_TEST)
-    catalogue = tmp_path / "toy_catalogue.py"
-    catalogue.write_text(textwrap.dedent(f'''
-        from catalogue import Mutant
-        CATALOGUE = ({", ".join(entries)},)
-    '''))
-    proc = subprocess.run([sys.executable, str(RUN), "--root", str(tmp_path),
-                           "--catalogue", str(catalogue)],
-                          capture_output=True, text=True, timeout=600)
+    code = run_catalogue(catalogue, tmp_path)
     # the run works on a copy: the toy tree is left as it was
     assert (tmp_path / "src" / "toy.py").read_text() == TOY
-    return proc.returncode, proc.stdout
+    return code, capsys.readouterr().out
 
 
-def test_a_killed_mutant_passes_and_names_its_killing_test(tmp_path):
-    code, out = run(tmp_path, KILLED)
+def test_a_killed_mutant_passes_and_names_its_killing_test(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, KILLED)
     assert code == 0, out
     assert "KILLED    add subtracts: tests/test_toy.py::test_add (" in out
     assert "1 of 1 mutants killed" in out
 
 
-def test_a_surviving_mutant_fails_the_run(tmp_path):
-    code, out = run(tmp_path, KILLED, SURVIVING)
+def test_a_surviving_mutant_fails_the_run(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, KILLED, SURVIVING)
     assert code == 1, out
     assert "SURVIVED  double triples" in out
     assert "KILLED    add subtracts" in out
 
 
-def test_an_old_text_that_is_gone_fails_the_run(tmp_path):
-    code, out = run(tmp_path, STALE, KILLED)
+def test_an_old_text_that_is_gone_fails_the_run(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, STALE, KILLED)
     assert code == 1, out
     assert "STALE     gone: src/toy.py, edit 0 matches 0 times" in out
 
 
-def test_an_old_text_that_matches_twice_fails_the_run(tmp_path):
-    code, out = run(tmp_path, AMBIGUOUS)
+def test_an_old_text_that_matches_twice_fails_the_run(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, AMBIGUOUS)
     assert code == 1, out
     assert "STALE     twice: src/toy.py, edit 0 matches 2 times" in out
 
 
-def test_a_killing_test_that_is_gone_fails_the_run(tmp_path):
-    code, out = run(tmp_path, MISSING_TEST)
+def test_a_killing_test_that_is_gone_fails_the_run(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, MISSING_TEST)
     assert code == 1, out
     assert "UNMUTATED tree fails its killing tests" in out

@@ -36,10 +36,6 @@ each test checks that identity on the generators first.
   automorphism psi of N with an invertible linear body, psi f phi at
   phi^-1(m) falls in the class of f at m.  The trials reach every class
   and None.
-- lie OSp: a form P^t Phi P congruent to Phi, P = diag(A, D) invertible
-  over the rationals, preserves a conjugate of the group, so lie_algebra
-  gives it as many even and as many odd constraints as Phi, and both as
-  many as osp(m|n) has: m(m+1)/2 + n(n-1)/2 even and mn odd.
 
 Each failure names its seed and phi.  Each of these sign mutants turns
 the coordinate distributions NOT_INTEGRABLE after phi at 8 of the 12
@@ -59,7 +55,6 @@ from supergeom import (
     Context,
     Involutivity,
     MapClass,
-    MatrixGroupSpec,
     Morphism,
     Parity,
     PointedVariety,
@@ -68,7 +63,6 @@ from supergeom import (
     SuperMatrix,
     compose,
     involutive,
-    lie_algebra,
     tangent_space,
 )
 
@@ -344,34 +338,3 @@ def test_classes_are_invariant_under_automorphisms():
                 seen.add(before)
     # the trials reach every class and None, so the check is not vacuous
     assert seen == {*MapClass, None}, seen
-
-
-OSP_DIMS = [(1, 2), (2, 2), (3, 2), (3, 0), (1, 4), (2, 4), (3, 4)]
-
-
-def constraint_counts(spec):
-    """(even, odd) numbers of lie_algebra's canonical constraints."""
-    parities = [c.parity() for c in lie_algebra(spec).constraints]
-    return parities.count(Parity.EVEN), parities.count(Parity.ODD)
-
-
-def rational_invertible(rng, n):
-    """invertible_body with each row divided by 1, 2 or 3."""
-    return [[Fraction(v, d) for v in row]
-            for row, d in zip(invertible_body(rng, n), (rng.randint(1, 3) for _ in range(n)))]
-
-
-@pytest.mark.parametrize("dims", OSP_DIMS, ids=lambda d: f"{d[0]}|{d[1]}")
-def test_congruent_forms_keep_the_osp_constraint_counts(dims):
-    m, n = dims
-    phi = MatrixGroupSpec.OSp(m, n).form
-    want = (m * (m + 1) // 2 + n * (n - 1) // 2, m * n)
-    assert constraint_counts(MatrixGroupSpec.OSp(m, n)) == want
-    for seed in range(2):
-        rng = random.Random(5000 + 10 * m + n + 100 * seed)
-        a, d = rational_invertible(rng, m), rational_invertible(rng, n)
-        p = [row + [0] * n for row in a] + [[0] * m + row for row in d]
-        form = [[sum(p[k][i] * phi[k][l] * p[l][j] for k in range(m + n) for l in range(m + n))
-                 for j in range(m + n)] for i in range(m + n)]
-        got = constraint_counts(MatrixGroupSpec.OSp(m, n, form))
-        assert got == want, f"{dims}, seed {seed}: P = {p}, P^t Phi P = {form}"

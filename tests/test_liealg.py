@@ -352,7 +352,36 @@ RATIONAL_FORMS = [
 ]
 
 
-@pytest.mark.parametrize("spec", RATIONAL_FORMS, ids=["2|2", "3|2"])
+def congruent_form(m, n, seed):
+    """OSp(m|n) with the form P^t Phi P, for P = diag(A, D) and A, D
+    rational products of a unit lower and an upper triangular matrix with
+    a nonzero diagonal, so invertible.  The congruent form preserves a
+    conjugate of the group, so its constraints count as Phi's do."""
+    rng = random.Random(seed)
+
+    def invertible(k):
+        low = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if j < i else int(i == j)
+                for j in range(k)] for i in range(k)]
+        up = [[Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) if i == j
+               else Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if j > i else 0
+               for j in range(k)] for i in range(k)]
+        return [[sum(low[i][t] * up[t][j] for t in range(k)) for j in range(k)]
+                for i in range(k)]
+
+    phi = MatrixGroupSpec.OSp(m, n).form
+    p = [row + [0] * n for row in invertible(m)] + [[0] * m + row for row in invertible(n)]
+    size = m + n
+    return MatrixGroupSpec.OSp(m, n, form=[
+        [sum(p[k][i] * phi[k][l] * p[l][j] for k in range(size) for l in range(size))
+         for j in range(size)] for i in range(size)])
+
+
+CONGRUENT_DIMS = [(1, 4), (2, 4), (3, 4), (3, 0)]
+
+
+@pytest.mark.parametrize("spec", RATIONAL_FORMS + [
+    congruent_form(m, n, 5000 + 10 * m + n) for m, n in CONGRUENT_DIMS
+], ids=["2|2", "3|2"] + [f"congruent{m}|{n}" for m, n in CONGRUENT_DIMS])
 def test_osp_rational_form_matches_the_partial_rows_oracle(spec):
     # oracle: the constraints as lie_algebra built them before it read
     # coefficients, one left partial and constant term per symbol, reduced
@@ -379,6 +408,9 @@ def test_osp_rational_form_matches_the_partial_rows_oracle(spec):
     m, n = spec.dims
     k = n // 2
     assert len(want) == (m + n) ** 2 - (m * (m - 1) // 2 + k * (2 * k + 1) + 2 * m * k)
+    # and each parity cuts its own part: m(m+1)/2 + n(n-1)/2 even, mn odd
+    even = sum(c.parity() is Parity.EVEN for c in want)
+    assert (even, len(want) - even) == (m * (m + 1) // 2 + n * (n - 1) // 2, m * n)
 
 
 # GL, SL and OSp (even n) for every m|n up to 3|3, and the rational forms
