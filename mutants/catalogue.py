@@ -25,6 +25,9 @@ class Mutant(NamedTuple):
 POLY = "src/supergeom/poly.py"
 MATRIX = "src/supergeom/matrix.py"
 WIDTH_TEST = "tests/test_enumeration.py::test_packed_rows_keep_their_columns_apart"
+DET_IMAGE = "tests/test_det_image.py"
+SLOT_FORM_TEST = f"{DET_IMAGE}::test_the_slot_form_is_injective_on_every_simplex_the_rule_admits"
+IMAGE_DOT_TEST = f"{DET_IMAGE}::test_the_image_dot_sums_as_the_entry_ints"
 SCHUR_TESTS = (
     "tests/test_schur.py::test_complements_match_the_plain_difference",
     "tests/test_schur.py::test_the_complement_is_summed_without_adding_polynomials",
@@ -75,6 +78,65 @@ CATALOGUE = (
         ("tests/test_kernel.py::TestDotRowEdges::test_the_term_cap_applies_to_each_column",
          "tests/test_series_inverse.py::test_the_joined_inverse_keeps_the_term_cap",
          "tests/test_caps.py::test_bracket_sums_both_sides_under_one_cap"),
+    ),
+    # -- one operator swapped in the sign and bit code ----------------------
+    Mutant(
+        "left_quotient skipping the scale when the numerator is 1 over a den",
+        POLY,
+        (("c == 1 == factor.den", "c == 1 != factor.den"),),
+        ("tests/test_packing.py::test_left_quotient_matches_the_partials",),
+    ),
+    Mutant(
+        "_times_generator reporting every guard bit as overflowed",
+        POLY,
+        (("_field_overflow(ctx, code & ctx._guard)", "_field_overflow(ctx, code | ctx._guard)"),),
+        ("tests/test_parse.py::test_field_overflow_matches_the_reference",),
+    ),
+    # -- the Kronecker image of an odd-free grid (poly._kronecker_image) ---
+    Mutant(
+        "_image_dot ignoring negated",
+        POLY,
+        (("            t = -c * m if neg else c * m\n", "            t = c * m\n"),),
+        (IMAGE_DOT_TEST,),
+    ),
+    Mutant(
+        "_image_dot dropping the first shift from its final sum",
+        POLY,
+        (("sum([t << s for s, t in sums.items()])",
+          "sum([t << s for s, t in list(sums.items())[1:]])"),),
+        (IMAGE_DOT_TEST,),
+    ),
+    Mutant(
+        "the slot enumeration bounded by total + e < D",
+        POLY,
+        (("for code, shift, total in slots if total + e <= degree]",
+          "for code, shift, total in slots if total + e < degree]"),),
+        (f"{DET_IMAGE}::test_a_term_at_the_degree_bound_reads_back",),
+    ),
+    Mutant(
+        "_slot_units without the odd term D mod 2 in m and a",
+        POLY,
+        (("    m = comb(degree + 2, 2) + degree % 2\n", "    m = comb(degree + 2, 2)\n"),
+         ("(1, m - degree - degree % 2, m)", "(1, m - degree, m)")),
+        (SLOT_FORM_TEST,),
+    ),
+    Mutant(
+        "_slot_units with the unit a + 1",
+        POLY,
+        (("(1, m - degree - degree % 2, m)", "(1, m - degree - degree % 2 + 1, m)"),),
+        (SLOT_FORM_TEST,),
+    ),
+    Mutant(
+        "_slot_units with the unit m - 1",
+        POLY,
+        (("(1, m - degree - degree % 2, m)", "(1, m - degree - degree % 2, m - 1)"),),
+        (SLOT_FORM_TEST,),
+    ),
+    Mutant(
+        "the image rule reading the box in place of the span",
+        POLY,
+        (("or span * span * nonzero ** 3 >", "or prod([d + 1 for d in box]) ** 2 * nonzero ** 3 >"),),
+        (f"{DET_IMAGE}::test_five_variable_sweep_grids_take_the_image_by_their_span",),
     ),
     # -- the Schur complement [1 | b d^-1] [a; -c] -------------------------
     Mutant(
@@ -138,5 +200,13 @@ CATALOGUE = (
         MATRIX,
         (("return top + bot if self.parity is Parity.ODD else top - bot", "return top - bot"),),
         ("tests/test_elementary.py::test_every_basis_matrix_transposes_and_traces_by_the_model",),
+    ),
+    # -- script errors: run_script alone names the line ----------------------
+    Mutant(
+        "run_script writing ': ' before a column",
+        "src/supergeom/script.py",
+        (('sep = ", " if', 'sep = ": " if'),),
+        ("tests/test_script_errors.py::test_each_error_path_reports_its_line",
+         "tests/test_cli.py::test_a_line_with_several_faults_reports_the_first"),
     ),
 )

@@ -14,9 +14,12 @@ context; morphisms and groups refer to contexts by name.
 
 Output is plain ASCII and depends only on the script text, never on
 hashing or platform, so identical scripts give byte-identical reports.
-Failures are collected as "error: line N: ..." messages; a kernel error
-or ValueError raised inside a statement is reported the same way as a
-ScriptError.  Execution stops at the first one unless keep_going is set.
+Interpreter.execute runs one statement, and what it raises (a
+ScriptError, another kernel error or a ValueError) names no line.
+run_script names the line of every error: it collects them as
+"error: line N: ..." messages, or "error: line N, column C: ..." when a
+parse error carries its column.  Execution stops at the first one unless
+keep_going is set.
 """
 
 from __future__ import annotations
@@ -119,22 +122,22 @@ class Interpreter:
 
     # -- lookups -------------------------------------------------------------
 
-    def _ctx(self, line) -> Context:
+    def _ctx(self) -> Context:
         if self.active is None:
-            raise ScriptError("no context declared yet", line=line)
+            raise ScriptError("no context declared yet")
         return self.active
 
-    def _named_ctx(self, name, line) -> Context:
+    def _named_ctx(self, name) -> Context:
         try:
             return self.contexts[name]
         except KeyError:
-            raise ScriptError(f"unknown context {name!r}", line=line) from None
+            raise ScriptError(f"unknown context {name!r}") from None
 
     def _env(self):
         """let-bound polynomials, resolvable inside later expressions."""
         return {k: v for k, (kind, v) in self.values.items() if kind == "poly"}
 
-    def _polys(self, text, ctx, line, at=0):
+    def _polys(self, text, ctx, at=0):
         """Comma-separated expressions over ctx, as a list of polynomials;
         blank text is the empty list.  An error column counts from the
         start of text, which is at index at of its list: parse_poly is
@@ -142,249 +145,230 @@ class Interpreter:
         if not text.strip():
             return []
         env = self._env()
-        return [expr.parse_poly(e, ctx, line, env, at + start)
+        return [expr.parse_poly(e, ctx, env=env, at=at + start)
                 for start, e in _items(text, ",")]
 
-    def _value(self, name, want, line):
+    def _value(self, name, want):
         kind_value = self.values.get(name)
         if kind_value is None:
-            raise ScriptError(f"name {name!r} is not bound", line=line)
+            raise ScriptError(f"name {name!r} is not bound")
         kind, value = kind_value
         if kind != want:
-            raise ScriptError(
-                f"{name!r} is a {kind}, expected a {want}", line=line
-            )
+            raise ScriptError(f"{name!r} is a {kind}, expected a {want}")
         return value
 
-    def _point(self, text, ctx, line) -> RationalPoint:
+    def _point(self, text, ctx) -> RationalPoint:
         values = [] if not text.strip() else [
-            expr.parse_rational(v, line) for v in _split_top(text, ",")
+            expr.parse_rational(v) for v in _split_top(text, ",")
         ]
         m, n = ctx.dims
         if len(values) == m + n:
             if any(values[m:]):
-                raise ScriptError(
-                    "odd coordinates of a point must be zero", line=line
-                )
+                raise ScriptError("odd coordinates of a point must be zero")
             values = values[:m]
         elif len(values) != m:
             counts = f"{m} or {m + n}" if n else m
-            raise ScriptError(
-                f"expected {counts} coordinates, got {len(values)}", line=line
-            )
+            raise ScriptError(f"expected {counts} coordinates, got {len(values)}")
         return RationalPoint(ctx, values)
 
-    def _names_list(self, text, line):
+    def _names_list(self, text):
         if not text.strip():
             return []
         names = [n.strip() for n in _split_top(text, ",")]
         for n in names:
             if not re.fullmatch(_NAME, n):
-                raise ScriptError(f"bad generator name {n!r}", line=line)
+                raise ScriptError(f"bad generator name {n!r}")
         return names
 
     # -- statements ------------------------------------------------------------
 
-    def _match(self, pattern, text, line, usage):
+    def _match(self, pattern, text, usage):
         m = re.fullmatch(pattern, text)
         if not m:
-            raise ScriptError(f"expected: {usage}", line=line)
+            raise ScriptError(f"expected: {usage}")
         return m
 
-    def stmt_context(self, rest, line):
+    def stmt_context(self, rest):
         m = self._match(
             rf"(?:(?P<name>{_NAME})\s+)?even\s*=\s*\[(?P<even>[^\]]*)\]"
             rf"\s+odd\s*=\s*\[(?P<odd>[^\]]*)\]",
-            rest, line, "context [NAME] even=[...] odd=[...]",
+            rest, "context [NAME] even=[...] odd=[...]",
         )
         ctx = Context(
-            even=self._names_list(m.group("even"), line),
-            odd=self._names_list(m.group("odd"), line),
+            even=self._names_list(m.group("even")),
+            odd=self._names_list(m.group("odd")),
         )
         self.active = ctx
         if m.group("name"):
             self.contexts[m.group("name")] = ctx
 
-    def stmt_let(self, rest, line):
-        m = self._match(rf"(?P<name>{_NAME})\s*=\s*(?P<expr>.+)", rest, line,
+    def stmt_let(self, rest):
+        m = self._match(rf"(?P<name>{_NAME})\s*=\s*(?P<expr>.+)", rest,
                         "let NAME = EXPR")
-        poly = expr.parse_poly(m.group("expr"), self._ctx(line), line, self._env())
+        poly = expr.parse_poly(m.group("expr"), self._ctx(), env=self._env())
         self.values[m.group("name")] = ("poly", poly)
 
-    def stmt_matrix(self, rest, line):
+    def stmt_matrix(self, rest):
         m = self._match(
             rf"(?P<name>{_NAME})\s+dims\s+(?P<p>\d+)\|(?P<q>\d+)\s*->\s*"
             rf"(?P<r>\d+)\|(?P<s>\d+)(?P<odd>\s+odd)?\s+rows\s*"
             rf"\[(?P<rows>.*)\]",
-            rest, line, "matrix NAME dims p|q -> r|s [odd] rows [a, b; c, d]",
+            rest, "matrix NAME dims p|q -> r|s [odd] rows [a, b; c, d]",
         )
-        ctx = self._ctx(line)
+        ctx = self._ctx()
         source = SuperDim(int(m.group("p")), int(m.group("q")))
         target = SuperDim(int(m.group("r")), int(m.group("s")))
         parity = Parity.ODD if m.group("odd") else Parity.EVEN
         text = m.group("rows")
         # blank text is no rows, as for a 0|0 target
-        rows = [self._polys(row, ctx, line, start)
+        rows = [self._polys(row, ctx, start)
                 for start, row in _items(text, ";")] if text.strip() else []
         self.values[m.group("name")] = (
             "matrix", SuperMatrix(ctx, source, target, rows, parity)
         )
 
-    def stmt_morphism(self, rest, line):
+    def stmt_morphism(self, rest):
         m = self._match(
             rf"(?P<name>{_NAME})\s*:\s*(?P<src>{_NAME})\s*->\s*"
             rf"(?P<dst>{_NAME})\s*\[(?P<images>.*)\]",
-            rest, line, "morphism NAME : SRC -> DST [expr, ...]",
+            rest, "morphism NAME : SRC -> DST [expr, ...]",
         )
-        src = self._named_ctx(m.group("src"), line)
-        dst = self._named_ctx(m.group("dst"), line)
-        images = self._polys(m.group("images"), src, line)
+        src = self._named_ctx(m.group("src"))
+        dst = self._named_ctx(m.group("dst"))
+        images = self._polys(m.group("images"), src)
         self.values[m.group("name")] = ("morphism", Morphism(src, dst, images))
 
-    def stmt_field(self, rest, line):
+    def stmt_field(self, rest):
         m = self._match(rf"(?P<name>{_NAME})\s*=\s*\[(?P<coeffs>.*)\]",
-                        rest, line, "field NAME = [coeff, ...]")
-        ctx = self._ctx(line)
-        coeffs = self._polys(m.group("coeffs"), ctx, line)
+                        rest, "field NAME = [coeff, ...]")
+        ctx = self._ctx()
+        coeffs = self._polys(m.group("coeffs"), ctx)
         em, on = ctx.dims
         if len(coeffs) != em + on:
-            raise ScriptError(
-                f"expected {em + on} coefficients, got {len(coeffs)}",
-                line=line,
-            )
+            raise ScriptError(f"expected {em + on} coefficients, got {len(coeffs)}")
         parity = None
         for k, c in enumerate(coeffs):
             if not c:
                 continue
             cp = c.parity()
             if cp is Parity.MIXED:
-                raise ScriptError(
-                    f"coefficient {k + 1} is not parity homogeneous", line=line
-                )
+                raise ScriptError(f"coefficient {k + 1} is not parity homogeneous")
             fp = cp if k < em else cp.flipped()
             if parity is None:
                 parity = fp
             elif parity is not fp:
-                raise ScriptError(
-                    "coefficients do not give the field one parity", line=line
-                )
+                raise ScriptError("coefficients do not give the field one parity")
         parity = parity or Parity.EVEN
         self.values[m.group("name")] = (
             "field", SuperDerivation(ctx, parity, coeffs[:em], coeffs[em:])
         )
 
-    def stmt_group(self, rest, line):
+    def stmt_group(self, rest):
         m = self._match(
             rf"(?P<name>{_NAME})\s+context\s*=\s*(?P<ctx>{_NAME})\s+"
             rf"mu\s*=\s*\[(?P<mu>.*?)\]\s+unit\s*=\s*\((?P<unit>.*?)\)"
             rf"(?:\s+inv\s*=\s*\[(?P<inv>.*)\])?",
-            rest, line,
-            "group NAME context=CTX mu=[...] unit=(...) [inv=[...]]",
+            rest, "group NAME context=CTX mu=[...] unit=(...) [inv=[...]]",
         )
-        coords = self._named_ctx(m.group("ctx"), line)
+        coords = self._named_ctx(m.group("ctx"))
         double = product_context(coords)
-        mu = Morphism(double, coords, self._polys(m.group("mu"), double, line))
-        unit = self._point(m.group("unit"), coords, line)
+        mu = Morphism(double, coords, self._polys(m.group("mu"), double))
+        unit = self._point(m.group("unit"), coords)
         inverse = None
         if m.group("inv") is not None:
-            inverse = Morphism(
-                coords, coords, self._polys(m.group("inv"), coords, line)
-            )
+            inverse = Morphism(coords, coords, self._polys(m.group("inv"), coords))
         law = GroupLaw(coords, mu, unit, inverse)
         self.values[m.group("name")] = ("group", law)
         self.last_group = law
 
-    def stmt_variety(self, rest, line):
+    def stmt_variety(self, rest):
         m = self._match(
             rf"(?P<name>{_NAME})\s+ideal\s*=\s*\[(?P<ideal>.*?)\]\s+"
             rf"point\s*=\s*\((?P<point>.*?)\)",
-            rest, line, "variety NAME ideal=[...] point=(...)",
+            rest, "variety NAME ideal=[...] point=(...)",
         )
-        ctx = self._ctx(line)
-        gens = self._polys(m.group("ideal"), ctx, line)
-        point = self._point(m.group("point"), ctx, line)
+        ctx = self._ctx()
+        gens = self._polys(m.group("ideal"), ctx)
+        point = self._point(m.group("point"), ctx)
         self.values[m.group("name")] = (
             "variety", PointedVariety(ctx, gens, point)
         )
 
     # -- commands ----------------------------------------------------------------
 
-    def cmd_eval(self, rest, line):
-        ctx = self._ctx(line)
-        self.report.append(str(expr.parse_poly(rest, ctx, line, self._env())))
+    def cmd_eval(self, rest):
+        ctx = self._ctx()
+        self.report.append(str(expr.parse_poly(rest, ctx, env=self._env())))
 
-    def _matrix_arg(self, rest, line) -> SuperMatrix:
-        m = self._match(rf"(?P<name>{_NAME})", rest, line, "COMMAND MATRIXNAME")
-        return self._value(m.group("name"), "matrix", line)
+    def _matrix_arg(self, rest) -> SuperMatrix:
+        m = self._match(rf"(?P<name>{_NAME})", rest, "COMMAND MATRIXNAME")
+        return self._value(m.group("name"), "matrix")
 
-    def cmd_ber(self, rest, line):
-        self.report.append(str(self._matrix_arg(rest, line).berezinian()))
+    def cmd_ber(self, rest):
+        self.report.append(str(self._matrix_arg(rest).berezinian()))
 
-    def cmd_strace(self, rest, line):
-        self.report.append(str(self._matrix_arg(rest, line).supertrace()))
+    def cmd_strace(self, rest):
+        self.report.append(str(self._matrix_arg(rest).supertrace()))
 
-    def cmd_srank(self, rest, line):
-        self.report.append(str(self._matrix_arg(rest, line).srank()))
+    def cmd_srank(self, rest):
+        self.report.append(str(self._matrix_arg(rest).srank()))
 
-    def cmd_inv(self, rest, line):
-        self.report.append(str(self._matrix_arg(rest, line).invert()))
+    def cmd_inv(self, rest):
+        self.report.append(str(self._matrix_arg(rest).invert()))
 
-    def cmd_pullback(self, rest, line):
-        m = self._match(rf"(?P<name>{_NAME})\s+(?P<expr>.+)", rest, line,
+    def cmd_pullback(self, rest):
+        m = self._match(rf"(?P<name>{_NAME})\s+(?P<expr>.+)", rest,
                         "pullback MORPHISM EXPR")
-        phi = self._value(m.group("name"), "morphism", line)
-        f = expr.parse_poly(m.group("expr"), phi.target, line, self._env())
+        phi = self._value(m.group("name"), "morphism")
+        f = expr.parse_poly(m.group("expr"), phi.target, env=self._env())
         self.report.append(str(phi.pullback(f)))
 
-    def _morphism_point(self, rest, line, usage):
-        m = self._match(rf"(?P<name>{_NAME})\s*\((?P<point>.*?)\)",
-                        rest, line, usage)
-        phi = self._value(m.group("name"), "morphism", line)
-        return phi, self._point(m.group("point"), phi.source, line)
+    def _morphism_point(self, rest, usage):
+        m = self._match(rf"(?P<name>{_NAME})\s*\((?P<point>.*?)\)", rest, usage)
+        phi = self._value(m.group("name"), "morphism")
+        return phi, self._point(m.group("point"), phi.source)
 
-    def cmd_jacobian(self, rest, line):
-        phi, at = self._morphism_point(rest, line, "jacobian MORPHISM (point)")
+    def cmd_jacobian(self, rest):
+        phi, at = self._morphism_point(rest, "jacobian MORPHISM (point)")
         self.report.append(str(phi.differential_at(at)))
 
-    def cmd_classify(self, rest, line):
-        phi, at = self._morphism_point(rest, line, "classify MORPHISM (point)")
+    def cmd_classify(self, rest):
+        phi, at = self._morphism_point(rest, "classify MORPHISM (point)")
         kind = phi.classify_at(at)
         self.report.append("none" if kind is None else str(kind))
 
-    def cmd_tangent(self, rest, line):
-        m = self._match(rf"(?P<name>{_NAME})", rest, line, "tangent VARIETY")
-        result = tangent_space(self._value(m.group("name"), "variety", line))
+    def cmd_tangent(self, rest):
+        m = self._match(rf"(?P<name>{_NAME})", rest, "tangent VARIETY")
+        result = tangent_space(self._value(m.group("name"), "variety"))
         for rel in result.relations:
             self.report.append(f"{rel} = 0")
         self.report.append(f"dim {result.dimension}")
 
-    def cmd_livf(self, rest, line):
+    def cmd_livf(self, rest):
         m = self._match(rf"d/d(?P<coord>{_NAME})(?:\s+(?P<group>{_NAME}))?",
-                        rest, line, "livf d/dCOORD [GROUP]")
+                        rest, "livf d/dCOORD [GROUP]")
         if m.group("group"):
-            law = self._value(m.group("group"), "group", line)
+            law = self._value(m.group("group"), "group")
         elif self.last_group is not None:
             law = self.last_group
         else:
-            raise ScriptError("no group declared yet", line=line)
+            raise ScriptError("no group declared yet")
         name = m.group("coord")
         if name not in law.coords:
-            raise ScriptError(
-                f"unknown generator {name!r} in the group context", line=line
-            )
+            raise ScriptError(f"unknown generator {name!r} in the group context")
         v = TangentVector.coordinate(law.coords, name)
         self.report.append(str(left_invariant_field(law, v)))
 
-    def cmd_bracket(self, rest, line):
-        m = self._match(rf"(?P<a>{_NAME})\s+(?P<b>{_NAME})", rest, line,
+    def cmd_bracket(self, rest):
+        m = self._match(rf"(?P<a>{_NAME})\s+(?P<b>{_NAME})", rest,
                         "bracket FIELD FIELD")
-        a = self._value(m.group("a"), "field", line)
-        b = self._value(m.group("b"), "field", line)
+        a = self._value(m.group("a"), "field")
+        b = self._value(m.group("b"), "field")
         self.report.append(str(bracket(a, b)))
 
-    def cmd_lie(self, rest, line):
+    def cmd_lie(self, rest):
         m = self._match(r"(?P<kind>GL|SL|OSp)\s+(?P<m>\d+)\|(?P<n>\d+)",
-                        rest, line, "lie GL|SL|OSp m|n")
+                        rest, "lie GL|SL|OSp m|n")
         spec = MatrixGroupSpec(
             m.group("kind"), (int(m.group("m")), int(m.group("n")))
         )
@@ -394,29 +378,28 @@ class Interpreter:
         for c in result.constraints:
             self.report.append(f"{c} = 0")
 
-    def cmd_involutive(self, rest, line):
+    def cmd_involutive(self, rest):
         names = rest.split()
         if not names:
-            raise ScriptError("expected: involutive FIELD [FIELD ...]",
-                              line=line)
-        fields = [self._value(n, "field", line) for n in names]
+            raise ScriptError("expected: involutive FIELD [FIELD ...]")
+        fields = [self._value(n, "field") for n in names]
         self.report.append(str(involutive(fields)))
 
-    def cmd_axioms(self, rest, line):
-        m = self._match(rf"(?P<name>{_NAME})", rest, line, "axioms GROUP")
-        law = self._value(m.group("name"), "group", line)
+    def cmd_axioms(self, rest):
+        m = self._match(rf"(?P<name>{_NAME})", rest, "axioms GROUP")
+        law = self._value(m.group("name"), "group")
         for result in check_group_axioms(law):
             self.report.append(str(result))
 
-    def cmd_export(self, rest, line):
-        m = self._match(rf"(?P<name>{_NAME})", rest, line, "export NAME")
+    def cmd_export(self, rest):
+        m = self._match(rf"(?P<name>{_NAME})", rest, "export NAME")
         name = m.group("name")
         if name in self.values:
             value = self.values[name][1]
         elif name in self.contexts:
             value = self.contexts[name]
         else:
-            raise ScriptError(f"name {name!r} is not bound", line=line)
+            raise ScriptError(f"name {name!r} is not bound")
         data = to_json(value)
         self.exports[name] = data
         self.report.append(json.dumps(data, separators=(",", ":")))
@@ -424,11 +407,13 @@ class Interpreter:
     # -- driver ---------------------------------------------------------------
 
     def execute(self, lineno, statement):
+        """Run one statement.  lineno is unused here: an error is raised
+        without a line, and run_script names the line in its message."""
         head, _, rest = statement.partition(" ")
         handler = _STATEMENTS.get(head)
         if handler is None:
-            raise ScriptError(f"unknown statement {head!r}", line=lineno)
-        handler(self, rest.strip(), lineno)
+            raise ScriptError(f"unknown statement {head!r}")
+        handler(self, rest.strip())
 
 
 # statement head -> handler: stmt_HEAD binds a name, cmd_HEAD reports
@@ -445,13 +430,10 @@ def run_script(text: str, keep_going: bool = False) -> ScriptResult:
     for lineno, statement in _logical_lines(text):
         try:
             interp.execute(lineno, statement)
-        except ScriptError as e:
-            if e.line is not None:
-                errors.append(f"error: {e}")
-            else:
-                errors.append(f"error: line {lineno}: {e}")
         except (KernelError, ValueError, ZeroDivisionError) as e:
-            errors.append(f"error: line {lineno}: {e}")
+            # a parse error's text starts "column C: ..."
+            sep = ", " if getattr(e, "col", None) is not None else ": "
+            errors.append(f"error: line {lineno}{sep}{e}")
         if errors and not keep_going:
             break
     output = "\n".join(interp.report)

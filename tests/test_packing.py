@@ -454,7 +454,7 @@ def test_left_quotient_matches_the_partials(p, k):
     rng = random.Random(82 + 10 * p + k)
     for where, word in placements(q, k).items():
         theta = SuperPoly(ctx, {Monomial((), word_mask(word)): 1})
-        for c in (1, -1, 3, Fraction(-3, 2)):
+        for c in (1, -1, 3, Fraction(-3, 2), Fraction(1, 2)):
             factor = c * theta
             for _ in range(20):
                 g = seeded(rng, ctx)

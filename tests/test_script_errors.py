@@ -11,6 +11,7 @@ import re
 import pytest
 
 from supergeom import script
+from supergeom.errors import ScriptError
 from supergeom.script import Interpreter, run_script
 
 ERRORS = [
@@ -26,6 +27,9 @@ ERRORS = [
      "error: line 2, column 7: expected ')'"),
     ("context even=[t] odd=[a]\n\nlet p = (t +\n  a",
      "error: line 3, column 7: expected ')'"),
+    ("context even=[t] odd=[a]\nber X", "error: line 2: name 'X' is not bound"),
+    ("context even=[t] odd=[a]\nlet p = t\nber p",
+     "error: line 3: 'p' is a poly, expected a matrix"),
 ]
 
 
@@ -34,6 +38,14 @@ def test_each_error_path_reports_its_line(text, error):
     result = run_script(text, keep_going=True)
     assert result.errors == (error,)
     assert result.output == ""
+
+
+def test_execute_raises_without_a_line():
+    # run_script names the line; the statement's own error carries none
+    with pytest.raises(ScriptError) as info:
+        Interpreter().execute(5, "ber")
+    assert info.value.line is None
+    assert str(info.value) == "expected: COMMAND MATRIXNAME"
 
 
 def documented_heads():
