@@ -70,6 +70,12 @@ CATALOGUE = (
         (f"{WIDTH_TEST}[3]", f"{WIDTH_TEST}[5]", f"{WIDTH_TEST}[9]"),
     ),
     Mutant(
+        "_mac's MAX_TERMS test skipped after an odd left term",
+        POLY,
+        (("        if len(acc) > cap:\n", "        if not o1 and len(acc) > cap:\n"),),
+        ("tests/test_caps.py::test_a_product_of_odd_left_terms_past_the_cap_is_refused",),
+    ),
+    Mutant(
         "_split without its per-entry MAX_TERMS test",
         POLY,
         (("        if len(nums) > MAX_TERMS:\n"
@@ -93,6 +99,21 @@ CATALOGUE = (
         ("tests/test_parse.py::test_field_overflow_matches_the_reference",),
     ),
     # -- the Kronecker image of an odd-free grid (poly._kronecker_image) ---
+    Mutant(
+        "the image width b one bit short",
+        POLY,
+        (("    b = (norm.bit_length() + 1) // 2 + 1\n", "    b = (norm.bit_length() + 1) // 2\n"),),
+        (f"{DET_IMAGE}::test_a_digit_of_the_largest_magnitude_reads_back",
+         f"{DET_IMAGE}::test_hadamard_times_a_monomial_meets_the_bound"),
+    ),
+    Mutant(
+        "_slot_units with the radix d_i in place of d_i + 1",
+        POLY,
+        (("            span *= d + 1\n", "            span *= d\n"),),
+        (f"{DET_IMAGE}::test_a_digit_of_the_largest_magnitude_reads_back",
+         f"{DET_IMAGE}::test_hadamard_times_a_monomial_meets_the_bound",
+         f"{DET_IMAGE}::test_a_box_narrower_than_the_digit_keeps_the_mixed_radix"),
+    ),
     Mutant(
         "_image_dot ignoring negated",
         POLY,
@@ -201,7 +222,15 @@ CATALOGUE = (
         (("return top + bot if self.parity is Parity.ODD else top - bot", "return top - bot"),),
         ("tests/test_elementary.py::test_every_basis_matrix_transposes_and_traces_by_the_model",),
     ),
-    # -- script errors: run_script alone names the line ----------------------
+    # -- script errors: the parser names the column, run_script the line -----
+    Mutant(
+        "ScriptError without its column prefix",
+        "src/supergeom/errors.py",
+        (('            message = f"column {col}: {message}"\n', ""),
+         ("        if col is not None:\n", "")),
+        ("tests/test_parse.py::test_each_error_message_has_its_column",
+         "tests/test_script_errors.py::test_each_error_path_reports_its_line"),
+    ),
     Mutant(
         "run_script writing ': ' before a column",
         "src/supergeom/script.py",

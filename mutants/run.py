@@ -48,7 +48,11 @@ def pytest(tree: Path, tests, timeout: float):
 
 
 def first_failure(output: str) -> str:
-    found = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.M)
+    """The node id of the first FAILED or ERROR line of pytest's summary,
+    with its whole parametrized id: that id may hold blanks, brackets and
+    " - ", so it runs to the first ']' that ends the line or is followed
+    by the " - " before pytest's message."""
+    found = re.search(r"^(?:FAILED|ERROR) (\S+?(?:\[.*?\])?)(?: - |$)", output, re.M)
     return found.group(1) if found else "collection"
 
 

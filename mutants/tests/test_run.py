@@ -19,11 +19,18 @@ def double(a):
 '''
 
 TOY_TEST = '''
+import pytest
+
 from toy import add
 
 
 def test_add():
     assert add(2, 3) == 5
+
+
+@pytest.mark.parametrize("a, b", [(2, 3)], ids=["add(2, 3) - [5]"])
+def test_sums(a, b):
+    assert add(a, b) == 5
 '''
 
 TEST = ("tests/test_toy.py::test_add",)
@@ -31,6 +38,9 @@ KILLED = Mutant("add subtracts", "src/toy.py", (("a + b", "a - b"),), TEST)
 SURVIVING = Mutant("double triples", "src/toy.py", (("add(a, a)", "add(a, add(a, a))"),), TEST)
 STALE = Mutant("gone", "src/toy.py", (("a * b", "a / b"),), TEST)
 AMBIGUOUS = Mutant("twice", "src/toy.py", (("add(", "sub("),), TEST)
+# pytest's id holds a blank, a ')', brackets and the " - " that ends it
+KILLED_BY_ID = Mutant("add subtracts", "src/toy.py", (("a + b", "a - b"),),
+                      ("tests/test_toy.py::test_sums",))
 MISSING_TEST = Mutant("no such test", "src/toy.py", (("a + b", "a - b"),),
                       ("tests/test_toy.py::test_gone",))
 
@@ -51,6 +61,12 @@ def test_a_killed_mutant_passes_and_names_its_killing_test(tmp_path, capsys):
     assert code == 0, out
     assert "KILLED    add subtracts: tests/test_toy.py::test_add (" in out
     assert "1 of 1 mutants killed" in out
+
+
+def test_a_killing_test_is_named_by_its_whole_parametrized_id(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, KILLED_BY_ID)
+    assert code == 0, out
+    assert "KILLED    add subtracts: tests/test_toy.py::test_sums[add(2, 3) - [5]] (" in out
 
 
 def test_a_surviving_mutant_fails_the_run(tmp_path, capsys):

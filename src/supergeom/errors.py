@@ -38,14 +38,11 @@ class LimitExceeded(KernelError):
 
 
 class ScriptError(KernelError):
-    """Script or expression error, carrying a source position."""
+    """Script or expression error, carrying the column it was found at, if
+    any; run_script adds the line."""
 
-    def __init__(self, message, line=None, col=None):
-        if line is not None:
-            where = f"line {line}" + (f", column {col}" if col is not None else "")
-            message = f"{where}: {message}"
-        elif col is not None:
+    def __init__(self, message, col=None):
+        if col is not None:
             message = f"column {col}: {message}"
         super().__init__(message)
-        self.line = line
         self.col = col

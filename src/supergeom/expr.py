@@ -63,7 +63,7 @@ def _column(text: str, words: list[str], k: int) -> int:
     return text.index(words[k], pos) + 1 if words[k] else len(text) + 1
 
 
-def _words(text: str, line, at=0) -> list[str]:
+def _words(text: str, at=0) -> list[str]:
     """The token strings of text, then "" for the end.  The first character
     no token starts with raises ScriptError at its column, and so does an
     integer literal of more than MAX_DIGITS digits, whichever comes first;
@@ -77,12 +77,12 @@ def _words(text: str, line, at=0) -> list[str]:
         col = _column(text, words, long[0]) if long else len(text) + 1
         if bad and bad.start() < col:
             raise ScriptError(f"unexpected character {bad.group()!r}",
-                              line=line, col=at + bad.start() + 1)
+                              col=at + bad.start() + 1)
         if long:
             # the printing cap; CPython itself refuses int() past 4300 digits
             raise ScriptError(
                 f"integer literal has more than {MAX_DIGITS} digits, the cap",
-                line=line, col=at + col,
+                col=at + col,
             )
     return words
 
@@ -96,14 +96,13 @@ _MAX_DEPTH = 100
 class _Parser:
     """Reads token strings left to right; tok is the current one."""
 
-    def __init__(self, text, line, ctx=None, env=None, at=0):
+    def __init__(self, text, ctx=None, env=None, at=0):
         self.text = text
         self.at = at
-        self.words = _words(text, line, at)
+        self.words = _words(text, at)
         self.rest = iter(self.words)
         self.next = self.rest.__next__
         self.tok = self.next()
-        self.line = line
         self.ctx = ctx
         self.env = env
         self.depth = 0
@@ -111,8 +110,7 @@ class _Parser:
     def error(self, message, back=0):
         """Raise at the current token, or at the one back tokens before it."""
         k = len(self.words) - self.rest.__length_hint__() - 1 - back
-        raise ScriptError(message, line=self.line,
-                          col=self.at + _column(self.text, self.words, k))
+        raise ScriptError(message, col=self.at + _column(self.text, self.words, k))
 
     def expr(self) -> SuperPoly:
         # literal terms sum into one map of codes, the others by + at the end
@@ -250,12 +248,14 @@ class _Parser:
         return Fraction(value, d)
 
 
-def parse_poly(text: str, ctx: Context, line=None, env=None, at=0) -> SuperPoly:
+def parse_poly(text: str, ctx: Context, env=None, at=0) -> SuperPoly:
     """Text to a polynomial over ctx.  env holds session bindings, which
-    generators shadow; a binding over another context is an error.  An
-    error's column counts as if text started at column at + 1, so an item
-    that starts at index at of a longer list is placed in that list."""
-    p = _Parser(text, line, ctx, env, at)
+    generators shadow; a binding over another context is an error.  A
+    fault raises ScriptError with its column and no line (run_script adds
+    the line).  The column counts as if text started at column at + 1, so
+    an item that starts at index at of a longer list is placed in that
+    list."""
+    p = _Parser(text, ctx, env, at)
     out = p.expr()
     if p.tok:
         p.error(f"unexpected {p.tok!r} after expression")
@@ -266,10 +266,12 @@ def parse_poly(text: str, ctx: Context, line=None, env=None, at=0) -> SuperPoly:
 _ECHO_CHARS = 40
 
 
-def parse_rational(text: str, line=None) -> Fraction:
-    """'-'? rational with spaces: only the form str(Fraction) writes."""
+def parse_rational(text: str) -> Fraction:
+    """'-'? rational with spaces: only the form str(Fraction) writes.  Any
+    other text raises ScriptError "bad rational ...", which echoes the
+    text and names no column or line."""
     try:
-        p = _Parser(text, line)
+        p = _Parser(text)
         sign = 1
         if p.tok == "-":
             p.tok = p.next()
@@ -282,4 +284,4 @@ def parse_rational(text: str, line=None) -> Fraction:
         pass
     shown = text.strip()
     more = f"... ({len(shown)} characters)" if len(shown) > _ECHO_CHARS else ""
-    raise ScriptError(f"bad rational {shown[:_ECHO_CHARS]!r}{more}", line=line)
+    raise ScriptError(f"bad rational {shown[:_ECHO_CHARS]!r}{more}")

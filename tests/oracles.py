@@ -220,7 +220,7 @@ _REFERENCE_TOKEN = re.compile(
 )
 
 
-def reference_tokenize(text: str, line=None) -> list[tuple[str, str, int]]:
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
     """The tokens of text as (kind, text, col) tuples: kind is int, ident,
     op or end, and col is 1-based.  The last token is ("end", "", n + 1)
     for a text of n characters.  One scan; the first character no token
@@ -238,14 +238,14 @@ def reference_tokenize(text: str, line=None) -> list[tuple[str, str, int]]:
             # the printing cap; CPython itself refuses int() past 4300 digits
             raise ScriptError(
                 f"integer literal has more than {MAX_DIGITS} digits, the cap",
-                line=line, col=start + 1,
+                col=start + 1,
             )
         out.append((kind, m.group(kind), start + 1))
         pos = m.end()
     stripped = text[pos:].lstrip()
     if stripped:
         raise ScriptError(f"unexpected character {stripped[0]!r}",
-                          line=line, col=len(text) - len(stripped) + 1)
+                          col=len(text) - len(stripped) + 1)
     out.append(("end", "", len(text) + 1))
     return out
 
@@ -255,10 +255,9 @@ class _ReferenceParser:
     An op's text is never the text of an int, an ident or the end, so the
     text alone tells an operator apart."""
 
-    def __init__(self, text, line, ctx=None, env=None):
-        self.next_token = iter(reference_tokenize(text, line)).__next__
+    def __init__(self, text, ctx=None, env=None):
+        self.next_token = iter(reference_tokenize(text)).__next__
         self.tok = self.next_token()
-        self.line = line
         self.ctx = ctx
         self.env = env
         self.depth = 0
@@ -267,7 +266,7 @@ class _ReferenceParser:
         self.tok = self.next_token()
 
     def error(self, message, tok=None):
-        raise ScriptError(message, line=self.line, col=(tok or self.tok)[2])
+        raise ScriptError(message, col=(tok or self.tok)[2])
 
     def nested(self, tok, rule) -> SuperPoly:
         """Read rule one nesting level deeper, counted from tok."""
@@ -364,10 +363,10 @@ class _ReferenceParser:
         self.error(f"unexpected {text!r}")
 
 
-def reference_parse_poly(text: str, ctx: Context, line=None, env=None) -> SuperPoly:
+def reference_parse_poly(text: str, ctx: Context, env=None) -> SuperPoly:
     """Text to a polynomial over ctx.  env holds session bindings, which
     generators shadow; a binding over another context is an error."""
-    p = _ReferenceParser(text, line, ctx, env)
+    p = _ReferenceParser(text, ctx, env)
     out = p.expr()
     kind, text, _ = p.tok
     if kind != "end":
@@ -375,10 +374,10 @@ def reference_parse_poly(text: str, ctx: Context, line=None, env=None) -> SuperP
     return out
 
 
-def reference_parse_rational(text: str, line=None) -> Fraction:
+def reference_parse_rational(text: str) -> Fraction:
     """'-'? rational with spaces: only the form str(Fraction) writes."""
     try:
-        p = _ReferenceParser(text, line)
+        p = _ReferenceParser(text)
         sign = -1 if p.eat_op("-") else 1
         if p.tok[0] == "int":
             value = p.rational()
@@ -388,7 +387,7 @@ def reference_parse_rational(text: str, line=None) -> Fraction:
         pass
     shown = text.strip()
     more = f"... ({len(shown)} characters)" if len(shown) > _ECHO_CHARS else ""
-    raise ScriptError(f"bad rational {shown[:_ECHO_CHARS]!r}{more}", line=line)
+    raise ScriptError(f"bad rational {shown[:_ECHO_CHARS]!r}{more}")
 
 
 def reference_split_top(text: str, sep: str):

@@ -1,7 +1,15 @@
 """Kernel raise sites that no other test reaches, each pinned to its
 exception type and its exact message: operands over another context, a
 MIXED parity where a homogeneous one is needed, and shapes that an
-operation refuses."""
+operation refuses.  Then the other paths that no other test takes, each
+pinned to its value: equal values hash equal, a float operand is met by
+NotImplemented (so the operator raises TypeError and == is False), a
+field called on a polynomial applies it, the free functions agree with
+the methods, a rational stands for a constant image or generator, and
+the reprs.
+"""
+
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +26,8 @@ from supergeom import (
     SuperDerivation,
     SuperMatrix,
     TangentVector,
+    classify_at,
+    differential_at,
     differential_of_function,
     is_left_invariant,
     product_context,
@@ -131,3 +141,64 @@ def test_each_raise_site_keeps_its_message(call, kind, message):
         call()
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+def one_value(make):
+    """How many values two equal objects from make() give in a set: 1
+    when they hash equal."""
+    return len({make(), make()})
+
+
+def type_error(call):
+    with pytest.raises(TypeError):
+        call()
+    return TypeError
+
+
+M = SuperMatrix(T, (1, 0), (1, 0), [[t]])
+D = field(T, EVEN, [t, 0, 0])
+P = RationalPoint(T, [2])
+PHI = Morphism(T, T, [t * t, a, t * b])
+
+PATHS = [
+    # equal values hash equal
+    ("hash: SuperMatrix", lambda: one_value(lambda: SuperMatrix(T, (1, 0), (1, 0), [[t]])), 1),
+    ("hash: Morphism", lambda: one_value(lambda: Morphism(T, T, [t, a, b])), 1),
+    ("hash: SuperDerivation", lambda: one_value(lambda: field(T, EVEN, [t, 0, 0])), 1),
+    ("hash: RationalPoint", lambda: one_value(lambda: RationalPoint(T, [2])), 1),
+    ("hash: TangentVector", lambda: one_value(lambda: TangentVector(T, [1], [0, 0])), 1),
+    ("hash: LinearForm", lambda: one_value(lambda: LinearForm(T, [1], [0, 0])), 1),
+    # a float operand
+    ("poly: +", lambda: type_error(lambda: t + 0.5), TypeError),
+    ("poly: -", lambda: type_error(lambda: t - 0.5), TypeError),
+    ("poly: *", lambda: type_error(lambda: 0.5 * t), TypeError),
+    ("poly: ==", lambda: t == 0.5, False),
+    ("matrix: ==", lambda: M == 0.5, False),
+    ("matrix: +", lambda: type_error(lambda: M + 0.5), TypeError),
+    ("matrix: -", lambda: type_error(lambda: M - 0.5), TypeError),
+    ("matrix: @", lambda: type_error(lambda: M @ 0.5), TypeError),
+    ("matrix: *", lambda: type_error(lambda: 0.5 * M), TypeError),
+    ("derivation: +", lambda: type_error(lambda: D + 0.5), TypeError),
+    ("derivation: -", lambda: type_error(lambda: D - 0.5), TypeError),
+    ("derivation: *", lambda: type_error(lambda: 0.5 * D), TypeError),
+    ("Parity: +", lambda: type_error(lambda: EVEN + 0.5), TypeError),
+    # wrappers and rational inputs
+    ("derivation: called", lambda: D(t * t), D.apply(t * t)),
+    ("morphism: differential_at", lambda: differential_at(PHI, P), PHI.differential_at(P)),
+    ("morphism: classify_at", lambda: classify_at(PHI, P), PHI.classify_at(P)),
+    ("morphism: a rational image",
+     lambda: Morphism(T, Context(even=["u"]), [Fraction(1, 2)]).images, (T.scalar(Fraction(1, 2)),)),
+    ("variety: a rational generator", lambda: PointedVariety(T, [0], P).generators, (T.zero(),)),
+    # reprs
+    ("repr: Context", lambda: repr(T), "Context(even=['t'], odd=['a', 'b'])"),
+    ("repr: SuperPoly", lambda: repr(t - a), "SuperPoly(t - a)"),
+    ("repr: SuperMatrix", lambda: repr(M), "SuperMatrix(1|0 -> 1|0, even)"),
+    ("repr: Morphism", lambda: repr(PHI), "Morphism((t -> t^2, a -> a, b -> t*b))"),
+    ("repr: SuperDerivation", lambda: repr(D), "SuperDerivation(t*d/dt)"),
+    ("repr: RationalPoint", lambda: repr(P), "RationalPoint(2)"),
+]
+
+
+@pytest.mark.parametrize("call,expected", [c[1:] for c in PATHS], ids=[c[0] for c in PATHS])
+def test_each_remaining_path_gives_its_value(call, expected):
+    assert call() == expected
