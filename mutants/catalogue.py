@@ -27,7 +27,7 @@ MATRIX = "src/supergeom/matrix.py"
 WIDTH_TEST = "tests/test_enumeration.py::test_packed_rows_keep_their_columns_apart"
 DET_IMAGE = "tests/test_det_image.py"
 SLOT_FORM_TEST = f"{DET_IMAGE}::test_the_slot_form_is_injective_on_every_simplex_the_rule_admits"
-IMAGE_DOT_TEST = f"{DET_IMAGE}::test_the_image_dot_sums_as_the_entry_ints"
+IMAGE_DET_TEST = f"{DET_IMAGE}::test_the_image_det_expands_as_the_entry_ints"
 SCHUR_TESTS = (
     "tests/test_schur.py::test_complements_match_the_plain_difference",
     "tests/test_schur.py::test_the_complement_is_summed_without_adding_polynomials",
@@ -85,6 +85,25 @@ CATALOGUE = (
          "tests/test_series_inverse.py::test_the_joined_inverse_keeps_the_term_cap",
          "tests/test_caps.py::test_bracket_sums_both_sides_under_one_cap"),
     ),
+    Mutant(
+        "_packed_dot checking each left factor's context just before its products",
+        POLY,
+        (("""    for a, _ in pairs:
+        if a.ctx is not ctx:
+            raise ContextMismatch("operands live in different contexts")
+    w = (width - 1).bit_length()
+    acc: dict[int, int] = {}
+    den = 1
+    for a, packed in pairs:
+""", """    w = (width - 1).bit_length()
+    acc: dict[int, int] = {}
+    den = 1
+    for a, packed in pairs:
+        if a.ctx is not ctx:
+            raise ContextMismatch("operands live in different contexts")
+"""),),
+        ("tests/test_kernel.py::TestDotRowEdges::test_contexts_are_checked_before_any_product",),
+    ),
     # -- one operator swapped in the sign and bit code ----------------------
     Mutant(
         "left_quotient skipping the scale when the numerator is 1 over a den",
@@ -115,17 +134,34 @@ CATALOGUE = (
          f"{DET_IMAGE}::test_a_box_narrower_than_the_digit_keeps_the_mixed_radix"),
     ),
     Mutant(
-        "_image_dot ignoring negated",
-        POLY,
-        (("            t = -c * m if neg else c * m\n", "            t = c * m\n"),),
-        (IMAGE_DOT_TEST,),
+        "_image_det ignoring the sign",
+        MATRIX,
+        (("                m = -minors[mask ^ low] if neg else minors[mask ^ low]\n",
+          "                m = minors[mask ^ low]\n"),),
+        (IMAGE_DET_TEST,),
     ),
     Mutant(
-        "_image_dot dropping the first shift from its final sum",
-        POLY,
+        "_image_det dropping the first shift from its final sum",
+        MATRIX,
         (("sum([t << s for s, t in sums.items()])",
           "sum([t << s for s, t in list(sums.items())[1:]])"),),
-        (IMAGE_DOT_TEST,),
+        (IMAGE_DET_TEST,),
+    ),
+    Mutant(
+        "_image_det advancing the sign only past nonzero entries",
+        MATRIX,
+        (("                    sums[s] = sums[s] + c * m if s in sums else c * m\n"
+          "            neg = not neg\n",
+          "                    sums[s] = sums[s] + c * m if s in sums else c * m\n"
+          "                neg = not neg\n"),),
+        (IMAGE_DET_TEST,),
+    ),
+    Mutant(
+        "_image_det's reach pass skipping each column's first nonzero row",
+        MATRIX,
+        (("            rows = [i for i, e in enumerate(column) if e]\n",
+          "            rows = [i for i, e in enumerate(column) if e][1:]\n"),),
+        (IMAGE_DET_TEST,),
     ),
     Mutant(
         "the slot enumeration bounded by total + e < D",
@@ -202,6 +238,31 @@ CATALOGUE = (
         (("(d2, d1, not both_odd)", "(d2, d1, both_odd)"),),
         ("tests/test_invariance.py::test_coordinate_distributions_stay_integrable",
          "tests/test_invariance.py::test_verdicts_never_swap"),
+    ),
+    # -- the group layer reads mu alone (groups._at_unit) -------------------
+    Mutant(
+        "_at_unit putting its unit images on rest in place of group",
+        "src/supergeom/groups.py",
+        (("law._unit_value(n, target) for s, n in zip(group, law.coords.names)",
+          "law._unit_value(n, target) for s, n in zip(rest, law.coords.names)"),),
+        ("tests/test_groups.py::test_fields_read_the_unit_where_mu_is_not_linear_in_a_factor",
+         "tests/test_gl_livf.py::test_brackets_are_left_invariant_fields_of_their_value_at_the_unit",
+         "tests/test_rename_shift.py::test_the_group_layer_renames_by_shifts_only"),
+    ),
+    # -- involutive decides each bracket as it takes it ---------------------
+    Mutant(
+        "involutive taking its pivots before the loop",
+        "src/supergeom/distribution.py",
+        (("    chosen = None\n    for x, y in chain(",
+          """    grid = tuple(f.coefficients() for f in fields)
+    chosen = _pivot_columns(grid)
+    if chosen is None:
+        return Involutivity.INDETERMINATE
+    t0 = tuple(tuple(row[c] for c in chosen) for row in grid)
+    normalized = _gmul(ctx, _grid_inverse(ctx, t0, "pivot submatrix"), grid)
+    for x, y in chain("""),),
+        ("tests/test_distribution.py::TestEdges::test_thirteen_coordinate_fields_normalize_nothing",
+         "tests/test_distribution.py::TestEdges::test_a_lone_even_field_takes_only_its_zero_self_bracket"),
     ),
     # -- the matrix operations on elementary supermatrices ------------------
     Mutant(

@@ -31,16 +31,16 @@ from .errors import (
     NotInvertible,
     ParityError,
 )
-from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _image_dot,
-                   _kronecker_image, _pack, _packed_dot, _split)
+from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _kronecker_image, _pack,
+                   _packed_dot, _split)
 
-# Largest n for which _minors expands an n x n grid.  A determinant fills
-# its (row set, column set) memo with one minor per row set, 2^n of them: on
-# grids of dense linear entries in three variables (perfbench
-# corpus.linear_matrix) _det takes 0.03 s of CPU at 10 x 10, 0.09 s at
-# 11 x 11 and 0.24-0.28 s at 12 x 12 on a shared 2-vCPU host under Python
-# 3.11, all three over the image of poly._kronecker_image; the polynomial
-# expansion of the same grids takes 0.28, 0.84-0.95 and 2.5-2.9 s.
+# Largest n for which _minors and _image_det expand an n x n grid.  Each
+# holds one minor per row set, 2^n of them: on grids of dense linear
+# entries in three variables (perfbench corpus.linear_matrix) _det takes
+# a median 0.03 s of CPU at 10 x 10, 0.11 s at 11 x 11 and 0.26 s at
+# 12 x 12 on a shared 2-vCPU host under Python 3.11, all three over the
+# image of poly._kronecker_image; the polynomial expansion of the same
+# grids takes 0.28, 0.84-0.95 and 2.5-2.9 s.
 # Outside the cap tests, the largest determinant in the demos, tests and
 # benchmark is 8 x 8.
 MAX_DET_SIZE = 12
@@ -119,6 +119,17 @@ def _gis_zero(a):
     return all(not e for row in a for e in row)
 
 
+def _det_size(grid):
+    # n for an n x n grid, LimitExceeded above MAX_DET_SIZE: every
+    # expansion here holds a minor for each of the 2^n row sets
+    n = len(grid)
+    if n > MAX_DET_SIZE:
+        raise LimitExceeded(
+            f"determinant of a {n}x{n} block is above the cap of {MAX_DET_SIZE} rows"
+        )
+    return n
+
+
 def _minors(grid, one, dot):
     """minor(key) of a square grid over a commutative ring whose unit is
     one: the determinant on the rows of the row mask key & (2^n - 1) and
@@ -128,19 +139,15 @@ def _minors(grid, one, dot):
     column sets and each step clears two bits.  The ring supplies the
     column sum: dot(triples) is the sum of the terms +-e * m over a
     column's (entry e, minor m, negated) triples, its nonzero entries in
-    row order.  The ring is one of three: the ints of the Kronecker image
-    of an odd-free grid (poly._kronecker_image, whose _image_dot sums each
-    shift once) and even (hence commuting) polynomials for _det, and ints
-    and Fractions for the constant bodies of _body_inverse, both summed
-    by _chain.  Exact over any commutative coefficient ring, nilpotents
-    included, which rules out fraction-free elimination: its exact
-    divisions can hit zero divisors once even entries carry nilpotent
-    parts."""
-    n = len(grid)
-    if n > MAX_DET_SIZE:
-        raise LimitExceeded(
-            f"determinant of a {n}x{n} block is above the cap of {MAX_DET_SIZE} rows"
-        )
+    row order.  The ring is one of two, both summed by _chain: even
+    (hence commuting) polynomials, for _det over a grid that
+    poly._kronecker_image refuses and for a body that is not constant,
+    and the ints and Fractions of a constant body for _body_inverse,
+    whose cofactors it reads.  An image grid is expanded by _image_det.
+    Exact over any commutative coefficient ring, nilpotents included,
+    which rules out fraction-free elimination: its exact divisions can
+    hit zero divisors once even entries carry nilpotent parts."""
+    n = _det_size(grid)
     return partial(_minor, grid, n, dot, {0: one})
 
 
@@ -181,24 +188,71 @@ def _chain(zero, triples):
     return acc
 
 
+def _image_det(ints):
+    """The determinant of an image grid of poly._kronecker_image: each
+    nonzero entry the tuple of (c, s) pairs of its int sum c << s, and a
+    zero entry the int 0.
+
+    The same Laplace expansion as _minors', filled bottom-up: the minor
+    on the rows of a row mask of k bits and the last k columns is the sum
+    of +-entry * (the minor without that row) down column n - k, the sign
+    advancing past every row of the mask, zero entries included.  A sub
+    mask is below its mask, so one pass over the masks in increasing
+    order meets every minor it reads already filled, in a list indexed
+    by the mask.  The products c * minor are summed per shift s and each
+    sum is shifted once: the entries of a column share a few shifts, so
+    no product pays a shift of its own.  A grid with a zero entry takes
+    only the masks that the expansion of the whole grid reaches through
+    nonzero entries, found column by column from the top: on a
+    triangular or block grid almost no other minor is ever read."""
+    n = _det_size(ints)
+    cols = list(zip(*ints))
+    masks = range(1, 1 << n)
+    if any(0 in col for col in cols):
+        level = {(1 << n) - 1}
+        reached = set(level)
+        for column in cols:
+            rows = [i for i, e in enumerate(column) if e]
+            level = {mask ^ 1 << i for mask in level for i in rows if mask >> i & 1}
+            reached |= level
+        masks = sorted(reached - {0})
+    minors = [1] * (1 << n)
+    for mask in masks:
+        column = cols[n - mask.bit_count()]
+        sums = {}
+        neg = False
+        rows = mask
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            e = column[low.bit_length() - 1]
+            if e:
+                m = -minors[mask ^ low] if neg else minors[mask ^ low]
+                for c, s in e:
+                    sums[s] = sums[s] + c * m if s in sums else c * m
+            neg = not neg
+        minors[mask] = sum([t << s for s, t in sums.items()])
+    return minors[-1]
+
+
 def _det(ctx, grid) -> SuperPoly:
-    """Determinant of a square grid of even entries (see _minors).
+    """Determinant of a square grid of even entries.
 
     An odd-free grid that the rule of poly._kronecker_image takes is
     expanded over its image in Z, the evaluation of its polynomials at
     one point whose int determinant holds every coefficient of theirs as
-    a base-2^b digit, and read back from that one int; each column sum
-    there is poly._image_dot.  Any other grid, odd parts included, is
-    expanded over its polynomials.  Both paths take the same
-    MAX_DET_SIZE cap, and the rule keeps the image to grids on which the
-    polynomial expansion would meet no other cap."""
+    a base-2^b digit, by _image_det, and read back from that one int.
+    Any other grid, odd parts included, is expanded over its polynomials
+    by _minors.  Both paths take the same MAX_DET_SIZE cap, and the rule
+    keeps the image to grids on which the polynomial expansion would
+    meet no other cap."""
     full = (1 << 2 * len(grid)) - 1
     image = _kronecker_image(ctx, grid)
     if image is None:
         return _minors(grid, SuperPoly.scalar(ctx, 1),
                        partial(_chain, SuperPoly.zero(ctx)))(full)
     ints, unpack = image
-    return unpack(_minors(ints, 1, _image_dot)(full))
+    return unpack(_image_det(ints))
 
 
 def _body_inverse(ctx, grid, label):

@@ -114,14 +114,14 @@ fields w bits up), and sums the (coefficient, partial) pairs of the
 partials that are not zero in one _packed_dot and one _split, the
 bracket's subtracted side weighted by negated coefficients.
 SuperPoly.partial is _packed_partial at w = 0, so the package has one
-partial loop and builds no grid of partials.  The Laplace expansion of
-matrix._minors sums outside _packed_dot, with a column sum that its
-ring supplies, one ring of three.  Over these polynomials for
-matrix._det and a body that is not constant, and over plain ints and
-Fractions for a constant body, which SuperPoly._body_value reads in one
-pass with no polynomial built: one * and one + a term.  And over the
-ints of the Kronecker image (Kronecker 1882; Harvey, J. Symbolic Comput.
-44, 2009) of an odd-free grid of matrix._det: _kronecker_image evaluates
+partial loop and builds no grid of partials.  The Laplace expansions
+of matrix._det and matrix._body_inverse sum outside _packed_dot.
+matrix._minors runs over these polynomials, for matrix._det and a body
+that is not constant, and over plain ints and Fractions for a constant
+body, which SuperPoly._body_value reads in one pass with no polynomial
+built: one * and one + a term.  matrix._image_det runs over the ints of
+the Kronecker image (Kronecker 1882; Harvey, J. Symbolic Comput. 44,
+2009) of an odd-free grid of matrix._det: _kronecker_image evaluates
 each entry at t_i = 2^(b u_i), the slot width b sized by a
 Goldstein-Graham bound and the slot units u_i a linear form read from the
 exponent fields of the grid's codes (_slot_units): over three generators
@@ -132,11 +132,11 @@ The int determinant holds each coefficient of the polynomial one as a
 digit, and its unpack reads back the slots of total degree at most D,
 the only ones that can hold one.  An image entry has a few nonzero slots
 in a wide int, so each nonzero entry is the tuple of its (coefficient,
-shift) pairs, and the entries of a column share a few shifts: _image_dot
-sums the coefficients times the minors per shift and shifts each sum
-once.  A rule read in the same pass over the codes keeps the image to
-grids where it measured the faster expansion and where the polynomial
-one would meet no cap.
+shift) pairs, and the entries of a column share a few shifts:
+matrix._image_det sums the coefficients times the minors per shift and
+shifts each sum once.  A rule read in the same pass over the codes
+keeps the image to grids where it measured the faster expansion and
+where the polynomial one would meet no cap.
 """
 
 from __future__ import annotations
@@ -1342,9 +1342,9 @@ def _kronecker_image(ctx: Context, grid):
     so unpack reads the coefficients back as signed base-2^b digits, over
     prod_r L_r; only the slots of total degree at most D can hold one, and
     only they are read.  Each nonzero entry is given as the tuple of pairs
-    (c_m L_r / den, b pos(e_m)) of that sum, which _image_dot multiplies
-    into a minor at the cost of its few terms, not of its width, and a
-    zero entry as the int 0.
+    (c_m L_r / den, b pos(e_m)) of that sum, which matrix._image_det
+    multiplies into a minor at the cost of its few terms, not of its
+    width, and a zero entry as the int 0.
 
     The rule reads one pass over the terms, before anything is packed.
     The grid has at least _KRONECKER_ROWS rows.  No entry has an odd code,
@@ -1421,20 +1421,6 @@ def _kronecker_image(ctx: Context, grid):
         return SuperPoly._reduced(ctx, nums, prod(scales))
 
     return ints, unpack
-
-
-def _image_dot(triples):
-    """The column sum of matrix._minors over a Kronecker image: the sum of
-    +-e * m over (entry, minor, negated) triples, each entry the tuple of
-    (c, s) pairs of its int sum c << s.  The products c * m are summed per
-    shift s, and each sum is shifted and added once: the entries of a
-    column share a few shifts, so no product pays a shift of its own."""
-    sums = {}
-    for e, m, neg in triples:
-        for c, s in e:
-            t = -c * m if neg else c * m
-            sums[s] = sums[s] + t if s in sums else t
-    return sum([t << s for s, t in sums.items()])
 
 
 def _linear_rows(ctx: Context, names, polys) -> tuple[list[int], list[list[int]]]:

@@ -34,8 +34,13 @@ is a digit above the simplex one.
 Each nonzero image entry is a plain tuple of (coefficient, shift)
 pairs, one per term, and a zero entry the int 0: every test that expands
 an image pins that form, since an entry packed back into one int changes
-no value, only the time.  poly._image_dot, the image's column sum, is
-compared with the same sum over those ints.  Grids that mix constants,
+no value, only the time.  matrix._image_det, the image's expansion, is
+compared with _minors over those ints on hand-made image grids, every
+minor on trailing columns included, so both its pass over every mask
+(grids with no zero entry) and its pass over the masks reached through
+nonzero entries are compared; one grid has a zero entry above nonzero
+ones in the first column it expands, so a sign that advanced only past
+nonzero entries fails it.  Grids that mix constants,
 zeros and entries over one slot or many are compared with the polynomial
 expansion too, and triangular grids whose determinant is one term at the
 total-degree bound, in a single variable: unpack reads only the slots
@@ -62,8 +67,8 @@ import pytest
 import det_sweep
 from supergeom import Context, Monomial, SuperPoly
 from supergeom import poly
-from supergeom.matrix import _chain, _det, _minors
-from supergeom.poly import MAX_FIELD_EXPONENT, MAX_TERMS, _image_dot, _kronecker_image
+from supergeom.matrix import _chain, _det, _image_det, _minors
+from supergeom.poly import MAX_FIELD_EXPONENT, MAX_TERMS, _kronecker_image
 
 XYZ = Context(even=["x", "y", "z"])
 XY = Context(even=["x", "y"])
@@ -310,26 +315,58 @@ def nonzero(rng):
     return rng.choice([-3, -2, -1, 1, 2, 3])
 
 
-def test_the_image_dot_sums_as_the_entry_ints():
-    # each entry is the int sum c << s of its pairs; the dot is the sum of
-    # +-entry * minor over the triples, whatever shifts the rows share
-    def as_int(e):
-        return sum(c << s for c, s in e)
+# hand-made image entries, each the (c, s) pairs of its int sum c << s
+A = ((5, 0), (-3, 70), (2, 200))  # shifts 0 and 70 repeat below
+B = ((7, 70), (-1, 0))
+C = ((4, 0), (-6, 70), (9, 333))  # 333 in this entry alone
+D = ((-2, 200),)
+E = ((11, 40),)
+IMAGE_GRIDS = [
+    # the first column expanded has its zero above three nonzero entries
+    [[0, A, B, D],
+     [A, 0, C, B],
+     [C, D, 0, A],
+     [B, E, A, 0]],
+    # the last column is zero on rows 0 and 2, and rows 1 and 3 agree on
+    # the last two columns: minors of one and of two rows that are zero
+    [[A, B, C, D, 0],
+     [D, A, E, B, C],
+     [E, 0, A, C, 0],
+     [B, C, D, B, C],
+     [C, E, B, A, D]],
+    # rows 1 and 4 are equal: the determinant is zero
+    [[B, A, 0, C, E, D],
+     [A, C, D, 0, B, E],
+     [0, E, A, B, C, A],
+     [D, 0, B, E, A, C],
+     [A, C, D, 0, B, E],
+     [E, B, C, A, 0, B]],
+    # no zero entry, so every mask is taken, and 333 in one row of each
+    # column
+    [[C, A, B, A, D, B],
+     [A, B, A, D, C, A],
+     [B, D, C, B, A, D],
+     [D, C, D, C, B, E],
+     [E, A, E, E, E, C],
+     [A, E, A, B, D, A]],
+]
 
-    column = [((5, 0), (-3, 70), (2, 200)),  # shifts 0 and 70 repeat below
-              ((7, 70), (-1, 0)),
-              ((4, 0), (-6, 70), (9, 333)),  # 333 in this row alone
-              ((-2, 200),)]
-    minors = [3 ** 90, -(2 ** 300) + 1, -7, 1]
-    for negated in [(False,) * 4, (True,) * 4, (False, True, True, False),
-                    (True, False, False, True)]:
-        triples = list(zip(column, minors, negated))
-        expected = sum((-1 if neg else 1) * as_int(e) * m for e, m, neg in triples)
-        assert _image_dot(triples) == expected
-    for e, m, neg in [(column[0], minors[0], True), (column[2], -5, False),
-                      (((11, 40),), 3 ** 50, True)]:
-        assert _image_dot([(e, m, neg)]) == (-1 if neg else 1) * as_int(e) * m
-    assert _image_dot([]) == 0
+
+@pytest.mark.parametrize("grid", IMAGE_GRIDS, ids=["4x4", "5x5", "6x6-singular", "6x6-dense"])
+def test_the_image_det_expands_as_the_entry_ints(grid):
+    # each entry is the int sum c << s of its pairs: _image_det of the
+    # rows of every row mask on the last columns, the empty grid and the
+    # one-entry grids included, is _minors' minor there
+    n = len(grid)
+    minor = _minors([[sum(c << s for c, s in e) if e else 0 for e in row] for row in grid],
+                    1, partial(_chain, 0))
+    for rows in range(1 << n):
+        k = rows.bit_count()
+        sub = [row[n - k:] for i, row in enumerate(grid) if rows >> i & 1]
+        assert _image_det(sub) == minor(rows | (1 << k) - 1 << 2 * n - k)
+    det = _image_det(grid)
+    assert det == minor((1 << 2 * n) - 1)
+    assert (det == 0) == (len(set(map(tuple, grid))) < n)  # zero for a repeated row
 
 
 @pytest.mark.parametrize("var", ["x", "z"])

@@ -272,12 +272,18 @@ class TestDotRowEdges:
 
     def test_contexts_are_checked_before_any_product(self):
         # the first row alone raises LimitExceeded once multiplied, so
-        # only a check of every entry ahead of the products sees the
-        # last row's entry over another context
+        # only a check of every entry and every left factor ahead of the
+        # products sees the last row's entry, or the last left factor,
+        # over another context
         x, t1, t2 = self.gens()
         full = SuperPoly(self.CTX, {Monomial(((0, MAX_FIELD_EXPONENT),), 0): 1})
         grid = [[x * t2, t1, t1 * t2], [t2, x, self.OTHER.var("theta1")]]
         with pytest.raises(ContextMismatch):
+            _gmul(self.CTX, ([full, t1],), grid)[0]
+        grid[1][2] = t1
+        with pytest.raises(ContextMismatch):
+            _gmul(self.CTX, ([full, self.OTHER.var("theta1")],), grid)[0]
+        with pytest.raises(LimitExceeded, match="exponent of x is above"):
             _gmul(self.CTX, ([full, t1],), grid)[0]
 
     def test_the_term_cap_applies_to_each_column(self, monkeypatch):
