@@ -28,6 +28,8 @@ WIDTH_TEST = "tests/test_enumeration.py::test_packed_rows_keep_their_columns_apa
 DET_IMAGE = "tests/test_det_image.py"
 SLOT_FORM_TEST = f"{DET_IMAGE}::test_the_slot_form_is_injective_on_every_simplex_the_rule_admits"
 IMAGE_DET_TEST = f"{DET_IMAGE}::test_the_image_det_expands_as_the_entry_ints"
+LAPLACE_TEST = f"{DET_IMAGE}::test_laplace_takes_the_oracle_minors_on_the_entry_ints"
+BODY_INVERSE = "tests/test_body_inverse.py"
 SCHUR_TESTS = (
     "tests/test_schur.py::test_complements_match_the_plain_difference",
     "tests/test_schur.py::test_the_complement_is_summed_without_adding_polynomials",
@@ -157,11 +159,43 @@ CATALOGUE = (
         (IMAGE_DET_TEST,),
     ),
     Mutant(
-        "_image_det's reach pass skipping each column's first nonzero row",
+        "_masks' reach pass skipping each column's first nonzero row",
         MATRIX,
-        (("            rows = [i for i, e in enumerate(column) if e]\n",
-          "            rows = [i for i, e in enumerate(column) if e][1:]\n"),),
-        (IMAGE_DET_TEST,),
+        (("        rows = [i for i, e in enumerate(column) if e]\n",
+          "        rows = [i for i, e in enumerate(column) if e][1:]\n"),),
+        (IMAGE_DET_TEST, LAPLACE_TEST),
+    ),
+    Mutant(
+        "the reach seeded from the full mask only",
+        MATRIX,
+        (("    level = {full} if m == n else {full ^ 1 << i for i in range(n)}\n",
+          "    level = {full}\n"),),
+        (LAPLACE_TEST, f"{BODY_INVERSE}::test_dense_constant_bodies_match_the_oracle"),
+    ),
+    Mutant(
+        "_laplace advancing the sign only past nonzero entries",
+        MATRIX,
+        (("                acc = acc + (-e if neg else e) * minors[mask ^ low]\n"
+          "            neg = not neg\n",
+          "                acc = acc + (-e if neg else e) * minors[mask ^ low]\n"
+          "                neg = not neg\n"),),
+        (LAPLACE_TEST,),
+    ),
+    Mutant(
+        "_body_inverse's determinant summed down column 0 without its sign",
+        MATRIX,
+        (("    d = sum([(-row[0] if j & 1 else row[0]) * minors[full ^ 1 << j]\n",
+          "    d = sum([row[0] * minors[full ^ 1 << j]\n"),),
+        (f"{BODY_INVERSE}::test_dense_constant_bodies_match_the_oracle",
+         f"{BODY_INVERSE}::test_bodies_polynomial_in_t_match_the_oracle"),
+    ),
+    Mutant(
+        "the cofactor pass with column i moved last",
+        MATRIX,
+        (("[[*row[:i], *row[i + 1:]] for row in body]",
+          "[[*row[:i], *row[i + 1:], row[i]] for row in body]"),),
+        (f"{BODY_INVERSE}::test_dense_constant_bodies_match_the_oracle",
+         f"{BODY_INVERSE}::test_bodies_polynomial_in_t_match_the_oracle"),
     ),
     Mutant(
         "the slot enumeration bounded by total + e < D",

@@ -19,7 +19,6 @@ cover both Grassmann coefficients and matrices evaluated at points.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from . import linalg
@@ -34,13 +33,13 @@ from .errors import (
 from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _kronecker_image, _pack,
                    _packed_dot, _split)
 
-# Largest n for which _minors and _image_det expand an n x n grid.  Each
+# Largest n for which _laplace and _image_det expand an n x n grid.  Each
 # holds one minor per row set, 2^n of them: on grids of dense linear
 # entries in three variables (perfbench corpus.linear_matrix) _det takes
-# a median 0.03 s of CPU at 10 x 10, 0.11 s at 11 x 11 and 0.26 s at
+# a median 0.04 s of CPU at 10 x 10, 0.14 s at 11 x 11 and 0.29 s at
 # 12 x 12 on a shared 2-vCPU host under Python 3.11, all three over the
-# image of poly._kronecker_image; the polynomial expansion of the same
-# grids takes 0.28, 0.84-0.95 and 2.5-2.9 s.
+# image of poly._kronecker_image; _laplace over the polynomials of the
+# same grids takes 0.41, 1.4 and 3.4 s.
 # Outside the cap tests, the largest determinant in the demos, tests and
 # benchmark is 8 x 8.
 MAX_DET_SIZE = 12
@@ -130,62 +129,71 @@ def _det_size(grid):
     return n
 
 
-def _minors(grid, one, dot):
-    """minor(key) of a square grid over a commutative ring whose unit is
-    one: the determinant on the rows of the row mask key & (2^n - 1) and
-    the columns of the column mask key >> n, by division-free Laplace
-    expansion down the lowest column with one memo keyed by that packed
-    int, so a determinant and its cofactors share the minors on trailing
-    column sets and each step clears two bits.  The ring supplies the
-    column sum: dot(triples) is the sum of the terms +-e * m over a
-    column's (entry e, minor m, negated) triples, its nonzero entries in
-    row order.  The ring is one of two, both summed by _chain: even
-    (hence commuting) polynomials, for _det over a grid that
-    poly._kronecker_image refuses and for a body that is not constant,
-    and the ints and Fractions of a constant body for _body_inverse,
-    whose cofactors it reads.  An image grid is expanded by _image_det.
-    Exact over any commutative coefficient ring, nilpotents included,
-    which rules out fraction-free elimination: its exact divisions can
-    hit zero divisors once even entries carry nilpotent parts."""
+def _masks(n, cols):
+    # the row masks, in increasing order, whose minors a Laplace expansion
+    # of a grid of n rows and the m = n or n - 1 columns cols takes: the
+    # mask of k <= m rows on the last k columns, expanded down column
+    # m - k.  They are the masks reached from every mask of m rows (the
+    # full mask of a square grid, each mask that lacks one row when a
+    # column is struck out) through nonzero entries, column by column.
+    # Where no column but the last, whose one-row masks expand no
+    # further, holds a zero entry, that is every mask of at most m rows;
+    # on a triangular or block grid almost no other minor is ever read
+    m = len(cols)
+    full = (1 << n) - 1
+    if all(map(all, cols[:-1])):
+        return range(1, full + 1 if m == n else full)
+    level = {full} if m == n else {full ^ 1 << i for i in range(n)}
+    reached = set(level)
+    for column in cols[:-1]:
+        rows = [i for i, e in enumerate(column) if e]
+        level = {mask ^ 1 << i for mask in level for i in rows if mask >> i & 1}
+        reached |= level
+    return sorted(reached)
+
+
+def _laplace(grid, one, zero):
+    """The minors of a grid of n rows and n or n - 1 columns over a
+    commutative ring with unit one and zero zero, in a list indexed by
+    row mask: the minor on the rows of a mask of k rows and the last k
+    columns.  The last one of a square grid is its determinant; with
+    column i struck out, the mask that lacks row j holds the (j, i)
+    minor.
+
+    Division-free Laplace expansion, filled bottom-up over the masks of
+    _masks: minors[0] is one, a one-row mask is its entry in the last
+    column, so no entry is multiplied by one, and the minor of a mask of
+    k >= 2 rows is the sum of +-entry * (the minor without that row) down
+    the k-th column from the right, the sign advancing past every row of
+    the mask, zero entries included.  The entry is negated, a few terms,
+    not the much larger minor.  A sub mask is below its mask, so one pass
+    in increasing order meets every minor it reads already filled.  The
+    ring is one of two: even (hence commuting) polynomials, for _det over
+    a grid that poly._kronecker_image refuses and for a body that is not
+    constant, and the ints and Fractions of a constant body.  Exact over
+    any commutative coefficient ring, nilpotents included, which rules
+    out fraction-free elimination: its exact divisions can hit zero
+    divisors once even entries carry nilpotent parts."""
     n = _det_size(grid)
-    return partial(_minor, grid, n, dot, {0: one})
-
-
-def _minor(grid, n, dot, memo, key):
-    # one step of _minors' expansion; a module function, not a closure
-    # over itself, so the memo holds no reference cycle and is freed as
-    # soon as its caller drops it.  The memo is read before each
-    # recursive call, so a minor already taken costs no call
-    got = memo.get(key)
-    if got is not None:
-        return got
-    cols = key >> n
-    col = (cols & -cols).bit_length() - 1
-    rest = key ^ 1 << n + col
-    triples = []
-    neg = False
-    for i, row in enumerate(grid):
-        if key >> i & 1:
-            e = row[col]
+    cols = list(zip(*grid))
+    minors = [one] * (1 << n)
+    for mask in _masks(n, cols):
+        column = cols[-mask.bit_count()]
+        if not mask & mask - 1:
+            minors[mask] = column[mask.bit_length() - 1]
+            continue
+        acc = zero
+        neg = False
+        rows = mask
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            e = column[low.bit_length() - 1]
             if e:
-                sub = rest ^ 1 << i
-                m = memo.get(sub)
-                if m is None:
-                    m = _minor(grid, n, dot, memo, sub)
-                triples.append((e, m, neg))
+                acc = acc + (-e if neg else e) * minors[mask ^ low]
             neg = not neg
-    memo[key] = got = dot(triples)
-    return got
-
-
-def _chain(zero, triples):
-    # the column sum of _minors over polynomials and over scalars, one *
-    # and one + a term from zero; it negates the entry (a few terms), not
-    # the much larger minor
-    acc = zero
-    for e, m, neg in triples:
-        acc = acc + (-e if neg else e) * m
-    return acc
+        minors[mask] = acc
+    return minors
 
 
 def _image_det(ints):
@@ -193,32 +201,15 @@ def _image_det(ints):
     nonzero entry the tuple of (c, s) pairs of its int sum c << s, and a
     zero entry the int 0.
 
-    The same Laplace expansion as _minors', filled bottom-up: the minor
-    on the rows of a row mask of k bits and the last k columns is the sum
-    of +-entry * (the minor without that row) down column n - k, the sign
-    advancing past every row of the mask, zero entries included.  A sub
-    mask is below its mask, so one pass over the masks in increasing
-    order meets every minor it reads already filled, in a list indexed
-    by the mask.  The products c * minor are summed per shift s and each
-    sum is shifted once: the entries of a column share a few shifts, so
-    no product pays a shift of its own.  A grid with a zero entry takes
-    only the masks that the expansion of the whole grid reaches through
-    nonzero entries, found column by column from the top: on a
-    triangular or block grid almost no other minor is ever read."""
+    The expansion of _laplace over the masks of _masks, with its own
+    column sum: the products c * minor are summed per shift s and each
+    sum is shifted once.  The entries of a column share a few shifts, so
+    no product pays a shift of its own."""
     n = _det_size(ints)
     cols = list(zip(*ints))
-    masks = range(1, 1 << n)
-    if any(0 in col for col in cols):
-        level = {(1 << n) - 1}
-        reached = set(level)
-        for column in cols:
-            rows = [i for i, e in enumerate(column) if e]
-            level = {mask ^ 1 << i for mask in level for i in rows if mask >> i & 1}
-            reached |= level
-        masks = sorted(reached - {0})
     minors = [1] * (1 << n)
-    for mask in masks:
-        column = cols[n - mask.bit_count()]
+    for mask in _masks(n, cols):
+        column = cols[-mask.bit_count()]
         sums = {}
         neg = False
         rows = mask
@@ -243,14 +234,12 @@ def _det(ctx, grid) -> SuperPoly:
     one point whose int determinant holds every coefficient of theirs as
     a base-2^b digit, by _image_det, and read back from that one int.
     Any other grid, odd parts included, is expanded over its polynomials
-    by _minors.  Both paths take the same MAX_DET_SIZE cap, and the rule
+    by _laplace.  Both paths take the same MAX_DET_SIZE cap, and the rule
     keeps the image to grids on which the polynomial expansion would
     meet no other cap."""
-    full = (1 << 2 * len(grid)) - 1
     image = _kronecker_image(ctx, grid)
     if image is None:
-        return _minors(grid, SuperPoly.scalar(ctx, 1),
-                       partial(_chain, SuperPoly.zero(ctx)))(full)
+        return _laplace(grid, SuperPoly.scalar(ctx, 1), SuperPoly.zero(ctx))[-1]
     ints, unpack = image
     return unpack(_image_det(ints))
 
@@ -262,34 +251,41 @@ def _body_inverse(ctx, grid, label):
     The body determinant must be a nonzero constant; the body entries
     themselves may be arbitrary even-variable polynomials (a unipotent
     block like [[1, t], [0, 1]] is fine).  Entry (i, j) of the inverse is
-    the (j, i) cofactor over the determinant, all read from one _minors
-    memo.  When every body is constant (SuperPoly._body_value) the
-    expansion runs over those ints and Fractions and each entry is one
-    scalar; otherwise it runs over the body polynomials.
+    the (j, i) cofactor over the determinant, and row i is read from one
+    _laplace pass over the grid with column i struck out, whose minor on
+    the rows other than j is the (j, i) minor.  The determinant is the
+    last step of the expansion down column 0, over the minors of the
+    first pass, and is checked before the other passes run.  When every
+    body is constant (SuperPoly._body_value) the passes run over those
+    ints and Fractions and each entry is one scalar; otherwise they run
+    over the body polynomials.
     """
     n = len(grid)
     values = [[e._body_value() for e in row] for row in grid]
     constant = all(v is not None for row in values for v in row)
-    if constant:
-        minor = _minors(values, 1, partial(_chain, 0))
-    else:
-        minor = _minors([[e.body() for e in row] for row in grid],
-                        SuperPoly.scalar(ctx, 1), partial(_chain, SuperPoly.zero(ctx)))
-    full = (1 << 2 * n) - 1
-    d = minor(full)
+    body, one, zero = (values, 1, 0) if constant else (
+        [[e.body() for e in row] for row in grid], SuperPoly.scalar(ctx, 1), SuperPoly.zero(ctx))
+    full = (1 << n) - 1
+    minors = _laplace([row[1:] for row in body], one, zero)
+    d = sum([(-row[0] if j & 1 else row[0]) * minors[full ^ 1 << j]
+             for j, row in enumerate(body) if row[0]], zero) if n else one
     if not (constant or d.is_constant()):
         raise NotInvertible(f"body determinant of {label} is not constant")
     d = d if constant else d.constant_term()
     if not d:
         raise NotInvertible(f"body determinant of {label} is zero")
-
-    def entry(i, j):
-        # the (j, i) cofactor, with row j and column i struck out, over d
-        c = minor(full ^ 1 << j ^ 1 << n + i)
-        c = -c if (i + j) & 1 else c
-        return SuperPoly.scalar(ctx, Fraction(c, d)) if constant else c / d
-
-    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+    inverse = []
+    for i in range(n):
+        if i:
+            minors = _laplace([[*row[:i], *row[i + 1:]] for row in body], one, zero)
+        row = []
+        for j in range(n):
+            # the (j, i) cofactor, with row j and column i struck out, over d
+            c = minors[full ^ 1 << j]
+            c = -c if (i + j) & 1 else c
+            row.append(SuperPoly.scalar(ctx, Fraction(c, d)) if constant else c / d)
+        inverse.append(tuple(row))
+    return tuple(inverse)
 
 
 def _series_inverse(ctx, grid, binv):
@@ -597,7 +593,8 @@ class SuperMatrix:
         B, the body of T, is block diagonal: the odd entries of T2 and T3
         have no body.  Both body block determinants must be nonzero
         constants, and B^{-1} is assembled from the two block inverses,
-        each read from the cofactors of one memoised Laplace expansion.
+        each read from the cofactors of one Laplace pass per row
+        (_laplace, see _body_inverse).
         T^{-1} is then built one odd degree at a time from the parts N_e
         of T with e >= 1 odd generators: its part Y_d with d odd
         generators per term is -B^{-1} sum_e N_e Y_{d-e}, which keeps the

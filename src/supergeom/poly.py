@@ -115,13 +115,14 @@ partials that are not zero in one _packed_dot and one _split, the
 bracket's subtracted side weighted by negated coefficients.
 SuperPoly.partial is _packed_partial at w = 0, so the package has one
 partial loop and builds no grid of partials.  The Laplace expansions
-of matrix._det and matrix._body_inverse sum outside _packed_dot.
-matrix._minors runs over these polynomials, for matrix._det and a body
-that is not constant, and over plain ints and Fractions for a constant
-body, which SuperPoly._body_value reads in one pass with no polynomial
-built: one * and one + a term.  matrix._image_det runs over the ints of
-the Kronecker image (Kronecker 1882; Harvey, J. Symbolic Comput. 44,
-2009) of an odd-free grid of matrix._det: _kronecker_image evaluates
+of matrix._det and matrix._body_inverse sum outside _packed_dot: one
+bottom-up pass over row masks, matrix._laplace, runs over these
+polynomials, for matrix._det and a body that is not constant, and over
+plain ints and Fractions for a constant body, which
+SuperPoly._body_value reads in one pass with no polynomial built; each
+term of a column sum is one * and one +.  matrix._image_det runs the
+same pass over the ints of the Kronecker image (Kronecker 1882; Harvey,
+J. Symbolic Comput. 44, 2009) of an odd-free grid of matrix._det: _kronecker_image evaluates
 each entry at t_i = 2^(b u_i), the slot width b sized by a
 Goldstein-Graham bound and the slot units u_i a linear form read from the
 exponent fields of the grid's codes (_slot_units): over three generators

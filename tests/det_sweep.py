@@ -4,15 +4,18 @@ grids, and refit the constant K of poly._kronecker_image's rule.
 For each grid it prints p (even generators), n (rows), a (the mean term
 count of the nonzero entries), the span of the image's slots (the slot
 form of poly._slot_units, which the rule reads), C(D + p, p) (the
-monomials of total degree <= D), the milliseconds of the polynomial
-Laplace expansion and of the same expansion over the int image (each the
-best of a few runs, the image's with its packing and unpacking), and the
-path the rule takes.  The grids are dense (every monomial up to a
-degree) and sparse (half the entries zero, the rest one or two monomials
-of degree <= 3), with Fraction coefficients, and dense linear with small
-int coefficients, over p = 1..6 and n = 3..10; sizes whose polynomial
-expansion would take seconds are left out, and "-" marks an image left
-untimed because its span is too wide.  Both values are compared.
+monomials of total degree <= D), the milliseconds of _det's polynomial
+path (matrix._laplace) and of its image path (matrix._image_det, with
+the packing and unpacking), and the path the rule takes.  Each time is
+the least of ROUNDS rounds over the whole grid list; a round times the
+two paths of every grid back to back, in alternating order, so a drift
+of the host between rounds moves both and the minima stay comparable.
+The grids are dense (every monomial up to a degree) and sparse (half
+the entries zero, the rest one or two monomials of degree <= 3), with
+Fraction coefficients, and dense linear with small int coefficients,
+over p = 1..6 and n = 3..10; sizes whose polynomial expansion would
+take seconds are left out, and "-" marks an image left untimed because
+its span is too wide.  Both values are compared.
 
 It then totals the time of the path each K in CANDIDATES would choose,
 asking poly._kronecker_image itself with its K set to each candidate,
@@ -35,7 +38,7 @@ from itertools import product
 from math import comb
 
 from supergeom import Context, Monomial, SuperPoly, poly
-from supergeom.matrix import _chain, _det, _minors
+from supergeom.matrix import _det
 
 # the largest n per p of each kind, so the polynomial expansion stays
 # under about a second per grid
@@ -45,6 +48,8 @@ SPARSE_N = {1: 10, 2: 10, 3: 10, 4: 9, 5: 8, 6: 8}
 SEEDS = 2
 # widest span whose image is timed
 MAX_SPAN = 40_000
+# rounds over the grid list; each time is the least of its rounds
+ROUNDS = 5
 CANDIDATES = (25, 50, 75, 100, 125, 150, 175, 200, 250, 300, 400, 600, 1000)
 
 
@@ -122,22 +127,6 @@ def shape(grid):
     return a, poly._slot_units(box, total)[1], comb(total + p, p)
 
 
-def best_ms(fn):
-    t = time.perf_counter()
-    value = fn()
-    best = time.perf_counter() - t
-    for _ in range(2 if best < 0.2 else 0):
-        t = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t)
-    return value, best * 1e3
-
-
-def polynomial_det(ctx, grid):
-    full = (1 << 2 * len(grid)) - 1
-    return _minors(grid, ctx.one(), partial(_chain, ctx.zero()))(full)
-
-
 @contextmanager
 def rule(k, rows):
     """poly._kronecker_image's rule with its K and row count set to k and
@@ -157,6 +146,13 @@ def forced_image_det(ctx, grid):
         return _det(ctx, grid)
 
 
+def polynomial_det(ctx, grid):
+    """_det with the rule's row count set past every grid: the
+    polynomial expansion, _det's path for the grids the rule refuses."""
+    with rule(poly._KRONECKER_K, float("inf")):
+        return _det(ctx, grid)
+
+
 def taken_at(ctx, grid):
     """The K in CANDIDATES for which poly._kronecker_image takes grid."""
     taken = set()
@@ -168,22 +164,33 @@ def taken_at(ctx, grid):
 
 
 def main():
+    sweep = []
+    for kind, ctx, grid in grids():
+        a, span, c = shape(grid)
+        paths = [partial(polynomial_det, ctx, grid)]
+        if span <= MAX_SPAN and c <= poly.MAX_TERMS:
+            paths.append(partial(forced_image_det, ctx, grid))
+        sweep.append((kind, ctx, grid, a, span, c, paths, [float("inf")] * len(paths)))
+    for r in range(ROUNDS):
+        for kind, ctx, grid, *_, paths, best in sweep:
+            values = [None] * len(paths)
+            for k in sorted(range(len(paths)), reverse=r % 2):
+                t = time.perf_counter()
+                values[k] = paths[k]()
+                best[k] = min(best[k], (time.perf_counter() - t) * 1e3)
+            if values[0] != values[-1]:
+                sys.exit(f"values differ: {kind} p={len(ctx.even)} n={len(grid)}")
+        print(f"round {r + 1} of {ROUNDS}", file=sys.stderr, flush=True)
     rows = []
     print(f"{'kind':7} {'p':>2} {'n':>3} {'a':>6} {'span':>7} {'C(D+p,p)':>9} "
           f"{'poly ms':>9} {'image ms':>9}  rule")
-    for kind, ctx, grid in grids():
-        a, span, c = shape(grid)
-        by_poly, poly_ms = best_ms(lambda: polynomial_det(ctx, grid))
-        image_ms = None
-        if span <= MAX_SPAN and c <= poly.MAX_TERMS:
-            by_image, image_ms = best_ms(lambda: forced_image_det(ctx, grid))
-            if by_image != by_poly:
-                sys.exit(f"values differ: {kind} p={len(ctx.even)} n={len(grid)}")
+    for kind, ctx, grid, a, span, c, _, (poly_ms, *image) in sweep:
+        image_ms = image[0] if image else None
         choice = "image" if poly._kronecker_image(ctx, grid) else "poly"
         rows.append((taken_at(ctx, grid), poly_ms, image_ms))
         shown = f"{image_ms:9.2f}" if image_ms is not None else f"{'-':>9}"
         print(f"{kind:7} {len(ctx.even):2} {len(grid):3} {a:6.2f} {span:7} {c:9} "
-              f"{poly_ms:9.2f} {shown}  {choice}", flush=True)
+              f"{poly_ms:9.2f} {shown}  {choice}")
 
     def faster(r):
         return min(r[1], r[2]) if r[2] is not None else r[1]

@@ -67,10 +67,18 @@ one substitution per polynomial and side, and the unit's left and right
 residuals built coordinate by coordinate.  Each substitution is
 reference_substitute, so it shares no image-power memo with the code it
 checks.
+
+reference_minors is the Laplace expansion of matrix._det and
+matrix._body_inverse before matrix._laplace filled it bottom-up, kept
+verbatim with its column sum: a top-down memo keyed by the packed int of
+a row mask and a column mask, whose minor(key) is the determinant on the
+rows of key & (2^n - 1) and the columns of key >> n, expanded down the
+lowest column by recursion.
 """
 
 import re
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 
 from math import gcd
@@ -696,3 +704,47 @@ def _reference_inverse_axiom(law):
         if residual:
             residuals.append((n, residual))
     return AxiomResult("inverse", not residuals, tuple(residuals))
+
+
+def reference_minors(grid, one, zero):
+    """minor(key) of a square grid over a commutative ring with unit one
+    and zero zero: the determinant on the rows of the row mask
+    key & (2^n - 1) and the columns of the column mask key >> n, by
+    division-free Laplace expansion down the lowest column with one memo
+    keyed by that packed int, so a determinant and its cofactors share
+    the minors on trailing column sets and each step clears two bits."""
+    return partial(_reference_minor, grid, len(grid), partial(_reference_chain, zero), {0: one})
+
+
+def _reference_minor(grid, n, dot, memo, key):
+    # one step of the expansion; the memo is read before each recursive
+    # call, so a minor already taken costs no call
+    got = memo.get(key)
+    if got is not None:
+        return got
+    cols = key >> n
+    col = (cols & -cols).bit_length() - 1
+    rest = key ^ 1 << n + col
+    triples = []
+    neg = False
+    for i, row in enumerate(grid):
+        if key >> i & 1:
+            e = row[col]
+            if e:
+                sub = rest ^ 1 << i
+                m = memo.get(sub)
+                if m is None:
+                    m = _reference_minor(grid, n, dot, memo, sub)
+                triples.append((e, m, neg))
+            neg = not neg
+    memo[key] = got = dot(triples)
+    return got
+
+
+def _reference_chain(zero, triples):
+    # the column sum: the terms +-e * m over a column's (entry e, minor m,
+    # negated) triples, its nonzero entries in row order
+    acc = zero
+    for e, m, neg in triples:
+        acc = acc + (-e if neg else e) * m
+    return acc

@@ -1,25 +1,27 @@
-"""Body inverses from one shared minor memo against n^2 separate expansions.
+"""Body inverses from one Laplace pass per row against n^2 separate
+expansions.
 
-_body_inverse reads the body determinant and every cofactor from one
-_minors memo keyed by (row set, column set), packed into one int.  The oracle here is the
-adjugate the package used before: each cofactor is the determinant of
-its own copied sub-grid, expanded by a separate _det call with a fresh
-memo, so no minor is shared between cofactors.  A cofactor read from the
-wrong (rows, cols) key, a lost (-1)^(i+j) sign or a memo keyed by the
-row set alone disagrees with it.  The product of the body, read entry
-by entry with SuperPoly.body, with its inverse, taken one polynomial
-product at a time, must be the identity on both sides.
+_body_inverse reads row i of the inverse from one matrix._laplace pass
+over the body with column i struck out: its minor on the rows other
+than j is the (j, i) minor, and the determinant is expanded down column
+0 over the minors of the first pass.  The oracle here is the adjugate
+the package used before it shared any minor: each cofactor is the
+determinant of its own copied sub-grid, expanded by a separate _det
+call.  A cofactor read from the wrong mask, a lost (-1)^(i+j) sign or a
+pass that keeps column i disagrees with it.  The product of the body, read
+entry by entry with SuperPoly.body, with its inverse, taken one
+polynomial product at a time, must be the identity on both sides.
 
 The grids are dense constant bodies, bodies polynomial in t with a
 constant determinant (triangular ones with a constant diagonal, and
 products of a lower and an upper unipotent grid), and the T1 and T4
 blocks of seeded supermatrices over Lambda(theta1..theta6), for n = 0..6.
 Two tests count the work of one dense 4x4 inverse: the polynomial
-products of a body polynomial in t, and the _minor steps of a constant
-body, which expands over its rationals with no polynomial product.
-Constant bodies with rational entries and odd parts are checked against
-the right half of rref([B | I]), and a singular or oversized constant
-block against its error.
+products of a body polynomial in t, and the _laplace passes of a
+constant body, which expand over its rationals with no polynomial
+product.  Constant bodies with rational entries and odd parts are
+checked against the right half of rref([B | I]), and a singular or
+oversized constant block against its error.
 """
 
 import random
@@ -38,7 +40,7 @@ SIZES = range(7)
 
 
 def adjugate(ctx, grid):
-    """The pre-memo adjugate: n^2 sub-grid copies, one _det call each."""
+    """The adjugate from n^2 sub-grid copies, one _det call each."""
     n = len(grid)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -129,10 +131,12 @@ def test_diagonal_blocks_of_grassmann_matrices_match_the_oracle(n):
         check(GR6, t4)
 
 
-def test_a_dense_4x4_inverse_shares_its_minors(monkeypatch):
+def test_a_dense_4x4_inverse_takes_one_pass_per_row(monkeypatch):
     # a body polynomial in t expands over polynomials: n^2 separate
     # expansions of the 3x3 cofactors take 16 * 12 products on top of the
-    # 32 of the determinant, 224 in all, and the shared memo 96
+    # 32 of the determinant, 224 in all.  Each of the 4 passes takes
+    # 6 * 2 + 4 * 3 = 24 on the minors of 2 and 3 rows, the one-row minors
+    # being the entries themselves, and the determinant 4 more: 100
     calls = []
     real = SuperPoly.__mul__
 
@@ -149,30 +153,26 @@ def test_a_dense_4x4_inverse_shares_its_minors(monkeypatch):
     check(KT, grid)
 
 
-def test_a_dense_4x4_constant_inverse_shares_its_minors(monkeypatch):
+def test_a_dense_4x4_constant_inverse_takes_one_pass_per_row(monkeypatch):
     # a constant body expands over its rationals with no polynomial
-    # product; n^2 separate expansions take 16 * 13 _minor steps on top
-    # of the 33 of the determinant, 241 in all.  The shared memo computes
-    # 43 minors, and since it is read before each recursive call, the
-    # only other steps are the 4 cofactors the determinant already took:
-    # 47 in all
-    steps, products = [], []
-    minor, mul = M._minor, SuperPoly.__mul__
+    # product, in one _laplace pass per row of the inverse
+    passes, products = [], []
+    laplace, mul = M._laplace, SuperPoly.__mul__
 
-    def counted_minor(*args):
-        steps.append(1)
-        return minor(*args)
+    def counted_laplace(grid, one, zero):
+        passes.append(one)
+        return laplace(grid, one, zero)
 
     def counted_mul(self, other):
         products.append(1)
         return mul(self, other)
 
     grid = dense_constant(random.Random(1500), KT, 4)
-    monkeypatch.setattr(M, "_minor", counted_minor)
+    monkeypatch.setattr(M, "_laplace", counted_laplace)
     monkeypatch.setattr(SuperPoly, "__mul__", counted_mul)
     M._body_inverse(KT, grid, "T")
     monkeypatch.undo()
-    assert 0 < len(steps) <= 120
+    assert passes == [1] * 4
     assert not products
     check(KT, grid)
 

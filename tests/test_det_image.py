@@ -2,8 +2,9 @@
 
 matrix._det expands a grid that poly._kronecker_image takes over its int
 image and reads the determinant back; every other grid over its
-polynomials.  The values here are compared with _minors over the
-polynomials themselves, on seeded grids: Fraction entries, a zero row, a
+polynomials.  The values here are compared with
+oracles.reference_minors, the top-down memo, over the polynomials
+themselves, on seeded grids: Fraction entries, a zero row, a
 zero determinant, constants (one slot), univariate entries of
 degree 10, Hadamard matrices times one common monomial, where the
 coefficient bound holds with equality, and diagonal grids whose one
@@ -35,12 +36,17 @@ Each nonzero image entry is a plain tuple of (coefficient, shift)
 pairs, one per term, and a zero entry the int 0: every test that expands
 an image pins that form, since an entry packed back into one int changes
 no value, only the time.  matrix._image_det, the image's expansion, is
-compared with _minors over those ints on hand-made image grids, every
-minor on trailing columns included, so both its pass over every mask
-(grids with no zero entry) and its pass over the masks reached through
-nonzero entries are compared; one grid has a zero entry above nonzero
-ones in the first column it expands, so a sign that advanced only past
-nonzero entries fails it.  Grids that mix constants,
+compared with oracles.reference_minors over those ints on hand-made
+image grids, every minor on trailing columns included, so both its pass
+over every mask (grids with no zero entry) and its pass over the masks
+reached through nonzero entries are compared; one grid has a zero entry
+above nonzero ones in the first column it expands, so a sign that
+advanced only past nonzero entries fails it.  matrix._laplace, the
+ring-generic form of that pass, is compared with the oracle on the same
+grids as ints: on every mask it takes over the whole grid, and with each
+column struck out, on every mask that lacks one row, the cofactors of
+an inverse.  Those are reached from every such mask, not through
+column 0, which holds a zero on the 4x4 grid.  Grids that mix constants,
 zeros and entries over one slot or many are compared with the polynomial
 expansion too, and triangular grids whose determinant is one term at the
 total-degree bound, in a single variable: unpack reads only the slots
@@ -59,15 +65,15 @@ their box is past K a^(3/2), so a rule reading W again fails them.
 
 import random
 from fractions import Fraction
-from functools import partial
 from math import comb, prod
 
 import pytest
 
 import det_sweep
+from oracles import reference_minors
 from supergeom import Context, Monomial, SuperPoly
 from supergeom import poly
-from supergeom.matrix import _chain, _det, _image_det, _minors
+from supergeom.matrix import _det, _image_det, _laplace, _masks
 from supergeom.poly import MAX_FIELD_EXPONENT, MAX_TERMS, _kronecker_image
 
 XYZ = Context(even=["x", "y", "z"])
@@ -77,7 +83,7 @@ T = Context(even=["t"])
 
 def polynomial_det(ctx, grid):
     full = (1 << 2 * len(grid)) - 1
-    return _minors(grid, ctx.one(), partial(_chain, ctx.zero()))(full)
+    return reference_minors(grid, ctx.one(), ctx.zero())(full)
 
 
 def imaged_det(ctx, grid):
@@ -171,7 +177,7 @@ def test_hadamard_times_a_monomial_meets_the_bound(n):
     # B = n^(n/2) = |det H|: the determinant's one coefficient is the bound
     xy = XY.var("x") * XY.var("y")
     h = hadamard(n)
-    det_h = _minors(h, 1, partial(_chain, 0))((1 << 2 * n) - 1)
+    det_h = reference_minors(h, 1, 0)((1 << 2 * n) - 1)
     assert det_h * det_h == n ** n
     grid = [[xy * c for c in row] for row in h]
     assert imaged_det(XY, grid) == det_h * xy ** n
@@ -260,7 +266,7 @@ def test_hadamard_columns_of_x_y_z_meet_the_bound_on_the_simplex_digit(sign):
     for n in (4, 8):
         h = hadamard(n)
         h[0] = [sign * c for c in h[0]]
-        det_h = _minors(h, 1, partial(_chain, 0))((1 << 2 * n) - 1)
+        det_h = reference_minors(h, 1, 0)((1 << 2 * n) - 1)
         assert det_h * det_h == n ** n
         grid = [[gens[j % 3] * c for j, c in enumerate(row)] for row in h]
         assert image_units(XYZ, grid) == dict(zip("xyz", simplex_units(n)))
@@ -356,10 +362,10 @@ IMAGE_GRIDS = [
 def test_the_image_det_expands_as_the_entry_ints(grid):
     # each entry is the int sum c << s of its pairs: _image_det of the
     # rows of every row mask on the last columns, the empty grid and the
-    # one-entry grids included, is _minors' minor there
+    # one-entry grids included, is the oracle's minor there
     n = len(grid)
-    minor = _minors([[sum(c << s for c, s in e) if e else 0 for e in row] for row in grid],
-                    1, partial(_chain, 0))
+    minor = reference_minors([[sum(c << s for c, s in e) if e else 0 for e in row]
+                              for row in grid], 1, 0)
     for rows in range(1 << n):
         k = rows.bit_count()
         sub = [row[n - k:] for i, row in enumerate(grid) if rows >> i & 1]
@@ -367,6 +373,30 @@ def test_the_image_det_expands_as_the_entry_ints(grid):
     det = _image_det(grid)
     assert det == minor((1 << 2 * n) - 1)
     assert (det == 0) == (len(set(map(tuple, grid))) < n)  # zero for a repeated row
+
+
+@pytest.mark.parametrize("grid", IMAGE_GRIDS, ids=["4x4", "5x5", "6x6-singular", "6x6-dense"])
+def test_laplace_takes_the_oracle_minors_on_the_entry_ints(grid):
+    # _laplace over the ints c << s: the determinant of the rows of every
+    # row mask on the last columns, every minor of the whole grid's pass,
+    # and with each column i struck out, the minor without each row j,
+    # the (j, i) minor, however many zeros column i or any other holds
+    n = len(grid)
+    full = (1 << n) - 1
+    ints = [[sum(c << s for c, s in e) if e else 0 for e in row] for row in grid]
+    minor = reference_minors(ints, 1, 0)
+    for rows in range(1 << n):
+        k = rows.bit_count()
+        sub = [row[n - k:] for i, row in enumerate(ints) if rows >> i & 1]
+        assert _laplace(sub, 1, 0)[-1] == minor(rows | (1 << k) - 1 << 2 * n - k)
+    minors = _laplace(ints, 1, 0)
+    for mask in _masks(n, list(zip(*ints))):
+        k = mask.bit_count()
+        assert minors[mask] == minor(mask | (1 << k) - 1 << 2 * n - k)
+    for i in range(n):
+        minors = _laplace([row[:i] + row[i + 1:] for row in ints], 1, 0)
+        for j in range(n):
+            assert minors[full ^ 1 << j] == minor(full ^ 1 << j | (full ^ 1 << i) << n)
 
 
 @pytest.mark.parametrize("var", ["x", "z"])
