@@ -30,6 +30,7 @@ SLOT_FORM_TEST = f"{DET_IMAGE}::test_the_slot_form_is_injective_on_every_simplex
 IMAGE_DET_TEST = f"{DET_IMAGE}::test_the_image_det_expands_as_the_entry_ints"
 LAPLACE_TEST = f"{DET_IMAGE}::test_laplace_takes_the_oracle_minors_on_the_entry_ints"
 BODY_INVERSE = "tests/test_body_inverse.py"
+JSON_TEST = "tests/test_coefficients.py::test_json_round_trips_the_stored_form"
 SCHUR_TESTS = (
     "tests/test_schur.py::test_complements_match_the_plain_difference",
     "tests/test_schur.py::test_the_complement_is_summed_without_adding_polynomials",
@@ -316,6 +317,29 @@ CATALOGUE = (
         MATRIX,
         (("return top + bot if self.parity is Parity.ODD else top - bot", "return top - bot"),),
         ("tests/test_elementary.py::test_every_basis_matrix_transposes_and_traces_by_the_model",),
+    ),
+    # -- the term view and serialize's way back to codes -------------------
+    Mutant(
+        "the term view reading the odd word without >> shift",
+        POLY,
+        (("out[_Term(_unpack(code & low), _odd_word(code >> shift))] = c",
+          "out[_Term(_unpack(code & low), _odd_word(code))] = c"),),
+        (JSON_TEST,
+         "tests/test_packing.py::test_code_round_trips_to_the_monomial[3-6]"),
+    ),
+    Mutant(
+        "_poly_load's repeat check keyed on the even part only",
+        "src/supergeom/serialize.py",
+        (("        if mono in coeffs:\n", "        if mono[0] in [m[0] for m in coeffs]:\n"),),
+        (JSON_TEST,),
+    ),
+    Mutant(
+        "_from_terms packing exponent i at i * (_FIELD_BITS - 1)",
+        POLY,
+        (("sum([e << _FIELD_BITS * i for i, e in even])",
+          "sum([e << (_FIELD_BITS - 1) * i for i, e in even])"),),
+        (JSON_TEST,
+         "tests/test_serialize.py::test_poly_roundtrip_random"),
     ),
     # -- script errors: the parser names the column, run_script the line -----
     Mutant(

@@ -163,7 +163,7 @@ class SuperDerivation:
                 continue
             body = str(coeff)
             neg = False
-            if len(coeff.terms) > 1:
+            if len(coeff) > 1:
                 body = f"({body})"
             elif body.startswith("-"):
                 neg = True

@@ -6,10 +6,10 @@ themselves and square to zero.  A SuperPoly stores int numerators over one
 positive int denominator, reduced so that the denominator shares no factor
 with all the numerators; the ring operations add and multiply plain ints
 and reduce once per result, so every operation in this module is exact.
-Fraction appears only where a coefficient is read: coefficient,
-constant_term, at, sorted_terms (hence serialize) and the public
-constructor.  str prints from the numerators and den, one gcd per
-term, with each monomial's sort key and text cached per Context.
+Fraction appears only where a coefficient is read: constant_term, at
+and the term view terms (hence serialize).  str prints from the
+numerators and den, one gcd per term, with each monomial's sort key and
+text cached per Context.
 
 Context(even, odd) returns the one live object of its signature, the
 ordered generator names that fix the ring, so every producer of contexts
@@ -28,7 +28,7 @@ SuperPoly.substitute is its one-polynomial case; compose, the group
 axioms and the left-invariant fields pull all their polynomials of one
 map through one call.  One constructor,
 SuperPoly._from_coefficients, makes the canonical numerators and den of
-a map of coefficients, for the public constructor and the parser; the
+a map of coefficients, for the parser and for serialize; the
 reduced Lie constraints are int echelon rows over the codes _linear_rows
 reads, and _pivot_row makes each one a polynomial over its pivot.
 
@@ -40,9 +40,10 @@ clear, so an exponent is at most MAX_FIELD_EXPONENT.  The odd part is a
 mask placed just above the p fields, at bit ctx._shift = p * _FIELD_BITS:
 bit ctx._shift + j set means theta_j is present, and theta_mask is the
 product of those generators in increasing index order.  The unit is code
-0.  The public Monomial is the pair (packed, mask) of the two parts; it is
-built only where a monomial crosses the API (the constructor, coefficient,
-terms and sorted_terms), and encode and decode convert it.  Codes are
+0.  The code is the package's one form of a monomial: the term view
+SuperPoly.terms reads each code as the pair (even, odd) of its
+(index, exponent) fields and its odd word, and SuperPoly._from_terms
+packs such pairs into codes for serialize.  Codes are also
 built by the ring operations here, by var and scalar, and for the
 expression parser by _times_generator, which multiplies a code by one
 generator to a power with the sign rule of _mac, and
@@ -149,7 +150,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import mul
+from typing import NamedTuple
 
 from .errors import ContextMismatch, LimitExceeded, ParityError
 
@@ -272,25 +274,6 @@ def _swap_parity(mask: int) -> int:
 _SWAP_PARITY = _Memo(_swap_parity)
 
 
-def normalize_odd_word(word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Sort a word of odd-generator indices, tracking the Koszul sign.
-
-    Returns (sign, sorted_word) where sign is the sign of the sorting
-    permutation, or (0, ()) when an index repeats, since theta*theta = 0.
-    The generators are folded into a mask one at a time with the sign
-    rule of _mac.
-    """
-    mask, sign = 0, 1
-    for j in word:
-        bit = 1 << j
-        if mask & bit:
-            return 0, ()
-        if _SWAP_PARITY[mask] & bit:
-            sign = -sign
-        mask |= bit
-    return sign, _odd_word(mask)
-
-
 # the live Context of each (even, odd) signature; see Context
 _CONTEXTS = weakref.WeakValueDictionary()
 _CONTEXTS_LOCK = threading.Lock()
@@ -402,162 +385,25 @@ def _unpack(packed: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-class Monomial(tuple):
-    """A monomial t^a theta_K as the pair of ints (packed, mask).
+class _Term(NamedTuple):
+    """One key of SuperPoly.terms: the (index, exponent) pairs of the
+    nonzero even fields by increasing index, and the odd word."""
 
-    packed holds the exponent of even generator i in the field of
-    _FIELD_BITS bits starting at bit i * _FIELD_BITS, with each field's top
-    (guard) bit clear, so an exponent is at most MAX_FIELD_EXPONENT; mask
-    has bit j set when theta_j is present, the generators multiplied in
-    increasing index order.  even, even_degree and odd are read-only views
-    decoded from the two ints.  A Monomial does not know its context: a
-    SuperPoly stores it as the one int encode(ctx, mono), which refuses a
-    generator index the context does not have.
-
-    Monomial(even, mask) takes (index, exponent) pairs in any order and
-    raises ValueError on a repeated or negative index, an exponent that is
-    not an int in 1..MAX_FIELD_EXPONENT, or a negative mask, so equal
-    monomials always compare and hash equal.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, even: Iterable[tuple[int, int]], mask: int):
-        packed = 0
-        for i, e in even:
-            if type(i) is not int or i < 0:
-                raise ValueError(f"even generator index {i!r} is not an int >= 0")
-            if type(e) is not int or not 0 < e <= MAX_FIELD_EXPONENT:
-                raise ValueError(
-                    f"exponent {e!r} is not an int in 1..{MAX_FIELD_EXPONENT}"
-                )
-            shift = _FIELD_BITS * i
-            if packed >> shift & _FIELD_MASK:
-                raise ValueError(f"even generator index {i} repeats")
-            packed |= e << shift
-        if type(mask) is not int or mask < 0:
-            raise ValueError(f"odd mask {mask!r} is not an int >= 0")
-        return tuple.__new__(cls, (packed, mask))
-
-    packed = property(itemgetter(0), doc="The even part as packed exponent fields.")
-    mask = property(itemgetter(1), doc="The odd part: bit j set when theta_j is present.")
-
-    @property
-    def even(self) -> tuple[tuple[int, int], ...]:
-        """((generator index, exponent), ...) by increasing index."""
-        return _unpack(self[0])
-
-    @property
-    def odd(self) -> tuple[int, ...]:
-        """The odd word: strictly increasing generator indices."""
-        return _odd_word(self[1])
-
-    @property
-    def even_degree(self) -> int:
-        return sum(e for _, e in _unpack(self[0]))
-
-    def __getnewargs__(self):
-        return self.even, self[1]
-
-    def __repr__(self):
-        return f"Monomial(even={self.even!r}, mask={self[1]!r})"
-
-
-UNIT_MONOMIAL = Monomial((), 0)
-
-
-def encode(ctx: Context, mono: Monomial) -> int:
-    """The code of mono in ctx: packed | mask << ctx._shift.
-
-    Raises TypeError when mono is not a Monomial and ValueError when it
-    names an even or odd generator index that ctx does not have, which
-    would otherwise land on another generator's bits.
-    """
-    if not isinstance(mono, Monomial):
-        raise TypeError(f"{mono!r} is not a Monomial")
-    packed, mask = mono
-    shift = ctx._shift
-    if packed >> shift:
-        raise ValueError(
-            f"monomial has even generator index "
-            f"{(packed.bit_length() - 1) // _FIELD_BITS}, but the context "
-            f"has {len(ctx.even)} even generators"
-        )
-    if mask >> len(ctx.odd):
-        raise ValueError(
-            f"monomial has odd generator index {mask.bit_length() - 1}, "
-            f"but the context has {len(ctx.odd)} odd generators"
-        )
-    return packed | mask << shift
-
-
-def decode(ctx: Context, code: int) -> Monomial:
-    """The Monomial of a code in ctx; the inverse of encode."""
-    shift = ctx._shift
-    return tuple.__new__(Monomial, (code & ((1 << shift) - 1), code >> shift))
-
-
-class _Terms(Mapping):
-    """Read-only {Monomial: Fraction} view of a polynomial's terms.
-
-    Length reads the numerators directly; iteration decodes each code, and
-    a Fraction is built only when a coefficient is read.  A monomial that
-    names a generator outside the polynomial's context is not a key.
-    """
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly):
-        self._poly = poly
-
-    def _code(self, mono):
-        try:
-            return encode(self._poly.ctx, mono)
-        except (TypeError, ValueError):
-            return None
-
-    def __getitem__(self, mono):
-        poly = self._poly
-        num = poly.nums.get(self._code(mono))
-        if num is None:
-            raise KeyError(mono)
-        return Fraction(num, poly.den)
-
-    def __len__(self):
-        return len(self._poly.nums)
-
-    def __iter__(self):
-        ctx = self._poly.ctx
-        return (decode(ctx, code) for code in self._poly.nums)
-
-    def __contains__(self, mono):
-        return self._code(mono) in self._poly.nums
+    even: tuple[tuple[int, int], ...]
+    odd: tuple[int, ...]
 
 
 class SuperPoly:
     """Sparse polynomial: integer numerators over one positive denominator.
 
-    nums maps the code of each monomial (see encode) to a nonzero int and
-    den is a positive int; the coefficient of a monomial is its numerator
-    over den.  The form is canonical: gcd(den, *nums.values()) == 1, and
+    nums maps the code of each monomial to a nonzero int and den is a
+    positive int; the coefficient of a monomial is its numerator over
+    den.  The form is canonical: gcd(den, *nums.values()) == 1, and
     zero has den 1, so two polynomials are equal exactly when their
     (ctx, den, nums) are.  Values are immutable once constructed.
     """
 
     __slots__ = ("ctx", "nums", "den")
-
-    def __init__(self, ctx: Context, terms: Mapping[Monomial, Fraction | int] = ()):
-        """From {Monomial: Fraction or int}; zero coefficients are dropped,
-        floats refused, and a monomial with a generator index outside ctx
-        raises ValueError."""
-        coeffs = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, c in items:
-            code = encode(ctx, mono)
-            if c := _exact(c):
-                coeffs[code] = c
-        p = SuperPoly._from_coefficients(ctx, coeffs)
-        self.ctx, self.nums, self.den = ctx, p.nums, p.den
 
     @classmethod
     def _raw(cls, ctx, nums, den=1):
@@ -592,6 +438,15 @@ class SuperPoly:
         return cls._raw(ctx, nums, den)
 
     @classmethod
+    def _from_terms(cls, ctx, terms) -> "SuperPoly":
+        # internal: from (even pairs, odd word, Fraction) triples of
+        # distinct monomials, every index inside ctx, for serialize
+        shift = ctx._shift
+        return cls._from_coefficients(ctx, {
+            sum([e << _FIELD_BITS * i for i, e in even]) + sum([1 << shift + j for j in odd]): c
+            for even, odd, c in terms})
+
+    @classmethod
     def zero(cls, ctx) -> "SuperPoly":
         return cls._raw(ctx, {})
 
@@ -612,8 +467,26 @@ class SuperPoly:
     # -- queries ---------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
-        return _Terms(self)
+    def terms(self) -> dict[_Term, Fraction]:
+        """{_Term(even, odd): Fraction} of the terms, a new dict in
+        printing order: graded-lex descending on the even part, then
+        lexicographic on the odd word.  serialize reads its terms here
+        and str prints the same order, so a coefficient too long to
+        print raises LimitExceeded in both."""
+        ctx = self.ctx
+        shift = ctx._shift
+        low = (1 << shift) - 1
+        out = {}
+        for _, code in sorted((ctx._texts[code][0], code) for code in self.nums):
+            c = Fraction(self.nums[code], self.den)
+            if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
+                raise LimitExceeded(f"coefficient has more than {MAX_DIGITS} digits, the cap")
+            out[_Term(_unpack(code & low), _odd_word(code >> shift))] = c
+        return out
+
+    def __len__(self):
+        """The number of terms."""
+        return len(self.nums)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -627,11 +500,6 @@ class SuperPoly:
 
     def constant_term(self) -> Fraction:
         return Fraction(self.nums.get(0, 0), self.den)
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        """The coefficient of mono, 0 when absent; ValueError when mono
-        names a generator index outside the context."""
-        return Fraction(self.nums.get(encode(self.ctx, mono), 0), self.den)
 
     def parity(self) -> Parity:
         """EVEN, ODD, or MIXED; the zero polynomial is EVEN by convention."""
@@ -964,21 +832,6 @@ class SuperPoly:
         return out if c == 1 == factor.den else out._scaled(factor.den, c)
 
     # -- rendering -------------------------------------------------------
-
-    def sorted_terms(self):
-        """(Monomial, Fraction) pairs in canonical printing order:
-        graded-lex descending on the even part, then lexicographic on the
-        odd word.  serialize reads its coefficients here and str prints the
-        same order, so a coefficient too long to print raises
-        LimitExceeded in both."""
-        ctx = self.ctx
-        for _, code in sorted((ctx._texts[code][0], code) for code in self.nums):
-            c = Fraction(self.nums[code], self.den)
-            if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
-                raise LimitExceeded(
-                    f"coefficient has more than {MAX_DIGITS} digits, the cap"
-                )
-            yield decode(ctx, code), c
 
     def __str__(self):
         texts = self.ctx._texts

@@ -18,7 +18,7 @@ from .groups import GroupLaw, product_context
 from .matrix import SuperDim, SuperMatrix
 from .morphism import Morphism
 from .derivation import SuperDerivation
-from .poly import MAX_FIELD_EXPONENT, Context, Monomial, Parity, RationalPoint, SuperPoly
+from .poly import MAX_FIELD_EXPONENT, Context, Parity, RationalPoint, SuperPoly
 from .variety import PointedVariety
 
 _DIMS = re.compile(r"^(\d+)\|(\d+)->(\d+)\|(\d+)$")
@@ -97,7 +97,7 @@ def _ctx_load(data) -> Context:
 
 def _poly_terms(p: SuperPoly):
     out = []
-    for mono, coeff in p.sorted_terms():
+    for mono, coeff in p.terms.items():
         out.append({
             "coeff": str(coeff),
             "even": [[i + 1, e] for i, e in mono.even],
@@ -134,11 +134,11 @@ def _poly_load(ctx: Context, terms) -> SuperPoly:
                 raise ValueError(
                     f"key {key!r}: generator indices are not strictly increasing"
                 )
-        mono = Monomial(even, sum(1 << j for j in odd))
+        mono = tuple(even), tuple(odd)
         if mono in coeffs:
             raise ValueError("key 'terms': a monomial repeats")
         coeffs[mono] = coeff
-    return SuperPoly(ctx, coeffs)
+    return SuperPoly._from_terms(ctx, [(*mono, c) for mono, c in coeffs.items()])
 
 
 def to_json(value):

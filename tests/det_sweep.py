@@ -37,7 +37,8 @@ from functools import partial
 from itertools import product
 from math import comb
 
-from supergeom import Context, Monomial, SuperPoly, poly
+from model import Monomial, from_terms, terms_of
+from supergeom import Context, poly
 from supergeom.matrix import _det
 
 # the largest n per p of each kind, so the polynomial expansion stays
@@ -68,7 +69,7 @@ def integer(rng):
 def dense_grid(rng, ctx, n, degree, coefficient=coefficient):
     p = len(ctx.even)
     monos = [monomial(e) for e in product(range(degree + 1), repeat=p) if sum(e) <= degree]
-    return [[SuperPoly(ctx, {m: coefficient(rng) for m in monos}) for _ in range(n)]
+    return [[from_terms(ctx, {m: coefficient(rng) for m in monos}) for _ in range(n)]
             for _ in range(n)]
 
 
@@ -78,9 +79,9 @@ def sparse_grid(rng, ctx, n):
     def entry():
         if rng.random() < 0.5:
             return ctx.zero()
-        return SuperPoly(ctx, {monomial([rng.randint(0, 3) if rng.random() < 0.5 else 0
-                                         for _ in range(p)]): coefficient(rng)
-                               for _ in range(rng.randint(1, 2))})
+        return from_terms(ctx, {monomial([rng.randint(0, 3) if rng.random() < 0.5 else 0
+                                          for _ in range(p)]): coefficient(rng)
+                                for _ in range(rng.randint(1, 2))})
 
     return [[entry() for _ in range(n)] for _ in range(n)]
 
@@ -108,9 +109,9 @@ def grids(ps=range(1, 7), ns=range(3, 11)):
 
 
 def shape(grid):
-    """(a, span, C(D + p, p)) of a grid, from its public terms."""
+    """(a, span, C(D + p, p)) of a grid, from its terms."""
     entries = [e for row in grid for e in row if e]
-    a = sum(len(e.terms) for e in entries) / max(len(entries), 1)
+    a = sum(len(e) for e in entries) / max(len(entries), 1)
     p = len(grid[0][0].ctx.even)
     box = [0] * p
     total = 0
@@ -118,7 +119,7 @@ def shape(grid):
         tops = [0] * p
         top = 0
         for e in row:
-            for mono in e.terms:
+            for mono in terms_of(e):
                 for i, x in mono.even:
                     tops[i] = max(tops[i], x)
                 top = max(top, mono.even_degree)

@@ -5,6 +5,7 @@ test controls its own seed."""
 import itertools
 from fractions import Fraction
 
+from model import Monomial, from_terms
 from supergeom import Parity, SuperPoly
 from supergeom.matrix import _gmul
 
@@ -61,13 +62,11 @@ def random_rational_poly(rng, ctx, parity=None, max_even_deg=2, n_terms=3,
                          max_den=12):
     """Random polynomial with Fraction(n, d) coefficients, d in 1..max_den.
 
-    Built from Monomials through the public constructor, not by ring
+    Built from Monomials through the model's constructor, not by ring
     arithmetic, so a test that checks + or * does not also build its
     inputs with them.  parity restricts the odd word lengths as in
     random_poly.
     """
-    from supergeom import Monomial
-
     q = len(ctx.odd)
     lengths = [k for k in range(q + 1)
                if parity is None or k % 2 == parity.value]
@@ -80,7 +79,7 @@ def random_rational_poly(rng, ctx, parity=None, max_even_deg=2, n_terms=3,
         mask = sum(1 << j for j in rng.sample(range(q), rng.choice(lengths)))
         terms[Monomial(even, mask)] = Fraction(rng.randint(-9, 9),
                                                rng.randint(1, max_den))
-    return SuperPoly(ctx, terms)
+    return from_terms(ctx, terms)
 
 
 def random_homogeneous(rng, ctx, **kw):

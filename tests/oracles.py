@@ -1,7 +1,7 @@
 """Reference forms of the printer, rename, the parameter quotient, rref,
 at, the expression parser and the script's list splitter, written
-against the public Monomial/Fraction API only, so they share no code
-with the code-level forms in poly.py, linalg.py, expr.py and script.py
+against the Monomial/Fraction model of tests/model.py only, so they share
+no code with the code-level forms in poly.py, linalg.py, expr.py and script.py
 that they check.
 
 reference_str is the printer before it moved onto monomial codes: sort
@@ -29,7 +29,7 @@ did.  reference_parity is SuperPoly.parity before it compared each term
 with the first: the set of every term's odd-degree parity.
 reference_canonical_constraints is liealg._canonical_constraints before
 it reduced int rows: one Monomial per symbol and one Fraction per
-coefficient read, reduced by linalg.rref and rebuilt by the public
+coefficient read, reduced by linalg.rref and rebuilt by the model's
 constructor.
 
 reference_lie_algebra is liealg.lie_algebra before it read the linearised
@@ -83,7 +83,8 @@ from operator import itemgetter
 
 from math import gcd
 
-from supergeom import (Context, ContextMismatch, LimitExceeded, Monomial, Morphism,
+from model import Monomial, coefficient, from_terms, terms_of
+from supergeom import (Context, ContextMismatch, LimitExceeded, Morphism,
                        Parity, ParityError, ScriptError, SuperDerivation, SuperMatrix,
                        SuperPoly, linalg)
 from supergeom.expr import _ECHO_CHARS, _MAX_DEPTH
@@ -105,7 +106,7 @@ def reference_key(ctx, mono):
 
 def reference_terms(p):
     """(Monomial, Fraction) pairs in printing order, digit cap checked."""
-    out = sorted(p.terms.items(), key=lambda item: reference_key(p.ctx, item[0]))
+    out = sorted(terms_of(p).items(), key=lambda item: reference_key(p.ctx, item[0]))
     for _, c in out:
         if max(abs(c.numerator), c.denominator) >= 10**MAX_DIGITS:
             raise LimitExceeded(f"coefficient has more than {MAX_DIGITS} digits, the cap")
@@ -144,8 +145,8 @@ def substitution_rename(p, ctx_out, name_map=None):
     passes the cap raises LimitExceeded."""
     name_map = name_map or {}
     ctx = p.ctx
-    used_even = sorted({i for mono in p.terms for i, _ in mono.even})
-    used_odd = sorted({j for mono in p.terms for j in mono.odd})
+    used_even = sorted({i for mono in terms_of(p) for i, _ in mono.even})
+    used_odd = sorted({j for mono in terms_of(p) for j in mono.odd})
     images = {}
     for names, used in ((ctx.even, used_even), (ctx.odd, used_odd)):
         for k in used:
@@ -156,12 +157,12 @@ def substitution_rename(p, ctx_out, name_map=None):
             if not images[names[k]].has_parity(parity):
                 raise ParityError(f"image of {parity} generator {names[k]!r} is not {parity}")
     out = SuperPoly.zero(ctx_out)
-    for mono, coeff in p.terms.items():
+    for mono, coeff in terms_of(p).items():
         term = SuperPoly.scalar(ctx_out, Fraction(coeff))
         for i, e in mono.even:
-            (target,) = images[ctx.even[i]].terms
+            (target,) = terms_of(images[ctx.even[i]])
             ((t, _),) = target.even
-            term = term * SuperPoly(ctx_out, {Monomial(((t, e),), 0): 1})
+            term = term * from_terms(ctx_out, {Monomial(((t, e),), 0): 1})
         for j in mono.odd:
             term = term * images[ctx.odd[j]]
         out = out + term
@@ -174,11 +175,11 @@ def partials_quotient(p, factor):
     the front; each keeps exactly the terms that hold its generator, so a
     lost term is one theta_M does not divide (ValueError).  The result is
     then divided by c."""
-    ((mono, c),) = factor.terms.items()
+    ((mono, c),) = terms_of(factor).items()
     g = p
     for j in mono.odd:
         g = g.partial(p.ctx.odd[j])
-    if len(g.terms) != len(p.terms):
+    if len(terms_of(g)) != len(terms_of(p)):
         raise ValueError("polynomial does not factor through the parameter")
     return g / c
 
@@ -213,7 +214,7 @@ def reference_rref(rows):
 def reference_at(p, point):
     """p at a RationalPoint, odd generators sent to zero, term by term."""
     total = Fraction(0)
-    for mono, coeff in p.terms.items():
+    for mono, coeff in terms_of(p).items():
         if mono.odd:
             continue
         v = coeff
@@ -445,8 +446,8 @@ def reference_canonical_constraints(ctx, polys):
         for name in names:
             is_odd, i = ctx.lookup(name)
             monos.append(Monomial((), 1 << i) if is_odd else Monomial(((i, 1),), 0))
-        echelon, _ = linalg.rref([[c.coefficient(m) for m in monos] for c in group])
-        out += [SuperPoly(ctx, zip(monos, row)) for row in echelon if any(row)]
+        echelon, _ = linalg.rref([[coefficient(c, m) for m in monos] for c in group])
+        out += [from_terms(ctx, zip(monos, row)) for row in echelon if any(row)]
     return tuple(out)
 
 

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import pytest
 
+from model import Monomial, from_terms
 from oracles import reference_at
-from supergeom import Context, Monomial, SuperPoly
+from supergeom import Context
 from supergeom.poly import MAX_EXPONENT
 
 
@@ -30,7 +31,7 @@ def _poly(rng, ctx, odd_terms, max_exp):
         mask = rng.randrange(1, 1 << q) if q and odd_terms and rng.random() < 0.4 else 0
         c = rng.randint(-20, 20)
         terms[Monomial(even, mask)] = Fraction(c, rng.choice([1, 1, 2, 3, 7, 12]))
-    return SuperPoly(ctx, terms)
+    return from_terms(ctx, terms)
 
 
 def _value(rng):

@@ -22,11 +22,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import one_column, random_rational_poly
+from model import Monomial, from_terms, sort_word, terms_of
 from oracles import reference_bracket
 from supergeom import (
     Context,
     LimitExceeded,
-    Monomial,
     Parity,
     PointedVariety,
     RationalPoint,
@@ -34,7 +34,6 @@ from supergeom import (
     SuperDerivation,
     SuperPoly,
     bracket,
-    normalize_odd_word,
 )
 from supergeom import poly
 from supergeom.liealg import MAX_GROUP_DIM, MatrixGroupSpec
@@ -131,8 +130,8 @@ def test_a_rename_past_the_term_cap_is_refused_only_where_it_substitutes():
     # names moves the codes, uncapped; a swap is a substitution, whose
     # accumulator holds at most MAX_TERMS terms
     ctx = Context(even=["x", "y"])
-    p = SuperPoly(ctx, {Monomial([(k, e) for k, e in enumerate((i, j)) if e], 0): 1
-                        for i in range(100) for j in range(100)}) + ctx.var("x") ** 100
+    p = from_terms(ctx, {Monomial([(k, e) for k, e in enumerate((i, j)) if e], 0): 1
+                         for i in range(100) for j in range(100)}) + ctx.var("x") ** 100
     assert len(p.nums) == MAX_TERMS + 1
     wider = Context(even=["w", "x", "y"])
     moved = p.rename(wider)
@@ -192,8 +191,8 @@ def test_an_odd_free_grid_past_the_term_cap_still_raises():
     rng = random.Random(1)
 
     def entry():
-        return SuperPoly(ctx, {Monomial([(i, rng.randint(1, 4)) for i in rng.sample(range(6), 2)],
-                                        0): rng.randint(1, 5) for _ in range(10)})
+        return from_terms(ctx, {Monomial([(i, rng.randint(1, 4)) for i in rng.sample(range(6), 2)],
+                                         0): rng.randint(1, 5) for _ in range(10)})
 
     grid = [[entry() for _ in range(4)] for _ in range(4)]
     assert poly._kronecker_image(ctx, grid) is None
@@ -393,11 +392,11 @@ def test_products_over_many_odd_generators_keep_the_caches_bounded(monkeypatch):
         want = {}
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
-                sign, word = normalize_odd_word(ma.odd + mb.odd)
+                sign, word = sort_word(ma.odd + mb.odd)
                 if sign:
                     m = Monomial((), sum(1 << j for j in word))
                     want[m] = want.get(m, 0) + sign * ca * cb
-        assert dict((a * b).terms) == {m: c for m, c in want.items() if c}
+        assert terms_of(a * b) == {m: c for m, c in want.items() if c}
         assert len(poly._SWAP_PARITY) <= bound
         assert len(poly._WORDS) <= bound
 

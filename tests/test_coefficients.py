@@ -5,9 +5,11 @@ gcd(den, *nums) == 1, and den == 1 for zero.  Equality and hashing compare
 that form directly, so every operation must hand back a reduced result;
 these tests run seeded chains of operations on rational-coefficient
 polynomials and check the form after every step, and check that one value
-reached by two routes is one stored form.
+reached by two routes, or written by to_json and read back by from_json,
+is one stored form.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -15,8 +17,10 @@ from math import gcd
 import pytest
 
 from helpers import random_rational_poly
+from model import Monomial, from_terms
 from supergeom import Context, Parity, SuperPoly
-from supergeom.poly import decode, encode
+from supergeom.poly import MAX_FIELD_EXPONENT
+from supergeom.serialize import from_json, to_json
 
 CTX = Context(even=["x", "y"], odd=["theta1", "theta2", "theta3"])
 
@@ -130,22 +134,33 @@ def test_constants_with_denominators_hash_like_their_fraction():
         assert hash(c) == hash(value)
 
 
-def test_terms_round_trip_through_the_public_constructor():
+JSON_CTX = Context(even=["x", "y"], odd=["theta1", "theta2", "theta3", "theta4"])
+
+
+def test_json_round_trips_the_stored_form():
+    """from_json(to_json(p)) is p with the same (den, nums): the zero
+    polynomial, every odd mask over four odd generators under one even
+    part and beside exponents at MAX_FIELD_EXPONENT, and seeded rational
+    polynomials.  The terms view has one nonzero Fraction per term."""
     rng = random.Random(950)
-    for _ in range(30):
-        p = random_rational_poly(rng, CTX, n_terms=rng.randint(0, 5))
-        view = p.terms
-        assert len(view) == len(p.nums)
-        assert {encode(CTX, mono) for mono in view} == set(p.nums)
-        assert all(decode(CTX, code) in view for code in p.nums)
-        assert all(type(c) is Fraction and c for c in view.values())
-        assert SuperPoly(CTX, dict(view)) == p
-        assert SuperPoly(CTX, view) == p
-        back = SuperPoly(CTX, dict(view))
+    top = ((0, MAX_FIELD_EXPONENT), (1, MAX_FIELD_EXPONENT))
+    masks = range(1 << len(JSON_CTX.odd))
+    polys = [JSON_CTX.zero(),
+             from_terms(JSON_CTX, {Monomial(((1, 2),), mask): rational(rng) for mask in masks}),
+             from_terms(JSON_CTX, {Monomial(top, mask): rational(rng) for mask in masks})]
+    polys += [random_rational_poly(rng, JSON_CTX, n_terms=rng.randint(0, 5)) for _ in range(30)]
+    for p in polys:
+        assert len(p.terms) == len(p) == len(p.nums)
+        assert all(type(c) is Fraction and c for c in p.terms.values())
+        back = from_json(json.loads(json.dumps(to_json(p))))
+        assert back == p
         assert (back.den, back.nums) == (p.den, p.nums)
 
 
-def test_terms_view_is_read_only():
+def test_terms_view_is_a_copy():
     p = CTX.var("x") / 2
-    with pytest.raises(TypeError):
-        p.terms[next(iter(p.nums))] = Fraction(1)
+    view = p.terms
+    view[next(iter(view))] = Fraction(1)
+    view.clear()
+    assert p.terms == {(((0, 1),), ()): Fraction(1, 2)}
+    assert (p.den, p.nums) == (2, {1: 1})

@@ -11,14 +11,14 @@ left partial moves theta_i to the front before it strikes it, so
     theta_i * theta_S      = (-1)^#{j in S : j < i} theta_(S + {i}),  i not in S,
     d/dtheta_i theta_S     = (-1)^#{j in S : j < i} theta_(S - {i}),  i in S,
 
-and 0 otherwise.  The basis field theta_M d/dtheta_i is the matrix
-L(theta_M) P_i, of parity |M| + 1, and a field is the sum of its
-coefficients' matrices times the partials.  apply is linear in its
-argument and bracket in each field, so checking every basis monomial
-and every pair of basis fields proves them for that q: apply must be the
-matrix times the vector, and bracket the graded commutator
-A B - (-1)^{|A||B|} B A with the parity |A| + |B|.  A failure names its
-basis tuple (M, i, S) or (M, i, N, j).
+and 0 otherwise (tests/model.py's left_mul and left_partial).  The basis
+field theta_M d/dtheta_i is the matrix L(theta_M) P_i, of parity
+|M| + 1, and a field is the sum of its coefficients' matrices times the
+partials.  apply is linear in its argument and bracket in each field, so
+checking every basis monomial and every pair of basis fields proves them
+for that q: apply must be the matrix times the vector, and bracket the
+graded commutator A B - (-1)^{|A||B|} B A with the parity |A| + |B|.  A
+failure names its basis tuple (M, i, S) or (M, i, N, j).
 
 The same model takes the even generator t over k[t | theta1..theta3]:
 the basis monomials are t^a theta_S, t commutes with everything, and
@@ -35,7 +35,8 @@ from fractions import Fraction
 
 import pytest
 
-from supergeom import Context, Monomial, Parity, SuperDerivation, SuperPoly, bracket
+from model import Monomial, from_terms, front_sign, left_mul, left_partial, terms_of
+from supergeom import Context, Parity, SuperDerivation, bracket
 
 QS = [1, 2, 3]
 
@@ -67,19 +68,6 @@ def mat_mul(x, y):
     return out
 
 
-def front_sign(s, i):
-    """(-1) to the number of generators of s in front of theta_i."""
-    return -1 if sum(1 for j in range(i) if s >> j & 1) % 2 else 1
-
-
-def left_mul(q, i):
-    return {(s | 1 << i, s): front_sign(s, i) for s in range(1 << q) if not s >> i & 1}
-
-
-def left_partial(q, i):
-    return {(s & ~(1 << i), s): front_sign(s, i) for s in range(1 << q) if s >> i & 1}
-
-
 def monomial_matrix(q, mask):
     out = {(s, s): 1 for s in range(1 << q)}
     for i in range(q):
@@ -90,7 +78,7 @@ def monomial_matrix(q, mask):
 
 def poly_matrix(q, p):
     out = {}
-    for mono, c in p.terms.items():
+    for mono, c in terms_of(p).items():
         out = mat_add(out, monomial_matrix(q, mono.mask), c)
     return out
 
@@ -103,7 +91,7 @@ def field_matrix(q, d):
 
 
 def vector(p):
-    return {mono.mask: Fraction(c) for mono, c in p.terms.items()}
+    return {mono.mask: Fraction(c) for mono, c in terms_of(p).items()}
 
 
 def column(x, s):
@@ -114,7 +102,7 @@ def column(x, s):
 
 
 def theta(ctx, mask):
-    return SuperPoly(ctx, {Monomial((), mask): 1})
+    return from_terms(ctx, {Monomial((), mask): 1})
 
 
 def basis_fields(q):
@@ -227,7 +215,7 @@ def even_basis_fields():
     for mask in range(1 << TQ):
         for e in range(2):
             for g, name in enumerate(KT.names):
-                coeff = SuperPoly(KT, {Monomial([(0, e)] if e else [], mask): 1})
+                coeff = from_terms(KT, {Monomial([(0, e)] if e else [], mask): 1})
                 coeffs = [coeff if k == g else KT.zero() for k in range(len(KT.names))]
                 # theta_M d/dtheta_i has parity |M| + 1, theta_M d/dt parity |M|
                 odd = (mask.bit_count() + (g > 0)) % 2
@@ -251,7 +239,7 @@ def test_bracket_with_an_even_generator_is_the_graded_commutator():
             got = bracket(d1, d2)
             terms = [(g, c, dict(m.even).get(0, 0), m.mask)
                      for g, coeff in enumerate(got.coefficients())
-                     for m, c in coeff.terms.items()]
+                     for m, c in terms_of(coeff).items()]
             for mono in INPUTS:
                 want = composite(a, b, mono)
                 for key, v in composite(b, a, mono).items():

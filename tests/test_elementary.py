@@ -13,7 +13,7 @@ shapes, where seeded random matrices reach a given sign only by chance.
 Model, with no code of poly.py: a basis matrix is (i, j, M, pi).
 theta_M * theta_N is zero when M and N meet; otherwise it is
 (-1)^inversions theta_(M + N), with one transposition per inversion of
-the concatenated word.  Then
+the concatenated word (tests/model.py's theta_product).  Then
 
     E_ij theta_M @ E_kl theta_N = [j == k] (-1)^inversions E_il theta_(M+N),
     [a, b] = a b - (-1)^(pi_a pi_b) b a,
@@ -28,27 +28,14 @@ Koszul rule that fixes the convention.  Each failure names its basis
 matrices.
 """
 
-from itertools import combinations
-
 import pytest
 
-from supergeom import Context, Monomial, Parity, SuperMatrix, SuperPoly, superbracket
+from model import Monomial, from_terms, terms_of, theta_product, word
+from supergeom import Context, Parity, SuperMatrix, superbracket
 
 Q = 3
 GR3 = Context(odd=[f"theta{i}" for i in range(1, Q + 1)])
 DIMS = [(1, 1), (2, 1), (1, 2)]
-
-
-def word(mask):
-    return [g for g in range(Q) if mask >> g & 1]
-
-
-def theta_product(m, n):
-    """(sign, mask) of theta_M * theta_N, or None when it is zero."""
-    if m & n:
-        return None
-    w = word(m) + word(n)
-    return (-1) ** sum(a > b for a, b in combinations(w, 2)), m | n
 
 
 def row_parity(dim, i):
@@ -73,8 +60,9 @@ def model_product(a, b):
     """{(row, col, mask): coefficient} of the product a @ b."""
     i, j, m, _ = a
     k, l, n, _ = b
-    prod = theta_product(m, n) if j == k else None
-    return {(i, l, prod[1]): prod[0]} if prod else {}
+    if j != k:
+        return {}
+    return {(i, l, mask): sign for mask, sign in theta_product(m, n).items()}
 
 
 def model_bracket(a, b):
@@ -106,14 +94,14 @@ def matrix(dim, b):
     i, j, mask, pi = b
     n = sum(dim)
     rows = [[GR3.zero()] * n for _ in range(n)]
-    rows[i][j] = SuperPoly(GR3, {Monomial((), mask): 1})
+    rows[i][j] = from_terms(GR3, {Monomial((), mask): 1})
     return SuperMatrix(GR3, dim, dim, rows, Parity.ODD if pi else Parity.EVEN)
 
 
 def entries(m):
     """{(row, col, mask): coefficient} of a matrix over GR3."""
     return {(i, j, mono.mask): c for i, row in enumerate(m.rows) for j, e in enumerate(row)
-            if e for mono, c in e.terms.items()}
+            if e for mono, c in terms_of(e).items()}
 
 
 @pytest.mark.parametrize("dim", DIMS, ids=lambda d: f"{d[0]}|{d[1]}")
@@ -153,6 +141,6 @@ def test_every_basis_matrix_transposes_and_traces_by_the_model(dim):
         st = x.supertranspose()
         if entries(st) != model_transpose(dim, b[3], {b[:3]: 1}) or st.parity != x.parity:
             wrong.append(f"st {name(b)}")
-        if {mono.mask: c for mono, c in x.supertrace().terms.items()} != model_trace(dim, b):
+        if {mono.mask: c for mono, c in terms_of(x.supertrace()).items()} != model_trace(dim, b):
             wrong.append(f"str {name(b)}")
     assert not wrong, f"{len(wrong)} wrong at {dim}, first: {wrong[:3]}"

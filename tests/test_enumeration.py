@@ -11,9 +11,10 @@ Model: theta_K is the product of the generators of K in increasing
 order.  theta_K * theta_L is zero when K and L share a generator;
 otherwise sorting the concatenated word into increasing order takes one
 transposition per inversion, so the product is (-1)^inversions
-theta_(K + L).  Nothing here uses _SWAP_PARITY, _odd_word or any other
-sign code of the package.  The left factors carry 1/2 and the grid 1/3,
-so every column also runs _gmul's common denominator.
+theta_(K + L) (tests/model.py's theta_product).  Nothing here uses
+_SWAP_PARITY, _odd_word or any other sign code of the package.  The left
+factors carry 1/2 and the grid 1/3, so every column also runs _gmul's
+common denominator.
 
 A sum of products packs each row of its grid into one map, keyed by
 code << w | k for column k and w = (width - 1).bit_length().  The second
@@ -35,11 +36,11 @@ generators.
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
-from supergeom import Context, Monomial, Parity, SuperDerivation, SuperPoly
+from model import Monomial, from_terms, front_sign, terms_of, theta_product, word
+from supergeom import Context, Parity, SuperDerivation, SuperPoly
 from supergeom.matrix import _gmul
 
 Q = 6
@@ -47,22 +48,8 @@ GR6 = Context(odd=[f"theta{i}" for i in range(1, Q + 1)])
 MASKS = range(1 << Q)
 
 
-def word(mask):
-    """The generator indices of mask, increasing."""
-    return [j for j in range(Q) if mask >> j & 1]
-
-
-def model_product(k, l):
-    """{mask: coefficient} of theta_K * theta_L."""
-    if k & l:
-        return {}
-    w = word(k) + word(l)
-    inversions = sum(a > b for a, b in combinations(w, 2))
-    return {k | l: (-1) ** inversions}
-
-
 def basis(mask, c):
-    return SuperPoly(GR6, {Monomial((), mask): c})
+    return from_terms(GR6, {Monomial((), mask): c})
 
 
 def test_every_basis_pair_matches_the_inversion_count():
@@ -72,8 +59,8 @@ def test_every_basis_pair_matches_the_inversion_count():
     for k in MASKS:
         got = _gmul(GR6, ([basis(k, half)],), grid)[0]
         for l, p in zip(MASKS, got):
-            want = {mask: c * half * third for mask, c in model_product(k, l).items()}
-            if {mono.mask: c for mono, c in p.terms.items()} != want:
+            want = {mask: c * half * third for mask, c in theta_product(k, l).items()}
+            if {mono.mask: c for mono, c in terms_of(p).items()} != want:
                 wrong.append((word(k), word(l)))
     assert not wrong, f"{len(wrong)} wrong products theta_K * theta_L, (K, L) first: {wrong[:5]}"
 
@@ -89,7 +76,7 @@ def model_dot(row, col):
     for a, b in zip(row, col):
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                for mask, sign in model_product(m1.mask, m2.mask).items():
+                for mask, sign in theta_product(m1.mask, m2.mask).items():
                     even = dict(m1.even)
                     for i, e in m2.even:
                         even[i] = even.get(i, 0) + e
@@ -108,7 +95,7 @@ def random_entry(rng, ctx):
         even = [(i, e) for i in range(len(ctx.even)) if (e := rng.randint(0, 2))]
         mono = Monomial(even, rng.randrange(1 << len(ctx.odd)))
         terms[mono] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
-    return SuperPoly(ctx, terms)
+    return from_terms(ctx, terms)
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -122,8 +109,8 @@ def test_packed_rows_keep_their_columns_apart(width):
             assert [len(row) for row in got] == [width, width]
             for row, out in zip(a, got):
                 for k, p in enumerate(out):
-                    assert dict(p.terms) == model_dot([e.terms for e in row],
-                                                      [r[k].terms for r in b])
+                    assert terms_of(p) == model_dot([terms_of(e) for e in row],
+                                                    [terms_of(r[k]) for r in b])
 
 
 def model_partial(p, ctx, name):
@@ -133,13 +120,12 @@ def model_partial(p, ctx, name):
     out = {}
     if name in ctx.odd:
         i = ctx.odd.index(name)
-        for mono, c in p.terms.items():
+        for mono, c in terms_of(p).items():
             if mono.mask >> i & 1:
-                before = sum(mono.mask >> j & 1 for j in range(i))
-                out[Monomial(mono.even, mono.mask & ~(1 << i))] = (-1) ** before * c
+                out[Monomial(mono.even, mono.mask & ~(1 << i))] = front_sign(mono.mask, i) * c
     else:
         i = ctx.even.index(name)
-        for mono, c in p.terms.items():
+        for mono, c in terms_of(p).items():
             even = dict(mono.even)
             if e := even.pop(i, 0):
                 if e > 1:
@@ -153,8 +139,8 @@ def random_field(rng, ctx):
     of the parity its slot needs."""
     parity = rng.choice([Parity.EVEN, Parity.ODD])
     slots = [parity] * len(ctx.even) + [parity.flipped()] * len(ctx.odd)
-    coeffs = [SuperPoly(ctx, {m: c for m, c in random_entry(rng, ctx).terms.items()
-                              if m.mask.bit_count() % 2 == (slot is Parity.ODD)})
+    coeffs = [from_terms(ctx, {m: c for m, c in terms_of(random_entry(rng, ctx)).items()
+                               if m.mask.bit_count() % 2 == (slot is Parity.ODD)})
               for slot in slots]
     p = len(ctx.even)
     return SuperDerivation(ctx, parity, coeffs[:p], coeffs[p:])
@@ -174,9 +160,9 @@ def test_derivations_differentiate_each_column_of_a_packed_row(width):
             polys = [random_entry(rng, ctx) for _ in range(width)]
             got = field._apply_each(polys)
             assert len(got) == width
-            coeffs = [c.terms for c in field.coefficients()]
+            coeffs = [terms_of(c) for c in field.coefficients()]
             for k, (p, out) in enumerate(zip(polys, got)):
                 want = model_dot(coeffs, [model_partial(p, ctx, n) for n in ctx.names])
-                assert dict(out.terms) == want, (
+                assert terms_of(out) == want, (
                     f"{ctx}, trial {trial}: column {k} of {width}, ({field})({p})")
             assert field.apply(polys[-1]) == got[-1]

@@ -13,7 +13,7 @@ and 0 when i is in S.  Each theta_i becomes a signed 2^q x 2^q matrix,
 a polynomial becomes the matching sum of matrix products, and the map is
 a faithful algebra homomorphism.  So a product, a sum of products, or a
 supermatrix entry computed by the kernel must map to the matching
-product or sum of matrices.  Nothing here uses normalize_odd_word or any
+product or sum of matrices.  Nothing here uses _SWAP_PARITY or any
 other sign code of the package.
 
 Even generators enter through evaluation: sending them to rational
@@ -33,8 +33,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import one_column, random_poly, random_rational_poly
+from model import Monomial, from_terms, terms_of
 from oracles import reference_dot
-from supergeom import Context, ContextMismatch, LimitExceeded, Monomial, Parity, SuperPoly
+from supergeom import Context, ContextMismatch, LimitExceeded, Parity, SuperPoly
 from supergeom.matrix import _det, _gmul
 from supergeom import poly
 from supergeom.poly import MAX_FIELD_EXPONENT
@@ -264,7 +265,7 @@ class TestDotRowEdges:
     @pytest.mark.parametrize("column", [0, 1, 2])
     def test_exponent_past_the_cap_raises_from_any_column(self, column):
         x, t1, t2 = self.gens()
-        full = SuperPoly(self.CTX, {Monomial(((0, MAX_FIELD_EXPONENT),), 0): 1})
+        full = from_terms(self.CTX, {Monomial(((0, MAX_FIELD_EXPONENT),), 0): 1})
         grid = [[t1, t2, t1 * t2]]
         grid[0][column] = x * t2
         with pytest.raises(LimitExceeded, match="exponent of x is above"):
@@ -276,7 +277,7 @@ class TestDotRowEdges:
         # products sees the last row's entry, or the last left factor,
         # over another context
         x, t1, t2 = self.gens()
-        full = SuperPoly(self.CTX, {Monomial(((0, MAX_FIELD_EXPONENT),), 0): 1})
+        full = from_terms(self.CTX, {Monomial(((0, MAX_FIELD_EXPONENT),), 0): 1})
         grid = [[x * t2, t1, t1 * t2], [t2, x, self.OTHER.var("theta1")]]
         with pytest.raises(ContextMismatch):
             _gmul(self.CTX, ([full, t1],), grid)[0]
@@ -294,7 +295,7 @@ class TestDotRowEdges:
         # four terms in every column, twelve between them
         grid = [[t1 + t2, t1 + x**3 * t2, one], [zero, zero, 1 + t1]]
         got = _gmul(self.CTX, (row,), grid)[0]
-        assert [len(p.terms) for p in got] == [4, 4, 4]
+        assert [len(p) for p in got] == [4, 4, 4]
         for column in range(3):
             wide = [list(r) for r in grid]
             wide[0][column] = wide[0][column] + t1 * t2
@@ -428,7 +429,7 @@ def leibniz(grid, mul, add, neg, one, zero):
 def evaluate(p, values):
     """p at rational values of its even generators; odd-free p only."""
     total = Fraction(0)
-    for mono, c in p.terms.items():
+    for mono, c in terms_of(p).items():
         assert not mono.mask
         for i, e in mono.even:
             c *= values[i] ** e
@@ -506,7 +507,7 @@ def split_operand(rng, ctx, n_free=3, n_odd=3):
         mask = rng.randint(1, (1 << q) - 1) if k >= n_free else 0
         terms[Monomial(even, mask)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
                                                rng.randint(1, 12))
-    return SuperPoly(ctx, terms)
+    return from_terms(ctx, terms)
 
 
 def split_pairs(rng, ctx):
@@ -517,7 +518,7 @@ def split_pairs(rng, ctx):
               random_rational_poly(rng, ctx, n_terms=rng.randint(1, 4)))
              for _ in range(rng.randint(1, 3))]
     a = split_operand(rng, ctx)
-    u = SuperPoly(ctx, {m: c for m, c in a.terms.items() if not m.mask})
+    u = from_terms(ctx, {m: c for m, c in terms_of(a).items() if not m.mask})
     g = a - u
     w = random_rational_poly(rng, ctx, n_terms=3)
     assert u and g
@@ -577,7 +578,7 @@ def test_gmul_over_split_entries_matches_the_model(q):
 @pytest.mark.parametrize("left_mask", [0, 0b01], ids=["odd-free loop", "odd loop"])
 def test_each_loop_refuses_an_exponent_past_the_cap(left_mask):
     ctx = mixed(2, even=("x",))
-    full = SuperPoly(ctx, {Monomial(((0, MAX_FIELD_EXPONENT),), left_mask): 1})
+    full = from_terms(ctx, {Monomial(((0, MAX_FIELD_EXPONENT),), left_mask): 1})
     x, t2 = ctx.var("x"), ctx.var("theta2")
     for right in (x, x * t2, 3 + x * t2):
         with pytest.raises(LimitExceeded, match="exponent of x is above"):

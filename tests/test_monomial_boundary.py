@@ -2,7 +2,7 @@
 
 A SuperPoly keys int numerators by one int code per monomial over one
 denominator (see poly.py).  Every other module goes through ring
-operations and the public views (terms, coefficient, sorted_terms), so a
+operations, the public views (terms and len) and _from_terms, so a
 change of encoding touches poly.py alone.  This scans the other modules
 of the package for the private fields and constructors of that format,
 and for the odd-word sign table and words, so every Koszul sign rule is

@@ -12,18 +12,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_poly, random_point
+from model import Monomial, from_terms
 from supergeom import (
     Context,
     ContextMismatch,
     MapClass,
-    Monomial,
     Morphism,
     Parity,
     ParityError,
     RationalPoint,
     SuperDim,
     SuperMatrix,
-    SuperPoly,
     compose,
     differential_at,
     pullback,
@@ -76,7 +75,7 @@ class TestPullback:
     def test_identity_fixes_exponents_above_the_power_cap(self):
         # t^2000 is a legal stored value though ^ in scripts stops at 1000
         ctx = Context(even=["t"], odd=["a"])
-        f = SuperPoly(ctx, {Monomial(((0, 2000),), 1): 3, Monomial(((0, 1001),), 0): 1})
+        f = from_terms(ctx, {Monomial(((0, 2000),), 1): 3, Monomial(((0, 1001),), 0): 1})
         assert Morphism.identity(ctx).pullback(f) == f
 
     def test_multiplicative_on_the_chart_example(self):

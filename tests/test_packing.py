@@ -20,18 +20,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import one_column
+from model import Monomial, coefficient, decode, encode, from_terms, sort_word, terms_of
 from oracles import partials_quotient, substitution_rename
 from supergeom import (
     Context,
     ContextMismatch,
     LimitExceeded,
-    Monomial,
-    SuperPoly,
-    normalize_odd_word,
 )
 from supergeom.groups import product_context
 from supergeom.matrix import _gmul
-from supergeom.poly import _FIELD_BITS, MAX_FIELD_EXPONENT, decode, encode
+from supergeom.poly import _FIELD_BITS, MAX_FIELD_EXPONENT
 
 SMALL = Context(even=["x", "y", "z"], odd=["a", "b"])
 WIDE = Context(even=[f"x{i}" for i in range(70)], odd=["a", "b", "c"])
@@ -72,11 +70,11 @@ def single(ctx, pairs, mask=0):
     shuffled order so the constructor's sorting takes part."""
     pairs = list(pairs)
     random.Random(len(pairs)).shuffle(pairs)
-    return SuperPoly(ctx, {Monomial(pairs, mask): 1})
+    return from_terms(ctx, {Monomial(pairs, mask): 1})
 
 
 def only_monomial(p):
-    ((mono, _),) = p.terms.items()
+    ((mono, _),) = terms_of(p).items()
     return mono
 
 
@@ -101,7 +99,7 @@ def test_sums_of_products_match_the_merge_oracle():
         key = merge_even(a, b)
         want[key] = want.get(key, 0) + k + 1
     (total,) = one_column(WIDE, pairs)
-    got = {mono.even: c for mono, c in total.terms.items()}
+    got = {mono.even: c for mono, c in terms_of(total).items()}
     assert got == {key: c for key, c in want.items() if c}
 
 
@@ -120,7 +118,7 @@ def test_even_partial_matches_the_pair_form(ctx):
         if e > 1:
             exps[i] = e - 1
         want = Monomial(tuple(sorted(exps.items())), 0b11)
-        assert got.terms == {want: e}
+        assert terms_of(got) == {want: e}
         assert only_monomial(got).even == tuple(sorted(exps.items()))
 
 
@@ -142,7 +140,7 @@ def test_every_field_at_its_largest_value():
     assert only_monomial(p * WIDE.one()).even == top
     assert only_monomial(p * WIDE.var("b")).mask == 0b111
     last = p.partial("x69")
-    assert last.terms == {
+    assert terms_of(last) == {
         Monomial(top[:-1] + ((69, MAX_FIELD_EXPONENT - 1),), 0b101):
             MAX_FIELD_EXPONENT
     }
@@ -201,8 +199,9 @@ def test_largest_exponent_is_reached_by_products():
 # A polynomial keys its numerators by one int per monomial: the packed
 # even fields in the low bits and the odd mask from bit 24 * p up, p the
 # number of even generators.  These tests pin that layout against the
-# pair form, against normalize_odd_word for the odd part of a product, and
-# against CPython's int hash, which folds bit k onto bit k % 61.
+# pair form, against the model's inversion count (sort_word) for the odd
+# part of a product, and against CPython's int hash, which folds bit k
+# onto bit k % 61.
 
 def ctx_of(p, q):
     return Context(even=[f"x{i}" for i in range(p)],
@@ -234,18 +233,19 @@ def test_code_round_trips_to_the_monomial(p, q):
         back = decode(ctx, code)
         assert type(back) is Monomial and back == mono
         assert (back.even, back.odd) == (mono.even, mono.odd)
-        poly = SuperPoly(ctx, {mono: 3})
+        poly = from_terms(ctx, {mono: 3})
         assert set(poly.nums) == {code}
-        assert list(poly.terms) == [mono]
-        assert poly.coefficient(mono) == 3
+        assert list(terms_of(poly)) == [mono]
+        assert coefficient(poly, mono) == 3
+        assert poly.terms == {(mono.even, mono.odd): 3}
 
 
 @pytest.mark.parametrize("p, q", [(1, 4), (3, 6), (70, 3)], ids=str)
 def test_products_match_the_oracles_with_a_full_top_field(p, q):
     """Products and sums of products whose top even field reaches
     MAX_FIELD_EXPONENT, the largest a field holds, right below the odd
-    mask, against merge_even for the even part and normalize_odd_word
-    for the odd part and its sign."""
+    mask, against merge_even for the even part and the model's
+    inversion count, sort_word, for the odd part and its sign."""
     ctx = ctx_of(p, q)
     rng = random.Random(76 + p)
     top = p - 1
@@ -257,29 +257,29 @@ def test_products_match_the_oracles_with_a_full_top_field(p, q):
         b_even = tuple(rest_b) + (((top, 1),) if k % 2 else ())
         a_word = tuple(sorted(rng.sample(range(q), rng.randint(1, q))))
         b_word = tuple(sorted(rng.sample(range(q), rng.randint(0, q))))
-        a = SuperPoly(ctx, {Monomial(a_even, word_mask(a_word)): 1})
-        b = SuperPoly(ctx, {Monomial(b_even, word_mask(b_word)): 1})
-        sign, word = normalize_odd_word(a_word + b_word)
+        a = from_terms(ctx, {Monomial(a_even, word_mask(a_word)): 1})
+        b = from_terms(ctx, {Monomial(b_even, word_mask(b_word)): 1})
+        sign, word = sort_word(a_word + b_word)
         got = a * b
         if not sign:
             assert not got
             continue
         mono = Monomial(merge_even(sorted(a_even), sorted(b_even)),
                         word_mask(word))
-        assert got.terms == {mono: sign}
+        assert terms_of(got) == {mono: sign}
         assert dict(mono.even)[top] == MAX_FIELD_EXPONENT - 1 + k % 2
         pairs.append((a * (k + 1), b))
         want[mono] = want.get(mono, 0) + sign * (k + 1)
     assert pairs
     (total,) = one_column(ctx, pairs)
-    assert total.terms == {m: c for m, c in want.items() if c}
+    assert terms_of(total) == {m: c for m, c in want.items() if c}
 
 
 @pytest.mark.parametrize("p, q", [(1, 4), (3, 6), (70, 3)], ids=str)
 def test_top_field_overflow_beside_the_mask_raises(p, q):
     ctx = ctx_of(p, q)
     name = ctx.even[p - 1]
-    full = SuperPoly(ctx, {Monomial(((p - 1, MAX_FIELD_EXPONENT),), 0b1): 1})
+    full = from_terms(ctx, {Monomial(((p - 1, MAX_FIELD_EXPONENT),), 0b1): 1})
     th = ctx.var(ctx.odd[q - 1])
     with pytest.raises(LimitExceeded, match=f"exponent of {name} is above"):
         full * (th * ctx.var(name))
@@ -294,7 +294,7 @@ def test_an_overflow_in_a_packed_row_names_its_generator(width):
     MAX_FIELD_EXPONENT, whichever column the product lands in."""
     ctx = ctx_of(3, 2)
     for i, name in enumerate(ctx.even):
-        full = SuperPoly(ctx, {Monomial(((i, MAX_FIELD_EXPONENT),), 0b1): 1})
+        full = from_terms(ctx, {Monomial(((i, MAX_FIELD_EXPONENT),), 0b1): 1})
         row = [ctx.zero()] * (width - 1) + [ctx.var(name) * ctx.var(ctx.odd[1])]
         with pytest.raises(LimitExceeded, match=f"^exponent of {name} is above"):
             _gmul(ctx, ([full],), [row])[0]
@@ -335,10 +335,10 @@ def test_odd_partial_sign_counts_only_odd_generators(p, q):
         even = tuple((i, e | 1) for i, e in random_pairs(rng, ctx, 99)) if p else ()
         word = tuple(sorted(rng.sample(range(q), rng.randint(1, q))))
         j = rng.choice(word)
-        got = SuperPoly(ctx, {Monomial(even, word_mask(word)): 1}).partial(ctx.odd[j])
+        got = from_terms(ctx, {Monomial(even, word_mask(word)): 1}).partial(ctx.odd[j])
         rest = tuple(i for i in word if i != j)
         sign = (-1) ** word.index(j)
-        assert got.terms == {Monomial(even, word_mask(rest)): sign}
+        assert terms_of(got) == {Monomial(even, word_mask(rest)): sign}
 
 
 # -- transport and quotient between related contexts ------------------------
@@ -350,8 +350,8 @@ def test_odd_partial_sign_counts_only_odd_generators(p, q):
 
 def seeded(rng, ctx, top=9):
     """Up to five terms on random monomials over one small denominator."""
-    return SuperPoly(ctx, {random_monomial(rng, ctx, top): rng.randint(-9, 9)
-                           for _ in range(rng.randint(0, 5))}) / rng.randint(1, 6)
+    return from_terms(ctx, {random_monomial(rng, ctx, top): rng.randint(-9, 9)
+                            for _ in range(rng.randint(0, 5))}) / rng.randint(1, 6)
 
 
 def renames_as_the_oracle(poly, ctx_out, name_map=None):
@@ -377,7 +377,7 @@ def test_rename_round_trips_up_and_down(p, q):
         poly = seeded(rng, ctx)
         up = poly.rename(wide)
         assert up.ctx == wide and up == substitution_rename(poly, wide)
-        assert up.terms == poly.terms and up.nums is poly.nums
+        assert terms_of(up) == terms_of(poly) and up.nums is poly.nums
         down = up.rename(ctx)
         assert down.ctx == ctx and down == poly and down.nums is poly.nums
         assert poly.rename(ctx) == poly and poly.rename(ctx, {}).nums is poly.nums
@@ -453,7 +453,7 @@ def test_left_quotient_matches_the_partials(p, k):
     ctx = ctx_of(p, q)
     rng = random.Random(82 + 10 * p + k)
     for where, word in placements(q, k).items():
-        theta = SuperPoly(ctx, {Monomial((), word_mask(word)): 1})
+        theta = from_terms(ctx, {Monomial((), word_mask(word)): 1})
         for c in (1, -1, 3, Fraction(-3, 2), Fraction(1, 2)):
             factor = c * theta
             for _ in range(20):
@@ -465,7 +465,7 @@ def test_left_quotient_matches_the_partials(p, k):
                 # a term without the first generator of M is refused
                 outside = min(set(range(q)) - set(word))
                 lacking = word_mask(word[1:]) | 1 << outside
-                bad = poly + SuperPoly(ctx, {Monomial((), lacking): 1})
+                bad = poly + from_terms(ctx, {Monomial((), lacking): 1})
                 for route in (bad.left_quotient, lambda f: partials_quotient(bad, f)):
                     with pytest.raises(ValueError, match="does not factor"):
                         route(factor)

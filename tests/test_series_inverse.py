@@ -295,9 +295,9 @@ def test_the_joined_inverse_keeps_the_term_cap(monkeypatch, gmul_calls):
     # raises the product's error
     m = random_invertible(random.Random(1202), GR6, (2, 2), n_terms=3)
     inverse = m.invert().rows
-    part = max(len(p.terms) for row in inverse for e in row
+    part = max(len(p) for row in inverse for e in row
                for p in e.odd_degree_parts().values())
-    entry = max(len(e.terms) for row in inverse for e in row)
+    entry = max(len(e) for row in inverse for e in row)
     assert (part, entry) == (17, 27)
     for cap in range(part, entry):
         monkeypatch.setattr(poly, "MAX_TERMS", cap)

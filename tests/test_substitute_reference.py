@@ -18,8 +18,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_rational_poly
+from model import Monomial, from_terms
 from oracles import reference_substitute
-from supergeom import (Context, ContextMismatch, KernelError, Monomial, Morphism,
+from supergeom import (Context, ContextMismatch, KernelError, Morphism,
                        Parity, SuperPoly)
 from supergeom.poly import MAX_EXPONENT
 
@@ -41,7 +42,7 @@ def one_term(rng, parity):
     else:
         mono = rng.choice((Monomial((), 0b01), Monomial((), 0b10),
                            Monomial([(0, 1)], 0b10)))
-    return SuperPoly(OUT, {mono: c})
+    return from_terms(OUT, {mono: c})
 
 
 def image(rng, parity, big):
@@ -68,7 +69,7 @@ def source(rng, ctx, big):
         terms[Monomial(even, mask)] = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
     if rng.random() < 0.5:
         terms[Monomial((), 0)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-    return SuperPoly(ctx, terms)
+    return from_terms(ctx, terms)
 
 
 def with_one_fault(rng, ctx, images):
