@@ -31,6 +31,7 @@ IMAGE_DET_TEST = f"{DET_IMAGE}::test_the_image_det_expands_as_the_entry_ints"
 LAPLACE_TEST = f"{DET_IMAGE}::test_laplace_takes_the_oracle_minors_on_the_entry_ints"
 BODY_INVERSE = "tests/test_body_inverse.py"
 JSON_TEST = "tests/test_coefficients.py::test_json_round_trips_the_stored_form"
+QUOTIENT_MODEL = "tests/test_quotient_rename_model.py"
 SCHUR_TESTS = (
     "tests/test_schur.py::test_complements_match_the_plain_difference",
     "tests/test_schur.py::test_the_complement_is_summed_without_adding_polynomials",
@@ -113,6 +114,19 @@ CATALOGUE = (
         POLY,
         (("c == 1 == factor.den", "c == 1 != factor.den"),),
         ("tests/test_packing.py::test_left_quotient_matches_the_partials",),
+    ),
+    Mutant(
+        "left_quotient keeping each term's sign",
+        POLY,
+        (("            nums[code] = -v if (swaps & code).bit_count() & 1 else v\n",
+          "            nums[code] = v\n"),),
+        (f"{QUOTIENT_MODEL}::test_left_quotient_strips_the_factor_with_the_model_sign",),
+    ),
+    Mutant(
+        "left_quotient accepting a term that holds some generator of M",
+        POLY,
+        (("            if code & m != m:\n", "            if not code & m:\n"),),
+        (f"{QUOTIENT_MODEL}::test_a_term_without_a_generator_of_the_factor_is_refused",),
     ),
     Mutant(
         "_times_generator reporting every guard bit as overflowed",
@@ -340,6 +354,14 @@ CATALOGUE = (
           "sum([e << (_FIELD_BITS - 1) * i for i, e in even])"),),
         (JSON_TEST,
          "tests/test_serialize.py::test_poly_roundtrip_random"),
+    ),
+    # -- fraction-free elimination (linalg._eliminate_ints) ------------------
+    Mutant(
+        "_eliminate_ints's step without the pivot scaling",
+        "src/supergeom/linalg.py",
+        (("new = [pv * a - f * b for a, b in zip(row, prow)]",
+          "new = [a - f * b for a, b in zip(row, prow)]"),),
+        ("tests/test_acceptance.py::test_criterion_12_rank_against_brute_force",),
     ),
     # -- script errors: the parser names the column, run_script the line -----
     Mutant(

@@ -408,7 +408,12 @@ class Interpreter:
 
     def execute(self, lineno, statement):
         """Run one statement.  lineno is unused here: an error is raised
-        without a line, and run_script names the line in its message."""
+        without a line, and run_script names the line in its message.
+        It stays in the signature because the benchmark wraps this
+        method: perfbench/workloads.py's _StatementTimer replaces it with
+        execute(interp, lineno, statement) and perfbench/spans.py traces
+        it as script.execute, so dropping the argument would change the
+        benchmark's definition."""
         head, _, rest = statement.partition(" ")
         handler = _STATEMENTS.get(head)
         if handler is None:

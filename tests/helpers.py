@@ -82,12 +82,6 @@ def random_rational_poly(rng, ctx, parity=None, max_even_deg=2, n_terms=3,
     return from_terms(ctx, terms)
 
 
-def random_homogeneous(rng, ctx, **kw):
-    """Random homogeneous polynomial of a random parity."""
-    parity = Parity.EVEN if rng.random() < 0.5 else Parity.ODD
-    return random_poly(rng, ctx, parity=parity, **kw), parity
-
-
 def random_point(rng, ctx, lo=-4, hi=4):
     from supergeom import RationalPoint
 
@@ -146,30 +140,6 @@ def random_invertible(rng, ctx, dim, n_terms=2, lo=-5, hi=5):
             row.append(e)
         rows.append(row)
     return SuperMatrix(ctx, dim, dim, rows)
-
-
-def brute_srank(mat):
-    """Oracle for srank: sizes of the largest invertible square
-    submatrices of the constant bodies of T1 and T4, found by subset
-    search.  Only valid for matrices with constant-body entries."""
-    from itertools import combinations
-
-    from supergeom import SuperDim, linalg
-
-    def best(grid):
-        rows = [[e.body().constant_term() for e in row] for row in grid]
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-        for k in range(min(m, n), 0, -1):
-            for ri in combinations(range(m), k):
-                for ci in combinations(range(n), k):
-                    sub = [[rows[i][j] for j in ci] for i in ri]
-                    if linalg.rank(sub) == k:
-                        return k
-        return 0
-
-    t1, _, _, t4 = mat.blocks()
-    return SuperDim(best(t1), best(t4))
 
 
 def grid_mul(ctx, x, y):

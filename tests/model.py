@@ -10,8 +10,9 @@ code-level form with the kernel they check:
   exponents as fields of poly._FIELD_BITS bits and bit j of mask set
   when theta_j is present;
 - encode and decode convert it to and from the code of one context;
-- from_terms(ctx, {Monomial: c}) builds a polynomial, terms_of(p) reads
-  it back as {Monomial: Fraction} in the order of p.nums, and
+- from_terms(ctx, {Monomial: c}) builds a polynomial (odd_monomial(ctx,
+  mask) the one term theta_K), terms_of(p) reads it back as
+  {Monomial: Fraction} in the order of p.nums, and
   coefficient(p, mono) reads one coefficient, all from .nums, .den and
   ctx._shift.  The exponent fields are decoded here, not by poly._unpack,
   so a fault in the kernel's term view shows against this one.
@@ -22,6 +23,16 @@ order, and sorting a word of generators into increasing order takes one
 transposition per inversion, so theta_K * theta_L is zero when K and L
 share a generator and otherwise (-1)^inversions theta_(K + L).  Nothing
 here reads poly._SWAP_PARITY or any other sign code of the package.
+
+The matrix model of Lambda(theta_1..theta_q) is built on that count.  Its
+basis is the subsets S of {0..q-1}, as bit masks; a matrix is a sparse
+{(row mask, column mask): value} dict with no zero stored.  left_mul and
+left_partial are the generators' operators, poly_matrix(q, p) is left
+multiplication by a polynomial, the sum over its terms of the coefficient
+times the product of left_mul over the odd word, and mat_add and mat_mul
+are the ring operations.  The map p -> poly_matrix(q, p) is a faithful
+algebra homomorphism, so a product, a sum of products or a determinant
+computed by the kernel must map to the matching expression in matrices.
 """
 
 from collections.abc import Mapping
@@ -29,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 
-from supergeom import SuperPoly
+from supergeom import Context, SuperPoly
 from supergeom.poly import _FIELD_BITS, MAX_FIELD_EXPONENT, _exact
 
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
@@ -165,6 +176,11 @@ def coefficient(p, mono):
     return Fraction(p.nums.get(encode(p.ctx, mono), 0), p.den)
 
 
+def odd_monomial(ctx, mask):
+    """theta_K as a polynomial over ctx, K the generators of mask."""
+    return from_terms(ctx, {Monomial((), mask): 1})
+
+
 # -- the inversion count ------------------------------------------------------
 
 
@@ -209,3 +225,59 @@ def left_partial(q, i):
     """The left partial d/dtheta_i on Lambda(theta_1..theta_q), as a
     sparse matrix {(row mask, column mask): sign}."""
     return {(s & ~(1 << i), s): front_sign(s, i) for s in range(1 << q) if s >> i & 1}
+
+
+# -- the matrix model of Lambda(theta_1..theta_q) -----------------------------
+
+
+def grassmann(q):
+    """Lambda(theta1..thetaq): q odd generators and no even one."""
+    return Context(odd=[f"theta{i + 1}" for i in range(q)])
+
+
+def unit_matrix(q):
+    return {(s, s): 1 for s in range(1 << q)}
+
+
+def mat_add(x, y, scale=1):
+    """x + scale * y."""
+    out = dict(x)
+    for key, v in y.items():
+        s = out.get(key, 0) + scale * v
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def mat_mul(x, y):
+    """x y, each entry of x meeting only the row of y it multiplies."""
+    by_row = {}
+    for (k, j), v in y.items():
+        by_row.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), u in x.items():
+        for j, v in by_row.get(k, ()):
+            s = out.get((i, j), 0) + u * v
+            if s:
+                out[(i, j)] = s
+            else:
+                out.pop((i, j), None)
+    return out
+
+
+def poly_matrix(q, p, values=()):
+    """The matrix of left multiplication by p on Lambda(theta_1..theta_q),
+    p's even generators, if any, set to the rationals values: sending
+    them there is a ring homomorphism k[x | theta] -> Lambda(theta)."""
+    thetas = [left_mul(q, j) for j in range(q)]
+    out = {}
+    for mono, c in terms_of(p).items():
+        for i, e in mono.even:
+            c *= values[i] ** e
+        word = unit_matrix(q)
+        for j in mono.odd:
+            word = mat_mul(word, thetas[j])
+        out = mat_add(out, word, c)
+    return out

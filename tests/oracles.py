@@ -1,8 +1,31 @@
-"""Reference forms of the printer, rename, the parameter quotient, rref,
-at, the expression parser and the script's list splitter, written
-against the Monomial/Fraction model of tests/model.py only, so they share
-no code with the code-level forms in poly.py, linalg.py, expr.py and script.py
-that they check.
+"""The tests' oracles: independent algorithms for the kernel's values,
+and earlier forms of the code that can stand in for the code they check.
+
+The independent algorithms share no code with matrix.py or linalg.py:
+
+- leibniz is the determinant as the signed sum over permutations, each
+  sign the parity of tests/model.py's inversion count, over any ring given
+  by its operations; over Fractions, its default, it is every small
+  Fraction determinant of the tests.
+- gauss_jordan_inverse inverts a grid of Fractions or polynomials by
+  Gauss-Jordan, each pivot the first nonzero constant in its column.
+- oracle_inverse is the inverse of an even grid T = B + N as the power
+  series sum_k (-N')^k B^-1 in N' = B^-1 N.  Its products pair mostly
+  terms whose odd words overlap, so it is slow and serves as an oracle
+  for _grid_inverse and invert only.
+- oracle_schur is the Schur complement a - b d^-1 c with b d^-1 c taken
+  one polynomial product at a time (helpers.grid_mul) and subtracted with
+  plain -, the oracle for matrix._schur's one packed grid product.
+- brute_srank is srank by subset search: the sizes of the largest square
+  submatrices of the constant bodies of T1 and T4 whose leibniz
+  determinant is nonzero, so it shares no elimination with linalg.rank,
+  on which srank stands.
+
+The reference forms below are of the printer, rename, the parameter
+quotient, rref, at, the expression parser and the script's list
+splitter, written against the Monomial/Fraction model of tests/model.py
+only, so they share no code with the code-level forms in poly.py,
+linalg.py, expr.py and script.py that they check.
 
 reference_str is the printer before it moved onto monomial codes: sort
 the (Monomial, Fraction) terms by a key built from the Monomial, check the
@@ -79,20 +102,119 @@ lowest column by recursion.
 import re
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter
+from itertools import combinations, permutations
+from operator import add, itemgetter, mul, neg
 
 from math import gcd
 
-from model import Monomial, coefficient, from_terms, terms_of
+from helpers import grid_mul, identity
+from model import Monomial, coefficient, from_terms, inversions, terms_of
 from supergeom import (Context, ContextMismatch, LimitExceeded, Morphism,
-                       Parity, ParityError, ScriptError, SuperDerivation, SuperMatrix,
-                       SuperPoly, linalg)
+                       Parity, ParityError, ScriptError, SuperDerivation, SuperDim,
+                       SuperMatrix, SuperPoly, linalg)
 from supergeom.expr import _ECHO_CHARS, _MAX_DEPTH
 from supergeom.groups import AxiomResult, primed, product_context
 from supergeom.liealg import (RESERVED, LieAlgebraResult, _canonical_constraints,
                               _divide, _symbol_names)
 from supergeom.poly import (_PARITIES, MAX_DIGITS, _mac, _Memo, _odd_word, _power,
                             _unpack)
+
+
+# -- independent algorithms ----------------------------------------------------
+
+
+def leibniz(grid, mul=mul, add=add, neg=neg, one=Fraction(1), zero=Fraction(0)):
+    """sum over permutations s of sign(s) * prod grid[i][s(i)], in the ring
+    of mul, add, neg, one and zero: n! terms, so for small grids only."""
+    total = zero
+    for perm in permutations(range(len(grid))):
+        term = one
+        for i, j in enumerate(perm):
+            term = mul(term, grid[i][j])
+        total = add(total, neg(term) if inversions(perm) & 1 else term)
+    return total
+
+
+def gauss_jordan_inverse(rows, one, zero):
+    """The inverse of a square grid of Fractions or of polynomials, one and
+    zero its ring's unit and zero, by Gauss-Jordan.  The pivot of each
+    column is the first entry at or below the diagonal that is a nonzero
+    constant, so an invertible constant grid is inverted, and so is a
+    polynomial one whose pivots are all found, such as an upper
+    triangular grid with a constant diagonal."""
+    n = len(rows)
+    aug = [list(r) + [one if i == j else zero for j in range(n)]
+           for i, r in enumerate(rows)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if _constant(aug[r][c]))
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        lead = _constant(aug[c][c])
+        aug[c] = [x / lead for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [r[n:] for r in aug]
+
+
+def _constant(x):
+    # a Fraction is a constant; a polynomial is one when it has no term
+    # but its constant term, and reads 0 otherwise
+    if isinstance(x, SuperPoly):
+        return x.is_constant() and x.constant_term()
+    return x
+
+
+def oracle_inverse(ctx, rows):
+    """The inverse of an even grid T = B + N, B its body and N nilpotent:
+    sum_k (-N')^k over N' = B^-1 N, then times B^-1 on the right.  Only
+    products and sums of single polynomials and a Gauss-Jordan body
+    inverse; no _gmul, _laplace, _det or _body_inverse of the package."""
+    n = len(rows)
+    body = [[e.body() for e in row] for row in rows]
+    binv = gauss_jordan_inverse(body, ctx.one(), ctx.zero())
+    nilpotent = [[e - b for e, b in zip(r, rb)] for r, rb in zip(rows, body)]
+    nprime = grid_mul(ctx, binv, nilpotent)
+    out = identity(ctx, n)
+    power = nprime
+    for k in range(1, len(ctx.odd) + 2):
+        sign = -1 if k % 2 else 1
+        out = [[o + sign * p for o, p in zip(ro, rp)]
+               for ro, rp in zip(out, power)]
+        power = grid_mul(ctx, power, nprime)
+    assert all(not e for row in power for e in row), "N' is not nilpotent"
+    return grid_mul(ctx, out, binv)
+
+
+def oracle_schur(ctx, a, b, c, dinv):
+    """a - b d^-1 c for the block grid [[a, b], [c, d]], given d^-1: the
+    plain products one polynomial at a time, then the plain difference."""
+    bdc = grid_mul(ctx, grid_mul(ctx, b, dinv), c)
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, bdc)]
+
+
+def brute_srank(mat):
+    """Oracle for srank: sizes of the largest invertible square
+    submatrices of the constant bodies of T1 and T4, found by subset
+    search, each subset invertible when its leibniz determinant is
+    nonzero.  Only valid for matrices with constant-body entries."""
+
+    def best(grid):
+        rows = [[e.body().constant_term() for e in row] for row in grid]
+        m = len(rows)
+        n = len(rows[0]) if m else 0
+        for k in range(min(m, n), 0, -1):
+            for ri in combinations(range(m), k):
+                for ci in combinations(range(n), k):
+                    if leibniz([[rows[i][j] for j in ci] for i in ri]):
+                        return k
+        return 0
+
+    t1, _, _, t4 = mat.blocks()
+    return SuperDim(best(t1), best(t4))
+
+
+# -- earlier forms ---------------------------------------------------------------
 
 
 def reference_key(ctx, mono):

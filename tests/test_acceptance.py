@@ -12,8 +12,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import brute_srank, random_invertible, random_poly, random_supermatrix
-
+from helpers import random_invertible, random_poly, random_supermatrix
+from oracles import brute_srank
 from supergeom import (
     Context,
     Distribution,

@@ -12,9 +12,10 @@ and with Ber(exp X) = exp(str X) and Ber multiplicative,
 where log(I + N') = sum (-1)^(k+1) N'^k / k and the exponential of the
 nilpotent even element str log(I + N') are both finite sums.
 
-This uses only ring arithmetic of single polynomials and Fraction
-elimination on the body; no Schur complement, grid inverse, _gmul or
-_det of the package.  It is several times slower than berezinian(), so
+This uses only ring arithmetic of single polynomials, a Gauss-Jordan
+inverse of the body and Leibniz determinants of its blocks (both from
+tests/oracles.py); no Schur complement, grid inverse, _gmul or _det of
+the package.  It is several times slower than berezinian(), so
 it lives here as an oracle only.
 """
 
@@ -23,65 +24,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_invertible
+from helpers import grid_mul, random_invertible
+from oracles import gauss_jordan_inverse, leibniz
 from supergeom import Context
 
 GR6 = Context(odd=[f"theta{i}" for i in range(1, 7)])
 SIZES = [(p, q) for p in range(1, 5) for q in range(1, 5)]
 
 
-def fraction_det(rows):
-    """Determinant of a square Fraction matrix by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for r in range(c + 1, n):
-            f = rows[r][c] / rows[c][c]
-            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det
-
-
-def fraction_inverse(rows):
-    """Inverse of an invertible square Fraction matrix by Gauss-Jordan."""
-    n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-           for i, r in enumerate(rows)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if aug[r][c])
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        lead = aug[c][c]
-        aug[c] = [x / lead for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [r[n:] for r in aug]
-
-
-def grid_mul(x, y):
-    """Plain matrix product of two grids of polynomials; for even
-    supermatrices the block signs all cancel."""
-    zero = GR6.zero()
-    return [
-        [sum((x[i][k] * y[k][j] for k in range(len(y))), zero)
-         for j in range(len(y[0]))]
-        for i in range(len(x))
-    ]
-
-
 def ber_by_log(t):
     p, n = t.source.even, t.source.total
     rows = [[t.entry(i, j) for j in range(n)] for i in range(n)]
     body = [[rows[i][j].constant_term() for j in range(n)] for i in range(n)]
-    inv = fraction_inverse(body)
+    inv = gauss_jordan_inverse(body, Fraction(1), Fraction(0))
     nil = [[sum((inv[i][k] * (rows[k][j] - body[k][j]) for k in range(n)),
                 GR6.zero())
             for j in range(n)]
@@ -95,7 +50,8 @@ def ber_by_log(t):
     power, k = nil, 1
     while any(e for row in power for e in row):
         log_str += supertrace(power) * Fraction((-1) ** (k + 1), k)
-        power, k = grid_mul(power, nil), k + 1
+        # nil is even, so the block signs of its powers all cancel
+        power, k = grid_mul(GR6, power, nil), k + 1
 
     exp, term, j = GR6.one(), GR6.one(), 1
     while True:
@@ -106,7 +62,7 @@ def ber_by_log(t):
 
     b1 = [r[:p] for r in body[:p]]
     b4 = [r[p:] for r in body[p:]]
-    return exp * (fraction_det(b1) / fraction_det(b4))
+    return exp * (leibniz(b1) / leibniz(b4))
 
 
 @pytest.mark.parametrize("dims", SIZES, ids=lambda d: f"{d[0]}|{d[1]}")

@@ -1,14 +1,15 @@
-"""Body inverses from one Laplace pass per row against n^2 separate
-expansions.
+"""Body inverses from one Laplace pass per row against the adjugate of
+a top-down Laplace expansion.
 
 _body_inverse reads row i of the inverse from one matrix._laplace pass
 over the body with column i struck out: its minor on the rows other
 than j is the (j, i) minor, and the determinant is expanded down column
 0 over the minors of the first pass.  The oracle here is the adjugate
-the package used before it shared any minor: each cofactor is the
-determinant of its own copied sub-grid, expanded by a separate _det
-call.  A cofactor read from the wrong mask, a lost (-1)^(i+j) sign or a
-pass that keeps column i disagrees with it.  The product of the body, read
+over the determinant, its n^2 cofactors and the determinant read from
+one memo of tests/oracles.py's reference_minors, the top-down Laplace
+expansion, so it calls no code of matrix.py.  A cofactor read from the
+wrong mask, a lost (-1)^(i+j) sign or a pass that keeps column i
+disagrees with it.  The product of the body, read
 entry by entry with SuperPoly.body, with its inverse, taken one
 polynomial product at a time, must be the identity on both sides.
 
@@ -30,6 +31,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import grid_mul, identity, random_invertible
+from oracles import reference_minors
 from supergeom import Context, LimitExceeded, NotInvertible, SuperMatrix, linalg
 from supergeom import matrix as M
 from supergeom.poly import SuperPoly
@@ -39,27 +41,23 @@ GR6 = Context(odd=[f"theta{i}" for i in range(1, 7)])
 SIZES = range(7)
 
 
-def adjugate(ctx, grid):
-    """The adjugate from n^2 sub-grid copies, one _det call each."""
-    n = len(grid)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [row[:j] + row[j + 1:] for k, row in enumerate(grid) if k != i]
-            c = M._det(ctx, sub)
-            out[j][i] = -c if (i + j) & 1 else c
-    return out
-
-
-def oracle_inverse(ctx, body):
-    c = M._det(ctx, body).constant_term()
-    return [[e / c for e in row] for row in adjugate(ctx, body)]
+def adjugate_inverse(ctx, body):
+    """The adjugate over the determinant: entry (i, j) is (-1)^(i+j)
+    times the minor off row j and column i, over the full minor, every
+    one read from one reference_minors memo."""
+    n = len(body)
+    full = (1 << n) - 1
+    minor = reference_minors(body, ctx.one(), ctx.zero())
+    det = minor(full | full << n).constant_term()
+    return [[(-1) ** (i + j) * minor(full ^ 1 << j | (full ^ 1 << i) << n) / det
+             for j in range(n)]
+            for i in range(n)]
 
 
 def check(ctx, grid):
     inv = M._body_inverse(ctx, grid, "T")
     body = [[e.body() for e in row] for row in grid]
-    assert [list(r) for r in inv] == oracle_inverse(ctx, body)
+    assert [list(r) for r in inv] == adjugate_inverse(ctx, body)
     assert grid_mul(ctx, body, inv) == identity(ctx, len(grid))
     assert grid_mul(ctx, inv, body) == identity(ctx, len(grid))
 

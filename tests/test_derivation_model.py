@@ -12,13 +12,14 @@ left partial moves theta_i to the front before it strikes it, so
     d/dtheta_i theta_S     = (-1)^#{j in S : j < i} theta_(S - {i}),  i in S,
 
 and 0 otherwise (tests/model.py's left_mul and left_partial).  The basis
-field theta_M d/dtheta_i is the matrix L(theta_M) P_i, of parity
-|M| + 1, and a field is the sum of its coefficients' matrices times the
-partials.  apply is linear in its argument and bracket in each field, so
-checking every basis monomial and every pair of basis fields proves them
-for that q: apply must be the matrix times the vector, and bracket the
-graded commutator A B - (-1)^{|A||B|} B A with the parity |A| + |B|.  A
-failure names its basis tuple (M, i, S) or (M, i, N, j).
+field theta_M d/dtheta_i is the matrix L(theta_M) P_i, of parity |M| + 1,
+with L(theta_M) tests/model.py's poly_matrix, and a field is the sum of
+its coefficients' matrices times the partials.  apply is linear in its
+argument and bracket in each field, so checking every basis monomial
+and every pair of basis fields proves them for that q: apply must be
+the matrix times the vector, and bracket the graded commutator
+A B - (-1)^{|A||B|} B A with the parity |A| + |B|.  A failure names its
+basis tuple (M, i, S) or (M, i, N, j).
 
 The same model takes the even generator t over k[t | theta1..theta3]:
 the basis monomials are t^a theta_S, t commutes with everything, and
@@ -35,52 +36,11 @@ from fractions import Fraction
 
 import pytest
 
-from model import Monomial, from_terms, front_sign, left_mul, left_partial, terms_of
+from model import (Monomial, from_terms, front_sign, grassmann, left_partial, mat_add, mat_mul,
+                   odd_monomial, poly_matrix, terms_of)
 from supergeom import Context, Parity, SuperDerivation, bracket
 
 QS = [1, 2, 3]
-
-
-def grassmann(q):
-    return Context(odd=[f"theta{i + 1}" for i in range(q)])
-
-
-# -- sparse matrices: {(row, col): Fraction}, zeros never stored ---------------
-
-
-def mat_add(x, y, scale=1):
-    out = dict(x)
-    for key, v in y.items():
-        s = out.get(key, 0) + scale * v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def mat_mul(x, y):
-    out = {}
-    for (r, k), a in x.items():
-        for (k2, c), b in y.items():
-            if k == k2:
-                out = mat_add(out, {(r, c): a * b})
-    return out
-
-
-def monomial_matrix(q, mask):
-    out = {(s, s): 1 for s in range(1 << q)}
-    for i in range(q):
-        if mask >> i & 1:
-            out = mat_mul(out, left_mul(q, i))
-    return out
-
-
-def poly_matrix(q, p):
-    out = {}
-    for mono, c in terms_of(p).items():
-        out = mat_add(out, monomial_matrix(q, mono.mask), c)
-    return out
 
 
 def field_matrix(q, d):
@@ -101,10 +61,6 @@ def column(x, s):
 # -- the basis ----------------------------------------------------------------
 
 
-def theta(ctx, mask):
-    return from_terms(ctx, {Monomial((), mask): 1})
-
-
 def basis_fields(q):
     """(M, i, field theta_M d/dtheta_i, its matrix) for every M and i."""
     ctx = grassmann(q)
@@ -112,9 +68,9 @@ def basis_fields(q):
     for mask in range(1 << q):
         parity = Parity.ODD if mask.bit_count() % 2 == 0 else Parity.EVEN
         for i in range(q):
-            odds = [theta(ctx, mask) if k == i else ctx.zero() for k in range(q)]
+            odds = [odd_monomial(ctx, mask) if k == i else ctx.zero() for k in range(q)]
             d = SuperDerivation(ctx, parity, [], odds)
-            matrix = mat_mul(monomial_matrix(q, mask), left_partial(q, i))
+            matrix = mat_mul(poly_matrix(q, odds[i]), left_partial(q, i))
             out.append((mask, i, d, matrix))
     return out
 
@@ -125,7 +81,7 @@ def test_apply_is_the_matrix_times_the_vector(q):
     failures = []
     for mask, i, d, matrix in basis_fields(q):
         for s in range(1 << q):
-            if vector(d.apply(theta(ctx, s))) != column(matrix, s):
+            if vector(d.apply(odd_monomial(ctx, s))) != column(matrix, s):
                 failures.append((mask, i, s))
     assert not failures, f"theta_M d/dtheta_i (theta_S) wrong at (M, i, S) in {failures}"
 

@@ -16,10 +16,10 @@ field's bracket with itself.
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
+from oracles import leibniz
 from supergeom import (
     Context,
     ContextMismatch,
@@ -181,17 +181,6 @@ class TestRendering:
 # -- pivot rule against the exhaustive search ---------------------------------
 
 
-def _det(rows):
-    """Laplace expansion along the first row; k is at most 4 here."""
-    if not rows:
-        return Fraction(1)
-    return sum(
-        (-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-        for j, a in enumerate(rows[0])
-        if a
-    )
-
-
 def pivot_oracle(grid, k):
     """First k-subset of columns, in lexicographic order, whose entries
     all have constant bodies and whose body submatrix is invertible."""
@@ -199,7 +188,7 @@ def pivot_oracle(grid, k):
         sub = [[grid[a][c] for c in cols] for a in range(k)]
         if not all(e.body().is_constant() for row in sub for e in row):
             continue
-        if _det([[e.body().constant_term() for e in row] for row in sub]):
+        if leibniz([[e.body().constant_term() for e in row] for row in sub]):
             return list(cols)
     return None
 

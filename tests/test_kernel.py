@@ -3,9 +3,10 @@ grid product, all through the one term-pair loop poly._mac) against an
 independent model.
 
 Oracle: the left regular representation of the exterior algebra
-Lambda(theta1..thetaq).  The basis is the subsets S of {0..q-1}, with
-theta_S the product of its generators in increasing order.  Moving
-theta_i to its place in theta_S passes every j in S with j < i, so
+Lambda(theta1..thetaq), tests/model.py's poly_matrix.  The basis is the
+subsets S of {0..q-1}, with theta_S the product of its generators in
+increasing order.  Moving theta_i to its place in theta_S passes every j
+in S with j < i, so
 
     theta_i * theta_S = (-1)^#{j in S : j < i} theta_(S + {i}),  i not in S,
 
@@ -19,87 +20,26 @@ other sign code of the package.
 Even generators enter through evaluation: sending them to rational
 values is a ring homomorphism k[x, y | theta] -> Lambda(theta), so the
 model of an evaluated product, sum of products, substitution or
-determinant must be the matching product, sum or Leibniz expansion of
-the evaluated factors.  The inputs there carry Fraction(n, d)
-coefficients with d up to 12, so the kernel's common denominators,
-scale factors and final reductions all take part; the model reads
-coefficients only through the public terms view.
+determinant must be the matching product, sum or Leibniz expansion
+(tests/oracles.py's leibniz) of the evaluated factors.  The inputs there
+carry Fraction(n, d) coefficients with d up to 12, so the kernel's
+common denominators, scale factors and final reductions all take part;
+the model reads coefficients only through tests/model.py's terms_of.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import one_column, random_poly, random_rational_poly
-from model import Monomial, from_terms, terms_of
-from oracles import reference_dot
+from model import (Monomial, from_terms, grassmann, mat_add, mat_mul, poly_matrix, terms_of,
+                   unit_matrix)
+from oracles import leibniz, reference_dot
 from supergeom import Context, ContextMismatch, LimitExceeded, Parity, SuperPoly
 from supergeom.matrix import _det, _gmul
 from supergeom import poly
 from supergeom.poly import MAX_FIELD_EXPONENT
-
-
-def grassmann(q):
-    return Context(odd=[f"theta{i + 1}" for i in range(q)])
-
-
-# -- sparse rational matrices: {(row, col): Fraction}, zeros never stored --
-
-
-def mat_add(x, y):
-    out = dict(x)
-    for key, v in y.items():
-        s = out.get(key, 0) + v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def mat_mul(x, y):
-    by_row = {}
-    for (k, j), v in y.items():
-        by_row.setdefault(k, []).append((j, v))
-    out = {}
-    for (i, k), u in x.items():
-        for j, v in by_row.get(k, ()):
-            s = out.get((i, j), 0) + u * v
-            if s:
-                out[(i, j)] = s
-            else:
-                out.pop((i, j), None)
-    return out
-
-
-def identity(q):
-    return {(s, s): Fraction(1) for s in range(1 << q)}
-
-
-def theta(q, i):
-    """Left multiplication by theta_i on the subset basis (bitmasks)."""
-    out = {}
-    for s in range(1 << q):
-        if s >> i & 1:
-            continue
-        below = bin(s & ((1 << i) - 1)).count("1")
-        out[(s | 1 << i, s)] = Fraction(-1 if below & 1 else 1)
-    return out
-
-
-def model(p, q):
-    """The matrix of left multiplication by the polynomial p."""
-    thetas = [theta(q, i) for i in range(q)]
-    out = {}
-    for mono, c in p.terms.items():
-        assert not mono.even
-        word = identity(q)
-        for j in mono.odd:
-            word = mat_mul(word, thetas[j])
-        out = mat_add(out, {key: c * v for key, v in word.items()})
-    return out
 
 
 def test_model_is_faithful_on_basis_words():
@@ -110,7 +50,7 @@ def test_model_is_faithful_on_basis_words():
     rng = random.Random(700)
     for _ in range(20):
         p = random_poly(rng, ctx, n_terms=4)
-        column = {row: v for (row, col), v in model(p, q).items() if col == 0}
+        column = {row: v for (row, col), v in poly_matrix(q, p).items() if col == 0}
         assert column == {
             sum(1 << j for j in mono.odd): c for mono, c in p.terms.items()
         }
@@ -123,7 +63,7 @@ def test_products_match_matrix_products(q):
     for _ in range(25):
         a = random_poly(rng, ctx, n_terms=rng.randint(0, 5))
         b = random_poly(rng, ctx, n_terms=rng.randint(0, 5))
-        assert model(a * b, q) == mat_mul(model(a, q), model(b, q))
+        assert poly_matrix(q, a * b) == mat_mul(poly_matrix(q, a), poly_matrix(q, b))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
@@ -138,9 +78,9 @@ def test_dot_matches_sum_of_matrix_products(q):
         ]
         expect = {}
         for a, b in pairs:
-            expect = mat_add(expect, mat_mul(model(a, q), model(b, q)))
+            expect = mat_add(expect, mat_mul(poly_matrix(q, a), poly_matrix(q, b)))
         got = one_column(ctx, pairs)
-        assert [model(p, q) for p in got] == ([expect] if pairs else [])
+        assert [poly_matrix(q, p) for p in got] == ([expect] if pairs else [])
 
 
 def gmul_grid(rng, ctx, rows, cols):
@@ -165,8 +105,9 @@ def check_gmul(q, shape, rng):
         for j in range(m):
             expect = {}
             for t in range(k):
-                expect = mat_add(expect, mat_mul(model(a[i][t], q), model(b[t][j], q)))
-            assert model(out[i][j], q) == expect
+                expect = mat_add(expect, mat_mul(poly_matrix(q, a[i][t]),
+                                                 poly_matrix(q, b[t][j])))
+            assert poly_matrix(q, out[i][j]) == expect
 
 
 GMUL_SHAPES = [(1, 1, 1), (2, 3, 2), (3, 2, 4), (2, 3, 0), (3, 2, 1), (1, 3, 1),
@@ -314,25 +255,6 @@ def rational_values(rng, n):
     return [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n)]
 
 
-def model_at(p, q, values):
-    """The matrix of left multiplication by p with its even generators
-    set to values."""
-    thetas = [theta(q, i) for i in range(q)]
-    out = {}
-    for mono, c in p.terms.items():
-        for i, e in mono.even:
-            c *= values[i] ** e
-        word = identity(q)
-        for j in mono.odd:
-            word = mat_mul(word, thetas[j])
-        out = mat_add(out, {key: c * v for key, v in word.items()})
-    return out
-
-
-def mat_scale(x, c):
-    return {key: c * v for key, v in x.items()} if c else {}
-
-
 @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
 def test_rational_products_match_at_points(q):
     ctx = mixed(q)
@@ -341,8 +263,8 @@ def test_rational_products_match_at_points(q):
         a = random_rational_poly(rng, ctx, n_terms=rng.randint(0, 5))
         b = random_rational_poly(rng, ctx, n_terms=rng.randint(0, 5))
         at = rational_values(rng, 2)
-        assert model_at(a * b, q, at) == mat_mul(model_at(a, q, at),
-                                                 model_at(b, q, at))
+        assert poly_matrix(q, a * b, at) == mat_mul(poly_matrix(q, a, at),
+                                                    poly_matrix(q, b, at))
 
 
 @pytest.mark.parametrize("q", [0, 2, 4])
@@ -358,9 +280,9 @@ def test_rational_dot_matches_at_points(q):
         at = rational_values(rng, 2)
         expect = {}
         for a, b in pairs:
-            expect = mat_add(expect, mat_mul(model_at(a, q, at), model_at(b, q, at)))
+            expect = mat_add(expect, mat_mul(poly_matrix(q, a, at), poly_matrix(q, b, at)))
         got = one_column(ctx, pairs)
-        assert [model_at(p, q, at) for p in got] == ([expect] if pairs else [])
+        assert [poly_matrix(q, p, at) for p in got] == ([expect] if pairs else [])
 
 
 def test_rational_gmul_entries_match_at_points():
@@ -378,9 +300,9 @@ def test_rational_gmul_entries_match_at_points():
             for j in range(m):
                 expect = {}
                 for t in range(k):
-                    expect = mat_add(expect, mat_mul(model_at(a[i][t], q, at),
-                                                     model_at(b[t][j], q, at)))
-                assert model_at(out[i][j], q, at) == expect
+                    expect = mat_add(expect, mat_mul(poly_matrix(q, a[i][t], at),
+                                                     poly_matrix(q, b[t][j], at)))
+                assert poly_matrix(q, out[i][j], at) == expect
 
 
 @pytest.mark.parametrize("q_in, q_out", [(2, 2), (3, 2), (2, 3)])
@@ -397,33 +319,20 @@ def test_rational_substitute_matches_at_points(q_in, q_out):
                                                   max_even_deg=1, n_terms=2)
                        for name in src.odd})
         at = rational_values(rng, 2)
-        img = {name: model_at(f, q_out, at) for name, f in images.items()}
+        img = {name: poly_matrix(q_out, f, at) for name, f in images.items()}
         expect = {}
-        for mono, c in p.terms.items():
-            word = identity(q_out)
+        for mono, c in terms_of(p).items():
+            word = unit_matrix(q_out)
             for i, e in mono.even:
                 for _ in range(e):
                     word = mat_mul(word, img[src.even[i]])
             for j in mono.odd:
                 word = mat_mul(word, img[src.odd[j]])
-            expect = mat_add(expect, mat_scale(word, c))
-        assert model_at(p.substitute(dst, images), q_out, at) == expect
+            expect = mat_add(expect, word, c)
+        assert poly_matrix(q_out, p.substitute(dst, images), at) == expect
 
 
 # -- _det at points, against a Leibniz expansion ----------------------------
-
-
-def leibniz(grid, mul, add, neg, one, zero):
-    """sum over permutations s of sign(s) * prod grid[i][s(i)]."""
-    n = len(grid)
-    total = zero
-    for perm in itertools.permutations(range(n)):
-        term = one
-        for i, j in enumerate(perm):
-            term = mul(term, grid[i][j])
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total = add(total, neg(term) if inversions & 1 else term)
-    return total
 
 
 def evaluate(p, values):
@@ -452,8 +361,7 @@ def test_det_of_rational_grids_matches_leibniz_at_points(n):
         for _ in range(3):
             at = rational_values(rng, 2)
             values = [[evaluate(e, at) for e in row] for row in grid]
-            expect = leibniz(values, lambda a, b: a * b, lambda a, b: a + b,
-                             lambda a: -a, Fraction(1), Fraction(0))
+            expect = leibniz(values)
             assert evaluate(det, at) == expect
 
 
@@ -480,10 +388,10 @@ def test_det_with_nilpotent_entries_matches_leibniz_in_the_model(n):
         assert all(e.body() != e for row in grid for e in row)
         det = _det(ctx, grid)
         at = rational_values(rng, 1)
-        models = [[model_at(e, q, at) for e in row] for row in grid]
-        expect = leibniz(models, mat_mul, mat_add, lambda a: mat_scale(a, -1),
-                         identity(q), {})
-        assert model_at(det, q, at) == expect
+        models = [[poly_matrix(q, e, at) for e in row] for row in grid]
+        expect = leibniz(models, mat_mul, mat_add, lambda a: mat_add({}, a, -1),
+                         unit_matrix(q), {})
+        assert poly_matrix(q, det, at) == expect
 
 
 # -- the two inner loops of the term-pair loop ------------------------------
@@ -534,10 +442,10 @@ def test_dot_over_split_operands_matches_the_model(q):
         pairs = split_pairs(rng, ctx)
         expect = {}
         for a, b in pairs:
-            expect = mat_add(expect, mat_mul(model(a, q), model(b, q)))
+            expect = mat_add(expect, mat_mul(poly_matrix(q, a), poly_matrix(q, b)))
         (got,) = one_column(ctx, pairs)
         assert all(got.nums.values())
-        assert model(got, q) == expect
+        assert poly_matrix(q, got) == expect
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -549,10 +457,10 @@ def test_dot_over_split_operands_matches_at_points(q):
         at = rational_values(rng, 2)
         expect = {}
         for a, b in pairs:
-            expect = mat_add(expect, mat_mul(model_at(a, q, at), model_at(b, q, at)))
+            expect = mat_add(expect, mat_mul(poly_matrix(q, a, at), poly_matrix(q, b, at)))
         (got,) = one_column(ctx, pairs)
         assert all(got.nums.values())
-        assert model_at(got, q, at) == expect
+        assert poly_matrix(q, got, at) == expect
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -570,9 +478,9 @@ def test_gmul_over_split_entries_matches_the_model(q):
                 for j in range(m):
                     expect = {}
                     for t in range(k):
-                        expect = mat_add(expect, mat_mul(model_at(a[i][t], q, at),
-                                                         model_at(b[t][j], q, at)))
-                    assert model_at(out[i][j], q, at) == expect
+                        expect = mat_add(expect, mat_mul(poly_matrix(q, a[i][t], at),
+                                                         poly_matrix(q, b[t][j], at)))
+                    assert poly_matrix(q, out[i][j], at) == expect
 
 
 @pytest.mark.parametrize("left_mask", [0, 0b01], ids=["odd-free loop", "odd loop"])

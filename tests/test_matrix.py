@@ -13,12 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (
-    brute_srank,
-    random_invertible,
-    random_poly,
-    random_supermatrix,
-)
+from helpers import random_invertible, random_poly, random_supermatrix
+from oracles import brute_srank
 from supergeom import (
     Context,
     ContextMismatch,

@@ -2,11 +2,12 @@
 
 _schur(ctx, a, b, c, d, label) returns (d^-1, b d^-1, a - b d^-1 c) for
 the block grid [[a, b], [c, d]], the complement one grid product
-[1 | b d^-1] [a; -c] whose right grid is packed once.  The oracle here
-takes b d^-1 c one polynomial product at a time (helpers.grid_mul) and
-subtracts it from a with plain -.  Both orientations are checked, the
-primary complement of T4 and the alternate complement of T1, on seeded
-2|2..4|4 matrices over Lambda(theta1..theta6) and k[t | theta1..theta4].
+[1 | b d^-1] [a; -c] whose right grid is packed once.  The oracle here,
+tests/oracles.py's oracle_schur, takes b d^-1 c one polynomial product
+at a time (helpers.grid_mul) and subtracts it from a with plain -.  Both
+orientations are checked, the primary complement of T4 and the
+alternate complement of T1, on seeded 2|2..4|4 matrices over
+Lambda(theta1..theta6) and k[t | theta1..theta4].
 """
 
 import random
@@ -14,6 +15,7 @@ import random
 import pytest
 
 from helpers import grid_mul, random_invertible
+from oracles import oracle_schur
 from supergeom import Context, SuperPoly
 from supergeom import matrix as M
 
@@ -21,11 +23,6 @@ GR6 = Context(odd=[f"theta{i}" for i in range(1, 7)])
 KT4 = Context(even=["t"], odd=[f"theta{i}" for i in range(1, 5)])
 SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
 CASES = [(ctx, dim) for ctx in (GR6, KT4) for dim in SIZES]
-
-
-def oracle(ctx, a, b, c, dinv):
-    bdc = grid_mul(ctx, grid_mul(ctx, b, dinv), c)
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, bdc)]
 
 
 @pytest.mark.parametrize(
@@ -39,7 +36,7 @@ def test_complements_match_the_plain_difference(ctx, dim):
             dinv, bdinv, got = M._schur(ctx, a, b, c, d, "T")
             assert dinv == M._grid_inverse(ctx, d, "T")
             assert [list(r) for r in bdinv] == grid_mul(ctx, b, dinv)
-            assert [list(r) for r in got] == oracle(ctx, a, b, c, dinv)
+            assert [list(r) for r in got] == oracle_schur(ctx, a, b, c, dinv)
 
 
 def test_an_empty_d_returns_a_unchanged():
@@ -75,4 +72,4 @@ def test_the_complement_is_summed_without_adding_polynomials(monkeypatch):
     dinv, _, got = M._schur(GR6, t1, t2, t3, t4, "T4")
     assert armed and sums == []
     monkeypatch.undo()
-    assert [list(r) for r in got] == oracle(GR6, t1, t2, t3, dinv)
+    assert [list(r) for r in got] == oracle_schur(GR6, t1, t2, t3, dinv)

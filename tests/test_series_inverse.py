@@ -8,12 +8,13 @@ generators) and N nilpotent, so
 a finite sum.  The package builds T^-1 one odd degree at a time in
 _series_inverse: with N split into its parts N_e of odd degree e >= 1,
 the degree-d part is Y_0 = B^-1, Y_d = -B^-1 sum_e N_e Y_{d-e}.
-The oracle here is the power series instead: the powers of N' summed
-with alternating signs, then multiplied by B^-1 on the right.  It uses
-only products and sums of single polynomials and a Gauss-Jordan body
-inverse whose pivots are nonzero constants; no _gmul, _minors, _det or
-_body_inverse of the package.  Its products pair mostly terms whose odd
-words overlap, which is why it lives here.
+The oracle here is the power series instead, tests/oracles.py's
+oracle_inverse: the powers of N' summed with alternating signs, then
+multiplied by B^-1 on the right.  It uses only products and sums of
+single polynomials and a Gauss-Jordan body inverse whose pivots are
+nonzero constants; no _gmul, _laplace, _det or _body_inverse of the
+package.  Its products pair mostly terms whose odd words overlap, which
+is why it is an oracle only.
 
 The oracle is compared with invert() and _grid_inverse on seeded 1|1..4|4
 matrices over Lambda(theta1..theta6), a 2|2 matrix over eight odd
@@ -30,7 +31,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import grid_mul, identity, random_invertible, random_supermatrix
+from helpers import random_invertible, random_supermatrix
+from oracles import oracle_inverse
 from supergeom import Context, LimitExceeded, SuperMatrix, SuperPoly
 from supergeom import matrix as M
 from supergeom import poly
@@ -38,43 +40,6 @@ from supergeom import poly
 GR6 = Context(odd=[f"theta{i}" for i in range(1, 7)])
 KT4 = Context(even=["t"], odd=[f"theta{i}" for i in range(1, 5)])
 SIZES = [(p, q) for p in range(1, 5) for q in range(1, 5)]
-
-
-def body_inverse(ctx, rows):
-    """Gauss-Jordan inverse of a body grid whose pivots, taken down the
-    diagonal after row swaps, are nonzero constants: any invertible
-    constant grid, or an upper triangular one with a constant diagonal."""
-    n = len(rows)
-    aug = [list(r) + e for r, e in zip(rows, identity(ctx, n))]
-    for c in range(n):
-        pivot = next(r for r in range(c, n)
-                     if aug[r][c].is_constant() and aug[r][c].constant_term())
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        lead = aug[c][c].constant_term()
-        aug[c] = [x / lead for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [r[n:] for r in aug]
-
-
-def oracle_inverse(ctx, rows):
-    """sum_k (-N')^k, then times B^-1 on the right."""
-    n = len(rows)
-    body = [[e.body() for e in row] for row in rows]
-    binv = body_inverse(ctx, body)
-    nilpotent = [[e - b for e, b in zip(r, rb)] for r, rb in zip(rows, body)]
-    nprime = grid_mul(ctx, binv, nilpotent)
-    out = identity(ctx, n)
-    power = nprime
-    for k in range(1, len(ctx.odd) + 2):
-        sign = -1 if k % 2 else 1
-        out = [[o + sign * p for o, p in zip(ro, rp)]
-               for ro, rp in zip(out, power)]
-        power = grid_mul(ctx, power, nprime)
-    assert all(not e for row in power for e in row), "N' is not nilpotent"
-    return grid_mul(ctx, out, binv)
 
 
 def as_lists(grid):
