@@ -20,13 +20,15 @@ zero overflows nothing.  The literal terms of one level sum into one map
 of codes that becomes one SuperPoly at the end, so a sum of literal
 monomials makes no ring product, sum or power.  A group, '(' expr ')' or
 a session binding, is multiplied in by * in its place, its powers by
-**, and every factor after it in the term by *, so overflows, caps and
-errors come in reading order; such a term is added to the sum by +.  A
-literal with a chained power, such as x^2^3, is a group from its second
-'^' on.  Odd-word normalization makes parse order irrelevant:
-"theta2*theta1" and "-theta1*theta2" read as the same value.  The
-canonical renderer of SuperPoly emits this grammar, so printing and
-parsing are inverse.  A lone rational (a point, JSON) is '-'? rational.
+**, the literal factors before it and every factor after it in the term
+by *, so overflows, caps and errors come in reading order; such a term
+is added by + to the SuperPoly of the literal terms, zero when there are
+none.  A literal with a chained power, such as x^2^3, is a group from
+its second '^' on.  Odd-word normalization makes parse order
+irrelevant: "theta2*theta1" and "-theta1*theta2" read as the same
+value.  The canonical renderer of SuperPoly emits this grammar, so
+printing and parsing are inverse.  A lone rational (a point, JSON) is
+'-'? rational.
 
 The line is split into tokens first, by one regex scan that returns the
 token strings, so a bad character or an over-long integer is reported
@@ -131,10 +133,7 @@ class _Parser:
             else:
                 break
             self.tok = self.next()
-        if groups and not coeffs:
-            out = groups.pop()
-        else:
-            out = SuperPoly._from_coefficients(self.ctx, coeffs)
+        out = SuperPoly._from_coefficients(self.ctx, coeffs)
         for group in groups:
             out = out + group
         return out
@@ -185,7 +184,7 @@ class _Parser:
                 if code != _UNIT_CODE:
                     group = SuperPoly._from_coefficients(ctx, {code: c}) * group
                 elif c != 1:
-                    group = -group if c == -1 else group * c
+                    group = group * c
                 out = group if out is None else out * group
                 c, code = 1, _UNIT_CODE
             elif out is not None:

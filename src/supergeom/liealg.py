@@ -256,8 +256,6 @@ def _canonical_constraints(ctx: Context, polys):
     out = []
     # the odd symbols skip the reserved parameter pair
     for group, names in ((even, ctx.even), (odd, ctx.odd[2:])):
-        if not group:
-            continue
         # each constraint's int row is a multiple of its coefficients on
         # the symbols, which leaves the reduced echelon form unchanged
         codes, rows = _linear_rows(ctx, names, group)

@@ -22,8 +22,9 @@ Koszul sign masks, each Context's _texts its monomials' sort keys and
 texts, and each image map its images' powers, keyed (0, i, e) for
 t_i^e and (1, j, 1) for theta_j: _substitute_each pulls a whole tuple of
 polynomials back through one such memo, so an image is looked up and its
-parity and context checked at its first power, once per image map, and
-each polynomial's terms are summed into one numerator map.
+parity and context checked at its first read, once per image map, each
+of its powers, the first included, is built by _power, and each
+polynomial's terms are summed into one numerator map.
 SuperPoly.substitute is its one-polynomial case; compose, the group
 axioms and the left-invariant fields pull all their polynomials of one
 map through one call.  One constructor,
@@ -537,9 +538,8 @@ class SuperPoly:
 
     def odd_degree_parts(self) -> dict[int, "SuperPoly"]:
         """{e: the terms with exactly e odd generators} for every e that
-        occurs, each part reduced on its own; zero gives {}, and a
-        polynomial of one degree is its own part.  The parts partition
-        the terms, so they sum back to this polynomial."""
+        occurs, each part reduced on its own; zero gives {}.  The parts
+        partition the terms, so they sum back to this polynomial."""
         shift = self.ctx._shift
         split: dict[int, dict[int, int]] = {}
         for code, v in self.nums.items():
@@ -548,8 +548,6 @@ class SuperPoly:
             if part is None:
                 part = split[e] = {}
             part[code] = v
-        if len(split) == 1:
-            return dict.fromkeys(split, self)
         return {e: SuperPoly._reduced(self.ctx, nums, self.den)
                 for e, nums in split.items()}
 
@@ -617,9 +615,7 @@ class SuperPoly:
             return NotImplemented
         if not other:
             return SuperPoly.zero(self.ctx)
-        if isinstance(other, Fraction):
-            return self._scaled(other.numerator, other.denominator)
-        return self._scaled(int(other), 1)
+        return self._scaled(other.numerator, other.denominator)
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -631,9 +627,7 @@ class SuperPoly:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero")
-        if isinstance(other, Fraction):
-            return self._scaled(other.denominator, other.numerator)
-        return self._scaled(1, int(other))
+        return self._scaled(other.denominator, other.numerator)
 
     def _scaled(self, n: int, d: int) -> "SuperPoly":
         # this polynomial times n/d for nonzero ints n and d, reduced once
@@ -810,9 +804,9 @@ class SuperPoly:
         Each term must hold every generator of M, or ValueError is raised;
         its code loses M's bits, and its sign is that of theta_M *
         theta_rest, (-1)^popcount(_SWAP_PARITY[M] & rest) by the rule of
-        _mac.  The numerators are then scaled by 1/c once.  A factor that
-        is zero, has two terms or an even part raises ValueError, and one
-        over another context ContextMismatch.
+        _mac.  The quotient is then scaled by 1/c and reduced, once.  A
+        factor that is zero, has two terms or an even part raises
+        ValueError, and one over another context ContextMismatch.
         """
         ctx = self.ctx
         if factor.ctx is not ctx:
@@ -829,7 +823,7 @@ class SuperPoly:
             code ^= m
             nums[code] = -v if (swaps & code).bit_count() & 1 else v
         out = SuperPoly._raw(ctx, nums, self.den)
-        return out if c == 1 == factor.den else out._scaled(factor.den, c)
+        return out._scaled(factor.den, c)
 
     # -- rendering -------------------------------------------------------
 
@@ -985,7 +979,7 @@ def _substitute_each(polys: Sequence[SuperPoly], ctx_out: Context,
             if img.ctx is not ctx_out:
                 raise ContextMismatch("operands live in different contexts")
             checked[tag, i] = img
-        return _power(img, e) if e > 1 else img
+        return _power(img, e)
 
     powers = _Memo(image_power)
     one = SuperPoly._raw(ctx_out, {0: 1})
@@ -1022,9 +1016,9 @@ def _pack(ctx: Context, row: Sequence[SuperPoly]):
     """A row of polynomials over ctx as one packed row: the numerators of
     its entries over the lcm of their denominators in one map, entry k's
     code m keyed m << w | k with w = (len(row) - 1).bit_length(), so
-    keys of different entries never meet.  The pair (map, den), or None
-    when every entry is zero; a row of one entry (w = 0) is its own map,
-    with no copy.  ContextMismatch for an entry over another context."""
+    keys of different entries never meet; a row of one entry has w = 0.
+    The pair (map, den), or None when every entry is zero.
+    ContextMismatch for an entry over another context."""
     den = 1
     for b in row:
         if b.ctx is not ctx:
@@ -1032,8 +1026,6 @@ def _pack(ctx: Context, row: Sequence[SuperPoly]):
         if den % b.den:
             den = lcm(den, b.den)
     w = (len(row) - 1).bit_length()
-    if not w:
-        return (row[0].nums, den) if row[0].nums else None
     nums = {}
     for k, b in enumerate(row):
         if b.nums:
@@ -1071,23 +1063,19 @@ def _packed_dot(ctx: Context, pairs, width: int):
 
 def _split(ctx: Context, rows, width: int) -> tuple[SuperPoly, ...]:
     """The entries of the sum of packed rows of width entries that share
-    no key, such as the parts of one row by odd degree: their maps over
-    the lcm of their denominators, each entry reduced once.  Raises
-    LimitExceeded for an entry of more than MAX_TERMS terms, as a
+    no key, such as the parts of one row by odd degree: one new map per
+    column over the lcm of their denominators, each entry reduced once.
+    Raises LimitExceeded for an entry of more than MAX_TERMS terms, as a
     product does."""
     w = (width - 1).bit_length()
     low = (1 << w) - 1
     rows = [r for r in rows if r]
     den = lcm(*[d for _, d in rows])
-    if w or len(rows) > 1:
-        entries = [{} for _ in range(width)]
-        for nums, d in rows:
-            up = den // d
-            for key, v in nums.items():
-                entries[key & low][key >> w] = v * up
-    else:
-        # one column and at most one row: its map is the entry's
-        entries = [rows[0][0] if rows else {}]
+    entries = [{} for _ in range(width)]
+    for nums, d in rows:
+        up = den // d
+        for key, v in nums.items():
+            entries[key & low][key >> w] = v * up
     out = []
     for nums in entries:
         if len(nums) > MAX_TERMS:
