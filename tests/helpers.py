@@ -317,6 +317,105 @@ def distributions_script(rng):
     return "\n".join(lines) + "\n"
 
 
+def _matrix_statements(name, dims, rows):
+    """A matrix statement of the square even matrix rows over dims m|n, its
+    rows given as lists of entry texts."""
+    m, n = dims
+    text = "; ".join(", ".join(row) for row in rows)
+    return [f"matrix {name} dims {m}|{n} -> {m}|{n} rows [{text}]"]
+
+
+def _linear_entry(rng, xs, coefficient):
+    """Script text of c0 + c1 x1 + c2 x2 + c3 x3 with some c zero: in one
+    draw of six with no constant term, and in one of six with x1^2 in
+    place of x1, a gap in the exponent of x1."""
+    cs = [coefficient(rng) if rng.random() < 0.8 else 0 for _ in range(len(xs) + 1)]
+    kind = rng.randrange(6)
+    if kind == 0:
+        cs[0] = 0
+    factors = ["1"] + list(xs)
+    if kind == 1:
+        factors[1] = f"{xs[0]}^2"
+    return " + ".join(f"({c})*{f}" for c, f in zip(cs, factors) if c) or "0"
+
+
+def matrix_script(rng):
+    """One seeded script over supermatrices for the byte-identity surface.
+
+    - An even m|n matrix, m and n in 1..3, over Lambda(theta1..theta4):
+      int bodies in -2..2, singular in some draws, plus even theta terms,
+      and odd entries in the off-diagonal blocks.
+    - An even m|n matrix over k[t | theta1..theta3] whose body is
+      unipotent up to a diagonal of +-1, +-2, with polynomials in t above
+      the diagonal.
+    - A p|0 block of 4 to 7 rows over k[x1, x2, x3] whose determinant
+      takes the Kronecker image: linear entries, each row all ints or all
+      Fractions, some entries zero, some with no constant term and some
+      with x1^2 and no x1 term.
+    - A 1|1 matrix whose blocks have nilpotent bodies
+      (NeitherBlockInvertible under ber), and srank of the polynomial
+      bodies (NonConstantBody).
+
+    Each matrix goes through ber, inv, srank, strace and export, and one
+    eval per context.
+    """
+    EVEN, ODD = Parity.EVEN, Parity.ODD
+    lines = []
+
+    def entries(dims, evens, odds, body):
+        # an even entry is its body plus an odd polynomial times an odd
+        # generator, which has no body
+        m, n = dims
+        return [[(f"{body(i, j)} + ({poly_text(rng, evens, odds, ODD, max_deg=1)})"
+                  f"*{rng.choice(odds)}"
+                  if (i < m) == (j < m) else poly_text(rng, evens, odds, ODD, max_deg=1))
+                 for j in range(m + n)] for i in range(m + n)]
+
+    def commands(name, kinds=("ber", "inv", "srank", "strace", "export")):
+        return [f"{c} {name}" for c in kinds]
+
+    ths = [f"theta{j + 1}" for j in range(4)]
+    dims = (rng.randint(1, 3), rng.randint(1, 3))
+    lines.append(f"context G even=[] odd=[{', '.join(ths)}]")
+    lines += _matrix_statements("A", dims, entries(
+        dims, [], ths, lambda i, j: rng.choice([-3, 3]) if i == j else rng.randint(-1, 1)))
+    lines += commands("A")
+    lines += ["matrix N dims 1|1 -> 1|1 rows [theta1*theta2, theta3; theta4, -theta2*theta4]",
+              "ber N", f"eval ({poly_text(rng, [], ths, EVEN)}) * theta1"]
+
+    ths = ths[:3]
+    dims = (rng.randint(1, 3), rng.randint(1, 3))
+    m = dims[0]
+
+    def unipotent(i, j):
+        if i == j:
+            return rng.choice([-2, -1, 1, 2])
+        if j > i and (i < m) == (j < m):
+            return f"({poly_text(rng, ['t'], [], n_terms=2, dens=(1, 2))})"
+        return 0
+
+    lines.append(f"context P even=[t] odd=[{', '.join(ths)}]")
+    lines += _matrix_statements("B", dims, entries(dims, ["t"], ths, unipotent))
+    lines += commands("B")
+    lines.append(f"eval 1/3*({poly_text(rng, ['t'], ths)})^2")
+
+    xs = ["x1", "x2", "x3"]
+    n = rng.randint(4, 7)
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            coefficient = lambda r: r.randint(-3, 3)
+        else:
+            coefficient = lambda r: Fraction(r.randint(-5, 5), r.randint(2, 5))
+        rows.append([_linear_entry(rng, xs, coefficient) if rng.random() < 0.85 else "0"
+                     for _ in range(n)])
+    lines.append(f"context K even=[{', '.join(xs)}] odd=[]")
+    lines += _matrix_statements("C", (n, 0), rows)
+    lines += commands("C", ("ber", "srank", "strace", "export"))
+    lines.append(f"eval ({_linear_entry(rng, xs, lambda r: r.randint(-3, 3))})^2")
+    return "\n".join(lines) + "\n"
+
+
 # -- group laws and morphisms ------------------------------------------------
 
 

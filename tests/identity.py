@@ -20,6 +20,12 @@ not move.
   and the inversion, and str(compose(psi, phi)) of
   helpers.random_chain; the script corpus reaches neither unit nor
   inversion failures, nor compose;
+- "matrices": the report, errors and exports of run_script(...,
+  keep_going=True) over helpers.matrix_script for seeds
+  0..MATRICES_SEEDS - 1: ber, inv, srank, strace and export of even
+  supermatrices over Lambda(theta1..theta4) and k[t | theta1..theta3],
+  the determinants of p|0 blocks that take the Kronecker image, and the
+  NeitherBlockInvertible and NonConstantBody errors;
 - "demo/NAME": the stdout of each demo script, run in process.
 
 tests/test_identity.py compares these with tests/identity.json.  A change
@@ -37,8 +43,8 @@ import random
 import runpy
 from pathlib import Path
 
-from helpers import (broken_law, distributions_script, fields_script, random_chain,
-                     session_script)
+from helpers import (broken_law, distributions_script, fields_script, matrix_script,
+                     random_chain, session_script)
 from supergeom import check_group_axioms, compose
 from supergeom.script import run_script
 
@@ -90,6 +96,13 @@ def distributions_digest():
     return scripts_digest(distributions_script, DISTRIBUTIONS_SEEDS)
 
 
+MATRICES_SEEDS = 60
+
+
+def matrices_digest():
+    return scripts_digest(matrix_script, MATRICES_SEEDS)
+
+
 LAWS_SEEDS = 200
 
 def laws_digest():
@@ -112,7 +125,7 @@ def demo_digest(path):
 def surfaces():
     digests = {"lie": lie_digest(), "corpus": corpus_digest(),
                "fields": fields_digest(), "distributions": distributions_digest(),
-               "laws": laws_digest()}
+               "laws": laws_digest(), "matrices": matrices_digest()}
     digests.update((f"demo/{p.name}", demo_digest(p)) for p in DEMOS)
     return digests
 

@@ -1,17 +1,22 @@
 """Every surface in tests/identity.json keeps its bytes (see identity.py)."""
 
 import json
+import random
 
 import pytest
 
-from identity import (DEMOS, JSON_PATH, corpus_digest, demo_digest,
-                      distributions_digest, fields_digest, laws_digest, lie_digest)
+from helpers import matrix_script
+from identity import (DEMOS, JSON_PATH, MATRICES_SEEDS, corpus_digest, demo_digest,
+                      distributions_digest, fields_digest, laws_digest, lie_digest,
+                      matrices_digest)
+from supergeom import matrix
+from supergeom.script import run_script
 
 PINNED = json.loads(JSON_PATH.read_text())
 
 
 def test_every_demo_is_pinned():
-    surfaces = ["lie", "corpus", "fields", "distributions", "laws"]
+    surfaces = ["lie", "corpus", "fields", "distributions", "laws", "matrices"]
     surfaces += [f"demo/{p.name}" for p in DEMOS]
     assert sorted(PINNED) == sorted(surfaces)
 
@@ -34,6 +39,29 @@ def test_involutivity_verdicts_keep_their_bytes():
 
 def test_axiom_reports_and_composites_keep_their_bytes():
     assert laws_digest() == PINNED["laws"]
+
+
+def test_matrix_reports_keep_their_bytes():
+    assert matrices_digest() == PINNED["matrices"]
+
+
+def test_every_block_of_four_rows_or_more_takes_the_image(monkeypatch):
+    # the surface pins the image determinant: each script's p|0 block over
+    # k[x1, x2, x3] is expanded over its Kronecker image, and no other
+    # grid of the surface reaches the rule
+    taken = []
+    image = matrix._kronecker_image
+
+    def spy(ctx, grid):
+        result = image(ctx, grid)
+        taken.append((len(grid), result is not None))
+        return result
+
+    monkeypatch.setattr(matrix, "_kronecker_image", spy)
+    for seed in range(MATRICES_SEEDS):
+        run_script(matrix_script(random.Random(seed)), keep_going=True)
+    blocks = [taken for rows, taken in taken if rows >= 4]
+    assert len(blocks) == MATRICES_SEEDS and all(blocks)
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
