@@ -266,6 +266,27 @@ CATALOGUE = (
         (("or span * span * nonzero ** 3 >", "or prod([d + 1 for d in box]) ** 2 * nonzero ** 3 >"),),
         (f"{DET_IMAGE}::test_five_variable_sweep_grids_take_the_image_by_their_span",),
     ),
+    Mutant(
+        "the runs stepping along a unit-1 generator that holds no term",
+        POLY,
+        (("    g = next((i for i, d in enumerate(box) if d and units[i] == 1), None)\n",
+          "    g = next((i for i, d in enumerate(box) if units[i] == 1), None)\n"),),
+        (f"{DET_IMAGE}::test_a_leading_generator_with_no_term_leaves_the_runs_to_the_next",),
+    ),
+    Mutant(
+        "a run built without its row's scale L_r / den",
+        POLY,
+        (("            out.append(tuple([(v * k, s) for s, v in runs.items() if v]) or 0)\n",
+          "            out.append(tuple([(v, s) for s, v in runs.items() if v]) or 0)\n"),),
+        (f"{DET_IMAGE}::test_fraction_grids_match_the_polynomial_expansion",),
+    ),
+    Mutant(
+        "an entry whose runs all cancel left the empty tuple, not the int 0",
+        POLY,
+        (("            out.append(tuple([(v * k, s) for s, v in runs.items() if v]) or 0)\n",
+          "            out.append(tuple([(v * k, s) for s, v in runs.items() if v]))\n"),),
+        (f"{DET_IMAGE}::test_a_run_that_cancels_leaves_the_int_zero",),
+    ),
     # -- the Schur complement [1 | b d^-1] [a; -c] -------------------------
     Mutant(
         "_schur's identity block off the diagonal",

@@ -198,13 +198,14 @@ def _laplace(grid, one, zero):
 
 def _image_det(ints):
     """The determinant of an image grid of poly._kronecker_image: each
-    nonzero entry the tuple of (c, s) pairs of its int sum c << s, and a
-    zero entry the int 0.
+    nonzero entry the tuple of (c, s) pairs of its int sum c << s, one
+    pair per run of adjacent slots, and a zero entry the int 0.
 
     The expansion of _laplace over the masks of _masks, with its own
     column sum: the products c * minor are summed per shift s and each
     sum is shifted once.  The entries of a column share a few shifts, so
-    no product pays a shift of its own."""
+    no product pays a shift of its own, and a run's c holds all its
+    slots, so a run pays one product."""
     n = _det_size(ints)
     cols = list(zip(*ints))
     minors = [1] * (1 << n)

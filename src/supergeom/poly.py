@@ -134,10 +134,16 @@ grid's bound D, the support of the determinant, not on their whole box
 The int determinant holds each coefficient of the polynomial one as a
 digit, and its unpack reads back the slots of total degree at most D,
 the only ones that can hold one.  An image entry has a few nonzero slots
-in a wide int, so each nonzero entry is the tuple of its (coefficient,
-shift) pairs, and the entries of a column share a few shifts:
-matrix._image_det sums the coefficients times the minors per shift and
-shifts each sum once.  A rule read in the same pass over the codes
+in a wide int, so each nonzero entry is the tuple of its runs: the
+terms that differ only in the exponent of the generator of unit 1 sit
+in adjacent slots, b bits apart, and make one run, one (int, shift)
+pair whose int holds their coefficients as its digits (Kronecker
+substitution packing neighbouring coefficients into one int: Fateman,
+"Can you save time in multiplying polynomials by encoding them as
+integers?", 2004).  The entries of a column share a few shifts:
+matrix._image_det sums the ints times the minors per shift and shifts
+each sum once, and a linear entry's constant and its term in that
+generator cost it one product, not two.  A rule read in the same pass over the codes
 keeps the image to grids where it measured the faster expansion and
 where the polynomial one would meet no cap.
 """
@@ -1183,10 +1189,17 @@ def _kronecker_image(ctx: Context, grid):
     torus, then Parseval), and b is the smallest width with B < 2^(b-1),
     so unpack reads the coefficients back as signed base-2^b digits, over
     prod_r L_r; only the slots of total degree at most D can hold one, and
-    only they are read.  Each nonzero entry is given as the tuple of pairs
-    (c_m L_r / den, b pos(e_m)) of that sum, which matrix._image_det
-    multiplies into a minor at the cost of its few terms, not of its
-    width, and a zero entry as the int 0.
+    only they are read.  Each nonzero entry is given as the tuple of its
+    runs, pairs (v, s) at distinct shifts with entry = sum v << s: the
+    terms that differ only in the exponent e of g, the generator of unit
+    1 that holds terms, make one run, v = sum c_m L_r / den << (e b) over
+    them and s = b pos of their other exponents, the shift of the run's
+    slot of exponent 0 in g.  A run's int spans its adjacent slots, one
+    or two digits of 30 bits on a linear entry, and matrix._image_det
+    multiplies it into a minor at that cost, not at the entry's width.
+    The value sum v << s is exact for any b, so a run whose int is 0 is
+    dropped, and an entry left with no run, a zero entry among them, is
+    the int 0.
 
     The rule reads one pass over the terms, before anything is packed.
     The grid has at least _KRONECKER_ROWS rows.  No entry has an odd code,
@@ -1237,9 +1250,25 @@ def _kronecker_image(ctx: Context, grid):
         return None
     b = (norm.bit_length() + 1) // 2 + 1
     steps = [b * u for u in units]  # the bit shift of one unit of each exponent
-    at = {code: sum(map(mul, f, steps)) for code, (f, _) in exps.items()}
-    ints = [[tuple([(c * (scale // e.den), at[code]) for code, c in e.nums.items()])
-             if e.nums else 0 for e in row] for row, scale in zip(grid, scales)]
+    # the generator of unit 1 that holds terms: its exponents step through
+    # adjacent slots, and the terms of an entry that differ in it alone
+    # make one run
+    g = next((i for i, d in enumerate(box) if d and units[i] == 1), None)
+    at = {}  # code -> (its shift without the power of g, that power's shift)
+    for code, (f, _) in exps.items():
+        p = f[g] * b if g is not None else 0
+        at[code] = sum(map(mul, f, steps)) - p, p
+    ints = []
+    for row, scale in zip(grid, scales):
+        out = []
+        for e in row:
+            runs = {}  # the shift of a run's slot of power 0 -> the run's int
+            for code, c in e.nums.items():
+                s, p = at[code]
+                runs[s] = runs.get(s, 0) + (c << p)
+            k = scale // e.den
+            out.append(tuple([(v * k, s) for s, v in runs.items() if v]) or 0)
+        ints.append(out)
     # (code, shift) of each slot of total degree <= D, the exponent of t_1
     # running fastest: only these can hold a coefficient
     slots = [(0, 0, 0)]

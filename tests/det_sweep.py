@@ -108,10 +108,9 @@ def grids(ps=range(1, 7), ns=range(3, 11)):
                     yield "sparse", ctx, sparse_grid(random.Random(f"s-{p}-{n}-{seed}"), ctx, n)
 
 
-def shape(grid):
-    """(a, span, C(D + p, p)) of a grid, from its terms."""
-    entries = [e for row in grid for e in row if e]
-    a = sum(len(e) for e in entries) / max(len(entries), 1)
+def bounds(grid):
+    """(d, D) of a grid, from its terms: d_i the sum of each row's largest
+    exponent of t_i and D the sum of each row's largest total degree."""
     p = len(grid[0][0].ctx.even)
     box = [0] * p
     total = 0
@@ -125,7 +124,15 @@ def shape(grid):
                 top = max(top, mono.even_degree)
         box = [b + t for b, t in zip(box, tops)]
         total += top
-    return a, poly._slot_units(box, total)[1], comb(total + p, p)
+    return box, total
+
+
+def shape(grid):
+    """(a, span, C(D + p, p)) of a grid, from its terms."""
+    entries = [e for row in grid for e in row if e]
+    a = sum(len(e) for e in entries) / max(len(entries), 1)
+    box, total = bounds(grid)
+    return a, poly._slot_units(box, total)[1], comb(total + len(box), len(box))
 
 
 @contextmanager

@@ -317,12 +317,20 @@ def distributions_script(rng):
     return "\n".join(lines) + "\n"
 
 
-def _matrix_statements(name, dims, rows):
-    """A matrix statement of the square even matrix rows over dims m|n, its
-    rows given as lists of entry texts."""
+def _matrix_statement(name, dims, rows):
+    """The statement binding name to the square even matrix over dims
+    m|n whose rows are lists of entry texts."""
     m, n = dims
     text = "; ".join(", ".join(row) for row in rows)
-    return [f"matrix {name} dims {m}|{n} -> {m}|{n} rows [{text}]"]
+    return f"matrix {name} dims {m}|{n} -> {m}|{n} rows [{text}]"
+
+
+def _int_coefficient(rng):
+    return rng.randint(-3, 3)
+
+
+def _fraction_coefficient(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(2, 5))
 
 
 def _linear_entry(rng, xs, coefficient):
@@ -343,8 +351,9 @@ def matrix_script(rng):
     """One seeded script over supermatrices for the byte-identity surface.
 
     - An even m|n matrix, m and n in 1..3, over Lambda(theta1..theta4):
-      int bodies in -2..2, singular in some draws, plus even theta terms,
-      and odd entries in the off-diagonal blocks.
+      diagonally dominant int bodies (+-3 on the diagonal, -1..1 off it)
+      plus nilpotent even parts, and odd entries in the off-diagonal
+      blocks.
     - An even m|n matrix over k[t | theta1..theta3] whose body is
       unipotent up to a diagonal of +-1, +-2, with polynomials in t above
       the diagonal.
@@ -356,8 +365,9 @@ def matrix_script(rng):
       (NeitherBlockInvertible under ber), and srank of the polynomial
       bodies (NonConstantBody).
 
-    Each matrix goes through ber, inv, srank, strace and export, and one
-    eval per context.
+    Each matrix goes through ber, inv, srank, strace and export, but the
+    p|0 block skips inv, whose polynomial body takes a Laplace pass over
+    polynomials to be refused; and one eval per context.
     """
     EVEN, ODD = Parity.EVEN, Parity.ODD
     lines = []
@@ -377,8 +387,8 @@ def matrix_script(rng):
     ths = [f"theta{j + 1}" for j in range(4)]
     dims = (rng.randint(1, 3), rng.randint(1, 3))
     lines.append(f"context G even=[] odd=[{', '.join(ths)}]")
-    lines += _matrix_statements("A", dims, entries(
-        dims, [], ths, lambda i, j: rng.choice([-3, 3]) if i == j else rng.randint(-1, 1)))
+    lines.append(_matrix_statement("A", dims, entries(
+        dims, [], ths, lambda i, j: rng.choice([-3, 3]) if i == j else rng.randint(-1, 1))))
     lines += commands("A")
     lines += ["matrix N dims 1|1 -> 1|1 rows [theta1*theta2, theta3; theta4, -theta2*theta4]",
               "ber N", f"eval ({poly_text(rng, [], ths, EVEN)}) * theta1"]
@@ -395,7 +405,7 @@ def matrix_script(rng):
         return 0
 
     lines.append(f"context P even=[t] odd=[{', '.join(ths)}]")
-    lines += _matrix_statements("B", dims, entries(dims, ["t"], ths, unipotent))
+    lines.append(_matrix_statement("B", dims, entries(dims, ["t"], ths, unipotent)))
     lines += commands("B")
     lines.append(f"eval 1/3*({poly_text(rng, ['t'], ths)})^2")
 
@@ -403,16 +413,13 @@ def matrix_script(rng):
     n = rng.randint(4, 7)
     rows = []
     for _ in range(n):
-        if rng.random() < 0.5:
-            coefficient = lambda r: r.randint(-3, 3)
-        else:
-            coefficient = lambda r: Fraction(r.randint(-5, 5), r.randint(2, 5))
+        coefficient = _int_coefficient if rng.random() < 0.5 else _fraction_coefficient
         rows.append([_linear_entry(rng, xs, coefficient) if rng.random() < 0.85 else "0"
                      for _ in range(n)])
     lines.append(f"context K even=[{', '.join(xs)}] odd=[]")
-    lines += _matrix_statements("C", (n, 0), rows)
+    lines.append(_matrix_statement("C", (n, 0), rows))
     lines += commands("C", ("ber", "srank", "strace", "export"))
-    lines.append(f"eval ({_linear_entry(rng, xs, lambda r: r.randint(-3, 3))})^2")
+    lines.append(f"eval ({_linear_entry(rng, xs, _int_coefficient)})^2")
     return "\n".join(lines) + "\n"
 
 

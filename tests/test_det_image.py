@@ -18,11 +18,13 @@ one digit under the units (1, a, m), m = C(D + 2, 2) + D mod 2 and
 a = m - D - D mod 2.  The digit is proved by
 enumeration: distinct on every exponent vector of total degree <= D,
 for every D the term bound admits over three generators, and no wider
-than the box.  The image's own units are read off its shifts on dense
-linear grids over x, y, z at n = 4..8, on a Hadamard grid whose
-coefficient meets the bound, on a four-generator context holding three
-of them and one holding all four, and on a grid whose box is narrower
-than the digit, which keeps the mixed radix.  Each mutant of the form
+than the box.  The units of the form, over each grid's d_i and D, are
+pinned on dense linear grids over x, y, z at n = 4..8, on a Hadamard
+grid whose coefficient meets the bound, on a four-generator context
+holding three of them and one holding all four, on a grid whose box is
+narrower than the digit, which keeps the mixed radix, and on one whose
+first generator holds no term; the image's entries are checked to sit
+at those units (below).  Each mutant of the form
 collides on the simplex and fails the enumeration, the dense linear
 grids, the four-generator grids and the even_det and Fraction grids at
 the sizes where it collides: the odd term dropped from m and a at odd
@@ -32,10 +34,18 @@ the Hadamard grid over x, y, z at +16, besides the XY grids above; the
 radix d_i fails the narrower box and the four-generator grids, whose w
 is a digit above the simplex one.
 
-Each nonzero image entry is a plain tuple of (coefficient, shift)
-pairs, one per term, and a zero entry the int 0: every test that expands
-an image pins that form, since an entry packed back into one int changes
-no value, only the time.  matrix._image_det, the image's expansion, is
+Each nonzero image entry is a plain tuple of (int, shift) pairs, one
+per run: the terms that differ only in the exponent of the generator of
+unit 1 that holds terms make one run, whose int holds their adjacent
+slots.  A zero entry, and an entry whose runs all cancel, is the int 0.
+Every test that expands an image pins that form against expected_image,
+computed here from the terms, with distinct shifts in each entry and
+the sum of int << shift equal to the entry's image term by term, since
+another packing of the same sum changes no value, only the time; the
+even_det grids hold at most three runs an entry.  A zero row makes the
+width b = 1, where the run of 2 - x cancels to 0; entries with no
+constant term and with a gap in the exponent of x are compared with the
+oracle.  matrix._image_det, the image's expansion, is
 compared with oracles.reference_minors over those ints on hand-made
 image grids, every minor on trailing columns included, so both its pass
 over every mask (grids with no zero entry) and its pass over the masks
@@ -65,12 +75,12 @@ their box is past K a^(3/2), so a rule reading W again fails them.
 
 import random
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 
 import det_sweep
-from model import Monomial, from_terms
+from model import Monomial, from_terms, terms_of
 from oracles import reference_minors
 from supergeom import Context, SuperPoly
 from supergeom import poly
@@ -87,18 +97,71 @@ def polynomial_det(ctx, grid):
     return reference_minors(grid, ctx.one(), ctx.zero())(full)
 
 
+def layout(ctx, grid):
+    """(b, units, box, scales) of the image of grid, read off its terms as
+    poly._kronecker_image states them: the units of poly._slot_units over
+    the grid's d_i and D (det_sweep.bounds), L_r the lcm of row r's
+    denominators, and b the smallest width with B^2 < 4^(b - 1), B^2 the
+    product over the rows of sum_j |a_rj|_1^2 over L_r."""
+    norm = 1
+    scales = []
+    for row in grid:
+        terms = [terms_of(e) for e in row]
+        scale = lcm(*[c.denominator for t in terms for c in t.values()])
+        scales.append(scale)
+        norm *= sum(sum(abs(c) * scale for c in t.values()) ** 2 for t in terms)
+    b = 1
+    while norm >= 4 ** (b - 1):
+        b += 1
+    box, degree = det_sweep.bounds(grid)
+    return b, poly._slot_units(box, degree)[0], box, scales
+
+
+def expected_image(ctx, grid):
+    """The image entries of grid as the run form gives them, each
+    nonzero one a map {shift: int}: the terms that differ only in the
+    exponent of g, the generator of unit 1 that holds terms, make one
+    run, whose int is sum c L_r << (e_g b) over those terms, at the
+    shift b pos of their other exponents; a run whose int is 0 is
+    dropped, and an entry left with no run is the int 0."""
+    b, units, box, scales = layout(ctx, grid)
+    g = next((i for i, d in enumerate(box) if d and units[i] == 1), None)
+    out = []
+    for row, scale in zip(grid, scales):
+        out_row = []
+        for e in row:
+            runs = {}
+            for mono, c in terms_of(e).items():
+                exps = dict(mono.even)
+                power = exps.pop(g, 0)
+                s = b * sum(units[i] * x for i, x in exps.items())
+                runs[s] = runs.get(s, 0) + (int(c * scale) << power * b)
+            out_row.append({s: v for s, v in runs.items() if v} or 0)
+        out.append(out_row)
+    return out
+
+
 def imaged_det(ctx, grid):
-    """_det of a grid the rule sends to the image, whose nonzero entries
-    are each a plain tuple of one (coefficient, shift) pair per term and
-    whose zeros are the int 0."""
+    """_det of a grid the rule sends to the image, whose entries are
+    pinned to the run form: each nonzero entry a plain tuple of
+    (int, shift) pairs at distinct shifts, those of expected_image, whose
+    sum int << shift is the entry's image sum c L_r 2^(b pos(e)) term by
+    term, and each entry whose image is 0 the int 0."""
     image = _kronecker_image(ctx, grid)
     assert image is not None
-    for e, p in zip([e for row in image[0] for e in row], [p for row in grid for p in row]):
-        if p.nums:
-            assert type(e) is tuple and len(e) == len(p.nums)
-            assert all(type(pair) is tuple and len(pair) == 2 for pair in e)
-        else:
-            assert type(e) is int and e == 0
+    b, units, _, scales = layout(ctx, grid)
+    for row, image_row, expected_row, scale in zip(grid, image[0], expected_image(ctx, grid),
+                                                   scales):
+        for p, e, expected in zip(row, image_row, expected_row):
+            value = sum(int(c * scale) << b * sum(units[i] * x for i, x in mono.even)
+                        for mono, c in terms_of(p).items())
+            if expected == 0:
+                assert type(e) is int and e == 0 == value
+                continue
+            assert type(e) is tuple and all(type(pair) is tuple and len(pair) == 2 for pair in e)
+            assert len({s for _, s in e}) == len(e)
+            assert {s: c for c, s in e} == expected
+            assert sum(c << s for c, s in e) == value
     return _det(ctx, grid)
 
 
@@ -213,19 +276,11 @@ def simplex_units(d):
 
 
 def image_units(ctx, grid):
-    """Each even generator's slot unit in the image of grid, read off the
-    shifts of its entries' pairs: a term t_i alone sits at b u_i, and
-    every generator has such a term in these grids."""
-    ints, _ = _kronecker_image(ctx, grid)
-    shifts = {}
-    for row, image_row in zip(grid, ints):
-        for p, e in zip(row, image_row):
-            if p.nums:
-                shifts.update(zip(p.nums, [s for _, s in e]))
-    codes = {g: next(iter(ctx.var(g).nums)) for g in ctx.even}
-    units = {g: shifts[code] for g, code in codes.items() if code in shifts}
-    b = min(units.values())
-    return {g: s // b for g, s in units.items()}
+    """The slot unit of each even generator that holds terms in grid,
+    from poly._slot_units over the grid's d_i and D; imaged_det checks
+    that the image's entries sit at those units."""
+    _, units, box, _ = layout(ctx, grid)
+    return {g: u for g, u, d in zip(ctx.even, units, box) if d}
 
 
 def test_the_slot_form_is_injective_on_every_simplex_the_rule_admits():
@@ -313,6 +368,23 @@ def test_a_box_narrower_than_the_digit_keeps_the_mixed_radix():
     assert poly._slot_units([5, 1, 1], 5) == ([1, 6, 12], 24)
     assert image_units(XYZ, grid) == {"x": 1, "y": 6, "z": 12}
     assert imaged_det(XYZ, grid) == polynomial_det(XYZ, grid)
+
+
+def test_a_leading_generator_with_no_term_leaves_the_runs_to_the_next():
+    # w holds no term and x is a digit of radix d_x + 1 = 6 below y:
+    # w and x both take the unit 1 in the mixed radix, and only x, which
+    # holds terms, steps through adjacent slots, so its terms and the
+    # constant make one run
+    ctx = Context(even=["w", "x", "y"])
+    x, y = ctx.var("x"), ctx.var("y")
+    rng = random.Random(3340)
+    grid = [[x * nonzero(rng) + nonzero(rng) for _ in range(5)] for _ in range(5)]
+    grid[1][2] = grid[1][2] + y
+    assert poly._slot_units([0, 5, 1], 5) == ([1, 1, 6], 12)
+    assert image_units(ctx, grid) == {"x": 1, "y": 6}
+    assert imaged_det(ctx, grid) == polynomial_det(ctx, grid)
+    ints, _ = _kronecker_image(ctx, grid)
+    assert [len(e) for row in ints for e in row] == [1] * 7 + [2] + [1] * 17
 
 
 # -- the image entries ---------------------------------------------------------
@@ -439,6 +511,43 @@ def test_grids_of_mixed_entries_match_the_polynomial_expansion(n):
         assert imaged_det(XYZ, grid) == polynomial_det(XYZ, grid)
 
 
+def test_a_run_that_cancels_leaves_the_int_zero():
+    # a zero row makes B = 0, so b = 1, and the run of 2 - x is
+    # 2 + (-1 << 1) = 0: dropped, it leaves the entry the int 0, and the
+    # entry 2 - x + 3y only the run of 3y
+    x, y = XYZ.var("x"), XYZ.var("y")
+    grid = linear_grid(random.Random(3400), XYZ, 4, small_int)
+    grid[1] = [XYZ.zero()] * 4
+    grid[2][3] = 2 - x
+    grid[3][0] = 2 - x + 3 * y
+    assert layout(XYZ, grid)[0] == 1
+    ints, _ = _kronecker_image(XYZ, grid)
+    assert type(ints[2][3]) is int and ints[2][3] == 0
+    assert len(ints[3][0]) == 1
+    assert imaged_det(XYZ, grid) == XYZ.zero() == polynomial_det(XYZ, grid)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_entries_with_no_constant_or_a_gap_in_x_match_the_oracle(n):
+    # runs that start past x^0 (x + y, 2x - z) and runs with an empty
+    # slot (c - x^2, x^2 + y): the run's int holds the empty digits, in
+    # int rows and Fraction rows
+    x, y, z = (XYZ.var(g) for g in "xyz")
+    rng = random.Random(3410 + n)
+    coefficient = [small_int, small_fraction]
+    kinds = [lambda c: x * c(rng) + y * nonzero(rng),
+             lambda c: x * nonzero(rng) - z * c(rng),
+             lambda c: x ** 2 * nonzero(rng) + c(rng),
+             lambda c: x ** 2 * c(rng) + y * nonzero(rng) + 1,
+             lambda c: x * c(rng) + y * c(rng) + z * c(rng) + c(rng)]
+    for _ in range(3):
+        grid = []
+        for _ in range(n):
+            c = rng.choice(coefficient)
+            grid.append([rng.choice(kinds)(c) for _ in range(n)])
+        assert imaged_det(XYZ, grid) == polynomial_det(XYZ, grid)
+
+
 def test_the_sweep_values_agree_on_its_small_grids():
     for _, ctx, grid in det_sweep.grids(ps=range(1, 3), ns=range(3, 6)):
         assert det_sweep.forced_image_det(ctx, grid) == det_sweep.polynomial_det(ctx, grid)
@@ -449,10 +558,13 @@ def test_the_sweep_values_agree_on_its_small_grids():
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_even_det_grids_take_the_image(n):
+    # c0 + c1 x + c2 y + c3 z is at most three runs: c0 + c1 x, y and z
     rng = random.Random(3200 + n)
     for _ in range(3):
         grid = linear_grid(rng, XYZ, n, small_int)
         assert imaged_det(XYZ, grid) == polynomial_det(XYZ, grid)
+        ints, _ = _kronecker_image(XYZ, grid)
+        assert max(len(e) for row in ints for e in row if e) <= 3
 
 
 @pytest.mark.parametrize("kind, n", [("dense1", 6), ("ints1", 5)])
