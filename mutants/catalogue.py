@@ -34,6 +34,9 @@ ELEMENTARY_INVERSE = ("tests/test_elementary_inverse.py::"
                       "test_every_pair_of_generators_inverts_and_takes_ber_by_the_closed_forms")
 JSON_TEST = "tests/test_coefficients.py::test_json_round_trips_the_stored_form"
 QUOTIENT_MODEL = "tests/test_quotient_rename_model.py"
+MATRICES_TEST = "tests/test_identity.py::test_matrix_reports_keep_their_bytes"
+# the constant body's determinant, down column 0 of _body_inverse's pass 0
+COLUMN_0_SUM = "        d = sum([(-row[0] if j & 1 else row[0]) * minors[full ^ 1 << j]\n"
 SCHUR_TESTS = (
     "tests/test_schur.py::test_complements_match_the_plain_difference",
     "tests/test_schur.py::test_the_complement_is_summed_without_adding_polynomials",
@@ -201,10 +204,17 @@ CATALOGUE = (
     Mutant(
         "_body_inverse's determinant summed down column 0 without its sign",
         MATRIX,
-        (("    d = sum([(-row[0] if j & 1 else row[0]) * minors[full ^ 1 << j]\n",
-          "    d = sum([row[0] * minors[full ^ 1 << j]\n"),),
+        ((COLUMN_0_SUM, COLUMN_0_SUM.replace("(-row[0] if j & 1 else row[0])", "row[0]")),),
         (f"{BODY_INVERSE}::test_dense_constant_bodies_match_the_oracle",
          f"{BODY_INVERSE}::test_bodies_polynomial_in_t_match_the_oracle"),
+    ),
+    Mutant(
+        "a body that is not constant refused only after cofactor pass 0",
+        MATRIX,
+        (("        d = _det(ctx, body)\n",
+          "        minors = _laplace([row[1:] for row in body], one, zero)\n"
+          "        d = _det(ctx, body)\n"),),
+        (f"{BODY_INVERSE}::test_a_body_that_is_not_constant_or_zero_is_refused_before_any_pass",),
     ),
     Mutant(
         "the cofactor pass with column i moved last",
@@ -299,6 +309,33 @@ CATALOGUE = (
         MATRIX,
         (("_gmul(ctx, left, a + _gneg(c))", "_gmul(ctx, left, a + c)"),),
         SCHUR_TESTS,
+    ),
+    # -- the "matrices" identity surface alone -----------------------------
+    Mutant(
+        "_body_inverse's determinant without its sign, against the matrices surface",
+        MATRIX,
+        ((COLUMN_0_SUM, COLUMN_0_SUM.replace("(-row[0] if j & 1 else row[0])", "row[0]")),),
+        (MATRICES_TEST,),
+    ),
+    Mutant(
+        "_schur with -c left unnegated, against the matrices surface",
+        MATRIX,
+        (("_gmul(ctx, left, a + _gneg(c))", "_gmul(ctx, left, a + c)"),),
+        (MATRICES_TEST,),
+    ),
+    # -- one power routine: ** squares (poly._power) -----------------------
+    Mutant(
+        "** multiplying linearly from the unit",
+        POLY,
+        (("        return _power(self, _cap_exponent(n)) if n else SuperPoly.scalar(self.ctx, 1)\n",
+          "        _cap_exponent(n)\n"
+          "        out = SuperPoly.scalar(self.ctx, 1)\n"
+          "        for _ in range(n):\n"
+          "            out = out * self\n"
+          "            if not out.nums:\n"
+          "                break\n"
+          "        return out\n"),),
+        ("tests/test_poly.py::TestMul::test_a_power_squares",),
     ),
     # -- the left partial of a packed row (poly._packed_partial) -----------
     Mutant(

@@ -254,12 +254,15 @@ def _body_inverse(ctx, grid, label):
     block like [[1, t], [0, 1]] is fine).  Entry (i, j) of the inverse is
     the (j, i) cofactor over the determinant, and row i is read from one
     _laplace pass over the grid with column i struck out, whose minor on
-    the rows other than j is the (j, i) minor.  The determinant is the
-    last step of the expansion down column 0, over the minors of the
-    first pass, and is checked before the other passes run.  When every
-    body is constant (SuperPoly._body_value) the passes run over those
-    ints and Fractions and each entry is one scalar; otherwise they run
-    over the body polynomials.
+    the rows other than j is the (j, i) minor.  When every body is
+    constant (SuperPoly._body_value) the passes run over those ints and
+    Fractions, each entry is one scalar, and the determinant is the last
+    step of the expansion down column 0, over the minors of the first
+    pass, checked before the other passes run.  Otherwise the
+    determinant of the body polynomials comes from _det first, which
+    takes the Kronecker image where its rule admits the grid, and a
+    determinant that is not constant, or zero, is refused before any
+    pass runs; the passes then run over the body polynomials.
     """
     n = len(grid)
     values = [[e._body_value() for e in row] for row in grid]
@@ -267,17 +270,20 @@ def _body_inverse(ctx, grid, label):
     body, one, zero = (values, 1, 0) if constant else (
         [[e.body() for e in row] for row in grid], SuperPoly.scalar(ctx, 1), SuperPoly.zero(ctx))
     full = (1 << n) - 1
-    minors = _laplace([row[1:] for row in body], one, zero)
-    d = sum([(-row[0] if j & 1 else row[0]) * minors[full ^ 1 << j]
-             for j, row in enumerate(body) if row[0]], zero) if n else one
-    if not (constant or d.is_constant()):
-        raise NotInvertible(f"body determinant of {label} is not constant")
-    d = d if constant else d.constant_term()
+    if constant:
+        minors = _laplace([row[1:] for row in body], one, zero)
+        d = sum([(-row[0] if j & 1 else row[0]) * minors[full ^ 1 << j]
+                 for j, row in enumerate(body) if row[0]]) if n else one
+    else:
+        d = _det(ctx, body)
+        if not d.is_constant():
+            raise NotInvertible(f"body determinant of {label} is not constant")
+        d = d.constant_term()
     if not d:
         raise NotInvertible(f"body determinant of {label} is zero")
     inverse = []
     for i in range(n):
-        if i:
+        if i or not constant:
             minors = _laplace([[*row[:i], *row[i + 1:]] for row in body], one, zero)
         row = []
         for j in range(n):

@@ -164,9 +164,12 @@ from .errors import ContextMismatch, LimitExceeded, ParityError
 
 Scalar = (int, Fraction)
 
-# Largest exponent SuperPoly ** n accepts.  Each step of a power is one
-# product, so an unchecked t^100000000 runs for minutes; no demo, test or
-# benchmark input comes near this.
+# Largest exponent SuperPoly ** n accepts, and so a script's '^'.  A power
+# takes at most 2 log2(n) products (_power), so the cap bounds coefficient
+# growth rather than the number of products: the digits of 2^n, or of the
+# coefficients of (1 + t)^n, grow linearly in n, and the parser raises a
+# rational literal to its power exactly before any polynomial is built.
+# No demo, test or benchmark input comes near this.
 MAX_EXPONENT = 1000
 
 # Most terms one product or sum of products may accumulate.  A power or
@@ -646,13 +649,7 @@ class SuperPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        _cap_exponent(n)
-        out = SuperPoly.scalar(self.ctx, 1)
-        for _ in range(n):
-            out = out * self
-            if not out.nums:
-                break
-        return out
+        return _power(self, _cap_exponent(n)) if n else SuperPoly.scalar(self.ctx, 1)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
@@ -735,9 +732,9 @@ class SuperPoly:
         the terms hold.  Every term goes through _mac into one numerator
         map, its numerator the scale of its last factor, over the lcm of
         the terms' denominators so far, and the sum is divided by den
-        once.  Powers of an image are built by repeated squaring, so a
-        stored exponent above MAX_EXPONENT, the cap of ** in scripts,
-        substitutes like any other.
+        once.  Powers of an image are built by _power without the cap of
+        **, so a stored exponent above MAX_EXPONENT substitutes like any
+        other.
         """
         return _substitute_each((self,), ctx_out, images)[0]
 
@@ -1312,10 +1309,12 @@ def _pivot_row(ctx: Context, codes, row, pivot: int) -> SuperPoly:
 
 
 def _power(p: SuperPoly, e: int) -> SuperPoly:
-    """p ** e for e >= 1 by repeated squaring.  Unlike **, which takes the
-    script exponent cap MAX_EXPONENT, any e is accepted: a stored exponent
-    may reach MAX_FIELD_EXPONENT, and MAX_TERMS and the field cap bound
-    each of its at most 2 log2(e) products."""
+    """p ** e for e >= 1 by repeated squaring, the package's one power
+    routine: ** calls it with e at most MAX_EXPONENT, and substitution
+    with a stored exponent, which may reach MAX_FIELD_EXPONENT.  It takes
+    floor(log2 e) squares and popcount(e) - 1 other products, and stops
+    at the first square that is zero; MAX_TERMS and the field cap bound
+    each product, and MAX_EXPONENT the coefficient growth of **."""
     out = None
     while True:
         if e & 1:

@@ -347,6 +347,14 @@ def _linear_entry(rng, xs, coefficient):
     return " + ".join(f"({c})*{f}" for c, f in zip(cs, factors) if c) or "0"
 
 
+def linear_grid(rng, ctx, n, coefficient=_int_coefficient):
+    """n x n affine-linear entries c0 + c1 t1 + ... over the even
+    generators of ctx, as the even_det benchmark builds them."""
+    gens = [ctx.var(name) for name in ctx.even]
+    return [[sum((g * coefficient(rng) for g in gens), ctx.scalar(coefficient(rng)))
+             for _ in range(n)] for _ in range(n)]
+
+
 def matrix_script(rng):
     """One seeded script over supermatrices for the byte-identity surface.
 
@@ -366,8 +374,8 @@ def matrix_script(rng):
       bodies (NonConstantBody).
 
     Each matrix goes through ber, inv, srank, strace and export, but the
-    p|0 block skips inv, whose polynomial body takes a Laplace pass over
-    polynomials to be refused; and one eval per context.
+    p|0 block, whose polynomial body inv only refuses, skips inv; and
+    one eval per context.
     """
     EVEN, ODD = Parity.EVEN, Parity.ODD
     lines = []

@@ -3,8 +3,9 @@ a top-down Laplace expansion.
 
 _body_inverse reads row i of the inverse from one matrix._laplace pass
 over the body with column i struck out: its minor on the rows other
-than j is the (j, i) minor, and the determinant is expanded down column
-0 over the minors of the first pass.  The oracle here is the adjugate
+than j is the (j, i) minor.  A constant body's determinant is expanded
+down column 0 over the minors of the first pass; any other body's comes
+from matrix._det before any pass.  The oracle here is the adjugate
 over the determinant, its n^2 cofactors and the determinant read from
 one memo of tests/oracles.py's reference_minors, the top-down Laplace
 expansion, so it calls no code of matrix.py.  A cofactor read from the
@@ -22,7 +23,9 @@ products of a body polynomial in t, and the _laplace passes of a
 constant body, which expand over its rationals with no polynomial
 product.  Constant bodies with rational entries and odd parts are
 checked against the right half of rref([B | I]), and a singular or
-oversized constant block against its error.
+oversized constant block against its error.  A dense linear 7x7 body
+over k[x1, x2, x3] and the singular [[t, t], [1, 1]] are refused, as not
+constant and as zero, before any pass runs.
 """
 
 import random
@@ -30,13 +33,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import grid_mul, identity, random_invertible
+from helpers import grid_mul, identity, linear_grid, random_invertible
 from oracles import reference_minors
 from supergeom import Context, LimitExceeded, NotInvertible, SuperMatrix, linalg
 from supergeom import matrix as M
 from supergeom.poly import SuperPoly
 
 KT = Context(even=["t"])
+XYZ = Context(even=["x1", "x2", "x3"])
 GR6 = Context(odd=[f"theta{i}" for i in range(1, 7)])
 SIZES = range(7)
 
@@ -134,7 +138,8 @@ def test_a_dense_4x4_inverse_takes_one_pass_per_row(monkeypatch):
     # expansions of the 3x3 cofactors take 16 * 12 products on top of the
     # 32 of the determinant, 224 in all.  Each of the 4 passes takes
     # 6 * 2 + 4 * 3 = 24 on the minors of 2 and 3 rows, the one-row minors
-    # being the entries themselves, and the determinant 4 more: 100
+    # being the entries themselves, and _det reads the determinant from
+    # the Kronecker image with no polynomial product: 96
     calls = []
     real = SuperPoly.__mul__
 
@@ -212,6 +217,28 @@ def test_a_singular_constant_block_is_not_inverted():
     )
     with pytest.raises(NotInvertible, match="body determinant of T1 is zero"):
         m.invert()
+
+
+def test_a_body_that_is_not_constant_or_zero_is_refused_before_any_pass(monkeypatch):
+    # its determinant comes from _det first, so no _laplace pass with a
+    # column struck out runs before the refusal
+    passes = []
+    laplace = M._laplace
+
+    def counted(grid, one, zero):
+        if grid and len(grid[0]) < len(grid):
+            passes.append(len(grid))
+        return laplace(grid, one, zero)
+
+    monkeypatch.setattr(M, "_laplace", counted)
+    dense = SuperMatrix(XYZ, (7, 0), (7, 0), linear_grid(random.Random(5), XYZ, 7))
+    with pytest.raises(NotInvertible, match="^body determinant of T1 is not constant$"):
+        dense.invert()
+    t, one = KT.var("t"), KT.scalar(1)
+    singular = SuperMatrix(KT, (2, 0), (2, 0), [[t, t], [one, one]])
+    with pytest.raises(NotInvertible, match="^body determinant of T1 is zero$"):
+        singular.invert()
+    assert passes == []
 
 
 def test_a_13x13_constant_body_is_above_the_cap():

@@ -80,6 +80,7 @@ from math import comb, lcm, prod
 import pytest
 
 import det_sweep
+from helpers import linear_grid
 from model import Monomial, from_terms, terms_of
 from oracles import reference_minors
 from supergeom import Context, SuperPoly
@@ -163,14 +164,6 @@ def imaged_det(ctx, grid):
             assert {s: c for c, s in e} == expected
             assert sum(c << s for c, s in e) == value
     return _det(ctx, grid)
-
-
-def linear_grid(rng, ctx, n, coefficient):
-    """n x n affine-linear entries c0 + c1 t1 + ... over the even
-    generators of ctx, as the even_det benchmark builds them."""
-    gens = [ctx.var(name) for name in ctx.even]
-    return [[sum((g * coefficient(rng) for g in gens), ctx.scalar(coefficient(rng)))
-              for _ in range(n)] for _ in range(n)]
 
 
 def small_int(rng):

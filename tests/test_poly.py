@@ -32,6 +32,7 @@ from supergeom.serialize import to_json
 
 T2 = Context(even=["t1", "t2"], odd=["theta1", "theta2"])
 T3 = Context(even=["t"], odd=["theta1", "theta2", "theta3"])
+T4 = Context(odd=["theta1", "theta2", "theta3", "theta4"])
 
 
 class TestNormalizeOddWord:
@@ -111,6 +112,36 @@ class TestMul:
     def test_exponent_above_the_cap_is_refused(self):
         with pytest.raises(LimitExceeded):
             T3.var("t") ** (MAX_EXPONENT + 1)
+
+    def test_a_power_squares(self, monkeypatch):
+        # p ** n takes floor(log2 n) squares and popcount(n) - 1 other
+        # products, none for n = 0, and a nilpotent base stops at its
+        # first zero square
+        products = []
+        mul = SuperPoly.__mul__
+
+        def counted(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        def power(p, n):
+            products.clear()
+            with monkeypatch.context() as m:
+                m.setattr(SuperPoly, "__mul__", counted)
+                out = p ** n
+            return out, len(products)
+
+        p = T3.one() + T3.var("t") + T3.var("theta1") * T3.var("theta2")
+        expected = T3.one()
+        for n in range(64):
+            assert power(p, n) == (expected, n and n.bit_length() + n.bit_count() - 2)
+            expected = expected * p
+        th = [T4.var(f"theta{i}") for i in range(1, 5)]
+        a = th[0] * th[1] + th[2] * th[3]
+        assert power(a, 2) == (2 * th[0] * th[1] * th[2] * th[3], 1)
+        assert power(a, 3) == (T4.zero(), 2)
+        assert power(a, 20) == (T4.zero(), 2)
+        assert power(th[0] * th[1], 20) == (T4.zero(), 1)
 
     def test_unit_is_neutral(self):
         rng = random.Random(13)
