@@ -30,13 +30,12 @@ SLOT_FORM_TEST = f"{DET_IMAGE}::test_the_slot_form_is_injective_on_every_simplex
 IMAGE_DET_TEST = f"{DET_IMAGE}::test_the_image_det_expands_as_the_entry_ints"
 LAPLACE_TEST = f"{DET_IMAGE}::test_laplace_takes_the_oracle_minors_on_the_entry_ints"
 BODY_INVERSE = "tests/test_body_inverse.py"
-ELEMENTARY_INVERSE = ("tests/test_elementary_inverse.py::"
-                      "test_every_pair_of_generators_inverts_and_takes_ber_by_the_closed_forms")
 JSON_TEST = "tests/test_coefficients.py::test_json_round_trips_the_stored_form"
 QUOTIENT_MODEL = "tests/test_quotient_rename_model.py"
 MATRICES_TEST = "tests/test_identity.py::test_matrix_reports_keep_their_bytes"
-# the constant body's determinant, down column 0 of _body_inverse's pass 0
-COLUMN_0_SUM = "        d = sum([(-row[0] if j & 1 else row[0]) * minors[full ^ 1 << j]\n"
+LINALG = "src/supergeom/linalg.py"
+# the sign (-1)^(i+j) of a cofactor of a body that is not constant
+COFACTOR_SIGN = ("    signed = (d, -d)\n", "    signed = (d, d)\n")
 SCHUR_TESTS = (
     "tests/test_schur.py::test_complements_match_the_plain_difference",
     "tests/test_schur.py::test_the_complement_is_summed_without_adding_polynomials",
@@ -190,7 +189,7 @@ CATALOGUE = (
         MATRIX,
         (("    level = {full} if m == n else {full ^ 1 << i for i in range(n)}\n",
           "    level = {full}\n"),),
-        (LAPLACE_TEST, f"{BODY_INVERSE}::test_dense_constant_bodies_match_the_oracle"),
+        (LAPLACE_TEST, f"{BODY_INVERSE}::test_bodies_polynomial_in_t_match_the_oracle"),
     ),
     Mutant(
         "_laplace advancing the sign only past nonzero entries",
@@ -202,18 +201,17 @@ CATALOGUE = (
         (LAPLACE_TEST,),
     ),
     Mutant(
-        "_body_inverse's determinant summed down column 0 without its sign",
+        "_body_inverse's cofactor without its sign (-1)^(i+j)",
         MATRIX,
-        ((COLUMN_0_SUM, COLUMN_0_SUM.replace("(-row[0] if j & 1 else row[0])", "row[0]")),),
-        (f"{BODY_INVERSE}::test_dense_constant_bodies_match_the_oracle",
-         f"{BODY_INVERSE}::test_bodies_polynomial_in_t_match_the_oracle"),
+        (COFACTOR_SIGN,),
+        (f"{BODY_INVERSE}::test_bodies_polynomial_in_t_match_the_oracle",),
     ),
     Mutant(
         "a body that is not constant refused only after cofactor pass 0",
         MATRIX,
-        (("        d = _det(ctx, body)\n",
-          "        minors = _laplace([row[1:] for row in body], one, zero)\n"
-          "        d = _det(ctx, body)\n"),),
+        (("    d = _det(ctx, body)\n",
+          "    minors = _laplace(ctx, [row[1:] for row in body])\n"
+          "    d = _det(ctx, body)\n"),),
         (f"{BODY_INVERSE}::test_a_body_that_is_not_constant_or_zero_is_refused_before_any_pass",),
     ),
     Mutant(
@@ -221,28 +219,42 @@ CATALOGUE = (
         MATRIX,
         (("[[*row[:i], *row[i + 1:]] for row in body]",
           "[[*row[:i], *row[i + 1:], row[i]] for row in body]"),),
-        (f"{BODY_INVERSE}::test_dense_constant_bodies_match_the_oracle",
-         f"{BODY_INVERSE}::test_bodies_polynomial_in_t_match_the_oracle"),
+        (f"{BODY_INVERSE}::test_bodies_polynomial_in_t_match_the_oracle",),
     ),
     Mutant(
         # ROADMAP item 35 as first designed: pass 0 fills only the masks
         # its reach takes, so on a sparse body pass i reads unfilled slots
         "pass i seeded with pass 0's minors, filling only masks of more than n - 1 - i rows",
         MATRIX,
-        (("def _laplace(grid, one, zero):\n",
-          "def _laplace(grid, one, zero, seed=None, above=0):\n"),
-         ("    minors = [one] * (1 << n)\n    for mask in _masks(n, cols):\n",
-          "    minors = [one] * (1 << n) if seed is None else list(seed)\n"
+        (("def _laplace(ctx, grid):\n",
+          "def _laplace(ctx, grid, seed=None, above=0):\n"),
+         ("    minors = [SuperPoly.scalar(ctx, 1)] * (1 << n)\n    for mask in _masks(n, cols):\n",
+          "    minors = [SuperPoly.scalar(ctx, 1)] * (1 << n) if seed is None else list(seed)\n"
           "    for mask in _masks(n, cols):\n"
           "        if mask.bit_count() <= above:\n"
           "            continue\n"),
-         ("    minors = _laplace([row[1:] for row in body], one, zero)\n",
-          "    minors = first = _laplace([row[1:] for row in body], one, zero)\n"),
-         ("minors = _laplace([[*row[:i], *row[i + 1:]] for row in body], one, zero)\n",
-          "minors = _laplace([[*row[:i], *row[i + 1:]] for row in body], one, zero,\n"
-          "                              first, n - 1 - i)\n")),
-        (f"{BODY_INVERSE}::test_diagonal_blocks_of_grassmann_matrices_match_the_oracle",
-         f"{ELEMENTARY_INVERSE}[3|1]"),
+         ("    inverse = []\n    for i in range(n):\n"
+          "        minors = _laplace(ctx, [[*row[:i], *row[i + 1:]] for row in body])\n",
+          "    inverse = []\n    first = _laplace(ctx, [row[1:] for row in body])\n"
+          "    for i in range(n):\n"
+          "        minors = _laplace(ctx, [[*row[:i], *row[i + 1:]] for row in body],\n"
+          "                          first, n - 1 - i) if i else first\n")),
+        (f"{BODY_INVERSE}::test_a_body_with_a_sparse_second_column_matches_the_oracle",),
+    ),
+    # -- constant bodies: one elimination of [B | I] (linalg._inverse) -----
+    Mutant(
+        "_inverse's pivot check accepting a rank-deficient body",
+        LINALG,
+        (("    if pivots != list(range(n)):\n", "    if len(pivots) < n:\n"),),
+        (f"{BODY_INVERSE}::test_rank_deficient_constant_bodies_are_refused",
+         f"{BODY_INVERSE}::test_a_singular_constant_block_is_not_inverted"),
+    ),
+    Mutant(
+        "_inverse reading every row over the first row's pivot",
+        LINALG,
+        (("Fraction(x, row[i]) for x in row[n:]", "Fraction(x, m[0][0]) for x in row[n:]"),),
+        (f"{BODY_INVERSE}::test_dense_constant_bodies_match_the_oracle",
+         f"{BODY_INVERSE}::test_rational_constant_bodies_match_elimination"),
     ),
     Mutant(
         "the slot enumeration bounded by total + e < D",
@@ -312,9 +324,15 @@ CATALOGUE = (
     ),
     # -- the "matrices" identity surface alone -----------------------------
     Mutant(
-        "_body_inverse's determinant without its sign, against the matrices surface",
+        "_body_inverse's cofactor without its sign, against the matrices surface",
         MATRIX,
-        ((COLUMN_0_SUM, COLUMN_0_SUM.replace("(-row[0] if j & 1 else row[0])", "row[0]")),),
+        (COFACTOR_SIGN,),
+        (MATRICES_TEST,),
+    ),
+    Mutant(
+        "_inverse reading every row over the first row's pivot, against the matrices surface",
+        LINALG,
+        (("Fraction(x, row[i]) for x in row[n:]", "Fraction(x, m[0][0]) for x in row[n:]"),),
         (MATRICES_TEST,),
     ),
     Mutant(

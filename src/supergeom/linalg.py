@@ -16,6 +16,12 @@ entry in a column is as good a pivot as any.  rref builds Fractions only
 at the end, one per output entry; pivot_columns and rank build none, and
 neither does _eliminate_ints, the elimination on rows that are already
 ints, which liealg calls to keep its constraints' echelon form in ints.
+_inverse eliminates [B | I] and builds one Fraction per entry of B^{-1}.
+
+This is the kernel's one elimination over Q: srank, Morphism.classify_at
+and the Lie superalgebra forms take rank, tangent_space takes rref,
+distribution._pivot_columns takes pivot_columns, and
+matrix._body_inverse inverts every constant body by _inverse.
 """
 
 from fractions import Fraction
@@ -33,9 +39,7 @@ def _int_row(row):
         nums.append(x.numerator)
         dens.append(x.denominator)
     d = lcm(*dens)
-    if d == 1:
-        return nums
-    return [n * (d // e) for n, e in zip(nums, dens)]
+    return nums if d == 1 else [n * (d // e) for n, e in zip(nums, dens)]
 
 
 def _eliminate(rows):
@@ -53,7 +57,7 @@ def _eliminate_ints(m):
     pivots = []
     r = 0
     for c in range(len(m[0])):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        pr = r if m[r][c] else next((i for i in range(r + 1, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
@@ -71,6 +75,20 @@ def _eliminate_ints(m):
         if r == len(m):
             break
     return m, pivots
+
+
+def _inverse(rows):
+    """B^{-1} as rows of Fractions for a square grid B of exact values, or
+    None when B is singular: _eliminate_ints on the int rows of [B | I].
+    Its pivots cover the first n columns exactly when B is invertible,
+    and then entry (i, j) of B^{-1} is the int in column n + j over row
+    i's pivot."""
+    n = len(rows)
+    m, pivots = _eliminate_ints([_int_row([*row, *[0] * i, 1, *[0] * (n - 1 - i)])
+                                 for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
 
 
 def rref(rows):

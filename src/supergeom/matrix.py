@@ -18,7 +18,6 @@ cover both Grassmann coefficients and matrices evaluated at points.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
@@ -36,10 +35,12 @@ from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _kronecker_ima
 # Largest n for which _laplace and _image_det expand an n x n grid.  Each
 # holds one minor per row set, 2^n of them: on grids of dense linear
 # entries in three variables (perfbench corpus.linear_matrix) _det takes
-# a median 0.04 s of CPU at 10 x 10, 0.14 s at 11 x 11 and 0.29 s at
-# 12 x 12 on a shared 2-vCPU host under Python 3.11, all three over the
-# image of poly._kronecker_image; _laplace over the polynomials of the
-# same grids takes 0.41, 1.4 and 3.4 s.
+# 0.02 s of CPU at 10 x 10, 0.06 s at 11 x 11 and 0.17 s at 12 x 12 on
+# a shared 2-vCPU host under Python 3.11, all three over the image of
+# poly._kronecker_image; _laplace over the polynomials of the same grids
+# takes 0.3, 0.8 and 2.1 s.  A constant body inverse (linalg._inverse)
+# holds no such list, but takes the same cap, so that inv and ber meet it
+# on the same blocks.
 # Outside the cap tests, the largest determinant in the demos, tests and
 # benchmark is 8 x 8.
 MAX_DET_SIZE = 12
@@ -152,31 +153,33 @@ def _masks(n, cols):
     return sorted(reached)
 
 
-def _laplace(grid, one, zero):
-    """The minors of a grid of n rows and n or n - 1 columns over a
-    commutative ring with unit one and zero zero, in a list indexed by
-    row mask: the minor on the rows of a mask of k rows and the last k
+def _laplace(ctx, grid):
+    """The minors of a grid of n rows and n or n - 1 columns of even
+    (hence commuting) polynomials over ctx, in a list indexed by row
+    mask: the minor on the rows of a mask of k rows and the last k
     columns.  The last one of a square grid is its determinant; with
     column i struck out, the mask that lacks row j holds the (j, i)
     minor.
 
     Division-free Laplace expansion, filled bottom-up over the masks of
-    _masks: minors[0] is one, a one-row mask is its entry in the last
-    column, so no entry is multiplied by one, and the minor of a mask of
-    k >= 2 rows is the sum of +-entry * (the minor without that row) down
-    the k-th column from the right, the sign advancing past every row of
-    the mask, zero entries included.  The entry is negated, a few terms,
-    not the much larger minor.  A sub mask is below its mask, so one pass
-    in increasing order meets every minor it reads already filled.  The
-    ring is one of two: even (hence commuting) polynomials, for _det over
-    a grid that poly._kronecker_image refuses and for a body that is not
-    constant, and the ints and Fractions of a constant body.  Exact over
-    any commutative coefficient ring, nilpotents included, which rules
-    out fraction-free elimination: its exact divisions can hit zero
-    divisors once even entries carry nilpotent parts."""
+    _masks: minors[0] is the unit, a one-row mask is its entry in the
+    last column, so no entry is multiplied by the unit, and the minor of
+    a mask of k >= 2 rows is the sum of +-entry * (the minor without that
+    row) down the k-th column from the right, the sign advancing past
+    every row of the mask, zero entries included.  The entry is negated,
+    a few terms, not the much larger minor.  A sub mask is below its
+    mask, so one pass in increasing order meets every minor it reads
+    already filled.  It runs for _det over a grid that
+    poly._kronecker_image refuses and for the cofactors of a body that is
+    not constant.  Exact over any commutative coefficient ring,
+    nilpotents included, which rules out fraction-free elimination here:
+    its exact divisions can hit zero divisors once even entries carry
+    nilpotent parts.  A constant body lies over the field Q, and
+    _body_inverse inverts it by linalg's elimination instead."""
     n = _det_size(grid)
     cols = list(zip(*grid))
-    minors = [one] * (1 << n)
+    zero = SuperPoly.zero(ctx)
+    minors = [SuperPoly.scalar(ctx, 1)] * (1 << n)
     for mask in _masks(n, cols):
         column = cols[-mask.bit_count()]
         if not mask & mask - 1:
@@ -240,7 +243,7 @@ def _det(ctx, grid) -> SuperPoly:
     meet no other cap."""
     image = _kronecker_image(ctx, grid)
     if image is None:
-        return _laplace(grid, SuperPoly.scalar(ctx, 1), SuperPoly.zero(ctx))[-1]
+        return _laplace(ctx, grid)[-1]
     ints, unpack = image
     return unpack(_image_det(ints))
 
@@ -251,47 +254,39 @@ def _body_inverse(ctx, grid, label):
 
     The body determinant must be a nonzero constant; the body entries
     themselves may be arbitrary even-variable polynomials (a unipotent
-    block like [[1, t], [0, 1]] is fine).  Entry (i, j) of the inverse is
-    the (j, i) cofactor over the determinant, and row i is read from one
-    _laplace pass over the grid with column i struck out, whose minor on
-    the rows other than j is the (j, i) minor.  When every body is
-    constant (SuperPoly._body_value) the passes run over those ints and
-    Fractions, each entry is one scalar, and the determinant is the last
-    step of the expansion down column 0, over the minors of the first
-    pass, checked before the other passes run.  Otherwise the
-    determinant of the body polynomials comes from _det first, which
-    takes the Kronecker image where its rule admits the grid, and a
-    determinant that is not constant, or zero, is refused before any
-    pass runs; the passes then run over the body polynomials.
+    block like [[1, t], [0, 1]] is fine).  When every body is constant
+    (SuperPoly._body_value) the body is a matrix over Q, inverted by
+    linalg's one elimination (linalg._inverse), under the MAX_DET_SIZE
+    cap that _det puts on the same block.  Otherwise the determinant of
+    the body polynomials comes from _det, which takes the Kronecker image
+    where its rule admits the grid, and a determinant that is not
+    constant, or zero, is refused before any pass runs.  Entry (i, j) of
+    the inverse is then the (j, i) cofactor over the determinant, and row
+    i is read from one _laplace pass over the grid with column i struck
+    out, whose minor on the rows other than j is the (j, i) minor.
     """
-    n = len(grid)
     values = [[e._body_value() for e in row] for row in grid]
-    constant = all(v is not None for row in values for v in row)
-    body, one, zero = (values, 1, 0) if constant else (
-        [[e.body() for e in row] for row in grid], SuperPoly.scalar(ctx, 1), SuperPoly.zero(ctx))
-    full = (1 << n) - 1
-    if constant:
-        minors = _laplace([row[1:] for row in body], one, zero)
-        d = sum([(-row[0] if j & 1 else row[0]) * minors[full ^ 1 << j]
-                 for j, row in enumerate(body) if row[0]]) if n else one
-    else:
-        d = _det(ctx, body)
-        if not d.is_constant():
-            raise NotInvertible(f"body determinant of {label} is not constant")
-        d = d.constant_term()
+    if all(v is not None for row in values for v in row):
+        _det_size(values)
+        inverse = linalg._inverse(values)
+        if inverse is None:
+            raise NotInvertible(f"body determinant of {label} is zero")
+        return tuple([tuple([SuperPoly.scalar(ctx, x) for x in row]) for row in inverse])
+    body = [[e.body() for e in row] for row in grid]
+    d = _det(ctx, body)
+    if not d.is_constant():
+        raise NotInvertible(f"body determinant of {label} is not constant")
+    d = d.constant_term()
     if not d:
         raise NotInvertible(f"body determinant of {label} is zero")
+    n = len(grid)
+    full = (1 << n) - 1
+    signed = (d, -d)
     inverse = []
     for i in range(n):
-        if i or not constant:
-            minors = _laplace([[*row[:i], *row[i + 1:]] for row in body], one, zero)
-        row = []
-        for j in range(n):
-            # the (j, i) cofactor, with row j and column i struck out, over d
-            c = minors[full ^ 1 << j]
-            c = -c if (i + j) & 1 else c
-            row.append(SuperPoly.scalar(ctx, Fraction(c, d)) if constant else c / d)
-        inverse.append(tuple(row))
+        minors = _laplace(ctx, [[*row[:i], *row[i + 1:]] for row in body])
+        # the (j, i) minor, with row j and column i struck out, over (-1)^(i+j) d
+        inverse.append(tuple([minors[full ^ 1 << j] / signed[(i + j) & 1] for j in range(n)]))
     return tuple(inverse)
 
 
@@ -599,9 +594,10 @@ class SuperMatrix:
 
         B, the body of T, is block diagonal: the odd entries of T2 and T3
         have no body.  Both body block determinants must be nonzero
-        constants, and B^{-1} is assembled from the two block inverses,
-        each read from the cofactors of one Laplace pass per row
-        (_laplace, see _body_inverse).
+        constants, and B^{-1} is assembled from the two block inverses: a
+        constant body block by linalg's elimination over Q, any other
+        from the cofactors of one Laplace pass per row (see
+        _body_inverse).  Both take the MAX_DET_SIZE cap.
         T^{-1} is then built one odd degree at a time from the parts N_e
         of T with e >= 1 odd generators: its part Y_d with d odd
         generators per term is -B^{-1} sum_e N_e Y_{d-e}, which keeps the

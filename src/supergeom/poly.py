@@ -119,10 +119,10 @@ SuperPoly.partial is _packed_partial at w = 0, so the package has one
 partial loop and builds no grid of partials.  The Laplace expansions
 of matrix._det and matrix._body_inverse sum outside _packed_dot: one
 bottom-up pass over row masks, matrix._laplace, runs over these
-polynomials, for matrix._det and a body that is not constant, and over
-plain ints and Fractions for a constant body, which
-SuperPoly._body_value reads in one pass with no polynomial built; each
-term of a column sum is one * and one +.  matrix._image_det runs the
+polynomials, for matrix._det and a body that is not constant; each
+term of a column sum is one * and one +.  A constant body, which
+SuperPoly._body_value reads in one pass with no polynomial built, is
+inverted by linalg's elimination instead.  matrix._image_det runs the
 same pass over the ints of the Kronecker image (Kronecker 1882; Harvey,
 J. Symbolic Comput. 44, 2009) of an odd-free grid of matrix._det: _kronecker_image evaluates
 each entry at t_i = 2^(b u_i), the slot width b sized by a
@@ -465,8 +465,8 @@ class SuperPoly:
         # the unit monomial has code 0
         if type(value) is int:
             return cls._raw(ctx, {0: value} if value else {})
-        c = _exact(value)
-        return cls._raw(ctx, {0: c.numerator} if c else {}, c.denominator)
+        num, den = _exact(value).as_integer_ratio()
+        return cls._raw(ctx, {0: num} if num else {}, den)
 
     @classmethod
     def var(cls, ctx, name) -> "SuperPoly":

@@ -33,6 +33,13 @@ that moves output on purpose regenerates the file and names each changed
 surface in CHANGES.md:
 
     PYTHONPATH=src python tests/identity.py
+
+With --check it recomputes every surface and compares it with the file,
+which it does not rewrite: it prints each key that differs and exits 1
+on any difference, else 0.  It needs only the standard library, so it
+runs under any interpreter the package supports, pytest or not:
+
+    PYTHONPATH=src python tests/identity.py --check
 """
 
 import contextlib
@@ -41,6 +48,7 @@ import io
 import json
 import random
 import runpy
+import sys
 from pathlib import Path
 
 from helpers import (broken_law, distributions_script, fields_script, matrix_script,
@@ -130,6 +138,21 @@ def surfaces():
     return digests
 
 
+def check():
+    """1 when a recomputed surface differs from tests/identity.json, each
+    differing key printed with both digests, else 0."""
+    pinned = json.loads(JSON_PATH.read_text())
+    got = surfaces()
+    keys = sorted(pinned.keys() | got.keys())
+    differ = [key for key in keys if pinned.get(key) != got.get(key)]
+    for key in differ:
+        print(f"differs: {key}: pinned {pinned.get(key)}, recomputed {got.get(key)}")
+    print(f"{len(keys) - len(differ)} of {len(keys)} surfaces equal")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     JSON_PATH.write_text(json.dumps(surfaces(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {JSON_PATH}")

@@ -9,10 +9,15 @@ The independent algorithms share no code with matrix.py or linalg.py:
   Fraction determinant of the tests.
 - gauss_jordan_inverse inverts a grid of Fractions or polynomials by
   Gauss-Jordan, each pivot the first nonzero constant in its column.
+- adjugate_inverse inverts a grid of polynomials with a constant
+  determinant as its adjugate over that determinant, every cofactor and
+  the determinant read from one reference_minors memo, so it shares no
+  elimination with linalg, which inverts the constant bodies.
 - oracle_inverse is the inverse of an even grid T = B + N as the power
-  series sum_k (-N')^k B^-1 in N' = B^-1 N.  Its products pair mostly
-  terms whose odd words overlap, so it is slow and serves as an oracle
-  for _grid_inverse and invert only.
+  series sum_k (-N')^k B^-1 in N' = B^-1 N, with B^-1 the
+  adjugate_inverse of the body.  Its products pair mostly terms whose
+  odd words overlap, so it is slow and serves as an oracle for
+  _grid_inverse and invert only.
 - oracle_schur is the Schur complement a - b d^-1 c with b d^-1 c taken
   one polynomial product at a time (helpers.grid_mul) and subtracted with
   plain -, the oracle for matrix._schur's one packed grid product.
@@ -157,6 +162,22 @@ def gauss_jordan_inverse(rows, one, zero):
     return [r[n:] for r in aug]
 
 
+def adjugate_inverse(ctx, body):
+    """The adjugate over the determinant of a square grid of polynomials
+    over ctx whose determinant is a nonzero constant: entry (i, j) is
+    (-1)^(i+j) times the minor off row j and column i, over the full
+    minor, every one read from one reference_minors memo."""
+    n = len(body)
+    full = (1 << n) - 1
+    minor = reference_minors(body, ctx.one(), ctx.zero())
+    det = minor(full | full << n)
+    assert det.is_constant() and det, "the determinant is not a nonzero constant"
+    det = det.constant_term()
+    return [[(-1) ** (i + j) * minor(full ^ 1 << j | (full ^ 1 << i) << n) / det
+             for j in range(n)]
+            for i in range(n)]
+
+
 def _constant(x):
     # a Fraction is a constant; a polynomial is one when it has no term
     # but its constant term, and reads 0 otherwise
@@ -168,11 +189,12 @@ def _constant(x):
 def oracle_inverse(ctx, rows):
     """The inverse of an even grid T = B + N, B its body and N nilpotent:
     sum_k (-N')^k over N' = B^-1 N, then times B^-1 on the right.  Only
-    products and sums of single polynomials and a Gauss-Jordan body
-    inverse; no _gmul, _laplace, _det or _body_inverse of the package."""
+    products and sums of single polynomials and the adjugate body
+    inverse; no _gmul, _laplace, _det, _body_inverse or linalg of the
+    package."""
     n = len(rows)
     body = [[e.body() for e in row] for row in rows]
-    binv = gauss_jordan_inverse(body, ctx.one(), ctx.zero())
+    binv = adjugate_inverse(ctx, body)
     nilpotent = [[e - b for e, b in zip(r, rb)] for r, rb in zip(rows, body)]
     nprime = grid_mul(ctx, binv, nilpotent)
     out = identity(ctx, n)

@@ -1,31 +1,33 @@
-"""Body inverses from one Laplace pass per row against the adjugate of
-a top-down Laplace expansion.
+"""Body inverses against the adjugate of a top-down Laplace expansion.
 
-_body_inverse reads row i of the inverse from one matrix._laplace pass
-over the body with column i struck out: its minor on the rows other
-than j is the (j, i) minor.  A constant body's determinant is expanded
-down column 0 over the minors of the first pass; any other body's comes
-from matrix._det before any pass.  The oracle here is the adjugate
-over the determinant, its n^2 cofactors and the determinant read from
-one memo of tests/oracles.py's reference_minors, the top-down Laplace
-expansion, so it calls no code of matrix.py.  A cofactor read from the
-wrong mask, a lost (-1)^(i+j) sign or a pass that keeps column i
-disagrees with it.  The product of the body, read
-entry by entry with SuperPoly.body, with its inverse, taken one
-polynomial product at a time, must be the identity on both sides.
+_body_inverse inverts a constant body, a matrix over Q, by linalg's one
+elimination (linalg._inverse on [B | I]).  Any other body's determinant
+comes from matrix._det before any pass, and row i of its inverse is read
+from one matrix._laplace pass over the body with column i struck out:
+its minor on the rows other than j is the (j, i) minor.  The oracle here
+is tests/oracles.py's adjugate_inverse, its n^2 cofactors and the
+determinant read from one memo of reference_minors, the top-down Laplace
+expansion, so it calls no code of matrix.py or linalg.py.  A cofactor
+read from the wrong mask, a lost (-1)^(i+j) sign, a pass that keeps
+column i, or an entry read over the wrong pivot disagrees with it.  The
+product of the body, read entry by entry with SuperPoly.body, with its
+inverse, taken one polynomial product at a time, must be the identity
+on both sides.
 
 The grids are dense constant bodies, bodies polynomial in t with a
 constant determinant (triangular ones with a constant diagonal, and
 products of a lower and an upper unipotent grid), and the T1 and T4
 blocks of seeded supermatrices over Lambda(theta1..theta6), for n = 0..6.
-Two tests count the work of one dense 4x4 inverse: the polynomial
-products of a body polynomial in t, and the _laplace passes of a
-constant body, which expand over its rationals with no polynomial
-product.  Constant bodies with rational entries and odd parts are
-checked against the right half of rref([B | I]), and a singular or
-oversized constant block against its error.  A dense linear 7x7 body
-over k[x1, x2, x3] and the singular [[t, t], [1, 1]] are refused, as not
-constant and as zero, before any pass runs.
+Two tests count work: the polynomial products of a dense 4x4 body
+polynomial in t, and, for a dense rational 4x4 and 12x12 constant body,
+that no _laplace call and no polynomial product runs, with B B^-1 = I
+checked on both sides in plain Fractions.  Constant bodies with
+rational entries and odd parts are checked against the right half of
+oracles.reference_rref([B | I]), Gauss-Jordan on Fractions, and a
+singular, rank-deficient or oversized constant block against its
+error.  A dense linear 7x7 body over k[x1, x2, x3] and the singular
+[[t, t], [1, 1]] are refused, as not constant and as zero, before any
+pass runs.
 """
 
 import random
@@ -34,7 +36,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import grid_mul, identity, linear_grid, random_invertible
-from oracles import reference_minors
+from oracles import adjugate_inverse, reference_rref
 from supergeom import Context, LimitExceeded, NotInvertible, SuperMatrix, linalg
 from supergeom import matrix as M
 from supergeom.poly import SuperPoly
@@ -43,19 +45,6 @@ KT = Context(even=["t"])
 XYZ = Context(even=["x1", "x2", "x3"])
 GR6 = Context(odd=[f"theta{i}" for i in range(1, 7)])
 SIZES = range(7)
-
-
-def adjugate_inverse(ctx, body):
-    """The adjugate over the determinant: entry (i, j) is (-1)^(i+j)
-    times the minor off row j and column i, over the full minor, every
-    one read from one reference_minors memo."""
-    n = len(body)
-    full = (1 << n) - 1
-    minor = reference_minors(body, ctx.one(), ctx.zero())
-    det = minor(full | full << n).constant_term()
-    return [[(-1) ** (i + j) * minor(full ^ 1 << j | (full ^ 1 << i) << n) / det
-             for j in range(n)]
-            for i in range(n)]
 
 
 def check(ctx, grid):
@@ -123,6 +112,15 @@ def test_bodies_polynomial_in_t_match_the_oracle(n):
         check(KT, unipotent_product(rng, n))
 
 
+def test_a_body_with_a_sparse_second_column_matches_the_oracle():
+    # column 1 is zero but in row 2, so pass 0 (column 0 struck out)
+    # never reaches the minor of row 2 alone on the last column, which
+    # pass 1 (column 1 struck out) reads: a pass that took pass 0's small
+    # minors in place of its own would read the unit there, not the 2
+    t, one, zero = KT.var("t"), KT.scalar(1), KT.zero()
+    check(KT, ((one, zero, t), (zero, zero, one), (t, one, KT.scalar(2))))
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_diagonal_blocks_of_grassmann_matrices_match_the_oracle(n):
     rng = random.Random(1400 + n)
@@ -156,28 +154,32 @@ def test_a_dense_4x4_inverse_takes_one_pass_per_row(monkeypatch):
     check(KT, grid)
 
 
-def test_a_dense_4x4_constant_inverse_takes_one_pass_per_row(monkeypatch):
-    # a constant body expands over its rationals with no polynomial
-    # product, in one _laplace pass per row of the inverse
+@pytest.mark.parametrize("n", [4, 12])
+def test_a_dense_rational_constant_inverse_takes_no_pass_and_no_product(monkeypatch, n):
+    # a constant body is one elimination over Q: no _laplace pass and no
+    # polynomial product, and B B^-1 = I on both sides in plain Fractions
     passes, products = [], []
     laplace, mul = M._laplace, SuperPoly.__mul__
 
-    def counted_laplace(grid, one, zero):
-        passes.append(one)
-        return laplace(grid, one, zero)
+    def counted_laplace(ctx, grid):
+        passes.append(len(grid))
+        return laplace(ctx, grid)
 
     def counted_mul(self, other):
         products.append(1)
         return mul(self, other)
 
-    grid = dense_constant(random.Random(1500), KT, 4)
+    grid, body = rational_constant(random.Random(1500 + n), GR6, n)
     monkeypatch.setattr(M, "_laplace", counted_laplace)
     monkeypatch.setattr(SuperPoly, "__mul__", counted_mul)
-    M._body_inverse(KT, grid, "T")
+    inv = M._body_inverse(GR6, grid, "T")
     monkeypatch.undo()
-    assert passes == [1] * 4
-    assert not products
-    check(KT, grid)
+    assert passes == [] and products == []
+    inv = [[e.constant_term() for e in row] for row in inv]
+    unit = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for a, b in ((body, inv), (inv, body)):
+        assert [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == unit
 
 
 def rational_constant(rng, ctx, n):
@@ -195,12 +197,13 @@ def rational_constant(rng, ctx, n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_rational_constant_bodies_match_elimination(n):
-    # the right half of rref([B | I]) is B^{-1}, by row reduction alone
+    # the right half of reference_rref([B | I]) is B^{-1}: Gauss-Jordan on
+    # Fractions, which shares no code with linalg
     rng = random.Random(1600 + n)
     for _ in range(3):
         grid, body = rational_constant(rng, GR6, n)
-        echelon, _ = linalg.rref([row + [Fraction(int(i == j)) for j in range(n)]
-                                  for i, row in enumerate(body)])
+        echelon, _ = reference_rref([row + [Fraction(int(i == j)) for j in range(n)]
+                                     for i, row in enumerate(body)])
         inv = M._body_inverse(GR6, grid, "T")
         assert [[e.constant_term() for e in row] for row in inv] == [
             row[n:] for row in echelon]
@@ -219,16 +222,31 @@ def test_a_singular_constant_block_is_not_inverted():
         m.invert()
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rank_deficient_constant_bodies_are_refused(n):
+    # B = C D with C of n x r and D of r x n: every rank r below n, the
+    # zero body included, leaves a pivot outside the first n columns
+    rng = random.Random(1700 + n)
+    tail = GR6.var("theta1") * GR6.var("theta2")
+    for r in range(n):
+        c = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        d = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(r)]
+        grid = tuple(tuple(GR6.scalar(sum(c[i][k] * d[k][j] for k in range(r))) + tail
+                           for j in range(n)) for i in range(n))
+        with pytest.raises(NotInvertible, match="^body determinant of T is zero$"):
+            M._body_inverse(GR6, grid, "T")
+
+
 def test_a_body_that_is_not_constant_or_zero_is_refused_before_any_pass(monkeypatch):
     # its determinant comes from _det first, so no _laplace pass with a
     # column struck out runs before the refusal
     passes = []
     laplace = M._laplace
 
-    def counted(grid, one, zero):
+    def counted(ctx, grid):
         if grid and len(grid[0]) < len(grid):
             passes.append(len(grid))
-        return laplace(grid, one, zero)
+        return laplace(ctx, grid)
 
     monkeypatch.setattr(M, "_laplace", counted)
     dense = SuperMatrix(XYZ, (7, 0), (7, 0), linear_grid(random.Random(5), XYZ, 7))

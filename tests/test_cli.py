@@ -8,6 +8,7 @@ formatting, and byte-level determinism.
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -672,6 +673,39 @@ def test_cli_body_inverse_bytes():
     proc = cli(stdin=BODY_INVERSE_SCRIPT)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == BODY_INVERSE_REPORT
+
+
+# A hostile input: a 12|1 matrix whose T1 is a dense rational 12x12.  Its
+# body inverse is one elimination over Q; the kernel at b037f0d took n
+# Laplace passes of 2^11 row masks for it, 1.1-1.4 s of CPU for the whole
+# run.  The sha256 was computed once, by that kernel, and pins the bytes
+# of the faster path.
+HOSTILE_INVERSE_SHA256 = "43bf1579fc2a3fa30d4900f069a7f7bda20533079b49eaf1e0139f53517564f1"
+
+
+def hostile_inverse_script():
+    rng = random.Random(36)
+    nums = [v for v in range(-9, 10) if v]
+    rows = []
+    for i in range(13):
+        row = []
+        for j in range(13):
+            if i < 12 and j < 12:
+                row.append(f"{rng.choice(nums)}/{rng.randint(1, 9)}")
+            elif i == j:
+                row.append("1")
+            else:
+                row.append(rng.choice(["theta1", "theta2", "-theta1", "2*theta2"]))
+        rows.append(", ".join(row))
+    return ("context H even=[] odd=[theta1, theta2]\n"
+            f"matrix A dims 12|1 -> 12|1 rows [{'; '.join(rows)}]\n"
+            "inv A\n")
+
+
+def test_cli_inverts_a_dense_rational_12x12_body():
+    proc = cli(stdin=hostile_inverse_script())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sha256(proc.stdout) == HOSTILE_INVERSE_SHA256
 
 
 def test_cli_json_out(tmp_path):

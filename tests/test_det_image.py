@@ -52,8 +52,9 @@ over every mask (grids with no zero entry) and its pass over the masks
 reached through nonzero entries are compared; one grid has a zero entry
 above nonzero ones in the first column it expands, so a sign that
 advanced only past nonzero entries fails it.  matrix._laplace, the
-ring-generic form of that pass, is compared with the oracle on the same
-grids as ints: on every mask it takes over the whole grid, and with each
+polynomial form of that pass, is compared with the oracle on the same
+grids, the ints lifted to constant polynomials: on every mask it takes
+over the whole grid, and with each
 column struck out, on every mask that lacks one row, the cofactors of
 an inverse.  Those are reached from every such mask, not through
 column 0, which holds a zero on the 4x4 grid.  Grids that mix constants,
@@ -443,24 +444,27 @@ def test_the_image_det_expands_as_the_entry_ints(grid):
 
 @pytest.mark.parametrize("grid", IMAGE_GRIDS, ids=["4x4", "5x5", "6x6-singular", "6x6-dense"])
 def test_laplace_takes_the_oracle_minors_on_the_entry_ints(grid):
-    # _laplace over the ints c << s: the determinant of the rows of every
-    # row mask on the last columns, every minor of the whole grid's pass,
-    # and with each column i struck out, the minor without each row j,
-    # the (j, i) minor, however many zeros column i or any other holds
+    # _laplace over the ints c << s, each lifted to a constant polynomial
+    # (at most 528 digits, under MAX_DIGITS): the determinant of the rows
+    # of every row mask on the last columns, every minor of the whole
+    # grid's pass, and with each column i struck out, the minor without
+    # each row j, the (j, i) minor, however many zeros column i or any
+    # other holds
     n = len(grid)
     full = (1 << n) - 1
     ints = [[sum(c << s for c, s in e) if e else 0 for e in row] for row in grid]
+    lifted = [[T.scalar(x) for x in row] for row in ints]
     minor = reference_minors(ints, 1, 0)
     for rows in range(1 << n):
         k = rows.bit_count()
-        sub = [row[n - k:] for i, row in enumerate(ints) if rows >> i & 1]
-        assert _laplace(sub, 1, 0)[-1] == minor(rows | (1 << k) - 1 << 2 * n - k)
-    minors = _laplace(ints, 1, 0)
-    for mask in _masks(n, list(zip(*ints))):
+        sub = [row[n - k:] for i, row in enumerate(lifted) if rows >> i & 1]
+        assert _laplace(T, sub)[-1] == minor(rows | (1 << k) - 1 << 2 * n - k)
+    minors = _laplace(T, lifted)
+    for mask in _masks(n, list(zip(*lifted))):
         k = mask.bit_count()
         assert minors[mask] == minor(mask | (1 << k) - 1 << 2 * n - k)
     for i in range(n):
-        minors = _laplace([row[:i] + row[i + 1:] for row in ints], 1, 0)
+        minors = _laplace(T, [row[:i] + row[i + 1:] for row in lifted])
         for j in range(n):
             assert minors[full ^ 1 << j] == minor(full ^ 1 << j | (full ^ 1 << i) << n)
 

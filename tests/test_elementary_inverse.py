@@ -12,9 +12,10 @@ is I with (1 + x)^-1 at (i, i): 1/2 for x = 1, else 1 - x, since then
 x^2 = 0; and Ber E is 1 + x in the even block and (1 + x)^-1 in the odd
 one.  Over every ordered pair, (E F)^-1 must be F^-1 E^-1 and
 Ber(E F) = Ber E Ber F, from those closed forms; the product @ is proved
-by enumeration in test_elementary.py.  The bodies here are mostly zero
-off the diagonal, which is where a cofactor pass can read a minor that
-its reach never filled.  Each failure names its generators.
+by enumeration in test_elementary.py.  The grids here are mostly zero
+off the diagonal, which is where a Laplace pass of a Berezinian's
+determinant can read a minor that its reach never filled.  Each failure
+names its generators.
 """
 
 from fractions import Fraction

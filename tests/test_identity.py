@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import identity
 from helpers import matrix_script
 from identity import (DEMOS, JSON_PATH, MATRICES_SEEDS, corpus_digest, demo_digest,
                       distributions_digest, fields_digest, laws_digest, lie_digest,
@@ -67,3 +68,19 @@ def test_every_block_of_four_rows_or_more_takes_the_image(monkeypatch):
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_stdout_keeps_its_bytes(path):
     assert demo_digest(path) == PINNED[f"demo/{path.name}"]
+
+
+def test_check_prints_each_differing_key_and_leaves_the_file(tmp_path, monkeypatch, capsys):
+    # identity.py --check: a changed, a missing and an extra key each
+    # differ, the pinned file is not rewritten, and equal surfaces pass
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps({"a": "1", "b": "2", "gone": "3"}))
+    monkeypatch.setattr(identity, "JSON_PATH", path)
+    monkeypatch.setattr(identity, "surfaces", lambda: {"a": "1", "b": "9", "new": "4"})
+    assert identity.check() == 1
+    differ = [line.split(":")[1].strip() for line in capsys.readouterr().out.splitlines()
+              if line.startswith("differs:")]
+    assert differ == ["b", "gone", "new"]
+    assert json.loads(path.read_text()) == {"a": "1", "b": "2", "gone": "3"}
+    monkeypatch.setattr(identity, "surfaces", lambda: {"a": "1", "b": "2", "gone": "3"})
+    assert identity.check() == 0

@@ -11,9 +11,9 @@ the degree-d part is Y_0 = B^-1, Y_d = -B^-1 sum_e N_e Y_{d-e}.
 The oracle here is the power series instead, tests/oracles.py's
 oracle_inverse: the powers of N' summed with alternating signs, then
 multiplied by B^-1 on the right.  It uses only products and sums of
-single polynomials and a Gauss-Jordan body inverse whose pivots are
-nonzero constants; no _gmul, _laplace, _det or _body_inverse of the
-package.  Its products pair mostly terms whose odd words overlap, which
+single polynomials and the body's adjugate over its constant
+determinant (oracles.adjugate_inverse); no _gmul, _laplace, _det,
+_body_inverse or linalg of the package.  Its products pair mostly terms whose odd words overlap, which
 is why it is an oracle only.
 
 The oracle is compared with invert() and _grid_inverse on seeded 1|1..4|4
