@@ -34,6 +34,7 @@ JSON_TEST = "tests/test_coefficients.py::test_json_round_trips_the_stored_form"
 QUOTIENT_MODEL = "tests/test_quotient_rename_model.py"
 MATRICES_TEST = "tests/test_identity.py::test_matrix_reports_keep_their_bytes"
 LINALG = "src/supergeom/linalg.py"
+SUBSTITUTE_TESTS = "tests/test_substitute_reference.py"
 # the sign (-1)^(i+j) of a cofactor of a body that is not constant
 COFACTOR_SIGN = ("    signed = (d, -d)\n", "    signed = (d, d)\n")
 SCHUR_TESTS = (
@@ -354,6 +355,39 @@ CATALOGUE = (
           "                break\n"
           "        return out\n"),),
         ("tests/test_poly.py::TestMul::test_a_power_squares",),
+    ),
+    # -- substitution plans, one memo per context (poly._substitution_plan) -
+    Mutant(
+        "one module-level plan memo keyed by code alone",
+        POLY,
+        (("_SWAP_PARITY = _Memo(_swap_parity)\n", "_SWAP_PARITY = _Memo(_swap_parity)\n_PLANS = {}\n"),
+         ("            first, middle, last = plans[code]\n",
+          "            first, middle, last = _PLANS.setdefault(code, plans[code])\n")),
+        (f"{SUBSTITUTE_TESTS}::test_one_code_is_planned_per_context",),
+    ),
+    Mutant(
+        "head and last keys swapped for two-factor terms",
+        POLY,
+        (("    return keys[0] if len(keys) > 1 else None,",
+          "    if len(keys) == 2:\n"
+          "        return keys[1], (), keys[0]\n"
+          "    return keys[0] if len(keys) > 1 else None,"),),
+        (f"{SUBSTITUTE_TESTS}::test_cold_and_warm_plans_give_the_same_pullbacks",
+         f"{SUBSTITUTE_TESTS}::test_one_code_is_planned_per_context"),
+    ),
+    Mutant(
+        "the middle keys dropped for terms of three factors or more",
+        POLY,
+        (("None, tuple(keys[1:-1]), keys[-1]", "None, (), keys[-1]"),),
+        (f"{SUBSTITUTE_TESTS}::test_a_cached_plan_still_stops_at_a_vanished_head",
+         f"{SUBSTITUTE_TESTS}::test_cold_and_warm_plans_give_the_same_pullbacks"),
+    ),
+    Mutant(
+        "a plan memo whose function holds its context",
+        POLY,
+        (("_Memo(partial(_substitution_plan, self._shift))",
+          "_Memo(lambda code: _substitution_plan(self._shift, code))"),),
+        ("tests/test_context.py::test_a_dropped_context_that_substituted_dies_without_the_collector",),
     ),
     # -- the left partial of a packed row (poly._packed_partial) -----------
     Mutant(

@@ -1,6 +1,6 @@
 """Line traffic of the kernel under one benchmark workload.
 
-    python mutants/traffic.py WORKLOAD [--seed S] [--rounds N] [--build]
+    python mutants/traffic.py WORKLOAD [--seed S] [--rounds N] [--build] [--functions]
 
 Builds N rounds (default 10) of the workload's corpus from seed S
 (default 101) with perfbench/workloads.py, then runs every operation of
@@ -11,6 +11,13 @@ build is traced as well, and its counts are printed first, under their
 own heading.  A count is the number of times a line began to run, so a
 loop header counts once per pass and a call's def line counts none.
 
+With --functions it prints the counts summed per function instead,
+`module.qualname  count`, largest first.  A line belongs to the innermost
+def or class whose body holds it, named as Python's __qualname__ names
+it (a nested def is `outer.<locals>.inner`); a lambda or comprehension
+counts toward the def it is written in, and a def line toward the scope
+that runs it.  The per-function counts sum to the per-line ones.
+
 One process, the standard library only, and nothing is timed.
 perfbench/ is only read: no bytecode is written while it is imported.
 """
@@ -18,6 +25,7 @@ perfbench/ is only read: no bytecode is written while it is imported.
 from __future__ import annotations
 
 import argparse
+import ast
 import linecache
 import sys
 from collections import Counter
@@ -97,16 +105,61 @@ def report(counts: Counter) -> str:
     return "\n".join(lines)
 
 
+def _scopes(path: str) -> list:
+    """(first, last, qualname) of the body lines of every def and class in
+    the file at path, each after the scopes that hold it."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                out.append((child.body[0].lineno, child.end_lineno, name))
+                visit(child, name + ("." if isinstance(child, ast.ClassDef) else ".<locals>."))
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(Path(path).read_text()), "")
+    return out
+
+
+def function_counts(counts: Counter) -> Counter:
+    """Counter of `module.qualname` -> the line events of counts summed over
+    the lines of each function (see the module docstring); a line outside
+    every def and class counts toward `module.<module>`."""
+    out = Counter()
+    scopes = {}
+    for (path, lineno), n in counts.items():
+        if path not in scopes:
+            scopes[path] = _scopes(path)
+        # the last scope that holds the line is the innermost one
+        name = "<module>"
+        for first, last, qualname in scopes[path]:
+            if first <= lineno <= last:
+                name = qualname
+        out[f"{Path(path).stem}.{name}"] += n
+    return out
+
+
+def report_functions(counts: Counter) -> str:
+    """One line per function, `module.qualname  count`, largest count
+    first, ties by name."""
+    ranked = sorted(function_counts(counts).items(), key=lambda item: (-item[1], item[0]))
+    return "\n".join(f"{name}\t{n}" for name, n in ranked)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(_workloads().all_workloads(ROOT)))
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--build", action="store_true", help="trace the corpus build too")
+    parser.add_argument("--functions", action="store_true",
+                        help="sum the counts per function, largest first")
     args = parser.parse_args(argv)
     for part, counts in traffic(args.workload, args.seed, args.rounds, args.build).items():
         print(f"== {args.workload} {part}: seed {args.seed}, {args.rounds} rounds")
-        print(report(counts))
+        print(report_functions(counts) if args.functions else report(counts))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ one print cache per signature, and contexts compare and hash by identity.
 Every bounded cache here is one type, _Memo: key -> fn(key), emptied
 when a miss finds MAX_CACHE entries.  _WORDS holds odd words, _SWAP_PARITY
 Koszul sign masks, each Context's _texts its monomials' sort keys and
-texts, and each image map its images' powers, keyed (0, i, e) for
+texts and its _plans their substitution plans (_substitution_plan: the
+keys of a term's image powers, head, middle and last), and each image
+map its images' powers, keyed (0, i, e) for
 t_i^e and (1, j, 1) for theta_j: _substitute_each pulls a whole tuple of
 polynomials back through one such memo, so an image is looked up and its
 parity and context checked at its first read, once per image map, each
@@ -300,7 +302,7 @@ class Context:
     """
 
     __slots__ = ("even", "odd", "names", "_kinds", "_guard", "_shift", "_texts",
-                 "__weakref__")
+                 "_plans", "__weakref__")
 
     def __new__(cls, even: Iterable[str] = (), odd: Iterable[str] = ()):
         even, odd = tuple(even), tuple(odd)
@@ -328,6 +330,9 @@ class Context:
             # far; its function holds the names, not the context, so no
             # cycle keeps a dropped context in the registry
             self._texts = _Memo(partial(_monomial_text, even, odd, self._shift))
+            # code -> substitution plan of the monomials substituted so
+            # far, by the shift alone for the same reason
+            self._plans = _Memo(partial(_substitution_plan, self._shift))
             _CONTEXTS[even, odd] = self
         return self
 
@@ -379,6 +384,17 @@ def _monomial_text(even, odd, shift: int, code: int) -> tuple[tuple, str]:
     # minus every exponent, so sum(neg) is minus the degree
     neg = tuple(-e for e in exps)
     return (sum(neg), neg, word), "*".join(factors)
+
+
+def _substitution_plan(shift: int, code: int) -> tuple:
+    """(first, middle, last) image-power keys of a monomial code, its odd
+    mask from bit shift up, in _substitute_each's order: (0, i, e) for
+    each t_i^e by increasing i, then (1, j, 1) for each theta_j of the odd
+    word.  first is None for a monomial of fewer than two factors, last
+    None for the unit, and middle is the tuple of the keys between."""
+    keys = [(0, i, e) for i, e in _unpack(code & (1 << shift) - 1)]
+    keys += [(1, j, 1) for j in _odd_word(code >> shift)]
+    return keys[0] if len(keys) > 1 else None, tuple(keys[1:-1]), keys[-1] if keys else None
 
 
 def _unpack(packed: int) -> tuple[tuple[int, int], ...]:
@@ -720,8 +736,9 @@ class SuperPoly:
         polynomials over one context back through one memo of image powers.
 
         Each term multiplies the images of its generators in order, the
-        even powers by index and then the odd word, and reads no further
-        image once that partial product is zero: so
+        even powers by index and then the odd word, their keys read from
+        its context's plan of its code, and reads no further image once
+        that partial product is zero, also when the plan was cached: so
         (t*a*b).substitute(d, {t: s, a: 0}) is 0 with no image for b.
         Every image read must be given, else ValueError, be a polynomial
         of the generator's parity (EVEN for even generators, ODD for odd
@@ -959,7 +976,9 @@ def _substitute_each(polys: Sequence[SuperPoly], ctx_out: Context,
     context, as a tuple.  One _Memo of image powers serves the whole
     tuple, keyed (0, i, e) for t_i^e and (1, j, 1) for theta_j: an image
     is looked up and checked at its first read in any of polys, and each
-    power is built once for all of them.
+    power is built once for all of them.  Each term's keys come from its
+    context's _plans, which keeps the plan of a code across calls, so a
+    code is decoded once per context, not once per term per call.
     """
     checked = {}  # (tag, i) -> the image of that generator, checked
 
@@ -988,23 +1007,21 @@ def _substitute_each(polys: Sequence[SuperPoly], ctx_out: Context,
     one = SuperPoly._raw(ctx_out, {0: 1})
     out = []
     for poly in polys:
-        shift = poly.ctx._shift
-        low = (1 << shift) - 1
+        plans = poly.ctx._plans
         acc: dict[int, int] = {}
         den = 1  # the lcm of the terms' denominators so far
         for code, c in poly.nums.items():
-            keys = [(0, i, e) for i, e in _unpack(code & low)]
-            keys += [(1, j, 1) for j in _odd_word(code >> shift)]
+            first, middle, last = plans[code]
             # a term of two factors or more starts from its first image
             # power, and the head is tested before each further image is
             # read
-            head = powers[keys[0]] if len(keys) > 1 else one
-            for key in keys[1:-1]:
+            head = one if first is None else powers[first]
+            for key in middle:
                 if not head:
                     break
                 head = head * powers[key]
             if head:
-                last = powers[keys[-1]] if keys else one
+                last = one if last is None else powers[last]
                 d = head.den * last.den
                 if den % d:
                     # a new lcm: the numerators so far move up to it

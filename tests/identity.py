@@ -35,9 +35,12 @@ surface in CHANGES.md:
     PYTHONPATH=src python tests/identity.py
 
 With --check it recomputes every surface and compares it with the file,
-which it does not rewrite: it prints each key that differs and exits 1
-on any difference, else 0.  It needs only the standard library, so it
-runs under any interpreter the package supports, pytest or not:
+which it does not rewrite, and runs demos/golden_session.sg through
+run_script and compares the sha256 of its report, key "golden", with
+GOLDEN_SHA256, the digest tests/test_cli.py pins for the CLI's stdout:
+it prints each key that differs and exits 1 on any difference, else 0.
+It needs only the standard library, so it runs under any interpreter
+the package supports, pytest or not:
 
     PYTHONPATH=src python tests/identity.py --check
 """
@@ -59,6 +62,8 @@ from supergeom.script import run_script
 ROOT = Path(__file__).resolve().parent.parent
 JSON_PATH = Path(__file__).resolve().parent / "identity.json"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN_PATH = ROOT / "demos" / "golden_session.sg"
+GOLDEN_SHA256 = "7898d4bdd2031dd836fdea14b9c8bdeabecfe55c342d7293d9c34d5084cb39db"
 
 LIE_SCRIPT = "".join(f"lie {kind} {m}|{n}\n" for kind in ("GL", "SL", "OSp")
                      for m in range(4) for n in range(4))
@@ -130,6 +135,13 @@ def demo_digest(path):
     return sha256(out.getvalue())
 
 
+def golden_digest():
+    """The sha256 of the golden session's report, any errors appended, so
+    an error differs from GOLDEN_SHA256 too."""
+    result = run_script(GOLDEN_PATH.read_text())
+    return sha256(result.output + "\n".join(result.errors))
+
+
 def surfaces():
     digests = {"lie": lie_digest(), "corpus": corpus_digest(),
                "fields": fields_digest(), "distributions": distributions_digest(),
@@ -139,10 +151,11 @@ def surfaces():
 
 
 def check():
-    """1 when a recomputed surface differs from tests/identity.json, each
-    differing key printed with both digests, else 0."""
-    pinned = json.loads(JSON_PATH.read_text())
-    got = surfaces()
+    """1 when a recomputed surface differs from tests/identity.json, or
+    the golden session from GOLDEN_SHA256, each differing key printed with
+    both digests, else 0."""
+    pinned = dict(json.loads(JSON_PATH.read_text()), golden=GOLDEN_SHA256)
+    got = dict(surfaces(), golden=golden_digest())
     keys = sorted(pinned.keys() | got.keys())
     differ = [key for key in keys if pinned.get(key) != got.get(key)]
     for key in differ:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from identity import GOLDEN_SHA256
 from supergeom.script import run_script
 from supergeom.serialize import from_json
 from supergeom import Morphism, SuperMatrix, poly
@@ -591,7 +592,6 @@ def test_cli_deterministic_output(tmp_path):
 # among the other statements: a kernel change that keeps the values must
 # not move one byte of either
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN_SHA256 = "7898d4bdd2031dd836fdea14b9c8bdeabecfe55c342d7293d9c34d5084cb39db"
 README_SHA256 = "5fcdab416bcb82319247959a73f4e703c593bd9dc72bf9a134f898bb5560792b"
 
 
@@ -625,19 +625,21 @@ def test_cli_golden_session_bytes_under_two_hash_seeds():
 
 def test_golden_session_bytes_when_every_memo_holds_two_entries(monkeypatch):
     # a miss at two entries empties the memo, so the session evicts the
-    # odd words, the sign masks and every context's texts over and over;
-    # the memos start empty, since a context's texts are shared with
-    # every other test that printed in its signature
+    # odd words, the sign masks and every context's texts and substitution
+    # plans over and over, plans in the middle of a pullback, axioms or
+    # livf; the memos start empty, since a context's memos are shared with
+    # every other test in its signature
     monkeypatch.setattr(poly, "MAX_CACHE", 2)
     contexts = list(poly._CONTEXTS.values())
-    memos = [poly._WORDS, poly._SWAP_PARITY] + [ctx._texts for ctx in contexts]
+    memos = [poly._WORDS, poly._SWAP_PARITY]
+    memos += [memo for ctx in contexts for memo in (ctx._texts, ctx._plans)]
     for memo in memos:
         memo.clear()
     text = (ROOT / "demos" / "golden_session.sg").read_text()
     result = run_script(text)
     assert result.errors == ()
     assert sha256(result.output) == GOLDEN_SHA256
-    memos += [ctx._texts for ctx in poly._CONTEXTS.values()]
+    memos += [memo for ctx in poly._CONTEXTS.values() for memo in (ctx._texts, ctx._plans)]
     assert max(len(memo) for memo in memos) <= 2
 
 

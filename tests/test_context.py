@@ -6,7 +6,7 @@ from_json, product_context and liealg._extended) hands back the one live
 object of a signature, and contexts compare and hash by identity.  Copies
 and pickles come back as that object, a construction that fails registers
 nothing, dropped contexts leave the weak registry, even without the cycle
-collector once they have printed, and threads racing on a new signature
+collector once they have printed or substituted, and threads racing on a new signature
 still get one object.
 """
 
@@ -147,6 +147,23 @@ def test_a_dropped_context_that_printed_dies_without_the_collector():
     str(ctx.var("refcount_t") * ctx.var("refcount_a") + 1)
     assert len(ctx._texts) == 2
     ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_dropped_context_that_substituted_dies_without_the_collector():
+    # nor may its memo of substitution plans refer back to it
+    ctx = Context(["refcount_s"], ["refcount_b"])
+    s, b = ctx.var("refcount_s"), ctx.var("refcount_b")
+    images = {"refcount_s": s + 1, "refcount_b": 2 * b}
+    assert (s * b + s**2).substitute(ctx, images) == (s + 1) * 2 * b + (s + 1) ** 2
+    assert len(ctx._plans) == 2
+    ref = weakref.ref(ctx)
+    del s, b, images
     gc.disable()
     try:
         del ctx

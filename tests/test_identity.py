@@ -7,9 +7,9 @@ import pytest
 
 import identity
 from helpers import matrix_script
-from identity import (DEMOS, JSON_PATH, MATRICES_SEEDS, corpus_digest, demo_digest,
-                      distributions_digest, fields_digest, laws_digest, lie_digest,
-                      matrices_digest)
+from identity import (DEMOS, GOLDEN_SHA256, JSON_PATH, MATRICES_SEEDS, corpus_digest,
+                      demo_digest, distributions_digest, fields_digest, golden_digest,
+                      laws_digest, lie_digest, matrices_digest, sha256)
 from supergeom import matrix
 from supergeom.script import run_script
 
@@ -72,15 +72,28 @@ def test_demo_stdout_keeps_its_bytes(path):
 
 def test_check_prints_each_differing_key_and_leaves_the_file(tmp_path, monkeypatch, capsys):
     # identity.py --check: a changed, a missing and an extra key each
-    # differ, the pinned file is not rewritten, and equal surfaces pass
+    # differ, and so does a golden session report off GOLDEN_SHA256; the
+    # pinned file is not rewritten, and equal surfaces pass
     path = tmp_path / "identity.json"
     path.write_text(json.dumps({"a": "1", "b": "2", "gone": "3"}))
     monkeypatch.setattr(identity, "JSON_PATH", path)
     monkeypatch.setattr(identity, "surfaces", lambda: {"a": "1", "b": "9", "new": "4"})
+    monkeypatch.setattr(identity, "golden_digest", lambda: identity.GOLDEN_SHA256)
+
+    def differ():
+        return [line.split(":")[1].strip() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("differs:")]
+
     assert identity.check() == 1
-    differ = [line.split(":")[1].strip() for line in capsys.readouterr().out.splitlines()
-              if line.startswith("differs:")]
-    assert differ == ["b", "gone", "new"]
+    assert differ() == ["b", "gone", "new"]
     assert json.loads(path.read_text()) == {"a": "1", "b": "2", "gone": "3"}
     monkeypatch.setattr(identity, "surfaces", lambda: {"a": "1", "b": "2", "gone": "3"})
     assert identity.check() == 0
+    assert differ() == []
+    monkeypatch.setattr(identity, "golden_digest", lambda: sha256("another report\n"))
+    assert identity.check() == 1
+    assert differ() == ["golden"]
+
+
+def test_the_golden_session_keeps_its_bytes_in_process():
+    assert golden_digest() == GOLDEN_SHA256

@@ -10,6 +10,11 @@ MAX_EXPONENT, and sources with only even, only odd and both kinds of
 generators.  Values are compared, and so are the type and text of the
 error of an input with one fault: a missing image, an image of the wrong
 parity or an image over another context.
+
+Each context keeps the substitution plan of every code it substituted
+(poly._substitution_plan): one int code names different monomials in two
+contexts, a cached plan still stops at a vanished head, and cold and warm
+plans give the same pullbacks.
 """
 
 import random
@@ -167,3 +172,55 @@ def test_an_image_is_checked_when_first_read():
         (T.var("t") + T.var("a")).substitute(D, images)
     with pytest.raises(ValueError, match="no image for generator 'a'"):
         reference_substitute(T.var("t") + T.var("a"), D, images)
+
+
+# -- substitution plans, one memo per context ---------------------------------
+
+# code 1 is theta1 over LAMBDA, whose odd mask starts at bit 0, and t over
+# TAU, whose odd mask starts above t's field
+LAMBDA = Context(odd=["theta1", "theta2"])
+TAU = Context(even=["t"], odd=["theta1"])
+
+
+def test_one_code_is_planned_per_context():
+    assert LAMBDA.var("theta1").nums == TAU.var("t").nums == {1: 1}
+    rng = random.Random(5701)
+    # the contexts take turns, so each reads codes the other has planned
+    for _ in range(40):
+        for ctx in (LAMBDA, TAU):
+            f = random_rational_poly(rng, ctx, n_terms=rng.randint(1, 4), max_den=4)
+            f = f + rng.choice((1, -2, Fraction(1, 3))) * ctx.var(ctx.names[0])
+            images = {n: image(rng, Parity.ODD if n in ctx.odd else Parity.EVEN, False)
+                      for n in ctx.names}
+            assert f.substitute(OUT, images) == reference_substitute(f, OUT, images)
+    assert LAMBDA._plans[1] == (None, (), (1, 0, 1))
+    assert TAU._plans[1] == (None, (), (0, 0, 1))
+
+
+def test_a_cached_plan_still_stops_at_a_vanished_head():
+    # (t*a*b).substitute(D, {t: s, a: 0}) is 0 with no image for b, also
+    # once the plan of t*a*b is cached
+    f = T.var("t") * T.var("a") * T.var("b")
+    assert f.substitute(D, GOOD) == reference_substitute(f, D, GOOD)
+    (code,) = f.nums
+    assert T._plans[code] == ((0, 0, 1), ((1, 0, 1),), (1, 1, 1))
+    s = D.var("s")
+    assert f.substitute(D, {"t": s, "a": D.zero()}) == D.zero()
+    # b's image is not read: one over another context does not raise
+    assert f.substitute(D, {"t": s, "a": D.zero(), "b": E.var("d")}) == D.zero()
+
+
+@pytest.mark.parametrize("ctx", SOURCES, ids=lambda c: "{}|{}".format(*c.dims))
+def test_cold_and_warm_plans_give_the_same_pullbacks(ctx):
+    rng = random.Random(5801 + 7 * len(ctx.even) + len(ctx.odd))
+    cases = []
+    for _ in range(60):
+        images = {n: image(rng, Parity.ODD if n in ctx.odd else Parity.EVEN, False)
+                  for n in ctx.names}
+        cases.append((source(rng, ctx, False), images))
+    cold = []
+    for f, images in cases:
+        ctx._plans.clear()
+        cold.append(f.substitute(OUT, images))
+    warm = [f.substitute(OUT, images) for f, images in cases]
+    assert cold == warm == [reference_substitute(f, OUT, images) for f, images in cases]
