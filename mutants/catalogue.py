@@ -37,6 +37,10 @@ LINALG = "src/supergeom/linalg.py"
 SUBSTITUTE_TESTS = "tests/test_substitute_reference.py"
 # the sign (-1)^(i+j) of a cofactor of a body that is not constant
 COFACTOR_SIGN = ("    signed = (d, -d)\n", "    signed = (d, d)\n")
+ONE_SUM_BRACKET_TEST = "tests/test_one_sum.py::test_the_superbracket_is_one_grid_product"
+ONE_SUM_LAPLACE_TEST = "tests/test_one_sum.py::test_each_laplace_column_sum_is_one_packed_sum"
+# superbracket's block row [a | -+b], +b when both are odd
+SUPERBRACKET_ROW = "    left = _gblocks(a.rows, b.rows if odd else _gneg(b.rows), (), ())\n"
 SCHUR_TESTS = (
     "tests/test_schur.py::test_complements_match_the_plain_difference",
     "tests/test_schur.py::test_the_complement_is_summed_without_adding_polynomials",
@@ -195,11 +199,11 @@ CATALOGUE = (
     Mutant(
         "_laplace advancing the sign only past nonzero entries",
         MATRIX,
-        (("                acc = acc + (-e if neg else e) * minors[mask ^ low]\n"
+        (("                pairs.append((-e if neg else e, minors[mask ^ low]))\n"
           "            neg = not neg\n",
-          "                acc = acc + (-e if neg else e) * minors[mask ^ low]\n"
+          "                pairs.append((-e if neg else e, minors[mask ^ low]))\n"
           "                neg = not neg\n"),),
-        (LAPLACE_TEST,),
+        (LAPLACE_TEST, ONE_SUM_LAPLACE_TEST),
     ),
     Mutant(
         "_body_inverse's cofactor without its sign (-1)^(i+j)",
@@ -455,8 +459,31 @@ CATALOGUE = (
     Mutant(
         "superbracket without its odd-odd sign",
         MATRIX,
-        (("    if a.parity is Parity.ODD and b.parity is Parity.ODD:\n        return ab + ba\n", ""),),
+        ((SUPERBRACKET_ROW, "    left = _gblocks(a.rows, _gneg(b.rows), (), ())\n"),),
         ("tests/test_elementary.py::test_every_pair_of_basis_matrices_multiplies_and_brackets_by_the_model",),
+    ),
+    # -- sums of two products as one grid product ----------------------------
+    Mutant(
+        "superbracket with the odd-odd sign flipped",
+        MATRIX,
+        ((SUPERBRACKET_ROW,
+          "    left = _gblocks(a.rows, _gneg(b.rows) if odd else b.rows, (), ())\n"),),
+        (ONE_SUM_BRACKET_TEST, "tests/test_matrix.py::TestSuperbracket::test_even_even_is_commutator"),
+    ),
+    Mutant(
+        "superbracket's block column in the wrong order, [a; b]",
+        MATRIX,
+        (("    rows = _gmul(a.ctx, left, b.rows + a.rows)\n",
+          "    rows = _gmul(a.ctx, left, a.rows + b.rows)\n"),),
+        (ONE_SUM_BRACKET_TEST,
+         "tests/test_elementary.py::test_every_pair_of_basis_matrices_multiplies_and_brackets_by_the_model"),
+    ),
+    Mutant(
+        "OSp's block row built from X in place of X^st",
+        "src/supergeom/liealg.py",
+        (("_gblocks(x.supertranspose().rows, phi, (), ())", "_gblocks(x.rows, phi, (), ())"),),
+        ("tests/test_one_sum.py::test_osp_constraints_are_one_grid_product",
+         "tests/test_liealg.py::test_osp_agrees_with_direct_expansion"),
     ),
     Mutant(
         "supertrace of an odd matrix as top - bot",

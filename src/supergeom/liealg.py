@@ -9,8 +9,9 @@ with eps = epsilon1*epsilon2 even and eps^2 = 0.  There
 
 so OSp's constraints are the entries of X^st Phi + Phi X, SL's is str X,
 and GL has none; lie_algebra forms those directly, without the group
-element.  Its context puts the reserved pair first and its result carries
-eps, the parameter of I + eps*X.
+element, OSp's as one grid product of the block row [X^st | Phi] by the
+block column [Phi; X].  Its context puts the reserved pair first and its
+result carries eps, the parameter of I + eps*X.
 
 The brackets use dual numbers.  Four odd generator names are
 reserved for the parameters: epsilon1..epsilon4.  The brackets append
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import ContextMismatch, ReservedGeneratorCollision
-from .matrix import SuperDim, SuperMatrix
+from .matrix import SuperDim, SuperMatrix, _gblocks, _gmul
 from .poly import Context, Parity, SuperPoly, _exact, _linear_rows, _pivot_row
 
 RESERVED = ("epsilon1", "epsilon2", "epsilon3", "epsilon4")
@@ -271,7 +272,8 @@ def lie_algebra(spec: MatrixGroupSpec) -> LieAlgebraResult:
     = 1, so str X = 0.  OSp imposes (I + epsilon*X)^st Phi (I + epsilon*X)
     = Phi, whose first-order part is X^st Phi + Phi X = 0 entrywise, with
     the supertranspose sign convention that makes (AB)^st = B^st A^st for
-    even matrices.
+    even matrices.  That sum of two products is one grid product,
+    [X^st | Phi] [Phi; X], each entry one packed sum.
     """
     dims = spec.dims
     names = _symbol_names(dims)
@@ -287,9 +289,9 @@ def lie_algebra(spec: MatrixGroupSpec) -> LieAlgebraResult:
     elif spec.kind == "SL":
         raw = [x.supertrace()]
     else:
-        phi = SuperMatrix._wrap(ctx, dims, dims, tuple(
-            tuple(map(ctx.scalar, row)) for row in spec.form), Parity.EVEN)
-        raw = [e for row in (x.supertranspose() @ phi + phi @ x).rows for e in row]
+        phi = tuple(tuple(map(ctx.scalar, row)) for row in spec.form)
+        block_row = _gblocks(x.supertranspose().rows, phi, (), ())
+        raw = [e for row in _gmul(ctx, block_row, phi + x.rows) for e in row]
 
     eps = ctx.var(RESERVED[0]) * ctx.var(RESERVED[1])
     return LieAlgebraResult(

@@ -29,8 +29,8 @@ from .errors import (
     NotInvertible,
     ParityError,
 )
-from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _kronecker_image, _pack,
-                   _packed_dot, _split)
+from .poly import (_PARITIES, Context, Parity, Scalar, SuperPoly, _dot, _kronecker_image,
+                   _pack, _packed_dot, _split)
 
 # Largest n for which _laplace and _image_det expand an n x n grid.  Each
 # holds one minor per row set, 2^n of them: on grids of dense linear
@@ -167,9 +167,12 @@ def _laplace(ctx, grid):
     a mask of k >= 2 rows is the sum of +-entry * (the minor without that
     row) down the k-th column from the right, the sign advancing past
     every row of the mask, zero entries included.  The entry is negated,
-    a few terms, not the much larger minor.  A sub mask is below its
-    mask, so one pass in increasing order meets every minor it reads
-    already filled.  It runs for _det over a grid that
+    a few terms, not the much larger minor.  The signed (entry, minor)
+    pairs of a mask are summed by one poly._dot, one numerator map over
+    the running lcm of their denominators, reduced once, so a column sum
+    builds no partial sum and no product of its own.  A sub mask is
+    below its mask, so one pass in increasing order meets every minor it
+    reads already filled.  It runs for _det over a grid that
     poly._kronecker_image refuses and for the cofactors of a body that is
     not constant.  Exact over any commutative coefficient ring,
     nilpotents included, which rules out fraction-free elimination here:
@@ -178,14 +181,13 @@ def _laplace(ctx, grid):
     _body_inverse inverts it by linalg's elimination instead."""
     n = _det_size(grid)
     cols = list(zip(*grid))
-    zero = SuperPoly.zero(ctx)
     minors = [SuperPoly.scalar(ctx, 1)] * (1 << n)
     for mask in _masks(n, cols):
         column = cols[-mask.bit_count()]
         if not mask & mask - 1:
             minors[mask] = column[mask.bit_length() - 1]
             continue
-        acc = zero
+        pairs = []
         neg = False
         rows = mask
         while rows:
@@ -193,9 +195,9 @@ def _laplace(ctx, grid):
             rows ^= low
             e = column[low.bit_length() - 1]
             if e:
-                acc = acc + (-e if neg else e) * minors[mask ^ low]
+                pairs.append((-e if neg else e, minors[mask ^ low]))
             neg = not neg
-        minors[mask] = acc
+        minors[mask] = _dot(ctx, pairs)
     return minors
 
 
@@ -238,9 +240,9 @@ def _det(ctx, grid) -> SuperPoly:
     one point whose int determinant holds every coefficient of theirs as
     a base-2^b digit, by _image_det, and read back from that one int.
     Any other grid, odd parts included, is expanded over its polynomials
-    by _laplace.  Both paths take the same MAX_DET_SIZE cap, and the rule
-    keeps the image to grids on which the polynomial expansion would
-    meet no other cap."""
+    by _laplace, each column sum one packed sum.  Both paths take the
+    same MAX_DET_SIZE cap, and the rule keeps the image to grids on which
+    the polynomial expansion would meet no other cap."""
     image = _kronecker_image(ctx, grid)
     if image is None:
         return _laplace(ctx, grid)[-1]
@@ -508,15 +510,18 @@ class SuperMatrix:
             self.ctx, self.source, self.target, _gneg(self.rows), self.parity
         )
 
-    def __matmul__(self, other):
-        other = self._compatible(other)
-        if other is None:
-            return NotImplemented
+    def _composable(self, other):
         if self.source != other.target:
             raise ValueError(
                 f"cannot compose {self.target}<-{self.source} with "
                 f"{other.target}<-{other.source}"
             )
+
+    def __matmul__(self, other):
+        other = self._compatible(other)
+        if other is None:
+            return NotImplemented
+        self._composable(other)
         if other.rows:
             rows = _gmul(self.ctx, self.rows, other.rows)
         else:
@@ -739,9 +744,19 @@ class SuperMatrix:
 
 
 def superbracket(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
-    """Matrix superbracket [a, b] = ab - (-1)^{|a||b|} ba."""
-    ab = a @ b
-    ba = b @ a
-    if a.parity is Parity.ODD and b.parity is Parity.ODD:
-        return ab + ba
-    return ab - ba
+    """Matrix superbracket [a, b] = ab - (-1)^{|a||b|} ba, one grid
+    product of the block row [a | -b] by the block column [b; a], with
+    +b when both are odd.  a and b must compose both ways, as ab and ba,
+    and be square, so every block is n x n."""
+    if not (isinstance(a, SuperMatrix) and isinstance(b, SuperMatrix)):
+        raise TypeError(f"unsupported operand type(s) for @: "
+                        f"'{type(a).__name__}' and '{type(b).__name__}'")
+    a._compatible(b)
+    a._composable(b)
+    b._composable(a)
+    if not a.is_square():
+        raise ValueError("matrix shapes differ")
+    odd = a.parity is Parity.ODD and b.parity is Parity.ODD
+    left = _gblocks(a.rows, b.rows if odd else _gneg(b.rows), (), ())
+    rows = _gmul(a.ctx, left, b.rows + a.rows)
+    return SuperMatrix._wrap(a.ctx, a.source, a.target, rows, a.parity + b.parity)

@@ -105,8 +105,11 @@ part Y_d of an inverse as packed rows, the right factor of
 both its products, on the parts that SuperPoly.odd_degree_parts splits
 off, and splits the rows of all the Y_d, which share no monomial, once
 at the end.
-A Schur complement (matrix._schur) is one matrix._gmul of
-[1 | b d^-1] by [a; -c].  The residual of a bracket in
+Every sum of two matrix products is one matrix._gmul of a block row by
+a block column: a Schur complement (matrix._schur) of [1 | b d^-1] by
+[a; -c], the superbracket (matrix.superbracket) of [a | -+b] by [b; a],
+and OSp's constraints X^st Phi + Phi X (liealg.lie_algebra) of
+[X^st | Phi] by [Phi; X].  The residual of a bracket in
 distribution.involutive is a one-row matrix._gmul, with the subtracted
 terms weighted by negated factors.  A derivation applied to one
 polynomial or to all the images of a map (apply, livf,
@@ -119,10 +122,11 @@ partials that are not zero in one _packed_dot and one _split, the
 bracket's subtracted side weighted by negated coefficients.
 SuperPoly.partial is _packed_partial at w = 0, so the package has one
 partial loop and builds no grid of partials.  The Laplace expansions
-of matrix._det and matrix._body_inverse sum outside _packed_dot: one
-bottom-up pass over row masks, matrix._laplace, runs over these
-polynomials, for matrix._det and a body that is not constant; each
-term of a column sum is one * and one +.  A constant body, which
+of matrix._det and matrix._body_inverse are one bottom-up pass over
+row masks, matrix._laplace, over these polynomials, for matrix._det
+and a body that is not constant; each column sum of its signed
+(entry, minor) pairs is one _dot, a _packed_dot of width 1 reduced
+once.  A constant body, which
 SuperPoly._body_value reads in one pass with no polynomial built, is
 inverted by linalg's elimination instead.  matrix._image_det runs the
 same pass over the ints of the Kronecker image (Kronecker 1882; Harvey,
@@ -1079,6 +1083,18 @@ def _packed_dot(ctx: Context, pairs, width: int):
                 den, acc = den * up, {m: v * up for m, v in acc.items()}
             _mac(ctx, a.nums, acc, den // d, right.items(), w)
     return (acc, den) if acc else None
+
+
+def _dot(ctx: Context, pairs) -> SuperPoly:
+    """The sum of the products a * b over a list of (a, b) pairs of
+    polynomials over ctx: one _packed_dot of width 1, each nonzero b its
+    own packed row, reduced once.  ContextMismatch for a factor over
+    another context, before any product."""
+    for _, b in pairs:
+        if b.ctx is not ctx:
+            raise ContextMismatch("operands live in different contexts")
+    total = _packed_dot(ctx, [(a, (b.nums, b.den) if b.nums else None) for a, b in pairs], 1)
+    return SuperPoly._reduced(ctx, *total) if total else SuperPoly.zero(ctx)
 
 
 def _split(ctx: Context, rows, width: int) -> tuple[SuperPoly, ...]:

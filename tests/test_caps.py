@@ -125,6 +125,22 @@ def test_bracket_sums_both_sides_under_one_cap():
         bracket(d1, d2)
 
 
+def test_a_laplace_column_sums_under_one_cap():
+    # det [[a, b], [c, d]] = a d - c b, each product 6,000 terms, below the
+    # cap, and no monomial shared: the column sum is one accumulator, so
+    # the 2 x 2 determinant, which the polynomial expansion takes, raises
+    # where two capped products and an uncapped - gave 12,000 terms
+    ctx = Context(even=["x", "y", "w", "u"])
+    x, y, w, u = (ctx.var(n) for n in ctx.even)
+    a, b, c, d = (sum((v**i for i in range(k)), ctx.zero())
+                  for v, k in ((x, 60), (w, 60), (y, 100), (u, 100)))
+    b = w * b  # no unit term, which a d holds
+    assert len((a * d).nums) == len((c * b).nums) == 6000
+    assert len((a * d - c * b).nums) == 12000
+    with pytest.raises(LimitExceeded, match=f"more than {MAX_TERMS} terms"):
+        _det(ctx, [[a, b], [c, d]])
+
+
 def test_a_rename_past_the_term_cap_is_refused_only_where_it_substitutes():
     # x^i y^j for i, j < 100 and x^100: a map that keeps the order of the
     # names moves the codes, uncapped; a swap is a substitution, whose

@@ -1,6 +1,6 @@
-"""The multiply-accumulate kernel (products and matrix._gmul, the one
-grid product, all through the one term-pair loop poly._mac) against an
-independent model.
+"""The multiply-accumulate kernel (products, matrix._gmul, the one grid
+product, and poly._dot, the one-column sum, all through the one
+term-pair loop poly._mac) against an independent model.
 
 Oracle: the left regular representation of the exterior algebra
 Lambda(theta1..thetaq), tests/model.py's poly_matrix.  The basis is the
@@ -81,6 +81,7 @@ def test_dot_matches_sum_of_matrix_products(q):
             expect = mat_add(expect, mat_mul(poly_matrix(q, a), poly_matrix(q, b)))
         got = one_column(ctx, pairs)
         assert [poly_matrix(q, p) for p in got] == ([expect] if pairs else [])
+        assert poly_matrix(q, poly._dot(ctx, pairs)) == expect
 
 
 def gmul_grid(rng, ctx, rows, cols):
@@ -127,23 +128,42 @@ def test_gmul_entries_match_matrix_model_over_six_generators():
 
 
 class TestDotEdges:
+    """The sum of a * b over (a, b) pairs by its two packed routes: a
+    one-row grid product (helpers.one_column) and poly._dot, the column
+    sum of matrix._laplace, which also gives the zero for no pairs."""
+
     CTX = Context(even=["x"], odd=["theta1", "theta2"])
 
     def test_empty_pair_list_is_zero_of_the_context(self):
         # no pairs give no column; a column of zero factors gives the zero
         assert one_column(self.CTX, []) == ()
         (z,) = one_column(self.CTX, [(self.CTX.zero(), self.CTX.one())])
-        assert z.ctx == self.CTX
-        assert z.terms == {}
-        assert z == SuperPoly.zero(self.CTX)
+        for z in (z, poly._dot(self.CTX, []),
+                  poly._dot(self.CTX, [(self.CTX.one(), self.CTX.zero())])):
+            assert z.ctx == self.CTX
+            assert z.terms == {}
+            assert z == SuperPoly.zero(self.CTX)
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_factor_over_another_context_rejected(self, side):
         other = Context(even=["x"], odd=["theta1"])
         pair = [self.CTX.var("x"), self.CTX.var("theta1")]
         pair[side] = other.var("theta1")
+        for dot in (one_column, poly._dot):
+            with pytest.raises(ContextMismatch):
+                dot(self.CTX, [(self.CTX.one(), self.CTX.one()), tuple(pair)])
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_dot_checks_both_contexts_before_any_product(self, side):
+        # the first pair alone raises LimitExceeded once multiplied
+        x = self.CTX.var("x")
+        full = from_terms(self.CTX, {Monomial(((0, MAX_FIELD_EXPONENT),), 0): 1})
+        pair = [x, x]
+        pair[side] = Context(even=["x"], odd=["theta1"]).var("x")
         with pytest.raises(ContextMismatch):
-            one_column(self.CTX, [(self.CTX.one(), self.CTX.one()), tuple(pair)])
+            poly._dot(self.CTX, [(full, x), tuple(pair)])
+        with pytest.raises(LimitExceeded, match="exponent of x is above"):
+            poly._dot(self.CTX, [(full, x), (x, x)])
 
     def test_cancellation_across_pairs_leaves_no_zero(self):
         x, t1, t2 = (self.CTX.var(n) for n in ("x", "theta1", "theta2"))
@@ -156,6 +176,9 @@ class TestDotEdges:
         assert all(c for c in p.terms.values())
         (q,) = one_column(self.CTX, [(t1, t2), (t2, t1)])
         assert q.terms == {}
+        assert poly._dot(self.CTX, [(x * t1, t2), (x * t2, t1), (x, x),
+                                    (t1, 1 + t1), (-x, x)]).terms == t1.terms
+        assert poly._dot(self.CTX, [(t1, t2), (t2, t1)]).terms == {}
 
     def test_product_is_the_kernel_on_one_pair(self):
         rng = random.Random(740)
@@ -163,6 +186,7 @@ class TestDotEdges:
             a = random_poly(rng, self.CTX)
             b = random_poly(rng, self.CTX)
             assert (a * b,) == one_column(self.CTX, [(a, b)])
+            assert a * b == poly._dot(self.CTX, [(a, b)])
 
 
 class TestDotRowEdges:
@@ -283,6 +307,7 @@ def test_rational_dot_matches_at_points(q):
             expect = mat_add(expect, mat_mul(poly_matrix(q, a, at), poly_matrix(q, b, at)))
         got = one_column(ctx, pairs)
         assert [poly_matrix(q, p, at) for p in got] == ([expect] if pairs else [])
+        assert poly_matrix(q, poly._dot(ctx, pairs), at) == expect
 
 
 def test_rational_gmul_entries_match_at_points():
@@ -445,6 +470,7 @@ def test_dot_over_split_operands_matches_the_model(q):
             expect = mat_add(expect, mat_mul(poly_matrix(q, a), poly_matrix(q, b)))
         (got,) = one_column(ctx, pairs)
         assert all(got.nums.values())
+        assert poly._dot(ctx, pairs) == got
         assert poly_matrix(q, got) == expect
 
 
@@ -460,6 +486,7 @@ def test_dot_over_split_operands_matches_at_points(q):
             expect = mat_add(expect, mat_mul(poly_matrix(q, a, at), poly_matrix(q, b, at)))
         (got,) = one_column(ctx, pairs)
         assert all(got.nums.values())
+        assert poly._dot(ctx, pairs) == got
         assert poly_matrix(q, got, at) == expect
 
 

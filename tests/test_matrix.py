@@ -505,6 +505,40 @@ class TestSuperbracket:
                 else:
                     assert superbracket(a, b) == -back
 
+    @pytest.mark.parametrize("a, b, error, message", [
+        (SuperMatrix.zeros(CTX, (1, 1), (1, 1)), SuperMatrix.zeros(GRASS, (1, 1), (1, 1)),
+         ContextMismatch, "matrices live in different contexts"),
+        # a context mismatch is reported before shapes that compose neither way
+        (SuperMatrix.zeros(CTX, (2, 1), (2, 1)), SuperMatrix.zeros(GRASS, (1, 2), (1, 1)),
+         ContextMismatch, "matrices live in different contexts"),
+        # a.source != b.target, as a @ b reports it
+        (SuperMatrix.zeros(CTX, (2, 1), (2, 1)), SuperMatrix.zeros(CTX, (2, 1), (1, 1)),
+         ValueError, "cannot compose 2|1<-2|1 with 1|1<-2|1"),
+        # ... also when b.source != a.target
+        (SuperMatrix.zeros(CTX, (2, 1), (2, 1)), SuperMatrix.zeros(CTX, (1, 2), (1, 1)),
+         ValueError, "cannot compose 2|1<-2|1 with 1|1<-1|2"),
+        # b.source != a.target, as b @ a reports it
+        (SuperMatrix.zeros(CTX, (1, 1), (2, 1)), SuperMatrix.zeros(CTX, (1, 2), (1, 1)),
+         ValueError, "cannot compose 1|1<-1|2 with 2|1<-1|1"),
+        # p|q -> r|s and r|s -> p|q compose both ways, to different shapes
+        (SuperMatrix.zeros(CTX, (2, 1), (1, 1)), SuperMatrix.zeros(CTX, (1, 1), (2, 1)),
+         ValueError, "matrix shapes differ"),
+        (SuperMatrix.zeros(CTX, (0, 2), (1, 0), Parity.ODD),
+         SuperMatrix.zeros(CTX, (1, 0), (0, 2), Parity.ODD),
+         ValueError, "matrix shapes differ"),
+        (SuperMatrix.identity(CTX, (1, 1)), 3,
+         TypeError, "unsupported operand type(s) for @: 'SuperMatrix' and 'int'"),
+        (Fraction(1, 2), SuperMatrix.identity(CTX, (1, 1)),
+         TypeError, "unsupported operand type(s) for @: 'Fraction' and 'SuperMatrix'"),
+        (SuperMatrix.identity(CTX, (1, 1)).rows, SuperMatrix.identity(CTX, (1, 1)),
+         TypeError, "unsupported operand type(s) for @: 'tuple' and 'SuperMatrix'"),
+    ])
+    def test_refusals_keep_their_types_messages_and_order(self, a, b, error, message):
+        with pytest.raises(error) as raised:
+            superbracket(a, b)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
 
 class TestAddSub:
     def test_parity_mismatch(self):
