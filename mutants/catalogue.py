@@ -41,6 +41,10 @@ ONE_SUM_BRACKET_TEST = "tests/test_one_sum.py::test_the_superbracket_is_one_grid
 ONE_SUM_LAPLACE_TEST = "tests/test_one_sum.py::test_each_laplace_column_sum_is_one_packed_sum"
 # superbracket's block row [a | -+b], +b when both are odd
 SUPERBRACKET_ROW = "    left = _gblocks(a.rows, b.rows if odd else _gneg(b.rows), (), ())\n"
+PRINT = "tests/test_print_and_rename.py"
+PRINTER_TEST = f"{PRINT}::test_str_matches_the_reference_printer"
+# the odd word's rank in the low bits of a print key (poly._monomial_text)
+WORD_RANK = "        rank = len(word) + 2 * top - (top >> word[-1])\n"
 SCHUR_TESTS = (
     "tests/test_schur.py::test_complements_match_the_plain_difference",
     "tests/test_schur.py::test_the_complement_is_summed_without_adding_polynomials",
@@ -490,6 +494,36 @@ CATALOGUE = (
         MATRIX,
         (("return top + bot if self.parity is Parity.ODD else top - bot", "return top - bot"),),
         ("tests/test_elementary.py::test_every_basis_matrix_transposes_and_traces_by_the_model",),
+    ),
+    # -- the print key: one int per monomial (poly._monomial_text) -----------
+    Mutant(
+        "the print key with the even exponents in reversed significance",
+        POLY,
+        (("        key = key << _FIELD_BITS | _FIELD_MASK - e\n",
+          "        key |= _FIELD_MASK - e << _FIELD_BITS * even.index(name)\n"),),
+        (f"{PRINT}::test_keys_order_odd_words_crossed_with_even_parts", PRINTER_TEST),
+    ),
+    Mutant(
+        "the print key without minus the degree",
+        POLY,
+        (("    key = (key - (degree << shift)) << q\n", "    key <<= q\n"),),
+        (f"{PRINT}::test_keys_order_odd_words_crossed_with_even_parts", PRINTER_TEST,
+         f"{PRINT}::test_order_is_by_degree_before_exponents"),
+    ),
+    Mutant(
+        "the odd word's rank taken from its first index, not its last",
+        POLY,
+        ((WORD_RANK, WORD_RANK.replace("word[-1]", "word[0]")),),
+        (f"{PRINT}::test_keys_order_every_odd_word", PRINTER_TEST),
+    ),
+    Mutant(
+        "the odd word's rank without its length term",
+        POLY,
+        ((WORD_RANK, WORD_RANK.replace("len(word) + ", "")),),
+        # a word and its extension by the next index tie, and a sort by
+        # (key, text) breaks the tie as the rank would, so only the
+        # distinct-keys check sees it
+        (f"{PRINT}::test_keys_order_every_odd_word",),
     ),
     # -- the term view and serialize's way back to codes -------------------
     Mutant(

@@ -8,8 +8,9 @@ with all the numerators; the ring operations add and multiply plain ints
 and reduce once per result, so every operation in this module is exact.
 Fraction appears only where a coefficient is read: constant_term, at
 and the term view terms (hence serialize).  str prints from the
-numerators and den, one gcd per term, with each monomial's sort key and
-text cached per Context.
+numerators and den, one gcd per term when den is not 1, with each
+monomial's sort key and text cached per Context: it sorts the codes by
+their keys and writes each term as it reads it.
 
 Context(even, odd) returns the one live object of its signature, the
 ordered generator names that fix the ring, so every producer of contexts
@@ -18,15 +19,16 @@ one print cache per signature, and contexts compare and hash by identity.
 
 Every bounded cache here is one type, _Memo: key -> fn(key), emptied
 when a miss finds MAX_CACHE entries.  _WORDS holds odd words, _SWAP_PARITY
-Koszul sign masks, each Context's _texts its monomials' sort keys and
-texts and its _plans their substitution plans (_substitution_plan: the
-keys of a term's image powers, head, middle and last), and each image
-map its images' powers, keyed (0, i, e) for
-t_i^e and (1, j, 1) for theta_j: _substitute_each pulls a whole tuple of
-polynomials back through one such memo, so an image is looked up and its
-parity and context checked at its first read, once per image map, each
-of its powers, the first included, is built by _power, and each
-polynomial's terms are summed into one numerator map.
+Koszul sign masks, each Context's _texts its monomials' texts and sort
+keys, one int per monomial (_monomial_text), and its _plans their
+substitution plans (_substitution_plan: the keys of a term's image
+powers, head, middle and last), and each image map its images' powers,
+keyed (0, i, e) for t_i^e and (1, j, 1) for theta_j: _substitute_each
+pulls a whole tuple of polynomials back through one such memo, so an
+image is looked up and its parity and context checked at its first
+read, once per image map, each of its powers, the first included, is
+built by _power, and each polynomial's terms are summed into one
+numerator map.
 SuperPoly.substitute is its one-polynomial case; compose, the group
 axioms and the left-invariant fields pull all their polynomials of one
 map through one call.  One constructor,
@@ -376,18 +378,37 @@ class Context:
         return f"Context(even={list(self.even)}, odd={list(self.odd)})"
 
 
-def _monomial_text(even, odd, shift: int, code: int) -> tuple[tuple, str]:
+def _monomial_text(even, odd, shift: int, code: int) -> tuple[int, str]:
     """(sort key, factor text) of a monomial code over the generator
-    names even and odd, its odd mask from bit shift up.  The key sorts
-    graded-lex descending on the even part, then lexicographically on the
-    odd word; the text is the factors joined by '*', empty for the unit."""
-    exps = [code >> i & _FIELD_MASK for i in range(0, shift, _FIELD_BITS)]
-    word = _odd_word(code >> shift)
-    factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(even, exps) if e]
-    factors += [odd[j] for j in word]
-    # minus every exponent, so sum(neg) is minus the degree
-    neg = tuple(-e for e in exps)
-    return (sum(neg), neg, word), "*".join(factors)
+    names even and odd, its odd mask from bit shift up.  The key is one
+    int that sorts graded-lex descending on the even part, then
+    lexicographically on the odd word.  From the top it holds minus the
+    degree, then _FIELD_MASK - e_i in a field of _FIELD_BITS bits for each
+    exponent from t_1 down, then in q = len(odd) bits the word's rank among
+    the increasing index tuples over q generators in lexicographic order:
+    k + 2^q - rev - 2^(q-1-a_k) for a word a_1 < .. < a_k, where
+    rev = sum(2^(q-1-a_i)), and 0 for the empty word.  The text is the
+    factors joined by '*', empty for the unit."""
+    key = degree = 0
+    factors = []
+    for name in even:
+        e = code & _FIELD_MASK
+        code >>= _FIELD_BITS
+        key = key << _FIELD_BITS | _FIELD_MASK - e
+        if e:
+            degree += e
+            factors.append(name if e == 1 else f"{name}^{e}")
+    q = len(odd)
+    key = (key - (degree << shift)) << q
+    if code:
+        word = _odd_word(code)
+        top = 1 << q - 1
+        rank = len(word) + 2 * top - (top >> word[-1])
+        for j in word:
+            factors.append(odd[j])
+            rank -= top >> j
+        key |= rank
+    return key, "*".join(factors)
 
 
 def _substitution_plan(shift: int, code: int) -> tuple:
@@ -507,7 +528,7 @@ class SuperPoly:
         shift = ctx._shift
         low = (1 << shift) - 1
         out = {}
-        for _, code in sorted((ctx._texts[code][0], code) for code in self.nums):
+        for code in sorted(self.nums, key=ctx._texts.__getitem__):
             c = Fraction(self.nums[code], self.den)
             if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
                 raise LimitExceeded(f"coefficient has more than {MAX_DIGITS} digits, the cap")
@@ -852,29 +873,32 @@ class SuperPoly:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
+        nums, den = self.nums, self.den
+        if not nums:
+            return "0"
         texts = self.ctx._texts
-        rows = []
-        for code, n in self.nums.items():
-            key, text = texts[code]
-            rows.append((key, n, text))
-        # the keys of distinct codes differ, so only they are compared
-        rows.sort()
-        den = self.den
-        pieces = []
-        for _, n, text in rows:
-            g = gcd(n, den)
-            num, d = abs(n) // g, den // g
+        out = []
+        for code in sorted(nums, key=texts.__getitem__) if len(nums) > 1 else nums:
+            n = nums[code]
+            num, d = abs(n), den
+            if d != 1:
+                g = gcd(num, d)
+                num, d = num // g, d // g
             if num >= _DIGITS_BOUND or d >= _DIGITS_BOUND:
                 raise LimitExceeded(
                     f"coefficient has more than {MAX_DIGITS} digits, the cap"
                 )
-            if num == 1 == d and text:
-                piece = text
-            else:
-                mag = str(num) if d == 1 else f"{num}/{d}"
-                piece = f"{mag}*{text}" if text else mag
-            pieces.append((n < 0, piece))
-        return _signed_sum(pieces)
+            text = texts[code][1]
+            if out:
+                out.append(" - " if n < 0 else " + ")
+            elif n < 0:
+                out.append("-")
+            if num != 1 or d != 1 or not text:
+                out.append(str(num) if d == 1 else f"{num}/{d}")
+                if text:
+                    out.append("*")
+            out.append(text)
+        return "".join(out)
 
     def __repr__(self):
         return f"SuperPoly({self})"

@@ -62,25 +62,21 @@ def _logical_lines(text: str):
     """Yield (line_number, statement) with comments stripped and
     bracket-continued lines joined."""
     buf = []
-    start = None
     depth = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip() and depth == 0:
+        line = raw.split("#", 1)[0].strip()
+        if not line and depth == 0:
             continue
-        if start is None:
+        if not buf:
             start = lineno
         buf.append(line)
-        depth += sum(line.count(c) for c in "([") - sum(
-            line.count(c) for c in ")]"
-        )
+        depth += line.count("(") + line.count("[") - line.count(")") - line.count("]")
         if depth <= 0:
-            yield start, " ".join(part.strip() for part in buf)
+            yield start, " ".join(buf)
             buf = []
-            start = None
             depth = 0
     if buf:
-        yield start, " ".join(part.strip() for part in buf)
+        yield start, " ".join(buf)
 
 
 # the brackets and the separator, one pattern per separator _split_top takes

@@ -23,7 +23,8 @@ The parser folds literal factors into one monomial and sums literal terms
 into one map, so a work count checks that such texts make no ring
 product, sum or power.  script._split_top is checked against the
 character loop it replaced on seeded lists, their edits and bracket-heavy
-strings.
+strings, and script._logical_lines is pinned on comments, blank lines
+inside an open bracket, surplus closers and a bracket left open.
 """
 
 import random
@@ -38,7 +39,7 @@ from oracles import (reference_parse_poly, reference_parse_rational,
 from supergeom import Context, LimitExceeded, ScriptError, SuperPoly, expr
 from supergeom.expr import parse_poly, parse_rational
 from supergeom.poly import MAX_DIGITS, MAX_FIELD_EXPONENT
-from supergeom.script import _split_top, run_script
+from supergeom.script import _logical_lines, _split_top, run_script
 
 ROOT = Path(__file__).resolve().parent.parent
 OTHER = Context(even=["u"], odd=["v"])
@@ -345,6 +346,32 @@ def test_split_top_matches_the_character_loop():
     for text in texts:
         for sep in ",;":
             assert _split_top(text, sep) == reference_split_top(text, sep), (text, sep)
+
+
+LOGICAL_LINES = [
+    # comments, whole-line and trailing, and blank lines between statements
+    ("# head\ncontext even=[t] odd=[a]  # trailing\n\n  # indented\n\tlet p = t # x\n",
+     [(2, "context even=[t] odd=[a]"), (5, "let p = t")]),
+    # a blank line or a comment inside an open bracket joins as an empty part
+    ("let p = (t +\n\n  a)\nber X\n", [(1, "let p = (t +  a)"), (4, "ber X")]),
+    ("field X = [t,  # first\n   # only a comment\n s]\n", [(1, "field X = [t,  s]")]),
+    # more closers than openers end the statement; the next starts at depth 0
+    ("let p = t)\nlet q = (a\n  )) + t\nlet r = 1\n",
+     [(1, "let p = t)"), (2, "let q = (a )) + t"), (4, "let r = 1")]),
+    ("let q = (a\n  )) + ((t\nlet r = 1\n", [(1, "let q = (a )) + ((t let r = 1")]),
+    (")\n]\n", [(1, ")"), (2, "]")]),
+    # a bracket still open at the end of the text closes the last statement
+    ("context even=[t] odd=[a]\nlet p = (t +\n a\n",
+     [(1, "context even=[t] odd=[a]"), (2, "let p = (t + a")]),
+    ("let p = [(t\n", [(1, "let p = [(t")]),
+    ("", []),
+    ("\n\n# c\n   \n", []),
+]
+
+
+@pytest.mark.parametrize("text,pairs", LOGICAL_LINES)
+def test_logical_lines_are_pinned(text, pairs):
+    assert list(_logical_lines(text)) == pairs
 
 
 # A fault inside a bracketed list is reported at its column in the list,

@@ -3,12 +3,15 @@ Monomial/Fraction forms they replaced (tests/oracles.py).
 
 str(p) reads each term's sort key and factor text from a per-context
 cache keyed by code, and each coefficient takes one gcd against the
-shared denominator.  rename relabels codes with no products: even fields
-move, odd bits are folded in with the Koszul sign, a doubled odd target
-gives zero and merged even fields add under the exponent cap.  The
-polynomials are seeded over contexts with no, one and seventy even
-generators, with coefficients that are fractional, +-1 or constant and
-exponents up to MAX_FIELD_EXPONENT.
+shared denominator.  The keys, one int per code, sort every odd word of
+up to ten generators, those words crossed with extreme even parts, random
+words of forty generators and the seeded monomials as the tuple key of
+tests/oracles.py does, and no two codes share one.  rename relabels
+codes with no products: even fields move, odd bits are folded in with
+the Koszul sign, a doubled odd target gives zero and merged even fields
+add under the exponent cap.  The polynomials are seeded over contexts
+with no, one and seventy even generators, with coefficients that are
+fractional, +-1 or constant and exponents up to MAX_FIELD_EXPONENT.
 """
 
 import random
@@ -16,12 +19,12 @@ from fractions import Fraction
 
 import pytest
 
-from model import Monomial, from_terms, terms_of
-from oracles import reference_str, reference_terms, substitution_rename
+from model import Monomial, decode, from_terms, terms_of
+from oracles import reference_key, reference_str, reference_terms, substitution_rename
 from supergeom import Context, LimitExceeded, ParityError, poly
 from supergeom.expr import parse_poly
 from supergeom.groups import primed, product_context
-from supergeom.poly import MAX_DIGITS, MAX_EXPONENT, MAX_FIELD_EXPONENT
+from supergeom.poly import _FIELD_BITS, MAX_DIGITS, MAX_EXPONENT, MAX_FIELD_EXPONENT
 
 CONTEXTS = [
     Context(),
@@ -115,6 +118,49 @@ def test_the_text_cache_is_emptied_when_full(monkeypatch):
         p = seeded_poly(rng, ctx, 30)
         assert str(p) == reference_str(p)
         assert len(ctx._texts) <= 5
+
+
+# -- the sort key -----------------------------------------------------------
+
+
+def check_key_order(ctx, codes):
+    """Sorting codes by their memo keys gives reference_key's order, and
+    no two of them share a key."""
+    codes = set(codes)
+    keys = {ctx._texts[code][0] for code in codes}
+    assert len(keys) == len(codes)
+    assert (sorted(codes, key=lambda code: ctx._texts[code][0])
+            == sorted(codes, key=lambda code: reference_key(ctx, decode(ctx, code))))
+
+
+ODD_WORDS = [Context(odd=[f"a{j}" for j in range(q)]) for q in range(11)]
+
+
+@pytest.mark.parametrize("ctx", ODD_WORDS, ids=lambda c: "0|{}".format(len(c.odd)))
+def test_keys_order_every_odd_word(ctx):
+    check_key_order(ctx, range(1 << len(ctx.odd)))
+
+
+@pytest.mark.parametrize("q", range(11))
+def test_keys_order_odd_words_crossed_with_even_parts(q):
+    ctx = Context(even=["x", "y"], odd=[f"a{j}" for j in range(q)])
+    exps = (0, 1, 2, MAX_FIELD_EXPONENT)
+    evens = [e0 | e1 << _FIELD_BITS for e0 in exps for e1 in exps]
+    check_key_order(ctx, [even | mask << ctx._shift
+                          for even in evens for mask in range(1 << q)])
+
+
+def test_keys_order_random_words_of_forty_odd_generators():
+    ctx = Context(odd=[f"a{j}" for j in range(40)])
+    rng = random.Random(1605)
+    check_key_order(ctx, [0, (1 << 40) - 1] + [rng.getrandbits(40) for _ in range(500)])
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda c: "{}|{}".format(*c.dims))
+def test_keys_order_the_seeded_monomials(ctx):
+    rng = random.Random(1606 + len(ctx.even))
+    check_key_order(ctx, [code for _ in range(200)
+                          for code in seeded_poly(rng, ctx, MAX_FIELD_EXPONENT).nums])
 
 
 # -- rename -----------------------------------------------------------------
