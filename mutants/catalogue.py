@@ -30,11 +30,15 @@ SLOT_FORM_TEST = f"{DET_IMAGE}::test_the_slot_form_is_injective_on_every_simplex
 IMAGE_DET_TEST = f"{DET_IMAGE}::test_the_image_det_expands_as_the_entry_ints"
 LAPLACE_TEST = f"{DET_IMAGE}::test_laplace_takes_the_oracle_minors_on_the_entry_ints"
 BODY_INVERSE = "tests/test_body_inverse.py"
+SMALL_BODIES = (f"{BODY_INVERSE}::"
+                "test_small_constant_bodies_are_built_reduced_over_positive_denominators")
 JSON_TEST = "tests/test_coefficients.py::test_json_round_trips_the_stored_form"
 QUOTIENT_MODEL = "tests/test_quotient_rename_model.py"
 MATRICES_TEST = "tests/test_identity.py::test_matrix_reports_keep_their_bytes"
 LINALG = "src/supergeom/linalg.py"
 SUBSTITUTE_TESTS = "tests/test_substitute_reference.py"
+# row i of B^{-1} over the first row's pivot, not its own (linalg._inverse)
+INVERSE_PIVOT = ("(p := row[i]) > 0", "(p := m[0][0]) > 0")
 # the sign (-1)^(i+j) of a cofactor of a body that is not constant
 COFACTOR_SIGN = ("    signed = (d, -d)\n", "    signed = (d, d)\n")
 ONE_SUM_BRACKET_TEST = "tests/test_one_sum.py::test_the_superbracket_is_one_grid_product"
@@ -45,6 +49,7 @@ PRINT = "tests/test_print_and_rename.py"
 PRINTER_TEST = f"{PRINT}::test_str_matches_the_reference_printer"
 # the odd word's rank in the low bits of a print key (poly._monomial_text)
 WORD_RANK = "        rank = len(word) + 2 * top - (top >> word[-1])\n"
+CONSTANT_LEFT = "tests/test_kernel.py::TestConstantLeftTerms"
 SCHUR_TESTS = (
     "tests/test_schur.py::test_complements_match_the_plain_difference",
     "tests/test_schur.py::test_the_complement_is_summed_without_adding_polynomials",
@@ -105,21 +110,51 @@ CATALOGUE = (
     Mutant(
         "_packed_dot checking each left factor's context just before its products",
         POLY,
-        (("""    for a, _ in pairs:
+        (("""        if a.ctx is not ctx:
+            raise ContextMismatch("operands live in different contexts")
+        if a.nums and packed:
+            d = a.den * packed[1]
+""", """        if a.nums and packed:
+            d = a.den * packed[1]
+"""), ("""    acc: dict[int, int] = {}
+    for a, packed in pairs:
+        if a.nums and packed:
+""", """    acc: dict[int, int] = {}
+    for a, packed in pairs:
         if a.ctx is not ctx:
             raise ContextMismatch("operands live in different contexts")
-    w = (width - 1).bit_length()
-    acc: dict[int, int] = {}
-    den = 1
-    for a, packed in pairs:
-""", """    w = (width - 1).bit_length()
-    acc: dict[int, int] = {}
-    den = 1
-    for a, packed in pairs:
-        if a.ctx is not ctx:
-            raise ContextMismatch("operands live in different contexts")
-"""),),
+        if a.nums and packed:
+""")),
         ("tests/test_kernel.py::TestDotRowEdges::test_contexts_are_checked_before_any_product",),
+    ),
+    # -- constant left terms and a sum's one denominator -------------------
+    Mutant(
+        "the constant loop keeping a cancelled zero numerator",
+        POLY,
+        (("                    if not c:\n"
+          "                        del acc[m2]\n"
+          "                        continue\n", ""),),
+        (f"{CONSTANT_LEFT}::test_products_that_cancel_every_key_read_zero",),
+    ),
+    Mutant(
+        "the constant loop's stores into an empty map without the MAX_TERMS test",
+        POLY,
+        (("                acc[m2] = c0 * c2\n", "                acc[m2] = c0 * c2\n"
+          "            continue\n"),),
+        (f"{CONSTANT_LEFT}::test_a_constant_times_a_row_past_the_cap_is_refused",),
+    ),
+    Mutant(
+        "_packed_dot scaling a product by den // den_j, without a.den",
+        POLY,
+        (("den // (a.den * d)", "den // d"),),
+        (f"{CONSTANT_LEFT}::test_a_packed_sum_reads_the_lcm_of_coprime_denominators",),
+    ),
+    Mutant(
+        "_packed_dot taking its denominator from the first product alone",
+        POLY,
+        (("            if den % d:\n                den = lcm(den, d)\n",
+          "            if den == 1:\n                den = d\n"),),
+        (f"{CONSTANT_LEFT}::test_a_packed_sum_reads_the_lcm_of_coprime_denominators",),
     ),
     # -- one operator swapped in the sign and bit code ----------------------
     Mutant(
@@ -261,9 +296,21 @@ CATALOGUE = (
     Mutant(
         "_inverse reading every row over the first row's pivot",
         LINALG,
-        (("Fraction(x, row[i]) for x in row[n:]", "Fraction(x, m[0][0]) for x in row[n:]"),),
+        (INVERSE_PIVOT,),
         (f"{BODY_INVERSE}::test_dense_constant_bodies_match_the_oracle",
          f"{BODY_INVERSE}::test_rational_constant_bodies_match_elimination"),
+    ),
+    Mutant(
+        "_inverse leaving a negative pivot's sign on the denominator",
+        LINALG,
+        (("(p := row[i]) > 0", "(p := row[i]) or 1"),),
+        (f"{SMALL_BODIES}[Fraction-2]", f"{SMALL_BODIES}[int-3]"),
+    ),
+    Mutant(
+        "a constant body's entries built without their gcd",
+        POLY,
+        (("        g = gcd(n, d)\n        return cls._raw(", "        g = 1\n        return cls._raw("),),
+        (f"{SMALL_BODIES}[int-2]", f"{SMALL_BODIES}[Fraction-3]"),
     ),
     Mutant(
         "the slot enumeration bounded by total + e < D",
@@ -341,7 +388,7 @@ CATALOGUE = (
     Mutant(
         "_inverse reading every row over the first row's pivot, against the matrices surface",
         LINALG,
-        (("Fraction(x, row[i]) for x in row[n:]", "Fraction(x, m[0][0]) for x in row[n:]"),),
+        (INVERSE_PIVOT,),
         (MATRICES_TEST,),
     ),
     Mutant(

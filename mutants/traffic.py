@@ -1,6 +1,7 @@
 """Line traffic of the kernel under one benchmark workload.
 
     python mutants/traffic.py WORKLOAD [--seed S] [--rounds N] [--build] [--functions]
+                              [--against DIR]
 
 Builds N rounds (default 10) of the workload's corpus from seed S
 (default 101) with perfbench/workloads.py, then runs every operation of
@@ -18,25 +19,37 @@ it (a nested def is `outer.<locals>.inner`); a lambda or comprehension
 counts toward the def it is written in, and a def line toward the scope
 that runs it.  The per-function counts sum to the per-line ones.
 
-One process, the standard library only, and nothing is timed.
-perfbench/ is only read: no bytecode is written while it is imported.
+With --functions --against DIR it counts the same corpus in this tree
+and in the checkout at DIR, each in a subprocess of its own, and prints
+one line per function that ran in either, `module.qualname  DIR  this
+this-DIR`, largest count first, then the totals: the work one change
+saves or adds, function by function, with nothing timed.
+
+The standard library only, and nothing is timed.  perfbench/ is only
+read: no bytecode is written while it is imported, nor by the
+subprocesses of --against.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import json
 import linecache
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 
 
-def _workloads():
-    """perfbench's workloads module, with src/ and perfbench/ on the path."""
-    for path in (ROOT / "perfbench", ROOT / "src"):
+def _workloads(root: Path = ROOT):
+    """The workloads module of root's perfbench/, with root's src/ and
+    perfbench/ on the path."""
+    for path in (root / "perfbench", root / "src"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
     dont_write = sys.dont_write_bytecode
@@ -70,14 +83,17 @@ def line_counts(fn, package: str) -> Counter:
     return counts
 
 
-def traffic(name: str, seed: int = 101, rounds: int = 10, build: bool = False) -> dict:
-    """{"build": counts, "ops": counts} of one workload (see line_counts);
-    "build" only with build=True."""
-    workloads = _workloads()
+def traffic(name: str, seed: int = 101, rounds: int = 10, build: bool = False,
+            root: Path = ROOT) -> dict:
+    """{"build": counts, "ops": counts} of one workload (see line_counts)
+    in the tree at root; "build" only with build=True."""
+    workloads = _workloads(root)
     import supergeom
 
     package = str(Path(supergeom.__file__).parent) + "/"
-    w = workloads.all_workloads(ROOT)[name]
+    if not package.startswith(str(root.resolve()) + "/"):
+        raise RuntimeError(f"supergeom imported from {package}, not from {root}")
+    w = workloads.all_workloads(root)[name]
     out = {}
     corpus = []
     if build:
@@ -148,6 +164,36 @@ def report_functions(counts: Counter) -> str:
     return "\n".join(f"{name}\t{n}" for name, n in ranked)
 
 
+def tree_functions(tree: Path, name: str, seed: int, rounds: int, build: bool) -> dict:
+    """{part: function_counts} of traffic() in the tree at tree, run in a
+    subprocess of its own with this file's code, so no module of one tree
+    meets the other's."""
+    child = ("import json, sys; from pathlib import Path; import traffic; "
+             "a = sys.argv[1:]; "
+             "parts = traffic.traffic(a[1], int(a[2]), int(a[3]), a[4] == '1', Path(a[0])); "
+             "print(json.dumps({k: traffic.function_counts(v) for k, v in parts.items()}))")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(HERE))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(tree.resolve()), name, str(seed), str(rounds),
+         "1" if build else "0"],
+        env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"traffic in {tree} failed:\n{proc.stderr}")
+    return {part: Counter(counts) for part, counts in json.loads(proc.stdout).items()}
+
+
+def report_against(this: Counter, other: Counter) -> str:
+    """One line per function counted in either tree, `module.qualname
+    other  this  this-other`, the larger of the two counts first, ties by
+    name, then a line of the totals."""
+    names = sorted(this.keys() | other.keys(),
+                   key=lambda f: (-max(this[f], other[f]), f))
+    lines = [f"{f}\t{other[f]}\t{this[f]}\t{this[f] - other[f]:+d}" for f in names]
+    total, against = sum(this.values()), sum(other.values())
+    lines.append(f"total\t{against}\t{total}\t{total - against:+d}")
+    return "\n".join(lines)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(_workloads().all_workloads(ROOT)))
@@ -156,7 +202,20 @@ def main(argv=None):
     parser.add_argument("--build", action="store_true", help="trace the corpus build too")
     parser.add_argument("--functions", action="store_true",
                         help="sum the counts per function, largest first")
+    parser.add_argument("--against", metavar="DIR", type=Path,
+                        help="with --functions: the counts of the checkout at DIR, "
+                             "this tree's and their difference")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        if not args.functions:
+            parser.error("--against needs --functions")
+        trees = [tree_functions(tree, args.workload, args.seed, args.rounds, args.build)
+                 for tree in (args.against, ROOT)]
+        for part in trees[1]:
+            print(f"== {args.workload} {part}: seed {args.seed}, {args.rounds} rounds; "
+                  f"columns: function, {args.against}, this tree, difference")
+            print(report_against(trees[1][part], trees[0][part]))
+        return
     for part, counts in traffic(args.workload, args.seed, args.rounds, args.build).items():
         print(f"== {args.workload} {part}: seed {args.seed}, {args.rounds} rounds")
         print(report_functions(counts) if args.functions else report(counts))

@@ -16,7 +16,9 @@ entry in a column is as good a pivot as any.  rref builds Fractions only
 at the end, one per output entry; pivot_columns and rank build none, and
 neither does _eliminate_ints, the elimination on rows that are already
 ints, which liealg calls to keep its constraints' echelon form in ints.
-_inverse eliminates [B | I] and builds one Fraction per entry of B^{-1}.
+_inverse eliminates [B | I] and builds no Fraction either: it gives each
+row of B^{-1} as ints over that row's pivot, and matrix._body_inverse
+reduces each entry by one gcd.
 
 This is the kernel's one elimination over Q: srank, Morphism.classify_at
 and the Lie superalgebra forms take rank, tangent_space takes rref,
@@ -78,17 +80,19 @@ def _eliminate_ints(m):
 
 
 def _inverse(rows):
-    """B^{-1} as rows of Fractions for a square grid B of exact values, or
-    None when B is singular: _eliminate_ints on the int rows of [B | I].
-    Its pivots cover the first n columns exactly when B is invertible,
-    and then entry (i, j) of B^{-1} is the int in column n + j over row
-    i's pivot."""
+    """B^{-1} as int rows over their pivots for a square grid B of exact
+    values, or None when B is singular: _eliminate_ints on the int rows
+    of [B | I].  Its pivots cover the first n columns exactly when B is
+    invertible, and then row i of B^{-1} is the ints in columns n.. of
+    row i over its pivot: one (ints, pivot) pair per row, each pivot made
+    positive by negating its row, the ints not reduced against it."""
     n = len(rows)
     m, pivots = _eliminate_ints([_int_row([*row, *[0] * i, 1, *[0] * (n - 1 - i)])
                                  for i, row in enumerate(rows)])
     if pivots != list(range(n)):
         return None
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
+    return [(row[n:], p) if (p := row[i]) > 0 else ([-x for x in row[n:]], -p)
+            for i, row in enumerate(m)]
 
 
 def rref(rows):

@@ -168,8 +168,8 @@ def _laplace(ctx, grid):
     row) down the k-th column from the right, the sign advancing past
     every row of the mask, zero entries included.  The entry is negated,
     a few terms, not the much larger minor.  The signed (entry, minor)
-    pairs of a mask are summed by one poly._dot, one numerator map over
-    the running lcm of their denominators, reduced once, so a column sum
+    pairs of a mask are summed by one poly._dot, one numerator map built
+    at the lcm of their denominators, reduced once, so a column sum
     builds no partial sum and no product of its own.  A sub mask is
     below its mask, so one pass in increasing order meets every minor it
     reads already filled.  It runs for _det over a grid that
@@ -259,13 +259,15 @@ def _body_inverse(ctx, grid, label):
     block like [[1, t], [0, 1]] is fine).  When every body is constant
     (SuperPoly._body_value) the body is a matrix over Q, inverted by
     linalg's one elimination (linalg._inverse), under the MAX_DET_SIZE
-    cap that _det puts on the same block.  Otherwise the determinant of
-    the body polynomials comes from _det, which takes the Kronecker image
-    where its rule admits the grid, and a determinant that is not
-    constant, or zero, is refused before any pass runs.  Entry (i, j) of
-    the inverse is then the (j, i) cofactor over the determinant, and row
-    i is read from one _laplace pass over the grid with column i struck
-    out, whose minor on the rows other than j is the (j, i) minor.
+    cap that _det puts on the same block, each entry built once from its
+    row's ints over their pivot, reduced by one gcd.  Otherwise the
+    determinant of the body polynomials comes from _det, which takes the
+    Kronecker image where its rule admits the grid, and a determinant
+    that is not constant, or zero, is refused before any pass runs.
+    Entry (i, j) of the inverse is then the (j, i) cofactor over the
+    determinant, and row i is read from one _laplace pass over the grid
+    with column i struck out, whose minor on the rows other than j is the
+    (j, i) minor.
     """
     values = [[e._body_value() for e in row] for row in grid]
     if all(v is not None for row in values for v in row):
@@ -273,7 +275,7 @@ def _body_inverse(ctx, grid, label):
         inverse = linalg._inverse(values)
         if inverse is None:
             raise NotInvertible(f"body determinant of {label} is zero")
-        return tuple([tuple([SuperPoly.scalar(ctx, x) for x in row]) for row in inverse])
+        return tuple([tuple([SuperPoly._ratio(ctx, x, p) for x in row]) for row, p in inverse])
     body = [[e.body() for e in row] for row in grid]
     d = _det(ctx, body)
     if not d.is_constant():
@@ -312,12 +314,12 @@ def _series_inverse(ctx, grid, binv):
     is split from the packed rows of all the Y_d at once, at the end,
     with no product and no partial sum."""
     # row i of N as the triples (e, j, N_e[i][j]) of its nonzero parts,
-    # by increasing e: the Y_{d-e} of most odd generators come first, and
-    # the denominators of the later ones mostly divide theirs, so a sum
-    # seldom has to scale its numerators up
+    # in any order: B^{-1}'s entries carry the body's denominators into
+    # every Y_d, and each sum below is built at the lcm of its products'
+    # denominators, so it scales no numerator up midway
     parts = [
-        sorted((e, j, part) for j, x in enumerate(row)
-               for e, part in x.odd_degree_parts().items() if e)
+        [(e, j, part) for j, x in enumerate(row)
+         for e, part in x.odd_degree_parts().items() if e]
         for row in grid
     ]
     if not any(parts):

@@ -85,18 +85,18 @@ which folds bit k onto bit k % 61.  Over three even generators the mask
 starts at bit 72 and folds onto bits 11 and up, above every exponent
 below 2**11 of the first field; see _FIELD_BITS for the fields.
 
-_mac is the only loop over pairs of terms, with one inner loop for
-odd-free left terms and one for the rest, and it has three callers.  A
-product of two polynomials (SuperPoly.__mul__) calls it once; the parser
-reaches it only for a product with a group or binding, since it folds
-literal factors with _times_generator.  _substitute_each calls it once
-per term, into one map per substituted polynomial.  _packed_dot calls
-it once per (left factor, packed row) pair whose factor and row are
-both nonzero: _pack keys the numerators of a row of polynomials over one
+_mac is the only loop over pairs of terms, with one inner loop each for
+a constant left term, the other odd-free ones and the rest, and it has
+three callers.  A product of two polynomials (SuperPoly.__mul__) calls
+it once; the parser reaches it only for a product with a group or
+binding, since it folds literal factors with _times_generator.
+_substitute_each calls it once per term, into one map per substituted
+polynomial.  _packed_dot calls it once per (left factor, packed row)
+pair whose factor and row are both nonzero: _pack keys the numerators of a row of polynomials over one
 den by code << w | k for column k, w = (width - 1).bit_length(), so
 _mac shifts each left code by w and one call meets the whole row (more
 of the key in one int, as Monagan and Pearce, CASC 2007, pack exponent
-vectors), and the sum is one such map over the running lcm of its
+vectors), and the sum is one such map, built at the lcm of its
 products' denominators.  A zero entry holds no key.  _split reads a
 packed row, or the sum of several that share no key, back as its
 entries, each reduced once and held to MAX_TERMS; inside the sum _mac
@@ -510,6 +510,12 @@ class SuperPoly:
         return cls._raw(ctx, {0: num} if num else {}, den)
 
     @classmethod
+    def _ratio(cls, ctx, n: int, d: int) -> "SuperPoly":
+        # internal: the constant n / d for ints n and d > 0, reduced by one gcd
+        g = gcd(n, d)
+        return cls._raw(ctx, {0: n // g} if n else {}, d // g)
+
+    @classmethod
     def var(cls, ctx, name) -> "SuperPoly":
         is_odd, idx = ctx.lookup(name)
         bit = ctx._shift + idx if is_odd else _FIELD_BITS * idx
@@ -918,10 +924,13 @@ def _mac(ctx: Context, nums: dict[int, int], acc: dict[int, int], scale: int,
     guard bit set in that sum means one exponent passed
     MAX_FIELD_EXPONENT.  Raises LimitExceeded then, naming the
     generator, and once acc holds more than MAX_TERMS << w keys.  Each
-    left term runs one of two inner loops of this one algorithm: an
+    left term runs one of three inner loops of this one algorithm: an
     odd-free left term overlaps no right term and _SWAP_PARITY[0] is 0,
-    so its loop drops the odd-mask skip and the sign test; both loops
-    test the guard bits alike.
+    so its loop drops the odd-mask skip and the sign test; a constant
+    one, code 0, keys each product by the right key itself, which as a
+    stored key has no guard bit set, so its loop drops the addition and
+    the guard test too, and into an empty acc it only stores.  The
+    MAX_TERMS test follows every left term.
     """
     guard = ctx._guard << w
     shift = ctx._shift + w
@@ -949,7 +958,7 @@ def _mac(ctx: Context, nums: dict[int, int], acc: dict[int, int], scale: int,
                         del acc[m]
                         continue
                 acc[m] = c
-        else:
+        elif m1:
             for m2, c2 in right:
                 c = c0 * c2
                 m = m1 + m2
@@ -962,6 +971,19 @@ def _mac(ctx: Context, nums: dict[int, int], acc: dict[int, int], scale: int,
                         del acc[m]
                         continue
                 acc[m] = c
+        elif acc:
+            for m2, c2 in right:
+                c = c0 * c2
+                old = acc.get(m2)
+                if old is not None:
+                    c += old
+                    if not c:
+                        del acc[m2]
+                        continue
+                acc[m2] = c
+        else:
+            for m2, c2 in right:
+                acc[m2] = c0 * c2
         if len(acc) > cap:
             raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
 
@@ -1086,26 +1108,25 @@ def _pack(ctx: Context, row: Sequence[SuperPoly]):
 def _packed_dot(ctx: Context, pairs, width: int):
     """The packed row sum a * packed over a list of (a, packed) pairs,
     each a a left factor and packed a packed row of width entries (see
-    _pack), or None when the sum is zero.  The context of every left
-    factor is checked first, so ContextMismatch comes before any
-    product.  The sum is one map over the running lcm of its products'
-    denominators: a product whose a.den * den_j does not divide it
-    raises it to their lcm and scales the map up once.  A zero factor or
-    row adds nothing."""
-    for a, _ in pairs:
+    _pack), or None when the sum is zero.  One pass checks the context of
+    every left factor, so ContextMismatch comes before any product, and
+    takes den, the lcm of the nonzero products' denominators
+    a.den * den_j; the sum is one map built at den, each product scaled
+    by den // (a.den * den_j).  A zero factor or row adds nothing."""
+    den = 1
+    for a, packed in pairs:
         if a.ctx is not ctx:
             raise ContextMismatch("operands live in different contexts")
+        if a.nums and packed:
+            d = a.den * packed[1]
+            if den % d:
+                den = lcm(den, d)
     w = (width - 1).bit_length()
     acc: dict[int, int] = {}
-    den = 1
     for a, packed in pairs:
         if a.nums and packed:
             right, d = packed
-            d *= a.den
-            if den % d:
-                up = d // gcd(den, d)
-                den, acc = den * up, {m: v * up for m, v in acc.items()}
-            _mac(ctx, a.nums, acc, den // d, right.items(), w)
+            _mac(ctx, a.nums, acc, den // (a.den * d), right.items(), w)
     return (acc, den) if acc else None
 
 

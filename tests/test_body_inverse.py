@@ -23,7 +23,10 @@ polynomial in t, and, for a dense rational 4x4 and 12x12 constant body,
 that no _laplace call and no polynomial product runs, with B B^-1 = I
 checked on both sides in plain Fractions.  Constant bodies with
 rational entries and odd parts are checked against the right half of
-oracles.reference_rref([B | I]), Gauss-Jordan on Fractions, and a
+oracles.reference_rref([B | I]), Gauss-Jordan on Fractions; int and
+Fraction bodies of 1-4 rows, negative pivots among them, against the
+oracle entry by entry, each stored over a positive den coprime to its
+numerator, as linalg._inverse's rows over their pivots are reduced; and a
 singular, rank-deficient or oversized constant block against its
 error.  A dense linear 7x7 body over k[x1, x2, x3] and the singular
 [[t, t], [1, 1]] are refused, as not constant and as zero, before any
@@ -32,6 +35,7 @@ pass runs.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -209,6 +213,32 @@ def test_rational_constant_bodies_match_elimination(n):
         assert [[e.constant_term() for e in row] for row in inv] == [
             row[n:] for row in echelon]
         assert all(e.is_constant() for row in inv for e in row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["int", "Fraction"])
+def test_small_constant_bodies_are_built_reduced_over_positive_denominators(kind, n):
+    # linalg._inverse gives each row as ints over its pivot, a negative
+    # pivot negating its row; each entry is reduced by one gcd, so it must
+    # equal the oracle's canonical entry, den positive and coprime
+    rng = random.Random(1700 + 10 * n + (kind == "int"))
+    for _ in range(6):
+        if kind == "int":
+            grid = dense_constant(rng, GR6, n)
+        else:
+            grid, _ = rational_constant(rng, GR6, n)
+        inv = M._body_inverse(GR6, grid, "T")
+        body = [[e.body() for e in row] for row in grid]
+        assert [list(r) for r in inv] == adjugate_inverse(GR6, body)
+        for e in (e for row in inv for e in row):
+            assert e.den > 0 and gcd(e.den, *e.nums.values()) == 1
+            assert e.nums.keys() <= {0}
+    # a negative pivot: [[-2]] and [[0, -3], [5, 0]]
+    neg = GR6.scalar(-2)
+    assert M._body_inverse(GR6, ((neg,),), "T") == ((GR6.scalar(Fraction(-1, 2)),),)
+    grid = ((GR6.zero(), GR6.scalar(-3)), (GR6.scalar(Fraction(5, 4)), GR6.zero()))
+    assert M._body_inverse(GR6, grid, "T") == (
+        (GR6.zero(), GR6.scalar(Fraction(4, 5))), (GR6.scalar(Fraction(-1, 3)), GR6.zero()))
 
 
 def test_a_singular_constant_block_is_not_inverted():

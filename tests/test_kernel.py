@@ -522,3 +522,131 @@ def test_each_loop_refuses_an_exponent_past_the_cap(left_mask):
     with pytest.raises(LimitExceeded, match="exponent of x is above"):
         one_column(ctx, [(full, x), (-full, x)])
     assert one_column(ctx, [(full, t2), (-full, t2)]) == (ctx.zero(),)
+
+
+# -- constant left terms and the one denominator of a sum ------------------
+#
+# _mac runs a left term of code 0 through its own loop, which keys each
+# product by the right key alone, with no code addition and no guard
+# test, and into an empty map only stores them; the MAX_TERMS test still
+# follows it.  _packed_dot builds each sum at the lcm of its products'
+# denominators, taken before any product.  The model checks the values;
+# the stored keys are checked for guard bits.
+
+
+def model_dot(q, pairs, at=()):
+    """The model of sum a * b over (a, b) pairs, even generators at at."""
+    out = {}
+    for a, b in pairs:
+        out = mat_add(out, mat_mul(poly_matrix(q, a, at), poly_matrix(q, b, at)))
+    return out
+
+
+class TestConstantLeftTerms:
+    Q = 3
+    CTX = mixed(3, even=("x",))
+    UNIT = Monomial((), 0)
+
+    def gens(self):
+        return [self.CTX.var(n) for n in ("x", "theta1", "theta2", "theta3")]
+
+    def test_a_constant_into_an_empty_map_scales_each_term(self):
+        rng = random.Random(790)
+        for _ in range(20):
+            v = Fraction(rng.choice([-7, -1, 2, 5]), rng.randint(1, 9))
+            c = self.CTX.scalar(v)
+            b = random_rational_poly(rng, self.CTX, n_terms=rng.randint(1, 5))
+            scaled = {mono: v * w for mono, w in terms_of(b).items()}
+            at = rational_values(rng, 1)
+            for got in (c * b, poly._dot(self.CTX, [(c, b)]), one_column(self.CTX, [(c, b)])[0]):
+                assert terms_of(got) == scaled
+                assert poly_matrix(self.Q, got, at) == model_dot(self.Q, [(c, b)], at)
+
+    def test_a_constant_into_a_filled_map_matches_the_model(self):
+        rng = random.Random(791)
+        for _ in range(20):
+            # the constant term comes last in the left factor, so its loop
+            # meets the products of the terms before it
+            terms = {m: w for m, w in terms_of(random_rational_poly(rng, self.CTX)).items()
+                     if m != self.UNIT}
+            terms[self.UNIT] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            a = from_terms(self.CTX, terms)
+            assert len(terms) > 1 and list(terms_of(a))[-1] == self.UNIT
+            pairs = [(random_rational_poly(rng, self.CTX, n_terms=3),
+                      random_rational_poly(rng, self.CTX, n_terms=4)),
+                     (a, random_rational_poly(rng, self.CTX, n_terms=4)),
+                     (self.CTX.scalar(Fraction(-3, 4)), random_rational_poly(rng, self.CTX))]
+            at = rational_values(rng, 1)
+            expect = model_dot(self.Q, pairs, at)
+            assert poly_matrix(self.Q, poly._dot(self.CTX, pairs), at) == expect
+            assert poly_matrix(self.Q, one_column(self.CTX, pairs)[0], at) == expect
+            assert poly_matrix(self.Q, a * pairs[1][1], at) == model_dot(self.Q, [pairs[1]], at)
+
+    def test_products_that_cancel_every_key_read_zero(self):
+        x, t1, t2, t3 = self.gens()
+        one = self.CTX.one()
+        # each constant's products cancel what the first pair put in
+        pairs = [(x * t1 / 3, t2 + x / 5), (one / 3, x * t2 * t1 - x * x * t1 / 5)]
+        assert model_dot(self.Q, pairs, [Fraction(2, 3)]) == {}
+        total = poly._dot(self.CTX, pairs)
+        assert total == self.CTX.zero()
+        assert total.terms == {}
+        assert poly._packed_dot(self.CTX, [(a, poly._pack(self.CTX, [b])) for a, b in pairs],
+                                1) is None
+        # the same through a packed row of width two
+        got = _gmul(self.CTX, ([t1 * t2, -one],), [[t3, x], [t1 * t2 * t3, t1 * t2 * x]])[0]
+        assert got == (self.CTX.zero(), self.CTX.zero())
+        assert [p.terms for p in got] == [{}, {}]
+
+    def test_a_packed_sum_reads_the_lcm_of_coprime_denominators(self):
+        x, t1, t2, t3 = self.gens()
+        one = self.CTX.one()
+        # product denominators 6, 35 and 143, pairwise coprime; the
+        # constant factors carry their own denominators
+        pairs = [(x / 2, t1 / 3), (one / 5, x * t2 / 7), (t3 / 11 + one / 11, x / 13 + t2 / 13)]
+        total = poly._packed_dot(self.CTX, [(a, poly._pack(self.CTX, [b])) for a, b in pairs], 1)
+        assert total[1] == 6 * 35 * 143
+        got = poly._dot(self.CTX, pairs)
+        for at in ([Fraction(1)], [Fraction(-5, 3)], [Fraction(7, 2)]):
+            assert poly_matrix(self.Q, got, at) == model_dot(self.Q, pairs, at)
+        assert got.den == 6 * 35 * 143
+        # a row of two columns over the same denominators
+        row = [a for a, _ in pairs]
+        grid = [[b, b * t1 + one / 17] for _, b in pairs]
+        got = _gmul(self.CTX, (row,), grid)[0]
+        for k in range(2):
+            column = [(a, r[k]) for a, r in zip(row, grid)]
+            assert poly_matrix(self.Q, got[k], [Fraction(3, 4)]) == \
+                model_dot(self.Q, column, [Fraction(3, 4)])
+
+    def test_a_constant_times_a_row_past_the_cap_is_refused(self):
+        ctx = Context(even=["t"])
+        terms = {Monomial(((0, e),), 0) if e else self.UNIT: 1
+                 for e in range(poly.MAX_TERMS + 1)}
+        wide = from_terms(ctx, terms)
+        c = ctx.scalar(3)
+        with pytest.raises(LimitExceeded, match="product has more than 10000 terms"):
+            c * wide
+        with pytest.raises(LimitExceeded, match="product has more than 10000 terms"):
+            poly._dot(ctx, [(c, wide)])
+        del terms[self.UNIT]
+        assert len(c * from_terms(ctx, terms)) == poly.MAX_TERMS
+
+    def test_a_constant_times_a_term_at_the_exponent_cap_raises_nothing(self):
+        x, t1, t2, t3 = self.gens()
+        mono = Monomial(((0, MAX_FIELD_EXPONENT),), 0b101)
+        full = from_terms(self.CTX, {mono: Fraction(5, 7)})
+        # a stored key has no guard bit set, in a polynomial or a packed
+        # row, so the constant loop can key a product by it unchecked
+        guard = self.CTX._guard
+        assert guard and not any(code & guard for code in full.nums)
+        row, _ = poly._pack(self.CTX, [x, full, t2])
+        assert not any(key & guard << 2 for key in row)
+        c = self.CTX.scalar(Fraction(-2, 3))
+        assert terms_of(c * full) == {mono: Fraction(-10, 21)}
+        got = poly._dot(self.CTX, [(c + t2, full), (c, t1)])
+        assert terms_of(got) == {mono: Fraction(-10, 21),
+                                 Monomial(((0, MAX_FIELD_EXPONENT),), 0b111): Fraction(-5, 7),
+                                 Monomial((), 0b001): Fraction(-2, 3)}
+        with pytest.raises(LimitExceeded, match="exponent of x is above"):
+            (c + x) * full
