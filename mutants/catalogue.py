@@ -43,6 +43,7 @@ INVERSE_PIVOT = ("(p := row[i]) > 0", "(p := m[0][0]) > 0")
 COFACTOR_SIGN = ("    signed = (d, -d)\n", "    signed = (d, d)\n")
 ONE_SUM_BRACKET_TEST = "tests/test_one_sum.py::test_the_superbracket_is_one_grid_product"
 ONE_SUM_LAPLACE_TEST = "tests/test_one_sum.py::test_each_laplace_column_sum_is_one_packed_sum"
+ONE_SUM_TEST = "tests/test_one_sum.py::test_every_sum_of_products_is_one_packed_dot"
 # superbracket's block row [a | -+b], +b when both are odd
 SUPERBRACKET_ROW = "    left = _gblocks(a.rows, b.rows if odd else _gneg(b.rows), (), ())\n"
 PRINT = "tests/test_print_and_rename.py"
@@ -59,24 +60,24 @@ SCHUR_TESTS = (
 CATALOGUE = (
     # -- packed rows: a key is code << w | column (poly._pack) --------------
     Mutant(
-        "_mac's overflow report without >> w",
+        "_packed_dot's overflow report without >> w",
         POLY,
-        (("                    c = -c\n"
-          "                m = m1 + m2\n"
-          "                if m & guard:\n"
-          "                    _field_overflow(ctx, (m & guard) >> w)",
-          "                    c = -c\n"
-          "                m = m1 + m2\n"
-          "                if m & guard:\n"
-          "                    _field_overflow(ctx, m & guard)"),
-         ("                c = c0 * c2\n"
-          "                m = m1 + m2\n"
-          "                if m & guard:\n"
-          "                    _field_overflow(ctx, (m & guard) >> w)",
-          "                c = c0 * c2\n"
-          "                m = m1 + m2\n"
-          "                if m & guard:\n"
-          "                    _field_overflow(ctx, m & guard)")),
+        (("                            c = -c\n"
+          "                        m = m1 + m2\n"
+          "                        if m & guard:\n"
+          "                            _field_overflow(ctx, (m & guard) >> w)",
+          "                            c = -c\n"
+          "                        m = m1 + m2\n"
+          "                        if m & guard:\n"
+          "                            _field_overflow(ctx, m & guard)"),
+         ("                        c = c0 * c2\n"
+          "                        m = m1 + m2\n"
+          "                        if m & guard:\n"
+          "                            _field_overflow(ctx, (m & guard) >> w)",
+          "                        c = c0 * c2\n"
+          "                        m = m1 + m2\n"
+          "                        if m & guard:\n"
+          "                            _field_overflow(ctx, m & guard)")),
         ("tests/test_packing.py::test_an_overflow_in_a_packed_row_names_its_generator",
          "tests/test_kernel.py::TestDotRowEdges::test_exponent_past_the_cap_raises_from_any_column"),
     ),
@@ -85,16 +86,16 @@ CATALOGUE = (
         POLY,
         (("    w = (len(row) - 1).bit_length()\n",
           "    w = len(row).bit_length() - 1\n"),
-         ("    w = (width - 1).bit_length()\n    acc: dict[int, int] = {}\n",
-          "    w = width.bit_length() - 1\n    acc: dict[int, int] = {}\n"),
+         ("    w = (width - 1).bit_length()\n    guard = ctx._guard << w\n",
+          "    w = width.bit_length() - 1\n    guard = ctx._guard << w\n"),
          ("    w = (width - 1).bit_length()\n    low = (1 << w) - 1\n",
           "    w = width.bit_length() - 1\n    low = (1 << w) - 1\n")),
         (f"{WIDTH_TEST}[3]", f"{WIDTH_TEST}[5]", f"{WIDTH_TEST}[9]"),
     ),
     Mutant(
-        "_mac's MAX_TERMS test skipped after an odd left term",
+        "_packed_dot's MAX_TERMS test skipped after an odd left term",
         POLY,
-        (("        if len(acc) > cap:\n", "        if not o1 and len(acc) > cap:\n"),),
+        (("                if len(acc) > cap:\n", "                if not o1 and len(acc) > cap:\n"),),
         ("tests/test_caps.py::test_a_product_of_odd_left_terms_past_the_cap_is_refused",),
     ),
     Mutant(
@@ -116,11 +117,9 @@ CATALOGUE = (
             d = a.den * packed[1]
 """, """        if a.nums and packed:
             d = a.den * packed[1]
-"""), ("""    acc: dict[int, int] = {}
-    for a, packed in pairs:
+"""), ("""    for k, a, packed in triples:
         if a.nums and packed:
-""", """    acc: dict[int, int] = {}
-    for a, packed in pairs:
+""", """    for k, a, packed in triples:
         if a.ctx is not ctx:
             raise ContextMismatch("operands live in different contexts")
         if a.nums and packed:
@@ -131,22 +130,23 @@ CATALOGUE = (
     Mutant(
         "the constant loop keeping a cancelled zero numerator",
         POLY,
-        (("                    if not c:\n"
-          "                        del acc[m2]\n"
-          "                        continue\n", ""),),
+        (("                            if not c:\n"
+          "                                del acc[m2]\n"
+          "                                continue\n", ""),),
         (f"{CONSTANT_LEFT}::test_products_that_cancel_every_key_read_zero",),
     ),
     Mutant(
         "the constant loop's stores into an empty map without the MAX_TERMS test",
         POLY,
-        (("                acc[m2] = c0 * c2\n", "                acc[m2] = c0 * c2\n"
-          "            continue\n"),),
+        (("                        acc[m2] = c0 * c2\n", "                        acc[m2] = c0 * c2\n"
+          "                    continue\n"),),
         (f"{CONSTANT_LEFT}::test_a_constant_times_a_row_past_the_cap_is_refused",),
     ),
     Mutant(
         "_packed_dot scaling a product by den // den_j, without a.den",
         POLY,
-        (("den // (a.den * d)", "den // d"),),
+        (("            scale = k * (den // (a.den * packed[1]))\n",
+          "            scale = k * (den // packed[1])\n"),),
         (f"{CONSTANT_LEFT}::test_a_packed_sum_reads_the_lcm_of_coprime_denominators",),
     ),
     Mutant(
@@ -155,6 +155,30 @@ CATALOGUE = (
         (("            if den % d:\n                den = lcm(den, d)\n",
           "            if den == 1:\n                den = d\n"),),
         (f"{CONSTANT_LEFT}::test_a_packed_sum_reads_the_lcm_of_coprime_denominators",),
+    ),
+    # -- weights: a term's numerator, bracket's -1 (poly._packed_dot) ------
+    Mutant(
+        "_packed_dot leaving the weight k out of the scale",
+        POLY,
+        (("            scale = k * (den // (a.den * packed[1]))\n",
+          "            scale = den // (a.den * packed[1])\n"),),
+        ("tests/test_even_enumeration.py::test_every_basis_pair_sums_by_its_weight_in_a_packed_row",
+         f"{SUBSTITUTE_TESTS}::test_substitute_matches_the_reference"),
+    ),
+    Mutant(
+        "bracket's -1 sent to the first side",
+        "src/supergeom/derivation.py",
+        (("((d1, d2, 1), (d2, d1, 1 if both_odd else -1))",
+          "((d1, d2, 1 if both_odd else -1), (d2, d1, 1))"),),
+        ("tests/test_derivation_reference.py::test_bracket_matches_the_reference",
+         f"{ONE_SUM_TEST}[0-bracket-even-odd]"),
+    ),
+    Mutant(
+        "_substitute_each without the polynomial's den",
+        POLY,
+        (("_reduced(ctx_out, acc, den * poly.den)", "_reduced(ctx_out, acc, den)"),),
+        (f"{SUBSTITUTE_TESTS}::test_substitute_matches_the_reference",
+         f"{ONE_SUM_TEST}[0-substitute]"),
     ),
     # -- one operator swapped in the sign and bit code ----------------------
     Mutant(
@@ -471,7 +495,7 @@ CATALOGUE = (
     Mutant(
         "bracket taking its second side with both_odd",
         "src/supergeom/derivation.py",
-        (("(d2, d1, not both_odd)", "(d2, d1, both_odd)"),),
+        (("(d2, d1, 1 if both_odd else -1)", "(d2, d1, -1 if both_odd else 1)"),),
         ("tests/test_invariance.py::test_coordinate_distributions_stay_integrable",
          "tests/test_invariance.py::test_verdicts_never_swap"),
     ),

@@ -110,7 +110,7 @@ class SuperDerivation:
         if any(a.ctx != ctx for a in polys):
             raise ContextMismatch("argument lives in a different context")
         packed = _pack(ctx, polys)
-        return _derive(ctx, [(c, n, packed) for c, n in zip(self._coeffs, ctx.names) if c],
+        return _derive(ctx, [(1, c, n, packed) for c, n in zip(self._coeffs, ctx.names) if c],
                        len(polys))
 
     def __call__(self, a):
@@ -184,18 +184,18 @@ def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
     is d's own coefficient on x and sign is -1 when both fields are odd,
     else 1.  Each field's coefficients are packed once as one row, and
     all of them are one _derive: d1's nonzero coefficients against the
-    left partials of d2's row by their generators, then -sign times d2's
-    against those of d1's row.  Both sides of a coefficient accumulate in
-    one sum, so it holds at most MAX_TERMS terms.
+    left partials of d2's row by their generators, then d2's against
+    those of d1's row with the weight -sign.  Both sides of a coefficient
+    accumulate in one sum, so it holds at most MAX_TERMS terms.
     """
     if d1.ctx != d2.ctx:
         raise ContextMismatch("derivations live in different contexts")
     ctx = d1.ctx
     both_odd = d1.parity is Parity.ODD and d2.parity is Parity.ODD
     terms = []
-    for d, other, negate in ((d1, d2, False), (d2, d1, not both_odd)):
+    for d, other, k in ((d1, d2, 1), (d2, d1, 1 if both_odd else -1)):
         packed = _pack(ctx, other._coeffs)
-        terms += [(-c if negate else c, n, packed) for c, n in zip(d._coeffs, ctx.names) if c]
+        terms += [(k, c, n, packed) for c, n in zip(d._coeffs, ctx.names) if c]
     return SuperDerivation._wrap(ctx, d1.parity + d2.parity, _derive(ctx, terms, len(ctx.names)))
 
 

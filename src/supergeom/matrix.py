@@ -104,7 +104,7 @@ def _gmul(ctx, a, b):
 def _gmul_packed(ctx, a, rows, width):
     # the rows of grid a times the packed rows of width entries, as
     # packed rows (see poly._pack)
-    return [_packed_dot(ctx, list(zip(row, rows)), width) for row in a]
+    return [_packed_dot(ctx, [(1, x, r) for x, r in zip(row, rows)], width) for row in a]
 
 
 def _gblocks(tl, tr, bl, br):
@@ -328,7 +328,7 @@ def _series_inverse(ctx, grid, binv):
     neg_binv = _gneg(binv)
     ys = {0: [_pack(ctx, row) for row in binv]}
     for d in range(1, len(ctx.odd) + 1):
-        sums = [_packed_dot(ctx, [(x, ys[d - e][j]) for e, j, x in out if d - e in ys], n)
+        sums = [_packed_dot(ctx, [(1, x, ys[d - e][j]) for e, j, x in out if d - e in ys], n)
                 for out in parts]
         if any(sums):
             ys[d] = _gmul_packed(ctx, neg_binv, sums, n)

@@ -51,7 +51,7 @@ SuperPoly.terms reads each code as the pair (even, odd) of its
 packs such pairs into codes for serialize.  Codes are also
 built by the ring operations here, by var and scalar, and for the
 expression parser by _times_generator, which multiplies a code by one
-generator to a power with the sign rule of _mac, and
+generator to a power with the sign rule of _packed_dot, and
 SuperPoly._from_coefficients, which makes a polynomial of a map of codes
 to coefficients.  The parser, and liealg for its constraints, hold those
 codes without reading them; no other module reads a code.
@@ -76,37 +76,41 @@ For two monomials with disjoint odd masks the code of the product is the
 sum of the two codes.  Each even field of the sum is below 2**_FIELD_BITS
 because both guard bits were clear, so nothing carries out of a field,
 and the disjoint masks add like |.  A field that went past
-MAX_FIELD_EXPONENT shows as a guard bit of the sum: _mac tests the sum
-against the guard bits of its context and raises LimitExceeded, so a
-carry never reaches the next field or the mask.
+MAX_FIELD_EXPONENT shows as a guard bit of the sum: _packed_dot tests
+the sum against the guard bits of its context and raises
+LimitExceeded, so a carry never reaches the next field or the mask.
 
 The codes key plain dicts, and CPython hashes an int modulo 2**61 - 1,
 which folds bit k onto bit k % 61.  Over three even generators the mask
 starts at bit 72 and folds onto bits 11 and up, above every exponent
 below 2**11 of the first field; see _FIELD_BITS for the fields.
 
-_mac is the only loop over pairs of terms, with one inner loop each for
-a constant left term, the other odd-free ones and the rest, and it has
-three callers.  A product of two polynomials (SuperPoly.__mul__) calls
-it once; the parser reaches it only for a product with a group or
-binding, since it folds literal factors with _times_generator.
-_substitute_each calls it once per term, into one map per substituted
-polynomial.  _packed_dot calls it once per (left factor, packed row)
-pair whose factor and row are both nonzero: _pack keys the numerators of a row of polynomials over one
-den by code << w | k for column k, w = (width - 1).bit_length(), so
-_mac shifts each left code by w and one call meets the whole row (more
-of the key in one int, as Monagan and Pearce, CASC 2007, pack exponent
-vectors), and the sum is one such map, built at the lcm of its
-products' denominators.  A zero entry holds no key.  _split reads a
-packed row, or the sum of several that share no key, back as its
-entries, each reduced once and held to MAX_TERMS; inside the sum _mac
-holds a packed row to MAX_TERMS << w.  matrix._gmul, the one grid
-product, packs its right grid once, takes one packed sum per row of its
-left grid and splits each; matrix._series_inverse keeps each odd-degree
-part Y_d of an inverse as packed rows, the right factor of
-both its products, on the parts that SuperPoly.odd_degree_parts splits
-off, and splits the rows of all the Y_d, which share no monomial, once
-at the end.
+_packed_dot is the package's one sum of products and its only loop over
+pairs of terms, with one inner loop each for a constant left term into
+a filled map and into an empty one, the other odd-free ones and the
+rest.  It sums k * a * packed over (k, a, packed) triples, k a nonzero
+int weight, a a left factor and packed a packed row: _pack keys the
+numerators of a row of polynomials over one den by code << w | j for
+column j, w = (width - 1).bit_length(), so each left code is shifted
+by w and one left term meets the whole row (more of the key in one
+int, as Monagan and Pearce, CASC 2007, pack exponent vectors), and the
+sum is one such map, built at the lcm of its products' denominators.
+A zero entry holds no key.  _dot is its width-1 case over (a, b)
+pairs, each weighted 1 and reduced once, and a product of two
+polynomials (SuperPoly.__mul__) is the one-pair _dot, written out; the
+parser reaches it only for a product with a group or binding, since it
+folds literal factors with _times_generator.  _substitute_each sums each
+substituted polynomial's terms in one _packed_dot, each term's head
+weighted by its numerator against its last image power.  _split reads
+a packed row, or the sum of several that share no key, back as its
+entries, each reduced once and held to MAX_TERMS; inside the sum
+_packed_dot holds a packed row to MAX_TERMS << w.  matrix._gmul, the
+one grid product, packs its right grid once, takes one packed sum per
+row of its left grid and splits each; matrix._series_inverse keeps
+each odd-degree part Y_d of an inverse as packed rows, the right factor
+of both its products, on the parts that SuperPoly.odd_degree_parts
+splits off, and splits the rows of all the Y_d, which share no
+monomial, once at the end.
 Every sum of two matrix products is one matrix._gmul of a block row by
 a block column: a Schur complement (matrix._schur) of [1 | b d^-1] by
 [a; -c], the superbracket (matrix.superbracket) of [a | -+b] by [b; a],
@@ -121,7 +125,7 @@ left partial of a packed row per nonzero coefficient in one pass over
 its keys (_packed_partial, which reads the odd mask and the exponent
 fields w bits up), and sums the (coefficient, partial) pairs of the
 partials that are not zero in one _packed_dot and one _split, the
-bracket's subtracted side weighted by negated coefficients.
+bracket's subtracted side weighted -1.
 SuperPoly.partial is _packed_partial at w = 0, so the package has one
 partial loop and builds no grid of partials.  The Laplace expansions
 of matrix._det and matrix._body_inverse are one bottom-up pass over
@@ -661,12 +665,12 @@ class SuperPoly:
 
     def __mul__(self, other):
         if isinstance(other, SuperPoly):
-            ctx = self.ctx
-            if other.ctx is not ctx:
+            # the one-pair _dot, written out: most products are of a few
+            # terms, and _dot's list and loop cost a tenth of such a product
+            if other.ctx is not self.ctx:
                 raise ContextMismatch("operands live in different contexts")
-            acc: dict[int, int] = {}
-            _mac(ctx, self.nums, acc, 1, other.nums.items())
-            return SuperPoly._reduced(ctx, acc, self.den * other.den)
+            total = _packed_dot(self.ctx, ((1, self, (other.nums, other.den)),), 1)
+            return SuperPoly._reduced(self.ctx, *(total or ({}, 1)))
         if not isinstance(other, Scalar):
             return NotImplemented
         if not other:
@@ -777,12 +781,12 @@ class SuperPoly:
         makes the substitution a well defined homomorphism, and be over
         ctx_out, else ContextMismatch.  Each image is looked up and
         checked once, when it is first read, however many of its powers
-        the terms hold.  Every term goes through _mac into one numerator
-        map, its numerator the scale of its last factor, over the lcm of
-        the terms' denominators so far, and the sum is divided by den
-        once.  Powers of an image are built by _power without the cap of
-        **, so a stored exponent above MAX_EXPONENT substitutes like any
-        other.
+        the terms hold.  The terms are one _packed_dot, each term's head
+        against its last factor with the term's numerator as the weight,
+        built at the lcm of the terms' denominators, and the sum is
+        divided by den once.  Powers of an image are built by _power
+        without the cap of **, so a stored exponent above MAX_EXPONENT
+        substitutes like any other.
         """
         return _substitute_each((self,), ctx_out, images)[0]
 
@@ -855,9 +859,9 @@ class SuperPoly:
         Each term must hold every generator of M, or ValueError is raised;
         its code loses M's bits, and its sign is that of theta_M *
         theta_rest, (-1)^popcount(_SWAP_PARITY[M] & rest) by the rule of
-        _mac.  The quotient is then scaled by 1/c and reduced, once.  A
-        factor that is zero, has two terms or an even part raises
-        ValueError, and one over another context ContextMismatch.
+        _packed_dot.  The quotient is then scaled by 1/c and reduced,
+        once.  A factor that is zero, has two terms or an even part
+        raises ValueError, and one over another context ContextMismatch.
         """
         ctx = self.ctx
         if factor.ctx is not ctx:
@@ -910,84 +914,6 @@ class SuperPoly:
         return f"SuperPoly({self})"
 
 
-def _mac(ctx: Context, nums: dict[int, int], acc: dict[int, int], scale: int,
-         right, w: int = 0) -> None:
-    """Add scale * a * b into acc for the left numerators nums of a.
-
-    The one term-pair loop of the package.  acc maps keys to int
-    numerators and right is the items of b's numerators.  A key is a
-    code shifted left by w, with the low w bits free for a column index
-    (see _pack); w is 0 for the maps of single polynomials.  Numerators
-    that cancel are dropped as they hit zero.  The code of a product of
-    monomials with disjoint odd masks is the sum of the two codes, so
-    each left code is shifted by w once and added to the right keys; a
-    guard bit set in that sum means one exponent passed
-    MAX_FIELD_EXPONENT.  Raises LimitExceeded then, naming the
-    generator, and once acc holds more than MAX_TERMS << w keys.  Each
-    left term runs one of three inner loops of this one algorithm: an
-    odd-free left term overlaps no right term and _SWAP_PARITY[0] is 0,
-    so its loop drops the odd-mask skip and the sign test; a constant
-    one, code 0, keys each product by the right key itself, which as a
-    stored key has no guard bit set, so its loop drops the addition and
-    the guard test too, and into an empty acc it only stores.  The
-    MAX_TERMS test follows every left term.
-    """
-    guard = ctx._guard << w
-    shift = ctx._shift + w
-    odd = -1 << shift
-    cap = MAX_TERMS << w
-    for m1, c1 in nums.items():
-        m1 <<= w
-        o1 = m1 & odd
-        c0 = c1 * scale
-        if o1:
-            swaps = _SWAP_PARITY[m1 >> shift] << shift
-            for m2, c2 in right:
-                if o1 & m2:
-                    continue
-                c = c0 * c2
-                if (swaps & m2).bit_count() & 1:
-                    c = -c
-                m = m1 + m2
-                if m & guard:
-                    _field_overflow(ctx, (m & guard) >> w)
-                old = acc.get(m)
-                if old is not None:
-                    c += old
-                    if not c:
-                        del acc[m]
-                        continue
-                acc[m] = c
-        elif m1:
-            for m2, c2 in right:
-                c = c0 * c2
-                m = m1 + m2
-                if m & guard:
-                    _field_overflow(ctx, (m & guard) >> w)
-                old = acc.get(m)
-                if old is not None:
-                    c += old
-                    if not c:
-                        del acc[m]
-                        continue
-                acc[m] = c
-        elif acc:
-            for m2, c2 in right:
-                c = c0 * c2
-                old = acc.get(m2)
-                if old is not None:
-                    c += old
-                    if not c:
-                        del acc[m2]
-                        continue
-                acc[m2] = c
-        else:
-            for m2, c2 in right:
-                acc[m2] = c0 * c2
-        if len(acc) > cap:
-            raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
-
-
 # the code of the unit monomial, where _times_generator starts a product
 _UNIT_CODE = 0
 
@@ -998,11 +924,12 @@ def _times_generator(ctx: Context, code: int, name: str, n: int) -> tuple[int, i
 
     The parser folds each literal factor of a term through this, in
     reading order, instead of multiplying polynomials, so it must agree
-    with _mac: an odd generator passes leftwards over the generators of
-    the mask above it, sign (-1)^popcount(_SWAP_PARITY[mask] & bit), and
-    one already in the mask or to a power n >= 2 gives zero.  An even
-    exponent that passes MAX_FIELD_EXPONENT sets its guard bit and raises
-    LimitExceeded.  n = 0 leaves the code as it is.
+    with _packed_dot: an odd generator passes leftwards over the
+    generators of the mask above it, sign
+    (-1)^popcount(_SWAP_PARITY[mask] & bit), and one already in the mask
+    or to a power n >= 2 gives zero.  An even exponent that passes
+    MAX_FIELD_EXPONENT sets its guard bit and raises LimitExceeded.
+    n = 0 leaves the code as it is.
     """
     if not n:
         return 1, code
@@ -1058,8 +985,7 @@ def _substitute_each(polys: Sequence[SuperPoly], ctx_out: Context,
     out = []
     for poly in polys:
         plans = poly.ctx._plans
-        acc: dict[int, int] = {}
-        den = 1  # the lcm of the terms' denominators so far
+        triples = []
         for code, c in poly.nums.items():
             first, middle, last = plans[code]
             # a term of two factors or more starts from its first image
@@ -1072,12 +998,8 @@ def _substitute_each(polys: Sequence[SuperPoly], ctx_out: Context,
                 head = head * powers[key]
             if head:
                 last = one if last is None else powers[last]
-                d = head.den * last.den
-                if den % d:
-                    # a new lcm: the numerators so far move up to it
-                    up = d // gcd(den, d)
-                    den, acc = den * up, {m: v * up for m, v in acc.items()}
-                _mac(ctx_out, head.nums, acc, c * (den // d), last.nums.items())
+                triples.append((c, head, (last.nums, last.den) if last.nums else None))
+        acc, den = _packed_dot(ctx_out, triples, 1) or ({}, 1)
         out.append(SuperPoly._reduced(ctx_out, acc, den * poly.den))
     return tuple(out)
 
@@ -1105,16 +1027,34 @@ def _pack(ctx: Context, row: Sequence[SuperPoly]):
     return (nums, den) if nums else None
 
 
-def _packed_dot(ctx: Context, pairs, width: int):
-    """The packed row sum a * packed over a list of (a, packed) pairs,
-    each a a left factor and packed a packed row of width entries (see
-    _pack), or None when the sum is zero.  One pass checks the context of
-    every left factor, so ContextMismatch comes before any product, and
-    takes den, the lcm of the nonzero products' denominators
-    a.den * den_j; the sum is one map built at den, each product scaled
-    by den // (a.den * den_j).  A zero factor or row adds nothing."""
+def _packed_dot(ctx: Context, triples, width: int):
+    """The packed row sum k * a * packed over a list of (k, a, packed)
+    triples, each k a nonzero int weight, a a left factor and packed a
+    packed row of width entries (see _pack), as (numerators, den), or None
+    when the sum is zero.  The package's one sum of products and its one
+    loop over pairs of terms.
+
+    One pass checks the context of every left factor, so ContextMismatch
+    comes before any product, and takes den, the lcm of the nonzero
+    products' denominators a.den * den_j; the sum is one map built at
+    den, each product scaled by k * den // (a.den * den_j).  A zero factor
+    or row adds nothing, and numerators that cancel are dropped as they
+    hit zero.  A key is a code shifted left by w = (width - 1).bit_length(),
+    the low w bits free for the column index.  The code of a product of
+    monomials with disjoint odd masks is the sum of the two codes, so each
+    left code is shifted by w once and added to the right keys, with the
+    sign (-1)^popcount(_SWAP_PARITY[left mask] & right mask); a guard bit
+    set in that sum means one exponent passed MAX_FIELD_EXPONENT.  Raises
+    LimitExceeded then, naming the generator, and once the sum holds more
+    than MAX_TERMS << w keys, tested after every left term.  Each left
+    term runs one of four inner loops of this one algorithm: an odd-free
+    left term overlaps no right term and _SWAP_PARITY[0] is 0, so its loop
+    drops the odd-mask skip and the sign test; a constant one, code 0,
+    keys each product by the right key itself, which as a stored key has
+    no guard bit set, so its loop drops the addition and the guard test
+    too, and into an empty map it only stores."""
     den = 1
-    for a, packed in pairs:
+    for _, a, packed in triples:
         if a.ctx is not ctx:
             raise ContextMismatch("operands live in different contexts")
         if a.nums and packed:
@@ -1122,24 +1062,78 @@ def _packed_dot(ctx: Context, pairs, width: int):
             if den % d:
                 den = lcm(den, d)
     w = (width - 1).bit_length()
+    guard = ctx._guard << w
+    shift = ctx._shift + w
+    odd = -1 << shift
+    cap = MAX_TERMS << w
     acc: dict[int, int] = {}
-    for a, packed in pairs:
+    for k, a, packed in triples:
         if a.nums and packed:
-            right, d = packed
-            _mac(ctx, a.nums, acc, den // (a.den * d), right.items(), w)
+            scale = k * (den // (a.den * packed[1]))
+            right = packed[0].items()
+            for m1, c1 in a.nums.items():
+                m1 <<= w
+                o1 = m1 & odd
+                c0 = c1 * scale
+                if o1:
+                    swaps = _SWAP_PARITY[m1 >> shift] << shift
+                    for m2, c2 in right:
+                        if o1 & m2:
+                            continue
+                        c = c0 * c2
+                        if (swaps & m2).bit_count() & 1:
+                            c = -c
+                        m = m1 + m2
+                        if m & guard:
+                            _field_overflow(ctx, (m & guard) >> w)
+                        old = acc.get(m)
+                        if old is not None:
+                            c += old
+                            if not c:
+                                del acc[m]
+                                continue
+                        acc[m] = c
+                elif m1:
+                    for m2, c2 in right:
+                        c = c0 * c2
+                        m = m1 + m2
+                        if m & guard:
+                            _field_overflow(ctx, (m & guard) >> w)
+                        old = acc.get(m)
+                        if old is not None:
+                            c += old
+                            if not c:
+                                del acc[m]
+                                continue
+                        acc[m] = c
+                elif acc:
+                    for m2, c2 in right:
+                        c = c0 * c2
+                        old = acc.get(m2)
+                        if old is not None:
+                            c += old
+                            if not c:
+                                del acc[m2]
+                                continue
+                        acc[m2] = c
+                else:
+                    for m2, c2 in right:
+                        acc[m2] = c0 * c2
+                if len(acc) > cap:
+                    raise LimitExceeded(f"product has more than {MAX_TERMS} terms, the cap")
     return (acc, den) if acc else None
 
 
 def _dot(ctx: Context, pairs) -> SuperPoly:
     """The sum of the products a * b over a list of (a, b) pairs of
     polynomials over ctx: one _packed_dot of width 1, each nonzero b its
-    own packed row, reduced once.  ContextMismatch for a factor over
-    another context, before any product."""
+    own packed row of weight 1, reduced once.  ContextMismatch for a
+    factor over another context, before any product."""
     for _, b in pairs:
         if b.ctx is not ctx:
             raise ContextMismatch("operands live in different contexts")
-    total = _packed_dot(ctx, [(a, (b.nums, b.den) if b.nums else None) for a, b in pairs], 1)
-    return SuperPoly._reduced(ctx, *total) if total else SuperPoly.zero(ctx)
+    total = _packed_dot(ctx, [(1, a, (b.nums, b.den) if b.nums else None) for a, b in pairs], 1)
+    return SuperPoly._reduced(ctx, *(total or ({}, 1)))
 
 
 def _split(ctx: Context, rows, width: int) -> tuple[SuperPoly, ...]:
@@ -1195,15 +1189,15 @@ def _packed_partial(ctx: Context, nums: dict[int, int], name: str, w: int) -> di
 
 
 def _derive(ctx: Context, terms, width: int) -> tuple[SuperPoly, ...]:
-    """The entries of sum c * d/dname (row) over the (c, name, packed)
-    triples, each packed a packed row of width entries (see _pack) or
-    None: one packed partial per triple, paired with its c unless it is
-    zero, then one _packed_dot and one _split.  No triple, or only zero
-    partials, gives width zeros."""
+    """The entries of sum k * c * d/dname (row) over the (k, c, name,
+    packed) terms, each k a nonzero int weight and packed a packed row of
+    width entries (see _pack) or None: one packed partial per term, with
+    its k and c unless it is zero, then one _packed_dot and one _split.
+    No term, or only zero partials, gives width zeros."""
     w = (width - 1).bit_length()
-    pairs = [(c, (nums, packed[1])) for c, name, packed in terms
-             if packed and (nums := _packed_partial(ctx, packed[0], name, w))]
-    return _split(ctx, (_packed_dot(ctx, pairs, width),), width)
+    triples = [(k, c, (nums, packed[1])) for k, c, name, packed in terms
+               if packed and (nums := _packed_partial(ctx, packed[0], name, w))]
+    return _split(ctx, (_packed_dot(ctx, triples, width),), width)
 
 
 # The two constants of _kronecker_image's rule: an odd-free grid of at

@@ -1,8 +1,9 @@
 """Line-oriented session scripts.
 
 A script is a sequence of statements, one per logical line; a line
-continues onto the next while its brackets are unbalanced, and '#'
-starts a comment.  Binding statements (context, let, matrix, morphism,
+continues onto the next while it leaves a bracket open, a line that
+closes more brackets than are open ends its statement, and '#' starts a
+comment.  Binding statements (context, let, matrix, morphism,
 field, group, variety) populate a single namespace; command statements
 (eval, ber, strace, srank, inv, pullback, jacobian, classify, tangent,
 livf, bracket, lie, involutive, axioms, export) append their canonical
@@ -60,7 +61,8 @@ class ScriptResult(NamedTuple):
 
 def _logical_lines(text: str):
     """Yield (line_number, statement) with comments stripped and
-    bracket-continued lines joined."""
+    bracket-continued lines joined.  A line on which the running depth
+    drops below zero ends its statement, whatever it opens after that."""
     buf = []
     depth = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -70,7 +72,16 @@ def _logical_lines(text: str):
         if not buf:
             start = lineno
         buf.append(line)
-        depth += line.count("(") + line.count("[") - line.count(")") - line.count("]")
+        closers = line.count(")") + line.count("]")
+        if closers > depth:
+            # only a line with more closers than its entry depth can
+            # drop below zero: scan its brackets
+            for ch in re.findall(r"[()\[\]]", line):
+                depth += 1 if ch in "([" else -1
+                if depth < 0:
+                    break
+        else:
+            depth += line.count("(") + line.count("[") - closers
         if depth <= 0:
             yield start, " ".join(buf)
             buf = []

@@ -67,11 +67,12 @@ Phi (OSp), and divides each entry by eps, all through the dual-number
 quotient.
 
 reference_substitute is SuperPoly.substitute before it accumulated every
-term into one numerator map, kept verbatim with the pair sum it called,
-poly.dot, as reference_dot: a generator yields each term's head (the
+term into one numerator map: a generator yields each term's head (the
 numerator times every image power but the last) with its last factor,
-and dot lists those pairs, checks the context of each, takes the lcm of
-their denominators and then accumulates them.
+and reference_dot sums those pairs.  reference_dot checks the context of
+each pair, then multiplies term pair by term pair on tests/model.py's
+Monomials, each odd sign theta_product's inversion count, so it shares
+no pair loop with poly._packed_dot.
 
 reference_apply and reference_bracket are SuperDerivation.apply and
 derivation.bracket before the bracket became one sum of products, kept verbatim
@@ -110,10 +111,8 @@ from functools import partial
 from itertools import combinations, permutations
 from operator import add, itemgetter, mul, neg
 
-from math import gcd
-
 from helpers import grid_mul, identity
-from model import Monomial, coefficient, from_terms, inversions, terms_of
+from model import Monomial, coefficient, from_terms, inversions, terms_of, theta_product
 from supergeom import (Context, ContextMismatch, LimitExceeded, Morphism,
                        Parity, ParityError, ScriptError, SuperDerivation, SuperDim,
                        SuperMatrix, SuperPoly, linalg)
@@ -121,8 +120,8 @@ from supergeom.expr import _ECHO_CHARS, _MAX_DEPTH
 from supergeom.groups import AxiomResult, primed, product_context
 from supergeom.liealg import (RESERVED, LieAlgebraResult, _canonical_constraints,
                               _divide, _symbol_names)
-from supergeom.poly import (_PARITIES, MAX_DIGITS, _mac, _Memo, _odd_word, _power,
-                            _unpack)
+from supergeom.poly import (_PARITIES, MAX_DIGITS, MAX_FIELD_EXPONENT, _Memo, _odd_word,
+                            _power, _unpack)
 
 
 # -- independent algorithms ----------------------------------------------------
@@ -678,18 +677,33 @@ def reference_substitute(self, ctx_out, images):
 
 
 def reference_dot(ctx, pairs):
+    """sum a * b over (a, b) pairs of polynomials over ctx, term pair by
+    term pair on tests/model.py's Monomials and Fractions: the even
+    exponents add, the odd parts multiply by theta_product, and an
+    exponent past MAX_FIELD_EXPONENT raises LimitExceeded, naming the
+    lowest such generator.  ContextMismatch before any product.  It holds
+    no MAX_TERMS cap."""
     pairs = list(pairs)
-    den = 1
     for a, b in pairs:
         if a.ctx is not ctx or b.ctx is not ctx:
             raise ContextMismatch("operands live in different contexts")
-        d = a.den * b.den
-        if den % d:
-            den = den // gcd(den, d) * d
-    acc: dict[int, int] = {}
+    out = {}
+    signs = {}  # (K, L) -> theta_product(K, L)
     for a, b in pairs:
-        _mac(ctx, a.nums, acc, den // (a.den * b.den), b.nums.items())
-    return SuperPoly._reduced(ctx, acc, den)
+        right = terms_of(b).items()
+        for (p1, k1), c1 in terms_of(a).items():
+            for (p2, k2), c2 in right:
+                product = signs.get((k1, k2))
+                if product is None:
+                    product = signs[k1, k2] = theta_product(k1, k2)
+                for mask, sign in product.items():
+                    mono = tuple.__new__(Monomial, (p1 + p2, mask))
+                    over = [i for i, e in mono.even if e > MAX_FIELD_EXPONENT]
+                    if over:
+                        raise LimitExceeded(f"exponent of {ctx.even[over[0]]} is above "
+                                            f"the cap of {MAX_FIELD_EXPONENT}")
+                    out[mono] = out.get(mono, 0) + sign * c1 * c2
+    return from_terms(ctx, out)
 
 
 def reference_apply(self, a):

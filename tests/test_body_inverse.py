@@ -143,19 +143,20 @@ def test_a_dense_4x4_inverse_takes_one_pass_per_row(monkeypatch):
     # 6 * 2 + 4 * 3 = 24 on the minors of 2 and 3 rows, the one-row minors
     # being the entries themselves, and _det reads the determinant from
     # the Kronecker image with no polynomial product: 96.  Every product
-    # is one call of the term-pair loop, however it is summed
-    calls = []
-    real = P._mac
+    # is one nonzero pair of the one sum of products, however it is summed
+    pairs = []
+    real = P._packed_dot
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(ctx, triples, width):
+        pairs.extend(1 for _, a, packed in triples if a.nums and packed)
+        return real(ctx, triples, width)
 
     grid = unipotent_product(random.Random(1500), 4)
-    monkeypatch.setattr(P, "_mac", counted)
+    monkeypatch.setattr(P, "_packed_dot", counted)
+    monkeypatch.setattr(M, "_packed_dot", counted)
     M._body_inverse(KT, grid, "T")
     monkeypatch.undo()
-    assert 0 < len(calls) <= 112
+    assert 0 < len(pairs) <= 112
     check(KT, grid)
 
 

@@ -96,8 +96,8 @@ def test_dot_output_at_the_cap_is_kept_and_above_it_refused():
 
 
 def test_a_product_of_odd_left_terms_past_the_cap_is_refused():
-    # every left term t^k*a is odd, so only the odd-left-term loop of _mac
-    # runs; 101 * 101 = 10,201 distinct products pass the cap
+    # every left term t^k*a is odd, so only the odd-left-term loop of
+    # _packed_dot runs; 101 * 101 = 10,201 distinct products pass the cap
     ctx = Context(even=["t", "s"], odd=["a"])
     t, s, a = ctx.var("t"), ctx.var("s"), ctx.var("a")
     left = sum((t**k * a for k in range(101)), ctx.zero())

@@ -1,6 +1,6 @@
 """The multiply-accumulate kernel (products, matrix._gmul, the one grid
 product, and poly._dot, the one-column sum, all through the one
-term-pair loop poly._mac) against an independent model.
+term-pair loop in poly._packed_dot) against an independent model.
 
 Oracle: the left regular representation of the exterior algebra
 Lambda(theta1..thetaq), tests/model.py's poly_matrix.  The basis is the
@@ -421,12 +421,12 @@ def test_det_with_nilpotent_entries_matches_leibniz_in_the_model(n):
 
 # -- the two inner loops of the term-pair loop ------------------------------
 #
-# poly._mac, under every product, runs each left term through one of two
-# loops: an odd-free left term has no odd-mask skip and no sign test, a
-# left term with odd generators has both.  The operands below hold both
-# kinds of term in one polynomial, so one product runs both loops into
-# one accumulator, and the last pair of split_pairs makes the two loops
-# cancel each other.
+# poly._packed_dot, under every product, runs each left term through one
+# of two loops: an odd-free left term has no odd-mask skip and no sign
+# test, a left term with odd generators has both.  The operands below
+# hold both kinds of term in one polynomial, so one product runs both
+# loops into one accumulator, and the last pair of split_pairs makes the
+# two loops cancel each other.
 
 
 def split_operand(rng, ctx, n_free=3, n_odd=3):
@@ -526,10 +526,10 @@ def test_each_loop_refuses_an_exponent_past_the_cap(left_mask):
 
 # -- constant left terms and the one denominator of a sum ------------------
 #
-# _mac runs a left term of code 0 through its own loop, which keys each
-# product by the right key alone, with no code addition and no guard
-# test, and into an empty map only stores them; the MAX_TERMS test still
-# follows it.  _packed_dot builds each sum at the lcm of its products'
+# _packed_dot runs a left term of code 0 through its own loop, which
+# keys each product by the right key alone, with no code addition and no
+# guard test, and into an empty map only stores them; the MAX_TERMS test
+# still follows it.  It builds each sum at the lcm of its products'
 # denominators, taken before any product.  The model checks the values;
 # the stored keys are checked for guard bits.
 
@@ -591,7 +591,7 @@ class TestConstantLeftTerms:
         total = poly._dot(self.CTX, pairs)
         assert total == self.CTX.zero()
         assert total.terms == {}
-        assert poly._packed_dot(self.CTX, [(a, poly._pack(self.CTX, [b])) for a, b in pairs],
+        assert poly._packed_dot(self.CTX, [(1, a, poly._pack(self.CTX, [b])) for a, b in pairs],
                                 1) is None
         # the same through a packed row of width two
         got = _gmul(self.CTX, ([t1 * t2, -one],), [[t3, x], [t1 * t2 * t3, t1 * t2 * x]])[0]
@@ -604,7 +604,8 @@ class TestConstantLeftTerms:
         # product denominators 6, 35 and 143, pairwise coprime; the
         # constant factors carry their own denominators
         pairs = [(x / 2, t1 / 3), (one / 5, x * t2 / 7), (t3 / 11 + one / 11, x / 13 + t2 / 13)]
-        total = poly._packed_dot(self.CTX, [(a, poly._pack(self.CTX, [b])) for a, b in pairs], 1)
+        total = poly._packed_dot(self.CTX, [(1, a, poly._pack(self.CTX, [b])) for a, b in pairs],
+                                 1)
         assert total[1] == 6 * 35 * 143
         got = poly._dot(self.CTX, pairs)
         for at in ([Fraction(1)], [Fraction(-5, 3)], [Fraction(7, 2)]):

@@ -358,7 +358,8 @@ LOGICAL_LINES = [
     # more closers than openers end the statement; the next starts at depth 0
     ("let p = t)\nlet q = (a\n  )) + t\nlet r = 1\n",
      [(1, "let p = t)"), (2, "let q = (a )) + t"), (4, "let r = 1")]),
-    ("let q = (a\n  )) + ((t\nlet r = 1\n", [(1, "let q = (a )) + ((t let r = 1")]),
+    # a line that drops below zero ends the statement, whatever it opens
+    ("let q = (a\n  )) + ((t\nlet r = 1\n", [(1, "let q = (a )) + ((t"), (3, "let r = 1")]),
     (")\n]\n", [(1, ")"), (2, "]")]),
     # a bracket still open at the end of the text closes the last statement
     ("context even=[t] odd=[a]\nlet p = (t +\n a\n",
@@ -366,12 +367,23 @@ LOGICAL_LINES = [
     ("let p = [(t\n", [(1, "let p = [(t")]),
     ("", []),
     ("\n\n# c\n   \n", []),
+    # a deeper statement that drops below zero, then one that closes
+    # exactly what it opened
+    ("let q = ((a\n  ))) (\nlet r = [1\n]\n", [(1, "let q = ((a ))) ("), (3, "let r = [1 ]")]),
 ]
 
 
 @pytest.mark.parametrize("text,pairs", LOGICAL_LINES)
 def test_logical_lines_are_pinned(text, pairs):
     assert list(_logical_lines(text)) == pairs
+
+
+def test_statements_after_a_line_that_closes_too_much_still_run():
+    text = "context even=[t] odd=[a]\nlet q = (a\n  )) + ((t\nlet r = t\neval r\nbogus\n"
+    result = run_script(text, keep_going=True)
+    assert result.errors == ("error: line 2, column 5: unexpected ')' after expression",
+                             "error: line 6: unknown statement 'bogus'")
+    assert result.output == "t\n"
 
 
 # A fault inside a bracketed list is reported at its column in the list,

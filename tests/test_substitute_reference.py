@@ -1,8 +1,9 @@
 """SuperPoly.substitute against the form it replaced
 (oracles.reference_substitute), and the context check of every image.
 
-substitute runs every term through _mac into one numerator map; the
-reference built a head polynomial per term and summed the pairs with dot.
+substitute sums every term in one _packed_dot, weighted by its
+numerator; the reference builds a head polynomial per term and sums the
+pairs with reference_dot, the model's own pair loop.
 The inputs are seeded: rational denominators in the polynomial and in the
 images, constant terms, zero images, nilpotent images whose powers or
 products vanish in the middle of a term, stored exponents above
