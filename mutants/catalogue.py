@@ -152,7 +152,7 @@ CATALOGUE = (
     Mutant(
         "_packed_dot taking its denominator from the first product alone",
         POLY,
-        (("            if den % d:\n                den = lcm(den, d)\n",
+        (("            if den % d:\n                den = d if den == 1 else lcm(den, d)\n",
           "            if den == 1:\n                den = d\n"),),
         (f"{CONSTANT_LEFT}::test_a_packed_sum_reads_the_lcm_of_coprime_denominators",),
     ),

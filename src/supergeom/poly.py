@@ -667,10 +667,11 @@ class SuperPoly:
         if isinstance(other, SuperPoly):
             # the one-pair _dot, written out: most products are of a few
             # terms, and _dot's list and loop cost a tenth of such a product
-            if other.ctx is not self.ctx:
+            ctx = self.ctx
+            if other.ctx is not ctx:
                 raise ContextMismatch("operands live in different contexts")
-            total = _packed_dot(self.ctx, ((1, self, (other.nums, other.den)),), 1)
-            return SuperPoly._reduced(self.ctx, *(total or ({}, 1)))
+            total = _packed_dot(ctx, ((1, self, (other.nums, other.den) if other.nums else None),), 1)
+            return SuperPoly._reduced(ctx, *total) if total else SuperPoly.zero(ctx)
         if not isinstance(other, Scalar):
             return NotImplemented
         if not other:
@@ -1060,7 +1061,7 @@ def _packed_dot(ctx: Context, triples, width: int):
         if a.nums and packed:
             d = a.den * packed[1]
             if den % d:
-                den = lcm(den, d)
+                den = d if den == 1 else lcm(den, d)
     w = (width - 1).bit_length()
     guard = ctx._guard << w
     shift = ctx._shift + w
@@ -1133,7 +1134,7 @@ def _dot(ctx: Context, pairs) -> SuperPoly:
         if b.ctx is not ctx:
             raise ContextMismatch("operands live in different contexts")
     total = _packed_dot(ctx, [(1, a, (b.nums, b.den) if b.nums else None) for a, b in pairs], 1)
-    return SuperPoly._reduced(ctx, *(total or ({}, 1)))
+    return SuperPoly._reduced(ctx, *total) if total else SuperPoly.zero(ctx)
 
 
 def _split(ctx: Context, rows, width: int) -> tuple[SuperPoly, ...]:

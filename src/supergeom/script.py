@@ -47,6 +47,7 @@ from .serialize import to_json
 from .variety import PointedVariety, tangent_space
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_BRACKETS = re.compile(r"[()\[\]]")
 
 
 class ScriptResult(NamedTuple):
@@ -72,16 +73,10 @@ def _logical_lines(text: str):
         if not buf:
             start = lineno
         buf.append(line)
-        closers = line.count(")") + line.count("]")
-        if closers > depth:
-            # only a line with more closers than its entry depth can
-            # drop below zero: scan its brackets
-            for ch in re.findall(r"[()\[\]]", line):
-                depth += 1 if ch in "([" else -1
-                if depth < 0:
-                    break
-        else:
-            depth += line.count("(") + line.count("[") - closers
+        for ch in _BRACKETS.findall(line):
+            depth += 1 if ch in "([" else -1
+            if depth < 0:
+                break
         if depth <= 0:
             yield start, " ".join(buf)
             buf = []
